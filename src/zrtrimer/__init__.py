@@ -30,7 +30,6 @@ from .radial import (
     RadialSolution,
     ThomasSpectrum,
     count_nodes,
-    integrate,
     solve_bound_states,
     thomas_spectrum,
 )
@@ -38,6 +37,7 @@ from .system import (
     KinematicConstants,
     PairParams,
     ParticleSystem,
+    SolverError,
     UnitSystem,
     convert_energy,
     dimer_binding_energy,
@@ -52,9 +52,10 @@ __all__ = [
     "nu_cot_half_pi", "sin_ratio", "solve_at_rho", "trace_branch",
     "ConfigError", "RunConfig", "parse_config",
     "EffectivePotential", "effective_potential", "yukawa_tail",
-    "RadialSolution", "ThomasSpectrum", "count_nodes", "integrate",
-    "solve_bound_states", "thomas_spectrum",
-    "KinematicConstants", "PairParams", "ParticleSystem", "UnitSystem",
+    "RadialSolution", "ThomasSpectrum", "count_nodes", "solve_bound_states",
+    "thomas_spectrum",
+    "KinematicConstants", "PairParams", "ParticleSystem", "SolverError",
+    "UnitSystem",
     "convert_energy", "dimer_binding_energy", "dimer_pole_kappa",
     "reduced_masses",
 ]

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .system import KinematicConstants, PairParams, ParticleSystem, reduced_masses
+from .system import KinematicConstants, PairParams, ParticleSystem, SolverError, reduced_masses
 
 SQRT3 = math.sqrt(3.0)
 
@@ -34,11 +34,11 @@ TOL_RES = 1e-10
 TOL_U = 1e-10
 
 
-class PoleProximityError(ValueError):
+class PoleProximityError(SolverError):
     """Evaluation requested inside the guard band of a pole u = (2n)^2."""
 
 
-class RootSearchError(RuntimeError):
+class RootSearchError(SolverError):
     """No sign change found in the maximal search window."""
 
 
@@ -383,7 +383,6 @@ class NuBranch:
     rho: np.ndarray
     u: np.ndarray
     residuals: np.ndarray
-    branch_id: str = "lowest"
 
     @property
     def lam(self) -> np.ndarray:
@@ -481,8 +480,9 @@ def nu2_asymptotic(rho: float, pair: PairParams, mu: float,
     raise ValueError(f"unknown branch {branch!r}")
 
 
-def dimer_channel_u(rho: float, kappa: float, mu: float) -> float:
+def dimer_channel_u(rho, kappa: float, mu: float):
     """u(rho) of the dimer channel for pole momentum kappa: the asymptote
-    -x^2 - (16/sqrt3) x e^(-x pi/3), x = kappa rho / sqrt(mu)."""
+    -x^2 - (16/sqrt3) x e^(-x pi/3), x = kappa rho / sqrt(mu).  rho may be
+    a scalar or an array."""
     x = kappa * rho / math.sqrt(mu)
-    return -(x * x) - (16.0 / SQRT3) * x * math.exp(-x * math.pi / 3.0)
+    return -(x * x) - (16.0 / SQRT3) * x * np.exp(-x * math.pi / 3.0)

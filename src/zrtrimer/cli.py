@@ -5,7 +5,8 @@ data is written as CSV with a header row and `# key=value` metadata
 comments; spectra are written as JSON carrying the same metadata in a
 "meta" object.  Identical configuration and tool version produce
 byte-identical output.  Exit codes: 0 success, 1 usage or configuration
-error, 2 solver failure.
+error, 2 solver failure (SolverError); any other exception is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .angular import AngularProblem, NuBranch, RootSearchError, efimov_constant, trace_branch
+from .angular import AngularProblem, NuBranch, efimov_constant, trace_branch
 from .config import ConfigError, RunConfig, parse_config
 from .potential import EffectivePotential, effective_potential
 from .radial import RadialSolution, solve_bound_states, thomas_spectrum
+from .system import SolverError
 
 
 class _UsageError(Exception):
@@ -275,7 +277,7 @@ def main(argv=None) -> int:
     except (_UsageError, ConfigError) as exc:
         print(f"zrtrimer: error: {exc}", file=sys.stderr)
         return 1
-    except (RootSearchError, RuntimeError, ValueError) as exc:
+    except SolverError as exc:
         print(f"zrtrimer: solver failure: {exc}", file=sys.stderr)
         return 2
 

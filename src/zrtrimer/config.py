@@ -1,7 +1,7 @@
 """Run configuration: strict `key = value` files with [section] headers.
 
-Sections: [system], [pair.1], [pair.2], [pair.3], [grid], [solver],
-[output].  Pair sections are indexed by the spectator particle, so
+Sections: [system], [pair.1], [pair.2], [pair.3], [grid], [solver].
+Pair sections are indexed by the spectator particle, so
 [pair.3] describes the interaction between particles 1 and 2.  Unknown
 sections or keys are errors; missing optional sections fall back to
 defaults.  See the bundled configs under zrtrimer/data/ for examples.
@@ -28,7 +28,6 @@ _ALLOWED = {
     "grid": {"rho_min", "rho_max", "n", "spacing"},
     "solver": {"q_convention", "regularized", "tol_res", "tol_u",
                "radial_n", "radial_rho_min", "radial_rho_max", "max_states"},
-    "output": {"format", "path"},
 }
 
 _REQUIRED_HINT = (
@@ -53,8 +52,6 @@ class RunConfig:
     radial_rho_min: float = 0.05
     radial_rho_max: float | None = None   # None means automatic
     max_states: int = 4
-    out_format: str = "csv"
-    out_path: str = "-"
     sha256: str = ""
 
 
@@ -69,24 +66,15 @@ def _floats(text: str, where: str, count: int | None = None) -> list[float]:
     return vals
 
 
-def _float(section, key: str, default: float, where: str) -> float:
+def _number(section, key: str, default, where: str, kind=float):
     raw = section.get(key)
     if raw is None:
         return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}.{key}: cannot parse {raw!r} as a number") from exc
-
-
-def _int(section, key: str, default: int, where: str) -> int:
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.{key}: cannot parse {raw!r} as an integer") from exc
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}.{key}: cannot parse {raw!r} as {what}") from exc
 
 
 def _bool(section, key: str, default: bool, where: str) -> bool:
@@ -142,9 +130,9 @@ def parse_config(text: str) -> RunConfig:
         names = parts
 
     units = UnitSystem(
-        mass_scale=_float(sys_sec, "mass_scale", DEFAULT_MASS_SCALE, "[system]"),
-        hartree_per_mk=_float(sys_sec, "hartree_per_mk",
-                              UnitSystem().hartree_per_mk, "[system]"))
+        mass_scale=_number(sys_sec, "mass_scale", DEFAULT_MASS_SCALE, "[system]"),
+        hartree_per_mk=_number(sys_sec, "hartree_per_mk",
+                               UnitSystem().hartree_per_mk, "[system]"))
 
     pairs = []
     for i in (1, 2, 3):
@@ -155,12 +143,12 @@ def parse_config(text: str) -> RunConfig:
         if "a" not in sec:
             raise ConfigError(f"[{sec_name}] is missing 'a'; {_REQUIRED_HINT}")
         where = f"[{sec_name}]"
-        a = _float(sec, "a", math.nan, where)
+        a = _number(sec, "a", math.nan, where)
         try:
             pairs.append(PairParams(
                 a=a,
-                r_eff=_float(sec, "r_eff", 0.0, where),
-                p_shape=_float(sec, "p_shape", 0.0, where)))
+                r_eff=_number(sec, "r_eff", 0.0, where),
+                p_shape=_number(sec, "p_shape", 0.0, where)))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
@@ -171,9 +159,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"[system]: {exc}") from exc
 
     grid = parser["grid"] if "grid" in parser else {}
-    rho_min = _float(grid, "rho_min", 0.05, "[grid]")
-    rho_max = _float(grid, "rho_max", 4000.0, "[grid]")
-    n = _int(grid, "n", 600, "[grid]")
+    rho_min = _number(grid, "rho_min", 0.05, "[grid]")
+    rho_max = _number(grid, "rho_max", 4000.0, "[grid]")
+    n = _number(grid, "n", 600, "[grid]", int)
     spacing = _choice(grid, "spacing", "log", ("log", "linear"), "[grid]")
     if not 0.0 < rho_min < rho_max:
         raise ConfigError("[grid]: need 0 < rho_min < rho_max")
@@ -183,28 +171,21 @@ def parse_config(text: str) -> RunConfig:
     solver = parser["solver"] if "solver" in parser else {}
     q_convention = _choice(solver, "q_convention", "leading_term",
                            Q_CONVENTIONS, "[solver]")
-    radial_rho_max_raw = solver.get("radial_rho_max", "auto") if solver else "auto"
-    if isinstance(radial_rho_max_raw, str) and radial_rho_max_raw.strip() == "auto":
-        radial_rho_max = None
-    else:
-        radial_rho_max = _float(solver, "radial_rho_max", 0.0, "[solver]")
+    radial_rho_max = None
+    if solver.get("radial_rho_max", "auto").strip() != "auto":
+        radial_rho_max = _number(solver, "radial_rho_max", 0.0, "[solver]")
         if radial_rho_max <= 0.0:
             raise ConfigError("[solver].radial_rho_max: must be positive or 'auto'")
-
-    output = parser["output"] if "output" in parser else {}
-    out_format = _choice(output, "format", "csv", ("csv", "json"), "[output]")
-    out_path = output.get("path", "-") if output else "-"
 
     return RunConfig(
         system=system,
         rho_min=rho_min, rho_max=rho_max, n=n, spacing=spacing,
         q_convention=q_convention,
         regularized=_bool(solver, "regularized", True, "[solver]"),
-        tol_res=_float(solver, "tol_res", 1e-10, "[solver]"),
-        tol_u=_float(solver, "tol_u", 1e-10, "[solver]"),
-        radial_n=_int(solver, "radial_n", 8000, "[solver]"),
-        radial_rho_min=_float(solver, "radial_rho_min", 0.05, "[solver]"),
+        tol_res=_number(solver, "tol_res", 1e-10, "[solver]"),
+        tol_u=_number(solver, "tol_u", 1e-10, "[solver]"),
+        radial_n=_number(solver, "radial_n", 8000, "[solver]", int),
+        radial_rho_min=_number(solver, "radial_rho_min", 0.05, "[solver]"),
         radial_rho_max=radial_rho_max,
-        max_states=_int(solver, "max_states", 4, "[solver]"),
-        out_format=out_format, out_path=out_path,
+        max_states=_number(solver, "max_states", 4, "[solver]", int),
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())

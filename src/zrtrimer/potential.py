@@ -78,29 +78,18 @@ class EffectivePotential:
     def shift(self) -> float:
         return 0.0 if self.q_convention == "leading_term" else 0.25
 
-    def u_at(self, rho: float) -> float:
-        """Angular eigenvalue u = nu^2 at any rho (interpolated/extended)."""
-        if rho <= 0.0:
-            raise ValueError("rho must be positive")
-        grid = self.rho
-        if rho < grid[0]:
-            c, p, kind = self._inner
-            if kind == "power":
-                return c * rho ** p
-            return c + p * rho
-        if rho > grid[-1]:
-            if self.bound_kappa is not None:
-                return dimer_channel_u(rho, self.bound_kappa, self.bound_mu)
-            return 4.0 - (4.0 - self._u_last) * (grid[-1] / rho)
-        return float(self._u_interp(math.log(rho)))
-
-    def value(self, rho: float) -> float:
-        """W(rho) in 2mE/hbar^2 units."""
-        return (self.u_at(rho) - self.shift) / (rho * rho)
-
     def values(self, rhos) -> np.ndarray:
-        """Vectorized W over an array of rho values."""
+        """W(rho) in 2mE/hbar^2 units over an array of rho values."""
         rhos = np.asarray(rhos, dtype=float)
+        return (self._u(rhos) - self.shift) / (rhos * rhos)
+
+    def u_at(self, rho: float) -> float:
+        """Angular eigenvalue u = nu^2 at a single rho."""
+        return float(self._u(np.asarray(rho, dtype=float)))
+
+    def _u(self, rhos: np.ndarray) -> np.ndarray:
+        """u = nu^2 at any rho: the inner law below the first node, the
+        interpolated branch on the grid and the analytic tail beyond it."""
         flat = rhos.ravel()
         if flat.size and flat.min() <= 0.0:
             raise ValueError("rho must be positive")
@@ -114,9 +103,11 @@ class EffectivePotential:
             c, p, kind = self._inner
             u[lo] = c * flat[lo] ** p if kind == "power" else c + p * flat[lo]
         if hi.any():
-            u[hi] = np.array([self.u_at(r) for r in flat[hi]])
-        w = (u - self.shift) / (flat * flat)
-        return w.reshape(rhos.shape)
+            if self.bound_kappa is not None:
+                u[hi] = dimer_channel_u(flat[hi], self.bound_kappa, self.bound_mu)
+            else:
+                u[hi] = 4.0 - (4.0 - self._u_last) * (self.rho[-1] / flat[hi])
+        return u.reshape(rhos.shape)
 
     # -- energy unit plumbing -------------------------------------------
     @property

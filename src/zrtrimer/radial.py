@@ -3,9 +3,15 @@
 The equation (-d^2/drho^2 + W(rho) - eps) f = 0 with eps = 2mE/hbar^2 is
 integrated on a log grid: with t = ln(rho) and f = sqrt(rho) g(t) it turns
 into g'' = q(t) g, q = 1/4 + rho^2 (W - eps), which Numerov handles with a
-uniform step in t at fourth order.  Eigenvalues are isolated by node-count
-bisection on the outward solution and refined on the two-sided
-log-derivative matching residual at the outer classical turning point.
+uniform step in t at fourth order.  One shooting core, _Shooter, isolates
+each eigenvalue by node-count bisection on the outward solution.  Its two
+callers differ only at the boundaries:
+
+  solve_bound_states  regular start f ~ rho at rho_min; refined on the
+                      two-sided log-derivative matching residual at the
+                      outer classical turning point.
+  thomas_spectrum     hard wall f(rho_min) = 0; refined on the outward end
+                      value, i.e. a hard outer wall at the barrier cutoff.
 
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
@@ -15,6 +21,7 @@ also keeps the Numerov step well inside its stability range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .angular import efimov_constant
-from .system import UnitSystem
+from .system import SolverError, UnitSystem
 
 _BIG = 1e140
 _TINY = 1e-140
@@ -37,17 +44,9 @@ def count_nodes(f) -> int:
     Endpoint zeros imposed by boundary conditions therefore never count,
     and touching zeros ([1, 0, 1]) do not count as crossings.
     """
-    vals = [float(v) for v in np.asarray(f, dtype=float).ravel() if v != 0.0]
-    if not vals:
-        return 0
-    nodes = 0
-    prev_neg = vals[0] < 0.0
-    for v in vals[1:]:
-        neg = v < 0.0
-        if neg != prev_neg:
-            nodes += 1
-        prev_neg = neg
-    return nodes
+    f = np.asarray(f, dtype=float).ravel()
+    neg = f[f != 0.0] < 0.0
+    return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
 def _numerov(q: np.ndarray, h: float, y0: float, y1: float,
@@ -86,75 +85,6 @@ def _numerov(q: np.ndarray, h: float, y0: float, y1: float,
 
 
 @dataclass(frozen=True)
-class RadialSweep:
-    """One-directional Numerov sweep: samples plus the end log-derivative."""
-
-    rho: np.ndarray
-    f: np.ndarray
-    end_log_derivative: float
-
-
-def _end_logderiv_t(ys: list[float], h: float) -> float:
-    """d(ln g)/dt at the last node, one-sided fourth-order stencil."""
-    g = ys
-    d = (25.0 * g[-1] - 48.0 * g[-2] + 36.0 * g[-3]
-         - 16.0 * g[-4] + 3.0 * g[-5]) / (12.0 * h)
-    return d / g[-1]
-
-
-def integrate(potential, energy: float, direction: str,
-              bounds: tuple[float, float], n: int = 4001) -> RadialSweep:
-    """Numerov integration of the hyper-radial equation at fixed energy.
-
-    energy is in hartree and must lie below the potential threshold.
-    Outward sweeps start from the free-equation regular solution
-    f(rho_min) = rho_min, f'(rho_min) = 1; inward sweeps start from the
-    decaying exponential exp(-kappa rho) with
-    kappa = sqrt(2m(-E) - |threshold|).  The returned log-derivative
-    d(ln f)/drho is taken at the final node of the sweep.
-    """
-    if direction not in ("outward", "inward"):
-        raise ValueError(f"direction must be 'outward' or 'inward', got {direction!r}")
-    lo, hi = bounds
-    if not 0.0 < lo < hi:
-        raise ValueError("bounds must satisfy 0 < rho_lo < rho_hi")
-    if n < 8:
-        raise ValueError("need at least 8 grid points")
-    eps = potential.eps_from_hartree(energy)
-    if eps >= potential.threshold:
-        raise ValueError("energy must lie below the dissociation threshold")
-    t = np.linspace(math.log(lo), math.log(hi), n)
-    h = t[1] - t[0]
-    rho = np.exp(t)
-    w = potential.values(rho)
-    q = 0.25 + rho * rho * (w - eps)
-
-    if direction == "outward":
-        # g = f / sqrt(rho) with f = rho over the first step
-        y0 = math.sqrt(rho[0])
-        y1 = math.sqrt(rho[1])
-        _, _, _, _, ys = _numerov(q, h, y0, y1, record=True)
-        g = np.array(ys)
-        f = g * np.sqrt(rho)
-        dg = _end_logderiv_t(ys, h)
-        dlogf = (dg + 0.5) / rho[-1]
-        return RadialSweep(rho=rho, f=f, end_log_derivative=dlogf)
-
-    kappa = math.sqrt(potential.threshold - eps)
-    # exact asymptotic-form values at the last two nodes, scale-free
-    y_end = 1.0
-    y_prev = math.exp(kappa * (rho[-1] - rho[-2]) + 0.5 * h)
-    _, _, _, _, ys = _numerov(q[::-1], h, y_end, y_prev, record=True)
-    g = np.array(ys[::-1])
-    f = g * np.sqrt(rho)
-    scale = math.exp(-kappa * rho[-1]) if kappa * rho[-1] < 650.0 else 1.0
-    f = f * (scale / f[-1])
-    dg = _end_logderiv_t(ys, h)          # d(ln g)/ds at rho_lo, s = -t
-    dlogf = (-dg + 0.5) / rho[0]
-    return RadialSweep(rho=rho, f=f, end_log_derivative=dlogf)
-
-
-@dataclass(frozen=True)
 class RadialSolution:
     """One bound state: energy, node count and the sampled wave function."""
 
@@ -167,26 +97,45 @@ class RadialSolution:
 
 
 class _Shooter:
-    """Node counting and two-sided matching on a fixed radial grid."""
+    """Node counting, bisection and end conditions on a fixed log grid.
 
-    def __init__(self, potential, rho_min: float, rho_max: float, n: int):
-        self.pot = potential
+    w_of samples W over an array of rho and w_inf is its large-rho limit;
+    eigenvalues are searched in [min W, search_top).  hard_wall starts the
+    outward sweep from f(rho_min) = 0 instead of the regular f ~ rho.
+    """
+
+    def __init__(self, w_of, w_inf: float, search_top: float,
+                 rho_min: float, rho_max: float, n: int,
+                 hard_wall: bool = False):
         self.t = np.linspace(math.log(rho_min), math.log(rho_max), n)
         self.h = float(self.t[1] - self.t[0])
         self.rho = np.exp(self.t)
-        self.w = potential.values(self.rho)
+        self.w = w_of(self.rho)
         self.r2 = self.rho * self.rho
         self.n = n
         self.w_min = float(self.w.min())
-        self.search_top = min(potential.w_inf, potential.threshold)
+        self.w_inf = w_inf
+        self.top = search_top - abs(search_top) * 1e-12
+        if hard_wall:
+            self.start = (0.0, self.h)
+        else:
+            self.start = (math.exp(self.t[0] / 2.0), math.exp(self.t[1] / 2.0))
 
     def _q(self, eps: float) -> np.ndarray:
         return 0.25 + self.r2 * (self.w - eps)
 
     def _turning_and_stop(self, eps: float, q: np.ndarray) -> tuple[int, int]:
+        """Outermost classical turning point and the barrier cutoff beyond it.
+
+        Without a turning point the barrier action is counted from the inner
+        edge when the whole grid is forbidden, from the outer edge otherwise.
+        """
         s = self.w - eps
         idx = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
-        im = int(idx[-1]) if len(idx) else self.n // 2
+        if len(idx):
+            im = int(idx[-1])
+        else:
+            im = 0 if s.min() >= 0.0 else self.n - 1
         im = min(max(im, 3), self.n - 4)
         action = 0.0
         i = im
@@ -198,34 +147,30 @@ class _Shooter:
             i += 1
         return im, i
 
-    def _outward_start(self) -> tuple[float, float]:
-        return math.exp(self.t[0] / 2.0), math.exp(self.t[1] / 2.0)
-
-    def count(self, eps: float) -> int:
+    def _outward(self, eps: float) -> tuple[int, float]:
+        """Node count and end value of the outward sweep to the cutoff."""
         q = self._q(eps)
         _, stop = self._turning_and_stop(eps, q)
-        y0, y1 = self._outward_start()
-        nodes, _, _, _, _ = _numerov(q[:stop + 1], self.h, y0, y1)
-        return nodes
+        nodes, _, _, y_end, _ = _numerov(q[:stop + 1], self.h, *self.start)
+        return nodes, y_end
 
-    def _inward_seed(self, eps: float, stop: int) -> tuple[float, float]:
-        w_stop = self.pot.w_inf if stop == self.n - 1 else float(self.w[stop])
-        kappa = math.sqrt(max(w_stop - eps, 0.0))
-        y_end = 1.0
-        y_prev = math.exp(kappa * (self.rho[stop] - self.rho[stop - 1]) + 0.5 * self.h)
-        return y_end, y_prev
+    def count(self, eps: float) -> int:
+        """Number of eigenvalues below eps."""
+        return self._outward(eps)[0]
 
     def match(self, eps: float, want_wave: bool = False):
         """Normalized difference of outward/inward log-derivatives at the
         turning point; optionally also the stitched, normalized f."""
         q = self._q(eps)
         im, stop = self._turning_and_stop(eps, q)
-        y0, y1 = self._outward_start()
-        _, o_m1, o_m, o_p1, o_rec = _numerov(q[:im + 2], self.h, y0, y1,
+        _, o_m1, o_m, o_p1, o_rec = _numerov(q[:im + 2], self.h, *self.start,
                                              record=want_wave)
-        y_end, y_prev = self._inward_seed(eps, stop)
+        # inward seed: the decaying exponential of the local barrier
+        w_stop = self.w_inf if stop == self.n - 1 else float(self.w[stop])
+        kappa = math.sqrt(max(w_stop - eps, 0.0))
+        y_prev = math.exp(kappa * (self.rho[stop] - self.rho[stop - 1]) + 0.5 * self.h)
         _, i_p1, i_m, i_m1, i_rec = _numerov(q[im - 1:stop + 1][::-1], self.h,
-                                             y_end, y_prev, record=want_wave)
+                                             1.0, y_prev, record=want_wave)
         d_out = (o_p1 - o_m1) / (2.0 * self.h * o_m)
         d_in = (i_p1 - i_m1) / (2.0 * self.h * i_m)
         resid = (d_out - d_in) / (abs(d_out) + abs(d_in) + 1.0)
@@ -240,14 +185,14 @@ class _Shooter:
         return resid, f
 
     def isolate(self, n_state: int, max_iter: int = 220) -> tuple[float, float]:
-        """Bisect until [lo, hi] contains exactly the n_state-th eigenvalue."""
-        lo, hi = self.w_min, self.search_top - abs(self.search_top) * 1e-12
+        """Bisect on node counts until [lo, hi] contains exactly the
+        n_state-th eigenvalue."""
+        lo, hi = self.w_min, self.top
         c_lo, c_hi = self.count(lo), self.count(hi)
         if not (c_lo <= n_state < c_hi):
-            raise RuntimeError(f"state {n_state} not contained in search window")
+            raise SolverError(f"state {n_state} not contained in search window")
         for _ in range(max_iter):
-            if (c_lo == n_state and c_hi == n_state + 1
-                    and hi - lo <= 1e-3 * abs(hi)):
+            if c_lo == n_state and c_hi == n_state + 1:
                 break
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
@@ -259,8 +204,17 @@ class _Shooter:
                 lo, c_lo = mid, c_mid
         return lo, hi
 
-    def refine(self, lo: float, hi: float) -> float:
-        """Polish the eigenvalue inside an isolating bracket."""
+    def refine_match(self, n_state: int, lo: float, hi: float) -> float:
+        """Root of the matching residual inside an isolating bracket."""
+        # narrowing to 1e-3 relative width keeps residual poles out
+        while hi - lo > 1e-3 * abs(hi):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if self.count(mid) > n_state:
+                hi = mid
+            else:
+                lo = mid
         f_lo, f_hi = self.match(lo), self.match(hi)
         while f_lo * f_hi > 0.0:
             # residual pole inside: shrink toward the node-count flip
@@ -272,6 +226,17 @@ class _Shooter:
             else:
                 lo, f_lo = mid, self.match(mid)
         return brentq(self.match, lo, hi, xtol=1e-300, rtol=8.9e-16)
+
+    def refine_end(self, lo: float, hi: float) -> float:
+        """Root of the outward end value inside an isolating bracket; the
+        midpoint when the end value shows no sign change there."""
+        @functools.cache                  # brentq re-evaluates both ends
+        def end(eps: float) -> float:
+            return self._outward(eps)[1]
+
+        if end(lo) * end(hi) < 0.0:
+            return brentq(end, lo, hi, xtol=1e-300, rtol=8.9e-16)
+        return 0.5 * (lo + hi)
 
 
 def default_rho_max(potential) -> float:
@@ -294,16 +259,16 @@ def solve_bound_states(potential, max_states: int = 4, *,
         return []
     if rho_max is None:
         rho_max = default_rho_max(potential)
-    shooter = _Shooter(potential, rho_min, rho_max, n)
-    if shooter.w_min >= shooter.search_top:
+    search_top = min(potential.w_inf, potential.threshold)
+    shooter = _Shooter(potential.values, potential.w_inf, search_top,
+                       rho_min, rho_max, n)
+    if shooter.w_min >= search_top:
         return []
-    top = shooter.search_top - abs(shooter.search_top) * 1e-12
-    n_states = min(shooter.count(top), max_states)
+    n_states = min(shooter.count(shooter.top), max_states)
     units = potential.problem.system.units
     out = []
     for n_state in range(n_states):
-        lo, hi = shooter.isolate(n_state)
-        eps = shooter.refine(lo, hi)
+        eps = shooter.refine_match(n_state, *shooter.isolate(n_state))
         resid, f = shooter.match(eps, want_wave=True)
         energy = potential.hartree_from_eps(eps)
         out.append(RadialSolution(
@@ -340,8 +305,8 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
 
     This is the collapse scenario of the bare contact interaction: with the
     inner wall as the only scale, successive levels are spaced by the
-    geometric factor exp(2 pi / g).  One-sided shooting with node-count
-    bisection; the endpoint condition f(outer wall) = 0 is applied at the
+    geometric factor exp(2 pi / g).  Hard-wall shooting on the common
+    core; the endpoint condition f(outer wall) = 0 is applied at the
     adaptive barrier cutoff, which is equivalent within double precision.
     """
     if g is None:
@@ -352,59 +317,11 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
         raise ValueError("outer_rho must be well outside cutoff_rho0")
     units = units or UnitSystem()
     coef = g * g + 0.25
-    t = np.linspace(math.log(cutoff_rho0), math.log(outer_rho), n)
-    h = float(t[1] - t[0])
-    rho = np.exp(t)
-    r2 = rho * rho
-
-    def q_of(eps: float) -> np.ndarray:
-        return 0.25 - coef - r2 * eps
-
-    def stop_of(eps: float, q: np.ndarray) -> int:
-        turn2 = coef / abs(eps)           # turning point squared
-        i = int(np.searchsorted(r2, turn2))
-        i = min(max(i, 2), n - 1)
-        action = 0.0
-        while i < n - 1:
-            if q[i] > 0.0:
-                action += math.sqrt(q[i]) * h
-                if action > _ACTION_CAP:
-                    break
-            i += 1
-        return i
-
-    def nodes_end(eps: float) -> tuple[int, float]:
-        q = q_of(eps)
-        stop = stop_of(eps, q)
-        nodes, _, _, y_end, _ = _numerov(q[:stop + 1], h, 0.0, h)
-        return nodes, y_end
-
-    w_min = -coef / (cutoff_rho0 * cutoff_rho0)
-    top = -1e-300
-    available = nodes_end(top)[0]
-    n_states = min(n_states, available)
-    energies = []
-    for n_state in range(n_states):
-        lo, hi = w_min, top
-        c_lo, c_hi = nodes_end(lo)[0], available
-        for _ in range(300):
-            if c_lo == n_state and c_hi == n_state + 1:
-                break
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            c_mid = nodes_end(mid)[0]
-            if c_mid > n_state:
-                hi, c_hi = mid, c_mid
-            else:
-                lo, c_lo = mid, c_mid
-        f_lo, f_hi = nodes_end(lo)[1], nodes_end(hi)[1]
-        if f_lo * f_hi < 0.0:
-            eps = brentq(lambda e: nodes_end(e)[1], lo, hi,
-                         xtol=1e-300, rtol=8.9e-16)
-        else:
-            eps = 0.5 * (lo + hi)
-        energies.append(eps / (2.0 * units.mass_scale))
+    shooter = _Shooter(lambda rho: -coef / (rho * rho), 0.0, 0.0,
+                       cutoff_rho0, outer_rho, n, hard_wall=True)
+    n_states = min(n_states, shooter.count(shooter.top))
+    energies = [shooter.refine_end(*shooter.isolate(k)) / (2.0 * units.mass_scale)
+                for k in range(n_states)]
     ratios = tuple(energies[k] / energies[k + 1]
                    for k in range(len(energies) - 1))
     return ThomasSpectrum(cutoff_rho0=cutoff_rho0, outer_rho=outer_rho, g=g,

@@ -12,7 +12,7 @@ the pair supports a bound dimer with pole momentum kappa ~ 1/|a|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
@@ -25,6 +25,10 @@ KELVIN_PER_HARTREE = 3.1577464e5
 DEFAULT_MASS_SCALE = 1822.887
 
 _ENERGY_UNITS = ("hartree", "K", "mK")
+
+
+class SolverError(Exception):
+    """A numerical solve found no acceptable answer for valid input."""
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,6 @@ class UnitSystem:
 
     mass_scale: float = DEFAULT_MASS_SCALE
     hartree_per_mk: float = 1.0 / (KELVIN_PER_HARTREE * 1e3)
-    hbar: float = field(default=1.0, init=False)
-    length_unit: str = field(default="bohr", init=False)
 
     def __post_init__(self):
         if self.mass_scale <= 0:
@@ -145,13 +147,12 @@ class ParticleSystem:
 class KinematicConstants:
     """Reduced masses and rotation angles of the hyperspherical frame.
 
-    mu[i] is the reduced mass of the pair facing spectator i, mu_spect[i]
-    the spectator-pair reduced mass, both in units of the mass scale.
-    phi[i][j] is the rotation angle between Jacobi systems i and j.
+    mu[i] is the reduced mass of the pair facing spectator i, in units of
+    the mass scale; phi[i][j] is the rotation angle between Jacobi systems
+    i and j.
     """
 
     mu: tuple[float, float, float]
-    mu_spect: tuple[float, float, float]
     phi: tuple[tuple[float, float, float], ...]
 
 
@@ -160,7 +161,6 @@ def reduced_masses(system: ParticleSystem) -> KinematicConstants:
 
     With masses m_i as multiples of the scale:
       mu_i   = m_j m_k / (m_j + m_k)
-      mu_jk  = m_i (m_j + m_k) / (m_1 + m_2 + m_3)
       phi_ij = arctan sqrt(m_k (m_1 + m_2 + m_3) / (m_i m_j))
     where (i, j, k) are all distinct.  For equal masses every phi is pi/3.
     """
@@ -168,8 +168,6 @@ def reduced_masses(system: ParticleSystem) -> KinematicConstants:
     total = m[0] + m[1] + m[2]
     others = ((1, 2), (0, 2), (0, 1))
     mu = tuple(m[j] * m[k] / (m[j] + m[k]) for j, k in others)
-    mu_spect = tuple(m[i] * (m[j] + m[k]) / total
-                     for i, (j, k) in enumerate(others))
     phi_rows = []
     for i in range(3):
         row = []
@@ -180,7 +178,7 @@ def reduced_masses(system: ParticleSystem) -> KinematicConstants:
                 k = 3 - i - j
                 row.append(math.atan(math.sqrt(m[k] * total / (m[i] * m[j]))))
         phi_rows.append(tuple(row))
-    return KinematicConstants(mu=mu, mu_spect=mu_spect, phi=tuple(phi_rows))
+    return KinematicConstants(mu=mu, phi=tuple(phi_rows))
 
 
 def dimer_binding_energy(pair: PairParams, mu: float,
@@ -214,5 +212,5 @@ def dimer_pole_kappa(pair: PairParams) -> float | None:
     while f(hi) < 0.0:
         hi *= 2.0
         if hi > 1e6 / abs(a):
-            raise ValueError("no dimer pole found for %r" % (pair,))
+            raise SolverError("no dimer pole found for %r" % (pair,))
     return brentq(f, 0.0, hi, xtol=1e-300, rtol=8.9e-16)

@@ -69,7 +69,7 @@ def test_criterion_2_regularization(he4_problem, he4_branch_potential):
     u = trace_branch(np.array([rho_min]), he4_problem).u[0]
     lam = u - 4.0
     _, pot = he4_branch_potential
-    rho2w = rho_min ** 2 * pot.value(rho_min)
+    rho2w = rho_min ** 2 * float(pot.values(rho_min))
     ok = abs(lam + 4.0) <= 0.05 and rho2w > -0.25
     assert report(
         "criterion 2 (regularization removes the collapse)", ok,

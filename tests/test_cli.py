@@ -243,6 +243,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "potential_for_config", boom)
         assert cli.main(["solve", "--config", he4_cfg_path]) == 2
 
+    def test_plain_error_is_not_a_solver_failure(self, he4_cfg_path,
+                                                 monkeypatch):
+        def bug(cfg):
+            raise ValueError("a programming error")
+        monkeypatch.setattr(cli, "potential_for_config", bug)
+        with pytest.raises(ValueError, match="a programming error"):
+            cli.main(["solve", "--config", he4_cfg_path])
+
     def test_stdout_output(self, fast_cfg_path, capsys):
         assert cli.main(["eigenvalue", "--config", fast_cfg_path]) == 0
         out = capsys.readouterr().out

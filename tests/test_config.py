@@ -52,8 +52,6 @@ class TestParsing:
         assert cfg.radial_n == 8000
         assert cfg.radial_rho_max is None
         assert cfg.max_states == 4
-        assert cfg.out_format == "csv"
-        assert cfg.out_path == "-"
 
     def test_empty_file_lists_requirements(self):
         with pytest.raises(ConfigError, match="required"):
@@ -66,6 +64,11 @@ class TestParsing:
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config(MINIMAL + "\n[plotting]\ncolor = red\n")
+
+    def test_output_section_rejected(self):
+        # output goes through the --format and --out flags only
+        with pytest.raises(ConfigError, match=r"unknown section \[output\]"):
+            parse_config(MINIMAL + "\n[output]\nformat = csv\n")
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):

@@ -121,7 +121,7 @@ class TestExtension:
         _, pot = he4_branch_potential
         # rho^2 W -> 0 below the first node (u ~ rho^(3/2) power law)
         for rho in (0.01, 0.02, 0.04):
-            assert abs(rho ** 2 * pot.value(rho)) < 0.05
+            assert abs(rho ** 2 * pot.values(rho)) < 0.05
         # and the exponent is close to 3/2
         ratio = pot.u_at(0.02) / pot.u_at(0.01)
         assert ratio == pytest.approx(2.0 ** 1.5, rel=0.05)
@@ -152,7 +152,7 @@ class TestExtension:
     def test_rejects_nonpositive_rho(self, he4_branch_potential):
         _, pot = he4_branch_potential
         with pytest.raises(ValueError):
-            pot.value(0.0)
+            pot.values(0.0)
 
 
 class TestDegenerate:
@@ -161,7 +161,7 @@ class TestDegenerate:
         pot = effective_potential(branch, he4_problem)
         assert len(pot.w) == 1
         assert pot.w[0] == pytest.approx(branch.u[0] / 25.0, rel=1e-14)
-        assert pot.value(5.0) == pytest.approx(pot.w[0], rel=1e-12)
+        assert pot.values(5.0) == pytest.approx(pot.w[0], rel=1e-12)
 
     def test_empty_branch_rejected(self, he4_problem):
         from zrtrimer import NuBranch

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from zrtrimer import (
+    SolverError,
     count_nodes,
     efimov_constant,
-    integrate,
     solve_bound_states,
     thomas_spectrum,
 )
+from zrtrimer.radial import _numerov, _Shooter
 
 
 
@@ -40,38 +41,73 @@ class TestCountNodes:
         assert count_nodes([1, 0, 1]) == 0
         assert count_nodes([1, 0, -1]) == 1
 
+    def test_matches_loop_reference(self):
+        def reference(vals):
+            signs = [v < 0.0 for v in vals if v != 0.0]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            f = rng.choice([-2.0, -1.0, 0.0, 1.0, 3.0], size=rng.integers(0, 30))
+            assert count_nodes(f) == reference(f)
+
+
+def _constant_q_sweep(k, h, n):
+    """Numerov record of g'' = k^2 g from the exact start of exp(k t)."""
+    _, _, _, _, ys = _numerov(np.full(n, k * k), h, 1.0, math.exp(k * h),
+                              record=True)
+    return np.array(ys)
+
+
+def _he4_shooter(pot, n):
+    return _Shooter(pot.values, pot.w_inf, min(pot.w_inf, pot.threshold),
+                    0.05, 4000.0, n)
+
 
 class TestIntegrate:
     def test_inward_free_exponential(self):
-        sweep = integrate(FlatPotential(), -1.0, "inward", (0.5, 10.5), n=4001)
-        ref = np.exp(-sweep.rho)
-        scaled = sweep.f * (ref[-1] / sweep.f[-1])
-        assert np.max(np.abs(scaled - ref) / ref) < 1e-8
-        # end log-derivative at the inner edge of a decaying exponential
-        assert sweep.end_log_derivative == pytest.approx(-1.0, abs=1e-8)
+        # the inward seed of the match: a decaying tail swept toward small
+        # rho grows as exp(k s); exact up to the Numerov truncation error
+        ys = _constant_q_sweep(1.0, 0.01, 1001)
+        ref = np.exp(0.01 * np.arange(1001))
+        assert np.max(np.abs(ys / ref - 1.0)) < 1e-9
+        # past 1e140 the record is rescaled but keeps its relative shape,
+        # up to the truncation error L h^4 / 480 = 1e-8 over L = 500
+        ys = _constant_q_sweep(1.0, 0.01, 50001)
+        assert np.all(np.isfinite(ys)) and ys[-1] < 1e141
+        s = 0.01 * np.arange(50001)
+        assert np.max(np.abs(ys / ys[-1] / np.exp(s - s[-1]) - 1.0)) < 2e-8
 
     def test_outward_start_and_growth(self):
-        sweep = integrate(FlatPotential(), -1.0, "outward", (0.5, 10.5), n=4001)
-        assert sweep.f[0] == pytest.approx(0.5, rel=1e-14)   # f(rho_min) = rho_min
-        # growing solution dominates: d ln f / d rho -> +1
-        assert sweep.end_log_derivative == pytest.approx(1.0, abs=1e-6)
+        rho_lo, rho_hi, n = 0.5, 10.5, 4001
+        for hard_wall in (False, True):
+            shooter = _Shooter(FlatPotential().values, 0.0, 0.0,
+                               rho_lo, rho_hi, n, hard_wall=hard_wall)
+            rho = shooter.rho
+            _, _, _, _, ys = _numerov(shooter._q(-1.0), shooter.h,
+                                      *shooter.start, record=True)
+            f = np.array(ys) * np.sqrt(rho)
+            if hard_wall:
+                # f(rho_min) = 0: the pure sinh solution of f'' = f
+                assert f[0] == 0.0
+                ref = np.sinh(rho - rho[0])
+            else:
+                # regular start f = rho on the first two nodes
+                assert f[0] == pytest.approx(rho_lo, rel=1e-14)
+                assert f[1] == pytest.approx(rho[1], rel=1e-14)
+                r0, r1 = rho[0], rho[1]
+                ref = (r0 * np.sinh(r1 - rho)
+                       + r1 * np.sinh(rho - r0)) / np.sinh(r1 - r0)
+            scaled = f[1:] * (ref[-1] / f[-1])
+            assert np.max(np.abs(scaled / ref[1:] - 1.0)) < 1e-9
 
     def test_numerov_order(self):
-        # end log-derivative error shrinks ~16x per step halving
-        ds = [integrate(FlatPotential(), -1.0, "inward", (0.5, 10.5), n=n)
-              .end_log_derivative for n in (101, 201, 401)]
-        ratio = (ds[0] - ds[1]) / (ds[1] - ds[2])
-        assert 16.0 * 0.7 < ratio < 16.0 * 1.3
-
-    def test_energy_above_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(FlatPotential(), 0.5, "inward", (0.5, 10.5))
-
-    def test_bad_direction_and_bounds(self):
-        with pytest.raises(ValueError):
-            integrate(FlatPotential(), -1.0, "sideways", (0.5, 10.5))
-        with pytest.raises(ValueError):
-            integrate(FlatPotential(), -1.0, "inward", (10.5, 0.5))
+        # error at the end of exp(k t) shrinks ~16x per step halving
+        errs = []
+        for n in (101, 201, 401):
+            ys = _constant_q_sweep(1.0, 10.0 / (n - 1), n)
+            errs.append(abs(ys[-1] / math.exp(10.0) - 1.0))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 16.0 * 0.7 < coarse / fine < 16.0 * 1.3
 
 
 class TestSolveBoundStates:
@@ -98,26 +134,28 @@ class TestSolveBoundStates:
         assert states[0].energy < pot.threshold_hartree
 
     def test_node_count_monotone_in_energy(self, he4_branch_potential):
-        from zrtrimer.radial import _Shooter
         _, pot = he4_branch_potential
-        shooter = _Shooter(pot, 0.05, 4000.0, 4000)
+        shooter = _he4_shooter(pot, 4000)
         eps_grid = np.linspace(shooter.w_min * 0.9,
-                               shooter.search_top * 1.5, 25)
+                               shooter.top * 1.5, 25)
         counts = [shooter.count(e) for e in eps_grid]
         assert counts == sorted(counts)
 
     def test_two_sided_match_at_converged_energy(self, he4_solution,
                                                  he4_branch_potential):
-        # outward and inward log-derivatives agree at an interior point
-        # once the eigenvalue has converged
+        # outward and inward log-derivatives agree at the interior match
+        # point on an independent discretisation of the converged states
         _, pot = he4_branch_potential
         _, states = he4_solution
-        energy = states[0].energy
-        rho_m = 35.0
-        out = integrate(pot, energy, "outward", (0.05, rho_m), n=6001)
-        inw = integrate(pot, energy, "inward", (rho_m, 4000.0), n=6001)
-        d_out, d_in = out.end_log_derivative, inw.end_log_derivative
-        assert abs(d_out - d_in) / (abs(d_out) + abs(d_in)) < 1e-6
+        shooter = _he4_shooter(pot, 6001)
+        for s in states:
+            assert abs(shooter.match(pot.eps_from_hartree(s.energy))) < 1e-6
+
+    def test_state_outside_window_is_solver_error(self):
+        shooter = _Shooter(FlatPotential(w0=2.0).values, 0.0, 0.0,
+                           0.5, 50.0, 500)
+        with pytest.raises(SolverError, match="not contained"):
+            shooter.isolate(0)
 
     def test_wavefunction_normalization(self, he4_solution):
         _, states = he4_solution
@@ -183,6 +221,14 @@ class TestThomasSpectrum:
         assert harder.ratios[0] < thomas_default.ratios[0]
         assert harder.ratios[1] == pytest.approx(math.exp(2 * math.pi / 1.2),
                                                  rel=0.05)
+
+    def test_default_energies_pinned(self, thomas_default):
+        # hard-wall spectrum of the default call, frozen from the converged
+        # solver; a regular inner start instead of the wall moves them
+        expected = (-1.1723040507276567e-04, -2.2737533909815335e-07,
+                    -4.414746010310801e-10, -8.571739735100627e-13,
+                    -1.6642898751141362e-15)
+        assert thomas_default.energies == pytest.approx(expected, rel=1e-10)
 
     def test_default_g_is_solved_constant(self, thomas_default):
         assert thomas_default.g == efimov_constant()

@@ -6,6 +6,7 @@ import pytest
 from zrtrimer import (
     PairParams,
     ParticleSystem,
+    SolverError,
     UnitSystem,
     convert_energy,
     dimer_binding_energy,
@@ -32,8 +33,6 @@ class TestKinematics:
         kin = reduced_masses(system)
         assert kin.mu[0] == pytest.approx(HE4_MASS / 2, abs=1e-15)
         assert kin.mu[0] == pytest.approx(2.0013015, abs=1e-7)
-        # spectator reduced mass for equal masses: 2 m / 3
-        assert kin.mu_spect[0] == pytest.approx(2 * HE4_MASS / 3, rel=1e-14)
 
     def test_mixed_pair_reduced_mass(self):
         pair34 = PairParams(a=33.261, r_eff=18.564, p_shape=HE4_P)
@@ -112,6 +111,11 @@ class TestDimer:
             1 / abs(HE4_A), rel=1e-12)
         assert dimer_pole_kappa(PairParams(a=33.261)) is None
 
+    def test_missing_pole_is_solver_error(self):
+        # with P = 0 the -(R/2) kappa^2 term keeps the pole equation negative
+        with pytest.raises(SolverError, match="no dimer pole"):
+            dimer_pole_kappa(PairParams(a=-1.0, r_eff=10.0))
+
 
 class TestUnits:
     def test_hartree_to_kelvin_pinned(self):
@@ -139,7 +143,6 @@ class TestUnits:
         units = UnitSystem()
         assert units.hartree_to_mk(units.mk_to_hartree(3.7)) == pytest.approx(
             3.7, rel=1e-12)
-        assert units.hbar == 1.0
 
 
 class TestValidation:
