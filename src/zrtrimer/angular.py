@@ -10,14 +10,16 @@ Everything here works on the real variable u = nu^2.  All transcendental
 combinations are even in nu, so u < 0 (imaginary nu = i*kappa) is evaluated
 with hyperbolic forms and no complex arithmetic appears anywhere.  The
 normalization of every matrix row by sin(nu pi/2) introduces poles at
-u = (2n)^2, n >= 1, which are excluded by a guard band.
+u = (2n)^2, n >= 1, which are excluded by a guard band.  Every root search
+is one sign-change ladder, `_walk`, plus a brentq refine: two-sided for
+branch continuation, one-sided from a window edge to seed the first node.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -29,9 +31,8 @@ SQRT3 = math.sqrt(3.0)
 #: Exclusion half-width around the normalization poles u = (2n)^2.
 POLE_GUARD = 1e-6
 
-#: Default solver tolerances (see AngularProblem).
-TOL_RES = 1e-10
-TOL_U = 1e-10
+#: trace_branch may halve a step toward the next node this many times.
+MAX_HALVINGS = 12
 
 
 class PoleProximityError(SolverError):
@@ -45,13 +46,13 @@ class RootSearchError(SolverError):
 def _check_pole(u: float) -> None:
     if u < 4.0 - POLE_GUARD:
         return
-    n = max(1, round(math.sqrt(u) / 2.0))
-    for m in (n - 1, n, n + 1):
-        # strict comparison: the guard-band edge itself stays evaluable, so
-        # root brackets clipped to a cell boundary never trip the guard
-        if m >= 1 and abs(u - 4.0 * m * m) < POLE_GUARD:
-            raise PoleProximityError(
-                f"u = {u!r} lies within the guard band of the pole u = {4 * m * m}")
+    lo, hi = _cell_interval(u)
+    # closed interval: the guard-band edge itself stays evaluable, so root
+    # brackets clipped to a cell boundary never trip the guard
+    if not lo <= u <= hi:
+        pole = 4 * round(math.sqrt(u) / 2.0) ** 2
+        raise PoleProximityError(
+            f"u = {u!r} lies within the guard band of the pole u = {pole}")
 
 
 def _cell_interval(u: float) -> tuple[float, float]:
@@ -126,35 +127,22 @@ class AngularProblem:
 
     With regularized=False the effective-range and shape terms are dropped
     (bare 1/a boundary condition) regardless of the stored pair parameters.
-    tol_res and tol_u are guaranteed upper bounds on the residual and the
-    root bracket width of accepted eigenvalues; root refinement actually
-    converges to machine precision, well inside both.
+    Its roots are bracketed by the one walker `_walk` (see `_first_node_u`
+    and `solve_at_rho`) and refined by brentq (xtol 1e-15, rtol 8.9e-16).
     """
 
     system: ParticleSystem
     regularized: bool = True
-    tol_res: float = TOL_RES
-    tol_u: float = TOL_U
-    kinematics: KinematicConstants = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.kinematics is None:
-            object.__setattr__(self, "kinematics", reduced_masses(self.system))
+    @cached_property
+    def kinematics(self) -> KinematicConstants:
+        return reduced_masses(self.system)
 
     def effective_pair(self, i: int) -> PairParams:
         pair = self.system.pairs[i]
         if self.regularized:
             return pair
         return PairParams(a=pair.a, r_eff=0.0, p_shape=0.0)
-
-    @property
-    def is_identical_bosons(self) -> bool:
-        return self.system.is_identical
-
-    @property
-    def is_unitary_bare(self) -> bool:
-        return (not self.regularized and self.is_identical_bosons
-                and math.isinf(self.system.pairs[0].a))
 
 
 def _bc_bracket(u: float, rho: float, pair: PairParams, mu: float) -> float:
@@ -225,7 +213,7 @@ def _solver_residual(problem: AngularProblem):
     General case: det of the normalized matrix scaled by the product of
     row maxima.  Scaling keeps magnitudes O(1) without moving any root.
     """
-    if problem.is_identical_bosons:
+    if problem.system.is_identical:
         pair0 = problem.effective_pair(0)
         mu0 = problem.kinematics.mu[0]
 
@@ -252,39 +240,34 @@ def _refine(f, lo: float, hi: float) -> float:
     return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def _nearest_root(f, guess: float, h0: float | None = None,
-                  max_steps: int = 400) -> float:
-    """Root of f nearest to guess, by two-sided ladder bracketing.
+def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
+          max_steps: int) -> float:
+    """Root of f nearest to x0 in [lo, hi], by ladder bracketing.
 
-    Walks outward from the guess in both directions with geometrically
-    growing steps, clipped to the pole-free cell containing the guess, and
+    Walks outward from x0 in both directions, with a step that starts at h0
+    and is multiplied by `grow` after each rung, clipped to the window, and
     refines the first bracket that shows a sign change.  If both directions
-    bracket at the same ladder level the root closer to the guess wins.
+    bracket on the same rung the root closer to x0 wins.  A walk that starts
+    at an edge of its window runs one way only.
     """
-    lo_cell, hi_cell = _cell_interval(guess)
-    if h0 is None:
-        h0 = max(1e-9, 1e-4 * (1.0 + abs(guess)))
-    if math.isfinite(lo_cell):
-        guess = max(guess, lo_cell + h0)
-    guess = min(guess, hi_cell - h0)
-    f0 = f(guess)
+    f0 = f(x0)
     if f0 == 0.0:
-        return guess
-    xp = xm = guess
+        return x0
+    xp = xm = x0
     fp = fm = f0
     h = h0
     for _ in range(max_steps):
         brackets = []
-        if xp < hi_cell:
-            x2 = min(xp + h, hi_cell)
+        if xp < hi:
+            x2 = min(xp + h, hi)
             f2 = f(x2)
             if f2 == 0.0:
                 return x2
             if fp * f2 < 0.0:
                 brackets.append((xp, x2))
             xp, fp = x2, f2
-        if xm > lo_cell:
-            x2 = max(xm - h, lo_cell)
+        if xm > lo:
+            x2 = max(xm - h, lo)
             f2 = f(x2)
             if f2 == 0.0:
                 return x2
@@ -293,52 +276,25 @@ def _nearest_root(f, guess: float, h0: float | None = None,
             xm, fm = x2, f2
         if brackets:
             roots = [_refine(f, a, b) for a, b in brackets]
-            return min(roots, key=lambda r: abs(r - guess))
-        h *= 1.4
+            return min(roots, key=lambda r: abs(r - x0))
+        h *= grow
     raise RootSearchError(
-        f"no sign change near u = {guess:g} (searched [{xm:g}, {xp:g}])")
+        f"no sign change near u = {x0:g} (searched [{xm:g}, {xp:g}])")
 
 
 def solve_at_rho(rho: float, problem: AngularProblem, guess: float) -> float:
     """Angular eigenvalue u = nu^2 at one hyper-radius, continuing a branch.
 
-    Returns the root of the eigenvalue condition closest to `guess`.
-    Raises RootSearchError when the maximal search window around the guess
-    shows no sign change, and PoleProximityError on pole collision.
+    Returns the root of the eigenvalue condition closest to `guess`, by a
+    two-sided walk inside the pole-free cell containing the guess.  Raises
+    RootSearchError when that cell shows no sign change, and
+    PoleProximityError on pole collision.
     """
     f = _solver_residual(problem)
-    return _nearest_root(lambda u: f(u, rho), guess)
-
-
-def _downward_root(f, start: float = -1e-14,
-                   floor: float = -1e12) -> float:
-    """First root below `start`, scanning down with geometric steps."""
-    u_hi, f_hi = start, f(start)
-    u = -1e-7 if start > -1e-7 else start * 1.25
-    while u > floor:
-        fv = f(u)
-        if fv == 0.0:
-            return u
-        if fv * f_hi < 0.0:
-            return _refine(f, u, u_hi)
-        u_hi, f_hi = u, fv
-        u *= 1.25
-    raise RootSearchError(f"no root found scanning down to u = {floor:g}")
-
-
-def _lowest_in_window(f, lo: float, hi: float,
-                      samples: int = 800) -> float:
-    """Most negative root: first sign change scanning up from the window floor."""
-    xs = np.linspace(lo, hi, samples)
-    fprev = f(xs[0])
-    for x, xnext in zip(xs[:-1], xs[1:]):
-        fnext = f(xnext)
-        if fprev == 0.0:
-            return float(x)
-        if fprev * fnext < 0.0:
-            return _refine(f, float(x), float(xnext))
-        fprev = fnext
-    raise RootSearchError(f"no root in window [{lo:g}, {hi:g}]")
+    lo, hi = _cell_interval(guess)
+    h0 = max(1e-9, 1e-4 * (1.0 + abs(guess)))
+    x0 = min(max(guess, lo + h0), hi - h0)
+    return _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400)
 
 
 def _bound_pair_scale(problem: AngularProblem) -> float:
@@ -352,24 +308,22 @@ def _bound_pair_scale(problem: AngularProblem) -> float:
 
 
 def _first_node_u(rho: float, problem: AngularProblem) -> float:
-    """Lowest-branch root at the first grid node.
+    """Lowest-branch root at the first grid node: a walk from a window edge.
 
-    Seeding is analytic: the regularized branch passes through u(0) = 0 and
-    heads negative, so a downward scan from zero finds it; the bare unitary
-    problem sits at u = -g^2 for every rho; otherwise the most negative root
-    inside u in [-(rho/(sqrt(mu)|a|) + 20)^2, 4) is taken.
+    Under the extended boundary condition the branch leaves u(0) = 0 heading
+    negative, so near the origin the walk steps down from zero (one-sided: a
+    mirror root sits just above zero).  Otherwise (bare, zero-range, a large
+    first rho, unitary) it steps up uniformly from the floor of
+    u in [-(rho/(sqrt(mu)|a|) + 20)^2, 4) to the first, most negative root.
     """
     f = _solver_residual(problem)
-    if problem.is_unitary_bare:
-        g = efimov_constant()
-        return _nearest_root(lambda u: f(u, rho), -g * g)
     scale = _bound_pair_scale(problem)
     extended = problem.regularized and any(
         problem.effective_pair(i).r_eff > 0.0 for i in range(3))
     if extended and rho * scale < 0.3:
-        return _downward_root(lambda u: f(u, rho))
-    lo = -((rho * scale + 20.0) ** 2)
-    return _lowest_in_window(lambda u: f(u, rho), lo, 4.0 - POLE_GUARD)
+        return _walk(lambda u: f(u, rho), -1e-14, -1e12, -1e-14, 5e-8, 1.25, 400)
+    lo, hi = -((rho * scale + 20.0) ** 2), 4.0 - POLE_GUARD
+    return _walk(lambda u: f(u, rho), lo, lo, hi, (hi - lo) / 799, 1.0, 800)
 
 
 @dataclass(frozen=True)
@@ -392,13 +346,12 @@ class NuBranch:
         return len(self.rho)
 
 
-def trace_branch(grid, problem: AngularProblem,
-                 max_halvings: int = 12) -> NuBranch:
+def trace_branch(grid, problem: AngularProblem) -> NuBranch:
     """Trace the lowest branch over a strictly increasing rho grid.
 
     Each solve is seeded by linear extrapolation from the two previous
     nodes (the first analytically).  If the root is lost or jumps between
-    nodes, the step toward the next node is bisected, up to `max_halvings`
+    nodes, the step toward the next node is bisected, up to MAX_HALVINGS
     times, before giving up.
     """
     grid = np.asarray(grid, dtype=float)
@@ -422,9 +375,9 @@ def trace_branch(grid, problem: AngularProblem,
 
     def advance(rho_target: float) -> float:
         """Continue the branch from hist[-1] to rho_target, subdividing on
-        failure; the step may be halved down to 2^-max_halvings of the gap."""
+        failure; the step may be halved down to 2^-MAX_HALVINGS of the gap."""
         gap0 = rho_target - hist[-1][0]
-        min_step = gap0 / (2.0 ** max_halvings)
+        min_step = gap0 / (2.0 ** MAX_HALVINGS)
         pending = [rho_target]
         while pending:
             tgt = pending[-1]
@@ -446,7 +399,7 @@ def trace_branch(grid, problem: AngularProblem,
                 if mid - hist[-1][0] < min_step:
                     raise RootSearchError(
                         f"branch continuation failed near rho = {tgt:g} "
-                        f"(step refined below gap/2^{max_halvings})")
+                        f"(step refined below gap/2^{MAX_HALVINGS})")
                 pending.append(mid)
         return hist[-1][1]
 

@@ -38,8 +38,7 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------- pipeline
 
 def build_problem(cfg: RunConfig) -> AngularProblem:
-    return AngularProblem(system=cfg.system, regularized=cfg.regularized,
-                          tol_res=cfg.tol_res, tol_u=cfg.tol_u)
+    return AngularProblem(system=cfg.system, regularized=cfg.regularized)
 
 
 def rho_grid(cfg: RunConfig) -> np.ndarray:
@@ -67,8 +66,9 @@ def solve_for_config(cfg: RunConfig) -> tuple[EffectivePotential, list[RadialSol
 
 
 def _with_pshape(cfg: RunConfig, p: float) -> RunConfig:
-    pairs = tuple(dataclasses.replace(pair, p_shape=p)
-                  for pair in cfg.system.pairs)
+    # P is inert (and rejected) on a zero-range pair
+    pairs = tuple(dataclasses.replace(pair, p_shape=p) if pair.r_eff > 0.0
+                  else pair for pair in cfg.system.pairs)
     system = dataclasses.replace(cfg.system, pairs=pairs)
     return dataclasses.replace(cfg, system=system)
 
@@ -132,8 +132,12 @@ def cmd_solve(cfg: RunConfig) -> dict:
 def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
     if p_step <= 0.0 or p_max < p_min:
         raise _UsageError("need p_min <= p_max and p_step > 0")
+    if not any(pair.r_eff > 0.0 for pair in cfg.system.pairs):
+        raise _UsageError("scan-p needs a pair with r_eff > 0; "
+                          "the shape parameter is inert at r_eff = 0")
     rows = []
-    n_steps = int(round((p_max - p_min) / p_step)) if p_max > p_min else 0
+    # the last point may not pass p_max; exact multiples keep their last point
+    n_steps = int((p_max - p_min) / p_step + 1e-9)
     for k in range(n_steps + 1):
         p = p_min + k * p_step
         _, states = solve_for_config(_with_pshape(cfg, p))

@@ -26,8 +26,8 @@ _ALLOWED = {
     "system": {"names", "masses", "mass_scale", "hartree_per_mk"},
     "pair": {"a", "r_eff", "p_shape"},
     "grid": {"rho_min", "rho_max", "n", "spacing"},
-    "solver": {"q_convention", "regularized", "tol_res", "tol_u",
-               "radial_n", "radial_rho_min", "radial_rho_max", "max_states"},
+    "solver": {"q_convention", "regularized", "radial_n", "radial_rho_min",
+               "radial_rho_max", "max_states"},
 }
 
 _REQUIRED_HINT = (
@@ -46,8 +46,6 @@ class RunConfig:
     spacing: str = "log"
     q_convention: str = "leading_term"
     regularized: bool = True
-    tol_res: float = 1e-10
-    tol_u: float = 1e-10
     radial_n: int = 8000
     radial_rho_min: float = 0.05
     radial_rho_max: float | None = None   # None means automatic
@@ -182,8 +180,6 @@ def parse_config(text: str) -> RunConfig:
         rho_min=rho_min, rho_max=rho_max, n=n, spacing=spacing,
         q_convention=q_convention,
         regularized=_bool(solver, "regularized", True, "[solver]"),
-        tol_res=_number(solver, "tol_res", 1e-10, "[solver]"),
-        tol_u=_number(solver, "tol_u", 1e-10, "[solver]"),
         radial_n=_number(solver, "radial_n", 8000, "[solver]", int),
         radial_rho_min=_number(solver, "radial_rho_min", 0.05, "[solver]"),
         radial_rho_max=radial_rho_max,

@@ -1,6 +1,5 @@
 """Shared fixtures.  Expensive pipeline products are session-scoped."""
 
-import importlib.resources as ir
 import math
 
 import numpy as np
@@ -17,15 +16,7 @@ from zrtrimer import (
 )
 from zrtrimer.cli import potential_for_config, solve_for_config
 
-HE4_A = -189.054
-HE4_REFF = 13.843
-HE4_P = 0.13
-HE4_MASS = 4.002603
-MU4 = HE4_MASS / 2.0
-
-
-def bundled_config_text(name: str) -> str:
-    return (ir.files("zrtrimer") / "data" / f"{name}.cfg").read_text()
+from trimer_params import HE4_A, HE4_MASS, bundled_config_text
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ from zrtrimer import (
     thomas_spectrum,
     trace_branch,
 )
-from conftest import HE4_A, HE4_P, HE4_REFF, MU4
+from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4
 
 # published zero-range reference energies (mK)
 REF_E0_HE3 = -143.7

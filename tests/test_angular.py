@@ -20,9 +20,17 @@ from zrtrimer import (
     solve_at_rho,
     trace_branch,
 )
-from zrtrimer.angular import RootSearchError, boson_lhs, dimer_channel_u
+from zrtrimer.angular import (
+    POLE_GUARD,
+    RootSearchError,
+    _cell_interval,
+    _solver_residual,
+    _walk,
+    boson_lhs,
+    dimer_channel_u,
+)
 
-from conftest import HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4
+from trimer_params import HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4
 
 
 # ---------------------------------------------------------------- oracles
@@ -61,6 +69,12 @@ class TestEvenFunctions:
             nu_cot_half_pi(16.0 - 1e-9)
         # just outside the guard band is fine
         nu_cot_half_pi(4.0 + 1e-5)
+        # the cell edges that root brackets are clipped to stay evaluable
+        for u in (2.0, 10.0, 30.0, 70.0):
+            for edge in _cell_interval(u):
+                if math.isfinite(edge):
+                    nu_cot_half_pi(edge)
+                    sin_ratio(edge, math.pi / 3)
 
     def test_phi_domain(self):
         with pytest.raises(ValueError):
@@ -194,11 +208,58 @@ class TestSolveAtRho:
             u = solve_at_rho(rho, unitary_problem, guess=-1.0)
             assert u == pytest.approx(-g * g, rel=1e-12)
 
-    def test_no_root_reports_interval(self, he4_problem):
-        # far above the branch with a tiny search range there is no root
-        with pytest.raises(RootSearchError, match="searched"):
-            from zrtrimer.angular import _nearest_root
-            _nearest_root(lambda u: 1.0 + u * 0.0, 0.0, max_steps=10)
+    def test_no_root_reports_interval(self):
+        # a residual without a sign change exhausts the walk
+        with pytest.raises(RootSearchError, match=r"searched \[-1, 1\]"):
+            _walk(lambda u: 1.0, 0.0, -1.0, 1.0, 0.1, 1.4, 10)
+
+
+def _lowest_root_by_fine_scan(f, lo: float, hi: float) -> float:
+    """Independent oracle: first sign change on a dense grid, then brentq."""
+    xs = np.linspace(lo, hi, 20001)
+    fs = np.array([f(x) for x in xs])
+    k = int(np.nonzero(fs[:-1] * fs[1:] < 0.0)[0][0])
+    return brentq(f, xs[k], xs[k + 1], xtol=1e-15, rtol=8.9e-16)
+
+
+class TestFirstNodeSeed:
+    @pytest.mark.parametrize("cfg_name, u_branch, u_mirror", [
+        ("he4_cfg", -3.53e-4, 3.28e-4), ("mixed_cfg", -2.81e-4, 2.62e-4)])
+    def test_regularized_seed_skips_the_mirror_root(self, request, cfg_name,
+                                                    u_branch, u_mirror):
+        # at rho = 0.05 a positive root lies closer to zero than the branch
+        # root, so only a one-sided downward walk returns the branch
+        problem = AngularProblem(request.getfixturevalue(cfg_name).system)
+        u0 = trace_branch(np.array([0.05]), problem).u[0]
+        assert u0 == pytest.approx(u_branch, rel=0.01)
+        f = _solver_residual(problem)
+        mirror = brentq(lambda u: f(u, 0.05), 1e-6, 1e-3, xtol=1e-15)
+        assert mirror == pytest.approx(u_mirror, rel=0.01)
+        assert 0.0 < mirror < abs(u0)
+
+    @pytest.mark.parametrize("regularized", [False, True])
+    @pytest.mark.parametrize("rho", [0.05, 3.0, 120.0, 2500.0])
+    def test_window_seed_matches_fine_scan(self, regularized, rho):
+        # regularized=False drops R and P of the He4 pair; with
+        # regularized=True the pair itself is zero-range
+        pair = (PairParams(a=HE4_A, r_eff=HE4_REFF, p_shape=HE4_P)
+                if not regularized else PairParams(a=HE4_A))
+        system = ParticleSystem.identical_bosons(HE4_MASS, pair)
+        problem = AngularProblem(system, regularized=regularized)
+        u0 = trace_branch(np.array([rho]), problem).u[0]
+        # below u = -(rho/(sqrt(mu)|a|))^2 the bare residual keeps one sign
+        x = rho / (math.sqrt(MU4) * abs(HE4_A))
+        expected = _lowest_root_by_fine_scan(
+            lambda u: boson_residual(u, rho, PairParams(a=HE4_A), MU4),
+            -((x + 40.0) ** 2), 4.0 - POLE_GUARD)
+        assert u0 == pytest.approx(expected, rel=1e-12)
+
+    def test_unitary_bare_trace_is_efimov(self, unitary_problem):
+        g = efimov_constant()
+        for rho0 in (1e-3, 1.0, 1e4):
+            branch = trace_branch(rho0 * np.array([1.0, 2.0, 4.0]),
+                                  unitary_problem)
+            assert np.allclose(branch.u, -g * g, rtol=1e-14, atol=0.0)
 
 
 class TestTraceBranch:
@@ -225,7 +286,6 @@ class TestTraceBranch:
         # ends on the dimer parabola
         assert lam[-1] == pytest.approx(-245.705, rel=1e-3)
         # every accepted root stays clear of the normalization poles
-        from zrtrimer.angular import POLE_GUARD
         assert np.all(branch.u < 4.0 - POLE_GUARD)
 
     def test_residuals_small(self, he4_branch_potential):

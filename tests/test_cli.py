@@ -9,7 +9,7 @@ import zrtrimer.cli as cli
 from zrtrimer import PairParams, dimer_pole_kappa, efimov_constant
 from zrtrimer.angular import RootSearchError, dimer_channel_u
 
-from conftest import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
+from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
 
 FAST_CFG = """
 [system]
@@ -177,6 +177,42 @@ class TestScanCommand:
     def test_bad_step(self, he4_cfg_path):
         assert cli.main(["scan-p", "--config", he4_cfg_path,
                          "--p-step", "0"]) == 1
+
+    @pytest.mark.parametrize("step, expected", [
+        ("0.035", [0.10, 0.135]),                 # stops short of p_max
+        ("0.015", [0.10, 0.115, 0.13, 0.145, 0.16]),
+        ("0.005", [0.10 + 0.005 * k for k in range(13)])])
+    def test_grid_stays_within_p_max(self, fast_cfg_path, monkeypatch, step,
+                                     expected):
+        solved = []
+        def fake_solve(cfg):
+            solved.append(cfg.system.pairs[0].p_shape)
+            return None, []
+        monkeypatch.setattr(cli, "solve_for_config", fake_solve)
+        assert cli.main(["scan-p", "--config", fast_cfg_path, "--p-min", "0.10",
+                         "--p-max", "0.16", "--p-step", step]) == 0
+        assert solved == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_range_pairs_keep_p_zero(self, tmp_path):
+        # He4-He3 pairs made zero-range: P goes on the He4-He4 pair only
+        text = bundled_config_text("he4he4he3").replace(
+            "a = 33.261\nr_eff = 18.564\np_shape = 0.13", "a = 33.261")
+        cfg = tmp_path / "mixed_zero_range.cfg"
+        cfg.write_text(text.replace("n = 600", "n = 120"))
+        out = tmp_path / "scan.csv"
+        assert cli.main(["scan-p", "--config", str(cfg), "--p-min", "0.12",
+                         "--p-max", "0.13", "--p-step", "0.01",
+                         "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [float(r[0]) for r in rows] == pytest.approx([0.12, 0.13])
+        # E0 rises with P, as on the bundled configs
+        assert float(rows[0][1]) < float(rows[1][1]) < 0.0
+
+    def test_no_finite_range_pair_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "he4_zero_range.cfg"
+        cfg.write_text(FAST_CFG.replace("r_eff = 13.843\np_shape = 0.13\n", ""))
+        assert cli.main(["scan-p", "--config", str(cfg)]) == 1
+        assert "r_eff > 0" in capsys.readouterr().err
 
 
 class TestThomasCommand:

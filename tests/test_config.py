@@ -2,7 +2,7 @@ import pytest
 
 from zrtrimer import ConfigError, parse_config
 
-from conftest import bundled_config_text
+from trimer_params import bundled_config_text
 
 MINIMAL = """
 [system]
@@ -69,6 +69,12 @@ class TestParsing:
         # output goes through the --format and --out flags only
         with pytest.raises(ConfigError, match=r"unknown section \[output\]"):
             parse_config(MINIMAL + "\n[output]\nformat = csv\n")
+
+    @pytest.mark.parametrize("key", ["tol_res", "tol_u"])
+    def test_tolerance_keys_rejected(self, key):
+        # the root tolerances are solver constants, not settings
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}'"):
+            parse_config(MINIMAL + f"\n[solver]\n{key} = 1e-10\n")
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):

@@ -15,7 +15,7 @@ from zrtrimer import (
 )
 from zrtrimer.angular import _solver_residual, dimer_channel_u
 
-from conftest import HE4_A, HE4_P, HE4_REFF, MU4
+from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4
 
 
 class TestConventions:

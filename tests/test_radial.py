@@ -119,6 +119,9 @@ class TestSolveBoundStates:
         # values are -143.7 and -2.21
         assert e0.energy_mk == pytest.approx(-144.0556, abs=0.01)
         assert e1.energy_mk == pytest.approx(-2.22049, abs=0.0005)
+        # pinned to the last digits so a refactor cannot move them unseen
+        assert abs(e0.energy_mk - -144.05558518999615) <= 1e-8
+        assert abs(e1.energy_mk - -2.220488139863402) <= 1e-8
         assert (e0.node_count, e1.node_count) == (0, 1)
         assert e0.energy < e1.energy          # strictly increasing order
         assert e0.match_residual < 1e-8 and e1.match_residual < 1e-8
@@ -130,6 +133,7 @@ class TestSolveBoundStates:
         pot, states = mixed_solution
         assert len(states) == 1
         assert states[0].energy_mk == pytest.approx(-34.128, abs=0.01)
+        assert abs(states[0].energy_mk - -34.12819182401712) <= 1e-8
         assert states[0].node_count == 0
         assert states[0].energy < pot.threshold_hartree
 

@@ -14,7 +14,7 @@ from zrtrimer import (
     reduced_masses,
 )
 
-from conftest import HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4
+from trimer_params import HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4
 
 M3 = 3.016026
 
