@@ -135,6 +135,9 @@ def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
     if not any(pair.r_eff > 0.0 for pair in cfg.system.pairs):
         raise _UsageError("scan-p needs a pair with r_eff > 0; "
                           "the shape parameter is inert at r_eff = 0")
+    if not cfg.regularized:
+        raise _UsageError("scan-p needs regularized = true; the bare "
+                          "boundary condition drops the shape parameter")
     rows = []
     # the last point may not pass p_max; exact multiples keep their last point
     n_steps = int((p_max - p_min) / p_step + 1e-9)

@@ -3,15 +3,15 @@
 The equation (-d^2/drho^2 + W(rho) - eps) f = 0 with eps = 2mE/hbar^2 is
 integrated on a log grid: with t = ln(rho) and f = sqrt(rho) g(t) it turns
 into g'' = q(t) g, q = 1/4 + rho^2 (W - eps), which Numerov handles with a
-uniform step in t at fourth order.  One shooting core, _Shooter, isolates
-each eigenvalue by node-count bisection on the outward solution.  Its two
-callers differ only at the boundaries:
+uniform step in t at fourth order.  One shooting core, _Shooter, finds each
+eigenvalue by node-count bisection, with probes shared by all states, and one
+brentq on a boundary function g.  Its two callers differ only at the ends:
 
-  solve_bound_states  regular start f ~ rho at rho_min; refined on the
-                      two-sided log-derivative matching residual at the
-                      outer classical turning point.
-  thomas_spectrum     hard wall f(rho_min) = 0; refined on the outward end
-                      value, i.e. a hard outer wall at the barrier cutoff.
+  solve_bound_states  regular start f ~ rho at rho_min; g is the two-sided
+                      log-derivative matching residual at the outer
+                      classical turning point.
+  thomas_spectrum     hard wall f(rho_min) = 0; g is the outward end value,
+                      i.e. a hard outer wall at the barrier cutoff.
 
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
@@ -36,6 +36,11 @@ _TINY = 1e-140
 
 #: Barrier action (in e-folds) after which outward/inward sweeps are cut off.
 _ACTION_CAP = 60.0
+
+#: A node-count bracket goes to brentq once narrower than this times |hi|.
+_BRACKET_REL = 1e-3
+#: Largest match residual accepted for a returned bound state.
+_MATCH_TOL = 1e-6
 
 
 def count_nodes(f) -> int:
@@ -120,6 +125,9 @@ class _Shooter:
             self.start = (0.0, self.h)
         else:
             self.start = (math.exp(self.t[0] / 2.0), math.exp(self.t[1] / 2.0))
+        # one node-count table for all states: each bisection walks the
+        # same dyadic points of [w_min, top], so each point is swept once
+        self.count = functools.cache(self.count)
 
     def _q(self, eps: float) -> np.ndarray:
         return 0.25 + self.r2 * (self.w - eps)
@@ -184,59 +192,25 @@ class _Shooter:
         f /= f[np.abs(f).argmax()]        # max|f| = 1, dominant lobe positive
         return resid, f
 
-    def isolate(self, n_state: int, max_iter: int = 220) -> tuple[float, float]:
-        """Bisect on node counts until [lo, hi] contains exactly the
-        n_state-th eigenvalue."""
+    def eigenvalue(self, k: int, g) -> float:
+        """Root of the boundary function g for the k-th eigenvalue.
+
+        Bisects [w_min, top] on node counts until the bracket isolates state
+        k, is at most _BRACKET_REL * |hi| wide (keeping match-residual poles
+        out) and g changes sign across it; then brentq.
+        """
         lo, hi = self.w_min, self.top
-        c_lo, c_hi = self.count(lo), self.count(hi)
-        if not (c_lo <= n_state < c_hi):
-            raise SolverError(f"state {n_state} not contained in search window")
-        for _ in range(max_iter):
-            if c_lo == n_state and c_hi == n_state + 1:
-                break
+        if not self.count(lo) <= k < self.count(hi):
+            raise SolverError(f"state {k} not contained in search window")
+        g = functools.cache(g)            # brentq re-evaluates both ends
+        while not (self.count(lo) == k and self.count(hi) == k + 1
+                   and hi - lo <= _BRACKET_REL * abs(hi)
+                   and g(lo) * g(hi) <= 0.0):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
-                break
-            c_mid = self.count(mid)
-            if c_mid > n_state:
-                hi, c_hi = mid, c_mid
-            else:
-                lo, c_lo = mid, c_mid
-        return lo, hi
-
-    def refine_match(self, n_state: int, lo: float, hi: float) -> float:
-        """Root of the matching residual inside an isolating bracket."""
-        # narrowing to 1e-3 relative width keeps residual poles out
-        while hi - lo > 1e-3 * abs(hi):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            if self.count(mid) > n_state:
-                hi = mid
-            else:
-                lo = mid
-        f_lo, f_hi = self.match(lo), self.match(hi)
-        while f_lo * f_hi > 0.0:
-            # residual pole inside: shrink toward the node-count flip
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-13 * abs(hi) or mid in (lo, hi):
-                return mid
-            if self.count(mid) > self.count(lo):
-                hi, f_hi = mid, self.match(mid)
-            else:
-                lo, f_lo = mid, self.match(mid)
-        return brentq(self.match, lo, hi, xtol=1e-300, rtol=8.9e-16)
-
-    def refine_end(self, lo: float, hi: float) -> float:
-        """Root of the outward end value inside an isolating bracket; the
-        midpoint when the end value shows no sign change there."""
-        @functools.cache                  # brentq re-evaluates both ends
-        def end(eps: float) -> float:
-            return self._outward(eps)[1]
-
-        if end(lo) * end(hi) < 0.0:
-            return brentq(end, lo, hi, xtol=1e-300, rtol=8.9e-16)
-        return 0.5 * (lo + hi)
+                raise SolverError(f"state {k}: no sign change in [{lo!r}, {hi!r}]")
+            lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
+        return brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
 def default_rho_max(potential) -> float:
@@ -253,28 +227,29 @@ def solve_bound_states(potential, max_states: int = 4, *,
 
     Returns up to max_states solutions ordered by node count; an empty list
     when the potential binds nothing.  Energies are converged to machine
-    precision relative tolerance and validated against match_residual.
+    precision relative tolerance; SolverError unless state k has k nodes
+    and a match residual of at most _MATCH_TOL.
     """
-    if max_states <= 0:
-        return []
     if rho_max is None:
         rho_max = default_rho_max(potential)
     search_top = min(potential.w_inf, potential.threshold)
     shooter = _Shooter(potential.values, potential.w_inf, search_top,
                        rho_min, rho_max, n)
-    if shooter.w_min >= search_top:
-        return []
     n_states = min(shooter.count(shooter.top), max_states)
     units = potential.problem.system.units
     out = []
     for n_state in range(n_states):
-        eps = shooter.refine_match(n_state, *shooter.isolate(n_state))
+        eps = shooter.eigenvalue(n_state, shooter.match)
         resid, f = shooter.match(eps, want_wave=True)
+        nodes = count_nodes(f)
+        if nodes != n_state or abs(resid) > _MATCH_TOL:
+            raise SolverError(f"state {n_state} fails validation: {nodes} "
+                              f"node(s), match residual {abs(resid):.3g}")
         energy = potential.hartree_from_eps(eps)
         out.append(RadialSolution(
             energy=energy,
             energy_mk=units.hartree_to_mk(energy),
-            node_count=count_nodes(f),
+            node_count=nodes,
             rho=shooter.rho,
             f=f,
             match_residual=abs(resid)))
@@ -320,8 +295,8 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     shooter = _Shooter(lambda rho: -coef / (rho * rho), 0.0, 0.0,
                        cutoff_rho0, outer_rho, n, hard_wall=True)
     n_states = min(n_states, shooter.count(shooter.top))
-    energies = [shooter.refine_end(*shooter.isolate(k)) / (2.0 * units.mass_scale)
-                for k in range(n_states)]
+    energies = [shooter.eigenvalue(k, lambda e: shooter._outward(e)[1])
+                / (2.0 * units.mass_scale) for k in range(n_states)]
     ratios = tuple(energies[k] / energies[k + 1]
                    for k in range(len(energies) - 1))
     return ThomasSpectrum(cutoff_rho0=cutoff_rho0, outer_rho=outer_rho, g=g,

@@ -214,6 +214,14 @@ class TestScanCommand:
         assert cli.main(["scan-p", "--config", str(cfg)]) == 1
         assert "r_eff > 0" in capsys.readouterr().err
 
+    def test_bare_config_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the bare boundary condition ignores P: every row would be the same
+        monkeypatch.setattr(cli, "solve_for_config", pytest.fail)
+        cfg = tmp_path / "he4_bare.cfg"
+        cfg.write_text(FAST_CFG + "\n[solver]\nregularized = false\n")
+        assert cli.main(["scan-p", "--config", str(cfg)]) == 1
+        assert "regularized" in capsys.readouterr().err
+
 
 class TestThomasCommand:
     def test_default_g_and_ratio_column(self, tmp_path):
@@ -278,6 +286,21 @@ class TestExitCodes:
             raise RootSearchError("lost the branch")
         monkeypatch.setattr(cli, "potential_for_config", boom)
         assert cli.main(["solve", "--config", he4_cfg_path]) == 2
+
+    def test_spurious_states_are_solver_failure(self, tmp_path, capsys):
+        # a deep, narrow well of the effective potential holds a cluster of
+        # levels near -44000 mK whose node counts (0, 0, 0, 1) and match
+        # residuals (~0.5) are wrong: they must not be printed as states
+        text = (bundled_config_text("he4_trimer")
+                .replace("a = -189.054", "a = -257.3")
+                .replace("r_eff = 13.843", "r_eff = 9.925")
+                .replace("p_shape = 0.13", "p_shape = 0.004"))
+        cfg = tmp_path / "he4_spurious.cfg"
+        cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solver failure" in captured.err
 
     def test_plain_error_is_not_a_solver_failure(self, he4_cfg_path,
                                                  monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from zrtrimer.radial import _numerov, _Shooter
 
 class FlatPotential:
     """Constant-W stub exposing the potential interface, internal units."""
+
+    problem = SimpleNamespace(
+        system=SimpleNamespace(units=SimpleNamespace(hartree_to_mk=float)))
 
     def __init__(self, w0=0.0, threshold=0.0):
         self.w0 = w0
@@ -49,6 +53,16 @@ class TestCountNodes:
         for _ in range(50):
             f = rng.choice([-2.0, -1.0, 0.0, 1.0, 3.0], size=rng.integers(0, 30))
             assert count_nodes(f) == reference(f)
+
+
+class OscillatorPotential(FlatPotential):
+    """W = rho^2 with a threshold of 40: ten s-wave levels 4k + 3 below it."""
+
+    def __init__(self):
+        super().__init__(threshold=40.0)
+
+    def values(self, rhos):
+        return np.asarray(rhos, dtype=float) ** 2
 
 
 def _constant_q_sweep(k, h, n):
@@ -159,7 +173,41 @@ class TestSolveBoundStates:
         shooter = _Shooter(FlatPotential(w0=2.0).values, 0.0, 0.0,
                            0.5, 50.0, 500)
         with pytest.raises(SolverError, match="not contained"):
-            shooter.isolate(0)
+            shooter.eigenvalue(0, shooter.match)
+
+    def test_oscillator_spectrum(self):
+        # s-wave oscillator -f'' + rho^2 f = eps f, f(0) = 0: eps_k = 4k + 3
+        states = solve_bound_states(OscillatorPotential(), 20, rho_min=0.05,
+                                    rho_max=14.0, n=8000)
+        assert len(states) == 10
+        for k, s in enumerate(states):
+            assert s.node_count == k
+            assert abs(s.energy / (4 * k + 3) - 1.0) < 5e-4
+
+    def test_states_share_node_count_probes(self):
+        # the states share one node-count table, which changes no energy
+        # whichever order the states are found in
+        def shooter():
+            return _Shooter(OscillatorPotential().values, 40.0, 40.0,
+                            0.05, 14.0, 8000)
+        alone, probes = [], 0
+        for k in range(4):
+            s = shooter()
+            alone.append(s.eigenvalue(k, s.match))
+            probes += s.count.cache_info().currsize
+        up, down = shooter(), shooter()
+        assert [up.eigenvalue(k, up.match) for k in range(4)] == alone
+        assert [down.eigenvalue(k, down.match)
+                for k in (3, 2, 1, 0)] == alone[::-1]
+        assert up.count.cache_info().currsize < probes
+
+    def test_failed_validation_is_solver_error(self, monkeypatch):
+        # an energy off the eigenvalue leaves a large match residual
+        monkeypatch.setattr(_Shooter, "eigenvalue",
+                            lambda self, k, g: 4.0 * k + 3.5)
+        with pytest.raises(SolverError, match="fails validation"):
+            solve_bound_states(OscillatorPotential(), 2, rho_min=0.05,
+                               rho_max=14.0, n=8000)
 
     def test_wavefunction_normalization(self, he4_solution):
         _, states = he4_solution
