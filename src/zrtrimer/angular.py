@@ -128,7 +128,8 @@ class AngularProblem:
     With regularized=False the effective-range and shape terms are dropped
     (bare 1/a boundary condition) regardless of the stored pair parameters.
     Its roots are bracketed by the one walker `_walk` (see `_first_node_u`
-    and `solve_at_rho`) and refined by brentq (xtol 1e-15, rtol 8.9e-16).
+    and `solve_at_rho`) and refined by brentq to a relative tolerance
+    (rtol 8.9e-16; xtol 1e-300 leaves roots near u = 0 their digits).
     """
 
     system: ParticleSystem
@@ -235,9 +236,10 @@ def _solver_residual(problem: AngularProblem):
 
 
 def _refine(f, lo: float, hi: float) -> float:
-    # converge to machine precision so the branch residual invariant holds
-    # with margin even where the residual is steep in u
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    # relative machine precision, also for roots near u = 0 (the first
+    # node sits at u ~ -3e-4), so the branch residual invariant holds with
+    # margin even where the residual is steep in u
+    return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
 def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,

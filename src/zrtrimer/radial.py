@@ -3,15 +3,17 @@
 The equation (-d^2/drho^2 + W(rho) - eps) f = 0 with eps = 2mE/hbar^2 is
 integrated on a log grid: with t = ln(rho) and f = sqrt(rho) g(t) it turns
 into g'' = q(t) g, q = 1/4 + rho^2 (W - eps), which Numerov handles with a
-uniform step in t at fourth order.  One shooting core, _Shooter, finds each
-eigenvalue by node-count bisection, with probes shared by all states, and one
-brentq on a boundary function g.  Its two callers differ only at the ends:
+uniform step in t at fourth order.  One shooting core, _Shooter, sweeps a
+trial energy once, carrying the Numerov ratio (Johnson's renormalized form)
+outward from rho_min and inward from the barrier cutoff to the outer
+turning point m.  The sign changes on both sides and the sign of the twist
+d at m count the eigenvalues below the trial energy, and d vanishes at each
+one: node-count bisection, with sweeps shared by all states, then brentq
+on d.  The two callers differ only in the seeds at the ends:
 
-  solve_bound_states  regular start f ~ rho at rho_min; g is the two-sided
-                      log-derivative matching residual at the outer
-                      classical turning point.
-  thomas_spectrum     hard wall f(rho_min) = 0; g is the outward end value,
-                      i.e. a hard outer wall at the barrier cutoff.
+  solve_bound_states  regular f ~ rho at rho_min, decaying exponential of
+                      the local barrier at the cutoff.
+  thomas_spectrum     hard walls: f = 0 at rho_min and at the cutoff.
 
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,14 +34,9 @@ from scipy.optimize import brentq
 from .angular import efimov_constant
 from .system import SolverError, UnitSystem
 
-_BIG = 1e140
-_TINY = 1e-140
-
 #: Barrier action (in e-folds) after which outward/inward sweeps are cut off.
 _ACTION_CAP = 60.0
 
-#: A node-count bracket goes to brentq once narrower than this times |hi|.
-_BRACKET_REL = 1e-3
 #: Largest match residual accepted for a returned bound state.
 _MATCH_TOL = 1e-6
 
@@ -54,39 +52,32 @@ def count_nodes(f) -> int:
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
-def _numerov(q: np.ndarray, h: float, y0: float, y1: float,
-             record: bool = False):
-    """Propagate g'' = q g over the uniform grid that carries q.
+def _seed(tq: np.ndarray, far: int, near: int, a: float) -> float:
+    """p = 1 - F_far/F_near at a boundary where g_far/g_near = exp(-a);
+    tq = h^2 q/12, so F = (1 - tq) g."""
+    return float((tq[far] - tq[near] - (1.0 - tq[far]) * math.expm1(-a))
+                 / (1.0 - tq[near]))
 
-    Returns (nodes, y[-3], y[-2], y[-1], ys) where ys is the full record or
-    None.  The solution is rescaled by 1e-140 whenever it passes 1e140; the
-    recorded history is rescaled with it, so relative structure survives.
+
+def _carry(v, p: float, record: bool = False):
+    """Carry the Numerov ratio along v (Johnson's renormalized recursion).
+
+    With F = (1 - h^2 q/12) g and v = h^2 q / (1 - h^2 q/12), the ratio
+    x_i = F_{i+1}/F_i - 1 obeys x_i = v_i + p_{i-1}, p = x/(1 + x); small x
+    keep their digits, and no amplitude is ever formed.  p is the seed
+    1 - F_0/F_1 (1 at a hard wall).  Returns the number of sign changes of
+    F (x < -1, i.e. p > 1), the last p and, if record, every p seed first.
     """
-    n = len(q)
-    h2_12 = h * h / 12.0
-    c = (1.0 - h2_12 * q).tolist()
-    a = [12.0 - 10.0 * ci for ci in c]
-    ym, yb = y0, y1
-    yp = y0
     nodes = 0
-    if ym != 0.0 and yb != 0.0 and (ym < 0.0) != (yb < 0.0):
-        nodes += 1
-    ys = [y0, y1] if record else None
-    for i in range(1, n - 1):
-        yc = (a[i] * yb - c[i - 1] * ym) / c[i + 1]
-        if yc != 0.0 and yb != 0.0 and (yc < 0.0) != (yb < 0.0):
+    ps = [p] if record else None
+    for vi in v.tolist():
+        x = vi + p
+        if x < -1.0:
             nodes += 1
-        yp, ym, yb = ym, yb, yc
+        p = x / (1.0 + x)
         if record:
-            ys.append(yb)
-        if abs(yb) > _BIG:
-            ym *= _TINY
-            yb *= _TINY
-            yp *= _TINY
-            if record:
-                for k in range(len(ys)):
-                    ys[k] *= _TINY
-    return nodes, yp, ym, yb, ys
+            ps.append(p)
+    return nodes, p, ps
 
 
 @dataclass(frozen=True)
@@ -101,12 +92,25 @@ class RadialSolution:
     match_residual: float
 
 
+class _Sweep(NamedTuple):
+    """Scalars of one two-sided sweep at a trial energy."""
+
+    count: int          # eigenvalues below the trial energy
+    sides: tuple        # (outward sign changes, inward sign changes, m)
+    d: float            # twist F_{m+1}/F_m, outward minus inward
+    resid: float        # d / (|x_m| + |p_in| + h): a log-derivative mismatch
+
+
 class _Shooter:
-    """Node counting, bisection and end conditions on a fixed log grid.
+    """Two-sided ratio sweeps, node counts and eigenvalues on a fixed log grid.
 
     w_of samples W over an array of rho and w_inf is its large-rho limit;
-    eigenvalues are searched in [min W, search_top).  hard_wall starts the
-    outward sweep from f(rho_min) = 0 instead of the regular f ~ rho.
+    eigenvalues are searched in [min W, search_top).  The outward sweep
+    starts from the regular f ~ rho at rho_min and the inward one from the
+    decaying exponential at the barrier cutoff; hard_wall puts f = 0 at both
+    instead.  Both meet at the outer turning point m, where the twist d of
+    the tridiagonal Numerov problem gives the inertia: count = sign changes
+    on both sides + (d < 0), which steps exactly at the roots of d.
     """
 
     def __init__(self, w_of, w_inf: float, search_top: float,
@@ -121,13 +125,10 @@ class _Shooter:
         self.w_min = float(self.w.min())
         self.w_inf = w_inf
         self.top = search_top - abs(search_top) * 1e-12
-        if hard_wall:
-            self.start = (0.0, self.h)
-        else:
-            self.start = (math.exp(self.t[0] / 2.0), math.exp(self.t[1] / 2.0))
-        # one node-count table for all states: each bisection walks the
-        # same dyadic points of [w_min, top], so each point is swept once
-        self.count = functools.cache(self.count)
+        self.hard_wall = hard_wall
+        # one sweep per trial energy, scalars only: the count, the bisection
+        # and brentq of every state read the same table
+        self.sweep = functools.cache(self._sweep)
 
     def _q(self, eps: float) -> np.ndarray:
         return 0.25 + self.r2 * (self.w - eps)
@@ -140,77 +141,72 @@ class _Shooter:
         """
         s = self.w - eps
         idx = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
-        if len(idx):
-            im = int(idx[-1])
-        else:
-            im = 0 if s.min() >= 0.0 else self.n - 1
+        im = int(idx[-1]) if len(idx) else (0 if s.min() >= 0.0 else self.n - 1)
         im = min(max(im, 3), self.n - 4)
-        action = 0.0
-        i = im
-        while i < self.n - 1:
-            if q[i] > 0.0:
-                action += math.sqrt(q[i]) * self.h
-                if action > _ACTION_CAP:
-                    break
-            i += 1
-        return im, i
+        action = np.cumsum(np.sqrt(np.maximum(q[im:-1], 0.0)) * self.h)
+        return im, im + int(np.searchsorted(action, _ACTION_CAP, side="right"))
 
-    def _outward(self, eps: float) -> tuple[int, float]:
-        """Node count and end value of the outward sweep to the cutoff."""
+    def _sweep(self, eps: float, record: bool = False):
+        """Outward from rho_min and inward from the cutoff to m; with record
+        also the stitched g, scaled to F_m = 1 and zero beyond the cutoff."""
         q = self._q(eps)
-        _, stop = self._turning_and_stop(eps, q)
-        nodes, _, _, y_end, _ = _numerov(q[:stop + 1], self.h, *self.start)
-        return nodes, y_end
+        m, stop = self._turning_and_stop(eps, q)
+        hq = self.h * self.h * q[:stop + 1]
+        tq = hq / 12.0
+        v = hq / (1.0 - tq)
+        if self.hard_wall:
+            p_lo = p_hi = 1.0
+        else:
+            w_stop = self.w_inf if stop == self.n - 1 else float(self.w[stop])
+            kappa = math.sqrt(max(w_stop - eps, 0.0))
+            p_lo = _seed(tq, 0, 1, 0.5 * self.h)
+            p_hi = _seed(tq, stop, stop - 1, 0.5 * self.h
+                         + kappa * (self.rho[stop] - self.rho[stop - 1]))
+        n_out, p_out, ps_out = _carry(v[1:m], p_lo, record)
+        n_in, p_in, ps_in = _carry(v[m + 1:stop][::-1], p_hi, record)
+        x_m = float(v[m]) + p_out
+        d = x_m + p_in
+        sweep = _Sweep(n_out + n_in + (d < 0.0), (n_out, n_in, m), d,
+                       d / (abs(x_m) + abs(p_in) + self.h))
+        if not record:
+            return sweep
+        # 1 - p is F_i/F_{i+1} outward and F_i/F_{i-1} inward; the partial
+        # products are F itself, so nothing overflows
+        f_out = np.cumprod(1.0 - np.array(ps_out[::-1]))[::-1]
+        f_in = np.cumprod(1.0 - np.array(ps_in[::-1]))
+        g = np.concatenate([f_out, [1.0], f_in, np.zeros(self.n - stop - 1)])
+        g[:stop + 1] /= 1.0 - tq
+        return sweep, g
 
     def count(self, eps: float) -> int:
         """Number of eigenvalues below eps."""
-        return self._outward(eps)[0]
+        return self.sweep(eps).count
 
-    def match(self, eps: float, want_wave: bool = False):
-        """Normalized difference of outward/inward log-derivatives at the
-        turning point; optionally also the stitched, normalized f."""
-        q = self._q(eps)
-        im, stop = self._turning_and_stop(eps, q)
-        _, o_m1, o_m, o_p1, o_rec = _numerov(q[:im + 2], self.h, *self.start,
-                                             record=want_wave)
-        # inward seed: the decaying exponential of the local barrier
-        w_stop = self.w_inf if stop == self.n - 1 else float(self.w[stop])
-        kappa = math.sqrt(max(w_stop - eps, 0.0))
-        y_prev = math.exp(kappa * (self.rho[stop] - self.rho[stop - 1]) + 0.5 * self.h)
-        _, i_p1, i_m, i_m1, i_rec = _numerov(q[im - 1:stop + 1][::-1], self.h,
-                                             1.0, y_prev, record=want_wave)
-        d_out = (o_p1 - o_m1) / (2.0 * self.h * o_m)
-        d_in = (i_p1 - i_m1) / (2.0 * self.h * i_m)
-        resid = (d_out - d_in) / (abs(d_out) + abs(d_in) + 1.0)
-        if not want_wave:
-            return resid
-        inward = i_rec[::-1]              # grid indices im-1 .. stop
-        scale = o_m / inward[1]
-        g = list(o_rec[:im + 1]) + [v * scale for v in inward[2:]]
-        g += [0.0] * (self.n - stop - 1)
-        f = np.array(g) * np.sqrt(self.rho)
-        f /= f[np.abs(f).argmax()]        # max|f| = 1, dominant lobe positive
-        return resid, f
+    def wave(self, eps: float) -> tuple[float, np.ndarray]:
+        """Matching residual and f at eps, max|f| = 1, dominant lobe positive,
+        from one recorded sweep."""
+        sweep, g = self._sweep(eps, record=True)
+        f = g * np.sqrt(self.rho)
+        return sweep.resid, f / f[np.abs(f).argmax()]
 
-    def eigenvalue(self, k: int, g) -> float:
-        """Root of the boundary function g for the k-th eigenvalue.
+    def eigenvalue(self, k: int) -> float:
+        """The k-th eigenvalue: node-count bisection, then brentq on d.
 
-        Bisects [w_min, top] on node counts until the bracket isolates state
-        k, is at most _BRACKET_REL * |hi| wide (keeping match-residual poles
-        out) and g changes sign across it; then brentq.
+        Bisects [w_min, top] until the bracket isolates state k and both
+        ends share side counts and m, so d changes sign across it and has
+        no pole inside.
         """
         lo, hi = self.w_min, self.top
         if not self.count(lo) <= k < self.count(hi):
             raise SolverError(f"state {k} not contained in search window")
-        g = functools.cache(g)            # brentq re-evaluates both ends
         while not (self.count(lo) == k and self.count(hi) == k + 1
-                   and hi - lo <= _BRACKET_REL * abs(hi)
-                   and g(lo) * g(hi) <= 0.0):
+                   and self.sweep(lo).sides == self.sweep(hi).sides):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
-                raise SolverError(f"state {k}: no sign change in [{lo!r}, {hi!r}]")
+                return hi   # the count steps in (lo, hi]
             lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
-        return brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16)
+        return brentq(lambda e: self.sweep(e).d, lo, hi,
+                      xtol=1e-300, rtol=8.9e-16)
 
 
 def default_rho_max(potential) -> float:
@@ -239,8 +235,8 @@ def solve_bound_states(potential, max_states: int = 4, *,
     units = potential.problem.system.units
     out = []
     for n_state in range(n_states):
-        eps = shooter.eigenvalue(n_state, shooter.match)
-        resid, f = shooter.match(eps, want_wave=True)
+        eps = shooter.eigenvalue(n_state)
+        resid, f = shooter.wave(eps)
         nodes = count_nodes(f)
         if nodes != n_state or abs(resid) > _MATCH_TOL:
             raise SolverError(f"state {n_state} fails validation: {nodes} "
@@ -295,8 +291,8 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     shooter = _Shooter(lambda rho: -coef / (rho * rho), 0.0, 0.0,
                        cutoff_rho0, outer_rho, n, hard_wall=True)
     n_states = min(n_states, shooter.count(shooter.top))
-    energies = [shooter.eigenvalue(k, lambda e: shooter._outward(e)[1])
-                / (2.0 * units.mass_scale) for k in range(n_states)]
+    energies = [shooter.eigenvalue(k) / (2.0 * units.mass_scale)
+                for k in range(n_states)]
     ratios = tuple(energies[k] / energies[k + 1]
                    for k in range(len(energies) - 1))
     return ThomasSpectrum(cutoff_rho0=cutoff_rho0, outer_rho=outer_rho, g=g,

@@ -237,6 +237,19 @@ class TestFirstNodeSeed:
         assert mirror == pytest.approx(u_mirror, rel=0.01)
         assert 0.0 < mirror < abs(u0)
 
+    @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
+    def test_regularized_seed_independent_of_first_step(self, request,
+                                                         cfg_name):
+        # the refine is relative, so the first-node root near u = -3e-4 is
+        # fixed to a few ulp whichever bracket the walk hands it
+        problem = AngularProblem(request.getfixturevalue(cfg_name).system)
+        f = _solver_residual(problem)
+        roots = np.array([
+            _walk(lambda u: f(u, 0.05), -1e-14, -1e12, -1e-14, h0, 1.25, 400)
+            for h0 in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 5e-8,
+                       1e-7, 2e-7)])
+        assert np.ptp(roots) <= 4 * np.spacing(np.abs(roots).max())
+
     @pytest.mark.parametrize("regularized", [False, True])
     @pytest.mark.parametrize("rho", [0.05, 3.0, 120.0, 2500.0])
     def test_window_seed_matches_fine_scan(self, regularized, rho):

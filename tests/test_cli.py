@@ -302,6 +302,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert "solver failure" in captured.err
 
+    def test_near_threshold_state_inside_default_box(self, tmp_path, capsys):
+        # E1 sits 1.3 mK below threshold, so at rho_max = 4000 the outward
+        # sweep never reaches the barrier cutoff; it still equals the
+        # rho_max = 8000 value, -6.141310261379921 mK, within 1e-6 mK
+        text = (bundled_config_text("he4_trimer")
+                .replace("a = -189.054", "a = -94.661")
+                .replace("r_eff = 13.843", "r_eff = 18.886")
+                .replace("p_shape = 0.13", "p_shape = 0.2925"))
+        cfg = tmp_path / "he4_near_threshold.cfg"
+        cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg)]) == 0
+        states = json.loads(capsys.readouterr().out)["states"]
+        assert [s["nodes"] for s in states] == [0, 1]
+        assert states[1]["E_mK"] == pytest.approx(-6.14131, abs=5e-6)
+        assert abs(states[1]["E_mK"] - -6.141310261379921) <= 1e-6
+
     def test_plain_error_is_not_a_solver_failure(self, he4_cfg_path,
                                                  monkeypatch):
         def bug(cfg):

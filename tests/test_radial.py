@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zrtrimer import (
     SolverError,
@@ -11,8 +12,7 @@ from zrtrimer import (
     solve_bound_states,
     thomas_spectrum,
 )
-from zrtrimer.radial import _numerov, _Shooter
-
+from zrtrimer.radial import _carry, _Shooter
 
 
 class FlatPotential:
@@ -56,20 +56,34 @@ class TestCountNodes:
 
 
 class OscillatorPotential(FlatPotential):
-    """W = rho^2 with a threshold of 40: ten s-wave levels 4k + 3 below it."""
+    """W = c rho^2 with a threshold of 40: levels sqrt(c) (4k + 3) below it."""
 
-    def __init__(self):
+    def __init__(self, c=1.0):
         super().__init__(threshold=40.0)
+        self.c = c
 
     def values(self, rhos):
-        return np.asarray(rhos, dtype=float) ** 2
+        return self.c * np.asarray(rhos, dtype=float) ** 2
+
+
+class StepPotential(FlatPotential):
+    """W = 0 below rho = 10 and -10 beyond: at eps = -1 the outer turning
+    point sits at rho = 10 and the outward sweep crosses a flat barrier."""
+
+    def __init__(self):
+        super().__init__(threshold=-10.0)
+
+    def values(self, rhos):
+        return np.where(np.asarray(rhos, dtype=float) < 10.0, 0.0, -10.0)
 
 
 def _constant_q_sweep(k, h, n):
-    """Numerov record of g'' = k^2 g from the exact start of exp(k t)."""
-    _, _, _, _, ys = _numerov(np.full(n, k * k), h, 1.0, math.exp(k * h),
-                              record=True)
-    return np.array(ys)
+    """Samples F_i / F_0 of g'' = k^2 g carried from the exact start of
+    exp(k t); F_{j+1}/F_j = 1/(1 - p_j)."""
+    hq = h * h * k * k
+    v = np.full(n - 2, hq / (1.0 - hq / 12.0))
+    _, _, ps = _carry(v, -math.expm1(-k * h), record=True)
+    return np.concatenate([[1.0], np.cumprod(1.0 / (1.0 - np.array(ps)))])
 
 
 def _he4_shooter(pot, n):
@@ -84,30 +98,29 @@ class TestIntegrate:
         ys = _constant_q_sweep(1.0, 0.01, 1001)
         ref = np.exp(0.01 * np.arange(1001))
         assert np.max(np.abs(ys / ref - 1.0)) < 1e-9
-        # past 1e140 the record is rescaled but keeps its relative shape,
-        # up to the truncation error L h^4 / 480 = 1e-8 over L = 500
+        # the ratios keep the shape over 500 e-folds, up to the truncation
+        # error L h^4 / 480 = 1e-8 over L = 500
         ys = _constant_q_sweep(1.0, 0.01, 50001)
-        assert np.all(np.isfinite(ys)) and ys[-1] < 1e141
+        assert np.all(np.isfinite(ys))
         s = 0.01 * np.arange(50001)
         assert np.max(np.abs(ys / ys[-1] / np.exp(s - s[-1]) - 1.0)) < 2e-8
 
     def test_outward_start_and_growth(self):
-        rho_lo, rho_hi, n = 0.5, 10.5, 4001
+        # at eps = -1 the outward part of the recorded wave, rho in
+        # [0.5, 10), solves f'' = f from the inner start
         for hard_wall in (False, True):
-            shooter = _Shooter(FlatPotential().values, 0.0, 0.0,
-                               rho_lo, rho_hi, n, hard_wall=hard_wall)
-            rho = shooter.rho
-            _, _, _, _, ys = _numerov(shooter._q(-1.0), shooter.h,
-                                      *shooter.start, record=True)
-            f = np.array(ys) * np.sqrt(rho)
+            shooter = _Shooter(StepPotential().values, -10.0, -10.0,
+                               0.5, 12.0, 4001, hard_wall=hard_wall)
+            _, f = shooter.wave(-1.0)
+            m = int(np.searchsorted(shooter.rho, 10.0)) - 1
+            rho, f = shooter.rho[:m + 1], f[:m + 1]
             if hard_wall:
                 # f(rho_min) = 0: the pure sinh solution of f'' = f
                 assert f[0] == 0.0
                 ref = np.sinh(rho - rho[0])
             else:
                 # regular start f = rho on the first two nodes
-                assert f[0] == pytest.approx(rho_lo, rel=1e-14)
-                assert f[1] == pytest.approx(rho[1], rel=1e-14)
+                assert f[1] / f[0] == pytest.approx(rho[1] / rho[0], rel=1e-14)
                 r0, r1 = rho[0], rho[1]
                 ref = (r0 * np.sinh(r1 - rho)
                        + r1 * np.sinh(rho - r0)) / np.sinh(r1 - r0)
@@ -159,6 +172,29 @@ class TestSolveBoundStates:
         counts = [shooter.count(e) for e in eps_grid]
         assert counts == sorted(counts)
 
+    def test_cutoff_matches_loop_reference(self, he4_branch_potential):
+        # the barrier cutoff: first index past im whose running action,
+        # added in grid order, exceeds the cap; a cumsum must agree exactly
+        def reference(shooter, im, q):
+            action, i = 0.0, im
+            while i < shooter.n - 1:
+                if q[i] > 0.0:
+                    action += math.sqrt(q[i]) * shooter.h
+                    if action > 60.0:
+                        break
+                i += 1
+            return i
+        _, pot = he4_branch_potential
+        he4 = _he4_shooter(pot, 8000)
+        thomas = _Shooter(lambda rho: -1.2625 / rho ** 2, 0.0, 0.0,
+                          0.1, 3e6, 12000, hard_wall=True)
+        for shooter in (he4, thomas):
+            gap = shooter.top - shooter.w_min
+            for eps in shooter.top - gap * np.geomspace(1e-12, 1.0, 40):
+                q = shooter._q(eps)
+                im, stop = shooter._turning_and_stop(eps, q)
+                assert stop == reference(shooter, im, q)
+
     def test_two_sided_match_at_converged_energy(self, he4_solution,
                                                  he4_branch_potential):
         # outward and inward log-derivatives agree at the interior match
@@ -167,13 +203,14 @@ class TestSolveBoundStates:
         _, states = he4_solution
         shooter = _he4_shooter(pot, 6001)
         for s in states:
-            assert abs(shooter.match(pot.eps_from_hartree(s.energy))) < 1e-6
+            eps = pot.eps_from_hartree(s.energy)
+            assert abs(shooter.sweep(eps).resid) < 1e-6
 
     def test_state_outside_window_is_solver_error(self):
         shooter = _Shooter(FlatPotential(w0=2.0).values, 0.0, 0.0,
                            0.5, 50.0, 500)
         with pytest.raises(SolverError, match="not contained"):
-            shooter.eigenvalue(0, shooter.match)
+            shooter.eigenvalue(0)
 
     def test_oscillator_spectrum(self):
         # s-wave oscillator -f'' + rho^2 f = eps f, f(0) = 0: eps_k = 4k + 3
@@ -184,8 +221,21 @@ class TestSolveBoundStates:
             assert s.node_count == k
             assert abs(s.energy / (4 * k + 3) - 1.0) < 5e-4
 
+    @settings(max_examples=12, deadline=None)
+    @given(c=st.floats(0.25, 4.0), n=st.sampled_from([2000, 4000, 8000]))
+    def test_count_steps_at_each_eigenvalue(self, c, n):
+        # the count steps from k to k + 1 exactly at the root of the match
+        states = solve_bound_states(OscillatorPotential(c), 20, rho_min=0.05,
+                                    rho_max=14.0, n=n)
+        assert states
+        shooter = _Shooter(OscillatorPotential(c).values, 40.0, 40.0,
+                           0.05, 14.0, n)
+        for k, s in enumerate(states):
+            assert shooter.count(s.energy * (1.0 - 1e-9)) == k
+            assert shooter.count(s.energy * (1.0 + 1e-9)) == k + 1
+
     def test_states_share_node_count_probes(self):
-        # the states share one node-count table, which changes no energy
+        # the states share one table of sweeps, which changes no energy
         # whichever order the states are found in
         def shooter():
             return _Shooter(OscillatorPotential().values, 40.0, 40.0,
@@ -193,18 +243,17 @@ class TestSolveBoundStates:
         alone, probes = [], 0
         for k in range(4):
             s = shooter()
-            alone.append(s.eigenvalue(k, s.match))
-            probes += s.count.cache_info().currsize
+            alone.append(s.eigenvalue(k))
+            probes += s.sweep.cache_info().currsize
         up, down = shooter(), shooter()
-        assert [up.eigenvalue(k, up.match) for k in range(4)] == alone
-        assert [down.eigenvalue(k, down.match)
-                for k in (3, 2, 1, 0)] == alone[::-1]
-        assert up.count.cache_info().currsize < probes
+        assert [up.eigenvalue(k) for k in range(4)] == alone
+        assert [down.eigenvalue(k) for k in (3, 2, 1, 0)] == alone[::-1]
+        assert up.sweep.cache_info().currsize < probes
 
     def test_failed_validation_is_solver_error(self, monkeypatch):
         # an energy off the eigenvalue leaves a large match residual
         monkeypatch.setattr(_Shooter, "eigenvalue",
-                            lambda self, k, g: 4.0 * k + 3.5)
+                            lambda self, k: 4.0 * k + 3.5)
         with pytest.raises(SolverError, match="fails validation"):
             solve_bound_states(OscillatorPotential(), 2, rho_min=0.05,
                                rho_max=14.0, n=8000)
@@ -275,12 +324,14 @@ class TestThomasSpectrum:
                                                  rel=0.05)
 
     def test_default_energies_pinned(self, thomas_default):
-        # hard-wall spectrum of the default call, frozen from the converged
-        # solver; a regular inner start instead of the wall moves them
-        expected = (-1.1723040507276567e-04, -2.2737533909815335e-07,
-                    -4.414746010310801e-10, -8.571739735100627e-13,
-                    -1.6642898751141362e-15)
-        assert thomas_default.energies == pytest.approx(expected, rel=1e-10)
+        # exact eigenvalues of the discrete hard-wall problem on the default
+        # grid, from an 18-digit extended-precision bisection; abs=0 checks
+        # the levels below 1e-12 too, and a regular inner start moves them
+        expected = (-0.00011723040506706622, -2.2737533911468728e-07,
+                    -4.41474601010197e-10, -8.571739747033413e-13,
+                    -1.6642898735055954e-15)
+        assert thomas_default.energies == pytest.approx(expected, rel=1e-10,
+                                                        abs=0.0)
 
     def test_default_g_is_solved_constant(self, thomas_default):
         assert thomas_default.g == efimov_constant()
