@@ -39,7 +39,6 @@ from .system import (
     ParticleSystem,
     SolverError,
     UnitSystem,
-    convert_energy,
     dimer_binding_energy,
     dimer_pole_kappa,
     reduced_masses,
@@ -56,6 +55,6 @@ __all__ = [
     "thomas_spectrum",
     "KinematicConstants", "PairParams", "ParticleSystem", "SolverError",
     "UnitSystem",
-    "convert_energy", "dimer_binding_energy", "dimer_pole_kappa",
+    "dimer_binding_energy", "dimer_pole_kappa",
     "reduced_masses",
 ]

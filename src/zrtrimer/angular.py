@@ -13,6 +13,15 @@ normalization of every matrix row by sin(nu pi/2) introduces poles at
 u = (2n)^2, n >= 1, which are excluded by a guard band.  Every root search
 is one sign-change ladder, `_walk`, plus a brentq refine: two-sided for
 branch continuation, one-sided from a window edge to seed the first node.
+
+The searches read one scaled residual per problem, `AngularProblem.residual`.
+In the general case it is the 3x3 determinant in closed form, from
+constants computed once, with each row divided by its largest term taken
+before the diagonal sum C(u) + bc_i cancels: in a bound row both are ~13
+and cancel to ~1e-15 at a root, so scaling by what is left would turn one
+ulp of u into a residual of 1e-8.  Scaled this way the residual is
+relative, and trace_branch rejects any node whose residual exceeds
+MAX_RESIDUAL with SolverError.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ POLE_GUARD = 1e-6
 
 #: trace_branch may halve a step toward the next node this many times.
 MAX_HALVINGS = 12
+
+#: Largest scaled residual trace_branch accepts at a branch node.
+MAX_RESIDUAL = 1e-10
 
 
 class PoleProximityError(SolverError):
@@ -139,6 +151,11 @@ class AngularProblem:
     def kinematics(self) -> KinematicConstants:
         return reduced_masses(self.system)
 
+    @cached_property
+    def residual(self):
+        """Scaled residual f(u, rho) of `_solver_residual`, built once."""
+        return _solver_residual(self)
+
     def effective_pair(self, i: int) -> PairParams:
         pair = self.system.pairs[i]
         if self.regularized:
@@ -201,18 +218,15 @@ def build_matrix(u: float, rho: float, problem: AngularProblem) -> np.ndarray:
     return m
 
 
-def _det3(m: np.ndarray) -> float:
-    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
-
-
 def _solver_residual(problem: AngularProblem):
     """Scaled residual function used for bracketing and root refinement.
 
     Identical bosons: the boson equation scaled by max(1, |LHS|, |RHS|).
-    General case: det of the normalized matrix scaled by the product of
-    row maxima.  Scaling keeps magnitudes O(1) without moving any root.
+    General case: det of the normalized matrix, each row scaled by its
+    largest term before the diagonal sum C + bc_i can cancel (see
+    `_general_residual`).  Scaling keeps magnitudes O(1) without moving any
+    root, so at an accepted root the value is a relative residual that
+    trace_branch holds below MAX_RESIDUAL.
     """
     if problem.system.is_identical:
         pair0 = problem.effective_pair(0)
@@ -224,13 +238,74 @@ def _solver_residual(problem: AngularProblem):
             return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
         return resid
+    return _general_residual(problem)
+
+
+def _general_residual(problem: AngularProblem):
+    """det(build_matrix) / prod_i max(|C|, |bc_i|, |o_ij|, |o_ik|), in scalars.
+
+    The matrix is symmetric, so its three distinct off-diagonals o_ij share
+    one sin/sinh denominator and the determinant is written out in closed
+    form.  Each row is scaled by the largest of its terms taken apart:
+    scaled after C + bc_i has cancelled, a root one ulp off reads as a
+    residual of 1e-8 in a bound row.
+    """
+    kin = problem.kinematics
+    pairs = [problem.effective_pair(i) for i in range(3)]
+    extended = any(p.r_eff > 0.0 for p in pairs)
+    # row i: bc_i = rho s_i (1/a_i + x (h_i + p_i x)), x = u/rho^2
+    (s0, ia0, h0, p0), (s1, ia1, h1, p1), (s2, ia2, h2, p2) = (
+        (1.0 / math.sqrt(mu), 0.0 if math.isinf(p.a) else 1.0 / p.a,
+         0.5 * p.r_eff * mu, p.p_shape * p.r_eff ** 3 * mu * mu)
+        for p, mu in zip(pairs, kin.mu))
+    # pairs (0, 1), (1, 2), (0, 2): phi, pi/2 - phi and 2/sin(2 phi)
+    f01, f12, f02 = phis = (kin.phi[0][1], kin.phi[1][2], kin.phi[0][2])
+    g01, g12, g02 = (math.pi / 2.0 - phi for phi in phis)
+    w01, w12, w02 = (2.0 / math.sin(2.0 * phi) for phi in phis)
+    half_pi = math.pi / 2.0
+    sin, tan, sqrt, exp, expm1 = (math.sin, math.tan, math.sqrt, math.exp,
+                                  math.expm1)
 
     def resid(u: float, rho: float) -> float:
-        m = build_matrix(u, rho, problem)
-        scale = 1.0
-        for i in range(3):
-            scale *= max(abs(m[i, 0]), abs(m[i, 1]), abs(m[i, 2]))
-        return _det3(m) / max(scale, 1e-300)
+        _check_pole(u)
+        # C(u) and o_ij = 2 S(u, phi_ij) / sin(2 phi_ij), even in nu
+        if u > 0.0:
+            nu = sqrt(u)
+            den = sin(nu * half_pi)
+            c = nu / tan(nu * half_pi)
+            o01 = -w01 * sin(nu * g01) / den
+            o12 = -w12 * sin(nu * g12) / den
+            o02 = -w02 * sin(nu * g02) / den
+        elif u < 0.0:
+            # sinh(k g)/sinh(k pi/2) = e^(-k phi) (1 - e^(-2k g))/(1 - e^(-k pi))
+            k = sqrt(-u)
+            den = -expm1(-k * math.pi)
+            c = k * (2.0 - den) / den
+            o01 = w01 * exp(-k * f01) * expm1(-2.0 * k * g01) / den
+            o12 = w12 * exp(-k * f12) * expm1(-2.0 * k * g12) / den
+            o02 = w02 * exp(-k * f02) * expm1(-2.0 * k * g02) / den
+        else:
+            c = 1.0 / half_pi
+            o01 = -w01 * g01 / half_pi
+            o12 = -w12 * g12 / half_pi
+            o02 = -w02 * g02 / half_pi
+        if rho == 0.0:
+            if extended and u != 0.0:
+                raise ValueError("rho = 0 admits only u = 0 under the "
+                                 "extended boundary condition")
+            b0 = b1 = b2 = 0.0
+        else:
+            x = u / (rho * rho)
+            b0 = rho * s0 * (ia0 + x * (h0 + p0 * x))
+            b1 = rho * s1 * (ia1 + x * (h1 + p1 * x))
+            b2 = rho * s2 * (ia2 + x * (h2 + p2 * x))
+        d0, d1, d2 = c + b0, c + b1, c + b2
+        det = (d0 * d1 * d2 + 2.0 * o01 * o12 * o02
+               - d0 * o12 * o12 - d1 * o02 * o02 - d2 * o01 * o01)
+        ac, a01, a12, a02 = abs(c), abs(o01), abs(o12), abs(o02)
+        scale = (max(ac, abs(b0), a01, a02) * max(ac, abs(b1), a01, a12)
+                 * max(ac, abs(b2), a02, a12))
+        return det / max(scale, 1e-300)
 
     return resid
 
@@ -292,7 +367,7 @@ def solve_at_rho(rho: float, problem: AngularProblem, guess: float) -> float:
     RootSearchError when that cell shows no sign change, and
     PoleProximityError on pole collision.
     """
-    f = _solver_residual(problem)
+    f = problem.residual
     lo, hi = _cell_interval(guess)
     h0 = max(1e-9, 1e-4 * (1.0 + abs(guess)))
     x0 = min(max(guess, lo + h0), hi - h0)
@@ -318,7 +393,7 @@ def _first_node_u(rho: float, problem: AngularProblem) -> float:
     first rho, unitary) it steps up uniformly from the floor of
     u in [-(rho/(sqrt(mu)|a|) + 20)^2, 4) to the first, most negative root.
     """
-    f = _solver_residual(problem)
+    f = problem.residual
     scale = _bound_pair_scale(problem)
     extended = problem.regularized and any(
         problem.effective_pair(i).r_eff > 0.0 for i in range(3))
@@ -362,7 +437,7 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
     if np.any(np.diff(grid) <= 0.0) or grid[0] <= 0.0:
         raise ValueError("grid must be positive and strictly increasing")
 
-    f = _solver_residual(problem)
+    f = problem.residual
     us = np.empty_like(grid)
     res = np.empty_like(grid)
 
@@ -413,6 +488,10 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
             u = advance(float(rho))
         us[k] = u
         res[k] = f(u, float(rho))
+        if not abs(res[k]) <= MAX_RESIDUAL:
+            raise SolverError(
+                f"branch residual {abs(res[k]):.3g} at rho = {rho:g}, u = {u!r} "
+                f"exceeds {MAX_RESIDUAL:g}")
     return NuBranch(rho=grid, u=us, residuals=res)
 
 

@@ -17,8 +17,10 @@ on d.  The two callers differ only in the seeds at the ends:
 
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
-e-folds (any admixture beyond that is below double precision anyway), which
-also keeps the Numerov step well inside its stability range.
+e-folds (any admixture beyond that is below double precision anyway).  A
+sweep checks that |h^2 q/12| stays below 1/2 up to the cutoff, so the
+Numerov step is stable there; a grid too coarse for the potential raises
+SolverError.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ _ACTION_CAP = 60.0
 
 #: Largest match residual accepted for a returned bound state.
 _MATCH_TOL = 1e-6
+
+#: Largest |h^2 q/12| a sweep accepts: below it 1 - h^2 q/12 lies in
+#: (1/2, 3/2), v has no pole and an oscillatory step keeps h^2 |q| < 6.
+_MAX_STEP_TQ = 0.5
 
 
 def count_nodes(f) -> int:
@@ -153,6 +159,11 @@ class _Shooter:
         m, stop = self._turning_and_stop(eps, q)
         hq = self.h * self.h * q[:stop + 1]
         tq = hq / 12.0
+        worst = float(np.abs(tq).max())
+        if worst >= _MAX_STEP_TQ:
+            raise SolverError(
+                f"Numerov step unstable at eps = {eps!r}: |h^2 q/12| reaches "
+                f"{worst:.3g} (limit {_MAX_STEP_TQ}); refine the radial grid")
         v = hq / (1.0 - tq)
         if self.hard_wall:
             p_lo = p_hi = 1.0

@@ -24,8 +24,6 @@ KELVIN_PER_HARTREE = 3.1577464e5
 #: Default mass scale in electron masses (about one atomic mass unit).
 DEFAULT_MASS_SCALE = 1822.887
 
-_ENERGY_UNITS = ("hartree", "K", "mK")
-
 
 class SolverError(Exception):
     """A numerical solve found no acceptable answer for valid input."""
@@ -57,22 +55,6 @@ class UnitSystem:
 
     def hartree_to_mk(self, value_hartree: float) -> float:
         return value_hartree / self.hartree_per_mk
-
-
-def convert_energy(value: float, unit_from: str, unit_to: str,
-                   units: UnitSystem | None = None) -> float:
-    """Convert an energy between 'hartree', 'K' and 'mK'.
-
-    Exact linear conversion through the configured hartree/mK factor;
-    round trips are identities up to floating-point rounding.
-    """
-    units = units or UnitSystem()
-    if unit_from not in _ENERGY_UNITS or unit_to not in _ENERGY_UNITS:
-        raise ValueError(
-            f"unknown energy unit in ({unit_from!r}, {unit_to!r}); "
-            f"expected one of {_ENERGY_UNITS}")
-    to_mk = {"hartree": 1.0 / units.hartree_per_mk, "K": 1e3, "mK": 1.0}
-    return value * to_mk[unit_from] / to_mk[unit_to]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from zrtrimer import (
@@ -11,6 +12,7 @@ from zrtrimer import (
     PairParams,
     ParticleSystem,
     PoleProximityError,
+    SolverError,
     boson_residual,
     build_matrix,
     efimov_constant,
@@ -20,6 +22,7 @@ from zrtrimer import (
     solve_at_rho,
     trace_branch,
 )
+from zrtrimer import angular
 from zrtrimer.angular import (
     POLE_GUARD,
     RootSearchError,
@@ -29,6 +32,7 @@ from zrtrimer.angular import (
     boson_lhs,
     dimer_channel_u,
 )
+from zrtrimer.cli import trace_for_config
 
 from trimer_params import HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4
 
@@ -185,6 +189,107 @@ class TestMatrix:
         assert math.isfinite(det) and det != 0.0
 
 
+@st.composite
+def _pairs(draw):
+    kind = draw(st.sampled_from(("bound", "free", "unitary")))
+    a = (-math.inf if kind == "unitary"
+         else draw(st.floats(2.0, 500.0)) * (-1.0 if kind == "bound" else 1.0))
+    if draw(st.booleans()):
+        return PairParams(a=a)
+    return PairParams(a=a, r_eff=draw(st.floats(1.0, 30.0)),
+                      p_shape=draw(st.floats(0.02, 0.3)))
+
+
+@st.composite
+def _general_problems(draw):
+    """Three distinct masses (ratios 0.2-5) with independent pairs."""
+    masses = (4.0, 4.0 * draw(st.floats(0.2, 5.0)), 4.0 * draw(st.floats(0.2, 5.0)))
+    assume(len(set(masses)) == 3)
+    system = ParticleSystem(masses, (draw(_pairs()), draw(_pairs()), draw(_pairs())))
+    return AngularProblem(system, regularized=draw(st.booleans()))
+
+
+def _cell(n: int) -> tuple[float, float]:
+    """Pole-free cell n of u, the lowest one cut at u = -400."""
+    if n == 0:
+        return -400.0, 4.0 - POLE_GUARD
+    return _cell_interval(4.0 * n * n + 1.0)
+
+
+_rhos = st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)
+# nu_cot_half_pi, inside build_matrix, divides by 1 - exp(-kappa pi): it
+# loses digits as u -> 0- and divides by zero below u ~ -1e-33, so the
+# reference is compared at u = 0 and at |u| >= 1e-12 only
+_us = st.one_of(
+    st.floats(-1e4, 4.0 - POLE_GUARD), st.just(0.0),
+    st.floats(1e-12, 1e-3).flatmap(lambda x: st.sampled_from((x, -x))),
+    st.integers(1, 3).flatmap(lambda n: st.floats(*_cell(n)))
+).filter(lambda u: u == 0.0 or abs(u) >= 1e-12)
+
+
+def _reference_det(u: float, rho: float, problem: AngularProblem) -> float:
+    return float(np.linalg.det(build_matrix(u, rho, problem)))
+
+
+def _reference_scaled(u: float, rho: float, problem: AngularProblem) -> float:
+    """det(build_matrix) over the product of its row maxima."""
+    m = build_matrix(u, rho, problem)
+    return float(np.linalg.det(m) / np.prod(np.abs(m).max(axis=1)))
+
+
+def _outcome(f):
+    try:
+        return np.sign(f())
+    except (PoleProximityError, ValueError) as exc:
+        return type(exc)
+
+
+class TestGeneralResidual:
+    """The scalar 3x3 residual against det(build_matrix), the slow reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=_general_problems(), u=_us, rho=_rhos)
+    def test_sign_matches_reference(self, problem, u, rho):
+        ref = _reference_scaled(u, rho, problem)
+        fast = problem.residual(u, rho)
+        assert math.isfinite(fast)
+        if abs(ref) > 1e-8:
+            assert np.sign(fast) == np.sign(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_general_problems(), rho=_rhos, n=st.integers(0, 3))
+    def test_roots_match_reference(self, problem, rho, n):
+        def fast(u):
+            return problem.residual(u, rho)
+
+        def slow(u):
+            return _reference_det(u, rho, problem)
+
+        # brackets whose ends the reference resolves: next to a pole the
+        # normalized rows turn parallel and the scaled determinant falls
+        # to rounding level, for either evaluation
+        us = np.linspace(*_cell(n), 400)
+        fs = np.array([fast(u) for u in us])
+        for k in np.nonzero(fs[:-1] * fs[1:] < 0.0)[0]:
+            lo, hi = us[k], us[k + 1]
+            if min(abs(_reference_scaled(x, rho, problem)) for x in (lo, hi)) <= 1e-8:
+                continue
+            root = brentq(fast, lo, hi, xtol=1e-300, rtol=8.9e-16)
+            ref = brentq(slow, lo, hi, xtol=1e-300, rtol=8.9e-16)
+            assert root == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_general_problems(), rho=_rhos)
+    def test_guards_match_reference(self, problem, rho):
+        # u = 0, rho = 0 (only u = 0 is admitted there under the extended
+        # boundary condition) and the pole guard band around u = 4, 16
+        for r in (0.0, rho):
+            for u in (0.0, -2.0, 1.5, 4.0, 16.0 + 0.5 * POLE_GUARD,
+                      16.0 + POLE_GUARD):
+                assert (_outcome(lambda: problem.residual(u, r))
+                        == _outcome(lambda: _reference_det(u, r, problem)))
+
+
 class TestSolveAtRho:
     def test_regularized_branch_starts_at_zero(self, he4_problem):
         u = trace_branch(np.array([0.01]), he4_problem).u[0]
@@ -301,9 +406,22 @@ class TestTraceBranch:
         # every accepted root stays clear of the normalization poles
         assert np.all(branch.u < 4.0 - POLE_GUARD)
 
-    def test_residuals_small(self, he4_branch_potential):
-        branch, _ = he4_branch_potential
+    @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
+    def test_residuals_small(self, request, cfg_name):
+        _, branch = trace_for_config(request.getfixturevalue(cfg_name))
         assert np.max(np.abs(branch.residuals)) < 1e-10
+
+    @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
+    def test_residual_bound_enforced(self, request, cfg_name, monkeypatch):
+        # a root 1e-6 relative off passes the continuation's trust test but
+        # not the residual bound
+        problem = AngularProblem(request.getfixturevalue(cfg_name).system)
+        solve = angular.solve_at_rho
+        monkeypatch.setattr(angular, "solve_at_rho",
+                            lambda rho, prob, guess:
+                            solve(rho, prob, guess) * (1.0 + 1e-6))
+        with pytest.raises(SolverError, match="branch residual"):
+            trace_branch(np.array([1.0, 2.0]), problem)
 
     def test_continuity_under_refinement(self, he4_problem):
         coarse = np.exp(np.linspace(math.log(0.05), math.log(400.0), 41))

@@ -136,6 +136,19 @@ class TestIntegrate:
         for coarse, fine in zip(errs, errs[1:]):
             assert 16.0 * 0.7 < coarse / fine < 16.0 * 1.3
 
+    def test_unstable_step_is_solver_error(self):
+        # W = -D e^(-rho) at eps = -1: rho^2 |W - eps| peaks near 0.54 D at
+        # rho = 2, so with D = 1e4 h^2 q/12 reaches about 2.2 there on 100
+        # nodes over [0.05, 50], past the bound 1/2, and about 1.3e-3 on 4000
+        def steep(rho):
+            return -1e4 * np.exp(-rho)
+
+        coarse = _Shooter(steep, 0.0, 0.0, 0.05, 50.0, 100)
+        with pytest.raises(SolverError, match="Numerov step unstable"):
+            coarse.count(-1.0)
+        fine = _Shooter(steep, 0.0, 0.0, 0.05, 50.0, 4000)
+        assert fine.count(-1.0) > 0
+
 
 class TestSolveBoundStates:
     def test_he4_trimer_spectrum(self, he4_solution):

@@ -8,7 +8,6 @@ from zrtrimer import (
     ParticleSystem,
     SolverError,
     UnitSystem,
-    convert_energy,
     dimer_binding_energy,
     dimer_pole_kappa,
     reduced_masses,
@@ -119,25 +118,8 @@ class TestDimer:
 
 class TestUnits:
     def test_hartree_to_kelvin_pinned(self):
-        assert convert_energy(1.0, "hartree", "K") == pytest.approx(
-            3.1577464e5, rel=1e-12)
-
-    def test_zero_is_zero(self):
-        for a in ("hartree", "K", "mK"):
-            for b in ("hartree", "K", "mK"):
-                assert convert_energy(0.0, a, b) == 0.0
-
-    def test_round_trip(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            x = rng.uniform(-1e3, 1e3)
-            back = convert_energy(convert_energy(x, "mK", "hartree"),
-                                  "hartree", "mK")
-            assert back == pytest.approx(x, rel=1e-12)
-
-    def test_unknown_unit(self):
-        with pytest.raises(ValueError, match="unknown energy unit"):
-            convert_energy(1.0, "eV", "mK")
+        assert UnitSystem().hartree_to_mk(1.0) == pytest.approx(
+            3.1577464e8, rel=1e-12)
 
     def test_unit_system_round_trip(self):
         units = UnitSystem()
