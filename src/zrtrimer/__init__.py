@@ -25,7 +25,7 @@ from .angular import (
     trace_branch,
 )
 from .config import ConfigError, RunConfig, parse_config
-from .potential import EffectivePotential, effective_potential, yukawa_tail
+from .potential import EffectivePotential, effective_potential
 from .radial import (
     RadialSolution,
     ThomasSpectrum,
@@ -50,7 +50,7 @@ __all__ = [
     "boson_residual", "build_matrix", "efimov_constant", "nu2_asymptotic",
     "nu_cot_half_pi", "sin_ratio", "solve_at_rho", "trace_branch",
     "ConfigError", "RunConfig", "parse_config",
-    "EffectivePotential", "effective_potential", "yukawa_tail",
+    "EffectivePotential", "effective_potential",
     "RadialSolution", "ThomasSpectrum", "count_nodes", "solve_bound_states",
     "thomas_spectrum",
     "KinematicConstants", "PairParams", "ParticleSystem", "SolverError",

@@ -33,7 +33,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .system import KinematicConstants, PairParams, ParticleSystem, SolverError, reduced_masses
+from .system import (KinematicConstants, PairParams, ParticleSystem, SolverError,
+                     dimer_binding_energy, reduced_masses)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -95,8 +96,7 @@ def nu_cot_half_pi(u: float) -> float:
         nu = math.sqrt(u)
         return nu / math.tan(nu * math.pi / 2.0)
     kappa = math.sqrt(-u)
-    e = math.exp(-kappa * math.pi)
-    return kappa * (1.0 + e) / (1.0 - e)
+    return kappa / math.tanh(kappa * math.pi / 2.0)
 
 
 def sin_ratio(u: float, phi: float) -> float:
@@ -137,15 +137,13 @@ def efimov_constant() -> float:
 class AngularProblem:
     """A three-body system prepared for the angular eigenvalue equation.
 
-    With regularized=False the effective-range and shape terms are dropped
-    (bare 1/a boundary condition) regardless of the stored pair parameters.
+    The bare 1/a boundary condition is the pairs' own r_eff = p_shape = 0.
     Its roots are bracketed by the one walker `_walk` (see `_first_node_u`
     and `solve_at_rho`) and refined by brentq to a relative tolerance
     (rtol 8.9e-16; xtol 1e-300 leaves roots near u = 0 their digits).
     """
 
     system: ParticleSystem
-    regularized: bool = True
 
     @cached_property
     def kinematics(self) -> KinematicConstants:
@@ -156,11 +154,18 @@ class AngularProblem:
         """Scaled residual f(u, rho) of `_solver_residual`, built once."""
         return _solver_residual(self)
 
-    def effective_pair(self, i: int) -> PairParams:
-        pair = self.system.pairs[i]
-        if self.regularized:
-            return pair
-        return PairParams(a=pair.a, r_eff=0.0, p_shape=0.0)
+    @cached_property
+    def bound_pair(self) -> int | None:
+        """Index of the pair with the deepest dimer threshold -2mB/hbar^2,
+        or None when no pair binds."""
+        best, best_thr = None, 0.0
+        units = self.system.units
+        for i, pair in enumerate(self.system.pairs):
+            b_energy = dimer_binding_energy(pair, self.kinematics.mu[i], units)
+            thr = 0.0 if b_energy is None else -2.0 * units.mass_scale * b_energy
+            if thr < best_thr:
+                best, best_thr = i, thr
+        return best
 
 
 def _bc_bracket(u: float, rho: float, pair: PairParams, mu: float) -> float:
@@ -209,7 +214,7 @@ def build_matrix(u: float, rho: float, problem: AngularProblem) -> np.ndarray:
     m = np.empty((3, 3))
     c = nu_cot_half_pi(u)
     for i in range(3):
-        pair = problem.effective_pair(i)
+        pair = problem.system.pairs[i]
         m[i, i] = c + _bc_bracket(u, rho, pair, kin.mu[i])
         for j in range(3):
             if i != j:
@@ -229,7 +234,7 @@ def _solver_residual(problem: AngularProblem):
     trace_branch holds below MAX_RESIDUAL.
     """
     if problem.system.is_identical:
-        pair0 = problem.effective_pair(0)
+        pair0 = problem.system.pairs[0]
         mu0 = problem.kinematics.mu[0]
 
         def resid(u: float, rho: float) -> float:
@@ -251,7 +256,7 @@ def _general_residual(problem: AngularProblem):
     residual of 1e-8 in a bound row.
     """
     kin = problem.kinematics
-    pairs = [problem.effective_pair(i) for i in range(3)]
+    pairs = problem.system.pairs
     extended = any(p.r_eff > 0.0 for p in pairs)
     # row i: bc_i = rho s_i (1/a_i + x (h_i + p_i x)), x = u/rho^2
     (s0, ia0, h0, p0), (s1, ia1, h1, p1), (s2, ia2, h2, p2) = (
@@ -374,16 +379,6 @@ def solve_at_rho(rho: float, problem: AngularProblem, guess: float) -> float:
     return _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400)
 
 
-def _bound_pair_scale(problem: AngularProblem) -> float:
-    """max over bound pairs of 1/(sqrt(mu_i)|a_i|), or 0 if none bound."""
-    best = 0.0
-    for i in range(3):
-        pair = problem.effective_pair(i)
-        if pair.has_bound_dimer and math.isfinite(pair.a):
-            best = max(best, 1.0 / (math.sqrt(problem.kinematics.mu[i]) * abs(pair.a)))
-    return best
-
-
 def _first_node_u(rho: float, problem: AngularProblem) -> float:
     """Lowest-branch root at the first grid node: a walk from a window edge.
 
@@ -394,9 +389,10 @@ def _first_node_u(rho: float, problem: AngularProblem) -> float:
     u in [-(rho/(sqrt(mu)|a|) + 20)^2, 4) to the first, most negative root.
     """
     f = problem.residual
-    scale = _bound_pair_scale(problem)
-    extended = problem.regularized and any(
-        problem.effective_pair(i).r_eff > 0.0 for i in range(3))
+    i = problem.bound_pair
+    scale = (0.0 if i is None else 1.0 / (
+        math.sqrt(problem.kinematics.mu[i]) * abs(problem.system.pairs[i].a)))
+    extended = any(pair.r_eff > 0.0 for pair in problem.system.pairs)
     if extended and rho * scale < 0.3:
         return _walk(lambda u: f(u, rho), -1e-14, -1e12, -1e-14, 5e-8, 1.25, 400)
     lo, hi = -((rho * scale + 20.0) ** 2), 4.0 - POLE_GUARD

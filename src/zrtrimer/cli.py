@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .angular import AngularProblem, NuBranch, efimov_constant, trace_branch
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, check_poles, parse_config
 from .potential import EffectivePotential, effective_potential
 from .radial import RadialSolution, solve_bound_states, thomas_spectrum
 from .system import SolverError
@@ -37,19 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 # ----------------------------------------------------------------- pipeline
 
-def build_problem(cfg: RunConfig) -> AngularProblem:
-    return AngularProblem(system=cfg.system, regularized=cfg.regularized)
-
-
-def rho_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.spacing == "log":
-        return np.exp(np.linspace(np.log(cfg.rho_min), np.log(cfg.rho_max), cfg.n))
-    return np.linspace(cfg.rho_min, cfg.rho_max, cfg.n)
-
-
 def trace_for_config(cfg: RunConfig) -> tuple[AngularProblem, NuBranch]:
-    problem = build_problem(cfg)
-    return problem, trace_branch(rho_grid(cfg), problem)
+    problem = AngularProblem(cfg.system)
+    grid = np.exp(np.linspace(np.log(cfg.rho_min), np.log(cfg.rho_max), cfg.n))
+    return problem, trace_branch(grid, problem)
 
 
 def potential_for_config(cfg: RunConfig) -> tuple[NuBranch, EffectivePotential]:
@@ -115,8 +106,8 @@ def _emit(text_writer, out_path: str) -> int:
 
 def cmd_eigenvalue(cfg: RunConfig) -> tuple[list, list]:
     branch, pot = potential_for_config(cfg)
-    rows = [(float(r), float(u), float(u - 4.0), float((u - pot.shift) / (r * r)))
-            for r, u in zip(branch.rho, branch.u)]
+    rows = [(float(r), float(u), float(u - 4.0), float(w))
+            for r, u, w in zip(branch.rho, branch.u, pot.w)]
     return ["rho_au", "nu2", "lambda", "W_au"], rows
 
 
@@ -135,14 +126,13 @@ def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
     if not any(pair.r_eff > 0.0 for pair in cfg.system.pairs):
         raise _UsageError("scan-p needs a pair with r_eff > 0; "
                           "the shape parameter is inert at r_eff = 0")
-    if not cfg.regularized:
-        raise _UsageError("scan-p needs regularized = true; the bare "
-                          "boundary condition drops the shape parameter")
-    rows = []
     # the last point may not pass p_max; exact multiples keep their last point
     n_steps = int((p_max - p_min) / p_step + 1e-9)
-    for k in range(n_steps + 1):
-        p = p_min + k * p_step
+    ps = [p_min + k * p_step for k in range(n_steps + 1)]
+    for p in ps:   # the whole grid is checked before anything is solved
+        check_poles(_with_pshape(cfg, p).system, "scan-p: ")
+    rows = []
+    for p in ps:
         _, states = solve_for_config(_with_pshape(cfg, p))
         e0 = states[0].energy_mk if len(states) > 0 else None
         e1 = states[1].energy_mk if len(states) > 1 else None

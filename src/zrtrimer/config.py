@@ -14,6 +14,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .potential import Q_CONVENTIONS
 from .system import DEFAULT_MASS_SCALE, PairParams, ParticleSystem, UnitSystem
 
@@ -23,11 +25,11 @@ class ConfigError(ValueError):
 
 
 _ALLOWED = {
-    "system": {"names", "masses", "mass_scale", "hartree_per_mk"},
+    "system": {"masses", "mass_scale"},
     "pair": {"a", "r_eff", "p_shape"},
-    "grid": {"rho_min", "rho_max", "n", "spacing"},
-    "solver": {"q_convention", "regularized", "radial_n", "radial_rho_min",
-               "radial_rho_max", "max_states"},
+    "grid": {"rho_min", "rho_max", "n"},
+    "solver": {"q_convention", "radial_n", "radial_rho_min", "radial_rho_max",
+               "max_states"},
 }
 
 _REQUIRED_HINT = (
@@ -43,9 +45,7 @@ class RunConfig:
     rho_min: float = 0.05
     rho_max: float = 4000.0
     n: int = 600
-    spacing: str = "log"
     q_convention: str = "leading_term"
-    regularized: bool = True
     radial_n: int = 8000
     radial_rho_min: float = 0.05
     radial_rho_max: float | None = None   # None means automatic
@@ -75,24 +75,33 @@ def _number(section, key: str, default, where: str, kind=float):
         raise ConfigError(f"{where}.{key}: cannot parse {raw!r} as {what}") from exc
 
 
-def _bool(section, key: str, default: bool, where: str) -> bool:
-    raw = section.get(key)
-    if raw is None:
-        return default
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{where}.{key}: expected a boolean, got {raw!r}")
-
-
 def _choice(section, key: str, default: str, allowed, where: str) -> str:
     raw = section.get(key, default)
     val = raw.strip()
     if val not in allowed:
         raise ConfigError(f"{where}.{key}: {val!r} not in {tuple(allowed)}")
     return val
+
+
+def check_poles(system: ParticleSystem, context: str = "") -> None:
+    """ConfigError unless kappa + 1/a - (R/2) kappa^2 + P R^3 kappa^4 = 0
+    has one positive root for finite a < 0 (the dimer) and none otherwise,
+    for each pair with r_eff > 0: true above a critical P, about 1/54 for
+    R << |a|; below it extra roots are deep, unphysical dimers."""
+    for i, pair in enumerate(system.pairs, start=1):
+        if pair.r_eff == 0.0:
+            continue
+        xs = np.roots([pair.p_shape, 0.0, -0.5, 1.0,
+                       0.0 if math.isinf(pair.a) else pair.r_eff / pair.a])
+        kappas = sorted(x.real / pair.r_eff for x in xs
+                        if x.imag == 0.0 and x.real > 0.0)
+        physical = 1 if pair.has_bound_dimer and math.isfinite(pair.a) else 0
+        if len(kappas) != physical:
+            extra = ", ".join(f"{k:.4g}" for k in kappas[physical:])
+            raise ConfigError(f"{context}[pair.{i}]: P = {pair.p_shape:g} is "
+                              "outside the validity domain: " + (
+                                  f"spurious dimer poles at kappa = {extra} 1/au"
+                                  if extra else "no dimer pole"))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -120,17 +129,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"[system] is missing 'masses'; {_REQUIRED_HINT}")
     masses = _floats(sys_sec["masses"], "[system].masses", count=3)
 
-    names = ("p1", "p2", "p3")
-    if "names" in sys_sec:
-        parts = tuple(p.strip() for p in sys_sec["names"].split(","))
-        if len(parts) != 3:
-            raise ConfigError("[system].names: expected three comma-separated names")
-        names = parts
-
-    units = UnitSystem(
-        mass_scale=_number(sys_sec, "mass_scale", DEFAULT_MASS_SCALE, "[system]"),
-        hartree_per_mk=_number(sys_sec, "hartree_per_mk",
-                               UnitSystem().hartree_per_mk, "[system]"))
+    mass_scale = _number(sys_sec, "mass_scale", DEFAULT_MASS_SCALE, "[system]")
 
     pairs = []
     for i in (1, 2, 3):
@@ -143,24 +142,22 @@ def parse_config(text: str) -> RunConfig:
         where = f"[{sec_name}]"
         a = _number(sec, "a", math.nan, where)
         try:
-            pairs.append(PairParams(
-                a=a,
-                r_eff=_number(sec, "r_eff", 0.0, where),
-                p_shape=_number(sec, "p_shape", 0.0, where)))
+            pairs.append(PairParams(a, _number(sec, "r_eff", 0.0, where),
+                                    _number(sec, "p_shape", 0.0, where)))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
     try:
         system = ParticleSystem(masses=tuple(masses), pairs=tuple(pairs),
-                                units=units, names=names)
+                                units=UnitSystem(mass_scale))
     except ValueError as exc:
         raise ConfigError(f"[system]: {exc}") from exc
+    check_poles(system)
 
     grid = parser["grid"] if "grid" in parser else {}
     rho_min = _number(grid, "rho_min", 0.05, "[grid]")
     rho_max = _number(grid, "rho_max", 4000.0, "[grid]")
     n = _number(grid, "n", 600, "[grid]", int)
-    spacing = _choice(grid, "spacing", "log", ("log", "linear"), "[grid]")
     if not 0.0 < rho_min < rho_max:
         raise ConfigError("[grid]: need 0 < rho_min < rho_max")
     if n < 2:
@@ -169,19 +166,26 @@ def parse_config(text: str) -> RunConfig:
     solver = parser["solver"] if "solver" in parser else {}
     q_convention = _choice(solver, "q_convention", "leading_term",
                            Q_CONVENTIONS, "[solver]")
+    radial_n = _number(solver, "radial_n", 8000, "[solver]", int)
+    if radial_n < 7:
+        # the radial shooter keeps its turning point in [3, n - 4]
+        raise ConfigError("[solver].radial_n: need at least 7 radial grid points")
+    radial_rho_min = _number(solver, "radial_rho_min", 0.05, "[solver]")
+    if not radial_rho_min > 0.0:
+        raise ConfigError("[solver].radial_rho_min: must be positive")
     radial_rho_max = None
     if solver.get("radial_rho_max", "auto").strip() != "auto":
         radial_rho_max = _number(solver, "radial_rho_max", 0.0, "[solver]")
-        if radial_rho_max <= 0.0:
-            raise ConfigError("[solver].radial_rho_max: must be positive or 'auto'")
+        if not radial_rho_max > radial_rho_min:
+            raise ConfigError("[solver].radial_rho_max: must exceed "
+                              "radial_rho_min, or be 'auto'")
+    max_states = _number(solver, "max_states", 4, "[solver]", int)
+    if max_states < 1:
+        raise ConfigError("[solver].max_states: need at least 1 state")
 
     return RunConfig(
-        system=system,
-        rho_min=rho_min, rho_max=rho_max, n=n, spacing=spacing,
-        q_convention=q_convention,
-        regularized=_bool(solver, "regularized", True, "[solver]"),
-        radial_n=_number(solver, "radial_n", 8000, "[solver]", int),
-        radial_rho_min=_number(solver, "radial_rho_min", 0.05, "[solver]"),
-        radial_rho_max=radial_rho_max,
-        max_states=_number(solver, "max_states", 4, "[solver]", int),
+        system=system, rho_min=rho_min, rho_max=rho_max, n=n,
+        q_convention=q_convention, radial_n=radial_n,
+        radial_rho_min=radial_rho_min, radial_rho_max=radial_rho_max,
+        max_states=max_states,
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())

@@ -28,27 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .angular import SQRT3, AngularProblem, NuBranch, dimer_channel_u
-from .system import PairParams, dimer_binding_energy, dimer_pole_kappa
+from .angular import AngularProblem, NuBranch, dimer_channel_u
+from .system import dimer_binding_energy, dimer_pole_kappa
 
 Q_CONVENTIONS = ("leading_term", "none")
-
-
-def yukawa_tail(rho: float, pair: PairParams, mu: float) -> float:
-    """Analytic large-rho form of the potential (q_convention = none).
-
-    threshold - 1/(4 rho^2) - (16 sqrt3/pi) exp(-rho/b)/(b rho), with
-    threshold = -1/(mu a^2) and b = 3 sqrt(mu)|a|/pi.  Valid when a bound
-    dimer exists (a < 0); used for validation and for extending W beyond
-    the traced grid.
-    """
-    if not pair.has_bound_dimer:
-        raise ValueError("yukawa tail requires a bound dimer (a < 0)")
-    a = abs(pair.a)
-    b = 3.0 * math.sqrt(mu) * a / math.pi
-    threshold = -1.0 / (mu * a * a)
-    return (threshold - 1.0 / (4.0 * rho * rho)
-            - (16.0 * SQRT3 / math.pi) * math.exp(-rho / b) / (b * rho))
 
 
 @dataclass(frozen=True)
@@ -64,7 +47,6 @@ class EffectivePotential:
     rho: np.ndarray
     w: np.ndarray
     threshold: float
-    yukawa_range_b: float | None
     q_convention: str
     problem: AngularProblem
     w_inf: float
@@ -109,40 +91,14 @@ class EffectivePotential:
                 u[hi] = 4.0 - (4.0 - self._u_last) * (self.rho[-1] / flat[hi])
         return u.reshape(rhos.shape)
 
-    # -- energy unit plumbing -------------------------------------------
-    @property
-    def mass_scale(self) -> float:
-        return self.problem.system.units.mass_scale
-
-    def eps_from_hartree(self, energy: float) -> float:
-        """2mE/hbar^2 from E in hartree."""
-        return 2.0 * self.mass_scale * energy
-
     def hartree_from_eps(self, eps: float) -> float:
-        return eps / (2.0 * self.mass_scale)
-
-    @property
-    def threshold_hartree(self) -> float:
-        return self.hartree_from_eps(self.threshold)
+        """E in hartree from 2mE/hbar^2."""
+        return eps / (2.0 * self.problem.system.units.mass_scale)
 
     @property
     def threshold_mk(self) -> float:
-        return self.problem.system.units.hartree_to_mk(self.threshold_hartree)
-
-
-def _bound_channel(problem: AngularProblem) -> tuple[int | None, float]:
-    """Index of the pair giving the deepest dimer threshold, and -2mB/hbar^2."""
-    best_i, best_thr = None, 0.0
-    for i in range(3):
-        pair = problem.effective_pair(i)
-        mu = problem.kinematics.mu[i]
-        b_energy = dimer_binding_energy(pair, mu, problem.system.units)
-        if b_energy is None:
-            continue
-        thr = -2.0 * problem.system.units.mass_scale * b_energy
-        if thr < best_thr:
-            best_i, best_thr = i, thr
-    return best_i, best_thr
+        return self.problem.system.units.hartree_to_mk(
+            self.hartree_from_eps(self.threshold))
 
 
 def _inner_law(rho: np.ndarray, u: np.ndarray) -> tuple[float, float, str]:
@@ -163,9 +119,9 @@ def effective_potential(branch: NuBranch, problem: AngularProblem,
     """Build the effective potential W from a traced branch.
 
     W = (u - shift)/rho^2 with shift = 0 (leading_term) or 1/4 (none).
-    The threshold and Yukawa range are filled from the deepest bound pair,
-    if any; the outer analytic tail uses the extended-model dimer pole so
-    that it continues the traced branch smoothly.
+    The threshold is filled from the deepest bound pair, if any; the outer
+    analytic tail uses the extended-model dimer pole so that it continues
+    the traced branch smoothly.
     """
     if q_convention not in Q_CONVENTIONS:
         raise ValueError(f"q_convention must be one of {Q_CONVENTIONS}")
@@ -176,15 +132,16 @@ def effective_potential(branch: NuBranch, problem: AngularProblem,
     shift = 0.0 if q_convention == "leading_term" else 0.25
     w = (u - shift) / (rho * rho)
 
-    bound_i, threshold = _bound_channel(problem)
+    bound_i = problem.bound_pair
     if bound_i is not None:
-        pair = problem.effective_pair(bound_i)
+        pair = problem.system.pairs[bound_i]
         mu = problem.kinematics.mu[bound_i]
-        b_range = 3.0 * math.sqrt(mu) * abs(pair.a) / math.pi
+        units = problem.system.units
+        threshold = -2.0 * units.mass_scale * dimer_binding_energy(pair, mu, units)
         kappa = dimer_pole_kappa(pair)
         w_inf = -kappa * kappa / mu
     else:
-        b_range, kappa, mu, w_inf = None, None, None, 0.0
+        threshold, kappa, mu, w_inf = 0.0, None, None, 0.0
 
     if len(rho) >= 2:
         inner = _inner_law(rho, u)
@@ -195,7 +152,7 @@ def effective_potential(branch: NuBranch, problem: AngularProblem,
                                    [u[0], u[0]], extrapolate=True)
 
     return EffectivePotential(
-        rho=rho, w=w, threshold=threshold, yukawa_range_b=b_range,
+        rho=rho, w=w, threshold=threshold,
         q_convention=q_convention, problem=problem, w_inf=w_inf,
         bound_kappa=kappa, bound_mu=mu,
         _u_interp=interp, _inner=inner, _u_last=float(u[-1]))

@@ -21,6 +21,9 @@ from scipy.optimize import brentq
 #: this one is fixed here to keep regression numbers deterministic.
 KELVIN_PER_HARTREE = 3.1577464e5
 
+#: Energy conversion factor, hartree per millikelvin.
+HARTREE_PER_MK = 1.0 / (KELVIN_PER_HARTREE * 1e3)
+
 #: Default mass scale in electron masses (about one atomic mass unit).
 DEFAULT_MASS_SCALE = 1822.887
 
@@ -37,24 +40,16 @@ class UnitSystem:
     ----------
     mass_scale : float
         Mass scale m in electron masses; particle masses are multiples of it.
-    hartree_per_mk : float
-        Energy conversion factor, hartree per millikelvin.
     """
 
     mass_scale: float = DEFAULT_MASS_SCALE
-    hartree_per_mk: float = 1.0 / (KELVIN_PER_HARTREE * 1e3)
 
     def __post_init__(self):
         if self.mass_scale <= 0:
             raise ValueError("mass_scale must be positive")
-        if self.hartree_per_mk <= 0:
-            raise ValueError("hartree_per_mk must be positive")
-
-    def mk_to_hartree(self, value_mk: float) -> float:
-        return value_mk * self.hartree_per_mk
 
     def hartree_to_mk(self, value_hartree: float) -> float:
-        return value_hartree / self.hartree_per_mk
+        return value_hartree / HARTREE_PER_MK
 
 
 @dataclass(frozen=True)
@@ -72,10 +67,10 @@ class PairParams:
     p_shape: float = 0.0
 
     def __post_init__(self):
-        if self.a == 0.0:
-            raise ValueError("scattering length must be nonzero")
-        if self.r_eff < 0.0:
-            raise ValueError("effective range must be nonnegative")
+        if self.a == 0.0 or math.isnan(self.a):
+            raise ValueError("scattering length must be a nonzero number")
+        if not (0.0 <= self.r_eff < math.inf and math.isfinite(self.p_shape)):
+            raise ValueError("need a finite r_eff >= 0 and a finite p_shape")
         if self.r_eff == 0.0 and self.p_shape != 0.0:
             raise ValueError("the shape term is inert when r_eff = 0; "
                              "set p_shape = 0 as well")
@@ -97,7 +92,6 @@ class ParticleSystem:
     masses: tuple[float, float, float]
     pairs: tuple[PairParams, PairParams, PairParams]
     units: UnitSystem = UnitSystem()
-    names: tuple[str, str, str] = ("p1", "p2", "p3")
 
     def __post_init__(self):
         if len(self.masses) != 3 or len(self.pairs) != 3:
@@ -114,10 +108,8 @@ class ParticleSystem:
 
     @classmethod
     def identical_bosons(cls, mass: float, pair: PairParams,
-                         units: UnitSystem | None = None,
-                         name: str = "b") -> "ParticleSystem":
-        return cls((mass, mass, mass), (pair, pair, pair),
-                   units or UnitSystem(), (name, name, name))
+                         units: UnitSystem | None = None) -> "ParticleSystem":
+        return cls((mass, mass, mass), (pair, pair, pair), units or UnitSystem())
 
     @property
     def is_identical(self) -> bool:

@@ -31,7 +31,7 @@ def mixed_cfg():
 
 @pytest.fixture(scope="session")
 def he4_problem(he4_cfg):
-    return AngularProblem(he4_cfg.system, regularized=True)
+    return AngularProblem(he4_cfg.system)
 
 
 @pytest.fixture(scope="session")
@@ -56,8 +56,8 @@ def bare_he4_pair():
 
 @pytest.fixture(scope="session")
 def bare_he4_problem(bare_he4_pair):
-    system = ParticleSystem.identical_bosons(HE4_MASS, bare_he4_pair, name="He4")
-    return AngularProblem(system, regularized=False)
+    system = ParticleSystem.identical_bosons(HE4_MASS, bare_he4_pair)
+    return AngularProblem(system)
 
 
 @pytest.fixture(scope="session")
@@ -78,8 +78,8 @@ def bare_he4_potential(bare_he4_trace):
 @pytest.fixture(scope="session")
 def unitary_problem():
     pair = PairParams(a=-math.inf)
-    system = ParticleSystem.identical_bosons(HE4_MASS, pair, name="u")
-    return AngularProblem(system, regularized=False)
+    system = ParticleSystem.identical_bosons(HE4_MASS, pair)
+    return AngularProblem(system)
 
 
 @pytest.fixture(scope="session")

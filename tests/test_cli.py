@@ -13,7 +13,6 @@ from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
 
 FAST_CFG = """
 [system]
-names = He4, He4, He4
 masses = 4.002603, 4.002603, 4.002603
 
 [pair.1]
@@ -130,20 +129,6 @@ class TestEigenvalueCommand:
         assert len(payload["rows"]) == 80
         assert set(payload["rows"][0]) == {"rho_au", "nu2", "lambda", "W_au"}
 
-    def test_linear_spacing(self, tmp_path):
-        cfg = tmp_path / "lin.cfg"
-        cfg.write_text(FAST_CFG.replace(
-            "rho_min = 0.05\nrho_max = 400\nn = 80",
-            "rho_min = 1\nrho_max = 100\nn = 60\nspacing = linear"))
-        out = tmp_path / "lin.csv"
-        assert cli.main(["eigenvalue", "--config", str(cfg),
-                         "--out", str(out)]) == 0
-        _, _, rows = read_csv(out)
-        rho = [float(r[0]) for r in rows]
-        steps = np.diff(rho)
-        assert np.allclose(steps, steps[0])
-        assert rho[0] == 1.0 and rho[-1] == 100.0
-
     def test_mixed_system_determinant_route(self, tmp_path):
         import importlib.resources as ir
         cfg_path = tmp_path / "mixed.cfg"
@@ -208,19 +193,18 @@ class TestScanCommand:
         # E0 rises with P, as on the bundled configs
         assert float(rows[0][1]) < float(rows[1][1]) < 0.0
 
+    def test_grid_below_critical_p_rejected_before_solving(
+            self, fast_cfg_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve_for_config", pytest.fail)
+        assert cli.main(["scan-p", "--config", fast_cfg_path, "--p-min", "0.01",
+                         "--p-max", "0.13", "--p-step", "0.02"]) == 1
+        assert "scan-p: [pair.1]: P = 0.01 is outside" in capsys.readouterr().err
+
     def test_no_finite_range_pair_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "he4_zero_range.cfg"
         cfg.write_text(FAST_CFG.replace("r_eff = 13.843\np_shape = 0.13\n", ""))
         assert cli.main(["scan-p", "--config", str(cfg)]) == 1
         assert "r_eff > 0" in capsys.readouterr().err
-
-    def test_bare_config_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        # the bare boundary condition ignores P: every row would be the same
-        monkeypatch.setattr(cli, "solve_for_config", pytest.fail)
-        cfg = tmp_path / "he4_bare.cfg"
-        cfg.write_text(FAST_CFG + "\n[solver]\nregularized = false\n")
-        assert cli.main(["scan-p", "--config", str(cfg)]) == 1
-        assert "regularized" in capsys.readouterr().err
 
 
 class TestThomasCommand:
@@ -287,20 +271,32 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "potential_for_config", boom)
         assert cli.main(["solve", "--config", he4_cfg_path]) == 2
 
-    def test_spurious_states_are_solver_failure(self, tmp_path, capsys):
-        # a deep, narrow well of the effective potential holds a cluster of
-        # levels near -44000 mK whose node counts (0, 0, 0, 1) and match
-        # residuals (~0.5) are wrong: they must not be printed as states
+    def test_spurious_poles_are_config_error(self, tmp_path, capsys):
+        # below the critical P the pair has deep unphysical dimer poles
+        # (here kappa = 0.2044 and 1.008 besides the dimer at 0.00396), whose
+        # channel would bind a cluster of levels near -44000 mK
         text = (bundled_config_text("he4_trimer")
                 .replace("a = -189.054", "a = -257.3")
                 .replace("r_eff = 13.843", "r_eff = 9.925")
                 .replace("p_shape = 0.13", "p_shape = 0.004"))
         cfg = tmp_path / "he4_spurious.cfg"
         cfg.write_text(text)
-        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert cli.main(["solve", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "solver failure" in captured.err
+        assert "spurious dimer poles at kappa = 0.2044, 1.008" in captured.err
+
+    def test_just_above_critical_p_is_solver_failure(self, tmp_path, capsys):
+        # 2.5% above P_c the model is valid, but the angular continuation
+        # loses the branch near rho = 37.6: no margin hides that
+        text = (bundled_config_text("he4_trimer")
+                .replace("a = -189.054", "a = -144.277")
+                .replace("r_eff = 13.843", "r_eff = 16.893")
+                .replace("p_shape = 0.13", "p_shape = 0.02063"))
+        cfg = tmp_path / "he4_near_pc.cfg"
+        cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert "solver failure" in capsys.readouterr().err
 
     def test_near_threshold_state_inside_default_box(self, tmp_path, capsys):
         # E1 sits 1.3 mK below threshold, so at rho_max = 4000 the outward

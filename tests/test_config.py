@@ -27,7 +27,6 @@ class TestBundledConfigs:
             assert pair.p_shape == 0.13
         assert cfg.system.is_identical
         assert cfg.q_convention == "leading_term"
-        assert cfg.regularized is True
         assert (cfg.rho_min, cfg.rho_max, cfg.n) == (0.05, 4000.0, 600)
 
     def test_he4he4he3(self):
@@ -48,7 +47,6 @@ class TestParsing:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.n == 600
-        assert cfg.spacing == "log"
         assert cfg.radial_n == 8000
         assert cfg.radial_rho_max is None
         assert cfg.max_states == 4
@@ -70,11 +68,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"unknown section \[output\]"):
             parse_config(MINIMAL + "\n[output]\nformat = csv\n")
 
-    @pytest.mark.parametrize("key", ["tol_res", "tol_u"])
-    def test_tolerance_keys_rejected(self, key):
-        # the root tolerances are solver constants, not settings
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "tol_res", "1e-10"), ("solver", "tol_u", "1e-10"),
+        ("system", "names", "A, B, C"), ("system", "hartree_per_mk", "3e-9"),
+        ("grid", "spacing", "log"), ("solver", "regularized", "false")])
+    def test_removed_keys_rejected(self, section, key, value):
+        # the root tolerances are solver constants, the bare model is
+        # r_eff = 0 with no p_shape, the grid is always log spaced and the
+        # mK conversion is a pinned constant
+        text = (MINIMAL.replace("[system]", f"[system]\n{key} = {value}")
+                if section == "system"
+                else MINIMAL + f"\n[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=rf"unknown key '{key}'"):
-            parse_config(MINIMAL + f"\n[solver]\n{key} = 1e-10\n")
+            parse_config(text)
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -83,10 +89,6 @@ class TestParsing:
     def test_bad_number(self):
         with pytest.raises(ConfigError, match="masses"):
             parse_config(MINIMAL.replace("1.0, 2.0, 3.0", "1.0, x, 3.0"))
-
-    def test_bad_boolean(self):
-        with pytest.raises(ConfigError, match="boolean"):
-            parse_config(MINIMAL + "\n[solver]\nregularized = maybe\n")
 
     def test_grid_sanity(self):
         with pytest.raises(ConfigError, match="rho_min"):
@@ -113,20 +115,42 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config(MINIMAL + "\n[pair.4]\na = 1.0\n")
 
-    def test_energy_conversion_override(self):
-        base = parse_config(MINIMAL)
-        doubled = parse_config(MINIMAL.replace(
-            "[system]",
-            f"[system]\nhartree_per_mk = {2 * base.system.units.hartree_per_mk}"))
-        # same hartree value reads half as many millikelvin
-        assert doubled.system.units.hartree_to_mk(1.0) == pytest.approx(
-            0.5 * base.system.units.hartree_to_mk(1.0), rel=1e-12)
+    @pytest.mark.parametrize("key, value", [
+        ("radial_n", "6"), ("radial_rho_min", "-1"), ("radial_rho_max", "0.01"),
+        ("max_states", "0")])
+    def test_solver_numbers_checked(self, key, value):
+        # radial_n = 6 would index past the shooter's clamped turning point,
+        # radial_rho_max = 0.01 lies below the default radial_rho_min
+        with pytest.raises(ConfigError, match=rf"\[solver\]\.{key}"):
+            parse_config(MINIMAL + f"\n[solver]\n{key} = {value}\n")
 
-    def test_regularized_false_drops_extended_terms(self):
-        from zrtrimer import AngularProblem
-        text = MINIMAL + "\n[solver]\nregularized = false\n"
-        cfg = parse_config(text.replace("a = -5.0", "a = -5.0\nr_eff = 2.0"))
-        assert cfg.regularized is False
-        problem = AngularProblem(cfg.system, regularized=cfg.regularized)
-        assert problem.effective_pair(0).r_eff == 0.0
-        assert cfg.system.pairs[0].r_eff == 2.0   # stored values untouched
+
+def _with_pair(a, r_eff, p_shape):
+    return MINIMAL.replace("a = -5.0",
+                           f"a = {a}\nr_eff = {r_eff}\np_shape = {p_shape}")
+
+
+class TestValidityDomain:
+    """kappa + 1/a - (R/2) kappa^2 + P R^3 kappa^4 = 0 may have only the
+    physical dimer pole: P must lie above its critical value."""
+
+    @pytest.mark.parametrize("a, r_eff, p_shape, extra", [
+        (-330.382, 7.796, 0.0107, "0.2834, 0.6983"),
+        (-155.072, 19.755, 0.0157, "0.1133, 0.2074"),
+        (-189.054, 13.843, 0.0, "0.139"),                 # the pole near 2/R
+        (-1e6, 1.0, 1.0 / 54.0 * 0.995, "2.884, 3.13"),   # P_c -> 1/54
+        (33.261, 18.564, 0.0137, "0.1853, 0.206")])       # a > 0: no dimer
+    def test_spurious_poles_rejected(self, a, r_eff, p_shape, extra):
+        with pytest.raises(ConfigError, match=rf"\[pair\.1\].*kappa = {extra}"):
+            parse_config(_with_pair(a, r_eff, p_shape))
+
+    @pytest.mark.parametrize("a, r_eff, p_shape", [
+        (-1e6, 1.0, 1.0 / 54.0 * 1.005), (33.261, 18.564, 0.0139)])
+    def test_just_above_critical_p_accepted(self, a, r_eff, p_shape):
+        cfg = parse_config(_with_pair(a, r_eff, p_shape))
+        assert cfg.system.pairs[0].p_shape == p_shape
+
+    def test_missing_dimer_pole_rejected(self):
+        # P = 0 and R > |a|/2: the pole equation stays negative
+        with pytest.raises(ConfigError, match="no dimer pole"):
+            parse_config(_with_pair(-1.0, 10.0, 0.0))

@@ -11,11 +11,19 @@ from zrtrimer import (
     effective_potential,
     efimov_constant,
     trace_branch,
-    yukawa_tail,
 )
 from zrtrimer.angular import _solver_residual, dimer_channel_u
 
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4
+
+
+def yukawa_tail(rho: float) -> float:
+    """Analytic large-rho potential of the bare He4 pair, q_convention = none:
+    threshold - 1/(4 rho^2) - (16 sqrt3/pi) exp(-rho/b)/(b rho), with
+    threshold = -1/(mu a^2) and b = 3 sqrt(mu)|a|/pi."""
+    b = 3.0 * math.sqrt(MU4) * abs(HE4_A) / math.pi
+    return (-1.0 / (MU4 * HE4_A ** 2) - 1.0 / (4.0 * rho * rho)
+            - (16.0 * math.sqrt(3.0) / math.pi) * math.exp(-rho / b) / (b * rho))
 
 
 class TestConventions:
@@ -78,11 +86,11 @@ class TestThreshold:
     def test_no_dimer_no_threshold(self):
         pair = PairParams(a=33.261)
         system = ParticleSystem.identical_bosons(3.0, pair)
-        problem = AngularProblem(system, regularized=False)
+        problem = AngularProblem(system)
         branch = trace_branch(np.array([50.0, 60.0, 70.0]), problem)
         pot = effective_potential(branch, problem)
         assert pot.threshold == 0.0
-        assert pot.yukawa_range_b is None
+        assert pot.bound_kappa is None
 
 
 class TestYukawaTail:
@@ -90,15 +98,17 @@ class TestYukawaTail:
         b = 3 * math.sqrt(MU4) * abs(HE4_A) / math.pi
         assert b == pytest.approx(255.40, abs=0.01)
 
-    def test_limit_is_threshold(self, bare_he4_pair):
+    def test_limit_is_threshold(self, bare_he4_trace):
+        # beyond the traced grid W is the dimer-channel tail, which for the
+        # bare pair is the two-term expansion itself
+        problem, branch = bare_he4_trace
+        pot = effective_potential(branch, problem, "none")
+        for rho in (1.5 * branch.rho[-1], 4.0 * branch.rho[-1], 1e9):
+            assert pot.values(rho) == pytest.approx(yukawa_tail(rho), rel=1e-12)
         thr = -1.0 / (MU4 * HE4_A ** 2)
-        assert yukawa_tail(1e9, bare_he4_pair, MU4) == pytest.approx(thr, rel=1e-9)
+        assert pot.values(1e9) == pytest.approx(thr, rel=1e-9)
 
-    def test_requires_bound_dimer(self):
-        with pytest.raises(ValueError):
-            yukawa_tail(100.0, PairParams(a=33.261), 1.72)
-
-    def test_against_traced_bare_branch(self, bare_he4_problem, bare_he4_pair):
+    def test_against_traced_bare_branch(self, bare_he4_problem):
         """The printed two-term expansion vs the numerically traced branch
         (q_convention = none, i.e. the (u - 1/4)/rho^2 potential).
 
@@ -112,7 +122,7 @@ class TestYukawaTail:
             rho = mult * b
             u = brentq(lambda x: resid(x, rho), -1e4, -1e-9, xtol=1e-13)
             w_none = (u - 0.25) / rho ** 2
-            tail = yukawa_tail(rho, bare_he4_pair, MU4)
+            tail = yukawa_tail(rho)
             assert abs(w_none - tail) / abs(w_none) < tol
 
 

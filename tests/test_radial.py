@@ -29,9 +29,6 @@ class FlatPotential:
     def values(self, rhos):
         return np.full_like(np.asarray(rhos, dtype=float), self.w0)
 
-    def eps_from_hartree(self, energy):
-        return energy
-
     def hartree_from_eps(self, eps):
         return eps
 
@@ -166,8 +163,8 @@ class TestSolveBoundStates:
         assert e0.energy < e1.energy          # strictly increasing order
         assert e0.match_residual < 1e-8 and e1.match_residual < 1e-8
         # both lie below the dimer threshold
-        assert e0.energy < pot.threshold_hartree
-        assert e1.energy < pot.threshold_hartree
+        assert e0.energy < pot.hartree_from_eps(pot.threshold)
+        assert e1.energy < pot.hartree_from_eps(pot.threshold)
 
     def test_mixed_trimer_single_state(self, mixed_solution):
         pot, states = mixed_solution
@@ -175,7 +172,7 @@ class TestSolveBoundStates:
         assert states[0].energy_mk == pytest.approx(-34.128, abs=0.01)
         assert abs(states[0].energy_mk - -34.12819182401712) <= 1e-8
         assert states[0].node_count == 0
-        assert states[0].energy < pot.threshold_hartree
+        assert states[0].energy < pot.hartree_from_eps(pot.threshold)
 
     def test_node_count_monotone_in_energy(self, he4_branch_potential):
         _, pot = he4_branch_potential
@@ -216,7 +213,7 @@ class TestSolveBoundStates:
         _, states = he4_solution
         shooter = _he4_shooter(pot, 6001)
         for s in states:
-            eps = pot.eps_from_hartree(s.energy)
+            eps = 2.0 * pot.problem.system.units.mass_scale * s.energy
             assert abs(shooter.sweep(eps).resid) < 1e-6
 
     def test_state_outside_window_is_solver_error(self):
