@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import Q_CONVENTIONS
+from .radial import default_rho_max
 from .system import DEFAULT_MASS_SCALE, PairParams, ParticleSystem, UnitSystem
 
 
@@ -179,6 +180,11 @@ def parse_config(text: str) -> RunConfig:
         if not radial_rho_max > radial_rho_min:
             raise ConfigError("[solver].radial_rho_max: must exceed "
                               "radial_rho_min, or be 'auto'")
+    elif not radial_rho_min < default_rho_max(system):
+        raise ConfigError(
+            "[solver].radial_rho_min: must lie below the automatic "
+            f"radial_rho_max = {default_rho_max(system):g}, or set "
+            "radial_rho_max")
     max_states = _number(solver, "max_states", 4, "[solver]", int)
     if max_states < 1:
         raise ConfigError("[solver].max_states: need at least 1 state")

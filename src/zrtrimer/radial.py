@@ -4,12 +4,16 @@ The equation (-d^2/drho^2 + W(rho) - eps) f = 0 with eps = 2mE/hbar^2 is
 integrated on a log grid: with t = ln(rho) and f = sqrt(rho) g(t) it turns
 into g'' = q(t) g, q = 1/4 + rho^2 (W - eps), which Numerov handles with a
 uniform step in t at fourth order.  One shooting core, _Shooter, sweeps a
-trial energy once, carrying the Numerov ratio (Johnson's renormalized form)
-outward from rho_min and inward from the barrier cutoff to the outer
-turning point m.  The sign changes on both sides and the sign of the twist
-d at m count the eigenvalues below the trial energy, and d vanishes at each
-one: node-count bisection, with sweeps shared by all states, then brentq
-on d.  The two callers differ only in the seeds at the ends:
+trial energy once, outward from rho_min and inward from the barrier cutoff
+to the outer turning point m.  Each side carries Numerov's recursion in
+summed form, the amplitude F and its forward difference D, as one banded
+forward substitution in compiled BLAS; only the ratios D/F are read, and
+an amplitude past 2^1000 restarts the substitution from a power-of-two
+rescale, which leaves every ratio unchanged.  The sign changes on both
+sides and the sign of the twist d at m count the eigenvalues below the
+trial energy, and d vanishes at each one: node-count bisection, with
+sweeps shared by all states, then brentq on d.  The two callers differ
+only in the seeds at the ends:
 
   solve_bound_states  regular f ~ rho at rho_min, decaying exponential of
                       the local barrier at the cutoff.
@@ -25,12 +29,13 @@ SolverError.
 
 from __future__ import annotations
 
-import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
 from .angular import efimov_constant
@@ -45,6 +50,10 @@ _MATCH_TOL = 1e-6
 #: Largest |h^2 q/12| a sweep accepts: below it 1 - h^2 q/12 lies in
 #: (1/2, 3/2), v has no pole and an oscillatory step keeps h^2 |q| < 6.
 _MAX_STEP_TQ = 0.5
+
+#: Magnitude past which a carry restarts from a power-of-two rescale, well
+#: short of the double-precision overflow at 2^1024.
+_BIG = 2.0 ** 1000
 
 
 def count_nodes(f) -> int:
@@ -66,24 +75,48 @@ def _seed(tq: np.ndarray, far: int, near: int, a: float) -> float:
 
 
 def _carry(v, p: float, record: bool = False):
-    """Carry the Numerov ratio along v (Johnson's renormalized recursion).
+    """Carry the Numerov recursion along v in its summed form.
 
-    With F = (1 - h^2 q/12) g and v = h^2 q / (1 - h^2 q/12), the ratio
-    x_i = F_{i+1}/F_i - 1 obeys x_i = v_i + p_{i-1}, p = x/(1 + x); small x
-    keep their digits, and no amplitude is ever formed.  p is the seed
-    1 - F_0/F_1 (1 at a hard wall).  Returns the number of sign changes of
-    F (x < -1, i.e. p > 1), the last p and, if record, every p seed first.
+    With F = (1 - h^2 q/12) g and v = h^2 q / (1 - h^2 q/12), the
+    differences D_i = F_{i+1} - F_i obey D_i = D_{i-1} + v_i F_i and
+    F_{i+1} = F_i + D_i, from F_0 = 1 and D_{-1} = p, the seed
+    1 - F_{-1}/F_0 (1 at a hard wall).  Nothing forms 2 + v, so small v keep
+    their digits.  The unknowns (D_{-1}, F_0, D_0, F_1, ..., D_{n-1}, F_n)
+    form one unit lower triangular band system of bandwidth 2, solved by
+    one BLAS forward substitution.  Each entry depends only on the ones
+    before it, so all of them up to the first |z| >= 2^1000 are exact; the
+    substitution restarts from the last (D, F) pair before that, scaled by
+    a power of two, which changes no bit of any ratio.  Returns the number
+    of sign changes of F, the last p = D_{n-1}/F_n and, if record, every
+    p_i = D_{i-1}/F_i (the seed first).
     """
-    nodes = 0
-    ps = [p] if record else None
-    for vi in v.tolist():
-        x = vi + p
-        if x < -1.0:
-            nodes += 1
-        p = x / (1.0 + x)
-        if record:
-            ps.append(p)
-    return nodes, p, ps
+    n = len(v)
+    band = np.full((2 * n + 2, 3), -1.0)    # rows are the columns of ab
+    np.negative(v, out=band[1:-1:2, 1])     # v_i couples F_i into D_i
+    ab = band.T
+    z = np.zeros(2 * n + 2)
+    j, d, f = 0, p, 1.0
+    while True:
+        band[2 * j, 1] = 0.0    # F_j is given: it does not add D_{j-1}
+        e = math.frexp(max(abs(d), abs(f)))[1]
+        part = z[2 * j:]        # solved in place
+        part[2:] = 0.0
+        part[0], part[1] = math.ldexp(d, -e), math.ldexp(f, -e)
+        part[:] = dtbsv(2, ab[:, 2 * j:], part, lower=1, diag=1,
+                        overwrite_x=1)
+        if part.max() < _BIG and part.min() > -_BIG:
+            break
+        cut = 2 * j + int(np.argmin(np.abs(part) < _BIG))
+        restart = (cut - 2) // 2        # the last whole pair before the cut
+        if restart <= j:
+            break       # one step from a rescaled pair: v is not finite or huge
+        j, d, f = restart, float(z[2 * restart]), float(z[2 * restart + 1])
+    neg = np.signbit(z[1::2])
+    nodes = int(np.count_nonzero(neg[1:] ^ neg[:-1]))
+    if record:
+        ps = z[0::2] / z[1::2]
+        return nodes, float(ps[-1]), ps
+    return nodes, float(z[-2]) / float(z[-1]), None
 
 
 @dataclass(frozen=True)
@@ -134,7 +167,7 @@ class _Shooter:
         self.hard_wall = hard_wall
         # one sweep per trial energy, scalars only: the count, the bisection
         # and brentq of every state read the same table
-        self.sweep = functools.cache(self._sweep)
+        self.table: dict[float, _Sweep] = {}
 
     def _q(self, eps: float) -> np.ndarray:
         return 0.25 + self.r2 * (self.w - eps)
@@ -183,11 +216,20 @@ class _Shooter:
             return sweep
         # 1 - p is F_i/F_{i+1} outward and F_i/F_{i-1} inward; the partial
         # products are F itself, so nothing overflows
-        f_out = np.cumprod(1.0 - np.array(ps_out[::-1]))[::-1]
-        f_in = np.cumprod(1.0 - np.array(ps_in[::-1]))
+        f_out = np.cumprod(1.0 - ps_out[::-1])[::-1]
+        f_in = np.cumprod(1.0 - ps_in[::-1])
         g = np.concatenate([f_out, [1.0], f_in, np.zeros(self.n - stop - 1)])
         g[:stop + 1] /= 1.0 - tq
         return sweep, g
+
+    def sweep(self, eps: float) -> _Sweep:
+        """The scalars at eps, swept once per shooter.  A plain dict: a
+        functools.cache of the bound method would put the shooter in a
+        reference cycle, alive with its grid arrays until a full garbage
+        collection."""
+        if eps not in self.table:
+            self.table[eps] = self._sweep(eps)
+        return self.table[eps]
 
     def count(self, eps: float) -> int:
         """Number of eigenvalues below eps."""
@@ -216,14 +258,17 @@ class _Shooter:
             if mid in (lo, hi):
                 return hi   # the count steps in (lo, hi]
             lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
-        return brentq(lambda e: self.sweep(e).d, lo, hi,
+        # brentq keeps its function in a reference cycle: through a weak
+        # proxy it does not hold the grid arrays until a full collection
+        shooter = weakref.proxy(self)
+        return brentq(lambda e: shooter.sweep(e).d, lo, hi,
                       xtol=1e-300, rtol=8.9e-16)
 
 
-def default_rho_max(potential) -> float:
-    """max(4000 au, 20 |a|) over all pairs of the underlying system."""
-    amax = max(abs(p.a) for p in potential.problem.system.pairs
-               if math.isfinite(p.a))
+def default_rho_max(system) -> float:
+    """max(4000 au, 20 |a|) over the pairs of the system with finite a."""
+    amax = max((abs(p.a) for p in system.pairs if math.isfinite(p.a)),
+               default=0.0)
     return max(4000.0, 20.0 * amax)
 
 
@@ -238,7 +283,7 @@ def solve_bound_states(potential, max_states: int = 4, *,
     and a match residual of at most _MATCH_TOL.
     """
     if rho_max is None:
-        rho_max = default_rho_max(potential)
+        rho_max = default_rho_max(potential.problem.system)
     search_top = min(potential.w_inf, potential.threshold)
     shooter = _Shooter(potential.values, potential.w_inf, search_top,
                        rho_min, rho_max, n)

@@ -286,6 +286,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert "spurious dimer poles at kappa = 0.2044, 1.008" in captured.err
 
+    def test_radial_rho_min_past_automatic_rho_max(self, tmp_path, capsys):
+        # the automatic radial_rho_max of the bundled He4 config is 4000
+        # au (20|a| = 3781 is less): a radial_rho_min of 5000 leaves no
+        # radial grid, a configuration error rather than a solver failure
+        text = bundled_config_text("he4_trimer").replace(
+            "radial_rho_min = 0.05", "radial_rho_min = 5000")
+        cfg = tmp_path / "he4_rho_min.cfg"
+        cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg)]) == 1
+        assert "radial_rho_max = 4000" in capsys.readouterr().err
+
     def test_just_above_critical_p_is_solver_failure(self, tmp_path, capsys):
         # 2.5% above P_c the model is valid, but the angular continuation
         # loses the branch near rho = 37.6: no margin hides that

@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.blas import dtbsv
 
 from zrtrimer import (
     SolverError,
@@ -12,6 +15,7 @@ from zrtrimer import (
     solve_bound_states,
     thomas_spectrum,
 )
+from zrtrimer import radial
 from zrtrimer.radial import _carry, _Shooter
 
 
@@ -74,13 +78,32 @@ class StepPotential(FlatPotential):
         return np.where(np.asarray(rhos, dtype=float) < 10.0, 0.0, -10.0)
 
 
-def _constant_q_sweep(k, h, n):
-    """Samples F_i / F_0 of g'' = k^2 g carried from the exact start of
-    exp(k t); F_{j+1}/F_j = 1/(1 - p_j)."""
+def _carry_reference(v, p):
+    """Johnson's renormalized recursion, one point at a time: x_i = v_i +
+    p_{i-1}, p_i = x_i/(1 + x_i); a node where x < -1.  Never forms an
+    amplitude, so it cannot overflow."""
+    nodes, ps = 0, [p]
+    for vi in v.tolist():
+        x = vi + p
+        if x < -1.0:
+            nodes += 1
+        p = x / (1.0 + x)
+        ps.append(p)
+    return nodes, p, np.array(ps)
+
+
+def _constant_q_v(k, h, n):
+    """v along n - 2 points of g'' = k^2 g and the exact seed of exp(k t)."""
     hq = h * h * k * k
-    v = np.full(n - 2, hq / (1.0 - hq / 12.0))
-    _, _, ps = _carry(v, -math.expm1(-k * h), record=True)
-    return np.concatenate([[1.0], np.cumprod(1.0 / (1.0 - np.array(ps)))])
+    return np.full(n - 2, hq / (1.0 - hq / 12.0)), -math.expm1(-k * h)
+
+
+def _constant_q_sweep(k, h, n):
+    """ln(F_i / F_0) of g'' = k^2 g carried from the exact start of
+    exp(k t); F_{j+1}/F_j = 1/(1 - p_j).  Logs, so no e-fold count
+    overflows."""
+    _, _, ps = _carry(*_constant_q_v(k, h, n), record=True)
+    return np.concatenate([[0.0], np.cumsum(-np.log1p(-ps))])
 
 
 def _he4_shooter(pot, n):
@@ -92,15 +115,73 @@ class TestIntegrate:
     def test_inward_free_exponential(self):
         # the inward seed of the match: a decaying tail swept toward small
         # rho grows as exp(k s); exact up to the Numerov truncation error
-        ys = _constant_q_sweep(1.0, 0.01, 1001)
-        ref = np.exp(0.01 * np.arange(1001))
-        assert np.max(np.abs(ys / ref - 1.0)) < 1e-9
+        log_f = _constant_q_sweep(1.0, 0.01, 1001)
+        assert np.max(np.abs(log_f - 0.01 * np.arange(1001))) < 1e-9
         # the ratios keep the shape over 500 e-folds, up to the truncation
         # error L h^4 / 480 = 1e-8 over L = 500
-        ys = _constant_q_sweep(1.0, 0.01, 50001)
-        assert np.all(np.isfinite(ys))
+        log_f = _constant_q_sweep(1.0, 0.01, 50001)
         s = 0.01 * np.arange(50001)
-        assert np.max(np.abs(ys / ys[-1] / np.exp(s - s[-1]) - 1.0)) < 2e-8
+        assert np.max(np.abs(log_f - log_f[-1] - (s - s[-1]))) < 2e-8
+
+    def test_carry_rescales_past_overflow(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dtbsv(*args, **kwargs)
+        monkeypatch.setattr(radial, "dtbsv", counted)
+        # 2000 e-folds pass 2^1000 (693 e-folds) twice, so the band solve
+        # restarts twice from a rescaled pair; the loop reference never
+        # overflows
+        v, p0 = _constant_q_v(1.0, 0.01, 200001)
+        nodes, p, ps = _carry(v, p0, record=True)
+        assert len(calls) == 3
+        assert nodes == 0
+        assert np.all(np.isfinite(ps))
+        assert p == pytest.approx(_carry_reference(v, p0)[1], rel=1e-13,
+                                  abs=0.0)
+        # shape: truncation error L h^4 / 480 = 4.2e-8 over L = 2000
+        # (measured 4.35e-8)
+        s = 0.01 * np.arange(200001)
+        assert np.max(np.abs(_constant_q_sweep(1.0, 0.01, 200001) - s)) < 1e-7
+        # a power-of-two restart changes no bit, wherever it falls: cut
+        # after every ~2 e-folds, or once in a sweep that also oscillates
+        cases = [(v[:5000], p0), (np.tile(np.repeat([0.01, -0.05], 250), 10),
+                                  0.3)]
+        whole = [_carry(vs, seed, record=True) for vs, seed in cases]
+        for big in (2.0 ** 3, 2.0 ** 60):
+            monkeypatch.setattr(radial, "_BIG", big)
+            for (vs, seed), (nodes, _, ps) in zip(cases, whole):
+                calls.clear()
+                split = _carry(vs, seed, record=True)
+                assert len(calls) > 1
+                assert split[0] == nodes
+                assert np.array_equal(split[2], ps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stretches=st.lists(st.tuples(st.integers(1, 3000),
+                                        st.floats(-8.0, 0.0), st.booleans()),
+                              min_size=1, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1), p=st.floats(-0.9, 1.0))
+    def test_carry_matches_reference(self, stretches, seed, p):
+        # forbidden (v > 0) and oscillatory (v < 0) stretches of |v| near
+        # 10^mag, up to 10^4 points.  p = D/F is ill-conditioned at a node
+        # (F -> 0) and at a turning of F (D -> 0), so the ratios are
+        # compared with weight 1 + p^2, which bounds the error of the angle
+        # arctan p;
+        # measured worst over 3000 draws: 1.3e-10 on the ratios, 2.1e-13
+        # on the last p
+        rng = np.random.default_rng(seed)
+        v = np.concatenate([
+            (1.0 if forbidden else -1.0)
+            * 10.0 ** (mag + 0.1 * rng.standard_normal(length))
+            for length, mag, forbidden in stretches])[:10000]
+        nodes, p_last, ps = _carry(v, p, record=True)
+        ref_nodes, ref_p, ref_ps = _carry_reference(v, p)
+        assert nodes == ref_nodes
+        assert _carry(v, p)[:2] == (nodes, p_last) and p_last == ps[-1]
+        assert np.all(np.abs(ps - ref_ps) <= 1e-8 * (1.0 + ref_ps ** 2))
+        assert abs(p_last - ref_p) <= 1e-11 * (1.0 + ref_p ** 2)
 
     def test_outward_start_and_growth(self):
         # at eps = -1 the outward part of the recorded wave, rho in
@@ -128,8 +209,8 @@ class TestIntegrate:
         # error at the end of exp(k t) shrinks ~16x per step halving
         errs = []
         for n in (101, 201, 401):
-            ys = _constant_q_sweep(1.0, 10.0 / (n - 1), n)
-            errs.append(abs(ys[-1] / math.exp(10.0) - 1.0))
+            log_f = _constant_q_sweep(1.0, 10.0 / (n - 1), n)
+            errs.append(abs(math.expm1(log_f[-1] - 10.0)))
         for coarse, fine in zip(errs, errs[1:]):
             assert 16.0 * 0.7 < coarse / fine < 16.0 * 1.3
 
@@ -254,11 +335,26 @@ class TestSolveBoundStates:
         for k in range(4):
             s = shooter()
             alone.append(s.eigenvalue(k))
-            probes += s.sweep.cache_info().currsize
+            probes += len(s.table)
         up, down = shooter(), shooter()
         assert [up.eigenvalue(k) for k in range(4)] == alone
         assert [down.eigenvalue(k) for k in (3, 2, 1, 0)] == alone[::-1]
-        assert up.sweep.cache_info().currsize < probes
+        assert len(up.table) < probes
+
+    def test_shooter_freed_without_garbage_collection(self):
+        # no reference cycle keeps a solved shooter and its grid arrays
+        # alive after the caller drops it; the requests of a long-running
+        # process would otherwise pile them up between full collections
+        shooter = _Shooter(OscillatorPotential().values, 40.0, 40.0,
+                           0.05, 14.0, 2000)
+        shooter.eigenvalue(1)
+        alive = weakref.ref(shooter)
+        gc.disable()
+        try:
+            del shooter
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_failed_validation_is_solver_error(self, monkeypatch):
         # an energy off the eigenvalue leaves a large match residual
@@ -297,7 +393,10 @@ class TestSolveBoundStates:
     def test_default_rho_max(self, he4_branch_potential):
         from zrtrimer.radial import default_rho_max
         _, pot = he4_branch_potential
-        assert default_rho_max(pot) == 4000.0     # 20|a| = 3781 < 4000
+        assert default_rho_max(pot.problem.system) == 4000.0     # 20|a| = 3781 < 4000
+        # unitary pairs (a = inf) set no scale: the 4000 au floor
+        unitary = SimpleNamespace(pairs=[SimpleNamespace(a=math.inf)] * 3)
+        assert default_rho_max(unitary) == 4000.0
 
     def test_boundary_insensitivity(self, he4_branch_potential, he4_solution):
         _, pot = he4_branch_potential
