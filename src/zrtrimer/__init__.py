@@ -39,6 +39,7 @@ from .system import (
     ParticleSystem,
     SolverError,
     UnitSystem,
+    critical_p_shape,
     dimer_binding_energy,
     dimer_pole_kappa,
     reduced_masses,
@@ -55,6 +56,6 @@ __all__ = [
     "thomas_spectrum",
     "KinematicConstants", "PairParams", "ParticleSystem", "SolverError",
     "UnitSystem",
-    "dimer_binding_energy", "dimer_pole_kappa",
+    "critical_p_shape", "dimer_binding_energy", "dimer_pole_kappa",
     "reduced_masses",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .angular import AngularProblem, NuBranch, efimov_constant, trace_branch
-from .config import ConfigError, RunConfig, check_poles, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .potential import EffectivePotential, effective_potential
 from .radial import RadialSolution, solve_bound_states, thomas_spectrum
 from .system import SolverError
@@ -57,10 +57,14 @@ def solve_for_config(cfg: RunConfig) -> tuple[EffectivePotential, list[RadialSol
 
 
 def _with_pshape(cfg: RunConfig, p: float) -> RunConfig:
-    # P is inert (and rejected) on a zero-range pair
-    pairs = tuple(dataclasses.replace(pair, p_shape=p) if pair.r_eff > 0.0
-                  else pair for pair in cfg.system.pairs)
-    system = dataclasses.replace(cfg.system, pairs=pairs)
+    pairs = list(cfg.system.pairs)
+    for i, pair in enumerate(pairs):
+        if pair.r_eff > 0.0:   # P is inert (and rejected) on a zero-range pair
+            try:
+                pairs[i] = dataclasses.replace(pair, p_shape=p)
+            except ValueError as exc:
+                raise ConfigError(f"scan-p: [pair.{i + 1}]: {exc}") from exc
+    system = dataclasses.replace(cfg.system, pairs=tuple(pairs))
     return dataclasses.replace(cfg, system=system)
 
 
@@ -129,11 +133,11 @@ def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
     # the last point may not pass p_max; exact multiples keep their last point
     n_steps = int((p_max - p_min) / p_step + 1e-9)
     ps = [p_min + k * p_step for k in range(n_steps + 1)]
-    for p in ps:   # the whole grid is checked before anything is solved
-        check_poles(_with_pshape(cfg, p).system, "scan-p: ")
+    # every point is validated before anything is solved
+    cfgs = [_with_pshape(cfg, p) for p in ps]
     rows = []
-    for p in ps:
-        _, states = solve_for_config(_with_pshape(cfg, p))
+    for p, cfg_p in zip(ps, cfgs):
+        _, states = solve_for_config(cfg_p)
         e0 = states[0].energy_mk if len(states) > 0 else None
         e1 = states[1].energy_mk if len(states) > 1 else None
         rows.append((p, e0, e1))

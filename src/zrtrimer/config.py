@@ -14,8 +14,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .potential import Q_CONVENTIONS
 from .radial import default_rho_max
 from .system import DEFAULT_MASS_SCALE, PairParams, ParticleSystem, UnitSystem
@@ -43,15 +41,15 @@ class RunConfig:
     """Validated run configuration."""
 
     system: ParticleSystem
-    rho_min: float = 0.05
-    rho_max: float = 4000.0
-    n: int = 600
-    q_convention: str = "leading_term"
-    radial_n: int = 8000
-    radial_rho_min: float = 0.05
-    radial_rho_max: float | None = None   # None means automatic
-    max_states: int = 4
-    sha256: str = ""
+    rho_min: float
+    rho_max: float
+    n: int
+    q_convention: str
+    radial_n: int
+    radial_rho_min: float
+    radial_rho_max: float | None   # None means automatic
+    max_states: int
+    sha256: str
 
 
 def _floats(text: str, where: str, count: int | None = None) -> list[float]:
@@ -82,27 +80,6 @@ def _choice(section, key: str, default: str, allowed, where: str) -> str:
     if val not in allowed:
         raise ConfigError(f"{where}.{key}: {val!r} not in {tuple(allowed)}")
     return val
-
-
-def check_poles(system: ParticleSystem, context: str = "") -> None:
-    """ConfigError unless kappa + 1/a - (R/2) kappa^2 + P R^3 kappa^4 = 0
-    has one positive root for finite a < 0 (the dimer) and none otherwise,
-    for each pair with r_eff > 0: true above a critical P, about 1/54 for
-    R << |a|; below it extra roots are deep, unphysical dimers."""
-    for i, pair in enumerate(system.pairs, start=1):
-        if pair.r_eff == 0.0:
-            continue
-        xs = np.roots([pair.p_shape, 0.0, -0.5, 1.0,
-                       0.0 if math.isinf(pair.a) else pair.r_eff / pair.a])
-        kappas = sorted(x.real / pair.r_eff for x in xs
-                        if x.imag == 0.0 and x.real > 0.0)
-        physical = 1 if pair.has_bound_dimer and math.isfinite(pair.a) else 0
-        if len(kappas) != physical:
-            extra = ", ".join(f"{k:.4g}" for k in kappas[physical:])
-            raise ConfigError(f"{context}[pair.{i}]: P = {pair.p_shape:g} is "
-                              "outside the validity domain: " + (
-                                  f"spurious dimer poles at kappa = {extra} 1/au"
-                                  if extra else "no dimer pole"))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -153,7 +130,6 @@ def parse_config(text: str) -> RunConfig:
                                 units=UnitSystem(mass_scale))
     except ValueError as exc:
         raise ConfigError(f"[system]: {exc}") from exc
-    check_poles(system)
 
     grid = parser["grid"] if "grid" in parser else {}
     rho_min = _number(grid, "rho_min", 0.05, "[grid]")

@@ -125,8 +125,8 @@ def effective_potential(branch: NuBranch, problem: AngularProblem,
     """
     if q_convention not in Q_CONVENTIONS:
         raise ValueError(f"q_convention must be one of {Q_CONVENTIONS}")
-    if len(branch) == 0:
-        raise ValueError("branch is empty")
+    if len(branch) < 2:
+        raise ValueError("need a branch of at least 2 nodes")
     rho = np.asarray(branch.rho, dtype=float)
     u = np.asarray(branch.u, dtype=float)
     shift = 0.0 if q_convention == "leading_term" else 0.25
@@ -143,16 +143,9 @@ def effective_potential(branch: NuBranch, problem: AngularProblem,
     else:
         threshold, kappa, mu, w_inf = 0.0, None, None, 0.0
 
-    if len(rho) >= 2:
-        inner = _inner_law(rho, u)
-        interp = PchipInterpolator(np.log(rho), u, extrapolate=False)
-    else:
-        inner = (float(u[0]), 0.0, "linear")
-        interp = PchipInterpolator(np.log([rho[0], rho[0] * 1.0001]),
-                                   [u[0], u[0]], extrapolate=True)
-
     return EffectivePotential(
         rho=rho, w=w, threshold=threshold,
         q_convention=q_convention, problem=problem, w_inf=w_inf,
         bound_kappa=kappa, bound_mu=mu,
-        _u_interp=interp, _inner=inner, _u_last=float(u[-1]))
+        _u_interp=PchipInterpolator(np.log(rho), u, extrapolate=False),
+        _inner=_inner_law(rho, u), _u_last=float(u[-1]))

@@ -169,27 +169,25 @@ class _Shooter:
         # and brentq of every state read the same table
         self.table: dict[float, _Sweep] = {}
 
-    def _q(self, eps: float) -> np.ndarray:
-        return 0.25 + self.r2 * (self.w - eps)
-
-    def _turning_and_stop(self, eps: float, q: np.ndarray) -> tuple[int, int]:
-        """Outermost classical turning point and the barrier cutoff beyond it.
+    def _turning_and_stop(self, s: np.ndarray) -> tuple[int, int, np.ndarray]:
+        """Outermost classical turning point of s = W - eps, the barrier
+        cutoff beyond it and q = 1/4 + rho^2 s.
 
         Without a turning point the barrier action is counted from the inner
         edge when the whole grid is forbidden, from the outer edge otherwise.
         """
-        s = self.w - eps
+        q = self.r2 * s
+        q += 0.25   # in place: one more grid-sized temporary slows every sweep
         idx = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
         im = int(idx[-1]) if len(idx) else (0 if s.min() >= 0.0 else self.n - 1)
         im = min(max(im, 3), self.n - 4)
         action = np.cumsum(np.sqrt(np.maximum(q[im:-1], 0.0)) * self.h)
-        return im, im + int(np.searchsorted(action, _ACTION_CAP, side="right"))
+        return im, im + int(np.searchsorted(action, _ACTION_CAP, side="right")), q
 
     def _sweep(self, eps: float, record: bool = False):
         """Outward from rho_min and inward from the cutoff to m; with record
         also the stitched g, scaled to F_m = 1 and zero beyond the cutoff."""
-        q = self._q(eps)
-        m, stop = self._turning_and_stop(eps, q)
+        m, stop, q = self._turning_and_stop(self.w - eps)
         hq = self.h * self.h * q[:stop + 1]
         tq = hq / 12.0
         worst = float(np.abs(tq).max())

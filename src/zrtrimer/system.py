@@ -52,6 +52,21 @@ class UnitSystem:
         return value_hartree / HARTREE_PER_MK
 
 
+def critical_p_shape(a: float, r_eff: float) -> float:
+    """P_c: the pole equation  P x^4 - x^2/2 + x + R/a = 0  (x = kappa R)
+    has only the physical root, one for finite a < 0 and none otherwise,
+    exactly for P > P_c.  Two roots meet at x_c = (3 + sqrt(9 + 16 R/a))/2,
+    where P_c = (x_c - 1)/(4 x_c^3): 1/54 for R/a -> 0.  Below P_c the extra
+    roots are deep, unphysical dimers; for 1/2 < R/|a| < 9/16 the dimer can
+    merge with one of them, leaving one deep root.  For R/|a| > 9/16 no real
+    merge point exists and P_c = 0."""
+    disc = 9.0 + 16.0 * r_eff / a
+    if disc < 0.0:
+        return 0.0
+    x_c = 0.5 * (3.0 + math.sqrt(disc))
+    return (x_c - 1.0) / (4.0 * x_c ** 3)
+
+
 @dataclass(frozen=True)
 class PairParams:
     """Low-energy interaction parameters of one two-body subsystem.
@@ -60,6 +75,9 @@ class PairParams:
     effective-range expansion  k cot(delta) = 1/a + (R/2) k^2 + P R^3 k^4,
     with `a` the scattering length (au), `r_eff` the effective range R (au)
     and `p_shape` the dimensionless shape/regularization parameter P.
+
+    With r_eff > 0 it is a usable model only for P > critical_p_shape(a, R),
+    and construction raises ValueError otherwise.
     """
 
     a: float
@@ -74,6 +92,13 @@ class PairParams:
         if self.r_eff == 0.0 and self.p_shape != 0.0:
             raise ValueError("the shape term is inert when r_eff = 0; "
                              "set p_shape = 0 as well")
+        if self.r_eff > 0.0:
+            p_c = critical_p_shape(self.a, self.r_eff)
+            if not self.p_shape > p_c:
+                raise ValueError(
+                    f"P = {self.p_shape:g} is outside the validity domain "
+                    f"P > P_c = {p_c:.4g}, below which the pole equation "
+                    "has spurious deep dimer poles")
 
     @property
     def has_bound_dimer(self) -> bool:
@@ -178,13 +203,13 @@ def dimer_pole_kappa(pair: PairParams) -> float | None:
     if not pair.has_bound_dimer:
         return None
     a, reff, pshape = pair.a, pair.r_eff, pair.p_shape
+    if reff == 0.0:
+        return -1.0 / a
 
     def f(k: float) -> float:
         return k + 1.0 / a - 0.5 * reff * k * k + pshape * reff ** 3 * k ** 4
 
-    hi = 2.0 / abs(a)
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6 / abs(a):
-            raise SolverError("no dimer pole found for %r" % (pair,))
+    # PairParams holds P > P_c, so the dimer is the one positive root; at
+    # x = kappa R = max(1/sqrt(P), sqrt(2R/|a|)) the quartic exceeds R/|a|
+    hi = max(1.0 / math.sqrt(pshape), math.sqrt(-2.0 * reff / a)) / reff
     return brentq(f, 0.0, hi, xtol=1e-300, rtol=8.9e-16)

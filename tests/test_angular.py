@@ -15,6 +15,7 @@ from zrtrimer import (
     SolverError,
     boson_residual,
     build_matrix,
+    critical_p_shape,
     efimov_constant,
     nu2_asymptotic,
     nu_cot_half_pi,
@@ -204,8 +205,10 @@ def _pairs(draw):
          else draw(st.floats(2.0, 500.0)) * (-1.0 if kind == "bound" else 1.0))
     if draw(st.booleans()):
         return PairParams(a=a)
-    return PairParams(a=a, r_eff=draw(st.floats(1.0, 30.0)),
-                      p_shape=draw(st.floats(0.02, 0.3)))
+    # only P above the critical value is a valid pair
+    r_eff = draw(st.floats(1.0, 30.0))
+    return PairParams(a=a, r_eff=r_eff, p_shape=critical_p_shape(a, r_eff)
+                      + draw(st.floats(0.002, 0.3)))
 
 
 def _problem(masses, pairs) -> AngularProblem:

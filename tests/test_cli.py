@@ -271,20 +271,27 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "potential_for_config", boom)
         assert cli.main(["solve", "--config", he4_cfg_path]) == 2
 
-    def test_spurious_poles_are_config_error(self, tmp_path, capsys):
-        # below the critical P the pair has deep unphysical dimer poles
-        # (here kappa = 0.2044 and 1.008 besides the dimer at 0.00396), whose
-        # channel would bind a cluster of levels near -44000 mK
+    @pytest.mark.parametrize("a, r_eff, p_shape, p_c", [
+        # spurious poles at kappa = 0.2044 and 1.008 besides the dimer at
+        # 0.00396, whose channel would bind levels near -44000 mK
+        ("-257.3", "9.925", "0.004", "0.01901"),
+        # 1/2 < R/|a| < 9/16: the dimer has merged with a spurious pole and
+        # the one positive root left is deep (kappa |a| = 10.2), which a
+        # count of positive roots cannot tell from the dimer
+        ("-18.554", "9.887", "0.0113", "0.03365")])
+    def test_spurious_poles_are_config_error(self, tmp_path, capsys, a, r_eff,
+                                             p_shape, p_c):
         text = (bundled_config_text("he4_trimer")
-                .replace("a = -189.054", "a = -257.3")
-                .replace("r_eff = 13.843", "r_eff = 9.925")
-                .replace("p_shape = 0.13", "p_shape = 0.004"))
+                .replace("a = -189.054", f"a = {a}")
+                .replace("r_eff = 13.843", f"r_eff = {r_eff}")
+                .replace("p_shape = 0.13", f"p_shape = {p_shape}"))
         cfg = tmp_path / "he4_spurious.cfg"
         cfg.write_text(text)
         assert cli.main(["solve", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "spurious dimer poles at kappa = 0.2044, 1.008" in captured.err
+        assert (f"[pair.1]: P = {p_shape} is outside the validity domain "
+                f"P > P_c = {p_c}," in captured.err)
 
     def test_radial_rho_min_past_automatic_rho_max(self, tmp_path, capsys):
         # the automatic radial_rho_max of the bundled He4 config is 4000

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from zrtrimer import ConfigError, parse_config
@@ -132,16 +134,23 @@ def _with_pair(a, r_eff, p_shape):
 
 class TestValidityDomain:
     """kappa + 1/a - (R/2) kappa^2 + P R^3 kappa^4 = 0 may have only the
-    physical dimer pole: P must lie above its critical value."""
+    physical dimer pole: P must lie above its critical value P_c, which the
+    message states."""
 
-    @pytest.mark.parametrize("a, r_eff, p_shape, extra", [
-        (-330.382, 7.796, 0.0107, "0.2834, 0.6983"),
-        (-155.072, 19.755, 0.0157, "0.1133, 0.2074"),
-        (-189.054, 13.843, 0.0, "0.139"),                 # the pole near 2/R
-        (-1e6, 1.0, 1.0 / 54.0 * 0.995, "2.884, 3.13"),   # P_c -> 1/54
-        (33.261, 18.564, 0.0137, "0.1853, 0.206")])       # a > 0: no dimer
-    def test_spurious_poles_rejected(self, a, r_eff, p_shape, extra):
-        with pytest.raises(ConfigError, match=rf"\[pair\.1\].*kappa = {extra}"):
+    @pytest.mark.parametrize("a, r_eff, p_shape, p_c", [
+        # spurious poles at kappa = 0.2834 and 0.6983 1/au
+        (-330.382, 7.796, 0.0107, "0.01882"),
+        # spurious poles at kappa = 0.1133 and 0.2074 1/au
+        (-155.072, 19.755, 0.0157, "0.0203"),
+        (-189.054, 13.843, 0.0, "0.01949"),               # the pole near 2/R
+        (-1e6, 1.0, 1.0 / 54.0 * 0.995, "0.01852"),       # P_c -> 1/54
+        (33.261, 18.564, 0.0137, "0.01382"),              # a > 0: no dimer
+        # 1/2 < R/|a| < 9/16: the dimer has merged with a spurious pole and
+        # only a deep root at kappa |a| = 10.2 is left
+        (-18.554, 9.887, 0.0113, "0.03365")])
+    def test_spurious_poles_rejected(self, a, r_eff, p_shape, p_c):
+        with pytest.raises(ConfigError, match=rf"^\[pair\.1\]: P = {p_shape:g} "
+                           rf"is outside .* P_c = {re.escape(p_c)},"):
             parse_config(_with_pair(a, r_eff, p_shape))
 
     @pytest.mark.parametrize("a, r_eff, p_shape", [
@@ -151,6 +160,7 @@ class TestValidityDomain:
         assert cfg.system.pairs[0].p_shape == p_shape
 
     def test_missing_dimer_pole_rejected(self):
-        # P = 0 and R > |a|/2: the pole equation stays negative
-        with pytest.raises(ConfigError, match="no dimer pole"):
+        # P = 0 and R > |a|/2: the pole equation stays negative.  With
+        # R/|a| > 9/16 the roots never merge, so P_c = 0 and P = 0 fails
+        with pytest.raises(ConfigError, match=r"P_c = 0,"):
             parse_config(_with_pair(-1.0, 10.0, 0.0))

@@ -166,12 +166,11 @@ class TestExtension:
 
 
 class TestDegenerate:
-    def test_single_node_branch(self, he4_problem):
+    def test_single_node_branch_rejected(self, he4_problem):
+        # the interpolant and the inner power law need two nodes
         branch = trace_branch(np.array([5.0]), he4_problem)
-        pot = effective_potential(branch, he4_problem)
-        assert len(pot.w) == 1
-        assert pot.w[0] == pytest.approx(branch.u[0] / 25.0, rel=1e-14)
-        assert pot.values(5.0) == pytest.approx(pot.w[0], rel=1e-12)
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            effective_potential(branch, he4_problem)
 
     def test_empty_branch_rejected(self, he4_problem):
         from zrtrimer import NuBranch

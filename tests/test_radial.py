@@ -5,18 +5,27 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.blas import dtbsv
 
 from zrtrimer import (
+    AngularProblem,
+    PairParams,
+    ParticleSystem,
     SolverError,
     count_nodes,
+    critical_p_shape,
+    effective_potential,
     efimov_constant,
     solve_bound_states,
     thomas_spectrum,
+    trace_branch,
 )
 from zrtrimer import radial
+from zrtrimer.angular import MAX_RESIDUAL
 from zrtrimer.radial import _carry, _Shooter
+
+from trimer_params import HE4_A, HE4_MASS, HE4_P, HE4_REFF
 
 
 class FlatPotential:
@@ -282,8 +291,8 @@ class TestSolveBoundStates:
         for shooter in (he4, thomas):
             gap = shooter.top - shooter.w_min
             for eps in shooter.top - gap * np.geomspace(1e-12, 1.0, 40):
-                q = shooter._q(eps)
-                im, stop = shooter._turning_and_stop(eps, q)
+                im, stop, q = shooter._turning_and_stop(shooter.w - eps)
+                assert np.array_equal(q, 0.25 + shooter.r2 * (shooter.w - eps))
                 assert stop == reference(shooter, im, q)
 
     def test_two_sided_match_at_converged_energy(self, he4_solution,
@@ -458,3 +467,37 @@ class TestThomasSpectrum:
         assert 2 <= len(spec.energies) <= 4
         for r in spec.ratios:
             assert r > 1.0
+
+
+@st.composite
+def _he4_pairs(draw):
+    """He4-like pairs with P from 1.5 P_c to 0.3.  Nearer P_c the angular
+    continuation often loses the branch (exit 2, see
+    test_just_above_critical_p_is_solver_failure), so this is the domain
+    over which the solve is claimed to work."""
+    a = draw(st.floats(-400.0, -40.0))
+    r_eff = draw(st.floats(4.0, 20.0))
+    p_shape = draw(st.floats(1.5 * critical_p_shape(a, r_eff), 0.3))
+    return PairParams(a=a, r_eff=r_eff, p_shape=p_shape)
+
+
+class TestSolveProperties:
+    """The whole pipeline on the bundled grids across the He4 parameter box."""
+
+    GRID = np.exp(np.linspace(math.log(0.05), math.log(4000.0), 600))
+
+    @example(pair=PairParams(a=HE4_A, r_eff=HE4_REFF, p_shape=HE4_P))
+    @settings(max_examples=40, deadline=None)
+    @given(pair=_he4_pairs())
+    def test_spectrum_is_ordered_and_bounded(self, pair):
+        problem = AngularProblem(ParticleSystem.identical_bosons(HE4_MASS, pair))
+        branch = trace_branch(self.GRID, problem)
+        assert np.abs(branch.residuals).max() <= MAX_RESIDUAL
+        pot = effective_potential(branch, problem)
+        states = solve_bound_states(pot)
+        assert states
+        assert [s.node_count for s in states] == list(range(len(states)))
+        energies = [s.energy for s in states]
+        assert all(e0 < e1 for e0, e1 in zip(energies, energies[1:]))
+        assert pot.hartree_from_eps(float(pot.w.min())) < energies[0]
+        assert energies[-1] < pot.hartree_from_eps(min(pot.w_inf, pot.threshold))

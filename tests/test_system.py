@@ -1,13 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zrtrimer import (
     PairParams,
     ParticleSystem,
-    SolverError,
     UnitSystem,
+    critical_p_shape,
     dimer_binding_energy,
     dimer_pole_kappa,
     reduced_masses,
@@ -110,10 +112,96 @@ class TestDimer:
             1 / abs(HE4_A), rel=1e-12)
         assert dimer_pole_kappa(PairParams(a=33.261)) is None
 
-    def test_missing_pole_is_solver_error(self):
-        # with P = 0 the -(R/2) kappa^2 term keeps the pole equation negative
-        with pytest.raises(SolverError, match="no dimer pole"):
-            dimer_pole_kappa(PairParams(a=-1.0, r_eff=10.0))
+    def test_missing_pole_is_rejected(self):
+        # with P = 0 the -(R/2) kappa^2 term keeps the pole equation
+        # negative: such a pair cannot be built, so no pole search fails
+        with pytest.raises(ValueError, match=r"P = 0 is outside .* P_c = 0,"):
+            PairParams(a=-1.0, r_eff=10.0)
+
+
+def _positive_roots(a: float, r_eff: float, p_shape: float) -> list[float]:
+    """Positive real roots x = kappa R of P x^4 - x^2/2 + x + R/a = 0 by
+    np.roots (a reference independent of the program), each polished by two
+    Newton steps."""
+    c = r_eff / a
+    xs = sorted(x.real for x in np.roots([p_shape, 0.0, -0.5, 1.0, c])
+                if x.imag == 0.0 and x.real > 0.0)
+    for _ in range(2):
+        xs = [x - (((p_shape * x * x - 0.5) * x + 1.0) * x + c)
+              / ((4.0 * p_shape * x * x - 1.0) * x + 1.0) for x in xs]
+    return xs
+
+
+def _physical(a: float, r_eff: float, p_shape: float) -> bool:
+    """The reference's verdict: only the dimer root, and that one shallow.
+
+    For R/|a| <= 9/16 the dimer lies below x = 3/2, where the quartic still
+    rises; a lone root beyond it is the deep one left when the dimer has
+    merged with a spurious pole.  For R/|a| > 9/16 no merge exists."""
+    xs = _positive_roots(a, r_eff, p_shape)
+    if not (a < 0.0 and math.isfinite(a)):
+        return not xs
+    return len(xs) == 1 and (-r_eff / a > 9.0 / 16.0 or xs[0] < 1.5)
+
+
+@st.composite
+def _pole_cases(draw):
+    """Pairs over both signs of a and +-inf, R/|a| from 1e-4 to 30, and P
+    below and above P_c but not within 2% of it, where the reference can
+    no longer tell a near-double root from a complex pair."""
+    if draw(st.booleans()):
+        a = draw(st.sampled_from((-math.inf, math.inf)))
+        r_eff = draw(st.floats(0.1, 50.0))
+    else:
+        a = draw(st.floats(1.0, 1e4)) * draw(st.sampled_from((-1.0, 1.0)))
+        r_eff = abs(a) * 10.0 ** draw(st.floats(-4.0, 1.5))
+    p_c = critical_p_shape(a, r_eff)
+    if p_c > 0.0:
+        p_shape = p_c * draw(st.one_of(st.just(0.0), st.floats(0.01, 0.98),
+                                       st.floats(1.02, 20.0)))
+    else:
+        p_shape = draw(st.one_of(st.just(0.0), st.floats(-0.1, -1e-4),
+                                 st.floats(1e-4, 10.0)))
+    return a, r_eff, p_shape
+
+
+class TestValidityDomain:
+    """The closed-form P_c against the roots of the pole quartic."""
+
+    def test_critical_values(self):
+        assert critical_p_shape(HE4_A, HE4_REFF) == pytest.approx(0.019486, abs=1e-6)
+        assert critical_p_shape(33.261, 18.564) == pytest.approx(0.013825, abs=1e-6)
+        for a in (-math.inf, math.inf):
+            assert critical_p_shape(a, 1.0) == pytest.approx(1.0 / 54.0, rel=1e-15)
+        assert critical_p_shape(-1e9, 1.0) == pytest.approx(1.0 / 54.0, rel=1e-8)
+        # the roots merge at x = 3/2 when R/|a| = 9/16, and never beyond
+        assert critical_p_shape(-16.0, 9.0) == pytest.approx(1.0 / 27.0, rel=1e-15)
+        assert critical_p_shape(-16.0, 9.001) == 0.0
+
+    @example(case=(-18.554, 9.887, 0.0113))           # the merge window
+    @example(case=(-18.554, 9.887, 0.0340))
+    @settings(max_examples=400, deadline=None)
+    @given(case=_pole_cases())
+    def test_accepted_exactly_when_physical(self, case):
+        a, r_eff, p_shape = case
+        p_c = critical_p_shape(a, r_eff)
+        try:
+            pair = PairParams(a=a, r_eff=r_eff, p_shape=p_shape)
+        except ValueError as exc:
+            assert not p_shape > p_c
+            assert f"P_c = {p_c:.4g}," in str(exc)
+            assert not _physical(a, r_eff, p_shape)
+            return
+        assert p_shape > p_c
+        assert _physical(a, r_eff, p_shape)
+        kappa = dimer_pole_kappa(pair)
+        if a > 0.0:
+            assert kappa is None
+        elif math.isinf(a):
+            assert kappa == 0.0
+        else:
+            (x,) = _positive_roots(a, r_eff, p_shape)
+            assert kappa == pytest.approx(x / r_eff, rel=1e-14)
 
 
 class TestUnits:
