@@ -14,14 +14,20 @@ u = (2n)^2, n >= 1, which are excluded by a guard band.  Every root search
 is one sign-change ladder, `_walk`, plus a brentq refine: two-sided for
 branch continuation, one-sided from a window edge to seed the first node.
 
-The searches read one scaled residual per problem, `AngularProblem.residual`.
-In the general case it is the 3x3 determinant in closed form, from
-constants computed once, with each row divided by its largest term taken
-before the diagonal sum C(u) + bc_i cancels: in a bound row both are ~13
-and cancel to ~1e-15 at a root, so scaling by what is left would turn one
-ulp of u into a residual of 1e-8.  Scaled this way the residual is
-relative, and trace_branch rejects any node whose residual exceeds
-MAX_RESIDUAL with SolverError.
+Continuation (trace_branch) predicts each node by the quadratic through the
+three previous ones and starts the walk with a rung sized by the previous
+node's miss, so a node costs about 9 residual evaluations on the bundled
+configs: the prediction, the first rung each way and the refine.
+
+The searches read one scaled residual per problem, `AngularProblem.residual`,
+built from constants computed once.  For identical bosons it is the boson
+equation with C(u) and the sine ratio over one sin/sinh denominator.  In
+the general case it is the 3x3 determinant in closed form, with each row
+divided by its largest term taken before the diagonal sum C(u) + bc_i
+cancels: in a bound row both are ~13 and cancel to ~1e-15 at a root, so
+scaling by what is left would turn one ulp of u into a residual of 1e-8.
+Scaled this way the residual is relative, and trace_branch rejects any
+node whose residual exceeds MAX_RESIDUAL with SolverError.
 """
 
 from __future__ import annotations
@@ -226,24 +232,67 @@ def build_matrix(u: float, rho: float, problem: AngularProblem) -> np.ndarray:
 def _solver_residual(problem: AngularProblem):
     """Scaled residual function used for bracketing and root refinement.
 
-    Identical bosons: the boson equation scaled by max(1, |LHS|, |RHS|).
-    General case: det of the normalized matrix, each row scaled by its
-    largest term before the diagonal sum C + bc_i can cancel (see
-    `_general_residual`).  Scaling keeps magnitudes O(1) without moving any
-    root, so at an accepted root the value is a relative residual that
-    trace_branch holds below MAX_RESIDUAL.
+    Identical bosons: the boson equation scaled by max(1, |LHS|, |RHS|)
+    (see `_boson_residual`).  General case: det of the normalized matrix,
+    each row scaled by its largest term before the diagonal sum C + bc_i
+    can cancel (see `_general_residual`).  Scaling keeps magnitudes O(1)
+    without moving any root, so at an accepted root the value is a
+    relative residual that trace_branch holds below MAX_RESIDUAL.
     """
     if problem.system.is_identical:
-        pair0 = problem.system.pairs[0]
-        mu0 = problem.kinematics.mu[0]
-
-        def resid(u: float, rho: float) -> float:
-            lhs = boson_lhs(u)
-            rhs = _bc_bracket(u, rho, pair0, mu0)
-            return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-        return resid
+        return _boson_residual(problem)
     return _general_residual(problem)
+
+
+def _boson_residual(problem: AngularProblem):
+    """(boson_lhs - _bc_bracket) / max(1, |LHS|, |RHS|), in scalars.
+
+    The constants of the boundary condition are computed once, and C(u)
+    and the pi/3 sine ratio share one sin/sinh denominator.
+    """
+    pair = problem.system.pairs[0]
+    mu = problem.kinematics.mu[0]
+    extended = pair.r_eff > 0.0
+    # rhs = rho s (1/a + x (h + p x)), x = u/rho^2
+    s = 1.0 / math.sqrt(mu)
+    ia = 0.0 if math.isinf(pair.a) else 1.0 / pair.a
+    h = 0.5 * pair.r_eff * mu
+    p = pair.p_shape * pair.r_eff ** 3 * mu * mu
+    w = 8.0 / SQRT3
+    lhs0 = -2.0 / math.pi + w / 3.0
+    half_pi, sixth_pi, third_pi = math.pi / 2.0, math.pi / 6.0, math.pi / 3.0
+    sin, cos, sqrt, exp, expm1 = (math.sin, math.cos, math.sqrt, math.exp,
+                                  math.expm1)
+    guard = 4.0 - POLE_GUARD
+
+    def resid(u: float, rho: float) -> float:
+        # LHS = -C(u) + w sin(nu pi/6) / sin(nu pi/2), even in nu
+        if u > 0.0:
+            if u >= guard:
+                _check_pole(u)
+            nu = sqrt(u)
+            lhs = (w * sin(nu * sixth_pi) - nu * cos(nu * half_pi)) / sin(
+                nu * half_pi)
+        elif u < 0.0:
+            # sinh(k pi/6)/sinh(k pi/2) = e^(-k pi/3) (1 - e^(-k pi/3))
+            # / (1 - e^(-k pi)), coth(k pi/2) = (2 - den)/den
+            k = sqrt(-u)
+            den = -expm1(-k * math.pi)
+            lhs = (-w * exp(-k * third_pi) * expm1(-k * third_pi)
+                   - k * (2.0 - den)) / den
+        else:
+            lhs = lhs0
+        if rho == 0.0:
+            if extended and u != 0.0:
+                raise ValueError("rho = 0 admits only u = 0 under the "
+                                 "extended boundary condition")
+            rhs = 0.0
+        else:
+            x = u / (rho * rho)
+            rhs = rho * s * (ia + x * (h + p * x))
+        return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+    return resid
 
 
 def _general_residual(problem: AngularProblem):
@@ -364,17 +413,20 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
         f"no sign change near u = {x0:g} (searched [{xm:g}, {xp:g}])")
 
 
-def solve_at_rho(rho: float, problem: AngularProblem, guess: float) -> float:
+def solve_at_rho(rho: float, problem: AngularProblem, guess: float,
+                 step: float | None = None) -> float:
     """Angular eigenvalue u = nu^2 at one hyper-radius, continuing a branch.
 
     Returns the root of the eigenvalue condition closest to `guess`, by a
-    two-sided walk inside the pole-free cell containing the guess.  Raises
-    RootSearchError when that cell shows no sign change, and
-    PoleProximityError on pole collision.
+    two-sided walk inside the pole-free cell containing the guess.  The
+    walk's first rung is `step` when given (a caller that knows how far
+    its guesses miss), else 1e-4 (1 + |guess|); it grows by 1.4 per rung
+    either way.  Raises RootSearchError when that cell shows no sign
+    change, and PoleProximityError on pole collision.
     """
     f = problem.residual
     lo, hi = _cell_interval(guess)
-    h0 = max(1e-9, 1e-4 * (1.0 + abs(guess)))
+    h0 = max(1e-9, 1e-4 * (1.0 + abs(guess))) if step is None else step
     x0 = min(max(guess, lo + h0), hi - h0)
     return _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400)
 
@@ -422,8 +474,11 @@ class NuBranch:
 def trace_branch(grid, problem: AngularProblem) -> NuBranch:
     """Trace the lowest branch over a strictly increasing rho grid.
 
-    Each solve is seeded by linear extrapolation from the two previous
-    nodes (the first analytically).  If the root is lost or jumps between
+    Each solve is seeded by the quadratic through the three previous nodes
+    (linear from two, the first analytically), and its walk starts with a
+    rung of 4x the previous node's miss |u - guess|, floored at
+    1e-13 (1 + |guess|) and capped at solve_at_rho's default.  If the
+    prediction lands past a pole, or the root is lost or jumps between
     nodes, the step toward the next node is bisected, up to MAX_HALVINGS
     times, before giving up.
     """
@@ -437,18 +492,25 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
     us = np.empty_like(grid)
     res = np.empty_like(grid)
 
-    # continuation state: last two accepted (rho, u) points
+    # continuation state: last three accepted (rho, u) points, and the miss
+    # |u - guess| of the last solve
     hist: list[tuple[float, float]] = []
+    miss = None
 
-    def extrapolate(rho_target: float) -> float:
-        if len(hist) >= 2 and hist[-1][0] != hist[-2][0]:
-            (r2, u2), (r1, u1) = hist[-2], hist[-1]
-            return u1 + (u1 - u2) / (r1 - r2) * (rho_target - r1)
-        return hist[-1][1]
+    def extrapolate(r: float) -> float:
+        """The Lagrange polynomial through the points in hist, at r."""
+        total = 0.0
+        for i, (ri, ui) in enumerate(hist):
+            for j, (rj, _) in enumerate(hist):
+                if j != i:
+                    ui *= (r - rj) / (ri - rj)
+            total += ui
+        return total
 
     def advance(rho_target: float) -> float:
         """Continue the branch from hist[-1] to rho_target, subdividing on
         failure; the step may be halved down to 2^-MAX_HALVINGS of the gap."""
+        nonlocal miss
         gap0 = rho_target - hist[-1][0]
         min_step = gap0 / (2.0 ** MAX_HALVINGS)
         pending = [rho_target]
@@ -456,16 +518,25 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
             tgt = pending[-1]
             guess = extrapolate(tgt)
             du_pred = guess - hist[-1][1]
-            try:
-                u_new = solve_at_rho(tgt, problem, guess)
-                trust = max(0.5, 0.25 * abs(guess), 8.0 * abs(du_pred))
-                ok = abs(u_new - guess) <= trust
-            except RootSearchError:
-                ok = False
+            step = None
+            if miss is not None:
+                scale = 1.0 + abs(guess)
+                step = min(max(4.0 * miss, 1e-13 * scale), 1e-4 * scale)
+            ok = False
+            # a branch cannot cross a pole: a guess past one has jumped
+            lo, hi = _cell_interval(hist[-1][1])
+            if lo <= guess <= hi:
+                try:
+                    u_new = solve_at_rho(tgt, problem, guess, step)
+                    trust = max(0.5, 0.25 * abs(guess), 8.0 * abs(du_pred))
+                    ok = abs(u_new - guess) <= trust
+                except RootSearchError:
+                    pass
             if ok:
                 pending.pop()
+                miss = abs(u_new - guess)
                 hist.append((tgt, u_new))
-                if len(hist) > 2:
+                if len(hist) > 3:
                     del hist[0]
             else:
                 mid = 0.5 * (hist[-1][0] + tgt)

@@ -74,7 +74,7 @@ def _seed(tq: np.ndarray, far: int, near: int, a: float) -> float:
                  / (1.0 - tq[near]))
 
 
-def _carry(v, p: float, record: bool = False):
+def _carry(v, p: float, record: bool = False, band=None):
     """Carry the Numerov recursion along v in its summed form.
 
     With F = (1 - h^2 q/12) g and v = h^2 q / (1 - h^2 q/12), the
@@ -89,15 +89,24 @@ def _carry(v, p: float, record: bool = False):
     a power of two, which changes no bit of any ratio.  Returns the number
     of sign changes of F, the last p = D_{n-1}/F_n and, if record, every
     p_i = D_{i-1}/F_i (the seed first).
+
+    band, when given, is scratch reused across calls: at least
+    2 len(v) + 2 rows by 3, all -1.0 outside the odd rows of column 1,
+    which each call overwrites with -v; the entries a restart zeroes are
+    set back to -1.0 before returning.
     """
     n = len(v)
-    band = np.full((2 * n + 2, 3), -1.0)    # rows are the columns of ab
+    if band is None:
+        band = np.full((2 * n + 2, 3), -1.0)
+    band = band[:2 * n + 2]                 # rows are the columns of ab
     np.negative(v, out=band[1:-1:2, 1])     # v_i couples F_i into D_i
     ab = band.T
     z = np.zeros(2 * n + 2)
     j, d, f = 0, p, 1.0
+    starts = []
     while True:
         band[2 * j, 1] = 0.0    # F_j is given: it does not add D_{j-1}
+        starts.append(2 * j)
         e = math.frexp(max(abs(d), abs(f)))[1]
         part = z[2 * j:]        # solved in place
         part[2:] = 0.0
@@ -111,6 +120,7 @@ def _carry(v, p: float, record: bool = False):
         if restart <= j:
             break       # one step from a rescaled pair: v is not finite or huge
         j, d, f = restart, float(z[2 * restart]), float(z[2 * restart + 1])
+    band[starts, 1] = -1.0
     neg = np.signbit(z[1::2])
     nodes = int(np.count_nonzero(neg[1:] ^ neg[:-1]))
     if record:
@@ -161,7 +171,12 @@ class _Shooter:
         self.w = w_of(self.rho)
         self.r2 = self.rho * self.rho
         self.n = n
-        self.w_min = float(self.w.min())
+        # min and -max of W[k:], both ascending in k: past the first k where
+        # W[k:] lies strictly on one side of eps, W - eps keeps its sign
+        self.w_floor = np.minimum.accumulate(self.w[::-1])[::-1]
+        self.w_neg_ceil = -np.maximum.accumulate(self.w[::-1])[::-1]
+        self.band = np.full((2 * n + 2, 3), -1.0)   # _carry's scratch
+        self.w_min = float(self.w_floor[0])
         self.w_inf = w_inf
         self.top = search_top - abs(search_top) * 1e-12
         self.hard_wall = hard_wall
@@ -169,17 +184,27 @@ class _Shooter:
         # and brentq of every state read the same table
         self.table: dict[float, _Sweep] = {}
 
-    def _turning_and_stop(self, s: np.ndarray) -> tuple[int, int, np.ndarray]:
+    def _turning_and_stop(self, eps: float) -> tuple[int, int, np.ndarray]:
         """Outermost classical turning point of s = W - eps, the barrier
         cutoff beyond it and q = 1/4 + rho^2 s.
 
         Without a turning point the barrier action is counted from the inner
         edge when the whole grid is forbidden, from the outer edge otherwise.
         """
+        s = self.w - eps
         q = self.r2 * s
         q += 0.25   # in place: one more grid-sized temporary slows every sweep
-        idx = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
-        im = int(idx[-1]) if len(idx) else (0 if s.min() >= 0.0 else self.n - 1)
+        # s keeps one strict sign on [k, n), so the last sign change is
+        # between k - 1 and k when they differ in sign, else inside s[:k]
+        k = min(int(np.searchsorted(self.w_floor, eps, side="right")),
+                int(np.searchsorted(self.w_neg_ceil, -eps, side="right")))
+        if 0 < k < self.n and s[k - 1] * s[k] < 0.0:
+            im = k - 1
+        else:
+            head = s[:k]
+            idx = np.nonzero(head[:-1] * head[1:] < 0.0)[0]
+            im = (int(idx[-1]) if len(idx)
+                  else (0 if s.min() >= 0.0 else self.n - 1))
         im = min(max(im, 3), self.n - 4)
         action = np.cumsum(np.sqrt(np.maximum(q[im:-1], 0.0)) * self.h)
         return im, im + int(np.searchsorted(action, _ACTION_CAP, side="right")), q
@@ -187,7 +212,7 @@ class _Shooter:
     def _sweep(self, eps: float, record: bool = False):
         """Outward from rho_min and inward from the cutoff to m; with record
         also the stitched g, scaled to F_m = 1 and zero beyond the cutoff."""
-        m, stop, q = self._turning_and_stop(self.w - eps)
+        m, stop, q = self._turning_and_stop(eps)
         hq = self.h * self.h * q[:stop + 1]
         tq = hq / 12.0
         worst = float(np.abs(tq).max())
@@ -204,8 +229,9 @@ class _Shooter:
             p_lo = _seed(tq, 0, 1, 0.5 * self.h)
             p_hi = _seed(tq, stop, stop - 1, 0.5 * self.h
                          + kappa * (self.rho[stop] - self.rho[stop - 1]))
-        n_out, p_out, ps_out = _carry(v[1:m], p_lo, record)
-        n_in, p_in, ps_in = _carry(v[m + 1:stop][::-1], p_hi, record)
+        n_out, p_out, ps_out = _carry(v[1:m], p_lo, record, self.band)
+        n_in, p_in, ps_in = _carry(v[m + 1:stop][::-1], p_hi, record,
+                                   self.band)
         x_m = float(v[m]) + p_out
         d = x_m + p_in
         sweep = _Sweep(n_out + n_in + (d < 0.0), (n_out, n_in, m), d,

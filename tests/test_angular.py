@@ -27,6 +27,7 @@ from zrtrimer import angular
 from zrtrimer.angular import (
     POLE_GUARD,
     RootSearchError,
+    _bc_bracket,
     _cell_interval,
     _solver_residual,
     _walk,
@@ -316,6 +317,62 @@ class TestGeneralResidual:
                         == _outcome(lambda: _reference_det(u, r, problem)))
 
 
+@st.composite
+def _boson_problems(draw):
+    """Identical bosons of any mass; extended pairs at P >= 1.5 P_c."""
+    kind = draw(st.sampled_from(("bound", "free", "unitary")))
+    a = (-math.inf if kind == "unitary"
+         else draw(st.floats(2.0, 500.0)) * (-1.0 if kind == "bound" else 1.0))
+    if draw(st.booleans()):
+        pair = PairParams(a=a)
+    else:
+        r_eff = draw(st.floats(1.0, 30.0))
+        # P_c = 0 past R/|a| = 9/16, and only P > P_c is valid
+        pair = PairParams(a=a, r_eff=r_eff, p_shape=1.5 * critical_p_shape(
+            a, r_eff) + draw(st.floats(1e-3, 0.3)))
+    return AngularProblem(ParticleSystem.identical_bosons(
+        draw(st.floats(0.5, 20.0)), pair))
+
+
+def _boson_reference(u: float, rho: float, problem: AngularProblem) -> float:
+    """boson_lhs - _bc_bracket, scaled by max(1, |LHS|, |RHS|)."""
+    pair, mu = problem.system.pairs[0], problem.kinematics.mu[0]
+    lhs, rhs = boson_lhs(u), _bc_bracket(u, rho, pair, mu)
+    return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+class TestBosonFastResidual:
+    """The precomputed identical-boson residual against boson_lhs and
+    _bc_bracket, the slow reference.  Only the lowest cell u < 4 is
+    compared: the boson branch never leaves it, and at u = 16 both forms
+    lose digits to the 0/0 of C(u) against the sine ratio."""
+
+    @example(problem=AngularProblem(ParticleSystem.identical_bosons(
+        HE4_MASS, PairParams(a=HE4_A, r_eff=HE4_REFF, p_shape=HE4_P))),
+             u=-1e-14, rho=0.05)
+    @settings(max_examples=400, deadline=None)
+    @given(problem=_boson_problems(),
+           u=st.one_of(st.floats(-1e4, 4.0 - POLE_GUARD), st.just(0.0),
+                       st.floats(1e-16, 1e-12).flatmap(
+                           lambda x: st.sampled_from((x, -x)))),
+           rho=st.floats(math.log(0.05), math.log(4000.0)).map(math.exp))
+    def test_matches_reference(self, problem, u, rho):
+        assert problem.system.is_identical
+        fast = problem.residual(u, rho)
+        assert abs(fast - _boson_reference(u, rho, problem)) <= 4e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_boson_problems(), rho=st.floats(0.05, 4000.0))
+    def test_guards_match_reference(self, problem, rho):
+        # the guard band around u = 4 and 16 (its edges stay evaluable) and
+        # rho = 0, where the extended boundary condition admits only u = 0
+        for r in (0.0, rho):
+            for u in (0.0, -2.0, 1.5, 4.0 - POLE_GUARD, 4.0 - 0.5 * POLE_GUARD,
+                      4.0, 16.0 + 0.5 * POLE_GUARD, 16.0 + POLE_GUARD):
+                assert (_outcome(lambda: problem.residual(u, r))
+                        == _outcome(lambda: _boson_reference(u, r, problem)))
+
+
 class TestSolveAtRho:
     def test_regularized_branch_starts_at_zero(self, he4_problem):
         u = trace_branch(np.array([0.01]), he4_problem).u[0]
@@ -440,10 +497,49 @@ class TestTraceBranch:
         problem = AngularProblem(request.getfixturevalue(cfg_name).system)
         solve = angular.solve_at_rho
         monkeypatch.setattr(angular, "solve_at_rho",
-                            lambda rho, prob, guess:
-                            solve(rho, prob, guess) * (1.0 + 1e-6))
+                            lambda rho, prob, guess, step=None:
+                            solve(rho, prob, guess, step) * (1.0 + 1e-6))
         with pytest.raises(SolverError, match="branch residual"):
             trace_branch(np.array([1.0, 2.0]), problem)
+
+    @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
+    def test_work_per_node(self, request, cfg_name, monkeypatch):
+        # the cost of the continuation in residual evaluations, which no
+        # machine changes: a linear predictor with a fixed first rung of
+        # 1e-4 (1 + |guess|) took 11.45 (He4) and 12.71 (mixed) per node
+        cfg = request.getfixturevalue(cfg_name)
+        problem = AngularProblem(cfg.system)
+        f = problem.residual
+        evals, solves = [], []
+
+        def counted(u, rho):
+            evals.append(u)
+            return f(u, rho)
+
+        def solve(*args):
+            solves.append(args[0])
+            return solve_at_rho(*args)
+        monkeypatch.setitem(problem.__dict__, "residual", counted)
+        monkeypatch.setattr(angular, "solve_at_rho", solve)
+        grid = np.exp(np.linspace(math.log(cfg.rho_min),
+                                  math.log(cfg.rho_max), cfg.n))
+        trace_branch(grid, problem)
+        assert len(solves) == len(grid) - 1     # no step was halved
+        assert len(evals) / len(grid) <= 9.5
+
+    def test_guess_past_a_pole_is_halved(self, he4_cfg):
+        # 3% above P_c the branch turns sharply near rho = 31 (u from -16.1
+        # to -2.5 over one step); the quadratic through that turn predicts
+        # u = 28.5, past the pole at u = 4, where roots exist too.  The step
+        # is halved instead of solved, so the branch stays below u = 4
+        pair = PairParams(a=-283.11979224319674, r_eff=15.193146209123897,
+                          p_shape=0.019854070761837674)
+        problem = AngularProblem(ParticleSystem.identical_bosons(HE4_MASS,
+                                                                 pair))
+        grid = np.exp(np.linspace(math.log(he4_cfg.rho_min),
+                                  math.log(he4_cfg.rho_max), he4_cfg.n))
+        branch = trace_branch(grid, problem)
+        assert np.all(branch.u < 4.0 - POLE_GUARD)
 
     def test_continuity_under_refinement(self, he4_problem):
         coarse = np.exp(np.linspace(math.log(0.05), math.log(400.0), 41))

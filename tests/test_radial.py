@@ -158,6 +158,12 @@ class TestIntegrate:
         cases = [(v[:5000], p0), (np.tile(np.repeat([0.01, -0.05], 250), 10),
                                   0.3)]
         whole = [_carry(vs, seed, record=True) for vs, seed in cases]
+        # one scratch band for every call, as a shooter passes it: the
+        # restarts' zeros are undone, and only the odd rows of column 1
+        # keep the last v
+        band = np.full((2 * len(v) + 2, 3), -1.0)
+        fixed = np.ones(band.shape, dtype=bool)
+        fixed[1::2, 1] = False
         for big in (2.0 ** 3, 2.0 ** 60):
             monkeypatch.setattr(radial, "_BIG", big)
             for (vs, seed), (nodes, _, ps) in zip(cases, whole):
@@ -166,6 +172,10 @@ class TestIntegrate:
                 assert len(calls) > 1
                 assert split[0] == nodes
                 assert np.array_equal(split[2], ps)
+                shared = _carry(vs, seed, record=True, band=band)
+                assert shared[0] == nodes
+                assert np.array_equal(shared[2], ps)
+                assert np.all(band[fixed] == -1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(stretches=st.lists(st.tuples(st.integers(1, 3000),
@@ -274,7 +284,9 @@ class TestSolveBoundStates:
 
     def test_cutoff_matches_loop_reference(self, he4_branch_potential):
         # the barrier cutoff: first index past im whose running action,
-        # added in grid order, exceeds the cap; a cumsum must agree exactly
+        # added in grid order, exceeds the cap; a cumsum must agree exactly.
+        # The turning point im is the last sign change of W - eps over the
+        # whole grid, also where eps equals a sample of W
         def reference(shooter, im, q):
             action, i = 0.0, im
             while i < shooter.n - 1:
@@ -288,11 +300,23 @@ class TestSolveBoundStates:
         he4 = _he4_shooter(pot, 8000)
         thomas = _Shooter(lambda rho: -1.2625 / rho ** 2, 0.0, 0.0,
                           0.1, 3e6, 12000, hard_wall=True)
+
+        def turning_point(shooter, s):
+            idx = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
+            im = (idx[-1] if len(idx)
+                  else (0 if s.min() >= 0.0 else shooter.n - 1))
+            return min(max(im, 3), shooter.n - 4)
+
         for shooter in (he4, thomas):
             gap = shooter.top - shooter.w_min
-            for eps in shooter.top - gap * np.geomspace(1e-12, 1.0, 40):
-                im, stop, q = shooter._turning_and_stop(shooter.w - eps)
-                assert np.array_equal(q, 0.25 + shooter.r2 * (shooter.w - eps))
+            samples = shooter.w[np.linspace(0, shooter.n - 1, 12).astype(int)]
+            for eps in np.concatenate([
+                    shooter.top - gap * np.geomspace(1e-12, 1.0, 40),
+                    samples, [shooter.w_min - 1.0, shooter.w.max() + 1.0]]):
+                im, stop, q = shooter._turning_and_stop(eps)
+                s = shooter.w - eps
+                assert np.array_equal(q, 0.25 + shooter.r2 * s)
+                assert im == turning_point(shooter, s)
                 assert stop == reference(shooter, im, q)
 
     def test_two_sided_match_at_converged_energy(self, he4_solution,
