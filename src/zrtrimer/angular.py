@@ -11,12 +11,13 @@ combinations are even in nu, so u < 0 (imaginary nu = i*kappa) is evaluated
 with hyperbolic forms and no complex arithmetic appears anywhere.  The
 normalization of every matrix row by sin(nu pi/2) introduces poles at
 u = (2n)^2, n >= 1, which are excluded by a guard band.  Every root search
-is one sign-change ladder, `_walk`, plus a brentq refine: two-sided for
-branch continuation, one-sided from a window edge to seed the first node.
+is one sign-change ladder, `_walk`, plus a Brent refine (`system.brent`)
+that reuses the values at the bracket's ends: two-sided for branch
+continuation, one-sided from a window edge to seed the first node.
 
 Continuation (trace_branch) predicts each node by the quadratic through the
 three previous ones and starts the walk with a rung sized by the previous
-node's miss, so a node costs about 9 residual evaluations on the bundled
+node's miss, so a node costs about 7 residual evaluations on the bundled
 configs: the prediction, the first rung each way and the refine.
 
 The searches read one scaled residual per problem, `AngularProblem.residual`,
@@ -37,10 +38,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .system import (KinematicConstants, PairParams, ParticleSystem, SolverError,
-                     dimer_binding_energy, reduced_masses)
+                     brent, dimer_binding_energy, reduced_masses)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -136,7 +136,7 @@ def efimov_constant() -> float:
         return (g * math.cosh(g * math.pi / 2.0)
                 - (8.0 / SQRT3) * math.sinh(g * math.pi / 6.0))
 
-    return brentq(f, 0.5, 2.0, xtol=1e-14, rtol=8.9e-16)
+    return brent(f, 0.5, 2.0, xtol=1e-14)
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class AngularProblem:
 
     The bare 1/a boundary condition is the pairs' own r_eff = p_shape = 0.
     Its roots are bracketed by the one walker `_walk` (see `_first_node_u`
-    and `solve_at_rho`) and refined by brentq to a relative tolerance
+    and `solve_at_rho`) and refined by `brent` to a relative tolerance
     (rtol 8.9e-16; xtol 1e-300 leaves roots near u = 0 their digits).
     """
 
@@ -364,22 +364,18 @@ def _general_residual(problem: AngularProblem):
     return resid
 
 
-def _refine(f, lo: float, hi: float) -> float:
-    # relative machine precision, also for roots near u = 0 (the first
-    # node sits at u ~ -3e-4), so the branch residual invariant holds with
-    # margin even where the residual is steep in u
-    return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16)
-
-
 def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
           max_steps: int) -> float:
     """Root of f nearest to x0 in [lo, hi], by ladder bracketing.
 
     Walks outward from x0 in both directions, with a step that starts at h0
     and is multiplied by `grow` after each rung, clipped to the window, and
-    refines the first bracket that shows a sign change.  If both directions
-    bracket on the same rung the root closer to x0 wins.  A walk that starts
-    at an edge of its window runs one way only.
+    refines the first bracket that shows a sign change with `brent` from
+    the values at its ends, to relative machine precision also for roots
+    near u = 0 (the first node sits at u ~ -3e-4), so the branch residual
+    invariant holds with margin even where the residual is steep in u.  If
+    both directions bracket on the same rung the root closer to x0 wins.  A
+    walk that starts at an edge of its window runs one way only.
     """
     f0 = f(x0)
     if f0 == 0.0:
@@ -395,7 +391,7 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
             if f2 == 0.0:
                 return x2
             if fp * f2 < 0.0:
-                brackets.append((xp, x2))
+                brackets.append((xp, x2, fp, f2))
             xp, fp = x2, f2
         if xm > lo:
             x2 = max(xm - h, lo)
@@ -403,10 +399,10 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
             if f2 == 0.0:
                 return x2
             if fm * f2 < 0.0:
-                brackets.append((x2, xm))
+                brackets.append((x2, xm, f2, fm))
             xm, fm = x2, f2
         if brackets:
-            roots = [_refine(f, a, b) for a, b in brackets]
+            roots = [brent(f, *bracket) for bracket in brackets]
             return min(roots, key=lambda r: abs(r - x0))
         h *= grow
     raise RootSearchError(
@@ -547,14 +543,16 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
                 pending.append(mid)
         return hist[-1][1]
 
-    for k, rho in enumerate(grid):
+    # builtin floats: an np.float64 rho would spread through every iterate
+    # into hist and slow each later residual call
+    for k, rho in enumerate(grid.tolist()):
         if k == 0:
             u = _first_node_u(rho, problem)
-            hist.append((float(rho), u))
+            hist.append((rho, u))
         else:
-            u = advance(float(rho))
+            u = advance(rho)
         us[k] = u
-        res[k] = f(u, float(rho))
+        res[k] = f(u, rho)
         if not abs(res[k]) <= MAX_RESIDUAL:
             raise SolverError(
                 f"branch residual {abs(res[k]):.3g} at rho = {rho:g}, u = {u!r} "

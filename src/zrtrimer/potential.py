@@ -12,10 +12,10 @@ for the diagonal coupling term are supported:
 leading_term is the default and is the convention that reproduces the
 published helium-trimer energies.
 
-Between grid nodes u(rho) is interpolated by a monotone cubic in log(rho).
-Inside the first node u follows a power law fitted to the first two nodes
-(the extended boundary condition gives u ~ rho^(3/2) there, i.e. W ~
-rho^(-1/2)).  Beyond the last node the dimer-channel asymptote continues
+Between grid nodes u(rho) is interpolated by a monotone cubic in log(rho),
+`_Pchip`.  Inside the first node u follows a power law fitted to the first
+two nodes (the extended boundary condition gives u ~ rho^(3/2) there, i.e.
+W ~ rho^(-1/2)).  Beyond the last node the dimer-channel asymptote continues
 the branch; its pole momentum comes from the extended two-body equation so
 that the tail joins the traced branch without a seam.
 """
@@ -26,12 +26,65 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .angular import AngularProblem, NuBranch, dimer_channel_u
 from .system import dimer_binding_energy, dimer_pole_kappa
 
 Q_CONVENTIONS = ("leading_term", "none")
+
+
+class _Pchip:
+    """Monotone piecewise cubic Hermite interpolant through (x, y), NaN
+    outside [x[0], x[-1]] (F. N. Fritsch and R. E. Carlson, SIAM J. Numer.
+    Anal. 17, 238 (1980)).
+
+    Built and summed as scipy's PchipInterpolator(x, y, extrapolate=False):
+    interior slopes are weighted harmonic means of the neighbouring secants,
+    0 where those differ in sign or one is flat; end slopes are one-sided
+    three-point estimates, kept on the side of the end secant and at most 3
+    times it across an extremum; two nodes give a straight line.  Each cubic
+    is summed in the power basis from the constant term up, as scipy does:
+    a Horner form moves results by an ulp.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and len(x) > 1
+                and (h > 0.0).all()):
+            raise ValueError("need finite y on finite, strictly increasing x "
+                             "of at least 2 nodes")
+        m = np.diff(y) / h
+        if len(x) == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            d = np.zeros_like(y)
+            sm = np.sign(m)
+            mean = (sm[1:] == sm[:-1]) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1][mean] = 1.0 / whmean[mean]
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            cap = ((np.sign(m0) != np.sign(m1))
+                   & (np.abs(end) > 3.0 * np.abs(m0)))
+            d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                                  np.where(cap, 3.0 * m0, end))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        # coefficients of s^3, s^2, s, 1 on each interval, s = x - x_i
+        self.c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        x = self.x
+        i = np.searchsorted(x, xs, side="right") - 1
+        np.clip(i, 0, len(x) - 2, out=i)
+        s = xs - x[i]
+        s2 = s * s
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        out = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        out[~((xs >= x[0]) & (xs <= x[-1]))] = np.nan
+        return out
 
 
 @dataclass(frozen=True)
@@ -52,7 +105,7 @@ class EffectivePotential:
     w_inf: float
     bound_kappa: float | None
     bound_mu: float | None
-    _u_interp: PchipInterpolator = field(repr=False)
+    _u_interp: _Pchip = field(repr=False)
     _inner: tuple[float, float, str] = field(repr=False)
     _u_last: float = field(repr=False)
 
@@ -147,5 +200,5 @@ def effective_potential(branch: NuBranch, problem: AngularProblem,
         rho=rho, w=w, threshold=threshold,
         q_convention=q_convention, problem=problem, w_inf=w_inf,
         bound_kappa=kappa, bound_mu=mu,
-        _u_interp=PchipInterpolator(np.log(rho), u, extrapolate=False),
+        _u_interp=_Pchip(np.log(rho), u),
         _inner=_inner_law(rho, u), _u_last=float(u[-1]))

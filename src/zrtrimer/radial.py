@@ -12,8 +12,8 @@ an amplitude past 2^1000 restarts the substitution from a power-of-two
 rescale, which leaves every ratio unchanged.  The sign changes on both
 sides and the sign of the twist d at m count the eigenvalues below the
 trial energy, and d vanishes at each one: node-count bisection, with
-sweeps shared by all states, then brentq on d.  The two callers differ
-only in the seeds at the ends:
+sweeps shared by all states, then Brent's method on d.  The two callers
+differ only in the seeds at the ends:
 
   solve_bound_states  regular f ~ rho at rho_min, decaying exponential of
                       the local barrier at the cutoff.
@@ -30,16 +30,14 @@ SolverError.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.optimize import brentq
 
 from .angular import efimov_constant
-from .system import SolverError, UnitSystem
+from .system import SolverError, UnitSystem, brent
 
 #: Barrier action (in e-folds) after which outward/inward sweeps are cut off.
 _ACTION_CAP = 60.0
@@ -181,7 +179,7 @@ class _Shooter:
         self.top = search_top - abs(search_top) * 1e-12
         self.hard_wall = hard_wall
         # one sweep per trial energy, scalars only: the count, the bisection
-        # and brentq of every state read the same table
+        # and the Brent refine of every state read the same table
         self.table: dict[float, _Sweep] = {}
 
     def _turning_and_stop(self, eps: float) -> tuple[int, int, np.ndarray]:
@@ -267,7 +265,7 @@ class _Shooter:
         return sweep.resid, f / f[np.abs(f).argmax()]
 
     def eigenvalue(self, k: int) -> float:
-        """The k-th eigenvalue: node-count bisection, then brentq on d.
+        """The k-th eigenvalue: node-count bisection, then `brent` on d.
 
         Bisects [w_min, top] until the bracket isolates state k and both
         ends share side counts and m, so d changes sign across it and has
@@ -282,11 +280,7 @@ class _Shooter:
             if mid in (lo, hi):
                 return hi   # the count steps in (lo, hi]
             lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
-        # brentq keeps its function in a reference cycle: through a weak
-        # proxy it does not hold the grid arrays until a full collection
-        shooter = weakref.proxy(self)
-        return brentq(lambda e: shooter.sweep(e).d, lo, hi,
-                      xtol=1e-300, rtol=8.9e-16)
+        return brent(lambda e: self.sweep(e).d, lo, hi)
 
 
 def default_rho_max(system) -> float:

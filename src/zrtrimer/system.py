@@ -7,14 +7,14 @@ in hartree inside the library; millikelvin appears only at I/O boundaries.
 
 Sign convention for the two-body input: a negative scattering length means
 the pair supports a bound dimer with pole momentum kappa ~ 1/|a|.
+
+`brent` is the one bracketing root solver of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 #: Pinned CODATA value for the hartree -> kelvin conversion.  The source
 #: material quotes energies in mK without stating the constant it used, so
@@ -30,6 +30,71 @@ DEFAULT_MASS_SCALE = 1822.887
 
 class SolverError(Exception):
     """A numerical solve found no acceptable answer for valid input."""
+
+
+def brent(f, a: float, b: float, fa: float | None = None,
+          fb: float | None = None, *, xtol: float = 1e-300,
+          rtol: float = 8.9e-16, maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    A line-for-line port of the loop of scipy.optimize.brentq, so it returns
+    the same root bit for bit; fa and fb, when given, stand for f(a) and
+    f(b) and save their evaluations.  The root is fixed to xtol + rtol |x|;
+    the defaults are relative machine precision, also for roots near 0.
+    Raises ValueError on a NaN value or on ends of one sign, SolverError
+    after maxiter iterations.
+    """
+    xpre, xcur = a, b
+    fpre = f(a) if fa is None else fa
+    fcur = f(b) if fb is None else fb
+    if fpre != fpre or fcur != fcur:
+        raise ValueError(f"f is NaN at an end of [{a!r}, {b!r}]")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            lim = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < lim else lim):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(f"f is NaN at x = {xcur!r}")
+    raise SolverError(f"Brent's method failed to converge after {maxiter} "
+                      f"iterations (x = {xcur!r})")
 
 
 @dataclass(frozen=True)
@@ -59,10 +124,11 @@ def critical_p_shape(a: float, r_eff: float) -> float:
     where P_c = (x_c - 1)/(4 x_c^3): 1/54 for R/a -> 0.  Below P_c the extra
     roots are deep, unphysical dimers; for 1/2 < R/|a| < 9/16 the dimer can
     merge with one of them, leaving one deep root.  For R/|a| > 9/16 no real
-    merge point exists and P_c = 0."""
+    merge point exists and the lone root is the deep one unless the quartic
+    rises for every x > 0, i.e. P >= 1/27: P_c = 1/27, its value at 9/16."""
     disc = 9.0 + 16.0 * r_eff / a
     if disc < 0.0:
-        return 0.0
+        return 1.0 / 27.0
     x_c = 0.5 * (3.0 + math.sqrt(disc))
     return (x_c - 1.0) / (4.0 * x_c ** 3)
 
@@ -212,4 +278,4 @@ def dimer_pole_kappa(pair: PairParams) -> float | None:
     # PairParams holds P > P_c, so the dimer is the one positive root; at
     # x = kappa R = max(1/sqrt(P), sqrt(2R/|a|)) the quartic exceeds R/|a|
     hi = max(1.0 / math.sqrt(pshape), math.sqrt(-2.0 * reff / a)) / reff
-    return brentq(f, 0.0, hi, xtol=1e-300, rtol=8.9e-16)
+    return brent(f, 0.0, hi)

@@ -506,7 +506,10 @@ class TestTraceBranch:
     def test_work_per_node(self, request, cfg_name, monkeypatch):
         # the cost of the continuation in residual evaluations, which no
         # machine changes: a linear predictor with a fixed first rung of
-        # 1e-4 (1 + |guess|) took 11.45 (He4) and 12.71 (mixed) per node
+        # 1e-4 (1 + |guess|) took 11.45 (He4) and 12.71 (mixed) per node;
+        # the quadratic predictor with a rung sized by the last miss, 9.00
+        # and 9.22; a refine that reuses the bracket's end values, 7.00 and
+        # 7.22
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
         f = problem.residual
@@ -525,7 +528,28 @@ class TestTraceBranch:
                                   math.log(cfg.rho_max), cfg.n))
         trace_branch(grid, problem)
         assert len(solves) == len(grid) - 1     # no step was halved
-        assert len(evals) / len(grid) <= 9.5
+        assert len(evals) / len(grid) <= 7.5
+
+    @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
+    def test_residual_sees_builtin_floats(self, request, cfg_name,
+                                          monkeypatch):
+        # the elements of a numpy grid are np.float64; one that reaches the
+        # residual spreads through every Brent iterate into the
+        # continuation history and slows each later scalar operation
+        cfg = request.getfixturevalue(cfg_name)
+        problem = AngularProblem(cfg.system)
+        f = problem.residual
+        types = []
+
+        def counted(u, rho):
+            types.append((type(u), type(rho)))
+            return f(u, rho)
+        monkeypatch.setitem(problem.__dict__, "residual", counted)
+        grid = np.exp(np.linspace(math.log(cfg.rho_min),
+                                  math.log(cfg.rho_max), cfg.n))
+        trace_branch(grid, problem)
+        assert len(types) > 5 * len(grid)
+        assert set(types) == {(float, float)}
 
     def test_guess_past_a_pole_is_halved(self, he4_cfg):
         # 3% above P_c the branch turns sharply near rho = 31 (u from -16.1

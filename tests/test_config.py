@@ -161,6 +161,6 @@ class TestValidityDomain:
 
     def test_missing_dimer_pole_rejected(self):
         # P = 0 and R > |a|/2: the pole equation stays negative.  With
-        # R/|a| > 9/16 the roots never merge, so P_c = 0 and P = 0 fails
-        with pytest.raises(ConfigError, match=r"P_c = 0,"):
+        # R/|a| > 9/16 the roots never merge and P_c = 1/27
+        with pytest.raises(ConfigError, match=r"P_c = 0\.03704,"):
             parse_config(_with_pair(-1.0, 10.0, 0.0))

@@ -115,7 +115,8 @@ class TestDimer:
     def test_missing_pole_is_rejected(self):
         # with P = 0 the -(R/2) kappa^2 term keeps the pole equation
         # negative: such a pair cannot be built, so no pole search fails
-        with pytest.raises(ValueError, match=r"P = 0 is outside .* P_c = 0,"):
+        with pytest.raises(ValueError,
+                           match=r"P = 0 is outside .* P_c = 0\.03704,"):
             PairParams(a=-1.0, r_eff=10.0)
 
 
@@ -133,22 +134,33 @@ def _positive_roots(a: float, r_eff: float, p_shape: float) -> list[float]:
 
 
 def _physical(a: float, r_eff: float, p_shape: float) -> bool:
-    """The reference's verdict: only the dimer root, and that one shallow.
+    """The reference's verdict: only the dimer root, on the first rising
+    branch of g(x) = P x^4 - x^2/2 + x - R/|a|.
 
-    For R/|a| <= 9/16 the dimer lies below x = 3/2, where the quartic still
-    rises; a lone root beyond it is the deep one left when the dimer has
-    merged with a spurious pole.  For R/|a| > 9/16 no merge exists."""
+    g(0) < 0, so one positive root lies on that branch exactly when g rises
+    for every x > 0 (P >= 1/27) or stays positive at both of its positive
+    critical points, the roots of g' = 4 P x^3 - x + 1.  A lone root beyond
+    them is the deep one, left when the dimer has merged with a spurious
+    pole or, past R/|a| = 9/16, for every P < 1/27."""
     xs = _positive_roots(a, r_eff, p_shape)
     if not (a < 0.0 and math.isfinite(a)):
         return not xs
-    return len(xs) == 1 and (-r_eff / a > 9.0 / 16.0 or xs[0] < 1.5)
+    if len(xs) != 1:
+        return False
+    if p_shape >= 1.0 / 27.0:
+        return True
+    crit = [x.real for x in np.roots([4.0 * p_shape, 0.0, -1.0, 1.0])
+            if x.imag == 0.0 and x.real > 0.0]
+    return all(((p_shape * x * x - 0.5) * x + 1.0) * x + r_eff / a > 0.0
+               for x in crit)
 
 
 @st.composite
 def _pole_cases(draw):
     """Pairs over both signs of a and +-inf, R/|a| from 1e-4 to 30, and P
-    below and above P_c but not within 2% of it, where the reference can
-    no longer tell a near-double root from a complex pair."""
+    from -P_c to 20 P_c (P_c > 0 throughout) but not within 2% of P_c,
+    where the reference can no longer tell a near-double root from a
+    complex pair."""
     if draw(st.booleans()):
         a = draw(st.sampled_from((-math.inf, math.inf)))
         r_eff = draw(st.floats(0.1, 50.0))
@@ -156,12 +168,9 @@ def _pole_cases(draw):
         a = draw(st.floats(1.0, 1e4)) * draw(st.sampled_from((-1.0, 1.0)))
         r_eff = abs(a) * 10.0 ** draw(st.floats(-4.0, 1.5))
     p_c = critical_p_shape(a, r_eff)
-    if p_c > 0.0:
-        p_shape = p_c * draw(st.one_of(st.just(0.0), st.floats(0.01, 0.98),
-                                       st.floats(1.02, 20.0)))
-    else:
-        p_shape = draw(st.one_of(st.just(0.0), st.floats(-0.1, -1e-4),
-                                 st.floats(1e-4, 10.0)))
+    p_shape = p_c * draw(st.one_of(st.just(0.0), st.floats(-0.98, -0.01),
+                                   st.floats(0.01, 0.98),
+                                   st.floats(1.02, 20.0)))
     return a, r_eff, p_shape
 
 
@@ -174,9 +183,10 @@ class TestValidityDomain:
         for a in (-math.inf, math.inf):
             assert critical_p_shape(a, 1.0) == pytest.approx(1.0 / 54.0, rel=1e-15)
         assert critical_p_shape(-1e9, 1.0) == pytest.approx(1.0 / 54.0, rel=1e-8)
-        # the roots merge at x = 3/2 when R/|a| = 9/16, and never beyond
+        # the roots merge at x = 3/2 when R/|a| = 9/16, and never beyond,
+        # where P_c stays at 1/27: below it the lone root is the deep one
         assert critical_p_shape(-16.0, 9.0) == pytest.approx(1.0 / 27.0, rel=1e-15)
-        assert critical_p_shape(-16.0, 9.001) == 0.0
+        assert critical_p_shape(-16.0, 9.001) == 1.0 / 27.0
 
     @example(case=(-18.554, 9.887, 0.0113))           # the merge window
     @example(case=(-18.554, 9.887, 0.0340))
