@@ -33,6 +33,8 @@ from .system import dimer_binding_energy, dimer_pole_kappa
 Q_CONVENTIONS = ("leading_term", "none")
 
 
+# Derived from scipy.interpolate.PchipInterpolator, Copyright (c) 2001-2002
+# Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause, see NOTICE.
 class _Pchip:
     """Monotone piecewise cubic Hermite interpolant through (x, y), NaN
     outside [x[0], x[-1]] (F. N. Fritsch and R. E. Carlson, SIAM J. Numer.

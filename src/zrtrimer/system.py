@@ -32,18 +32,26 @@ class SolverError(Exception):
     """A numerical solve found no acceptable answer for valid input."""
 
 
+#: Relative tolerance of `brent`: 4 machine epsilons, rounded up.
+BRENT_RTOL = 8.9e-16
+
+#: Iteration limit of `brent`, scipy's default.
+BRENT_MAXITER = 100
+
+
+# Derived from scipy.optimize.brentq, Copyright (c) 2001-2002 Enthought,
+# Inc. 2003, SciPy Developers; BSD-3-Clause, see NOTICE.
 def brent(f, a: float, b: float, fa: float | None = None,
-          fb: float | None = None, *, xtol: float = 1e-300,
-          rtol: float = 8.9e-16, maxiter: int = 100) -> float:
+          fb: float | None = None, *, xtol: float = 1e-300) -> float:
     """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 4).
 
     A line-for-line port of the loop of scipy.optimize.brentq, so it returns
     the same root bit for bit; fa and fb, when given, stand for f(a) and
-    f(b) and save their evaluations.  The root is fixed to xtol + rtol |x|;
-    the defaults are relative machine precision, also for roots near 0.
-    Raises ValueError on a NaN value or on ends of one sign, SolverError
-    after maxiter iterations.
+    f(b) and save their evaluations.  The root is fixed to
+    xtol + BRENT_RTOL |x|; the default xtol keeps relative machine
+    precision also for roots near 0.  Raises ValueError on a NaN value or
+    on ends of one sign, SolverError after BRENT_MAXITER iterations.
     """
     xpre, xcur = a, b
     fpre = f(a) if fa is None else fa
@@ -57,14 +65,14 @@ def brent(f, a: float, b: float, fa: float | None = None,
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -93,7 +101,7 @@ def brent(f, a: float, b: float, fa: float | None = None,
         fcur = f(xcur)
         if fcur != fcur:
             raise ValueError(f"f is NaN at x = {xcur!r}")
-    raise SolverError(f"Brent's method failed to converge after {maxiter} "
+    raise SolverError(f"Brent's method failed to converge after {BRENT_MAXITER} "
                       f"iterations (x = {xcur!r})")
 
 

@@ -158,9 +158,10 @@ def _physical(a: float, r_eff: float, p_shape: float) -> bool:
 @st.composite
 def _pole_cases(draw):
     """Pairs over both signs of a and +-inf, R/|a| from 1e-4 to 30, and P
-    from -P_c to 20 P_c (P_c > 0 throughout) but not within 2% of P_c,
-    where the reference can no longer tell a near-double root from a
-    complex pair."""
+    from -P_c to 20 P_c (P_c > 0 throughout) or from 1 to 10, where the
+    bracket of the pole search is set by 1/sqrt(P) or sqrt(2R/|a|); but
+    not within 2% of P_c, where the reference can no longer tell a
+    near-double root from a complex pair."""
     if draw(st.booleans()):
         a = draw(st.sampled_from((-math.inf, math.inf)))
         r_eff = draw(st.floats(0.1, 50.0))
@@ -168,9 +169,10 @@ def _pole_cases(draw):
         a = draw(st.floats(1.0, 1e4)) * draw(st.sampled_from((-1.0, 1.0)))
         r_eff = abs(a) * 10.0 ** draw(st.floats(-4.0, 1.5))
     p_c = critical_p_shape(a, r_eff)
-    p_shape = p_c * draw(st.one_of(st.just(0.0), st.floats(-0.98, -0.01),
-                                   st.floats(0.01, 0.98),
-                                   st.floats(1.02, 20.0)))
+    relative = (st.just(0.0), st.floats(-0.98, -0.01), st.floats(0.01, 0.98),
+                st.floats(1.02, 20.0))
+    p_shape = draw(st.one_of(*(s.map(lambda t: p_c * t) for s in relative),
+                             st.floats(1.0, 10.0)))
     return a, r_eff, p_shape
 
 
