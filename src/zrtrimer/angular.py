@@ -36,11 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .system import (KinematicConstants, PairParams, ParticleSystem, SolverError,
-                     brent, dimer_binding_energy, reduced_masses)
+                     brent, dimer_binding_energy, dimer_pole_kappa,
+                     reduced_masses)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -139,6 +141,17 @@ def efimov_constant() -> float:
     return brent(f, 0.5, 2.0, xtol=1e-14)
 
 
+class Dimer(NamedTuple):
+    """The bound pair with the deepest bare threshold: its spectator index,
+    reduced mass, threshold -2mB/hbar^2 = -1/(mu a^2) (1/bohr^2) and pole
+    momentum kappa of the extended boundary condition."""
+
+    index: int
+    mu: float
+    threshold: float
+    kappa: float
+
+
 @dataclass(frozen=True)
 class AngularProblem:
     """A three-body system prepared for the angular eigenvalue equation.
@@ -157,21 +170,31 @@ class AngularProblem:
 
     @cached_property
     def residual(self):
-        """Scaled residual f(u, rho) of `_solver_residual`, built once."""
-        return _solver_residual(self)
+        """Scaled residual f(u, rho) for bracketing and root refinement:
+        the boson equation over max(1, |LHS|, |RHS|) for identical bosons
+        (`_boson_residual`), else det of the normalized matrix with each
+        row over its largest term, taken before C + bc_i can cancel
+        (`_general_residual`).  Scaling moves no root, so at an accepted
+        root the value is a relative residual that trace_branch holds below
+        MAX_RESIDUAL."""
+        if self.system.is_identical:
+            return _boson_residual(self)
+        return _general_residual(self)
 
     @cached_property
-    def bound_pair(self) -> int | None:
-        """Index of the pair with the deepest dimer threshold -2mB/hbar^2,
-        or None when no pair binds."""
-        best, best_thr = None, 0.0
+    def dimer(self) -> Dimer | None:
+        """The pair with the deepest dimer threshold -2mB/hbar^2 (the first
+        of equals), or None when no pair binds."""
         units = self.system.units
+        best = None
         for i, pair in enumerate(self.system.pairs):
-            b_energy = dimer_binding_energy(pair, self.kinematics.mu[i], units)
+            mu = self.kinematics.mu[i]
+            b_energy = dimer_binding_energy(pair, mu, units)
             thr = 0.0 if b_energy is None else -2.0 * units.mass_scale * b_energy
-            if thr < best_thr:
-                best, best_thr = i, thr
-        return best
+            if thr < (0.0 if best is None else best[2]):
+                best = (i, mu, thr)
+        return None if best is None else Dimer(
+            *best, dimer_pole_kappa(self.system.pairs[best[0]]))
 
 
 def _bc_bracket(u: float, rho: float, pair: PairParams, mu: float) -> float:
@@ -227,21 +250,6 @@ def build_matrix(u: float, rho: float, problem: AngularProblem) -> np.ndarray:
                 phi = kin.phi[i][j]
                 m[i, j] = 2.0 * sin_ratio(u, phi) / math.sin(2.0 * phi)
     return m
-
-
-def _solver_residual(problem: AngularProblem):
-    """Scaled residual function used for bracketing and root refinement.
-
-    Identical bosons: the boson equation scaled by max(1, |LHS|, |RHS|)
-    (see `_boson_residual`).  General case: det of the normalized matrix,
-    each row scaled by its largest term before the diagonal sum C + bc_i
-    can cancel (see `_general_residual`).  Scaling keeps magnitudes O(1)
-    without moving any root, so at an accepted root the value is a
-    relative residual that trace_branch holds below MAX_RESIDUAL.
-    """
-    if problem.system.is_identical:
-        return _boson_residual(problem)
-    return _general_residual(problem)
 
 
 def _boson_residual(problem: AngularProblem):
@@ -437,9 +445,9 @@ def _first_node_u(rho: float, problem: AngularProblem) -> float:
     u in [-(rho/(sqrt(mu)|a|) + 20)^2, 4) to the first, most negative root.
     """
     f = problem.residual
-    i = problem.bound_pair
-    scale = (0.0 if i is None else 1.0 / (
-        math.sqrt(problem.kinematics.mu[i]) * abs(problem.system.pairs[i].a)))
+    d = problem.dimer
+    scale = (0.0 if d is None else 1.0 / (
+        math.sqrt(d.mu) * abs(problem.system.pairs[d.index].a)))
     extended = any(pair.r_eff > 0.0 for pair in problem.system.pairs)
     if extended and rho * scale < 0.3:
         return _walk(lambda u: f(u, rho), -1e-14, -1e12, -1e-14, 5e-8, 1.25, 400)

@@ -110,8 +110,8 @@ def _emit(text_writer, out_path: str) -> int:
 
 def cmd_eigenvalue(cfg: RunConfig) -> tuple[list, list]:
     branch, pot = potential_for_config(cfg)
-    rows = [(float(r), float(u), float(u - 4.0), float(w))
-            for r, u, w in zip(branch.rho, branch.u, pot.w)]
+    rows = [(float(r), float(u), float(lam), float(w))
+            for r, u, lam, w in zip(branch.rho, branch.u, branch.lam, pot.w)]
     return ["rho_au", "nu2", "lambda", "W_au"], rows
 
 
@@ -170,9 +170,13 @@ def cmd_wavefunction(cfg: RunConfig, state_index: int):
 
 # ------------------------------------------------------------------- main
 
-def _add_common(sub, config_required: bool = True):
-    sub.add_argument("--config", required=config_required,
+def _add_common(sub):
+    sub.add_argument("--config", required=True,
                      help="path to a run configuration file")
+    _add_output(sub)
+
+
+def _add_output(sub):
     sub.add_argument("--out", default="-",
                      help="output path, or - for stdout (default)")
     sub.add_argument("--format", choices=("csv", "json"), default=None,
@@ -211,7 +215,7 @@ def main(argv=None) -> int:
 
     p_thomas = subs.add_parser("thomas-demo",
                                help="hard-wall inverse-square spectrum (CSV)")
-    _add_common(p_thomas, config_required=False)
+    _add_output(p_thomas)
     p_thomas.add_argument("--g", type=float, default=None,
                           help="inverse-square strength parameter "
                                "(default: solved internally)")
@@ -234,9 +238,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        cfg = None
-        if getattr(args, "config", None) is not None:
-            cfg = _load_config(args.config)
+        cfg = _load_config(args.config) if "config" in args else None
 
         if args.command == "solve":
             fmt = args.format or "json"
@@ -262,7 +264,7 @@ def main(argv=None) -> int:
         elif args.command == "thomas-demo":
             columns, rows = cmd_thomas_demo(args.g, args.cutoff, args.outer,
                                             args.states)
-            meta = _meta("thomas-demo", cfg)
+            meta = _meta("thomas-demo", None)
             meta["g"] = _fmt(args.g if args.g is not None else efimov_constant())
         elif args.command == "wavefunction":
             columns, rows = cmd_wavefunction(cfg, args.state)

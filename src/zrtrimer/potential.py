@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import AngularProblem, NuBranch, dimer_channel_u
-from .system import dimer_binding_energy, dimer_pole_kappa
 
-Q_CONVENTIONS = ("leading_term", "none")
+#: q_convention -> shift s in W = (u - s)/rho^2
+_SHIFT = {"leading_term": 0.0, "none": 0.25}
+Q_CONVENTIONS = tuple(_SHIFT)
 
 
 # Derived from scipy.interpolate.PchipInterpolator, Copyright (c) 2001-2002
@@ -93,10 +94,12 @@ class _Pchip:
 class EffectivePotential:
     """Sampled hyper-radial potential with analytic continuation.
 
-    threshold is the bare dimer threshold -2mB/hbar^2 (B = 1/(2 mu m a^2))
-    or 0 without a bound dimer; w_inf is the actual large-rho limit of the
-    traced branch, which under the extended boundary condition sits at
-    -kappa_d^2/mu with a kappa_d slightly above 1/|a|.
+    threshold is the bare threshold -2mB/hbar^2 = -1/(mu a^2) of
+    `AngularProblem.dimer`, or 0 without a bound dimer; w_inf is the
+    large-rho limit -kappa^2/mu of the branch, with the dimer's pole kappa
+    of the extended boundary condition.  solve_bound_states searches below
+    min(w_inf, threshold): w_inf unless P (R/|a|)^2 > 1/2 puts kappa
+    below 1/|a|.
     """
 
     rho: np.ndarray
@@ -105,20 +108,14 @@ class EffectivePotential:
     q_convention: str
     problem: AngularProblem
     w_inf: float
-    bound_kappa: float | None
-    bound_mu: float | None
     _u_interp: _Pchip = field(repr=False)
     _inner: tuple[float, float, str] = field(repr=False)
     _u_last: float = field(repr=False)
 
-    @property
-    def shift(self) -> float:
-        return 0.0 if self.q_convention == "leading_term" else 0.25
-
     def values(self, rhos) -> np.ndarray:
         """W(rho) in 2mE/hbar^2 units over an array of rho values."""
         rhos = np.asarray(rhos, dtype=float)
-        return (self._u(rhos) - self.shift) / (rhos * rhos)
+        return (self._u(rhos) - _SHIFT[self.q_convention]) / (rhos * rhos)
 
     def u_at(self, rho: float) -> float:
         """Angular eigenvalue u = nu^2 at a single rho."""
@@ -140,8 +137,9 @@ class EffectivePotential:
             c, p, kind = self._inner
             u[lo] = c * flat[lo] ** p if kind == "power" else c + p * flat[lo]
         if hi.any():
-            if self.bound_kappa is not None:
-                u[hi] = dimer_channel_u(flat[hi], self.bound_kappa, self.bound_mu)
+            dimer = self.problem.dimer
+            if dimer is not None:
+                u[hi] = dimer_channel_u(flat[hi], dimer.kappa, dimer.mu)
             else:
                 u[hi] = 4.0 - (4.0 - self._u_last) * (self.rho[-1] / flat[hi])
         return u.reshape(rhos.shape)
@@ -174,9 +172,9 @@ def effective_potential(branch: NuBranch, problem: AngularProblem,
     """Build the effective potential W from a traced branch.
 
     W = (u - shift)/rho^2 with shift = 0 (leading_term) or 1/4 (none).
-    The threshold is filled from the deepest bound pair, if any; the outer
-    analytic tail uses the extended-model dimer pole so that it continues
-    the traced branch smoothly.
+    The threshold and the outer analytic tail come from `problem.dimer`;
+    the tail uses its extended-model pole, so it continues the traced
+    branch smoothly.
     """
     if q_convention not in Q_CONVENTIONS:
         raise ValueError(f"q_convention must be one of {Q_CONVENTIONS}")
@@ -184,23 +182,14 @@ def effective_potential(branch: NuBranch, problem: AngularProblem,
         raise ValueError("need a branch of at least 2 nodes")
     rho = np.asarray(branch.rho, dtype=float)
     u = np.asarray(branch.u, dtype=float)
-    shift = 0.0 if q_convention == "leading_term" else 0.25
-    w = (u - shift) / (rho * rho)
-
-    bound_i = problem.bound_pair
-    if bound_i is not None:
-        pair = problem.system.pairs[bound_i]
-        mu = problem.kinematics.mu[bound_i]
-        units = problem.system.units
-        threshold = -2.0 * units.mass_scale * dimer_binding_energy(pair, mu, units)
-        kappa = dimer_pole_kappa(pair)
-        w_inf = -kappa * kappa / mu
+    w = (u - _SHIFT[q_convention]) / (rho * rho)
+    dimer = problem.dimer
+    if dimer is None:
+        threshold = w_inf = 0.0
     else:
-        threshold, kappa, mu, w_inf = 0.0, None, None, 0.0
-
+        threshold, w_inf = dimer.threshold, -dimer.kappa * dimer.kappa / dimer.mu
     return EffectivePotential(
         rho=rho, w=w, threshold=threshold,
         q_convention=q_convention, problem=problem, w_inf=w_inf,
-        bound_kappa=kappa, bound_mu=mu,
         _u_interp=_Pchip(np.log(rho), u),
         _inner=_inner_law(rho, u), _u_last=float(u[-1]))

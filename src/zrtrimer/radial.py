@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 
 from .angular import efimov_constant
-from .system import SolverError, UnitSystem, brent
+from .system import DEFAULT_MASS_SCALE, SolverError, brent
 
 #: Barrier action (in e-folds) after which outward/inward sweeps are cut off.
 _ACTION_CAP = 60.0
@@ -296,9 +296,11 @@ def solve_bound_states(potential, max_states: int = 4, *,
     """All bound states of the effective potential, deepest first.
 
     Returns up to max_states solutions ordered by node count; an empty list
-    when the potential binds nothing.  Energies are converged to machine
-    precision relative tolerance; SolverError unless state k has k nodes
-    and a match residual of at most _MATCH_TOL.
+    when the potential binds nothing.  States are searched below
+    min(w_inf, threshold): the asymptote, or the bare threshold where
+    P (R/|a|)^2 > 1/2 lifts the asymptote above it.  Energies are converged
+    to machine precision relative tolerance; SolverError unless state k has
+    k nodes and a match residual of at most _MATCH_TOL.
     """
     if rho_max is None:
         rho_max = default_rho_max(potential.problem.system)
@@ -335,8 +337,6 @@ class ThomasSpectrum:
     exp(2 pi / g) in the scale-invariant regime.
     """
 
-    cutoff_rho0: float
-    outer_rho: float
     g: float
     energies: tuple[float, ...]
     ratios: tuple[float, ...]
@@ -344,8 +344,7 @@ class ThomasSpectrum:
 
 def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
                     outer_rho: float = 3e6, n_states: int = 5,
-                    n: int = 12000,
-                    units: UnitSystem | None = None) -> ThomasSpectrum:
+                    n: int = 12000) -> ThomasSpectrum:
     """Deepest bound states of W = -(g^2 + 1/4)/rho^2 between hard walls.
 
     This is the collapse scenario of the bare contact interaction: with the
@@ -360,14 +359,12 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
         raise ValueError("need 0 < cutoff_rho0 < outer_rho")
     if outer_rho < 100.0 * cutoff_rho0:
         raise ValueError("outer_rho must be well outside cutoff_rho0")
-    units = units or UnitSystem()
     coef = g * g + 0.25
     shooter = _Shooter(lambda rho: -coef / (rho * rho), 0.0, 0.0,
                        cutoff_rho0, outer_rho, n, hard_wall=True)
     n_states = min(n_states, shooter.count(shooter.top))
-    energies = [shooter.eigenvalue(k) / (2.0 * units.mass_scale)
+    energies = [shooter.eigenvalue(k) / (2.0 * DEFAULT_MASS_SCALE)
                 for k in range(n_states)]
     ratios = tuple(energies[k] / energies[k + 1]
                    for k in range(len(energies) - 1))
-    return ThomasSpectrum(cutoff_rho0=cutoff_rho0, outer_rho=outer_rho, g=g,
-                          energies=tuple(energies), ratios=ratios)
+    return ThomasSpectrum(g=g, energies=tuple(energies), ratios=ratios)

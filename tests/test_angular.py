@@ -29,7 +29,6 @@ from zrtrimer.angular import (
     RootSearchError,
     _bc_bracket,
     _cell_interval,
-    _solver_residual,
     _walk,
     boson_lhs,
     dimer_channel_u,
@@ -420,7 +419,7 @@ class TestFirstNodeSeed:
         problem = AngularProblem(request.getfixturevalue(cfg_name).system)
         u0 = trace_branch(np.array([0.05]), problem).u[0]
         assert u0 == pytest.approx(u_branch, rel=0.01)
-        f = _solver_residual(problem)
+        f = problem.residual
         mirror = brentq(lambda u: f(u, 0.05), 1e-6, 1e-3, xtol=1e-15)
         assert mirror == pytest.approx(u_mirror, rel=0.01)
         assert 0.0 < mirror < abs(u0)
@@ -431,7 +430,7 @@ class TestFirstNodeSeed:
         # the refine is relative, so the first-node root near u = -3e-4 is
         # fixed to a few ulp whichever bracket the walk hands it
         problem = AngularProblem(request.getfixturevalue(cfg_name).system)
-        f = _solver_residual(problem)
+        f = problem.residual
         roots = np.array([
             _walk(lambda u: f(u, 0.05), -1e-14, -1e12, -1e-14, h0, 1.25, 400)
             for h0 in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 5e-8,

@@ -95,6 +95,20 @@ class TestSolveCommand:
         assert cli.main(["solve", "--config", fast_cfg_path, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_solve_csv_matches_json(self, fast_cfg_path, tmp_path):
+        js, cs = tmp_path / "spectrum.json", tmp_path / "spectrum.csv"
+        assert cli.main(["solve", "--config", fast_cfg_path, "--out", str(js)]) == 0
+        assert cli.main(["solve", "--config", fast_cfg_path, "--format", "csv",
+                         "--out", str(cs)]) == 0
+        payload = json.loads(js.read_text())
+        meta, columns, rows = read_csv(cs)
+        assert columns == ["E_mK", "nodes"]
+        assert meta["threshold_mK"] == cli._fmt(payload["threshold_mK"])
+        assert meta["config_sha256"] == payload["meta"]["config_sha256"]
+        assert len(payload["states"]) >= 1
+        assert rows == [[format(s["E_mK"], ".12g"), str(s["nodes"])]
+                        for s in payload["states"]]
+
 
 class TestEigenvalueCommand:
     def test_rows_and_endpoints(self, he4_cfg_path, tmp_path):
@@ -221,6 +235,12 @@ class TestThomasCommand:
         target = math.exp(2 * math.pi / efimov_constant())
         assert ratios[1] == pytest.approx(target, rel=0.05)
         assert ratios[2] == pytest.approx(target, rel=0.05)
+
+    def test_config_is_usage_error(self, he4_cfg_path, capsys):
+        # the demo has no system to configure
+        assert cli.main(["thomas-demo", "--config", he4_cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("zrtrimer: error:") and "--config" in err
 
 
 class TestWavefunctionCommand:

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zrtrimer import (
     AngularProblem,
+    NuBranch,
     PairParams,
     ParticleSystem,
+    critical_p_shape,
     dimer_pole_kappa,
     effective_potential,
     efimov_constant,
     trace_branch,
 )
-from zrtrimer.angular import _solver_residual, dimer_channel_u
+from zrtrimer.angular import dimer_channel_u
 
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4
 
@@ -90,7 +93,50 @@ class TestThreshold:
         branch = trace_branch(np.array([50.0, 60.0, 70.0]), problem)
         pot = effective_potential(branch, problem)
         assert pot.threshold == 0.0
-        assert pot.bound_kappa is None
+        assert problem.dimer is None
+
+
+@st.composite
+def _pairs(draw):
+    """Bound, unbound and unitary pairs, bare or extended inside P > P_c."""
+    a = draw(st.floats(-400.0, -40.0) | st.floats(40.0, 400.0)
+             | st.sampled_from([-math.inf, math.inf]))
+    r_eff = draw(st.just(0.0) | st.floats(1.0, 20.0))
+    if r_eff == 0.0:
+        return PairParams(a=a)
+    p_c = critical_p_shape(a, r_eff)
+    return PairParams(a=a, r_eff=r_eff,
+                      p_shape=p_c * draw(st.floats(1.01, 20.0)))
+
+
+class TestDimerRecord:
+    @settings(max_examples=80, deadline=None)
+    @given(masses=st.lists(st.floats(1.0, 10.0), min_size=3, max_size=3,
+                           unique=True),
+           pairs=st.tuples(_pairs(), _pairs(), _pairs()))
+    def test_deepest_bare_threshold_and_its_pole(self, masses, pairs):
+        problem = AngularProblem(ParticleSystem(tuple(masses), pairs))
+        mu = problem.kinematics.mu
+        # -2mB/hbar^2 = -1/(mu a^2); a = -inf gives -0.0, which does not bind
+        bare = [-1.0 / (m * p.a ** 2) if p.a < 0.0 else 0.0
+                for m, p in zip(mu, pairs)]
+        dimer = problem.dimer
+        # the record is what the potential reads: threshold and asymptote
+        branch = NuBranch(rho=np.array([1.0, 2.0]), u=np.array([-1.0, -2.0]),
+                          residuals=np.zeros(2))
+        pot = effective_potential(branch, problem)
+        if not min(bare) < 0.0:
+            assert dimer is None
+            assert pot.threshold == pot.w_inf == 0.0
+            return
+        i = dimer.index
+        assert bare[i] <= min(bare) * (1.0 - 1e-14)
+        assert dimer.mu == mu[i]
+        assert dimer.threshold == pytest.approx(bare[i], rel=1e-14)
+        assert dimer.kappa == dimer_pole_kappa(pairs[i])
+        assert pot.threshold == dimer.threshold
+        assert pot.w_inf == pytest.approx(-dimer.kappa ** 2 / dimer.mu,
+                                          rel=1e-15)
 
 
 class TestYukawaTail:
@@ -117,7 +163,7 @@ class TestYukawaTail:
         """
         from scipy.optimize import brentq
         b = 3 * math.sqrt(MU4) * abs(HE4_A) / math.pi
-        resid = _solver_residual(bare_he4_problem)
+        resid = bare_he4_problem.residual
         for mult, tol in ((3.0, 0.03), (4.0, 0.02), (5.0, 0.02)):
             rho = mult * b
             u = brentq(lambda x: resid(x, rho), -1e4, -1e-9, xtol=1e-13)
@@ -146,7 +192,8 @@ class TestExtension:
     def test_outer_tail_is_extended_channel(self, he4_branch_potential):
         _, pot = he4_branch_potential
         rho = 2.0 * float(pot.rho[-1])
-        expected = dimer_channel_u(rho, pot.bound_kappa, pot.bound_mu)
+        dimer = pot.problem.dimer
+        expected = dimer_channel_u(rho, dimer.kappa, dimer.mu)
         assert pot.u_at(rho) == pytest.approx(expected, rel=1e-14)
 
     def test_interpolation_matches_direct_solve(self, he4_branch_potential,
