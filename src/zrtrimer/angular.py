@@ -17,8 +17,9 @@ continuation, one-sided from a window edge to seed the first node.
 
 Continuation (trace_branch) predicts each node by the quadratic through the
 three previous ones and starts the walk with a rung sized by the previous
-node's miss, so a node costs about 7 residual evaluations on the bundled
-configs: the prediction, the first rung each way and the refine.
+node's miss, so a node costs about 6 residual evaluations on the bundled
+configs: the prediction, the first rung each way and the refine; the
+residual it stores is the one the refine evaluated at the root.
 
 The searches read one scaled residual per problem, `AngularProblem.residual`,
 built from constants computed once.  For identical bosons it is the boson
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .system import (KinematicConstants, PairParams, ParticleSystem, SolverError,
-                     brent, dimer_binding_energy, dimer_pole_kappa,
+                     _brent, brent, dimer_binding_energy, dimer_pole_kappa,
                      reduced_masses)
 
 SQRT3 = math.sqrt(3.0)
@@ -373,8 +374,9 @@ def _general_residual(problem: AngularProblem):
 
 
 def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
-          max_steps: int) -> float:
-    """Root of f nearest to x0 in [lo, hi], by ladder bracketing.
+          max_steps: int) -> tuple[float, float]:
+    """Root of f nearest to x0 in [lo, hi], by ladder bracketing, with f
+    at the root as the walk or the refine evaluated it.
 
     Walks outward from x0 in both directions, with a step that starts at h0
     and is multiplied by `grow` after each rung, clipped to the window, and
@@ -387,7 +389,7 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
     """
     f0 = f(x0)
     if f0 == 0.0:
-        return x0
+        return x0, f0
     xp = xm = x0
     fp = fm = f0
     h = h0
@@ -397,7 +399,7 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
             x2 = min(xp + h, hi)
             f2 = f(x2)
             if f2 == 0.0:
-                return x2
+                return x2, f2
             if fp * f2 < 0.0:
                 brackets.append((xp, x2, fp, f2))
             xp, fp = x2, f2
@@ -405,38 +407,42 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
             x2 = max(xm - h, lo)
             f2 = f(x2)
             if f2 == 0.0:
-                return x2
+                return x2, f2
             if fm * f2 < 0.0:
                 brackets.append((x2, xm, f2, fm))
             xm, fm = x2, f2
         if brackets:
-            roots = [brent(f, *bracket) for bracket in brackets]
-            return min(roots, key=lambda r: abs(r - x0))
+            roots = [_brent(f, *bracket, 1e-300) for bracket in brackets]
+            return min(roots, key=lambda r: abs(r[0] - x0))
         h *= grow
     raise RootSearchError(
         f"no sign change near u = {x0:g} (searched [{xm:g}, {xp:g}])")
 
 
 def solve_at_rho(rho: float, problem: AngularProblem, guess: float,
-                 step: float | None = None) -> float:
+                 step: float | None = None, *, residual: bool = False):
     """Angular eigenvalue u = nu^2 at one hyper-radius, continuing a branch.
 
     Returns the root of the eigenvalue condition closest to `guess`, by a
-    two-sided walk inside the pole-free cell containing the guess.  The
-    walk's first rung is `step` when given (a caller that knows how far
-    its guesses miss), else 1e-4 (1 + |guess|); it grows by 1.4 per rung
-    either way.  Raises RootSearchError when that cell shows no sign
-    change, and PoleProximityError on pole collision.
+    two-sided walk inside the pole-free cell containing the guess; with
+    residual, the pair (u, problem.residual(u, rho)), the residual as the
+    walk or its refine evaluated it.  The walk's first rung is `step` when
+    given (a caller that knows how far its guesses miss), else
+    1e-4 (1 + |guess|); it grows by 1.4 per rung either way.  Raises
+    RootSearchError when that cell shows no sign change, and
+    PoleProximityError on pole collision.
     """
     f = problem.residual
     lo, hi = _cell_interval(guess)
     h0 = max(1e-9, 1e-4 * (1.0 + abs(guess))) if step is None else step
     x0 = min(max(guess, lo + h0), hi - h0)
-    return _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400)
+    root = _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400)
+    return root if residual else root[0]
 
 
-def _first_node_u(rho: float, problem: AngularProblem) -> float:
-    """Lowest-branch root at the first grid node: a walk from a window edge.
+def _first_node_u(rho: float, problem: AngularProblem) -> tuple[float, float]:
+    """Lowest-branch root at the first grid node and its residual: a walk
+    from a window edge.
 
     Under the extended boundary condition the branch leaves u(0) = 0 heading
     negative, so near the origin the walk steps down from zero (one-sided: a
@@ -459,8 +465,8 @@ def _first_node_u(rho: float, problem: AngularProblem) -> float:
 class NuBranch:
     """Lowest angular branch u(rho) = nu^2(rho) sampled on a rho grid.
 
-    residuals holds the scaled solver residual at each accepted node;
-    lam is lambda = u - 4 exactly.
+    residuals holds the scaled solver residual at each accepted node, as
+    the solve evaluated it; lam is lambda = u - 4 exactly.
     """
 
     rho: np.ndarray
@@ -492,7 +498,6 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
     if np.any(np.diff(grid) <= 0.0) or grid[0] <= 0.0:
         raise ValueError("grid must be positive and strictly increasing")
 
-    f = problem.residual
     us = np.empty_like(grid)
     res = np.empty_like(grid)
 
@@ -511,9 +516,10 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
             total += ui
         return total
 
-    def advance(rho_target: float) -> float:
+    def advance(rho_target: float) -> tuple[float, float]:
         """Continue the branch from hist[-1] to rho_target, subdividing on
-        failure; the step may be halved down to 2^-MAX_HALVINGS of the gap."""
+        failure; the step may be halved down to 2^-MAX_HALVINGS of the gap.
+        Returns u at rho_target and its residual."""
         nonlocal miss
         gap0 = rho_target - hist[-1][0]
         min_step = gap0 / (2.0 ** MAX_HALVINGS)
@@ -531,7 +537,8 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
             lo, hi = _cell_interval(hist[-1][1])
             if lo <= guess <= hi:
                 try:
-                    u_new = solve_at_rho(tgt, problem, guess, step)
+                    u_new, r_new = solve_at_rho(tgt, problem, guess, step,
+                                                residual=True)
                     trust = max(0.5, 0.25 * abs(guess), 8.0 * abs(du_pred))
                     ok = abs(u_new - guess) <= trust
                 except RootSearchError:
@@ -549,21 +556,21 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
                         f"branch continuation failed near rho = {tgt:g} "
                         f"(step refined below gap/2^{MAX_HALVINGS})")
                 pending.append(mid)
-        return hist[-1][1]
+        return u_new, r_new
 
     # builtin floats: an np.float64 rho would spread through every iterate
     # into hist and slow each later residual call
     for k, rho in enumerate(grid.tolist()):
         if k == 0:
-            u = _first_node_u(rho, problem)
+            u, r = _first_node_u(rho, problem)
             hist.append((rho, u))
         else:
-            u = advance(rho)
+            u, r = advance(rho)
         us[k] = u
-        res[k] = f(u, rho)
-        if not abs(res[k]) <= MAX_RESIDUAL:
+        res[k] = r
+        if not abs(r) <= MAX_RESIDUAL:
             raise SolverError(
-                f"branch residual {abs(res[k]):.3g} at rho = {rho:g}, u = {u!r} "
+                f"branch residual {abs(r):.3g} at rho = {rho:g}, u = {u!r} "
                 f"exceeds {MAX_RESIDUAL:g}")
     return NuBranch(rho=grid, u=us, residuals=res)
 

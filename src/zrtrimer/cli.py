@@ -48,11 +48,12 @@ def potential_for_config(cfg: RunConfig) -> tuple[NuBranch, EffectivePotential]:
     return branch, effective_potential(branch, problem, cfg.q_convention)
 
 
-def solve_for_config(cfg: RunConfig) -> tuple[EffectivePotential, list[RadialSolution]]:
+def solve_for_config(cfg: RunConfig, prior: list[RadialSolution] | None = None
+                     ) -> tuple[EffectivePotential, list[RadialSolution]]:
     _, pot = potential_for_config(cfg)
     states = solve_bound_states(
         pot, cfg.max_states, rho_min=cfg.radial_rho_min,
-        rho_max=cfg.radial_rho_max, n=cfg.radial_n)
+        rho_max=cfg.radial_rho_max, n=cfg.radial_n, prior=prior)
     return pot, states
 
 
@@ -136,8 +137,9 @@ def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
     # every point is validated before anything is solved
     cfgs = [_with_pshape(cfg, p) for p in ps]
     rows = []
+    states = None   # each point warm-starts the radial solve of the next
     for p, cfg_p in zip(ps, cfgs):
-        _, states = solve_for_config(cfg_p)
+        _, states = solve_for_config(cfg_p, states)
         e0 = states[0].energy_mk if len(states) > 0 else None
         e1 = states[1].energy_mk if len(states) > 1 else None
         rows.append((p, e0, e1))

@@ -19,6 +19,15 @@ differ only in the seeds at the ends:
                       the local barrier at the cutoff.
   thomas_spectrum     hard walls: f = 0 at rho_min and at the cutoff.
 
+A scan warm-starts each state from the previous point's (prior, in
+solve_bound_states), solved on the same grid: the bisection starts from a
+bracket around the first-order estimate eps + <f|dW|f> / <f|f>, less the
+previous point's signed miss once there is one, instead of from
+[min W, top].  The bracket must pass the node-count check, or it widens
+4x; once it would span the whole window the solve runs cold.  A bracket
+that passes the check proves the state lies in the window, so the sweep at
+min W is skipped.
+
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
 e-folds (any admixture beyond that is below double precision anyway).  A
@@ -129,7 +138,13 @@ def _carry(v, p: float, record: bool = False, band=None):
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """One bound state: energy, node count and the sampled wave function."""
+    """One bound state: energy, node count and the sampled wave function.
+
+    eps is the eigenvalue 2mE/hbar^2 of the radial equation and w the
+    potential W it was solved in, sampled on rho like f; eps_predicted is
+    the first-order estimate of eps from the prior state that started its
+    bracket, None when it was solved cold.
+    """
 
     energy: float
     energy_mk: float
@@ -137,6 +152,9 @@ class RadialSolution:
     rho: np.ndarray
     f: np.ndarray
     match_residual: float
+    eps: float
+    w: np.ndarray
+    eps_predicted: float | None
 
 
 class _Sweep(NamedTuple):
@@ -264,16 +282,22 @@ class _Shooter:
         f = g * np.sqrt(self.rho)
         return sweep.resid, f / f[np.abs(f).argmax()]
 
-    def eigenvalue(self, k: int) -> float:
+    def eigenvalue(self, k: int, guess: float | None = None,
+                   width: float = 0.0) -> float:
         """The k-th eigenvalue: node-count bisection, then `brent` on d.
 
-        Bisects [w_min, top] until the bracket isolates state k and both
-        ends share side counts and m, so d changes sign across it and has
-        no pole inside.
+        Bisects a bracket until it isolates state k and both ends share side
+        counts and m, so d changes sign across it and has no pole inside.
+        The bracket is the warm one around a guess (`_warm_bracket`) when
+        there is one, else [w_min, top].
         """
-        lo, hi = self.w_min, self.top
-        if not self.count(lo) <= k < self.count(hi):
-            raise SolverError(f"state {k} not contained in search window")
+        bracket = (None if guess is None
+                   else self._warm_bracket(k, guess, width))
+        if bracket is None:
+            bracket = self.w_min, self.top
+            if not self.count(bracket[0]) <= k < self.count(bracket[1]):
+                raise SolverError(f"state {k} not contained in search window")
+        lo, hi = bracket
         while not (self.count(lo) == k and self.count(hi) == k + 1
                    and self.sweep(lo).sides == self.sweep(hi).sides):
             mid = 0.5 * (lo + hi)
@@ -281,6 +305,24 @@ class _Shooter:
                 return hi   # the count steps in (lo, hi]
             lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
         return brent(lambda e: self.sweep(e).d, lo, hi)
+
+    def _warm_bracket(self, k: int, guess: float, width: float):
+        """The first of guess +- width, 4 width, 16 width, ..., with the
+        guess and the bracket clipped to the window, whose counts hold
+        state k, which also proves the state lies in the window; None once
+        one would span the whole window, or for a width that is not
+        positive."""
+        if not width > 0.0:
+            return None
+        guess = min(self.top, max(self.w_min, guess))   # NaN gives w_min
+        while True:
+            lo = max(self.w_min, guess - width)
+            hi = min(self.top, guess + width)
+            if (lo, hi) == (self.w_min, self.top):
+                return None
+            if self.count(lo) <= k < self.count(hi):
+                return lo, hi
+            width *= 4.0
 
 
 def default_rho_max(system) -> float:
@@ -290,9 +332,35 @@ def default_rho_max(system) -> float:
     return max(4000.0, 20.0 * amax)
 
 
+def _warm_starts(shooter: _Shooter, prior) -> list[tuple[float, float, float]]:
+    """Per prior state: the first-order estimate of its eigenvalue in W on
+    the shooter's grid, eps + <f|dW|f> / <f|f> with dW = W - W_prior
+    summed over the log grid (d rho = rho dt), and the guess and first
+    half-width of its warm bracket.  A prior state that was itself
+    predicted hands on its signed miss: the guess subtracts it and the
+    half-width is its size.  Otherwise the guess is the estimate and the
+    half-width 1/16 of its shift.  Either half-width is at least 1e-6 of
+    the guess.  Empty when the prior was solved on another grid."""
+    if not prior or not np.array_equal(prior[0].rho, shooter.rho):
+        return []
+    dw = shooter.w - prior[0].w
+    out = []
+    for state in prior:
+        weight = state.f * state.f * shooter.rho
+        predicted = state.eps + float(weight @ dw) / float(weight.sum())
+        if state.eps_predicted is None:
+            guess, width = predicted, abs(predicted - state.eps) / 16.0
+        else:
+            miss = state.eps - state.eps_predicted
+            guess, width = predicted + miss, abs(miss)
+        out.append((predicted, guess, max(width, 1e-6 * abs(guess))))
+    return out
+
+
 def solve_bound_states(potential, max_states: int = 4, *,
                        rho_min: float = 0.05, rho_max: float | None = None,
-                       n: int = 8000) -> list[RadialSolution]:
+                       n: int = 8000, prior: list[RadialSolution] | None = None
+                       ) -> list[RadialSolution]:
     """All bound states of the effective potential, deepest first.
 
     Returns up to max_states solutions ordered by node count; an empty list
@@ -301,6 +369,11 @@ def solve_bound_states(potential, max_states: int = 4, *,
     P (R/|a|)^2 > 1/2 lifts the asymptote above it.  Energies are converged
     to machine precision relative tolerance; SolverError unless state k has
     k nodes and a match residual of at most _MATCH_TOL.
+
+    prior, the states of a nearby potential on the same grid (the last
+    point of a scan), warm-starts the states it holds (`_warm_starts`,
+    `_Shooter._warm_bracket`); the energies agree with a cold solve to the
+    refine's tolerance.
     """
     if rho_max is None:
         rho_max = default_rho_max(potential.problem.system)
@@ -308,10 +381,13 @@ def solve_bound_states(potential, max_states: int = 4, *,
     shooter = _Shooter(potential.values, potential.w_inf, search_top,
                        rho_min, rho_max, n)
     n_states = min(shooter.count(shooter.top), max_states)
+    warm = _warm_starts(shooter, prior)
     units = potential.problem.system.units
     out = []
     for n_state in range(n_states):
-        eps = shooter.eigenvalue(n_state)
+        predicted, guess, width = (warm[n_state] if n_state < len(warm)
+                                   else (None, None, 0.0))
+        eps = shooter.eigenvalue(n_state, guess, width)
         resid, f = shooter.wave(eps)
         nodes = count_nodes(f)
         if nodes != n_state or abs(resid) > _MATCH_TOL:
@@ -324,7 +400,10 @@ def solve_bound_states(potential, max_states: int = 4, *,
             node_count=nodes,
             rho=shooter.rho,
             f=f,
-            match_residual=abs(resid)))
+            match_residual=abs(resid),
+            eps=eps,
+            w=shooter.w,
+            eps_predicted=predicted))
     return out
 
 

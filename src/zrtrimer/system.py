@@ -39,8 +39,6 @@ BRENT_RTOL = 8.9e-16
 BRENT_MAXITER = 100
 
 
-# Derived from scipy.optimize.brentq, Copyright (c) 2001-2002 Enthought,
-# Inc. 2003, SciPy Developers; BSD-3-Clause, see NOTICE.
 def brent(f, a: float, b: float, fa: float | None = None,
           fb: float | None = None, *, xtol: float = 1e-300) -> float:
     """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
@@ -53,15 +51,25 @@ def brent(f, a: float, b: float, fa: float | None = None,
     precision also for roots near 0.  Raises ValueError on a NaN value or
     on ends of one sign, SolverError after BRENT_MAXITER iterations.
     """
+    return _brent(f, a, b, fa, fb, xtol)[0]
+
+
+# Derived from scipy.optimize.brentq, Copyright (c) 2001-2002 Enthought,
+# Inc. 2003, SciPy Developers; BSD-3-Clause, see NOTICE.
+def _brent(f, a: float, b: float, fa: float | None, fb: float | None,
+           xtol: float) -> tuple[float, float]:
+    """`brent`'s root together with f there: the root is always a point
+    the loop has evaluated (or an end whose value was given), so a caller
+    that needs f at the root does not evaluate it again."""
     xpre, xcur = a, b
     fpre = f(a) if fa is None else fa
     fcur = f(b) if fb is None else fb
     if fpre != fpre or fcur != fcur:
         raise ValueError(f"f is NaN at an end of [{a!r}, {b!r}]")
     if fpre == 0.0:
-        return xpre
+        return xpre, fpre
     if fcur == 0.0:
-        return xcur
+        return xcur, fcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -75,7 +83,7 @@ def brent(f, a: float, b: float, fa: float | None = None,
         delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # interpolate

@@ -432,7 +432,8 @@ class TestFirstNodeSeed:
         problem = AngularProblem(request.getfixturevalue(cfg_name).system)
         f = problem.residual
         roots = np.array([
-            _walk(lambda u: f(u, 0.05), -1e-14, -1e12, -1e-14, h0, 1.25, 400)
+            _walk(lambda u: f(u, 0.05), -1e-14, -1e12, -1e-14, h0, 1.25,
+                  400)[0]
             for h0 in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 5e-8,
                        1e-7, 2e-7)])
         assert np.ptp(roots) <= 4 * np.spacing(np.abs(roots).max())
@@ -495,9 +496,11 @@ class TestTraceBranch:
         # not the residual bound
         problem = AngularProblem(request.getfixturevalue(cfg_name).system)
         solve = angular.solve_at_rho
-        monkeypatch.setattr(angular, "solve_at_rho",
-                            lambda rho, prob, guess, step=None:
-                            solve(rho, prob, guess, step) * (1.0 + 1e-6))
+
+        def off_root(rho, prob, guess, step=None, *, residual=False):
+            u = solve(rho, prob, guess, step) * (1.0 + 1e-6)
+            return (u, prob.residual(u, rho)) if residual else u
+        monkeypatch.setattr(angular, "solve_at_rho", off_root)
         with pytest.raises(SolverError, match="branch residual"):
             trace_branch(np.array([1.0, 2.0]), problem)
 
@@ -508,7 +511,7 @@ class TestTraceBranch:
         # 1e-4 (1 + |guess|) took 11.45 (He4) and 12.71 (mixed) per node;
         # the quadratic predictor with a rung sized by the last miss, 9.00
         # and 9.22; a refine that reuses the bracket's end values, 7.00 and
-        # 7.22
+        # 7.22; the stored residual taken from the refine, 6.00 and 6.23
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
         f = problem.residual
@@ -518,16 +521,19 @@ class TestTraceBranch:
             evals.append(u)
             return f(u, rho)
 
-        def solve(*args):
+        def solve(*args, **kwargs):
             solves.append(args[0])
-            return solve_at_rho(*args)
+            return solve_at_rho(*args, **kwargs)
         monkeypatch.setitem(problem.__dict__, "residual", counted)
         monkeypatch.setattr(angular, "solve_at_rho", solve)
         grid = np.exp(np.linspace(math.log(cfg.rho_min),
                                   math.log(cfg.rho_max), cfg.n))
-        trace_branch(grid, problem)
+        branch = trace_branch(grid, problem)
         assert len(solves) == len(grid) - 1     # no step was halved
-        assert len(evals) / len(grid) <= 7.5
+        assert len(evals) / len(grid) <= 6.5
+        # the stored residual is the one the refine evaluated, bit for bit
+        assert branch.residuals.tolist() == [
+            f(u, rho) for u, rho in zip(branch.u.tolist(), grid.tolist())]
 
     @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
     def test_residual_sees_builtin_floats(self, request, cfg_name,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from zrtrimer import PairParams, dimer_pole_kappa, efimov_constant
 from zrtrimer.angular import RootSearchError, dimer_channel_u
 
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
+
+DATA = Path(__file__).parent / "data"
 
 FAST_CFG = """
 [system]
@@ -173,6 +176,20 @@ class TestScanCommand:
         assert len(rows) == 1
         assert float(rows[0][1]) == pytest.approx(-144.0556, abs=0.01)
 
+    @pytest.mark.parametrize("golden, grid", [
+        ("scan_p_he4_default.csv", []),
+        ("scan_p_he4_step_0.015.csv",
+         ["--p-min", "0.10", "--p-max", "0.16", "--p-step", "0.015"])])
+    def test_bundled_scan_matches_golden(self, he4_cfg_path, tmp_path,
+                                         golden, grid):
+        # the committed scan-p CSV of the bundled He4 config, byte for
+        # byte; each point warm-starts from the last, which moves the
+        # energies by a few ulp, far below the 12 printed digits
+        out = tmp_path / "scan.csv"
+        assert cli.main(["scan-p", "--config", he4_cfg_path, "--out",
+                         str(out)] + grid) == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes()
+
     def test_bad_step(self, he4_cfg_path):
         assert cli.main(["scan-p", "--config", he4_cfg_path,
                          "--p-step", "0"]) == 1
@@ -183,14 +200,19 @@ class TestScanCommand:
         ("0.005", [0.10 + 0.005 * k for k in range(13)])])
     def test_grid_stays_within_p_max(self, fast_cfg_path, monkeypatch, step,
                                      expected):
-        solved = []
-        def fake_solve(cfg):
+        solved, priors, returned = [], [], []
+        def fake_solve(cfg, prior=None):
             solved.append(cfg.system.pairs[0].p_shape)
-            return None, []
+            priors.append(prior)
+            returned.append([])
+            return None, returned[-1]
         monkeypatch.setattr(cli, "solve_for_config", fake_solve)
         assert cli.main(["scan-p", "--config", fast_cfg_path, "--p-min", "0.10",
                          "--p-max", "0.16", "--p-step", step]) == 0
         assert solved == pytest.approx(expected, abs=1e-12)
+        # each point hands its states on to the next as the warm start
+        assert priors[0] is None
+        assert all(p is r for p, r in zip(priors[1:], returned))
 
     def test_zero_range_pairs_keep_p_zero(self, tmp_path):
         # He4-He3 pairs made zero-range: P goes on the He4-He4 pair only

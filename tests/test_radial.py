@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -21,11 +22,13 @@ from zrtrimer import (
     thomas_spectrum,
     trace_branch,
 )
+import zrtrimer.cli as cli
 from zrtrimer import radial
 from zrtrimer.angular import MAX_RESIDUAL
 from zrtrimer.radial import _carry, _Shooter
 
-from trimer_params import HE4_A, HE4_MASS, HE4_P, HE4_REFF
+from trimer_params import (HE4_A, HE4_MASS, HE4_P, HE4_REFF,
+                           bundled_config_text)
 
 
 class FlatPotential:
@@ -392,7 +395,8 @@ class TestSolveBoundStates:
     def test_failed_validation_is_solver_error(self, monkeypatch):
         # an energy off the eigenvalue leaves a large match residual
         monkeypatch.setattr(_Shooter, "eigenvalue",
-                            lambda self, k: 4.0 * k + 3.5)
+                            lambda self, k, guess=None, width=0.0:
+                            4.0 * k + 3.5)
         with pytest.raises(SolverError, match="fails validation"):
             solve_bound_states(OscillatorPotential(), 2, rho_min=0.05,
                                rho_max=14.0, n=8000)
@@ -525,3 +529,122 @@ class TestSolveProperties:
         assert all(e0 < e1 for e0, e1 in zip(energies, energies[1:]))
         assert pot.hartree_from_eps(float(pot.w.min())) < energies[0]
         assert energies[-1] < pot.hartree_from_eps(min(pot.w_inf, pot.threshold))
+
+
+def _count_sweeps(monkeypatch) -> list[int]:
+    """Sweeps per solve_bound_states call, from the CLI: a new entry per
+    call, incremented by each `_Shooter._sweep`."""
+    counts = []
+    sweep, solve = _Shooter._sweep, cli.solve_bound_states
+
+    def counted_sweep(self, eps, record=False):
+        counts[-1] += 1
+        return sweep(self, eps, record)
+
+    def counted_solve(*args, **kwargs):
+        counts.append(0)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(_Shooter, "_sweep", counted_sweep)
+    monkeypatch.setattr(cli, "solve_bound_states", counted_solve)
+    return counts
+
+
+class TestWarmStart:
+    """solve_bound_states(prior=...): brackets started from the last scan
+    point by first-order perturbation theory."""
+
+    GRID = TestSolveProperties.GRID
+
+    @settings(max_examples=12, deadline=None)
+    @given(pair=_he4_pairs(), step=st.floats(0.002, 0.03))
+    def test_warm_scan_matches_cold(self, pair, step):
+        # three points of a P scan: each warm solve finds the cold solve's
+        # states, to the refine's tolerance
+        prior = None
+        for j in range(3):
+            p = dataclasses.replace(pair, p_shape=pair.p_shape + j * step)
+            problem = AngularProblem(
+                ParticleSystem.identical_bosons(HE4_MASS, p))
+            pot = effective_potential(trace_branch(self.GRID, problem),
+                                      problem)
+            cold = solve_bound_states(pot)
+            warm = solve_bound_states(pot, prior=prior)
+            assert ([s.node_count for s in warm]
+                    == [s.node_count for s in cold])
+            for w, c in zip(warm, cold):
+                assert w.energy == pytest.approx(c.energy, rel=1e-13, abs=0.0)
+            n_prior = len(prior or [])
+            assert all(s.eps_predicted is not None for s in warm[:n_prior])
+            assert all(s.eps_predicted is None for s in warm[n_prior:])
+            prior = warm
+
+    def test_wrong_prediction_still_finds_each_state(self, he4_cfg,
+                                                     he4_solution):
+        # a prior with states 0 and 1 swapped predicts each state at the
+        # other: the brackets widen until their counts hold the right one
+        pot, cold = he4_solution
+        swapped = [dataclasses.replace(cold[0], eps=cold[1].eps),
+                   dataclasses.replace(cold[1], eps=cold[0].eps)]
+        warm = cli.solve_for_config(he4_cfg, swapped)[1]
+        assert [s.node_count for s in warm] == [0, 1]
+        for w, c in zip(warm, cold):
+            assert w.energy == pytest.approx(c.energy, rel=1e-13, abs=0.0)
+
+    def test_far_prior_and_no_prediction_fall_back(self, he4_cfg,
+                                                   he4_solution):
+        _, cold = he4_solution
+        # a prior from far away (P = 0.3) and one whose miss is NaN: the
+        # first widens, the second has no width and runs cold
+        far = cli.solve_for_config(cli._with_pshape(he4_cfg, 0.3))[1]
+        lost = [dataclasses.replace(s, eps_predicted=math.nan) for s in cold]
+        for prior in (far, lost):
+            warm = cli.solve_for_config(he4_cfg, prior)[1]
+            assert [s.node_count for s in warm] == [0, 1]
+            for w, c in zip(warm, cold):
+                assert w.energy == pytest.approx(c.energy, rel=1e-13,
+                                                 abs=0.0)
+
+    def test_prior_on_another_grid_is_ignored(self, he4_branch_potential,
+                                              he4_solution):
+        _, pot = he4_branch_potential
+        _, cold = he4_solution
+        states = solve_bound_states(pot, n=6000, prior=cold)
+        assert [s.eps_predicted for s in states] == [None, None]
+
+    def test_bracket_that_reaches_the_window_runs_cold(self):
+        # oscillator levels 3, 7, 11, ... in a window up to 40: around 39,
+        # half-widths 0.5, 2, 8 and 32 never hold state 0 and 128 spans
+        # the window, so the solve runs cold; state 12 lies above the
+        # window, so the cold count check fails as it does without a guess
+        shooter = _Shooter(OscillatorPotential().values, 40.0, 40.0,
+                           0.05, 14.0, 2000)
+        assert shooter._warm_bracket(0, 39.0, 0.5) is None
+        assert shooter.eigenvalue(0, 39.0, 0.5) == pytest.approx(
+            shooter.eigenvalue(0), rel=1e-13, abs=0.0)
+        assert shooter._warm_bracket(12, 39.0, 0.5) is None
+        with pytest.raises(SolverError, match="not contained"):
+            shooter.eigenvalue(12, 39.0, 0.5)
+        assert shooter.eigenvalue(3, 15.2, 0.01) == pytest.approx(
+            shooter.eigenvalue(3), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("grid, warm_max", [(["--p-step", "0.015"], 28),
+                                                 ([], 21)])
+    def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid,
+                                   warm_max):
+        # Numerov sweeps per scan point; a cold point took 43-51 on either
+        # grid (P step 0.015 and the default 0.005)
+        path = tmp_path / "he4_trimer.cfg"
+        path.write_text(bundled_config_text("he4_trimer"))
+        counts = _count_sweeps(monkeypatch)
+        assert cli.main(["scan-p", "--config", str(path),
+                         "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
+        assert counts[0] == 43
+        assert max(counts[1:]) <= warm_max
+
+    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 44),
+                                                   ("mixed_cfg", 23)])
+    def test_solve_sweeps_unchanged(self, request, monkeypatch, cfg_name,
+                                    sweeps):
+        counts = _count_sweeps(monkeypatch)
+        cli.solve_for_config(request.getfixturevalue(cfg_name))
+        assert counts == [sweeps]
