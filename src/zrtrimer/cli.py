@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -102,7 +103,11 @@ def _emit(text_writer, out_path: str) -> int:
     if out_path == "-":
         text_writer(sys.stdout)
         return 0
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _UsageError(f"cannot write output {out_path!r}: {exc}") from exc
+    with fh:
         text_writer(fh)
     return 0
 
@@ -126,6 +131,8 @@ def cmd_solve(cfg: RunConfig) -> dict:
 
 
 def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
+    if not all(map(math.isfinite, (p_min, p_max, p_step))):
+        raise _UsageError("need finite p_min, p_max and p_step")
     if p_step <= 0.0 or p_max < p_min:
         raise _UsageError("need p_min <= p_max and p_step > 0")
     if not any(pair.r_eff > 0.0 for pair in cfg.system.pairs):
@@ -148,8 +155,10 @@ def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
 
 def cmd_thomas_demo(g: float | None, cutoff: float, outer: float,
                     n_states: int):
-    if not 0.0 < cutoff < outer or outer < 100.0 * cutoff:
-        raise _UsageError("need 0 < cutoff and outer >> cutoff")
+    if g is not None and not 0.0 < g < math.inf:
+        raise _UsageError("need a finite g > 0")
+    if not 0.0 < cutoff < outer < math.inf or outer < 100.0 * cutoff:
+        raise _UsageError("need 0 < cutoff, outer >> cutoff and a finite outer")
     if n_states < 1:
         raise _UsageError("need at least one state")
     spec = thomas_spectrum(g=g, cutoff_rho0=cutoff, outer_rho=outer,

@@ -38,15 +38,39 @@ SolverError.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 from .angular import efimov_constant
 from .system import DEFAULT_MASS_SCALE, SolverError, brent
+
+
+def _load_fblas():
+    """scipy's f2py BLAS extension, scipy.linalg._fblas, without running
+    scipy/linalg/__init__ (its decompositions and array-API layer would
+    make up most of the package's import time, for one routine).  Finding
+    scipy.linalg's spec imports only the scipy package, whose distributor
+    init sets up the BLAS library path.  The extension is registered in
+    sys.modules under its own name, so scipy.linalg, if imported later,
+    reuses it, and one imported earlier is reused here."""
+    name = "scipy.linalg._fblas"
+    if name not in sys.modules:
+        linalg = importlib.util.find_spec("scipy.linalg")
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, linalg.submodule_search_locations)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+dtbsv = _load_fblas().dtbsv
 
 #: Barrier action (in e-folds) after which outward/inward sweeps are cut off.
 _ACTION_CAP = 60.0

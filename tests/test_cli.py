@@ -236,6 +236,16 @@ class TestScanCommand:
                          "--p-max", "0.13", "--p-step", "0.02"]) == 1
         assert "scan-p: [pair.1]: P = 0.01 is outside" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--p-min", "nan"), ("--p-max", "inf"), ("--p-step", "nan"),
+        ("--p-step", "inf")])
+    def test_non_finite_grid_is_usage_error(self, fast_cfg_path, capsys,
+                                            monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "solve_for_config", pytest.fail)
+        assert cli.main(["scan-p", "--config", fast_cfg_path,
+                         flag, value]) == 1
+        assert "need finite p_min" in capsys.readouterr().err
+
     def test_no_finite_range_pair_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "he4_zero_range.cfg"
         cfg.write_text(FAST_CFG.replace("r_eff = 13.843\np_shape = 0.13\n", ""))
@@ -257,6 +267,15 @@ class TestThomasCommand:
         target = math.exp(2 * math.pi / efimov_constant())
         assert ratios[1] == pytest.approx(target, rel=0.05)
         assert ratios[2] == pytest.approx(target, rel=0.05)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--g", "nan"), ("--g", "-1"), ("--g", "0"), ("--g", "inf"),
+        ("--cutoff", "nan"), ("--outer", "nan"), ("--outer", "inf")])
+    def test_invalid_strength_or_wall_is_usage_error(self, capsys,
+                                                     monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "thomas_spectrum", pytest.fail)
+        assert cli.main(["thomas-demo", flag, value]) == 1
+        assert capsys.readouterr().err.startswith("zrtrimer: error: need")
 
     def test_config_is_usage_error(self, he4_cfg_path, capsys):
         # the demo has no system to configure
@@ -306,6 +325,15 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert cli.main(["no-such-command"]) == 1
+
+    def test_unwritable_out_is_usage_error(self, fast_cfg_path, tmp_path,
+                                           capsys):
+        out = tmp_path / "no" / "such" / "x.json"
+        assert cli.main(["solve", "--config", fast_cfg_path,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"zrtrimer: error: cannot write output '{out}'")
+        assert not out.parent.exists()
 
     def test_solver_failure_maps_to_2(self, he4_cfg_path, monkeypatch):
         def boom(cfg):

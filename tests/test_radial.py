@@ -136,6 +136,9 @@ class TestIntegrate:
         assert np.max(np.abs(log_f - log_f[-1] - (s - s[-1]))) < 2e-8
 
     def test_carry_rescales_past_overflow(self, monkeypatch):
+        # radial loads scipy.linalg._fblas on its own; scipy.linalg.blas,
+        # imported at the top of this file, exports the same routine
+        assert radial.dtbsv is dtbsv
         calls = []
 
         def counted(*args, **kwargs):
