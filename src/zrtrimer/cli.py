@@ -27,6 +27,10 @@ from .radial import RadialSolution, solve_bound_states, thomas_spectrum
 from .system import SolverError
 
 
+#: Most points a scan-p grid may have; the bundled default scan has 13.
+MAX_SCAN_POINTS = 100_000
+
+
 class _UsageError(Exception):
     pass
 
@@ -135,12 +139,15 @@ def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
         raise _UsageError("need finite p_min, p_max and p_step")
     if p_step <= 0.0 or p_max < p_min:
         raise _UsageError("need p_min <= p_max and p_step > 0")
+    # the last point may not pass p_max; exact multiples keep their last point
+    n_steps = (p_max - p_min) / p_step + 1e-9
+    if not n_steps < MAX_SCAN_POINTS:   # also an overflow to inf
+        raise _UsageError(f"need at most {MAX_SCAN_POINTS} P points; "
+                          f"raise p_step or narrow [p_min, p_max]")
     if not any(pair.r_eff > 0.0 for pair in cfg.system.pairs):
         raise _UsageError("scan-p needs a pair with r_eff > 0; "
                           "the shape parameter is inert at r_eff = 0")
-    # the last point may not pass p_max; exact multiples keep their last point
-    n_steps = int((p_max - p_min) / p_step + 1e-9)
-    ps = [p_min + k * p_step for k in range(n_steps + 1)]
+    ps = [p_min + k * p_step for k in range(int(n_steps) + 1)]
     # every point is validated before anything is solved
     cfgs = [_with_pshape(cfg, p) for p in ps]
     rows = []

@@ -11,9 +11,12 @@ forward substitution in compiled BLAS; only the ratios D/F are read, and
 an amplitude past 2^1000 restarts the substitution from a power-of-two
 rescale, which leaves every ratio unchanged.  The sign changes on both
 sides and the sign of the twist d at m count the eigenvalues below the
-trial energy, and d vanishes at each one: node-count bisection, with
-sweeps shared by all states, then Brent's method on d.  The two callers
-differ only in the seeds at the ends:
+trial energy, and d vanishes at each one.  The sign changes plus
+atan2(1, d)/pi, with d scaled to a log-derivative mismatch, make a
+continuous count, the phase, which lies within 1/2 of the count:
+node-count bisection, with sweeps shared by all states, isolates state k,
+then Brent's method finds where the phase crosses k + 1/2.  The two
+callers differ only in the seeds at the ends:
 
   solve_bound_states  regular f ~ rho at rho_min, decaying exponential of
                       the local barrier at the cutoff.
@@ -26,7 +29,8 @@ previous point's signed miss once there is one, instead of from
 [min W, top].  The bracket must pass the node-count check, or it widens
 4x; once it would span the whole window the solve runs cold.  A bracket
 that passes the check proves the state lies in the window, so the sweep at
-min W is skipped.
+min W is skipped.  thomas_spectrum starts each level from the second on
+the same way, around the level below divided by the expected ratio.
 
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
@@ -185,8 +189,7 @@ class _Sweep(NamedTuple):
     """Scalars of one two-sided sweep at a trial energy."""
 
     count: int          # eigenvalues below the trial energy
-    sides: tuple        # (outward sign changes, inward sign changes, m)
-    d: float            # twist F_{m+1}/F_m, outward minus inward
+    phase: float        # sign changes + atan2(1, resid)/pi: count +- 1/2
     resid: float        # d / (|x_m| + |p_in| + h): a log-derivative mismatch
 
 
@@ -199,7 +202,10 @@ class _Shooter:
     decaying exponential at the barrier cutoff; hard_wall puts f = 0 at both
     instead.  Both meet at the outer turning point m, where the twist d of
     the tridiagonal Numerov problem gives the inertia: count = sign changes
-    on both sides + (d < 0), which steps exactly at the roots of d.
+    on both sides + (d < 0), which steps exactly at the roots of d.  The
+    phase, sign changes on both sides + atan2(1, resid)/pi, lies within
+    1/2 of the count, so phase - (k + 1/2) changes sign only at the root
+    of state k, where it is -resid/pi to first order.
     """
 
     def __init__(self, w_of, w_inf: float, search_top: float,
@@ -274,8 +280,9 @@ class _Shooter:
                                    self.band)
         x_m = float(v[m]) + p_out
         d = x_m + p_in
-        sweep = _Sweep(n_out + n_in + (d < 0.0), (n_out, n_in, m), d,
-                       d / (abs(x_m) + abs(p_in) + self.h))
+        resid = d / (abs(x_m) + abs(p_in) + self.h)
+        sweep = _Sweep(n_out + n_in + (d < 0.0),
+                       n_out + n_in + math.atan2(1.0, resid) / math.pi, resid)
         if not record:
             return sweep
         # 1 - p is F_i/F_{i+1} outward and F_i/F_{i-1} inward; the partial
@@ -308,12 +315,16 @@ class _Shooter:
 
     def eigenvalue(self, k: int, guess: float | None = None,
                    width: float = 0.0) -> float:
-        """The k-th eigenvalue: node-count bisection, then `brent` on d.
+        """The k-th eigenvalue: node-count bisection, then `brent` on the
+        phase.
 
-        Bisects a bracket until it isolates state k and both ends share side
-        counts and m, so d changes sign across it and has no pole inside.
-        The bracket is the warm one around a guess (`_warm_bracket`) when
-        there is one, else [w_min, top].
+        Bisects a bracket until it isolates state k: count k at its lower
+        end, k + 1 at its upper one.  The phase lies within 1/2 of the
+        count, so phase - (k + 1/2) changes sign across the bracket only
+        where the count steps, at the eigenvalue, and equals -resid/pi
+        near it, whatever the sides and m do inside.  The bracket is the
+        warm one around a guess (`_warm_bracket`) when there is one, else
+        [w_min, top].
         """
         bracket = (None if guess is None
                    else self._warm_bracket(k, guess, width))
@@ -322,13 +333,12 @@ class _Shooter:
             if not self.count(bracket[0]) <= k < self.count(bracket[1]):
                 raise SolverError(f"state {k} not contained in search window")
         lo, hi = bracket
-        while not (self.count(lo) == k and self.count(hi) == k + 1
-                   and self.sweep(lo).sides == self.sweep(hi).sides):
+        while not (self.count(lo) == k and self.count(hi) == k + 1):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
                 return hi   # the count steps in (lo, hi]
             lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
-        return brent(lambda e: self.sweep(e).d, lo, hi)
+        return brent(lambda e: self.sweep(e).phase - (k + 0.5), lo, hi)
 
     def _warm_bracket(self, k: int, guess: float, width: float):
         """The first of guess +- width, 4 width, 16 width, ..., with the
@@ -455,9 +465,15 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     geometric factor exp(2 pi / g).  Hard-wall shooting on the common
     core; the endpoint condition f(outer wall) = 0 is applied at the
     adaptive barrier cutoff, which is equivalent within double precision.
+    Each level from the second on starts from a bracket of half-width
+    1e-3 of its guess, the level below divided by exp(2 pi / g), then by
+    the last ratio found (`_Shooter._warm_bracket`).  ValueError unless g
+    is finite and positive and the walls are ordered.
     """
     if g is None:
         g = efimov_constant()
+    if not 0.0 < g < math.inf:
+        raise ValueError("need a finite g > 0")
     if not 0.0 < cutoff_rho0 < outer_rho:
         raise ValueError("need 0 < cutoff_rho0 < outer_rho")
     if outer_rho < 100.0 * cutoff_rho0:
@@ -465,9 +481,16 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     coef = g * g + 0.25
     shooter = _Shooter(lambda rho: -coef / (rho * rho), 0.0, 0.0,
                        cutoff_rho0, outer_rho, n, hard_wall=True)
-    n_states = min(n_states, shooter.count(shooter.top))
-    energies = [shooter.eigenvalue(k) / (2.0 * DEFAULT_MASS_SCALE)
-                for k in range(n_states)]
+    levels = []
+    for k in range(min(n_states, shooter.count(shooter.top))):
+        guess, width = None, 0.0
+        if levels:
+            ratio = (math.exp(2.0 * math.pi / g) if k == 1
+                     else levels[-2] / levels[-1])
+            guess = levels[-1] / ratio
+            width = 1e-3 * abs(guess)
+        levels.append(shooter.eigenvalue(k, guess, width))
+    energies = [eps / (2.0 * DEFAULT_MASS_SCALE) for eps in levels]
     ratios = tuple(energies[k] / energies[k + 1]
                    for k in range(len(energies) - 1))
     return ThomasSpectrum(g=g, energies=tuple(energies), ratios=ratios)

@@ -246,6 +246,18 @@ class TestScanCommand:
                          flag, value]) == 1
         assert "need finite p_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [
+        ["--p-step", "1e-12"],                          # 6e10 points
+        ["--p-min", "0.1", "--p-max", "1e308", "--p-step", "1e-300"]])
+    def test_oversized_grid_is_usage_error(self, fast_cfg_path, capsys,
+                                           monkeypatch, grid):
+        # rejected before a single point is built, let alone solved
+        monkeypatch.setattr(cli, "_with_pshape", pytest.fail)
+        monkeypatch.setattr(cli, "solve_for_config", pytest.fail)
+        assert cli.main(["scan-p", "--config", fast_cfg_path] + grid) == 1
+        assert (f"need at most {cli.MAX_SCAN_POINTS} P points"
+                in capsys.readouterr().err)
+
     def test_no_finite_range_pair_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "he4_zero_range.cfg"
         cfg.write_text(FAST_CFG.replace("r_eff = 13.843\np_shape = 0.13\n", ""))
@@ -258,6 +270,11 @@ class TestThomasCommand:
         out = tmp_path / "thomas.csv"
         rc = cli.main(["thomas-demo", "--out", str(out)])
         assert rc == 0
+        # the committed default spectrum, byte for byte; each level from
+        # the second on is warm-started from the ones below, which moves
+        # the energies by a few ulp, far below the 12 printed digits
+        golden = DATA / "thomas_demo_default.csv"
+        assert out.read_bytes() == golden.read_bytes()
         meta, columns, rows = read_csv(out)
         assert columns == ["n", "E_hartree", "ratio"]
         assert float(meta["g"]) == pytest.approx(efimov_constant(), rel=1e-9)

@@ -26,6 +26,7 @@ import zrtrimer.cli as cli
 from zrtrimer import radial
 from zrtrimer.angular import MAX_RESIDUAL
 from zrtrimer.radial import _carry, _Shooter
+from zrtrimer.system import DEFAULT_MASS_SCALE
 
 from trimer_params import (HE4_A, HE4_MASS, HE4_P, HE4_REFF,
                            bundled_config_text)
@@ -121,6 +122,13 @@ def _constant_q_sweep(k, h, n):
 def _he4_shooter(pot, n):
     return _Shooter(pot.values, pot.w_inf, min(pot.w_inf, pot.threshold),
                     0.05, 4000.0, n)
+
+
+def _thomas_shooter():
+    """The shooter of the default `thomas_spectrum()`."""
+    coef = efimov_constant() ** 2 + 0.25
+    return _Shooter(lambda rho: -coef / (rho * rho), 0.0, 0.0,
+                    0.1, 3e6, 12000, hard_wall=True)
 
 
 class TestIntegrate:
@@ -253,6 +261,14 @@ class TestIntegrate:
         assert fine.count(-1.0) > 0
 
 
+@pytest.fixture(scope="module")
+def window_shooters(he4_branch_potential):
+    """The shooters of the bundled He4 solve and the default Thomas
+    spectrum, shared by the examples of a hypothesis test."""
+    return {"he4": _he4_shooter(he4_branch_potential[1], 8000),
+            "thomas": _thomas_shooter()}
+
+
 class TestSolveBoundStates:
     def test_he4_trimer_spectrum(self, he4_solution):
         pot, states = he4_solution
@@ -335,6 +351,17 @@ class TestSolveBoundStates:
         for s in states:
             eps = 2.0 * pot.problem.system.units.mass_scale * s.energy
             assert abs(shooter.sweep(eps).resid) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.sampled_from(["he4", "thomas"]), x=st.floats(0.0, 1.0))
+    def test_phase_within_half_of_count(self, window_shooters, which, x):
+        # the refine's bracket: phase - (k + 1/2) has the sign of
+        # count - k - 1/2 at every trial energy in the window, whatever
+        # the turning point m and the side counts are there
+        shooter = window_shooters[which]
+        eps = shooter.w_min + x * (shooter.top - shooter.w_min)
+        sweep = shooter.sweep(eps)
+        assert sweep.count - 0.5 < sweep.phase < sweep.count + 0.5
 
     def test_state_outside_window_is_solver_error(self):
         shooter = _Shooter(FlatPotential(w0=2.0).values, 0.0, 0.0,
@@ -491,6 +518,30 @@ class TestThomasSpectrum:
         with pytest.raises(ValueError):
             thomas_spectrum(cutoff_rho0=1.0, outer_rho=50.0)
 
+    @pytest.mark.parametrize("g", [-1.0, 0.0, math.nan, math.inf])
+    def test_strength_must_be_finite_and_positive(self, g):
+        # only g^2 enters W, so g = -1 would return the spectrum of g = 1
+        # labelled -1; the first level's warm guess divides by exp(2 pi/g)
+        with pytest.raises(ValueError, match="finite g > 0"):
+            thomas_spectrum(g=g, n_states=2)
+
+    def test_warm_levels_match_cold(self, thomas_default):
+        # each level from the second on starts from a bracket around the
+        # one below divided by the last ratio; a cold solve of the same
+        # shooter finds the same levels to the refine's tolerance
+        shooter = _thomas_shooter()
+        cold = [shooter.eigenvalue(k) / (2.0 * DEFAULT_MASS_SCALE)
+                for k in range(5)]
+        assert thomas_default.energies == pytest.approx(cold, rel=1e-13,
+                                                        abs=0.0)
+
+    def test_default_sweeps(self, monkeypatch):
+        # 116 with cold levels and Brent on the twist
+        counts = _count_sweeps(monkeypatch)
+        counts.append(0)
+        thomas_spectrum()
+        assert counts == [45]
+
     def test_more_states_than_available(self):
         spec = thomas_spectrum(cutoff_rho0=0.1, outer_rho=1e4, n_states=10,
                                n=6000)
@@ -536,7 +587,8 @@ class TestSolveProperties:
 
 def _count_sweeps(monkeypatch) -> list[int]:
     """Sweeps per solve_bound_states call, from the CLI: a new entry per
-    call, incremented by each `_Shooter._sweep`."""
+    call, incremented by each `_Shooter._sweep` (a caller may append an
+    entry of its own to count another solve)."""
     counts = []
     sweep, solve = _Shooter._sweep, cli.solve_bound_states
 
@@ -630,22 +682,22 @@ class TestWarmStart:
         assert shooter.eigenvalue(3, 15.2, 0.01) == pytest.approx(
             shooter.eigenvalue(3), rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("grid, warm_max", [(["--p-step", "0.015"], 28),
-                                                 ([], 21)])
-    def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid,
-                                   warm_max):
-        # Numerov sweeps per scan point; a cold point took 43-51 on either
-        # grid (P step 0.015 and the default 0.005)
+    @pytest.mark.parametrize("grid", [["--p-step", "0.015"], []])
+    def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid):
+        # Numerov sweeps per scan point on either grid (P step 0.015 and
+        # the default 0.005); 43 cold and up to 28 warm with Brent on
+        # the twist
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
         assert cli.main(["scan-p", "--config", str(path),
                          "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
-        assert counts[0] == 43
-        assert max(counts[1:]) <= warm_max
+        assert counts[0] == 34
+        assert max(counts[1:]) <= 19
 
-    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 44),
-                                                   ("mixed_cfg", 23)])
+    # 44 and 23 with Brent on the twist
+    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 34),
+                                                   ("mixed_cfg", 19)])
     def test_solve_sweeps_unchanged(self, request, monkeypatch, cfg_name,
                                     sweeps):
         counts = _count_sweeps(monkeypatch)
