@@ -1,17 +1,21 @@
 """Command-line interface and reproduction harnesses.
 
-Subcommands: eigenvalue, solve, scan-p, thomas-demo, wavefunction.  Curve
-data is written as CSV with a header row and `# key=value` metadata
-comments; spectra are written as JSON carrying the same metadata in a
-"meta" object.  Identical configuration and tool version produce
-byte-identical output.  Exit codes: 0 success, 1 usage or configuration
-error, 2 solver failure (SolverError); any other exception is a bug and
-propagates.
+Subcommands: eigenvalue, solve, scan-p, thomas-demo, wavefunction.  Each is
+registered once, with its own default format, and runs a cmd_* function
+whose parameters are the subcommand's options (and cfg, the parsed
+--config).  Every command returns a table, (columns, rows) and optionally
+extra metadata, and one writer prints it: as CSV with `# key=value`
+metadata comments above a header row (the default, except for solve), or
+as JSON carrying the metadata in a "meta" object.  Identical configuration
+and tool version produce byte-identical output.  Exit codes: 0 success, 1
+usage or configuration error, 2 solver failure (SolverError); any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -20,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .angular import AngularProblem, NuBranch, efimov_constant, trace_branch
+from .angular import AngularProblem, NuBranch, trace_branch
 from .config import ConfigError, RunConfig, parse_config
 from .potential import EffectivePotential, effective_potential
 from .radial import RadialSolution, solve_bound_states, thomas_spectrum
@@ -82,38 +86,24 @@ def _fmt(x) -> str:
     return "" if x is None else str(x)
 
 
-def _write_rows(stream, columns, rows, meta, out_format: str) -> None:
+def _write(stream, out_format: str, columns, rows, meta: dict,
+           rows_key: str) -> None:
+    """The one table writer.  CSV: each meta entry as a `# key=value`
+    comment, then the header row and the rows.  JSON: the string entries
+    of meta form "meta"; a number is a result (solve's threshold) and
+    stands beside it; the rows follow as objects under rows_key."""
     if out_format == "csv":
         for key, value in meta.items():
-            stream.write(f"# {key}={value}\n")
+            stream.write(f"# {key}={_fmt(value)}\n")
         stream.write(",".join(columns) + "\n")
         for row in rows:
             stream.write(",".join(_fmt(v) for v in row) + "\n")
-    else:
-        payload = {"meta": meta,
-                   "rows": [dict(zip(columns, row)) for row in rows]}
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
-
-
-def _meta(command: str, cfg: RunConfig | None) -> dict:
-    meta = {"tool": "zrtrimer", "version": __version__, "command": command}
-    if cfg is not None:
-        meta["config_sha256"] = cfg.sha256
-    return meta
-
-
-def _emit(text_writer, out_path: str) -> int:
-    if out_path == "-":
-        text_writer(sys.stdout)
-        return 0
-    try:
-        fh = open(out_path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise _UsageError(f"cannot write output {out_path!r}: {exc}") from exc
-    with fh:
-        text_writer(fh)
-    return 0
+        return
+    payload = {"meta": {k: v for k, v in meta.items() if isinstance(v, str)}}
+    payload.update((k, v) for k, v in meta.items() if not isinstance(v, str))
+    payload[rows_key] = [dict(zip(columns, row)) for row in rows]
+    json.dump(payload, stream, indent=2)
+    stream.write("\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -125,13 +115,10 @@ def cmd_eigenvalue(cfg: RunConfig) -> tuple[list, list]:
     return ["rho_au", "nu2", "lambda", "W_au"], rows
 
 
-def cmd_solve(cfg: RunConfig) -> dict:
+def cmd_solve(cfg: RunConfig) -> tuple[list, list, dict]:
     pot, states = solve_for_config(cfg)
-    return {
-        "meta": _meta("solve", cfg),
-        "threshold_mK": pot.threshold_mk,
-        "states": [{"E_mK": s.energy_mk, "nodes": s.node_count} for s in states],
-    }
+    rows = [(s.energy_mk, s.node_count) for s in states]
+    return ["E_mK", "nodes"], rows, {"threshold_mK": pot.threshold_mk}
 
 
 def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
@@ -161,140 +148,110 @@ def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
 
 
 def cmd_thomas_demo(g: float | None, cutoff: float, outer: float,
-                    n_states: int):
+                    states: int):
     if g is not None and not 0.0 < g < math.inf:
         raise _UsageError("need a finite g > 0")
     if not 0.0 < cutoff < outer < math.inf or outer < 100.0 * cutoff:
         raise _UsageError("need 0 < cutoff, outer >> cutoff and a finite outer")
-    if n_states < 1:
+    if states < 1:
         raise _UsageError("need at least one state")
     spec = thomas_spectrum(g=g, cutoff_rho0=cutoff, outer_rho=outer,
-                           n_states=n_states)
+                           n_states=states)
     rows = []
     for k, e in enumerate(spec.energies):
         ratio = spec.ratios[k] if k < len(spec.ratios) else None
         rows.append((k, e, ratio))
-    return ["n", "E_hartree", "ratio"], rows
+    return ["n", "E_hartree", "ratio"], rows, {"g": _fmt(spec.g)}
 
 
-def cmd_wavefunction(cfg: RunConfig, state_index: int):
+def cmd_wavefunction(cfg: RunConfig, state: int):
     _, states = solve_for_config(cfg)
-    if state_index < 0 or state_index >= len(states):
+    if state < 0 or state >= len(states):
         raise _UsageError(
-            f"state {state_index} not available; {len(states)} bound state(s) found")
-    s = states[state_index]
-    return ["rho_au", "f"], [(float(r), float(v)) for r, v in zip(s.rho, s.f)]
+            f"state {state} not available; {len(states)} bound state(s) found")
+    s = states[state]
+    rows = [(float(r), float(v)) for r, v in zip(s.rho, s.f)]
+    return ["rho_au", "f"], rows, {"state": str(state)}
 
 
 # ------------------------------------------------------------------- main
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True,
-                     help="path to a run configuration file")
-    _add_output(sub)
-
-
-def _add_output(sub):
-    sub.add_argument("--out", default="-",
-                     help="output path, or - for stdout (default)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="output encoding (default: csv, json for solve)")
-
-
-def _load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
-
-
-def main(argv=None) -> int:
+def _parser() -> _Parser:
+    """Each subcommand once: its cmd_* as `run`, whose parameters are the
+    subcommand's option names, and its default format."""
     parser = _Parser(prog="zrtrimer",
                      description="three-body bound states with regularized "
                                  "zero-range interactions")
     parser.add_argument("--version", action="version",
                         version=f"zrtrimer {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    sub = {}
+    # cmd_* functions only: the library calls inside them are looked up at
+    # call time, where perfbench/trace.py and the tests patch them
+    for name, run, out_format, what in (
+            ("eigenvalue", cmd_eigenvalue, "csv",
+             "trace the angular eigenvalue branch (CSV)"),
+            ("solve", cmd_solve, "json", "bound-state spectrum (JSON)"),
+            ("scan-p", cmd_scan_p, "csv",
+             "spectrum versus the shape parameter (CSV)"),
+            ("thomas-demo", cmd_thomas_demo, "csv",
+             "hard-wall inverse-square spectrum (CSV)"),
+            ("wavefunction", cmd_wavefunction, "csv",
+             "radial wave function of one state (CSV)")):
+        cmd = sub[name] = subs.add_parser(name, help=what)
+        cmd.set_defaults(run=run)
+        if name != "thomas-demo":   # the demo has no system to configure
+            cmd.add_argument("--config", required=True,
+                             help="path to a run configuration file")
+        cmd.add_argument("--out", default="-",
+                         help="output path, or - for stdout (default)")
+        cmd.add_argument("--format", choices=("csv", "json"),
+                         default=out_format,
+                         help="output encoding (default: csv, json for solve)")
+    # solve_output.schema.json: solve's JSON lists its rows as "states"
+    sub["solve"].set_defaults(rows_key="states")
+    sub["scan-p"].add_argument("--p-min", type=float, default=0.10)
+    sub["scan-p"].add_argument("--p-max", type=float, default=0.16)
+    sub["scan-p"].add_argument("--p-step", type=float, default=0.005)
+    sub["thomas-demo"].add_argument("--g", type=float, default=None,
+                                    help="inverse-square strength parameter "
+                                         "(default: solved internally)")
+    sub["thomas-demo"].add_argument("--cutoff", type=float, default=0.1,
+                                    help="inner hard wall (au)")
+    sub["thomas-demo"].add_argument("--outer", type=float, default=3e6,
+                                    help="outer hard wall (au)")
+    sub["thomas-demo"].add_argument("--states", type=int, default=5)
+    sub["wavefunction"].add_argument("--state", type=int, default=0,
+                                     help="state index (0 = ground state)")
+    return parser
 
-    p_eig = subs.add_parser("eigenvalue",
-                            help="trace the angular eigenvalue branch (CSV)")
-    _add_common(p_eig)
 
-    p_solve = subs.add_parser("solve", help="bound-state spectrum (JSON)")
-    _add_common(p_solve)
-
-    p_scan = subs.add_parser("scan-p",
-                             help="spectrum versus the shape parameter (CSV)")
-    _add_common(p_scan)
-    p_scan.add_argument("--p-min", type=float, default=0.10)
-    p_scan.add_argument("--p-max", type=float, default=0.16)
-    p_scan.add_argument("--p-step", type=float, default=0.005)
-
-    p_thomas = subs.add_parser("thomas-demo",
-                               help="hard-wall inverse-square spectrum (CSV)")
-    _add_output(p_thomas)
-    p_thomas.add_argument("--g", type=float, default=None,
-                          help="inverse-square strength parameter "
-                               "(default: solved internally)")
-    p_thomas.add_argument("--cutoff", type=float, default=0.1,
-                          help="inner hard wall (au)")
-    p_thomas.add_argument("--outer", type=float, default=3e6,
-                          help="outer hard wall (au)")
-    p_thomas.add_argument("--states", type=int, default=5)
-
-    p_wave = subs.add_parser("wavefunction",
-                             help="radial wave function of one state (CSV)")
-    _add_common(p_wave)
-    p_wave.add_argument("--state", type=int, default=0,
-                        help="state index (0 = ground state)")
-
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"zrtrimer: error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        cfg = _load_config(args.config) if "config" in args else None
-
-        if args.command == "solve":
-            fmt = args.format or "json"
-            payload = cmd_solve(cfg)
-            if fmt == "json":
-                def write(stream):
-                    json.dump(payload, stream, indent=2)
-                    stream.write("\n")
-                return _emit(write, args.out)
-            columns = ["E_mK", "nodes"]
-            rows = [(s["E_mK"], s["nodes"]) for s in payload["states"]]
-            meta = dict(payload["meta"])
-            meta["threshold_mK"] = _fmt(payload["threshold_mK"])
-            return _emit(lambda st: _write_rows(st, columns, rows, meta, "csv"),
-                         args.out)
-
-        if args.command == "eigenvalue":
-            columns, rows = cmd_eigenvalue(cfg)
-            meta = _meta("eigenvalue", cfg)
-        elif args.command == "scan-p":
-            columns, rows = cmd_scan_p(cfg, args.p_min, args.p_max, args.p_step)
-            meta = _meta("scan-p", cfg)
-        elif args.command == "thomas-demo":
-            columns, rows = cmd_thomas_demo(args.g, args.cutoff, args.outer,
-                                            args.states)
-            meta = _meta("thomas-demo", None)
-            meta["g"] = _fmt(args.g if args.g is not None else efimov_constant())
-        elif args.command == "wavefunction":
-            columns, rows = cmd_wavefunction(cfg, args.state)
-            meta = _meta("wavefunction", cfg)
-            meta["state"] = str(args.state)
-        else:  # pragma: no cover - argparse guards this
-            raise _UsageError(f"unknown command {args.command!r}")
-
-        fmt = args.format or "csv"
-        return _emit(lambda st: _write_rows(st, columns, rows, meta, fmt),
-                     args.out)
-
+        options = vars(_parser().parse_args(argv))
+        command, run, out, out_format = (
+            options.pop(key) for key in ("command", "run", "out", "format"))
+        rows_key = options.pop("rows_key", "rows")
+        meta = {"tool": "zrtrimer", "version": __version__, "command": command}
+        if "config" in options:
+            path = options.pop("config")
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
+            options["cfg"] = parse_config(text)
+            meta["config_sha256"] = options["cfg"].sha256
+        columns, rows, *extra_meta = run(**options)
+        meta.update(*extra_meta)
+        try:
+            target = (contextlib.nullcontext(sys.stdout) if out == "-" else
+                      open(out, "w", encoding="utf-8", newline=""))
+        except OSError as exc:
+            raise _UsageError(f"cannot write output {out!r}: {exc}") from exc
+        with target as stream:
+            _write(stream, out_format, columns, rows, meta, rows_key)
+        return 0
     except (_UsageError, ConfigError) as exc:
         print(f"zrtrimer: error: {exc}", file=sys.stderr)
         return 1

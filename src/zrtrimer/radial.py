@@ -109,7 +109,7 @@ def _seed(tq: np.ndarray, far: int, near: int, a: float) -> float:
                  / (1.0 - tq[near]))
 
 
-def _carry(v, p: float, record: bool = False, band=None):
+def _carry(v, p: float, band=None):
     """Carry the Numerov recursion along v in its summed form.
 
     With F = (1 - h^2 q/12) g and v = h^2 q / (1 - h^2 q/12), the
@@ -122,8 +122,8 @@ def _carry(v, p: float, record: bool = False, band=None):
     before it, so all of them up to the first |z| >= 2^1000 are exact; the
     substitution restarts from the last (D, F) pair before that, scaled by
     a power of two, which changes no bit of any ratio.  Returns the number
-    of sign changes of F, the last p = D_{n-1}/F_n and, if record, every
-    p_i = D_{i-1}/F_i (the seed first).
+    of sign changes of F and z; only its ratios p_i = D_{i-1}/F_i =
+    z[2i]/z[2i + 1] (the seed first) are meaningful.
 
     band, when given, is scratch reused across calls: at least
     2 len(v) + 2 rows by 3, all -1.0 outside the odd rows of column 1,
@@ -157,11 +157,7 @@ def _carry(v, p: float, record: bool = False, band=None):
         j, d, f = restart, float(z[2 * restart]), float(z[2 * restart + 1])
     band[starts, 1] = -1.0
     neg = np.signbit(z[1::2])
-    nodes = int(np.count_nonzero(neg[1:] ^ neg[:-1]))
-    if record:
-        ps = z[0::2] / z[1::2]
-        return nodes, float(ps[-1]), ps
-    return nodes, float(z[-2]) / float(z[-1]), None
+    return int(np.count_nonzero(neg[1:] ^ neg[:-1])), z
 
 
 @dataclass(frozen=True)
@@ -229,6 +225,9 @@ class _Shooter:
         # one sweep per trial energy, scalars only: the count, the bisection
         # and the Brent refine of every state read the same table
         self.table: dict[float, _Sweep] = {}
+        # the last _sweep's (eps, _Sweep, z_out, z_in, tq); the wave at
+        # Brent's root is built from it when that was the energy swept last
+        self.last = None
 
     def _turning_and_stop(self, eps: float) -> tuple[int, int, np.ndarray]:
         """Outermost classical turning point of s = W - eps, the barrier
@@ -255,9 +254,10 @@ class _Shooter:
         action = np.cumsum(np.sqrt(np.maximum(q[im:-1], 0.0)) * self.h)
         return im, im + int(np.searchsorted(action, _ACTION_CAP, side="right")), q
 
-    def _sweep(self, eps: float, record: bool = False):
-        """Outward from rho_min and inward from the cutoff to m; with record
-        also the stitched g, scaled to F_m = 1 and zero beyond the cutoff."""
+    def _sweep(self, eps: float) -> _Sweep:
+        """Outward from rho_min and inward from the cutoff to m; the energy,
+        the scalars, both carries and tq are kept as `last` for wave."""
+        self.last = None    # freed before this sweep's arrays: peak memory
         m, stop, q = self._turning_and_stop(eps)
         hq = self.h * self.h * q[:stop + 1]
         tq = hq / 12.0
@@ -275,23 +275,16 @@ class _Shooter:
             p_lo = _seed(tq, 0, 1, 0.5 * self.h)
             p_hi = _seed(tq, stop, stop - 1, 0.5 * self.h
                          + kappa * (self.rho[stop] - self.rho[stop - 1]))
-        n_out, p_out, ps_out = _carry(v[1:m], p_lo, record, self.band)
-        n_in, p_in, ps_in = _carry(v[m + 1:stop][::-1], p_hi, record,
-                                   self.band)
-        x_m = float(v[m]) + p_out
+        n_out, z_out = _carry(v[1:m], p_lo, self.band)
+        n_in, z_in = _carry(v[m + 1:stop][::-1], p_hi, self.band)
+        p_in = float(z_in[-2]) / float(z_in[-1])
+        x_m = float(v[m]) + float(z_out[-2]) / float(z_out[-1])
         d = x_m + p_in
         resid = d / (abs(x_m) + abs(p_in) + self.h)
         sweep = _Sweep(n_out + n_in + (d < 0.0),
                        n_out + n_in + math.atan2(1.0, resid) / math.pi, resid)
-        if not record:
-            return sweep
-        # 1 - p is F_i/F_{i+1} outward and F_i/F_{i-1} inward; the partial
-        # products are F itself, so nothing overflows
-        f_out = np.cumprod(1.0 - ps_out[::-1])[::-1]
-        f_in = np.cumprod(1.0 - ps_in[::-1])
-        g = np.concatenate([f_out, [1.0], f_in, np.zeros(self.n - stop - 1)])
-        g[:stop + 1] /= 1.0 - tq
-        return sweep, g
+        self.last = eps, sweep, z_out, z_in, tq
+        return sweep
 
     def sweep(self, eps: float) -> _Sweep:
         """The scalars at eps, swept once per shooter.  A plain dict: a
@@ -308,8 +301,18 @@ class _Shooter:
 
     def wave(self, eps: float) -> tuple[float, np.ndarray]:
         """Matching residual and f at eps, max|f| = 1, dominant lobe positive,
-        from one recorded sweep."""
-        sweep, g = self._sweep(eps, record=True)
+        from the carries of the last sweep, which is at eps when Brent's
+        root was the last energy it tried; otherwise eps is swept once."""
+        if self.last is None or self.last[0] != eps:
+            self._sweep(eps)
+        _, sweep, z_out, z_in, tq = self.last
+        # 1 - p is F_i/F_{i+1} outward and F_i/F_{i-1} inward; the partial
+        # products are F itself, so nothing overflows
+        f_out = np.cumprod(1.0 - (z_out[0::2] / z_out[1::2])[::-1])[::-1]
+        f_in = np.cumprod(1.0 - (z_in[0::2] / z_in[1::2])[::-1])
+        # F is zero beyond the cutoff, where tq ends
+        g = np.concatenate([f_out, [1.0], f_in, np.zeros(self.n - len(tq))])
+        g[:len(tq)] /= 1.0 - tq
         f = g * np.sqrt(self.rho)
         return sweep.resid, f / f[np.abs(f).argmax()]
 

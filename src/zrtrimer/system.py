@@ -2,8 +2,18 @@
 
 Internal unit system: atomic units with hbar = 1, lengths in Bohr radii and
 masses expressed as multiples of a configurable mass scale (1822.887 electron
-masses by default, i.e. roughly one atomic mass unit).  Energies are carried
-in hartree inside the library; millikelvin appears only at I/O boundaries.
+masses by default, i.e. roughly one atomic mass unit).  Energies appear in
+three units:
+
+  eps = 2mE/hbar^2    (1/bohr^2, m the mass scale) what the solvers work in:
+                      W, EffectivePotential.threshold and w_inf, and
+                      RadialSolution.eps.
+  hartree             RadialSolution.energy, ThomasSpectrum.energies and
+                      dimer_binding_energy; EffectivePotential.hartree_from_eps
+                      converts from eps.
+  millikelvin         RadialSolution.energy_mk and
+                      EffectivePotential.threshold_mk, converted from hartree
+                      by UnitSystem.hartree_to_mk; the CLI prints these.
 
 Sign convention for the two-body input: a negative scattering length means
 the pair supports a bound dimer with pole momentum kappa ~ 1/|a|.

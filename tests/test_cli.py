@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -67,6 +68,37 @@ def read_csv(path):
             else:
                 rows.append(line.split(","))
     return meta, columns, rows
+
+
+class TestOutputBytes:
+    """Every command's output, byte for byte, in each format, against the
+    committed goldens in tests/data (the scan-p and thomas-demo CSVs are
+    compared in their own classes)."""
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("solve_he4.json", ["solve", "--config", "{he4}"]),
+        ("solve_he4.csv", ["solve", "--config", "{he4}", "--format", "csv"]),
+        ("eigenvalue_fast.csv", ["eigenvalue", "--config", "{fast}"]),
+        ("eigenvalue_fast.json", ["eigenvalue", "--config", "{fast}",
+                                  "--format", "json"]),
+        ("thomas_demo_default.json", ["thomas-demo", "--format", "json"]),
+        ("scan_p_he4_0.13.json", ["scan-p", "--config", "{he4}", "--p-min",
+                                  "0.13", "--p-max", "0.13", "--format",
+                                  "json"])])
+    def test_matches_golden(self, he4_cfg_path, fast_cfg_path, tmp_path,
+                            golden, argv):
+        out = tmp_path / golden
+        argv = [a.format(he4=he4_cfg_path, fast=fast_cfg_path) for a in argv]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes()
+
+    def test_wavefunction_digest(self, he4_cfg_path, tmp_path):
+        # about 240 kB of CSV, so only its sha256 is committed
+        out = tmp_path / "wf1.csv"
+        assert cli.main(["wavefunction", "--config", he4_cfg_path,
+                         "--state", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "cbed65e34636da49a551b939851f061d7056fefcd1ac5af039f7b5f19b2d3304")
 
 
 class TestSolveCommand:
@@ -334,6 +366,14 @@ class TestWavefunctionCommand:
 class TestExitCodes:
     def test_missing_config(self):
         assert cli.main(["solve", "--config", "/no/such/file.cfg"]) == 1
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.cfg"
+        bad.write_bytes(b"\xff\xfe")
+        assert cli.main(["solve", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"zrtrimer: error: cannot read config '{bad}'")
+        assert "can't decode byte 0xff" in err
 
     def test_invalid_config(self, tmp_path):
         bad = tmp_path / "bad.cfg"

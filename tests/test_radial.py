@@ -105,6 +105,11 @@ def _carry_reference(v, p):
     return nodes, p, np.array(ps)
 
 
+def _ratios(z):
+    """The ratios p_i = D_{i-1}/F_i of a carry, the seed first."""
+    return z[0::2] / z[1::2]
+
+
 def _constant_q_v(k, h, n):
     """v along n - 2 points of g'' = k^2 g and the exact seed of exp(k t)."""
     hq = h * h * k * k
@@ -115,7 +120,7 @@ def _constant_q_sweep(k, h, n):
     """ln(F_i / F_0) of g'' = k^2 g carried from the exact start of
     exp(k t); F_{j+1}/F_j = 1/(1 - p_j).  Logs, so no e-fold count
     overflows."""
-    _, _, ps = _carry(*_constant_q_v(k, h, n), record=True)
+    ps = _ratios(_carry(*_constant_q_v(k, h, n))[1])
     return np.concatenate([[0.0], np.cumsum(-np.log1p(-ps))])
 
 
@@ -157,12 +162,13 @@ class TestIntegrate:
         # restarts twice from a rescaled pair; the loop reference never
         # overflows
         v, p0 = _constant_q_v(1.0, 0.01, 200001)
-        nodes, p, ps = _carry(v, p0, record=True)
+        nodes, z = _carry(v, p0)
+        ps = _ratios(z)
         assert len(calls) == 3
         assert nodes == 0
         assert np.all(np.isfinite(ps))
-        assert p == pytest.approx(_carry_reference(v, p0)[1], rel=1e-13,
-                                  abs=0.0)
+        assert ps[-1] == pytest.approx(_carry_reference(v, p0)[1],
+                                       rel=1e-13, abs=0.0)
         # shape: truncation error L h^4 / 480 = 4.2e-8 over L = 2000
         # (measured 4.35e-8)
         s = 0.01 * np.arange(200001)
@@ -171,7 +177,7 @@ class TestIntegrate:
         # after every ~2 e-folds, or once in a sweep that also oscillates
         cases = [(v[:5000], p0), (np.tile(np.repeat([0.01, -0.05], 250), 10),
                                   0.3)]
-        whole = [_carry(vs, seed, record=True) for vs, seed in cases]
+        whole = [_carry(vs, seed) for vs, seed in cases]
         # one scratch band for every call, as a shooter passes it: the
         # restarts' zeros are undone, and only the odd rows of column 1
         # keep the last v
@@ -180,15 +186,15 @@ class TestIntegrate:
         fixed[1::2, 1] = False
         for big in (2.0 ** 3, 2.0 ** 60):
             monkeypatch.setattr(radial, "_BIG", big)
-            for (vs, seed), (nodes, _, ps) in zip(cases, whole):
+            for (vs, seed), (nodes, z) in zip(cases, whole):
                 calls.clear()
-                split = _carry(vs, seed, record=True)
+                split = _carry(vs, seed)
                 assert len(calls) > 1
                 assert split[0] == nodes
-                assert np.array_equal(split[2], ps)
-                shared = _carry(vs, seed, record=True, band=band)
+                assert np.array_equal(_ratios(split[1]), _ratios(z))
+                shared = _carry(vs, seed, band=band)
                 assert shared[0] == nodes
-                assert np.array_equal(shared[2], ps)
+                assert np.array_equal(_ratios(shared[1]), _ratios(z))
                 assert np.all(band[fixed] == -1.0)
 
     @settings(max_examples=100, deadline=None)
@@ -209,10 +215,10 @@ class TestIntegrate:
             (1.0 if forbidden else -1.0)
             * 10.0 ** (mag + 0.1 * rng.standard_normal(length))
             for length, mag, forbidden in stretches])[:10000]
-        nodes, p_last, ps = _carry(v, p, record=True)
+        nodes, z = _carry(v, p)
+        ps, p_last = _ratios(z), float(z[-2]) / float(z[-1])
         ref_nodes, ref_p, ref_ps = _carry_reference(v, p)
         assert nodes == ref_nodes
-        assert _carry(v, p)[:2] == (nodes, p_last) and p_last == ps[-1]
         assert np.all(np.abs(ps - ref_ps) <= 1e-8 * (1.0 + ref_ps ** 2))
         assert abs(p_last - ref_p) <= 1e-11 * (1.0 + ref_p ** 2)
 
@@ -592,9 +598,9 @@ def _count_sweeps(monkeypatch) -> list[int]:
     counts = []
     sweep, solve = _Shooter._sweep, cli.solve_bound_states
 
-    def counted_sweep(self, eps, record=False):
+    def counted_sweep(self, eps):
         counts[-1] += 1
-        return sweep(self, eps, record)
+        return sweep(self, eps)
 
     def counted_solve(*args, **kwargs):
         counts.append(0)
@@ -686,18 +692,19 @@ class TestWarmStart:
     def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
-        # the twist
+        # the twist, 34 and up to 19 with a second sweep for each wave
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
         assert cli.main(["scan-p", "--config", str(path),
                          "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
-        assert counts[0] == 34
-        assert max(counts[1:]) <= 19
+        assert counts[0] == 32
+        assert max(counts[1:]) <= 18
 
-    # 44 and 23 with Brent on the twist
-    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 34),
-                                                   ("mixed_cfg", 19)])
+    # 44 and 23 with Brent on the twist, 34 and 19 with a second sweep
+    # for each wave
+    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 33),
+                                                   ("mixed_cfg", 18)])
     def test_solve_sweeps_unchanged(self, request, monkeypatch, cfg_name,
                                     sweeps):
         counts = _count_sweeps(monkeypatch)
