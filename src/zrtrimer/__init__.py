@@ -38,10 +38,10 @@ from .system import (
     PairParams,
     ParticleSystem,
     SolverError,
-    UnitSystem,
     critical_p_shape,
     dimer_binding_energy,
     dimer_pole_kappa,
+    hartree_to_mk,
     reduced_masses,
 )
 
@@ -55,7 +55,6 @@ __all__ = [
     "RadialSolution", "ThomasSpectrum", "count_nodes", "solve_bound_states",
     "thomas_spectrum",
     "KinematicConstants", "PairParams", "ParticleSystem", "SolverError",
-    "UnitSystem",
     "critical_p_shape", "dimer_binding_energy", "dimer_pole_kappa",
-    "reduced_masses",
+    "hartree_to_mk", "reduced_masses",
 ]

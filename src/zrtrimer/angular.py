@@ -186,12 +186,12 @@ class AngularProblem:
     def dimer(self) -> Dimer | None:
         """The pair with the deepest dimer threshold -2mB/hbar^2 (the first
         of equals), or None when no pair binds."""
-        units = self.system.units
+        mass_scale = self.system.mass_scale
         best = None
         for i, pair in enumerate(self.system.pairs):
             mu = self.kinematics.mu[i]
-            b_energy = dimer_binding_energy(pair, mu, units)
-            thr = 0.0 if b_energy is None else -2.0 * units.mass_scale * b_energy
+            b_energy = dimer_binding_energy(pair, mu, mass_scale)
+            thr = 0.0 if b_energy is None else -2.0 * mass_scale * b_energy
             if thr < (0.0 if best is None else best[2]):
                 best = (i, mu, thr)
         return None if best is None else Dimer(

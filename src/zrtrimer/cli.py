@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -104,6 +105,34 @@ def _write(stream, out_format: str, columns, rows, meta: dict,
     payload[rows_key] = [dict(zip(columns, row)) for row in rows]
     json.dump(payload, stream, indent=2)
     stream.write("\n")
+
+
+@contextlib.contextmanager
+def _output(out: str):
+    """stdout for "-"; else out, opened before the command runs.  A regular
+    file, new or not, is written beside it and moved onto it once the table
+    is written, so a failed command leaves it as it was; a device or pipe is
+    written in place."""
+    if out == "-":
+        yield sys.stdout
+        return
+    path = os.path.realpath(out)    # through a symlink, as open does
+    regular = os.path.isfile(path) or not os.path.exists(path)
+    tmp = f"{path}.{os.getpid()}.tmp" if regular else path
+    try:
+        stream = open(tmp, "x" if regular else "w", encoding="utf-8",
+                      newline="")
+    except OSError as exc:
+        raise _UsageError(f"cannot write output {out!r}: {exc}") from exc
+    try:
+        with stream:
+            yield stream
+        if regular:
+            os.replace(tmp, path)
+    except BaseException:
+        if regular:
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------- commands
@@ -242,14 +271,9 @@ def main(argv=None) -> int:
                 raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
             options["cfg"] = parse_config(text)
             meta["config_sha256"] = options["cfg"].sha256
-        columns, rows, *extra_meta = run(**options)
-        meta.update(*extra_meta)
-        try:
-            target = (contextlib.nullcontext(sys.stdout) if out == "-" else
-                      open(out, "w", encoding="utf-8", newline=""))
-        except OSError as exc:
-            raise _UsageError(f"cannot write output {out!r}: {exc}") from exc
-        with target as stream:
+        with _output(out) as stream:
+            columns, rows, *extra_meta = run(**options)
+            meta.update(*extra_meta)
             _write(stream, out_format, columns, rows, meta, rows_key)
         return 0
     except (_UsageError, ConfigError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .potential import Q_CONVENTIONS
 from .radial import default_rho_max
-from .system import DEFAULT_MASS_SCALE, PairParams, ParticleSystem, UnitSystem
+from .system import DEFAULT_MASS_SCALE, PairParams, ParticleSystem
 
 
 class ConfigError(ValueError):
@@ -127,7 +127,7 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         system = ParticleSystem(masses=tuple(masses), pairs=tuple(pairs),
-                                units=UnitSystem(mass_scale))
+                                mass_scale=mass_scale)
     except ValueError as exc:
         raise ConfigError(f"[system]: {exc}") from exc
 
@@ -135,8 +135,8 @@ def parse_config(text: str) -> RunConfig:
     rho_min = _number(grid, "rho_min", 0.05, "[grid]")
     rho_max = _number(grid, "rho_max", 4000.0, "[grid]")
     n = _number(grid, "n", 600, "[grid]", int)
-    if not 0.0 < rho_min < rho_max:
-        raise ConfigError("[grid]: need 0 < rho_min < rho_max")
+    if not 0.0 < rho_min < rho_max < math.inf:
+        raise ConfigError("[grid]: need 0 < rho_min < rho_max < inf")
     if n < 2:
         raise ConfigError("[grid].n: need at least 2 grid nodes")
 
@@ -153,9 +153,9 @@ def parse_config(text: str) -> RunConfig:
     radial_rho_max = None
     if solver.get("radial_rho_max", "auto").strip() != "auto":
         radial_rho_max = _number(solver, "radial_rho_max", 0.0, "[solver]")
-        if not radial_rho_max > radial_rho_min:
-            raise ConfigError("[solver].radial_rho_max: must exceed "
-                              "radial_rho_min, or be 'auto'")
+        if not radial_rho_min < radial_rho_max < math.inf:
+            raise ConfigError("[solver].radial_rho_max: must be finite and "
+                              "exceed radial_rho_min, or be 'auto'")
     elif not radial_rho_min < default_rho_max(system):
         raise ConfigError(
             "[solver].radial_rho_min: must lie below the automatic "

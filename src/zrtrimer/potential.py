@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import AngularProblem, NuBranch, dimer_channel_u
+from .system import hartree_to_mk
 
 #: q_convention -> shift s in W = (u - s)/rho^2
 _SHIFT = {"leading_term": 0.0, "none": 0.25}
@@ -146,12 +147,11 @@ class EffectivePotential:
 
     def hartree_from_eps(self, eps: float) -> float:
         """E in hartree from 2mE/hbar^2."""
-        return eps / (2.0 * self.problem.system.units.mass_scale)
+        return eps / (2.0 * self.problem.system.mass_scale)
 
     @property
     def threshold_mk(self) -> float:
-        return self.problem.system.units.hartree_to_mk(
-            self.hartree_from_eps(self.threshold))
+        return hartree_to_mk(self.hartree_from_eps(self.threshold))
 
 
 def _inner_law(rho: np.ndarray, u: np.ndarray) -> tuple[float, float, str]:

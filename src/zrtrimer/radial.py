@@ -36,8 +36,8 @@ Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
 e-folds (any admixture beyond that is below double precision anyway).  A
 sweep checks that |h^2 q/12| stays below 1/2 up to the cutoff, so the
-Numerov step is stable there; a grid too coarse for the potential raises
-SolverError.
+Numerov step is stable there; a grid too coarse for the potential, or a W
+that is not finite on it, raises SolverError.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angular import efimov_constant
-from .system import DEFAULT_MASS_SCALE, SolverError, brent
+from .system import DEFAULT_MASS_SCALE, SolverError, brent, hartree_to_mk
 
 
 def _load_fblas():
@@ -211,14 +211,13 @@ class _Shooter:
         self.h = float(self.t[1] - self.t[0])
         self.rho = np.exp(self.t)
         self.w = w_of(self.rho)
+        bad = self.rho[~np.isfinite(self.w)]
+        if len(bad):    # a NaN trial energy would never leave the bisection
+            raise SolverError(f"W is not finite at rho = {bad[0]:.6g}")
         self.r2 = self.rho * self.rho
         self.n = n
-        # min and -max of W[k:], both ascending in k: past the first k where
-        # W[k:] lies strictly on one side of eps, W - eps keeps its sign
-        self.w_floor = np.minimum.accumulate(self.w[::-1])[::-1]
-        self.w_neg_ceil = -np.maximum.accumulate(self.w[::-1])[::-1]
         self.band = np.full((2 * n + 2, 3), -1.0)   # _carry's scratch
-        self.w_min = float(self.w_floor[0])
+        self.w_min = float(self.w.min())
         self.w_inf = w_inf
         self.top = search_top - abs(search_top) * 1e-12
         self.hard_wall = hard_wall
@@ -239,17 +238,9 @@ class _Shooter:
         s = self.w - eps
         q = self.r2 * s
         q += 0.25   # in place: one more grid-sized temporary slows every sweep
-        # s keeps one strict sign on [k, n), so the last sign change is
-        # between k - 1 and k when they differ in sign, else inside s[:k]
-        k = min(int(np.searchsorted(self.w_floor, eps, side="right")),
-                int(np.searchsorted(self.w_neg_ceil, -eps, side="right")))
-        if 0 < k < self.n and s[k - 1] * s[k] < 0.0:
-            im = k - 1
-        else:
-            head = s[:k]
-            idx = np.nonzero(head[:-1] * head[1:] < 0.0)[0]
-            im = (int(idx[-1]) if len(idx)
-                  else (0 if s.min() >= 0.0 else self.n - 1))
+        idx = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+        im = (int(idx[-1]) if len(idx)
+              else (0 if s.min() >= 0.0 else self.n - 1))
         im = min(max(im, 3), self.n - 4)
         action = np.cumsum(np.sqrt(np.maximum(q[im:-1], 0.0)) * self.h)
         return im, im + int(np.searchsorted(action, _ACTION_CAP, side="right")), q
@@ -262,7 +253,7 @@ class _Shooter:
         hq = self.h * self.h * q[:stop + 1]
         tq = hq / 12.0
         worst = float(np.abs(tq).max())
-        if worst >= _MAX_STEP_TQ:
+        if not worst < _MAX_STEP_TQ:   # also NaN
             raise SolverError(
                 f"Numerov step unstable at eps = {eps!r}: |h^2 q/12| reaches "
                 f"{worst:.3g} (limit {_MAX_STEP_TQ}); refine the radial grid")
@@ -419,7 +410,6 @@ def solve_bound_states(potential, max_states: int = 4, *,
                        rho_min, rho_max, n)
     n_states = min(shooter.count(shooter.top), max_states)
     warm = _warm_starts(shooter, prior)
-    units = potential.problem.system.units
     out = []
     for n_state in range(n_states):
         predicted, guess, width = (warm[n_state] if n_state < len(warm)
@@ -433,7 +423,7 @@ def solve_bound_states(potential, max_states: int = 4, *,
         energy = potential.hartree_from_eps(eps)
         out.append(RadialSolution(
             energy=energy,
-            energy_mk=units.hartree_to_mk(energy),
+            energy_mk=hartree_to_mk(energy),
             node_count=nodes,
             rho=shooter.rho,
             f=f,
@@ -470,17 +460,17 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     adaptive barrier cutoff, which is equivalent within double precision.
     Each level from the second on starts from a bracket of half-width
     1e-3 of its guess, the level below divided by exp(2 pi / g), then by
-    the last ratio found (`_Shooter._warm_bracket`).  ValueError unless g
-    is finite and positive and the walls are ordered.
+    the last ratio found (`_Shooter._warm_bracket`).  ValueError unless
+    0 < g < inf, 0 < 100 cutoff_rho0 <= outer_rho < inf and n_states >= 1.
     """
     if g is None:
         g = efimov_constant()
     if not 0.0 < g < math.inf:
         raise ValueError("need a finite g > 0")
-    if not 0.0 < cutoff_rho0 < outer_rho:
-        raise ValueError("need 0 < cutoff_rho0 < outer_rho")
-    if outer_rho < 100.0 * cutoff_rho0:
-        raise ValueError("outer_rho must be well outside cutoff_rho0")
+    if not 0.0 < 100.0 * cutoff_rho0 <= outer_rho < math.inf:
+        raise ValueError("need 0 < 100 cutoff_rho0 <= outer_rho < inf")
+    if n_states < 1:
+        raise ValueError("need n_states >= 1")
     coef = g * g + 0.25
     shooter = _Shooter(lambda rho: -coef / (rho * rho), 0.0, 0.0,
                        cutoff_rho0, outer_rho, n, hard_wall=True)

@@ -1,9 +1,9 @@
 """Particles, pair interactions, units and hyperspherical kinematics.
 
 Internal unit system: atomic units with hbar = 1, lengths in Bohr radii and
-masses expressed as multiples of a configurable mass scale (1822.887 electron
-masses by default, i.e. roughly one atomic mass unit).  Energies appear in
-three units:
+masses expressed as multiples of the mass scale m, ParticleSystem.mass_scale
+(1822.887 electron masses by default, i.e. roughly one atomic mass unit).
+Energies appear in three units:
 
   eps = 2mE/hbar^2    (1/bohr^2, m the mass scale) what the solvers work in:
                       W, EffectivePotential.threshold and w_inf, and
@@ -13,7 +13,7 @@ three units:
                       converts from eps.
   millikelvin         RadialSolution.energy_mk and
                       EffectivePotential.threshold_mk, converted from hartree
-                      by UnitSystem.hartree_to_mk; the CLI prints these.
+                      by hartree_to_mk; the CLI prints these.
 
 Sign convention for the two-body input: a negative scattering length means
 the pair supports a bound dimer with pole momentum kappa ~ 1/|a|.
@@ -123,24 +123,9 @@ def _brent(f, a: float, b: float, fa: float | None, fb: float | None,
                       f"iterations (x = {xcur!r})")
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Unit conventions shared by every computation on a system.
-
-    Parameters
-    ----------
-    mass_scale : float
-        Mass scale m in electron masses; particle masses are multiples of it.
-    """
-
-    mass_scale: float = DEFAULT_MASS_SCALE
-
-    def __post_init__(self):
-        if self.mass_scale <= 0:
-            raise ValueError("mass_scale must be positive")
-
-    def hartree_to_mk(self, value_hartree: float) -> float:
-        return value_hartree / HARTREE_PER_MK
+def hartree_to_mk(value_hartree: float) -> float:
+    """An energy in hartree converted to millikelvin."""
+    return value_hartree / HARTREE_PER_MK
 
 
 def critical_p_shape(a: float, r_eff: float) -> float:
@@ -201,20 +186,20 @@ class PairParams:
 class ParticleSystem:
     """Three particles plus their pairwise interactions.
 
-    `masses[i]` is the mass of particle i in units of the mass scale.
-    `pairs[i]` holds the interaction of the pair formed by the other two
-    particles, i.e. pairs are indexed by the spectator.
+    `masses[i]` is the mass of particle i in units of `mass_scale`, itself
+    in electron masses.  `pairs[i]` holds the interaction of the pair formed
+    by the other two particles, i.e. pairs are indexed by the spectator.
     """
 
     masses: tuple[float, float, float]
     pairs: tuple[PairParams, PairParams, PairParams]
-    units: UnitSystem = UnitSystem()
+    mass_scale: float = DEFAULT_MASS_SCALE
 
     def __post_init__(self):
         if len(self.masses) != 3 or len(self.pairs) != 3:
             raise ValueError("exactly three masses and three pairs required")
-        if any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
+        if not all(0.0 < m < math.inf for m in (*self.masses, self.mass_scale)):
+            raise ValueError("masses and mass_scale must be finite and positive")
         # identical particles (same mass) must face identical interactions
         for j in range(3):
             for k in range(j + 1, 3):
@@ -225,8 +210,9 @@ class ParticleSystem:
 
     @classmethod
     def identical_bosons(cls, mass: float, pair: PairParams,
-                         units: UnitSystem | None = None) -> "ParticleSystem":
-        return cls((mass, mass, mass), (pair, pair, pair), units or UnitSystem())
+                         mass_scale: float = DEFAULT_MASS_SCALE
+                         ) -> "ParticleSystem":
+        return cls((mass, mass, mass), (pair, pair, pair), mass_scale)
 
     @property
     def is_identical(self) -> bool:
@@ -273,16 +259,16 @@ def reduced_masses(system: ParticleSystem) -> KinematicConstants:
 
 
 def dimer_binding_energy(pair: PairParams, mu: float,
-                         units: UnitSystem | None = None) -> float | None:
+                         mass_scale: float = DEFAULT_MASS_SCALE
+                         ) -> float | None:
     """Two-body binding energy B = 1/(2 mu m a^2) in hartree, or None.
 
     Uses the leading zero-range relation kappa = 1/|a|; a pair with a > 0
     carries no bound dimer in this convention and yields None.
     """
-    units = units or UnitSystem()
     if not pair.has_bound_dimer:
         return None
-    return 1.0 / (2.0 * mu * units.mass_scale * pair.a * pair.a)
+    return 1.0 / (2.0 * mu * mass_scale * pair.a * pair.a)
 
 
 def dimer_pole_kappa(pair: PairParams) -> float | None:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import zrtrimer.cli as cli
-from zrtrimer import PairParams, dimer_pole_kappa, efimov_constant
+from zrtrimer import (PairParams, SolverError, dimer_pole_kappa,
+                      efimov_constant, radial)
 from zrtrimer.angular import RootSearchError, dimer_channel_u
 
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
@@ -383,14 +384,49 @@ class TestExitCodes:
     def test_usage_error(self):
         assert cli.main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("where", ["no/such/x.json", "."])
     def test_unwritable_out_is_usage_error(self, fast_cfg_path, tmp_path,
-                                           capsys):
-        out = tmp_path / "no" / "such" / "x.json"
+                                           capsys, monkeypatch, where):
+        # the target is checked before the command runs
+        monkeypatch.setattr(cli, "solve_for_config", pytest.fail)
+        out = tmp_path / where
         assert cli.main(["solve", "--config", fast_cfg_path,
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"zrtrimer: error: cannot write output '{out}'")
-        assert not out.parent.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [None, "old output\n"])
+    def test_failed_command_leaves_out_as_it_was(self, fast_cfg_path,
+                                                 tmp_path, monkeypatch,
+                                                 existing):
+        def boom(cfg):
+            raise SolverError("no state")
+        monkeypatch.setattr(cli, "solve_for_config", boom)
+        out = tmp_path / "x.json"
+        if existing is not None:
+            out.write_text(existing)
+        assert cli.main(["solve", "--config", fast_cfg_path,
+                         "--out", str(out)]) == 2
+        if existing is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [out]
+            assert out.read_text() == existing
+
+    def test_out_replaces_an_existing_file(self, fast_cfg_path, tmp_path,
+                                           capsys):
+        # through a symlink, as a plain open would write
+        out = tmp_path / "x.csv"
+        out.write_text("old output\n" * 1000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(out)
+        assert cli.main(["eigenvalue", "--config", fast_cfg_path,
+                         "--out", str(link)]) == 0
+        assert cli.main(["eigenvalue", "--config", fast_cfg_path]) == 0
+        assert sorted(tmp_path.iterdir()) == [link, out]
+        assert link.is_symlink()
+        assert out.read_text() == capsys.readouterr().out
 
     def test_solver_failure_maps_to_2(self, he4_cfg_path, monkeypatch):
         def boom(cfg):
@@ -419,6 +455,37 @@ class TestExitCodes:
         assert captured.out == ""
         assert (f"[pair.1]: P = {p_shape} is outside the validity domain "
                 f"P > P_c = {p_c}," in captured.err)
+
+    @pytest.mark.parametrize("old, new", [
+        ("mass_scale = 1822.887", "mass_scale = nan"),
+        ("mass_scale = 1822.887", "mass_scale = inf"),
+        ("masses = 4.002603, 4.002603, 4.002603", "masses = inf, inf, inf"),
+        ("masses = 4.002603, 4.002603, 4.002603",
+         "masses = 4.002603, nan, 4.002603")])
+    def test_non_finite_mass_is_config_error(self, tmp_path, capsys,
+                                             monkeypatch, old, new):
+        monkeypatch.setattr(cli, "solve_for_config", pytest.fail)
+        text = bundled_config_text("he4_trimer")
+        assert old in text
+        cfg = tmp_path / "he4_mass.cfg"
+        cfg.write_text(text.replace(old, new))
+        assert cli.main(["solve", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[system]: masses and mass_scale must be finite" in captured.err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_radial_grid_is_solver_failure(self, fast_cfg_path,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        # rho^2 overflows, W is NaN there: without the check no bisection
+        # on that grid would end
+        monkeypatch.setattr(radial._Shooter, "eigenvalue", pytest.fail)
+        cfg = tmp_path / "huge_rho.cfg"
+        cfg.write_text(Path(fast_cfg_path).read_text()
+                       + "\n[solver]\nradial_rho_max = 1e300\n")
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert "W is not finite" in capsys.readouterr().err
 
     def test_radial_rho_min_past_automatic_rho_max(self, tmp_path, capsys):
         # the automatic radial_rho_max of the bundled He4 config is 4000

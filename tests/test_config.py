@@ -22,7 +22,7 @@ class TestBundledConfigs:
     def test_he4_trimer(self):
         cfg = parse_config(bundled_config_text("he4_trimer"))
         assert cfg.system.masses == (4.002603, 4.002603, 4.002603)
-        assert cfg.system.units.mass_scale == 1822.887
+        assert cfg.system.mass_scale == 1822.887
         for pair in cfg.system.pairs:
             assert pair.a == -189.054
             assert pair.r_eff == 13.843
@@ -112,6 +112,21 @@ class TestParsing:
         assert cfg.radial_rho_max == 1234.5
         with pytest.raises(ConfigError, match="radial_rho_max"):
             parse_config(MINIMAL + "\n[solver]\nradial_rho_max = -3\n")
+
+    @pytest.mark.parametrize("text, match", [
+        (MINIMAL + "\n[grid]\nrho_max = inf\n", r"\[grid\]"),
+        (MINIMAL + "\n[solver]\nradial_rho_max = inf\n",
+         r"\[solver\]\.radial_rho_max")], ids=["rho_max", "radial_rho_max"])
+    def test_non_finite_rho_max_rejected(self, text, match):
+        # the masses and mass_scale: TestExitCodes in test_cli.py
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+    def test_infinite_scattering_length_is_legal(self):
+        # a = +-inf is the unitary limit
+        for a in ("inf", "-inf"):
+            cfg = parse_config(MINIMAL.replace("a = -5.0", f"a = {a}"))
+            assert cfg.system.pairs[0].a == float(a)
 
     def test_pair_indexing_out_of_range(self):
         with pytest.raises(ConfigError, match="unknown section"):

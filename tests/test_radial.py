@@ -33,10 +33,8 @@ from trimer_params import (HE4_A, HE4_MASS, HE4_P, HE4_REFF,
 
 
 class FlatPotential:
-    """Constant-W stub exposing the potential interface, internal units."""
-
-    problem = SimpleNamespace(
-        system=SimpleNamespace(units=SimpleNamespace(hartree_to_mk=float)))
+    """Constant-W stub exposing the potential interface, internal units;
+    it has no `problem`, so solves pass rho_max."""
 
     def __init__(self, w0=0.0, threshold=0.0):
         self.w0 = w0
@@ -355,7 +353,7 @@ class TestSolveBoundStates:
         _, states = he4_solution
         shooter = _he4_shooter(pot, 6001)
         for s in states:
-            eps = 2.0 * pot.problem.system.units.mass_scale * s.energy
+            eps = 2.0 * pot.problem.system.mass_scale * s.energy
             assert abs(shooter.sweep(eps).resid) < 1e-6
 
     @settings(max_examples=60, deadline=None)
@@ -368,6 +366,16 @@ class TestSolveBoundStates:
         eps = shooter.w_min + x * (shooter.top - shooter.w_min)
         sweep = shooter.sweep(eps)
         assert sweep.count - 0.5 < sweep.phase < sweep.count + 0.5
+
+    def test_non_finite_w_is_solver_error(self):
+        # a NaN trial energy would bisect forever: no sweep table hit
+        def w_of(rho):
+            w = -1.0 / (rho * rho)
+            w[100] = math.nan
+            return w
+
+        with pytest.raises(SolverError, match="W is not finite"):
+            _Shooter(w_of, 0.0, 0.0, 0.5, 50.0, 500)
 
     def test_state_outside_window_is_solver_error(self):
         shooter = _Shooter(FlatPotential(w0=2.0).values, 0.0, 0.0,
@@ -523,6 +531,13 @@ class TestThomasSpectrum:
             thomas_spectrum(cutoff_rho0=10.0, outer_rho=1.0)
         with pytest.raises(ValueError):
             thomas_spectrum(cutoff_rho0=1.0, outer_rho=50.0)
+        with pytest.raises(ValueError, match="outer_rho < inf"):
+            thomas_spectrum(outer_rho=math.inf)
+
+    @pytest.mark.parametrize("n_states", [0, -1])
+    def test_n_states_must_be_positive(self, n_states):
+        with pytest.raises(ValueError, match="n_states >= 1"):
+            thomas_spectrum(n_states=n_states)
 
     @pytest.mark.parametrize("g", [-1.0, 0.0, math.nan, math.inf])
     def test_strength_must_be_finite_and_positive(self, g):

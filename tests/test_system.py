@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from zrtrimer import (
     PairParams,
     ParticleSystem,
-    UnitSystem,
     critical_p_shape,
     dimer_binding_energy,
     dimer_pole_kappa,
+    hartree_to_mk,
     reduced_masses,
 )
 
@@ -66,10 +66,10 @@ class TestKinematics:
         for _ in range(20):
             s = rng.uniform(0.1, 10.0)
             sys_a = ParticleSystem(masses=base, pairs=pairs,
-                                   units=UnitSystem(mass_scale=1822.887))
+                                   mass_scale=1822.887)
             sys_b = ParticleSystem(
                 masses=tuple(m / s for m in base), pairs=pairs,
-                units=UnitSystem(mass_scale=1822.887 * s))
+                mass_scale=1822.887 * s)
             kin_a = reduced_masses(sys_a)
             kin_b = reduced_masses(sys_b)
             for i in range(3):
@@ -77,17 +77,17 @@ class TestKinematics:
                     if i != j:
                         assert kin_a.phi[i][j] == pytest.approx(kin_b.phi[i][j], rel=1e-13)
                 # physical reduced mass: mu (units of m) times m
-                assert kin_a.mu[i] * sys_a.units.mass_scale == pytest.approx(
-                    kin_b.mu[i] * sys_b.units.mass_scale, rel=1e-12)
+                assert kin_a.mu[i] * sys_a.mass_scale == pytest.approx(
+                    kin_b.mu[i] * sys_b.mass_scale, rel=1e-12)
 
 
 class TestDimer:
     def test_he4_dimer_binding_energy_mk(self):
-        units = UnitSystem()
-        b_hartree = dimer_binding_energy(PairParams(a=HE4_A), MU4, units)
+        b_hartree = dimer_binding_energy(PairParams(a=HE4_A), MU4, 1822.887)
         assert b_hartree == pytest.approx(
-            1.0 / (2.0 * MU4 * units.mass_scale * HE4_A ** 2), rel=1e-15)
-        b_mk = units.hartree_to_mk(b_hartree)
+            1.0 / (2.0 * MU4 * 1822.887 * HE4_A ** 2), rel=1e-15)
+        assert dimer_binding_energy(PairParams(a=HE4_A), MU4) == b_hartree
+        b_mk = hartree_to_mk(b_hartree)
         assert b_mk == pytest.approx(1.2109, abs=2e-4)
         # the trimer excited state (-2.21 mK) lies below -B
         assert -2.21 < -b_mk
@@ -218,8 +218,7 @@ class TestValidityDomain:
 
 class TestUnits:
     def test_hartree_to_kelvin_pinned(self):
-        assert UnitSystem().hartree_to_mk(1.0) == pytest.approx(
-            3.1577464e8, rel=1e-12)
+        assert hartree_to_mk(1.0) == pytest.approx(3.1577464e8, rel=1e-12)
 
 
 class TestValidation:
@@ -237,10 +236,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="inert"):
             PairParams(a=1.0, r_eff=0.0, p_shape=0.1)
 
-    def test_masses_positive(self):
-        with pytest.raises(ValueError):
-            ParticleSystem(masses=(1.0, -1.0, 1.0),
-                           pairs=(PairParams(a=1.0),) * 3)
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_masses_finite_and_positive(self, bad):
+        pairs = (PairParams(a=1.0),) * 3
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            ParticleSystem(masses=(1.0, bad, 1.0), pairs=pairs)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            ParticleSystem(masses=(1.0,) * 3, pairs=pairs, mass_scale=bad)
 
     def test_identical_particles_need_identical_pairs(self):
         with pytest.raises(ValueError, match="equal masses"):
