@@ -15,11 +15,21 @@ is one sign-change ladder, `_walk`, plus a Brent refine (`system.brent`)
 that reuses the values at the bracket's ends: two-sided for branch
 continuation, one-sided from a window edge to seed the first node.
 
-Continuation (trace_branch) predicts each node by the quadratic through the
-three previous ones and starts the walk with a rung sized by the previous
-node's miss, so a node costs about 6 residual evaluations on the bundled
-configs: the prediction, the first rung each way and the refine; the
-residual it stores is the one the refine evaluated at the root.
+trace_branch continues the branch node by node over a coarse sub-grid,
+nodes at most COARSE_STEP apart in ln rho (87 of the bundled 600): each
+node is predicted by the quadratic through the three previous ones and
+its walk starts with a rung sized by the previous node's miss.  The other
+nodes are solved in lockstep over numpy arrays: guesses from a monotone
+cubic through the coarse nodes, brackets widened around all of them at
+once, and Illinois regula falsi on the nodes still active, with scalar
+Brent finishing the few that need more rounds.  The array form of the
+residual, `AngularProblem.residual_array`, covers the lowest cell
+u < 4 - POLE_GUARD, where the branch lives.  A node the lockstep cannot
+bracket near its guess sends the whole grid back to the node-by-node
+walk, so a branch that jumps inside a coarse step fails or passes as it
+would on every node.  Every stored residual is one a search evaluated at
+the stored root: on the bundled configs about 2 scalar calls and 10
+array points per node.
 
 The searches read one scaled residual per problem, `AngularProblem.residual`,
 built from constants computed once.  For identical bosons it is the boson
@@ -41,9 +51,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .system import (KinematicConstants, PairParams, ParticleSystem, SolverError,
-                     _brent, brent, dimer_binding_energy, dimer_pole_kappa,
-                     reduced_masses)
+from .system import (BRENT_RTOL, KinematicConstants, PairParams, ParticleSystem,
+                     SolverError, _brent, _Pchip, brent, dimer_binding_energy,
+                     dimer_pole_kappa, reduced_masses)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -55,6 +65,12 @@ MAX_HALVINGS = 12
 
 #: Largest scaled residual trace_branch accepts at a branch node.
 MAX_RESIDUAL = 1e-10
+
+#: Widest gap in ln(rho) between the nodes trace_branch continues one by one.
+COARSE_STEP = 0.15
+
+#: Regula falsi rounds of the lockstep refine before a node goes to Brent.
+LOCKSTEP_ROUNDS = 8
 
 
 class PoleProximityError(SolverError):
@@ -170,6 +186,12 @@ class AngularProblem:
         return reduced_masses(self.system)
 
     @cached_property
+    def _residual_forms(self):
+        if self.system.is_identical:
+            return _boson_residual(self)
+        return _general_residual(self)
+
+    @cached_property
     def residual(self):
         """Scaled residual f(u, rho) for bracketing and root refinement:
         the boson equation over max(1, |LHS|, |RHS|) for identical bosons
@@ -178,9 +200,15 @@ class AngularProblem:
         (`_general_residual`).  Scaling moves no root, so at an accepted
         root the value is a relative residual that trace_branch holds below
         MAX_RESIDUAL."""
-        if self.system.is_identical:
-            return _boson_residual(self)
-        return _general_residual(self)
+        return self._residual_forms[0]
+
+    @cached_property
+    def residual_array(self):
+        """`residual` over equal-shape arrays of u < 4 - POLE_GUARD and
+        rho > 0, the lowest pole-free cell, where it checks nothing.  It
+        differs from `residual` in the last bits only, where np.sin and
+        np.exp round differently from math."""
+        return self._residual_forms[1]
 
     @cached_property
     def dimer(self) -> Dimer | None:
@@ -254,7 +282,8 @@ def build_matrix(u: float, rho: float, problem: AngularProblem) -> np.ndarray:
 
 
 def _boson_residual(problem: AngularProblem):
-    """(boson_lhs - _bc_bracket) / max(1, |LHS|, |RHS|), in scalars.
+    """(boson_lhs - _bc_bracket) / max(1, |LHS|, |RHS|), in scalars and
+    over arrays of the lowest cell (AngularProblem.residual_array).
 
     The constants of the boundary condition are computed once, and C(u)
     and the pi/3 sine ratio share one sin/sinh denominator.
@@ -301,11 +330,29 @@ def _boson_residual(problem: AngularProblem):
             rhs = rho * s * (ia + x * (h + p * x))
         return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
-    return resid
+    def resid_array(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        # the scalar branches, each on its own mask, so none sees a u it
+        # would warn on
+        lhs = np.full_like(u, lhs0)
+        pos, neg = u > 0.0, u < 0.0
+        nu = np.sqrt(u[pos])
+        lhs[pos] = (w * np.sin(nu * sixth_pi) - nu * np.cos(nu * half_pi)) / (
+            np.sin(nu * half_pi))
+        k = np.sqrt(-u[neg])
+        den = -np.expm1(-k * math.pi)
+        lhs[neg] = (-w * np.exp(-k * third_pi) * np.expm1(-k * third_pi)
+                    - k * (2.0 - den)) / den
+        x = u / (rho * rho)
+        rhs = rho * s * (ia + x * (h + p * x))
+        return (lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
+                                        1.0)
+
+    return resid, resid_array
 
 
 def _general_residual(problem: AngularProblem):
-    """det(build_matrix) / prod_i max(|C|, |bc_i|, |o_ij|, |o_ik|), in scalars.
+    """det(build_matrix) / prod_i max(|C|, |bc_i|, |o_ij|, |o_ik|), in
+    scalars and over arrays of the lowest cell (residual_array).
 
     The matrix is symmetric, so its three distinct off-diagonals o_ij share
     one sin/sinh denominator and the determinant is written out in closed
@@ -370,7 +417,40 @@ def _general_residual(problem: AngularProblem):
                  * max(ac, abs(b2), a02, a12))
         return det / max(scale, 1e-300)
 
-    return resid
+    def resid_array(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        c, o01, o12, o02 = (np.empty_like(u) for _ in range(4))
+        pos, neg, zero = u > 0.0, u < 0.0, u == 0.0
+        nu = np.sqrt(u[pos])
+        den = np.sin(nu * half_pi)
+        c[pos] = nu / np.tan(nu * half_pi)
+        o01[pos] = -w01 * np.sin(nu * g01) / den
+        o12[pos] = -w12 * np.sin(nu * g12) / den
+        o02[pos] = -w02 * np.sin(nu * g02) / den
+        k = np.sqrt(-u[neg])
+        den = -np.expm1(-k * math.pi)
+        c[neg] = k * (2.0 - den) / den
+        o01[neg] = w01 * np.exp(-k * f01) * np.expm1(-2.0 * k * g01) / den
+        o12[neg] = w12 * np.exp(-k * f12) * np.expm1(-2.0 * k * g12) / den
+        o02[neg] = w02 * np.exp(-k * f02) * np.expm1(-2.0 * k * g02) / den
+        c[zero] = 1.0 / half_pi
+        o01[zero] = -w01 * g01 / half_pi
+        o12[zero] = -w12 * g12 / half_pi
+        o02[zero] = -w02 * g02 / half_pi
+        x = u / (rho * rho)
+        b0 = rho * s0 * (ia0 + x * (h0 + p0 * x))
+        b1 = rho * s1 * (ia1 + x * (h1 + p1 * x))
+        b2 = rho * s2 * (ia2 + x * (h2 + p2 * x))
+        d0, d1, d2 = c + b0, c + b1, c + b2
+        det = (d0 * d1 * d2 + 2.0 * o01 * o12 * o02
+               - d0 * o12 * o12 - d1 * o02 * o02 - d2 * o01 * o01)
+        ac, a01, a12, a02 = np.abs(c), np.abs(o01), np.abs(o12), np.abs(o02)
+        mx = np.maximum
+        scale = (mx(mx(ac, np.abs(b0)), mx(a01, a02))
+                 * mx(mx(ac, np.abs(b1)), mx(a01, a12))
+                 * mx(mx(ac, np.abs(b2)), mx(a02, a12)))
+        return det / mx(scale, 1e-300)
+
+    return resid, resid_array
 
 
 def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
@@ -484,13 +564,15 @@ class NuBranch:
 def trace_branch(grid, problem: AngularProblem) -> NuBranch:
     """Trace the lowest branch over a strictly increasing rho grid.
 
-    Each solve is seeded by the quadratic through the three previous nodes
-    (linear from two, the first analytically), and its walk starts with a
-    rung of 4x the previous node's miss |u - guess|, floored at
-    1e-13 (1 + |guess|) and capped at solve_at_rho's default.  If the
-    prediction lands past a pole, or the root is lost or jumps between
-    nodes, the step toward the next node is bisected, up to MAX_HALVINGS
-    times, before giving up.
+    The branch is continued node by node (`_continue`) over a coarse
+    sub-grid: the first and last nodes and every node that cannot be
+    skipped without leaving a gap over COARSE_STEP in ln rho.  The other
+    nodes are solved together by `_lockstep`, from the monotone cubic in
+    ln rho through the coarse nodes.  If it loses any node, no root within
+    the trust max(0.5, |guess|/4), the branch may have jumped inside a
+    coarse step, and the whole grid is continued node by node instead.  On
+    a grid spaced wider than COARSE_STEP/2 in ln rho every node is coarse.
+    Every node's residual is held to MAX_RESIDUAL (SolverError).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -498,6 +580,51 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
     if np.any(np.diff(grid) <= 0.0) or grid[0] <= 0.0:
         raise ValueError("grid must be positive and strictly increasing")
 
+    log_rho = np.log(grid)
+    lr = log_rho.tolist()
+    coarse = np.zeros(len(grid), dtype=bool)
+    coarse[0] = coarse[-1] = True
+    last = lr[0]
+    for k in range(1, len(lr) - 1):
+        if lr[k + 1] - last > COARSE_STEP:
+            coarse[k] = True
+            last = lr[k]
+    us, res = _continue(grid, problem, coarse)
+    fine = ~coarse
+    if fine.any():
+        guess = _Pchip(log_rho[coarse], us[coarse])(log_rho[fine])
+        found = _lockstep(problem, grid[fine], guess)
+        if found is None:
+            us, res = _continue(grid, problem, np.ones_like(coarse))
+        else:
+            us[fine], res[fine] = found
+            bad = np.flatnonzero(fine & ~(np.abs(res) <= MAX_RESIDUAL))
+            if bad.size:
+                k = bad[0]
+                raise _residual_error(grid[k], us[k], res[k])
+    return NuBranch(rho=grid, u=us, residuals=res)
+
+
+def _residual_error(rho, u, r) -> SolverError:
+    return SolverError(f"branch residual {abs(r):.3g} at rho = {rho:g}, "
+                       f"u = {float(u)!r} exceeds {MAX_RESIDUAL:g}")
+
+
+def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """u and its residual at the grid nodes in the mask `nodes`, by
+    continuation from node to node, the first node seeded by
+    `_first_node_u`; the other entries are left unset.
+
+    Each solve is seeded by the quadratic through the three previous
+    nodes (linear from two, the first analytically), and its walk starts
+    with a rung of 4x the previous node's miss |u - guess|, floored at
+    1e-13 (1 + |guess|) and capped at solve_at_rho's default.  If the
+    prediction lands past a pole, or the root is lost or jumps between
+    nodes, the step toward the next node is bisected, up to MAX_HALVINGS
+    times, before giving up.  Each node's residual is held to
+    MAX_RESIDUAL as soon as it is solved.
+    """
     us = np.empty_like(grid)
     res = np.empty_like(grid)
 
@@ -560,19 +687,84 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
 
     # builtin floats: an np.float64 rho would spread through every iterate
     # into hist and slow each later residual call
-    for k, rho in enumerate(grid.tolist()):
-        if k == 0:
-            u, r = _first_node_u(rho, problem)
-            hist.append((rho, u))
+    rhos = grid.tolist()
+    for k in np.flatnonzero(nodes).tolist():
+        if not hist:
+            u, r = _first_node_u(rhos[k], problem)
+            hist.append((rhos[k], u))
         else:
-            u, r = advance(rho)
+            u, r = advance(rhos[k])
+        if not abs(r) <= MAX_RESIDUAL:
+            raise _residual_error(rhos[k], u, r)
         us[k] = u
         res[k] = r
-        if not abs(r) <= MAX_RESIDUAL:
-            raise SolverError(
-                f"branch residual {abs(r):.3g} at rho = {rho:g}, u = {u!r} "
-                f"exceeds {MAX_RESIDUAL:g}")
-    return NuBranch(rho=grid, u=us, residuals=res)
+    return us, res
+
+
+def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Roots of the residual next to each guess below u = 4, all at once,
+    and the residual at each; None if any node has no root near its guess.
+
+    Each bracket [g - w, g + w] (its top clipped to the cell edge
+    4 - POLE_GUARD) starts at w = 1e-6 (1 + |g|) and widens 4x a round,
+    up to the trust max(0.5, |g|/4), until its ends differ in sign.  The
+    brackets are refined by Illinois regula falsi (M. Dowell and P.
+    Jarratt, BIT 11, 168 (1971)) on the still active nodes, until one is
+    at most 2 BRENT_RTOL |u| wide; after LOCKSTEP_ROUNDS rounds a node
+    finishes in scalar Brent from its bracket and true end values.  A root
+    is the bracket end of smaller |residual|, a value the search evaluated.
+    """
+    f = problem.residual_array
+    top = 4.0 - POLE_GUARD
+    if not np.all(guess <= top):
+        return None
+    n = len(rho)
+    a, b, fa, fb = (np.empty(n) for _ in range(4))
+    trust = np.maximum(0.5, 0.25 * np.abs(guess))
+    w = 1e-6 * (1.0 + np.abs(guess))
+    todo = np.arange(n)
+    while todo.size:
+        g, r, wt = guess[todo], rho[todo], w[todo]
+        a[todo], b[todo] = g - wt, np.minimum(g + wt, top)
+        ends = f(np.concatenate((a[todo], b[todo])), np.concatenate((r, r)))
+        fa[todo], fb[todo] = ends[:todo.size], ends[todo.size:]
+        todo = todo[((fa[todo] < 0.0) == (fb[todo] < 0.0))
+                    & (fa[todo] != 0.0) & (fb[todo] != 0.0)]
+        if np.any(w[todo] >= trust[todo]):
+            return None
+        w[todo] = np.minimum(4.0 * w[todo], trust[todo])
+
+    u, res = np.empty(n), np.empty(n)
+    # x0 is the retained end with its Illinois-scaled value f0 and true
+    # value t0; x1 is the newest iterate
+    idx, x0, f0, t0, x1, f1, r = np.arange(n), a, fa, fa, b, fb, rho
+    for rnd in range(LOCKSTEP_ROUNDS + 1):
+        done = ((np.abs(x1 - x0) <= 2.0 * BRENT_RTOL * np.abs(x1))
+                | (f1 == 0.0) | (t0 == 0.0))
+        if done.any():
+            end0 = np.abs(t0[done]) < np.abs(f1[done])
+            u[idx[done]] = np.where(end0, x0[done], x1[done])
+            res[idx[done]] = np.where(end0, t0[done], f1[done])
+            keep = ~done
+            idx, x0, f0, t0, x1, f1, r = (
+                v[keep] for v in (idx, x0, f0, t0, x1, f1, r))
+        if rnd == LOCKSTEP_ROUNDS or not idx.size:
+            break
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        f2 = f(x2, r)
+        flip = (f2 < 0.0) != (f1 < 0.0)
+        x0 = np.where(flip, x1, x0)
+        t0 = np.where(flip, f1, t0)
+        f0 = np.where(flip, f1, 0.5 * f0)
+        x1, f1 = x2, f2
+    resid = problem.residual
+    for k, a_k, b_k, fa_k, fb_k in zip(idx.tolist(), x0.tolist(), x1.tolist(),
+                                       t0.tolist(), f1.tolist()):
+        rho_k = rho[k].item()
+        u[k], res[k] = _brent(lambda x: resid(x, rho_k), a_k, b_k, fa_k, fb_k,
+                              1e-300)
+    return u, res
 
 
 def nu2_asymptotic(rho: float, pair: PairParams, mu: float,

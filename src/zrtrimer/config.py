@@ -31,6 +31,12 @@ _ALLOWED = {
                "max_states"},
 }
 
+#: Largest accepted [grid] rho_max and [solver] radial_rho_max (bohr).  It
+#: keeps rho^2 <= 1e200 and the dimer channel's u ~ -kappa^2 rho^2 / mu
+#: finite for kappa^2 / mu up to 1e108; at rho ~ 1e154 rho^2 overflows and
+#: W turns to NaN.
+RHO_LIMIT = 1e100
+
 _REQUIRED_HINT = (
     "required: [system] masses = m1, m2, m3 and [pair.1], [pair.2], "
     "[pair.3] each with a scattering length key 'a'")
@@ -135,8 +141,9 @@ def parse_config(text: str) -> RunConfig:
     rho_min = _number(grid, "rho_min", 0.05, "[grid]")
     rho_max = _number(grid, "rho_max", 4000.0, "[grid]")
     n = _number(grid, "n", 600, "[grid]", int)
-    if not 0.0 < rho_min < rho_max < math.inf:
-        raise ConfigError("[grid]: need 0 < rho_min < rho_max < inf")
+    if not 0.0 < rho_min < rho_max <= RHO_LIMIT:
+        raise ConfigError(
+            f"[grid]: need 0 < rho_min < rho_max <= {RHO_LIMIT:g}")
     if n < 2:
         raise ConfigError("[grid].n: need at least 2 grid nodes")
 
@@ -153,14 +160,19 @@ def parse_config(text: str) -> RunConfig:
     radial_rho_max = None
     if solver.get("radial_rho_max", "auto").strip() != "auto":
         radial_rho_max = _number(solver, "radial_rho_max", 0.0, "[solver]")
-        if not radial_rho_min < radial_rho_max < math.inf:
-            raise ConfigError("[solver].radial_rho_max: must be finite and "
-                              "exceed radial_rho_min, or be 'auto'")
+        if not radial_rho_min < radial_rho_max <= RHO_LIMIT:
+            raise ConfigError("[solver].radial_rho_max: must exceed "
+                              f"radial_rho_min and be at most {RHO_LIMIT:g}, "
+                              "or be 'auto'")
     elif not radial_rho_min < default_rho_max(system):
         raise ConfigError(
             "[solver].radial_rho_min: must lie below the automatic "
             f"radial_rho_max = {default_rho_max(system):g}, or set "
             "radial_rho_max")
+    elif not default_rho_max(system) <= RHO_LIMIT:
+        raise ConfigError(
+            "[solver].radial_rho_max: the automatic value "
+            f"{default_rho_max(system):g} exceeds {RHO_LIMIT:g}; set it")
     max_states = _number(solver, "max_states", 4, "[solver]", int)
     if max_states < 1:
         raise ConfigError("[solver].max_states: need at least 1 state")

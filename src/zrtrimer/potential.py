@@ -28,67 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import AngularProblem, NuBranch, dimer_channel_u
-from .system import hartree_to_mk
+from .system import _Pchip, hartree_to_mk
 
 #: q_convention -> shift s in W = (u - s)/rho^2
 _SHIFT = {"leading_term": 0.0, "none": 0.25}
 Q_CONVENTIONS = tuple(_SHIFT)
-
-
-# Derived from scipy.interpolate.PchipInterpolator, Copyright (c) 2001-2002
-# Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause, see NOTICE.
-class _Pchip:
-    """Monotone piecewise cubic Hermite interpolant through (x, y), NaN
-    outside [x[0], x[-1]] (F. N. Fritsch and R. E. Carlson, SIAM J. Numer.
-    Anal. 17, 238 (1980)).
-
-    Built and summed as scipy's PchipInterpolator(x, y, extrapolate=False):
-    interior slopes are weighted harmonic means of the neighbouring secants,
-    0 where those differ in sign or one is flat; end slopes are one-sided
-    three-point estimates, kept on the side of the end secant and at most 3
-    times it across an extremum; two nodes give a straight line.  Each cubic
-    is summed in the power basis from the constant term up, as scipy does:
-    a Horner form moves results by an ulp.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        h = np.diff(x)
-        if not (np.isfinite(x).all() and np.isfinite(y).all() and len(x) > 1
-                and (h > 0.0).all()):
-            raise ValueError("need finite y on finite, strictly increasing x "
-                             "of at least 2 nodes")
-        m = np.diff(y) / h
-        if len(x) == 2:
-            d = np.array([m[0], m[0]])
-        else:
-            d = np.zeros_like(y)
-            sm = np.sign(m)
-            mean = (sm[1:] == sm[:-1]) & (m[1:] != 0.0) & (m[:-1] != 0.0)
-            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            d[1:-1][mean] = 1.0 / whmean[mean]
-            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-            end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-            cap = ((np.sign(m0) != np.sign(m1))
-                   & (np.abs(end) > 3.0 * np.abs(m0)))
-            d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
-                                  np.where(cap, 3.0 * m0, end))
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        self.x = x
-        # coefficients of s^3, s^2, s, 1 on each interval, s = x - x_i
-        self.c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        x = self.x
-        i = np.searchsorted(x, xs, side="right") - 1
-        np.clip(i, 0, len(x) - 2, out=i)
-        s = xs - x[i]
-        s2 = s * s
-        c0, c1, c2, c3 = (c[i] for c in self.c)
-        out = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
-        out[~((xs >= x[0]) & (xs <= x[-1]))] = np.nan
-        return out
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,23 @@ def _outcome(f):
         return type(exc)
 
 
+_cell0_points = st.lists(st.tuples(
+    st.one_of(st.floats(-1e4, 4.0 - POLE_GUARD), st.just(0.0),
+              st.floats(1e-16, 1e-3).flatmap(
+                  lambda x: st.sampled_from((x, -x)))),
+    _rhos), min_size=1, max_size=8)
+
+
+def _assert_array_matches_scalar(problem, points):
+    """residual_array on a batch of (u, rho) against the scalar residual
+    point by point: np.sin and np.exp may differ from math in the last
+    bit, which moves the scaled residual by at most a few 1e-16."""
+    u, rho = (np.array(v) for v in zip(*points))
+    got = problem.residual_array(u, rho)
+    want = np.array([problem.residual(*p) for p in points])
+    assert np.all(np.abs(got - want) <= 4e-15)
+
+
 class TestGeneralResidual:
     """The scalar 3x3 residual against det(build_matrix), the slow reference."""
 
@@ -303,6 +320,11 @@ class TestGeneralResidual:
             if min(abs(below), abs(above)) <= 1e-14:
                 continue
             assert below * above < 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=_general_problems(), points=_cell0_points)
+    def test_array_form_matches_scalar(self, problem, points):
+        _assert_array_matches_scalar(problem, points)
 
     @settings(max_examples=60, deadline=None)
     @given(problem=_general_problems(), rho=_rhos)
@@ -359,6 +381,11 @@ class TestBosonFastResidual:
         assert problem.system.is_identical
         fast = problem.residual(u, rho)
         assert abs(fast - _boson_reference(u, rho, problem)) <= 4e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=_boson_problems(), points=_cell0_points)
+    def test_array_form_matches_scalar(self, problem, points):
+        _assert_array_matches_scalar(problem, points)
 
     @settings(max_examples=60, deadline=None)
     @given(problem=_boson_problems(), rho=st.floats(0.05, 4000.0))
@@ -504,43 +531,66 @@ class TestTraceBranch:
         with pytest.raises(SolverError, match="branch residual"):
             trace_branch(np.array([1.0, 2.0]), problem)
 
-    @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
-    def test_work_per_node(self, request, cfg_name, monkeypatch):
-        # the cost of the continuation in residual evaluations, which no
-        # machine changes: a linear predictor with a fixed first rung of
-        # 1e-4 (1 + |guess|) took 11.45 (He4) and 12.71 (mixed) per node;
-        # the quadratic predictor with a rung sized by the last miss, 9.00
-        # and 9.22; a refine that reuses the bracket's end values, 7.00 and
-        # 7.22; the stored residual taken from the refine, 6.00 and 6.23
+    @pytest.mark.parametrize("cfg_name, scalar, points", [
+        ("he4_cfg", 2.0, 10.0), ("mixed_cfg", 2.1, 11.0)])
+    def test_work_per_node(self, request, cfg_name, scalar, points,
+                           monkeypatch):
+        # the cost of the trace in residual evaluations, which no machine
+        # changes.  Continued node by node, a linear predictor with a fixed
+        # first rung of 1e-4 (1 + |guess|) took 11.45 (He4) and 12.71
+        # (mixed) per node; the quadratic predictor with a rung sized by
+        # the last miss, 9.00 and 9.22; a refine that reuses the bracket's
+        # end values, 7.00 and 7.22; the stored residual taken from the
+        # refine, 6.00 and 6.23.  With the walk on 87 coarse nodes and the
+        # other 513 in lockstep: scalar calls 1.87 and 1.96 per node, array
+        # points 9.41 and 10.55 per node, in 7 bracket rounds and 8 regula
+        # falsi rounds
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
-        f = problem.residual
-        evals, solves = [], []
+        f, f_array = problem.residual, problem.residual_array
+        seen = {}
+        scalar_calls, array_sizes, solves = [], [], []
 
         def counted(u, rho):
-            evals.append(u)
-            return f(u, rho)
+            r = f(u, rho)
+            scalar_calls.append(u)
+            seen.setdefault((u, rho), set()).add(r)
+            return r
+
+        def counted_array(u, rho):
+            r = f_array(u, rho)
+            array_sizes.append(len(u))
+            for key in zip(u.tolist(), rho.tolist(), r.tolist()):
+                seen.setdefault(key[:2], set()).add(key[2])
+            return r
 
         def solve(*args, **kwargs):
             solves.append(args[0])
             return solve_at_rho(*args, **kwargs)
         monkeypatch.setitem(problem.__dict__, "residual", counted)
+        monkeypatch.setitem(problem.__dict__, "residual_array", counted_array)
         monkeypatch.setattr(angular, "solve_at_rho", solve)
         grid = np.exp(np.linspace(math.log(cfg.rho_min),
                                   math.log(cfg.rho_max), cfg.n))
         branch = trace_branch(grid, problem)
-        assert len(solves) == len(grid) - 1     # no step was halved
-        assert len(evals) / len(grid) <= 6.5
-        # the stored residual is the one the refine evaluated, bit for bit
-        assert branch.residuals.tolist() == [
-            f(u, rho) for u, rho in zip(branch.u.tolist(), grid.tolist())]
+        # one solve per coarse step: none was halved, no node fell back
+        assert len(solves) == 86
+        assert len(array_sizes) <= 7 + angular.LOCKSTEP_ROUNDS
+        assert len(scalar_calls) / len(grid) <= scalar
+        assert sum(array_sizes) / len(grid) <= points
+        # each stored residual was evaluated at its stored u, bit for bit
+        for u, rho, r in zip(branch.u.tolist(), grid.tolist(),
+                             branch.residuals.tolist()):
+            assert r in seen[u, rho]
 
     @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
     def test_residual_sees_builtin_floats(self, request, cfg_name,
                                           monkeypatch):
         # the elements of a numpy grid are np.float64; one that reaches the
-        # residual spreads through every Brent iterate into the
-        # continuation history and slows each later scalar operation
+        # scalar residual spreads through every Brent iterate into the
+        # continuation history and slows each later scalar operation.  The
+        # scalar calls are the coarse walk's and the Brent finishes of the
+        # lockstep (mixed only)
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
         f = problem.residual
@@ -553,8 +603,64 @@ class TestTraceBranch:
         grid = np.exp(np.linspace(math.log(cfg.rho_min),
                                   math.log(cfg.rho_max), cfg.n))
         trace_branch(grid, problem)
-        assert len(types) > 5 * len(grid)
+        assert len(types) > len(grid)
         assert set(types) == {(float, float)}
+
+    @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
+    def test_lost_node_continues_every_node(self, request, cfg_name,
+                                            monkeypatch):
+        # a residual without a sign change near any guess: the lockstep
+        # loses its nodes, and the whole grid is continued node by node
+        cfg = request.getfixturevalue(cfg_name)
+        grid = np.exp(np.linspace(math.log(cfg.rho_min),
+                                  math.log(cfg.rho_max), cfg.n))
+        want = trace_branch(grid, AngularProblem(cfg.system))
+        problem = AngularProblem(cfg.system)
+        monkeypatch.setitem(problem.__dict__, "residual_array",
+                            lambda u, rho: np.ones_like(u))
+        solves = []
+
+        def solve(*args, **kwargs):
+            solves.append(args[0])
+            return solve_at_rho(*args, **kwargs)
+        monkeypatch.setattr(angular, "solve_at_rho", solve)
+        got = trace_branch(grid, problem)
+        assert solves[86:] == grid[1:].tolist()
+        np.testing.assert_allclose(got.u, want.u, rtol=1e-13, atol=0.0)
+        assert np.max(np.abs(got.residuals)) <= angular.MAX_RESIDUAL
+
+    def test_fine_residual_bound_enforced(self, he4_cfg, monkeypatch):
+        # a lockstep root 1e-6 relative off is held to MAX_RESIDUAL too
+        problem = AngularProblem(he4_cfg.system)
+        lockstep = angular._lockstep
+
+        def off_root(prob, rho, guess):
+            u = lockstep(prob, rho, guess)[0] * (1.0 + 1e-6)
+            return u, prob.residual_array(u, rho)
+        monkeypatch.setattr(angular, "_lockstep", off_root)
+        grid = np.exp(np.linspace(math.log(1.0), math.log(2.0), 12))
+        with pytest.raises(SolverError, match="branch residual"):
+            trace_branch(grid, problem)
+
+    def test_coarse_nodes(self, he4_problem, monkeypatch):
+        # the walk visits the nodes no more than COARSE_STEP apart in
+        # ln rho: 87 of the bundled 600, every node of a grid spaced
+        # wider than COARSE_STEP / 2
+        solves = []
+
+        def solve(*args, **kwargs):
+            solves.append(args[0])
+            return solve_at_rho(*args, **kwargs)
+        monkeypatch.setattr(angular, "solve_at_rho", solve)
+        bundled = np.exp(np.linspace(math.log(0.05), math.log(4000.0), 600))
+        trace_branch(bundled, he4_problem)
+        walked = np.log(np.array([bundled[0]] + solves))
+        assert len(walked) == 87 and solves[-1] == bundled[-1]
+        assert np.all(np.diff(walked) <= angular.COARSE_STEP)
+        solves.clear()
+        wide = np.exp(np.arange(0.0, 3.0, 0.076))
+        trace_branch(wide, he4_problem)
+        assert solves == wide[1:].tolist()
 
     def test_guess_past_a_pole_is_halved(self, he4_cfg):
         # 3% above P_c the branch turns sharply near rho = 31 (u from -16.1

@@ -9,7 +9,7 @@ import pytest
 
 import zrtrimer.cli as cli
 from zrtrimer import (PairParams, SolverError, dimer_pole_kappa,
-                      efimov_constant, radial)
+                      efimov_constant, parse_config)
 from zrtrimer.angular import RootSearchError, dimer_channel_u
 
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
@@ -99,7 +99,7 @@ class TestOutputBytes:
         assert cli.main(["wavefunction", "--config", he4_cfg_path,
                          "--state", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "cbed65e34636da49a551b939851f061d7056fefcd1ac5af039f7b5f19b2d3304")
+            "4c4f6ed2f4c7fd01ae4d98f4f83de3980c4b6bd417afc5c4aa739e721293098e")
 
 
 class TestSolveCommand:
@@ -474,19 +474,6 @@ class TestExitCodes:
         assert captured.out == ""
         assert "[system]: masses and mass_scale must be finite" in captured.err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_radial_grid_is_solver_failure(self, fast_cfg_path,
-                                                       tmp_path, capsys,
-                                                       monkeypatch):
-        # rho^2 overflows, W is NaN there: without the check no bisection
-        # on that grid would end
-        monkeypatch.setattr(radial._Shooter, "eigenvalue", pytest.fail)
-        cfg = tmp_path / "huge_rho.cfg"
-        cfg.write_text(Path(fast_cfg_path).read_text()
-                       + "\n[solver]\nradial_rho_max = 1e300\n")
-        assert cli.main(["solve", "--config", str(cfg)]) == 2
-        assert "W is not finite" in capsys.readouterr().err
-
     def test_radial_rho_min_past_automatic_rho_max(self, tmp_path, capsys):
         # the automatic radial_rho_max of the bundled He4 config is 4000
         # au (20|a| = 3781 is less): a radial_rho_min of 5000 leaves no
@@ -509,6 +496,24 @@ class TestExitCodes:
         cfg.write_text(text)
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         assert "solver failure" in capsys.readouterr().err
+
+    def test_branch_with_a_jump_is_solver_failure(self, tmp_path, capsys):
+        # 1.088 P_c: the lowest root jumps from u = -10.93 to -3.97 between
+        # rho = 32.72 and 33.34, 2.1 times the step bound of
+        # test_node_to_node_steps_bounded.  Continued on every node, the
+        # trace accepted the jump and three energies were printed (exit 0)
+        text = (bundled_config_text("he4_trimer")
+                .replace("a = -189.054", "a = -188.47")
+                .replace("r_eff = 13.843", "r_eff = 18.12")
+                .replace("p_shape = 0.13", "p_shape = 0.0215563"))
+        cfg = tmp_path / "he4_jump.cfg"
+        cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "zrtrimer: solver failure: branch continuation failed near rho "
+            "= 32.8718 (step refined below gap/2^12)\n")
+        with pytest.raises(SolverError):
+            cli.solve_for_config(parse_config(text))
 
     def test_near_threshold_state_inside_default_box(self, tmp_path, capsys):
         # E1 sits 1.3 mK below threshold, so at rho_max = 4000 the outward

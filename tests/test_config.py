@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from zrtrimer import ConfigError, parse_config
+from zrtrimer import ConfigError, cli, parse_config
+from zrtrimer.config import RHO_LIMIT
 
 from trimer_params import bundled_config_text
 
@@ -121,6 +122,31 @@ class TestParsing:
         # the masses and mass_scale: TestExitCodes in test_cli.py
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
+
+    @pytest.mark.parametrize("section, line", [
+        ("grid", "rho_max = 4000"), ("solver", "radial_rho_max = auto")])
+    def test_huge_rho_max_is_one_config_error(self, tmp_path, capsys,
+                                              monkeypatch, section, line):
+        # at rho = 1e300 rho^2 overflows: the key is refused before any
+        # numpy warning or solver failure can speak
+        monkeypatch.setattr(cli, "solve_for_config", pytest.fail)
+        key = line.split(" = ")[0]
+        path = tmp_path / "huge.cfg"
+        text = bundled_config_text("he4_trimer")
+        path.write_text(text.replace(f"\n{line}\n", f"\n{key} = 1e300\n"))
+        assert cli.main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"zrtrimer: error: [{section}]")
+        assert "1e+100" in err
+        assert err.count("\n") == 1
+
+    def test_rho_max_limit(self):
+        cfg = parse_config(MINIMAL + f"\n[grid]\nrho_max = {RHO_LIMIT!r}\n"
+                           f"[solver]\nradial_rho_max = {RHO_LIMIT!r}\n")
+        assert cfg.rho_max == cfg.radial_rho_max == RHO_LIMIT
+        with pytest.raises(ConfigError, match=r"\[solver\]\.radial_rho_max"):
+            # auto is 20 |a|
+            parse_config(MINIMAL.replace("a = -5.0", "a = -1e200"))
 
     def test_infinite_scattering_length_is_legal(self):
         # a = +-inf is the unitary limit

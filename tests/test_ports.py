@@ -1,7 +1,7 @@
 """The in-house Brent solver and PCHIP interpolant against scipy, bit for bit.
 
 scipy stays the oracle here: `system.brent` ports the loop of
-scipy.optimize.brentq and `potential._Pchip` builds and sums the cubics
+scipy.optimize.brentq and `system._Pchip` builds and sums the cubics
 as scipy.interpolate.PchipInterpolator(extrapolate=False) does, so every
 root and every interpolated value must be exactly equal.
 """
@@ -20,8 +20,7 @@ from scipy.optimize import brentq
 
 import zrtrimer
 from zrtrimer.cli import trace_for_config
-from zrtrimer.potential import _Pchip
-from zrtrimer.system import BRENT_RTOL, SolverError, brent
+from zrtrimer.system import BRENT_RTOL, SolverError, _Pchip, brent
 
 XTOLS = st.sampled_from([1e-300, 1e-14, 2e-12, 1e-6])
 
@@ -99,6 +98,19 @@ class TestBrent:
                 assert brent(g, a, b, fa, fb) == want
                 checked += 1
         assert checked >= 3 * len(branch.rho[::25])
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-230, 1e-300])
+    @pytest.mark.parametrize("root", [0.1 * math.pi, -2.2])
+    def test_underflowing_slopes_bisect_as_brentq(self, root, scale):
+        # the secant slopes are ~scale, so the product in the inverse
+        # quadratic step's denominator underflows to 0; C's brentq gets
+        # inf or NaN there and bisects (as at rho ~ 1e154 on the branch)
+        curve = _curve(root, 1.0, 0.5, 1.0)
+
+        def f(x):
+            return scale * curve(x)
+        want = brentq(f, -3.0, 4.0, xtol=1e-300, rtol=BRENT_RTOL)
+        assert brent(f, -3.0, 4.0) == want
 
     def test_same_errors_as_brentq(self):
         f = _curve(0.3, 2.0, 0.0, 1.0)
