@@ -17,19 +17,20 @@ continuation, one-sided from a window edge to seed the first node.
 
 trace_branch continues the branch node by node over a coarse sub-grid,
 nodes at most COARSE_STEP apart in ln rho (87 of the bundled 600): each
-node is predicted by the quadratic through the three previous ones and
-its walk starts with a rung sized by the previous node's miss.  The other
-nodes are solved in lockstep over numpy arrays: guesses from a monotone
-cubic through the coarse nodes, brackets widened around all of them at
-once, and Illinois regula falsi on the nodes still active, with scalar
-Brent finishing the few that need more rounds.  The array form of the
-residual, `AngularProblem.residual_array`, covers the lowest cell
-u < 4 - POLE_GUARD, where the branch lives.  A node the lockstep cannot
-bracket near its guess sends the whole grid back to the node-by-node
-walk, so a branch that jumps inside a coarse step fails or passes as it
-would on every node.  Every stored residual is one a search evaluated at
-the stored root: on the bundled configs about 2 scalar calls and 10
-array points per node.
+node is predicted by the quadratic through the three previous ones, its
+walk's first rung is sized by the previous node's miss and its second by
+the residual's slope across the first.  The other nodes are solved in
+lockstep over numpy arrays: guesses from a monotone cubic through the
+coarse nodes, brackets of half-width about the guesses' median miss,
+widened around all of them at once, and Illinois regula falsi on the
+nodes still active, with scalar Brent finishing the few that need more
+rounds.  The array form of the residual, `AngularProblem.residual_array`,
+covers the lowest cell u < 4 - POLE_GUARD, where the branch lives.  A
+node the lockstep cannot bracket near its guess sends the whole grid
+back to the node-by-node walk, so a branch that jumps inside a coarse
+step fails or passes as it would on every node.  Every stored residual
+is one a search evaluated at the stored root: on the bundled configs
+about 1.2 scalar calls and 7 to 8 array points per node.
 
 The searches read one scaled residual per problem, `AngularProblem.residual`,
 built from constants computed once.  For identical bosons it is the boson
@@ -68,6 +69,15 @@ MAX_RESIDUAL = 1e-10
 
 #: Widest gap in ln(rho) between the nodes trace_branch continues one by one.
 COARSE_STEP = 0.15
+
+#: After its first two-sided rung, a walk's ladder reaches this multiple
+#: of |f0 / slope| past its start, the slope the secant through the rung.
+NEWTON_REACH = 1.25
+
+#: First half-width of a lockstep bracket, over 1 + |guess|: about the
+#: median miss of the guesses on the bundled traces (1.7e-5 He4, 1.8e-5
+#: mixed).  Wider starts send more mixed nodes past LOCKSTEP_ROUNDS.
+LOCKSTEP_WIDTH = 2e-5
 
 #: Regula falsi rounds of the lockstep refine before a node goes to Brent.
 LOCKSTEP_ROUNDS = 8
@@ -461,10 +471,16 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
     Walks outward from x0 in both directions, with a step that starts at h0
     and is multiplied by `grow` after each rung, clipped to the window, and
     refines the first bracket that shows a sign change with `brent` from
-    the values at its ends, to relative machine precision also for roots
-    near u = 0 (the first node sits at u ~ -3e-4), so the branch residual
-    invariant holds with margin even where the residual is steep in u.  If
-    both directions bracket on the same rung the root closer to x0 wins.  A
+    the values at its ends.  A two-sided walk sizes its second rung from
+    the first: the secant through the first rung's ends puts the root
+    about |f0 / slope| from x0, and the second rung merges the ladder's
+    rungs that end short of NEWTON_REACH times that (at most 1 + |x0|).
+    The rungs after it end where the ladder's would, so the merge skips
+    no pair of close roots that the ladder would split beyond it.  Brent
+    refines to relative machine precision also for roots near u = 0
+    (the first node sits at u ~ -3e-4), so the branch residual invariant
+    holds with margin even where the residual is steep in u.  If both
+    directions bracket on the same rung the root closer to x0 wins.  A
     walk that starts at an edge of its window runs one way only.
     """
     f0 = f(x0)
@@ -472,11 +488,11 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
         return x0, f0
     xp = xm = x0
     fp = fm = f0
-    h = h0
-    for _ in range(max_steps):
+    h = step = h0      # the ladder's rung and the rung taken
+    for rung in range(max_steps):
         brackets = []
         if xp < hi:
-            x2 = min(xp + h, hi)
+            x2 = min(xp + step, hi)
             f2 = f(x2)
             if f2 == 0.0:
                 return x2, f2
@@ -484,7 +500,7 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
                 brackets.append((xp, x2, fp, f2))
             xp, fp = x2, f2
         if xm > lo:
-            x2 = max(xm - h, lo)
+            x2 = max(xm - step, lo)
             f2 = f(x2)
             if f2 == 0.0:
                 return x2, f2
@@ -495,6 +511,17 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
             roots = [_brent(f, *bracket, 1e-300) for bracket in brackets]
             return min(roots, key=lambda r: abs(r[0] - x0))
         h *= grow
+        step = h
+        if rung == 0 and lo < x0 < hi and fp != fm:
+            # the next rung merges the ladder's rungs that end short of a
+            # little past the secant's root (at most 1 + |x0| from x0);
+            # the rungs after it end where the ladder's would, which split
+            # the same pairs of roots as without the merge
+            reach = min(NEWTON_REACH * abs(f0 * (xp - xm) / (fp - fm)),
+                        1.0 + abs(x0))
+            while h0 + step < reach:
+                h *= grow
+                step += h
     raise RootSearchError(
         f"no sign change near u = {x0:g} (searched [{xm:g}, {xp:g}])")
 
@@ -508,9 +535,10 @@ def solve_at_rho(rho: float, problem: AngularProblem, guess: float,
     residual, the pair (u, problem.residual(u, rho)), the residual as the
     walk or its refine evaluated it.  The walk's first rung is `step` when
     given (a caller that knows how far its guesses miss), else
-    1e-4 (1 + |guess|); it grows by 1.4 per rung either way.  Raises
-    RootSearchError when that cell shows no sign change, and
-    PoleProximityError on pole collision.
+    1e-4 (1 + |guess|); the ladder grows by 1.4 per rung, and its second
+    rung reaches past the root of the secant through the first rung's
+    ends (`_walk`).  Raises RootSearchError when that cell shows no sign
+    change, and PoleProximityError on pole collision.
     """
     f = problem.residual
     lo, hi = _cell_interval(guess)
@@ -707,11 +735,14 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray
     and the residual at each; None if any node has no root near its guess.
 
     Each bracket [g - w, g + w] (its top clipped to the cell edge
-    4 - POLE_GUARD) starts at w = 1e-6 (1 + |g|) and widens 4x a round,
-    up to the trust max(0.5, |g|/4), until its ends differ in sign.  The
-    brackets are refined by Illinois regula falsi (M. Dowell and P.
+    4 - POLE_GUARD) starts at w = LOCKSTEP_WIDTH (1 + |g|), about the
+    median miss of the guesses, and widens 4x a round, up to the trust
+    max(0.5, |g|/4), until its ends differ in sign.
+    The brackets are refined by Illinois regula falsi (M. Dowell and P.
     Jarratt, BIT 11, 168 (1971)) on the still active nodes, until one is
-    at most 2 BRENT_RTOL |u| wide; after LOCKSTEP_ROUNDS rounds a node
+    at most 2 BRENT_RTOL |u| wide; a step shorter than BRENT_RTOL |u| is
+    lengthened to it, so an iterate that has reached the root from one
+    side closes the bracket.  After LOCKSTEP_ROUNDS rounds a node
     finishes in scalar Brent from its bracket and true end values.  A root
     is the bracket end of smaller |residual|, a value the search evaluated.
     """
@@ -722,7 +753,7 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray
     n = len(rho)
     a, b, fa, fb = (np.empty(n) for _ in range(4))
     trust = np.maximum(0.5, 0.25 * np.abs(guess))
-    w = 1e-6 * (1.0 + np.abs(guess))
+    w = LOCKSTEP_WIDTH * (1.0 + np.abs(guess))
     todo = np.arange(n)
     while todo.size:
         g, r, wt = guess[todo], rho[todo], w[todo]
@@ -752,6 +783,11 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray
         if rnd == LOCKSTEP_ROUNDS or not idx.size:
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        # a step below the tolerance moves by the tolerance, toward x0, so
+        # that a root found from one side closes its bracket
+        tol = BRENT_RTOL * np.abs(x1)
+        x2 = np.where(np.abs(x2 - x1) < tol,
+                      x1 + np.copysign(tol, x0 - x1), x2)
         f2 = f(x2, r)
         flip = (f2 < 0.0) != (f1 < 0.0)
         x0 = np.where(flip, x1, x0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -205,9 +206,12 @@ def cmd_wavefunction(cfg: RunConfig, state: int):
 
 # ------------------------------------------------------------------- main
 
+@functools.cache
 def _parser() -> _Parser:
     """Each subcommand once: its cmd_* as `run`, whose parameters are the
-    subcommand's option names, and its default format."""
+    subcommand's option names, and its default format.  Built once per
+    process: parse_args fills a new namespace on each call and leaves the
+    parser as it was."""
     parser = _Parser(prog="zrtrimer",
                      description="three-body bound states with regularized "
                                  "zero-range interactions")

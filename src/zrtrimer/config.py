@@ -34,7 +34,9 @@ _ALLOWED = {
 #: Largest accepted [grid] rho_max and [solver] radial_rho_max (bohr).  It
 #: keeps rho^2 <= 1e200 and the dimer channel's u ~ -kappa^2 rho^2 / mu
 #: finite for kappa^2 / mu up to 1e108; at rho ~ 1e154 rho^2 overflows and
-#: W turns to NaN.
+#: W turns to NaN.  Its inverse is the smallest accepted rho_min and
+#: radial_rho_min: below about 1e-154 rho^2 underflows to 0, and u / rho^2
+#: divides by it.
 RHO_LIMIT = 1e100
 
 _REQUIRED_HINT = (
@@ -141,9 +143,9 @@ def parse_config(text: str) -> RunConfig:
     rho_min = _number(grid, "rho_min", 0.05, "[grid]")
     rho_max = _number(grid, "rho_max", 4000.0, "[grid]")
     n = _number(grid, "n", 600, "[grid]", int)
-    if not 0.0 < rho_min < rho_max <= RHO_LIMIT:
-        raise ConfigError(
-            f"[grid]: need 0 < rho_min < rho_max <= {RHO_LIMIT:g}")
+    if not 1.0 / RHO_LIMIT <= rho_min < rho_max <= RHO_LIMIT:
+        raise ConfigError(f"[grid]: need {1.0 / RHO_LIMIT:g} <= rho_min < "
+                          f"rho_max <= {RHO_LIMIT:g}")
     if n < 2:
         raise ConfigError("[grid].n: need at least 2 grid nodes")
 
@@ -155,8 +157,9 @@ def parse_config(text: str) -> RunConfig:
         # the radial shooter keeps its turning point in [3, n - 4]
         raise ConfigError("[solver].radial_n: need at least 7 radial grid points")
     radial_rho_min = _number(solver, "radial_rho_min", 0.05, "[solver]")
-    if not radial_rho_min > 0.0:
-        raise ConfigError("[solver].radial_rho_min: must be positive")
+    if not radial_rho_min >= 1.0 / RHO_LIMIT:
+        raise ConfigError("[solver].radial_rho_min: must be at least "
+                          f"{1.0 / RHO_LIMIT:g}")
     radial_rho_max = None
     if solver.get("radial_rho_max", "auto").strip() != "auto":
         radial_rho_max = _number(solver, "radial_rho_max", 0.0, "[solver]")

@@ -14,9 +14,12 @@ sides and the sign of the twist d at m count the eigenvalues below the
 trial energy, and d vanishes at each one.  The sign changes plus
 atan2(1, d)/pi, with d scaled to a log-derivative mismatch, make a
 continuous count, the phase, which lies within 1/2 of the count:
-node-count bisection, with sweeps shared by all states, isolates state k,
-then Brent's method finds where the phase crosses k + 1/2.  The two
-callers differ only in the seeds at the ends:
+node-count bisection isolates state k, then Brent's method finds where the
+phase crosses k + 1/2.  A cold state starts from the tightest bracket
+among the energies already swept for any state.  The bisection steps in
+log energy while both ends are negative and more than a factor 2 apart,
+since states below a threshold near 0 lie decades apart, then at the
+midpoint.  The two callers differ only in the seeds at the ends:
 
   solve_bound_states  regular f ~ rho at rho_min, decaying exponential of
                       the local barrier at the cutoff.
@@ -85,6 +88,11 @@ _MATCH_TOL = 1e-6
 #: Largest |h^2 q/12| a sweep accepts: below it 1 - h^2 q/12 lies in
 #: (1/2, 3/2), v has no pole and an oscillatory step keeps h^2 |q| < 6.
 _MAX_STEP_TQ = 0.5
+
+#: Node-count bisection steps at the geometric mean -sqrt(lo hi) while both
+#: ends are negative and further apart than this factor, else at the
+#: midpoint: bound states sit decades apart below a threshold near 0.
+_GEOMETRIC_RATIO = 2.0
 
 #: Magnitude past which a carry restarts from a power-of-two rescale, well
 #: short of the double-precision overflow at 2^1024.
@@ -312,27 +320,44 @@ class _Shooter:
         """The k-th eigenvalue: node-count bisection, then `brent` on the
         phase.
 
-        Bisects a bracket until it isolates state k: count k at its lower
+        The bracket is the warm one around a guess (`_warm_bracket`) when
+        there is one, else the tightest the sweep table holds
+        (`_table_bracket`).  While both its ends are negative and more
+        than _GEOMETRIC_RATIO apart it is bisected at -sqrt(lo hi); then
+        at the midpoint, until it isolates state k: count k at its lower
         end, k + 1 at its upper one.  The phase lies within 1/2 of the
         count, so phase - (k + 1/2) changes sign across the bracket only
         where the count steps, at the eigenvalue, and equals -resid/pi
-        near it, whatever the sides and m do inside.  The bracket is the
-        warm one around a guess (`_warm_bracket`) when there is one, else
-        [w_min, top].
+        near it, whatever the sides and m do inside.
         """
         bracket = (None if guess is None
                    else self._warm_bracket(k, guess, width))
         if bracket is None:
-            bracket = self.w_min, self.top
+            bracket = self._table_bracket(k)
             if not self.count(bracket[0]) <= k < self.count(bracket[1]):
                 raise SolverError(f"state {k} not contained in search window")
         lo, hi = bracket
+        while lo < _GEOMETRIC_RATIO * hi < 0.0:
+            mid = -math.sqrt(-lo) * math.sqrt(-hi)
+            lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
         while not (self.count(lo) == k and self.count(hi) == k + 1):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
                 return hi   # the count steps in (lo, hi]
             lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
         return brent(lambda e: self.sweep(e).phase - (k + 0.5), lo, hi)
+
+    def _table_bracket(self, k: int) -> tuple[float, float]:
+        """The tightest bracket of state k among the window's swept
+        energies: the highest with count <= k, else w_min, and the lowest
+        with count > k, else top."""
+        lo, hi = self.w_min, self.top
+        for eps, sweep in self.table.items():
+            if lo < eps <= self.top and sweep.count <= k:
+                lo = eps
+            elif self.w_min <= eps < hi and sweep.count > k:
+                hi = eps
+        return lo, hi
 
     def _warm_bracket(self, k: int, guess: float, width: float):
         """The first of guess +- width, 4 width, 16 width, ..., with the

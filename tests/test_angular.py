@@ -427,6 +427,30 @@ class TestSolveAtRho:
         with pytest.raises(RootSearchError, match=r"searched \[-1, 1\]"):
             _walk(lambda u: 1.0, 0.0, -1.0, 1.0, 0.1, 1.4, 10)
 
+    def test_second_rung_reaches_past_the_secant_root(self):
+        # a ladder from 1e-4 grown by 1.4 a rung would take 25 rungs to
+        # reach a root 1 away; sized by the slope across the first rung,
+        # the second reaches 1.25 past the start
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return u - 1.0
+        assert _walk(f, 0.0, -math.inf, 4.0, 1e-4, 1.4, 400)[0] == (
+            pytest.approx(1.0, rel=1e-15))
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("pair", [(0.37, 0.42), (0.38, 0.40)])
+    def test_rungs_past_the_reach_split_a_pair_of_roots(self, pair):
+        # the secant puts the root about 0.2 away, short of a pair of
+        # roots.  The ladder from 1e-3 grown by 1.4 has rungs ending at
+        # 0.1973, 0.2773 and 0.3893, which split the pair; a rung grown by
+        # 1.4 from one merged up to 1.25 x 0.2 would span it and miss both
+        a, b = pair
+        root = _walk(lambda u: (u - a) * (u - b), 0.0, -math.inf, 4.0, 1e-3,
+                     1.4, 400)[0]
+        assert root == pytest.approx(a, rel=1e-15)
+
 
 def _lowest_root_by_fine_scan(f, lo: float, hi: float) -> float:
     """Independent oracle: first sign change on a dense grid, then brentq."""
@@ -532,7 +556,7 @@ class TestTraceBranch:
             trace_branch(np.array([1.0, 2.0]), problem)
 
     @pytest.mark.parametrize("cfg_name, scalar, points", [
-        ("he4_cfg", 2.0, 10.0), ("mixed_cfg", 2.1, 11.0)])
+        ("he4_cfg", 1.25, 7.0), ("mixed_cfg", 1.25, 7.9)])
     def test_work_per_node(self, request, cfg_name, scalar, points,
                            monkeypatch):
         # the cost of the trace in residual evaluations, which no machine
@@ -544,7 +568,12 @@ class TestTraceBranch:
         # refine, 6.00 and 6.23.  With the walk on 87 coarse nodes and the
         # other 513 in lockstep: scalar calls 1.87 and 1.96 per node, array
         # points 9.41 and 10.55 per node, in 7 bracket rounds and 8 regula
-        # falsi rounds
+        # falsi rounds.  With the walk's second rung sized by the slope
+        # across its first, lockstep brackets started at 2e-5 (1 + |g|)
+        # and regula falsi steps of at least the tolerance: 1.24 and 1.24
+        # scalar calls (745 and 742 a trace), 6.94 and 7.83 array points
+        # (4165 and 4699), in 5 bracket rounds and 7 and 8 regula falsi
+        # rounds
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
         f, f_array = problem.residual, problem.residual_array
@@ -575,7 +604,7 @@ class TestTraceBranch:
         branch = trace_branch(grid, problem)
         # one solve per coarse step: none was halved, no node fell back
         assert len(solves) == 86
-        assert len(array_sizes) <= 7 + angular.LOCKSTEP_ROUNDS
+        assert len(array_sizes) <= 5 + angular.LOCKSTEP_ROUNDS
         assert len(scalar_calls) / len(grid) <= scalar
         assert sum(array_sizes) / len(grid) <= points
         # each stored residual was evaluated at its stored u, bit for bit

@@ -99,7 +99,7 @@ class TestOutputBytes:
         assert cli.main(["wavefunction", "--config", he4_cfg_path,
                          "--state", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "4c4f6ed2f4c7fd01ae4d98f4f83de3980c4b6bd417afc5c4aa739e721293098e")
+            "060a3ed937b226984532ff6747feb3ffc54ef8b89da42e865c55adc4792c638c")
 
 
 class TestSolveCommand:
@@ -362,6 +362,31 @@ class TestWavefunctionCommand:
     def test_missing_state_is_usage_error(self, he4_cfg_path):
         assert cli.main(["wavefunction", "--config", he4_cfg_path,
                          "--state", "7"]) == 1
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_commands_keep_their_defaults(self, fast_cfg_path, capsys):
+        # one parser serves every call in a process: each command keeps
+        # its own default format and rows key, whichever ran before it
+        scan = ["scan-p", "--config", fast_cfg_path, "--p-min", "0.13",
+                "--p-max", "0.13"]
+        outputs = []
+        for argv in (scan, ["solve", "--config", fast_cfg_path],
+                     ["thomas-demo", "--states", "2"],
+                     scan + ["--format", "json"]):
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        scan_csv, solve_json, thomas_csv, scan_json = outputs
+        assert scan_csv.startswith("# tool=zrtrimer\n")
+        assert "\nP,E0_mK,E1_mK\n" in scan_csv
+        assert list(json.loads(solve_json)) == ["meta", "threshold_mK",
+                                                "states"]
+        assert thomas_csv.startswith("# tool=zrtrimer\n")
+        assert "\nn,E_hartree,ratio\n" in thomas_csv
+        assert list(json.loads(scan_json)) == ["meta", "rows"]
 
 
 class TestExitCodes:

@@ -140,6 +140,32 @@ class TestParsing:
         assert "1e+100" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("section, key", [
+        ("grid", "rho_min"), ("solver", "radial_rho_min")])
+    def test_tiny_rho_min_is_one_config_error(self, tmp_path, capsys,
+                                              monkeypatch, section, key):
+        # at rho = 1e-200 rho^2 underflows to 0, and the angular residual's
+        # u / rho^2 raised ZeroDivisionError
+        monkeypatch.setattr(cli, "solve_for_config", pytest.fail)
+        path = tmp_path / "tiny.cfg"
+        text = bundled_config_text("he4_trimer")
+        assert f"\n{key} = 0.05\n" in text
+        path.write_text(text.replace(f"\n{key} = 0.05\n",
+                                     f"\n{key} = 1e-200\n"))
+        assert cli.main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"zrtrimer: error: [{section}]")
+        assert "1e-100" in err
+        assert err.count("\n") == 1
+
+    def test_rho_min_limit(self):
+        cfg = parse_config(MINIMAL + f"\n[grid]\nrho_min = {1 / RHO_LIMIT!r}\n"
+                           f"[solver]\nradial_rho_min = {1 / RHO_LIMIT!r}\n")
+        assert cfg.rho_min == cfg.radial_rho_min == 1.0 / RHO_LIMIT
+        for section, key in (("grid", "rho_min"), ("solver", "radial_rho_min")):
+            with pytest.raises(ConfigError, match=rf"\[{section}\]"):
+                parse_config(MINIMAL + f"\n[{section}]\n{key} = 9e-101\n")
+
     def test_rho_max_limit(self):
         cfg = parse_config(MINIMAL + f"\n[grid]\nrho_max = {RHO_LIMIT!r}\n"
                            f"[solver]\nradial_rho_max = {RHO_LIMIT!r}\n")

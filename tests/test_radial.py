@@ -273,6 +273,68 @@ def window_shooters(he4_branch_potential):
             "thomas": _thomas_shooter()}
 
 
+def _window_shooter(which, pot):
+    """A fresh shooter, its table empty: the bundled He4 window (top below
+    0), the default Thomas one (top 0) or the oscillator's (top 40)."""
+    if which == "he4":
+        return _he4_shooter(pot, 8000)
+    if which == "thomas":
+        return _thomas_shooter()
+    return _Shooter(OscillatorPotential().values, 40.0, 40.0, 0.05, 14.0,
+                    2000)
+
+
+def _bisected_levels(shooter) -> list[float]:
+    """Every state of the window by plain bisection of [w_min, top] at the
+    midpoint on the count alone, down to adjacent doubles: where the count
+    steps from k to k + 1, without log steps, table brackets or Brent."""
+    levels = []
+    for k in range(shooter.count(shooter.top)):
+        lo, hi = shooter.w_min, shooter.top
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if shooter.count(mid) > k else (mid, hi)
+        levels.append(hi)
+    return levels
+
+
+WINDOWS = ("he4", "thomas", "oscillator")
+
+
+@pytest.fixture(scope="module")
+def bisected_levels(he4_branch_potential):
+    return {which: _bisected_levels(_window_shooter(
+        which, he4_branch_potential[1])) for which in WINDOWS}
+
+
+class TestColdEigenvalue:
+    """_Shooter.eigenvalue without a guess: the tightest bracket the sweep
+    table holds, bisected in log energy while its ends are negative and
+    more than a factor 2 apart, then at the midpoint, then Brent on the
+    phase."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(which=st.sampled_from(WINDOWS),
+           k=st.integers(0, 9),
+           spread=st.lists(st.floats(0.0, 1.0), max_size=3),
+           near=st.lists(st.tuples(st.integers(0, 9), st.floats(-0.5, 0.5)),
+                         max_size=3))
+    def test_matches_linear_bisection(self, he4_branch_potential,
+                                      bisected_levels, which, k, spread,
+                                      near):
+        # energies swept beforehand, spread over the window or near any
+        # state, change the starting bracket but not the state found
+        levels = bisected_levels[which]
+        shooter = _window_shooter(which, he4_branch_potential[1])
+        swept = [shooter.w_min + x * (shooter.top - shooter.w_min)
+                 for x in spread]
+        swept += [levels[j % len(levels)] * (1.0 + rel) for j, rel in near]
+        for eps in swept:
+            shooter.sweep(min(shooter.top, max(shooter.w_min, eps)))
+        k %= len(levels)
+        assert shooter.eigenvalue(k) == pytest.approx(levels[k], rel=1e-13,
+                                                      abs=0.0)
+
+
 class TestSolveBoundStates:
     def test_he4_trimer_spectrum(self, he4_solution):
         pot, states = he4_solution
@@ -703,28 +765,37 @@ class TestWarmStart:
         assert shooter.eigenvalue(3, 15.2, 0.01) == pytest.approx(
             shooter.eigenvalue(3), rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("grid", [["--p-step", "0.015"], []])
-    def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid):
+    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 85),
+                                             ([], 205)])
+    def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid, total):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
         # the twist, 34 and up to 19 with a second sweep for each wave,
         # 32 and 18 on the phase count, 31 and 18 on the lockstep trace
-        # (see test_solve_sweeps_unchanged on the last bits of W)
+        # (totals 93 and 209), 24 and 19 with the cold bisection in log
+        # energy (totals 85 and 205).  See test_solve_sweeps_unchanged on
+        # the last bits of W: moving each node's u by up to 2 ulp at
+        # random gave cold points of 30-35 before the log bisection and
+        # 22-27 after it, and totals of 91-97 and 202-223 before, 83-93
+        # and 194-210 after, over 12 seeds
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
         assert cli.main(["scan-p", "--config", str(path),
                          "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
-        assert counts[0] == 31
-        assert max(counts[1:]) <= 18
+        assert counts[0] == 24
+        assert max(counts[1:]) <= 19
+        assert sum(counts) == total
 
     # 44 and 23 with Brent on the twist, 34 and 19 with a second sweep
     # for each wave, 33 and 18 on the phase count, 32 and 17 on the
-    # lockstep trace.  The counts follow the last bits of W: moving each
-    # node's u by up to 2 ulp at random gave 31-36 (He4) and 18-24
-    # (mixed) over 8 seeds
-    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 32),
-                                                   ("mixed_cfg", 17)])
+    # lockstep trace, 23 and 11 with the cold bisection in log energy.
+    # The counts follow the last bits of W: moving each node's u by up to
+    # 2 ulp at random gave 31-36 (He4) and 18-24 (mixed) over 8 seeds on
+    # the lockstep trace, and 21-30 and 11-14 over 12 seeds after the log
+    # bisection
+    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 23),
+                                                   ("mixed_cfg", 11)])
     def test_solve_sweeps_unchanged(self, request, monkeypatch, cfg_name,
                                     sweeps):
         counts = _count_sweeps(monkeypatch)
