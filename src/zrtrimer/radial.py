@@ -18,7 +18,7 @@ node-count bisection isolates state k, then Brent's method finds where the
 phase crosses k + 1/2.  A cold state starts from the tightest bracket
 among the energies already swept for any state.  The bisection steps in
 log energy while both ends are negative and more than a factor 2 apart,
-since states below a threshold near 0 lie decades apart, then at the
+since states below a threshold near 0 lie decades apart, else at the
 midpoint.  The two callers differ only in the seeds at the ends:
 
   solve_bound_states  regular f ~ rho at rho_min, decaying exponential of
@@ -26,14 +26,16 @@ midpoint.  The two callers differ only in the seeds at the ends:
   thomas_spectrum     hard walls: f = 0 at rho_min and at the cutoff.
 
 A scan warm-starts each state from the previous point's (prior, in
-solve_bound_states), solved on the same grid: the bisection starts from a
-bracket around the first-order estimate eps + <f|dW|f> / <f|f>, less the
-previous point's signed miss once there is one, instead of from
-[min W, top].  The bracket must pass the node-count check, or it widens
-4x; once it would span the whole window the solve runs cold.  A bracket
-that passes the check proves the state lies in the window, so the sweep at
-min W is skipped.  thomas_spectrum starts each level from the second on
-the same way, around the level below divided by the expected ratio.
+solve_bound_states), solved on the same grid: the search starts from a
+bracket with one end at the first-order estimate eps + <f|dW|f> / <f|f>,
+less the previous point's signed miss once there is one, instead of from
+[min W, top], so Brent's method starts at the estimate's own miss.  The
+count at the estimate picks the side of the other end, which steps 4x
+further until the bracket passes the node-count check; once that end
+reaches the window's edge the solve runs cold.  A bracket that passes the
+check proves the state lies in the window, so the sweep at min W is
+skipped.  thomas_spectrum starts each level from the second on the same
+way, at the level below divided by the expected ratio.
 
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
@@ -320,12 +322,14 @@ class _Shooter:
         """The k-th eigenvalue: node-count bisection, then `brent` on the
         phase.
 
-        The bracket is the warm one around a guess (`_warm_bracket`) when
+        The bracket is the warm one from a guess (`_warm_bracket`) when
         there is one, else the tightest the sweep table holds
-        (`_table_bracket`).  While both its ends are negative and more
-        than _GEOMETRIC_RATIO apart it is bisected at -sqrt(lo hi); then
-        at the midpoint, until it isolates state k: count k at its lower
-        end, k + 1 at its upper one.  The phase lies within 1/2 of the
+        (`_table_bracket`).  It is bisected at -sqrt(lo hi) while both its
+        ends are negative and more than _GEOMETRIC_RATIO apart, else at
+        the midpoint while it does not isolate state k: count k at its
+        lower end, k + 1 at its upper one.  One loop picks each step, so a
+        window whose top is at or above 0 takes midpoint steps until
+        hi < 0 and log steps after.  The phase lies within 1/2 of the
         count, so phase - (k + 1/2) changes sign across the bracket only
         where the count steps, at the eigenvalue, and equals -resid/pi
         near it, whatever the sides and m do inside.
@@ -337,11 +341,10 @@ class _Shooter:
             if not self.count(bracket[0]) <= k < self.count(bracket[1]):
                 raise SolverError(f"state {k} not contained in search window")
         lo, hi = bracket
-        while lo < _GEOMETRIC_RATIO * hi < 0.0:
-            mid = -math.sqrt(-lo) * math.sqrt(-hi)
-            lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
-        while not (self.count(lo) == k and self.count(hi) == k + 1):
-            mid = 0.5 * (lo + hi)
+        while (lo < _GEOMETRIC_RATIO * hi < 0.0
+               or not (self.count(lo) == k and self.count(hi) == k + 1)):
+            mid = (-math.sqrt(-lo) * math.sqrt(-hi)
+                   if lo < _GEOMETRIC_RATIO * hi < 0.0 else 0.5 * (lo + hi))
             if mid in (lo, hi):
                 return hi   # the count steps in (lo, hi]
             lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
@@ -360,22 +363,24 @@ class _Shooter:
         return lo, hi
 
     def _warm_bracket(self, k: int, guess: float, width: float):
-        """The first of guess +- width, 4 width, 16 width, ..., with the
-        guess and the bracket clipped to the window, whose counts hold
-        state k, which also proves the state lies in the window; None once
-        one would span the whole window, or for a width that is not
-        positive."""
+        """A bracket of state k with the guess, clipped to the window, as
+        one end: the other is the first of guess -+ width, 4 width,
+        16 width, ..., on the side the count at the guess points to, whose
+        count holds state k, which also proves the state lies in the
+        window.  Brent then starts at the guess's own miss, not at the
+        width.  None once that end reaches the window's edge without
+        holding the state, or for a width that is not positive."""
         if not width > 0.0:
             return None
         guess = min(self.top, max(self.w_min, guess))   # NaN gives w_min
+        step = -width if self.count(guess) > k else width
         while True:
-            lo = max(self.w_min, guess - width)
-            hi = min(self.top, guess + width)
-            if (lo, hi) == (self.w_min, self.top):
+            end = min(self.top, max(self.w_min, guess + step))
+            if (self.count(end) > k) == (step > 0.0):
+                return (end, guess) if step < 0.0 else (guess, end)
+            if end in (self.w_min, self.top):
                 return None
-            if self.count(lo) <= k < self.count(hi):
-                return lo, hi
-            width *= 4.0
+            step *= 4.0
 
 
 def default_rho_max(system) -> float:
@@ -389,11 +394,11 @@ def _warm_starts(shooter: _Shooter, prior) -> list[tuple[float, float, float]]:
     """Per prior state: the first-order estimate of its eigenvalue in W on
     the shooter's grid, eps + <f|dW|f> / <f|f> with dW = W - W_prior
     summed over the log grid (d rho = rho dt), and the guess and first
-    half-width of its warm bracket.  A prior state that was itself
-    predicted hands on its signed miss: the guess subtracts it and the
-    half-width is its size.  Otherwise the guess is the estimate and the
-    half-width 1/16 of its shift.  Either half-width is at least 1e-6 of
-    the guess.  Empty when the prior was solved on another grid."""
+    width of its warm bracket, from the guess to the other end.  A prior
+    state that was itself predicted hands on its signed miss: the guess
+    subtracts it and the width is its size.  Otherwise the guess is the
+    estimate and the width 1/16 of its shift.  Either width is at least
+    1e-6 of the guess.  Empty when the prior was solved on another grid."""
     if not prior or not np.array_equal(prior[0].rho, shooter.rho):
         return []
     dw = shooter.w - prior[0].w
@@ -483,9 +488,10 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     geometric factor exp(2 pi / g).  Hard-wall shooting on the common
     core; the endpoint condition f(outer wall) = 0 is applied at the
     adaptive barrier cutoff, which is equivalent within double precision.
-    Each level from the second on starts from a bracket of half-width
-    1e-3 of its guess, the level below divided by exp(2 pi / g), then by
-    the last ratio found (`_Shooter._warm_bracket`).  ValueError unless
+    Each level from the second on starts from a bracket with one end at
+    its guess and the other 1e-3 of it away, the guess being the level
+    below divided by exp(2 pi / g), then by the last ratio found
+    (`_Shooter._warm_bracket`).  ValueError unless
     0 < g < inf, 0 < 100 cutoff_rho0 <= outer_rho < inf and n_states >= 1.
     """
     if g is None:

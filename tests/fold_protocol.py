@@ -9,13 +9,15 @@ P/P_c in 1.02-1.1, 1.1-1.25, 1.25-1.5 and 1.5-3, 40 draws per band from
 each of the seeds 1 and 2 (numpy's default generator, in that order), and
 runs `solve` on each through `zrtrimer.cli.main` with the bundled He4 grid.
 
-    PYTHONPATH=src python tests/fold_protocol.py [--out PATH] [--compare PATH]
+    PYTHONPATH=src python tests/fold_protocol.py [--out PATH]
 
 writes one CSV row per draw (seed, band, draw, a, r_eff, p_over_pc,
 exit) to PATH (default tests/data/fold_protocol_exits.csv) and prints the
-exit counts per band.  With --compare it also prints, per band, the draws
-whose exit differs from another run's CSV, and exits 1 if any went from 2
-to 0.  CI reruns it onto the committed file and fails on any difference.
+exit counts per band.  Run onto the committed file, `git diff` of it
+lists every draw whose exit moved; CI does so and fails on any
+difference.  The draws just above P_c are the ones whose exit can follow
+the last bits of W, so the committed exits hold for the environment that
+wrote them (CHANGES.md names it), and CI reruns them in that one.
 """
 
 from __future__ import annotations
@@ -81,17 +83,10 @@ def run() -> list[dict]:
     return rows
 
 
-def read(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [dict(row, exit=int(row["exit"])) for row in csv.DictReader(fh)]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path,
                         default=HERE / "data" / "fold_protocol_exits.csv")
-    parser.add_argument("--compare", type=Path, default=None,
-                        help="another run's CSV: report the exits that moved")
     args = parser.parse_args(argv)
     rows = run()
     with open(args.out, "w", newline="") as fh:
@@ -102,19 +97,7 @@ def main(argv=None) -> int:
         exits = Counter(row["exit"] for row in rows if row["band"] == band)
         print(f"P/P_c {band}: " + ", ".join(
             f"exit {code}: {n}" for code, n in sorted(exits.items())))
-    if args.compare is None:
-        return 0
-    before = read(args.compare)
-    draw = COLUMNS[:-1]
-    if [[str(r[c]) for c in draw] for r in before] != [
-            [str(r[c]) for c in draw] for r in rows]:
-        parser.error(f"{args.compare} holds other draws")
-    moves = Counter((row["band"], old["exit"], row["exit"])
-                    for old, row in zip(before, rows))
-    for (band, old, new), n in sorted(moves.items()):
-        if old != new:
-            print(f"P/P_c {band}: exit {old} -> {new}: {n}")
-    return 1 if any(old == 2 and new == 0 for _, old, new in moves) else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -749,14 +749,16 @@ class TestWarmStart:
         states = solve_bound_states(pot, n=6000, prior=cold)
         assert [s.eps_predicted for s in states] == [None, None]
 
-    def test_bracket_that_reaches_the_window_runs_cold(self):
-        # oscillator levels 3, 7, 11, ... in a window up to 40: around 39,
-        # half-widths 0.5, 2, 8 and 32 never hold state 0 and 128 spans
-        # the window, so the solve runs cold; state 12 lies above the
-        # window, so the cold count check fails as it does without a guess
+    def test_bracket_stops_at_the_window_edge(self):
+        # oscillator levels 3, 7, 11, ... in a window up to 40: the count
+        # at 39 puts state 0 below it, ends 0.5, 2, 8 and 32 below 39
+        # never hold it and 128 below reaches min W, which does; state 12
+        # lies above the window, so the walk up ends at the top, the
+        # solve runs cold and the cold count check fails as it does
+        # without a guess
         shooter = _Shooter(OscillatorPotential().values, 40.0, 40.0,
                            0.05, 14.0, 2000)
-        assert shooter._warm_bracket(0, 39.0, 0.5) is None
+        assert shooter._warm_bracket(0, 39.0, 0.5) == (shooter.w_min, 39.0)
         assert shooter.eigenvalue(0, 39.0, 0.5) == pytest.approx(
             shooter.eigenvalue(0), rel=1e-13, abs=0.0)
         assert shooter._warm_bracket(12, 39.0, 0.5) is None
@@ -765,26 +767,38 @@ class TestWarmStart:
         assert shooter.eigenvalue(3, 15.2, 0.01) == pytest.approx(
             shooter.eigenvalue(3), rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 85),
-                                             ([], 205)])
+    def test_guess_is_an_end_of_the_warm_bracket(self):
+        # oscillator level 3 at 15: the count at the guess picks the
+        # side, and the other end steps 0.05, then 0.2 away until its
+        # count holds the level, or holds it at once for a width of 0.2
+        shooter = _Shooter(OscillatorPotential().values, 40.0, 40.0,
+                           0.05, 14.0, 2000)
+        assert shooter._warm_bracket(3, 14.9, 0.05) == (14.9, 15.1)
+        assert shooter._warm_bracket(3, 15.1, 0.05) == (14.9, 15.1)
+        assert shooter._warm_bracket(3, 15.1, 0.2) == (14.9, 15.1)
+
+    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 88),
+                                             ([], 176)])
     def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid, total):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
         # the twist, 34 and up to 19 with a second sweep for each wave,
         # 32 and 18 on the phase count, 31 and 18 on the lockstep trace
-        # (totals 93 and 209), 24 and 19 with the cold bisection in log
-        # energy (totals 85 and 205).  See test_solve_sweeps_unchanged on
-        # the last bits of W: moving each node's u by up to 2 ulp at
-        # random gave cold points of 30-35 before the log bisection and
-        # 22-27 after it, and totals of 91-97 and 202-223 before, 83-93
-        # and 194-210 after, over 12 seeds
+        # (totals 93 and 209), 24 and 17 with the cold bisection in log
+        # energy and the guess as an end of each warm bracket (totals 88
+        # and 176).  See test_solve_sweeps_unchanged on the last bits of
+        # W: moving each entry of W by up to 2 ulp at random over 30 seeds
+        # gave cold points of 22-33 against 29-36 on the lockstep trace,
+        # warm points of up to 20 against up to 20 (0.015) and up to 18
+        # against up to 22 (0.005), and mean totals of 90.0 against 95.0
+        # and 179.5 against 211.9
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
         assert cli.main(["scan-p", "--config", str(path),
                          "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
         assert counts[0] == 24
-        assert max(counts[1:]) <= 19
+        assert max(counts[1:]) <= 17
         assert sum(counts) == total
 
     # 44 and 23 with Brent on the twist, 34 and 19 with a second sweep
