@@ -749,33 +749,28 @@ class TestWarmStart:
         states = solve_bound_states(pot, n=6000, prior=cold)
         assert [s.eps_predicted for s in states] == [None, None]
 
-    def test_bracket_stops_at_the_window_edge(self):
-        # oscillator levels 3, 7, 11, ... in a window up to 40: the count
-        # at 39 puts state 0 below it, ends 0.5, 2, 8 and 32 below 39
-        # never hold it and 128 below reaches min W, which does; state 12
-        # lies above the window, so the walk up ends at the top, the
-        # solve runs cold and the cold count check fails as it does
-        # without a guess
+    def test_warm_bracket_from_the_guess(self):
+        # oscillator levels 3, 7, 11, ... in a window up to 40.  The guess
+        # is one end and the count there picks the side of the other: for
+        # state 3 at 15 it steps 0.05, then 0.2 away until its count holds
+        # the state, or holds it at once for a width of 0.2.  The count at
+        # 39 puts state 0 below it; ends 0.5, 2, 8 and 32 below 39 never
+        # hold it and 128 below reaches min W, which does.  State 12 lies
+        # above the window, so the walk up ends at the top, the solve runs
+        # cold and the cold count check fails as it does without a guess
         shooter = _Shooter(OscillatorPotential().values, 40.0, 40.0,
                            0.05, 14.0, 2000)
+        assert shooter._warm_bracket(3, 14.9, 0.05) == (14.9, 15.1)
+        assert shooter._warm_bracket(3, 15.1, 0.05) == (14.9, 15.1)
+        assert shooter._warm_bracket(3, 15.1, 0.2) == (14.9, 15.1)
+        assert shooter.eigenvalue(3, 15.2, 0.01) == pytest.approx(
+            shooter.eigenvalue(3), rel=1e-13, abs=0.0)
         assert shooter._warm_bracket(0, 39.0, 0.5) == (shooter.w_min, 39.0)
         assert shooter.eigenvalue(0, 39.0, 0.5) == pytest.approx(
             shooter.eigenvalue(0), rel=1e-13, abs=0.0)
         assert shooter._warm_bracket(12, 39.0, 0.5) is None
         with pytest.raises(SolverError, match="not contained"):
             shooter.eigenvalue(12, 39.0, 0.5)
-        assert shooter.eigenvalue(3, 15.2, 0.01) == pytest.approx(
-            shooter.eigenvalue(3), rel=1e-13, abs=0.0)
-
-    def test_guess_is_an_end_of_the_warm_bracket(self):
-        # oscillator level 3 at 15: the count at the guess picks the
-        # side, and the other end steps 0.05, then 0.2 away until its
-        # count holds the level, or holds it at once for a width of 0.2
-        shooter = _Shooter(OscillatorPotential().values, 40.0, 40.0,
-                           0.05, 14.0, 2000)
-        assert shooter._warm_bracket(3, 14.9, 0.05) == (14.9, 15.1)
-        assert shooter._warm_bracket(3, 15.1, 0.05) == (14.9, 15.1)
-        assert shooter._warm_bracket(3, 15.1, 0.2) == (14.9, 15.1)
 
     @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 88),
                                              ([], 176)])
