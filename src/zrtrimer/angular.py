@@ -32,6 +32,17 @@ step fails or passes as it would on every node.  Every stored residual
 is one a search evaluated at the stored root: on the bundled configs
 about 1.2 scalar calls and 7 to 8 array points per node.
 
+A scan in the shape parameter P continues the branch in P as well
+(natural-parameter continuation; E. L. Allgower and K. Georg, Numerical
+Continuation Methods, 1990): given the branches of the previous points
+on the same grid, every node but the first is one lockstep from the
+line in P through the last two, and no node is walked.  The first node
+is seeded as in the cold trace, and the warm branch is kept only if
+every residual is within MAX_RESIDUAL and every node lies within the
+walk's trust of the quadratic through the three nodes before it;
+otherwise the cold trace runs, unchanged.  On the bundled scans a warm
+point takes about 40 scalar calls and 7.3 to 7.8 array points per node.
+
 The searches read one scaled residual per problem, `AngularProblem.residual`,
 built from constants computed once.  For identical bosons it is the boson
 equation with C(u) and the sine ratio over one sin/sinh denominator.  In
@@ -589,7 +600,8 @@ class NuBranch:
         return len(self.rho)
 
 
-def trace_branch(grid, problem: AngularProblem) -> NuBranch:
+def trace_branch(grid, problem: AngularProblem,
+                 prior: list[NuBranch] | None = None) -> NuBranch:
     """Trace the lowest branch over a strictly increasing rho grid.
 
     The branch is continued node by node (`_continue`) over a coarse
@@ -601,6 +613,12 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
     coarse step, and the whole grid is continued node by node instead.  On
     a grid spaced wider than COARSE_STEP/2 in ln rho every node is coarse.
     Every node's residual is held to MAX_RESIDUAL (SolverError).
+
+    prior, the branches of the earlier points of a scan in P with a fixed
+    step, last one last, all on this grid, continues the branch in P
+    instead (`_warm_trace`): no node is walked.  A grid of fewer than 4
+    nodes, a prior on another grid, or a warm branch that fails its checks
+    gets the trace above, unchanged.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -608,6 +626,11 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
     if np.any(np.diff(grid) <= 0.0) or grid[0] <= 0.0:
         raise ValueError("grid must be positive and strictly increasing")
 
+    if prior and len(grid) >= 4 and all(
+            np.array_equal(b.rho, grid) for b in prior[-2:]):
+        warm = _warm_trace(grid, problem, prior)
+        if warm is not None:
+            return warm
     log_rho = np.log(grid)
     lr = log_rho.tolist()
     coarse = np.zeros(len(grid), dtype=bool)
@@ -631,6 +654,56 @@ def trace_branch(grid, problem: AngularProblem) -> NuBranch:
                 k = bad[0]
                 raise _residual_error(grid[k], us[k], res[k])
     return NuBranch(rho=grid, u=us, residuals=res)
+
+
+def _warm_trace(grid: np.ndarray, problem: AngularProblem,
+                prior: list[NuBranch]) -> NuBranch | None:
+    """The branch continued in P from the prior branches, or None.
+
+    Node 0 is `_first_node_u`'s root, the anchor of the cold trace too.
+    The other nodes are one `_lockstep`, guessed by the last prior branch,
+    or by the line in P through the last two, with first half-widths of
+    1/4 of the line's shift.  The branch is accepted only if the lockstep
+    keeps every node, every residual is within MAX_RESIDUAL, and each node
+    lies within `advance`'s trust max(0.5, |g|/4, 8 |g - u_prev|) of g,
+    the polynomial through the (up to) three nodes before it.
+    """
+    u0, r0 = _first_node_u(grid[0].item(), problem)
+    guess, width = prior[-1].u[1:], None
+    if len(prior) > 1:
+        # the line misses by a fraction of its shift; the floor keeps a
+        # node that did not move from a bracket of width 0
+        shift = prior[-1].u[1:] - prior[-2].u[1:]
+        guess = guess + shift
+        width = np.maximum(0.25 * np.abs(shift),
+                           1e-10 * (1.0 + np.abs(guess)))
+    found = _lockstep(problem, grid[1:], guess, width)
+    if found is None:
+        return None
+    us, res = np.insert(found[0], 0, u0), np.insert(found[1], 0, r0)
+    pred = np.empty(len(grid) - 1)
+    for k in (1, 2):
+        pred[k - 1] = _lagrange(list(zip(grid[:k], us[:k])), grid[k])
+    pred[2:] = _lagrange([(grid[j:j - 3], us[j:j - 3]) for j in range(3)],
+                         grid[3:])
+    trust = np.maximum(np.maximum(0.5, 0.25 * np.abs(pred)),
+                       8.0 * np.abs(pred - us[:-1]))
+    if not (np.all(np.abs(res) <= MAX_RESIDUAL)
+            and np.all(np.abs(us[1:] - pred) <= trust)):
+        return None
+    return NuBranch(rho=grid, u=us, residuals=res)
+
+
+def _lagrange(points, r):
+    """The Lagrange polynomial through the (rho, u) points, at r; over
+    arrays, one polynomial per entry."""
+    total = 0.0
+    for i, (ri, ui) in enumerate(points):
+        for j, (rj, _) in enumerate(points):
+            if j != i:
+                ui = ui * ((r - rj) / (ri - rj))
+        total = total + ui
+    return total
 
 
 def _residual_error(rho, u, r) -> SolverError:
@@ -661,16 +734,6 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
     hist: list[tuple[float, float]] = []
     miss = None
 
-    def extrapolate(r: float) -> float:
-        """The Lagrange polynomial through the points in hist, at r."""
-        total = 0.0
-        for i, (ri, ui) in enumerate(hist):
-            for j, (rj, _) in enumerate(hist):
-                if j != i:
-                    ui *= (r - rj) / (ri - rj)
-            total += ui
-        return total
-
     def advance(rho_target: float) -> tuple[float, float]:
         """Continue the branch from hist[-1] to rho_target, subdividing on
         failure; the step may be halved down to 2^-MAX_HALVINGS of the gap.
@@ -681,7 +744,7 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
         pending = [rho_target]
         while pending:
             tgt = pending[-1]
-            guess = extrapolate(tgt)
+            guess = _lagrange(hist, tgt)
             du_pred = guess - hist[-1][1]
             step = None
             if miss is not None:
@@ -729,15 +792,17 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
     return us, res
 
 
-def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray
+def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
+              width: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray] | None:
     """Roots of the residual next to each guess below u = 4, all at once,
     and the residual at each; None if any node has no root near its guess.
 
     Each bracket [g - w, g + w] (its top clipped to the cell edge
-    4 - POLE_GUARD) starts at w = LOCKSTEP_WIDTH (1 + |g|), about the
-    median miss of the guesses, and widens 4x a round, up to the trust
-    max(0.5, |g|/4), until its ends differ in sign.
+    4 - POLE_GUARD) starts at w = width, by default LOCKSTEP_WIDTH
+    (1 + |g|), about the median miss of the guesses from the coarse nodes,
+    and widens 4x a round, up to the trust max(0.5, |g|/4), until its ends
+    differ in sign.
     The brackets are refined by Illinois regula falsi (M. Dowell and P.
     Jarratt, BIT 11, 168 (1971)) on the still active nodes, until one is
     at most 2 BRENT_RTOL |u| wide; a step shorter than BRENT_RTOL |u| is
@@ -753,7 +818,7 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray
     n = len(rho)
     a, b, fa, fb = (np.empty(n) for _ in range(4))
     trust = np.maximum(0.5, 0.25 * np.abs(guess))
-    w = LOCKSTEP_WIDTH * (1.0 + np.abs(guess))
+    w = LOCKSTEP_WIDTH * (1.0 + np.abs(guess)) if width is None else width
     todo = np.arange(n)
     while todo.size:
         g, r, wt = guess[todo], rho[todo], w[todo]

@@ -48,20 +48,23 @@ class _Parser(argparse.ArgumentParser):
 
 # ----------------------------------------------------------------- pipeline
 
-def trace_for_config(cfg: RunConfig) -> tuple[AngularProblem, NuBranch]:
+def trace_for_config(cfg: RunConfig, prior: list[NuBranch] | None = None
+                     ) -> tuple[AngularProblem, NuBranch]:
     problem = AngularProblem(cfg.system)
     grid = np.exp(np.linspace(np.log(cfg.rho_min), np.log(cfg.rho_max), cfg.n))
-    return problem, trace_branch(grid, problem)
+    return problem, trace_branch(grid, problem, prior)
 
 
-def potential_for_config(cfg: RunConfig) -> tuple[NuBranch, EffectivePotential]:
-    problem, branch = trace_for_config(cfg)
+def potential_for_config(cfg: RunConfig, prior: list[NuBranch] | None = None
+                         ) -> tuple[NuBranch, EffectivePotential]:
+    problem, branch = trace_for_config(cfg, prior)
     return branch, effective_potential(branch, problem, cfg.q_convention)
 
 
-def solve_for_config(cfg: RunConfig, prior: list[RadialSolution] | None = None
+def solve_for_config(cfg: RunConfig, prior: list[RadialSolution] | None = None,
+                     branches: list[NuBranch] | None = None
                      ) -> tuple[EffectivePotential, list[RadialSolution]]:
-    _, pot = potential_for_config(cfg)
+    _, pot = potential_for_config(cfg, branches)
     states = solve_bound_states(
         pot, cfg.max_states, rho_min=cfg.radial_rho_min,
         rho_max=cfg.radial_rho_max, n=cfg.radial_n, prior=prior)
@@ -168,9 +171,12 @@ def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
     # every point is validated before anything is solved
     cfgs = [_with_pshape(cfg, p) for p in ps]
     rows = []
-    states = None   # each point warm-starts the radial solve of the next
+    # each point warm-starts the next: its radial states and, with the
+    # point before it, its angular branch
+    states, branches = None, []
     for p, cfg_p in zip(ps, cfgs):
-        _, states = solve_for_config(cfg_p, states)
+        pot, states = solve_for_config(cfg_p, states, branches)
+        branches = [*branches[-1:], pot.branch]
         e0 = states[0].energy_mk if len(states) > 0 else None
         e1 = states[1].energy_mk if len(states) > 1 else None
         rows.append((p, e0, e1))

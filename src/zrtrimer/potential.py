@@ -44,7 +44,7 @@ class EffectivePotential:
     large-rho limit -kappa^2/mu of the branch, with the dimer's pole kappa
     of the extended boundary condition.  solve_bound_states searches below
     min(w_inf, threshold): w_inf unless P (R/|a|)^2 > 1/2 puts kappa
-    below 1/|a|.
+    below 1/|a|.  branch is the traced branch W was sampled from.
     """
 
     rho: np.ndarray
@@ -53,9 +53,9 @@ class EffectivePotential:
     q_convention: str
     problem: AngularProblem
     w_inf: float
+    branch: NuBranch = field(repr=False)
     _u_interp: _Pchip = field(repr=False)
     _inner: tuple[float, float, str] = field(repr=False)
-    _u_last: float = field(repr=False)
 
     def values(self, rhos) -> np.ndarray:
         """W(rho) in 2mE/hbar^2 units over an array of rho values."""
@@ -86,7 +86,8 @@ class EffectivePotential:
             if dimer is not None:
                 u[hi] = dimer_channel_u(flat[hi], dimer.kappa, dimer.mu)
             else:
-                u[hi] = 4.0 - (4.0 - self._u_last) * (self.rho[-1] / flat[hi])
+                u_last = self.branch.u[-1]
+                u[hi] = 4.0 - (4.0 - u_last) * (self.rho[-1] / flat[hi])
         return u.reshape(rhos.shape)
 
     def hartree_from_eps(self, eps: float) -> float:
@@ -135,5 +136,5 @@ def effective_potential(branch: NuBranch, problem: AngularProblem,
     return EffectivePotential(
         rho=rho, w=w, threshold=threshold,
         q_convention=q_convention, problem=problem, w_inf=w_inf,
-        _u_interp=_Pchip(np.log(rho), u),
-        _inner=_inner_law(rho, u), _u_last=float(u[-1]))
+        branch=branch, _u_interp=_Pchip(np.log(rho), u),
+        _inner=_inner_law(rho, u))

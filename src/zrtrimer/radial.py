@@ -153,8 +153,7 @@ def _carry(v, p: float, band=None):
         band[2 * j, 1] = 0.0    # F_j is given: it does not add D_{j-1}
         starts.append(2 * j)
         e = math.frexp(max(abs(d), abs(f)))[1]
-        part = z[2 * j:]        # solved in place
-        part[2:] = 0.0
+        part = z[2 * j:]        # solved in place; zero past the seed
         part[0], part[1] = math.ldexp(d, -e), math.ldexp(f, -e)
         part[:] = dtbsv(2, ab[:, 2 * j:], part, lower=1, diag=1,
                         overwrite_x=1)
@@ -165,6 +164,7 @@ def _carry(v, p: float, band=None):
         if restart <= j:
             break       # one step from a rescaled pair: v is not finite or huge
         j, d, f = restart, float(z[2 * restart]), float(z[2 * restart + 1])
+        z[2 * j + 2:] = 0.0
     band[starts, 1] = -1.0
     neg = np.signbit(z[1::2])
     return int(np.count_nonzero(neg[1:] ^ neg[:-1])), z

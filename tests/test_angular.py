@@ -1,6 +1,9 @@
 import cmath
+import contextlib
+import dataclasses
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -730,6 +733,157 @@ class TestTraceBranch:
             trace_branch(np.array([2.0, 1.0]), he4_problem)
         with pytest.raises(ValueError):
             trace_branch(np.array([]), he4_problem)
+
+
+def _grid_of(cfg) -> np.ndarray:
+    return np.exp(np.linspace(math.log(cfg.rho_min), math.log(cfg.rho_max),
+                              cfg.n))
+
+
+def _at(cfg, a_factor: float, p_shape: float) -> AngularProblem:
+    """The config's system with every a scaled and every P set."""
+    pairs = tuple(dataclasses.replace(pair, a=pair.a * a_factor,
+                                      p_shape=p_shape)
+                  for pair in cfg.system.pairs)
+    return AngularProblem(dataclasses.replace(cfg.system, pairs=pairs))
+
+
+@contextlib.contextmanager
+def _counted_solves():
+    """The solve_at_rho calls made inside the block, by rho."""
+    solves = []
+
+    def solve(*args, **kwargs):
+        solves.append(args[0])
+        return solve_at_rho(*args, **kwargs)
+    with mock.patch.object(angular, "solve_at_rho", solve):
+        yield solves
+
+
+class TestWarmTrace:
+    """trace_branch(grid, problem, prior): the branch continued in P from
+    the branches of earlier scan points, or else the cold trace."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(name=st.sampled_from(("he4", "mixed")),
+           a_factor=st.floats(0.7, 1.4), p_shape=st.floats(0.08, 0.3),
+           step=st.floats(0.001, 0.02), n_prior=st.sampled_from((1, 2)))
+    def test_warm_equals_cold(self, he4_cfg, mixed_cfg, name, a_factor,
+                              p_shape, step, n_prior):
+        cfg = he4_cfg if name == "he4" else mixed_cfg
+        grid = _grid_of(cfg)
+        prior = [trace_branch(grid, _at(cfg, a_factor, p_shape - k * step))
+                 for k in range(n_prior, 0, -1)]
+        cold = trace_branch(grid, _at(cfg, a_factor, p_shape))
+        with _counted_solves() as solves:
+            warm = trace_branch(grid, _at(cfg, a_factor, p_shape), prior)
+        assert solves == []     # accepted: no node was walked
+        assert np.all(np.abs(warm.u - cold.u)
+                      <= 1e-14 * (1.0 + np.abs(cold.u)))
+        assert warm.u[0] == cold.u[0]
+        assert np.max(np.abs(warm.residuals)) <= angular.MAX_RESIDUAL
+
+    def _refused(self, grid, problem, prior):
+        """trace_branch with the prior, checked to be the cold trace bit
+        for bit, its coarse walk included."""
+        cold = trace_branch(grid, problem)
+        with _counted_solves() as solves:
+            warm = trace_branch(grid, problem, prior)
+        assert solves
+        assert np.array_equal(warm.u, cold.u)
+        assert np.array_equal(warm.residuals, cold.residuals)
+
+    def test_prior_on_another_grid_is_refused(self, he4_cfg):
+        grid = _grid_of(he4_cfg)
+        prior = [trace_branch(grid[:-1], _at(he4_cfg, 1.0, 0.125))]
+        self._refused(grid, _at(he4_cfg, 1.0, 0.13), prior)
+
+    def test_short_grid_is_refused(self, he4_cfg):
+        grid = np.array([1.0, 2.0, 4.0])
+        prior = [trace_branch(grid, _at(he4_cfg, 1.0, p))
+                 for p in (0.12, 0.125)]
+        self._refused(grid, _at(he4_cfg, 1.0, 0.13), prior)
+
+    def test_lost_node_is_refused(self, he4_cfg):
+        # no root within the trust of u = 1 at node 300, where the branch
+        # is at u = -1.49
+        grid = _grid_of(he4_cfg)
+        branch = trace_branch(grid, _at(he4_cfg, 1.0, 0.125))
+        u = branch.u.copy()
+        u[300] = 1.0
+        prior = [dataclasses.replace(branch, u=u)]
+        assert angular._lockstep(_at(he4_cfg, 1.0, 0.13), grid[300:301],
+                                 u[300:301]) is None
+        self._refused(grid, _at(he4_cfg, 1.0, 0.13), prior)
+
+    @pytest.mark.parametrize("jump, residual", [(0.0, 2e-10), (2.0, 0.0)])
+    def test_residual_and_trust_are_enforced(self, he4_cfg, monkeypatch,
+                                             jump, residual):
+        # the warm lockstep's roots with one residual over MAX_RESIDUAL,
+        # or one node jumped past the trust of the quadratic through the
+        # three before it (max(0.5, |u|/4) at u = -1.49)
+        grid = _grid_of(he4_cfg)
+        prior = [trace_branch(grid, _at(he4_cfg, 1.0, p))
+                 for p in (0.12, 0.125)]
+        lockstep = angular._lockstep
+
+        def altered(problem, rho, guess, width=None):
+            u, res = lockstep(problem, rho, guess, width)
+            if width is not None:   # the warm call, node 300
+                u[299] += jump
+                res[299] = residual
+            return u, res
+        monkeypatch.setattr(angular, "_lockstep", altered)
+        self._refused(grid, _at(he4_cfg, 1.0, 0.13), prior)
+
+    @pytest.mark.parametrize("name, work", [
+        ("he4", [(15, 13.5, 100), (8, 7.4, 41), (8, 7.4, 41), (8, 7.4, 41)]),
+        ("mixed", [(15, 13.3, 311), (9, 7.8, 41), (9, 7.8, 41),
+                   (9, 7.8, 41)])])
+    def test_work_per_warm_point(self, he4_cfg, mixed_cfg, name, work):
+        # the residual evaluations of each warm point of the P-step-0.015
+        # scan, in the style of TestTraceBranch.test_work_per_node: array
+        # calls, array points per node and scalar calls, and no walk.  The
+        # cold point takes 86 solves, 12 (He4) and 13 (mixed) array calls,
+        # 4202 and 4708 points and 752 and 744 scalar calls.  The second
+        # point lockstepped from the first branch as it is: 15 array calls,
+        # 8059 and 7950 points (13.4 and 13.3 per node), 99 and 310 scalar
+        # calls (the first node's walk and Brent finishes); the later ones
+        # from the line through the last two, each bracket started at 1/4
+        # of the line's shift: 8 and 9 calls, 4373-4395 and 4666-4672
+        # points, 39-41 scalar calls, the first node's walk alone
+        cfg = he4_cfg if name == "he4" else mixed_cfg
+        grid = _grid_of(cfg)
+        prior = [trace_branch(grid, _at(cfg, 1.0, 0.1))]
+        for k, (calls, points, scalar) in enumerate(work, start=1):
+            problem = _at(cfg, 1.0, 0.1 + 0.015 * k)
+            f, f_array = problem.residual, problem.residual_array
+            seen, scalar_calls, array_sizes = {}, [], []
+
+            def counted(u, rho):
+                r = f(u, rho)
+                scalar_calls.append(u)
+                seen.setdefault((u, rho), set()).add(r)
+                return r
+
+            def counted_array(u, rho):
+                r = f_array(u, rho)
+                array_sizes.append(len(u))
+                for key in zip(u.tolist(), rho.tolist(), r.tolist()):
+                    seen.setdefault(key[:2], set()).add(key[2])
+                return r
+            problem.__dict__["residual"] = counted
+            problem.__dict__["residual_array"] = counted_array
+            with _counted_solves() as solves:
+                branch = trace_branch(grid, problem, prior[-2:])
+            assert solves == []
+            assert len(array_sizes) <= calls
+            assert sum(array_sizes) / len(grid) <= points
+            assert len(scalar_calls) <= scalar
+            for u, rho, r in zip(branch.u.tolist(), grid.tolist(),
+                                 branch.residuals.tolist()):
+                assert r in seen[u, rho]
+            prior.append(branch)
 
 
 class TestAsymptotics:

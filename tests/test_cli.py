@@ -3,13 +3,14 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import zrtrimer.cli as cli
-from zrtrimer import (PairParams, SolverError, dimer_pole_kappa,
-                      efimov_constant, parse_config)
+from zrtrimer import (PairParams, SolverError, critical_p_shape,
+                      dimer_pole_kappa, efimov_constant, parse_config)
 from zrtrimer.angular import RootSearchError, dimer_channel_u
 
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
@@ -223,6 +224,53 @@ class TestScanCommand:
                          str(out)] + grid) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()
 
+    def test_mixed_scan_matches_golden(self, tmp_path):
+        # the committed scan of the bundled mixed config: warm points
+        # continue the 3x3 determinant's branch
+        cfg = tmp_path / "he4he4he3.cfg"
+        cfg.write_text(bundled_config_text("he4he4he3"))
+        out = tmp_path / "scan.csv"
+        assert cli.main(["scan-p", "--config", str(cfg), "--p-min", "0.10",
+                         "--p-max", "0.16", "--p-step", "0.015",
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            DATA / "scan_p_mixed_step_0.015.csv").read_bytes()
+
+    def test_near_critical_scans_match_cold_traces(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # He4 pairs with a ~ U[-400, -40], R ~ U[4, 20], scanned from
+        # U[1.0, 1.3] P_c to 1.5 P_c in steps of 0.04 P_c, where the
+        # branch may fold: each scan exits and prints as it does with every
+        # branch traced cold.  Of these 60, 42 exit 0 and 18 exit 2; 273
+        # warm traces are accepted and 21 refused
+        def scan(path, a, r_eff, start):
+            p_c = critical_p_shape(a, r_eff)
+            path.write_text(bundled_config_text("he4_trimer")
+                            .replace(f"a = {HE4_A!r}\n", f"a = {a!r}\n")
+                            .replace(f"r_eff = {HE4_REFF!r}\n",
+                                     f"r_eff = {r_eff!r}\n"))
+            out = tmp_path / "scan.csv"
+            code = cli.main(["scan-p", "--config", str(path),
+                             "--p-min", repr(start * p_c),
+                             "--p-max", repr(1.5 * p_c),
+                             "--p-step", repr(0.04 * p_c), "--out", str(out)])
+            text = out.read_bytes() if out.exists() else b""
+            out.unlink(missing_ok=True)
+            return code, text, capsys.readouterr().err
+
+        rng = np.random.default_rng(2)
+        draws = [tuple(float(rng.uniform(lo, hi)) for lo, hi in (
+            (-400.0, -40.0), (4.0, 20.0), (1.0, 1.3))) for _ in range(60)]
+        path = tmp_path / "draw.cfg"
+        warm = [scan(path, *draw) for draw in draws]
+        trace = cli.trace_branch
+        monkeypatch.setattr(cli, "trace_branch",
+                            lambda grid, problem, prior=None:
+                            trace(grid, problem))
+        cold = [scan(path, *draw) for draw in draws]
+        assert warm == cold
+        assert {code for code, _, _ in warm} == {0, 2}
+
     def test_bad_step(self, he4_cfg_path):
         assert cli.main(["scan-p", "--config", he4_cfg_path,
                          "--p-step", "0"]) == 1
@@ -233,19 +281,24 @@ class TestScanCommand:
         ("0.005", [0.10 + 0.005 * k for k in range(13)])])
     def test_grid_stays_within_p_max(self, fast_cfg_path, monkeypatch, step,
                                      expected):
-        solved, priors, returned = [], [], []
-        def fake_solve(cfg, prior=None):
+        solved, priors, returned, handed, traced = [], [], [], [], []
+        def fake_solve(cfg, prior=None, branches=None):
             solved.append(cfg.system.pairs[0].p_shape)
             priors.append(prior)
+            handed.append(branches)
             returned.append([])
-            return None, returned[-1]
+            traced.append(object())
+            return SimpleNamespace(branch=traced[-1]), returned[-1]
         monkeypatch.setattr(cli, "solve_for_config", fake_solve)
         assert cli.main(["scan-p", "--config", fast_cfg_path, "--p-min", "0.10",
                          "--p-max", "0.16", "--p-step", step]) == 0
         assert solved == pytest.approx(expected, abs=1e-12)
-        # each point hands its states on to the next as the warm start
+        # each point hands its states on to the next as the warm start,
+        # and its angular branch to the next two
         assert priors[0] is None
         assert all(p is r for p, r in zip(priors[1:], returned))
+        assert all(b == traced[max(k - 2, 0):k]
+                   for k, b in enumerate(handed))
 
     def test_zero_range_pairs_keep_p_zero(self, tmp_path):
         # He4-He3 pairs made zero-range: P goes on the He4-He4 pair only
@@ -454,7 +507,7 @@ class TestExitCodes:
         assert out.read_text() == capsys.readouterr().out
 
     def test_solver_failure_maps_to_2(self, he4_cfg_path, monkeypatch):
-        def boom(cfg):
+        def boom(cfg, prior=None):
             raise RootSearchError("lost the branch")
         monkeypatch.setattr(cli, "potential_for_config", boom)
         assert cli.main(["solve", "--config", he4_cfg_path]) == 2
@@ -558,7 +611,7 @@ class TestExitCodes:
 
     def test_plain_error_is_not_a_solver_failure(self, he4_cfg_path,
                                                  monkeypatch):
-        def bug(cfg):
+        def bug(cfg, prior=None):
             raise ValueError("a programming error")
         monkeypatch.setattr(cli, "potential_for_config", bug)
         with pytest.raises(ValueError, match="a programming error"):

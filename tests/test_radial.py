@@ -772,8 +772,8 @@ class TestWarmStart:
         with pytest.raises(SolverError, match="not contained"):
             shooter.eigenvalue(12, 39.0, 0.5)
 
-    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 88),
-                                             ([], 176)])
+    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 92),
+                                             ([], 174)])
     def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid, total):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
@@ -786,14 +786,19 @@ class TestWarmStart:
         # gave cold points of 22-33 against 29-36 on the lockstep trace,
         # warm points of up to 20 against up to 20 (0.015) and up to 18
         # against up to 22 (0.005), and mean totals of 90.0 against 95.0
-        # and 179.5 against 211.9
+        # and 179.5 against 211.9.  With each warm point's branch from the
+        # last two (totals 92 and 174, largest warm point 18 and 15),
+        # moving each traced node's u by up to 2 ulp over 30 seeds gave
+        # largest warm points of 16-19 against 16-22 before (0.015) and
+        # 14-19 against 14-18 (0.005), and totals of 80-97 (mean 87.6)
+        # against 81-95 (89.6) and 169-185 (176.1) against 171-188 (179.6)
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
         assert cli.main(["scan-p", "--config", str(path),
                          "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
         assert counts[0] == 24
-        assert max(counts[1:]) <= 17
+        assert max(counts[1:]) <= 18
         assert sum(counts) == total
 
     # 44 and 23 with Brent on the twist, 34 and 19 with a second sweep
