@@ -18,8 +18,14 @@ node-count bisection isolates state k, then Brent's method finds where the
 phase crosses k + 1/2.  A cold state starts from the tightest bracket
 among the energies already swept for any state.  The bisection steps in
 log energy while both ends are negative and more than a factor 2 apart,
-since states below a threshold near 0 lie decades apart, else at the
-midpoint.  The two callers differ only in the seeds at the ends:
+since states below a threshold near 0 lie decades apart; from a top at 0
+it steps to 1/16 of the lower end, else at the midpoint.  Near the root
+the phase is rounded to steps of 1e-16 or more, which would leave Brent's
+last steps closing the bracket on equal values; the refine stops instead
+at the first iterate with k sign changes whose unrounded miss
+atan(resid)/pi, over its slope through the two iterates before it, puts
+it within BRENT_RTOL |eps| of the root, Brent's own tolerance.  The two
+callers differ only in the seeds at the ends:
 
   solve_bound_states  regular f ~ rho at rho_min, decaying exponential of
                       the local barrier at the cutoff.
@@ -39,7 +45,10 @@ way, at the level below divided by the expected ratio.
 
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
-e-folds (any admixture beyond that is below double precision anyway).  A
+e-folds (any admixture beyond that is below double precision anyway).
+The turning point is read off the suffix extremes of W, and the action
+is summed from it, and q built, only up to a window's end past it, sized
+from the last sweep's cutoff, so a sweep scans no whole grid.  A
 sweep checks that |h^2 q/12| stays below 1/2 up to the cutoff, so the
 Numerov step is stable there; a grid too coarse for the potential, or a W
 that is not finite on it, raises SolverError.
@@ -57,7 +66,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .angular import efimov_constant
-from .system import DEFAULT_MASS_SCALE, SolverError, brent, hartree_to_mk
+from .system import (BRENT_RTOL, DEFAULT_MASS_SCALE, SolverError, brent,
+                     hartree_to_mk)
 
 
 def _load_fblas():
@@ -92,8 +102,8 @@ _MATCH_TOL = 1e-6
 _MAX_STEP_TQ = 0.5
 
 #: Node-count bisection steps at the geometric mean -sqrt(lo hi) while both
-#: ends are negative and further apart than this factor, else at the
-#: midpoint: bound states sit decades apart below a threshold near 0.
+#: ends are negative and further apart than this factor: bound states sit
+#: decades apart below a threshold near 0.
 _GEOMETRIC_RATIO = 2.0
 
 #: Magnitude past which a carry restarts from a power-of-two rescale, well
@@ -228,6 +238,10 @@ class _Shooter:
         self.n = n
         self.band = np.full((2 * n + 2, 3), -1.0)   # _carry's scratch
         self.w_min = float(self.w.min())
+        # min W[k:] and -max W[k:], both ascending in k, for searchsorted
+        self.tail_min = np.minimum.accumulate(self.w[::-1])[::-1]
+        self.tail_neg_max = -np.maximum.accumulate(self.w[::-1])[::-1]
+        self.reach = n      # the last sweep's cutoff less its turning point
         self.w_inf = w_inf
         self.top = search_top - abs(search_top) * 1e-12
         self.hard_wall = hard_wall
@@ -240,27 +254,46 @@ class _Shooter:
 
     def _turning_and_stop(self, eps: float) -> tuple[int, int, np.ndarray]:
         """Outermost classical turning point of s = W - eps, the barrier
-        cutoff beyond it and q = 1/4 + rho^2 s.
+        cutoff beyond it and q = 1/4 + rho^2 s on [0, cutoff].
 
+        Past the first k where W[k:] lies strictly on one side of eps, read
+        off the suffix extremes, s keeps its sign, so the last sign change
+        is (k - 1, k); only where s[k - 1] = 0 is s[:k] scanned for it.
         Without a turning point the barrier action is counted from the inner
-        edge when the whole grid is forbidden, from the outer edge otherwise.
+        edge when the whole grid is forbidden, from the outer edge
+        otherwise.  The action is summed in grid order from the turning
+        point over 5/4 of the last sweep's reach plus 16 points, and to
+        the grid's end when the cap lies beyond that, so the cutoff is
+        that of one whole-grid cumsum.
         """
-        s = self.w - eps
-        q = self.r2 * s
-        q += 0.25   # in place: one more grid-sized temporary slows every sweep
-        idx = np.flatnonzero(s[:-1] * s[1:] < 0.0)
-        im = (int(idx[-1]) if len(idx)
-              else (0 if s.min() >= 0.0 else self.n - 1))
-        im = min(max(im, 3), self.n - 4)
-        action = np.cumsum(np.sqrt(np.maximum(q[im:-1], 0.0)) * self.h)
-        return im, im + int(np.searchsorted(action, _ACTION_CAP, side="right")), q
+        n = self.n
+        k = min(int(np.searchsorted(self.tail_min, eps, side="right")),
+                int(np.searchsorted(self.tail_neg_max, -eps, side="right")))
+        if k and self.w[k - 1] != eps:
+            im = k - 1
+        else:
+            s = self.w[:k] - eps
+            idx = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+            im = (int(idx[-1]) if len(idx)
+                  else (0 if self.w_min >= eps else n - 1))
+        im = min(max(im, 3), n - 4)
+        end = min(im + self.reach, n - 1)
+        q = self.r2[:end + 1] * (self.w[:end + 1] - eps)
+        q += 0.25   # in place: one more temporary slows every sweep
+        action = np.cumsum(np.sqrt(np.maximum(q[im:end], 0.0)) * self.h)
+        stop = im + int(np.searchsorted(action, _ACTION_CAP, side="right"))
+        if stop == end < n - 1:     # the cap lies past the window
+            self.reach = n
+            return self._turning_and_stop(eps)
+        self.reach = (stop - im) * 5 // 4 + 16
+        return im, stop, q[:stop + 1]
 
     def _sweep(self, eps: float) -> _Sweep:
         """Outward from rho_min and inward from the cutoff to m; the energy,
         the scalars, both carries and tq are kept as `last` for wave."""
         self.last = None    # freed before this sweep's arrays: peak memory
         m, stop, q = self._turning_and_stop(eps)
-        hq = self.h * self.h * q[:stop + 1]
+        hq = self.h * self.h * q
         tq = hq / 12.0
         worst = float(np.abs(tq).max())
         if not worst < _MAX_STEP_TQ:   # also NaN
@@ -324,15 +357,27 @@ class _Shooter:
 
         The bracket is the warm one from a guess (`_warm_bracket`) when
         there is one, else the tightest the sweep table holds
-        (`_table_bracket`).  It is bisected at -sqrt(lo hi) while both its
-        ends are negative and more than _GEOMETRIC_RATIO apart, else at
-        the midpoint while it does not isolate state k: count k at its
-        lower end, k + 1 at its upper one.  One loop picks each step, so a
-        window whose top is at or above 0 takes midpoint steps until
-        hi < 0 and log steps after.  The phase lies within 1/2 of the
-        count, so phase - (k + 1/2) changes sign across the bracket only
-        where the count steps, at the eigenvalue, and equals -resid/pi
-        near it, whatever the sides and m do inside.
+        (`_table_bracket`).  While it does not isolate state k, count k
+        at its lower end and k + 1 at its upper one, it is bisected at
+        -sqrt(lo hi) while both its ends are negative and more than
+        _GEOMETRIC_RATIO apart, at lo/16 while lo < 0 = hi, else at the
+        midpoint.  One loop picks each step, so a window whose top is 0
+        takes lo/16 steps until hi < 0 and log steps after: a state below
+        a threshold at 0 lies decades above the window's floor.
+
+        The phase lies within 1/2 of the count, so phase - (k + 1/2)
+        changes sign across the bracket only where the count steps, at the
+        eigenvalue, whatever the sides and m do inside.  Before rounding it
+        is the sign changes less k less atan(resid)/pi; rounded, it moves
+        in steps of ulp(k + 1/2), 5.6e-17 or more, and can read 0 over
+        tens of doubles around the root.  So that `brent` neither closes
+        its bracket on those steps nor stops on such a 0, the function it
+        refines reads 0, and the refine stops, only at the first iterate
+        with k sign changes whose linear distance to the root is within
+        BRENT_RTOL |eps|, Brent's own tolerance: the unrounded miss over
+        its slope through the two iterates before it (first the ends,
+        which the sweep table holds).  Elsewhere it reads the rounded
+        miss, or the unrounded one where that rounds to 0.
         """
         bracket = (None if guess is None
                    else self._warm_bracket(k, guess, width))
@@ -344,11 +389,25 @@ class _Shooter:
         while (lo < _GEOMETRIC_RATIO * hi < 0.0
                or not (self.count(lo) == k and self.count(hi) == k + 1)):
             mid = (-math.sqrt(-lo) * math.sqrt(-hi)
-                   if lo < _GEOMETRIC_RATIO * hi < 0.0 else 0.5 * (lo + hi))
+                   if lo < _GEOMETRIC_RATIO * hi < 0.0
+                   else lo / 16.0 if lo < 0.0 == hi else 0.5 * (lo + hi))
             if mid in (lo, hi):
                 return hi   # the count steps in (lo, hi]
             lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
-        return brent(lambda e: self.sweep(e).phase - (k + 0.5), lo, hi)
+        last = []   # the refine's last two (eps, exact miss), the ends first
+
+        def miss(eps: float) -> float:
+            sweep = self.sweep(eps)
+            # phase - (k + 1/2) before its rounding: the sign changes, the
+            # count less the twist's (d < 0), less k, then -atan(resid)/pi
+            turns = sweep.count - (sweep.resid < 0.0) - k
+            exact = turns - math.atan(sweep.resid) / math.pi
+            done = (len(last) == 2 and turns == 0
+                    and abs(exact) * abs(last[1][0] - last[0][0])
+                    <= BRENT_RTOL * abs(eps) * abs(last[1][1] - last[0][1]))
+            last[:] = [*last[-1:], (eps, exact)]
+            return 0.0 if done else (sweep.phase - (k + 0.5) or exact)
+        return brent(miss, lo, hi)
 
     def _table_bracket(self, k: int) -> tuple[float, float]:
         """The tightest bracket of state k among the window's swept
@@ -424,9 +483,11 @@ def solve_bound_states(potential, max_states: int = 4, *,
     Returns up to max_states solutions ordered by node count; an empty list
     when the potential binds nothing.  States are searched below
     min(w_inf, threshold): the asymptote, or the bare threshold where
-    P (R/|a|)^2 > 1/2 lifts the asymptote above it.  Energies are converged
-    to machine precision relative tolerance; SolverError unless state k has
-    k nodes and a match residual of at most _MATCH_TOL.
+    P (R/|a|)^2 > 1/2 lifts the asymptote above it.  Each eps is the
+    refine's stop (`_Shooter.eigenvalue`), within a few BRENT_RTOL |eps|
+    of the root Brent's method finds on the phase without it (tested to
+    4 BRENT_RTOL |eps|); SolverError unless state k has k nodes and a match
+    residual of at most _MATCH_TOL.
 
     prior, the states of a nearby potential on the same grid (the last
     point of a scan), warm-starts the states it holds (`_warm_starts`,

@@ -26,7 +26,7 @@ import zrtrimer.cli as cli
 from zrtrimer import radial
 from zrtrimer.angular import MAX_RESIDUAL
 from zrtrimer.radial import _carry, _Shooter
-from zrtrimer.system import DEFAULT_MASS_SCALE
+from zrtrimer.system import BRENT_RTOL, DEFAULT_MASS_SCALE, brent
 
 from trimer_params import (HE4_A, HE4_MASS, HE4_P, HE4_REFF,
                            bundled_config_text)
@@ -372,9 +372,11 @@ class TestSolveBoundStates:
 
     def test_cutoff_matches_loop_reference(self, he4_branch_potential):
         # the barrier cutoff: first index past im whose running action,
-        # added in grid order, exceeds the cap; a cumsum must agree exactly.
-        # The turning point im is the last sign change of W - eps over the
-        # whole grid, also where eps equals a sample of W
+        # added in grid order, exceeds the cap; the windowed cumsum, rerun
+        # over the whole grid when the window falls short, must agree
+        # exactly.  The turning point im is the last
+        # sign change of W - eps over the whole grid, also where eps equals
+        # a sample of W, and q is 1/4 + rho^2 (W - eps) up to the cutoff
         def reference(shooter, im, q):
             action, i = 0.0, im
             while i < shooter.n - 1:
@@ -395,17 +397,37 @@ class TestSolveBoundStates:
                   else (0 if s.min() >= 0.0 else shooter.n - 1))
             return min(max(im, 3), shooter.n - 4)
 
+        def one_signed_tail_edges(w):
+            # W[j] for j where W[j + 1:] lies strictly on one side of W[j]:
+            # at eps = W[j], W - eps is 0 at the edge of its one-signed tail
+            js = np.linspace(0, len(w) - 1, 60).astype(int)
+            return [w[j] for j in js
+                    if (w[j + 1:] > w[j]).all() or (w[j + 1:] < w[j]).all()]
+
         for shooter in (he4, thomas):
             gap = shooter.top - shooter.w_min
             samples = shooter.w[np.linspace(0, shooter.n - 1, 12).astype(int)]
-            for eps in np.concatenate([
-                    shooter.top - gap * np.geomspace(1e-12, 1.0, 40),
-                    samples, [shooter.w_min - 1.0, shooter.w.max() + 1.0]]):
+            edges = one_signed_tail_edges(shooter.w)
+            assert len(edges) >= 4
+            # deepest first, then each energy between a deep and a shallow
+            # one: the action window, sized from the last sweep's cutoff,
+            # then falls short of some cutoffs and is rerun
+            ladder = shooter.top - gap * np.geomspace(1e-12, 1.0, 40)
+            energies = np.concatenate([
+                ladder[::-1], np.ravel(np.column_stack([ladder, ladder[::-1]])),
+                samples, edges,
+                [shooter.w_min - 1.0, shooter.w.max() + 1.0]])
+            extended = 0
+            for eps in energies:
+                reach = shooter.reach
                 im, stop, q = shooter._turning_and_stop(eps)
                 s = shooter.w - eps
-                assert np.array_equal(q, 0.25 + shooter.r2 * s)
+                full_q = 0.25 + shooter.r2 * s
+                assert np.array_equal(q, full_q[:stop + 1])
                 assert im == turning_point(shooter, s)
-                assert stop == reference(shooter, im, q)
+                assert stop == reference(shooter, im, full_q)
+                extended += stop - im >= reach and im + reach < shooter.n - 1
+            assert extended > 0
 
     def test_two_sided_match_at_converged_energy(self, he4_solution,
                                                  he4_branch_potential):
@@ -619,11 +641,14 @@ class TestThomasSpectrum:
                                                         abs=0.0)
 
     def test_default_sweeps(self, monkeypatch):
-        # 116 with cold levels and Brent on the twist
+        # 116 with cold levels and Brent on the twist, 45 with warm levels
+        # and 41 with the lo/16 step and the refine stopped within Brent's
+        # tolerance.  Moving each entry of W by up to 2 ulp at random over
+        # 30 seeds gave 35-45 (mean 39.5) against 40-49 (44.2) before
         counts = _count_sweeps(monkeypatch)
         counts.append(0)
         thomas_spectrum()
-        assert counts == [45]
+        assert counts == [41]
 
     def test_more_states_than_available(self):
         spec = thomas_spectrum(cutoff_rho0=0.1, outer_rho=1e4, n_states=10,
@@ -666,6 +691,80 @@ class TestSolveProperties:
         assert all(e0 < e1 for e0, e1 in zip(energies, energies[1:]))
         assert pot.hartree_from_eps(float(pot.w.min())) < energies[0]
         assert energies[-1] < pot.hartree_from_eps(min(pot.w_inf, pot.threshold))
+
+
+def _stop_misses(run) -> list[float]:
+    """Call run() with every `_Shooter.eigenvalue` recorded; for each state
+    it returned, |eps - ref| in units of BRENT_RTOL |eps|, where ref is a
+    reference refine: `brent` with no early stop, from ends 1e-9 |eps|
+    either side whose counts hold the state, on phase - (k + 1/2) before
+    its rounding, the sign changes less k less atan(resid)/pi.  (The
+    rounded phase reads exactly k + 1/2 over up to 26 doubles around
+    state 4 of a Thomas spectrum, so a refine on it stops anywhere on
+    that plateau: up to 5.2 BRENT_RTOL |eps| from this reference.)  Both
+    eps and ref must give a wave with k nodes."""
+    calls = []
+    eigenvalue = _Shooter.eigenvalue
+
+    def recorded(self, k, *args):
+        eps = eigenvalue(self, k, *args)
+        calls.append((self, k, eps))
+        return eps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Shooter, "eigenvalue", recorded)
+        run()
+    assert calls
+    misses = []
+    for shooter, k, eps in calls:
+        lo, hi = eps - 1e-9 * abs(eps), eps + 1e-9 * abs(eps)
+        assert (shooter.count(lo), shooter.count(hi)) == (k, k + 1)
+
+        def exact_miss(e):
+            sweep = shooter.sweep(e)
+            return (sweep.count - (sweep.resid < 0.0) - k
+                    - math.atan(sweep.resid) / math.pi)
+        ref = brent(exact_miss, lo, hi)
+        for e in (eps, ref):
+            assert count_nodes(shooter.wave(e)[1]) == k
+        misses.append(abs(eps - ref) / (BRENT_RTOL * abs(eps)))
+    return misses
+
+
+class TestRefineStop:
+    """The refine stops at the first iterate whose linear distance to the
+    root is within BRENT_RTOL |eps|, Brent's own tolerance: every state
+    still lies within a few BRENT_RTOL |eps| of Brent's root on the
+    unrounded phase without the stop (at worst 2.7 over 300 Thomas
+    cutoffs and 2.2 over 40 He4 draws of these ranges when the stop was
+    written)."""
+
+    BOUND = 4.0
+
+    @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
+    def test_bundled_solves(self, request, cfg_name):
+        cfg = request.getfixturevalue(cfg_name)
+        assert max(_stop_misses(lambda: cli.solve_for_config(cfg))) \
+            <= self.BOUND
+
+    def test_default_thomas(self):
+        assert max(_stop_misses(thomas_spectrum)) <= self.BOUND
+
+    @settings(max_examples=6, deadline=None)
+    @given(a_factor=st.floats(0.9, 1.1), p_shape=st.floats(0.10, 0.16))
+    def test_he4_draws(self, a_factor, p_shape):
+        pair = PairParams(a=HE4_A * a_factor, r_eff=HE4_REFF, p_shape=p_shape)
+        problem = AngularProblem(ParticleSystem.identical_bosons(HE4_MASS,
+                                                                 pair))
+        pot = effective_potential(
+            trace_branch(TestSolveProperties.GRID, problem), problem)
+        assert max(_stop_misses(lambda: solve_bound_states(pot))) \
+            <= self.BOUND
+
+    @settings(max_examples=6, deadline=None)
+    @given(cutoff=st.floats(0.05, 0.2))
+    def test_thomas_draws(self, cutoff):
+        assert max(_stop_misses(
+            lambda: thomas_spectrum(cutoff_rho0=cutoff))) <= self.BOUND
 
 
 def _count_sweeps(monkeypatch) -> list[int]:
@@ -772,8 +871,8 @@ class TestWarmStart:
         with pytest.raises(SolverError, match="not contained"):
             shooter.eigenvalue(12, 39.0, 0.5)
 
-    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 92),
-                                             ([], 174)])
+    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 75),
+                                             ([], 148)])
     def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid, total):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
@@ -791,14 +890,21 @@ class TestWarmStart:
         # moving each traced node's u by up to 2 ulp over 30 seeds gave
         # largest warm points of 16-19 against 16-22 before (0.015) and
         # 14-19 against 14-18 (0.005), and totals of 80-97 (mean 87.6)
-        # against 81-95 (89.6) and 169-185 (176.1) against 171-188 (179.6)
+        # against 81-95 (89.6) and 169-185 (176.1) against 171-188 (179.6).
+        # With the refine stopped within Brent's tolerance (totals 75 and
+        # 148, cold points of 22, largest warm point 14 and 12), moving
+        # each entry of W by up to 2 ulp over 30 seeds gave cold points of
+        # 22-23 against 22-33, largest warm points of 14-15 against 16-20
+        # (0.015) and 11-14 against 14-17 (0.005), and totals of 76-80
+        # (mean 77.7) against 82-97 (88.7) and 148-155 (150.8) against
+        # 170-183 (175.7)
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
         assert cli.main(["scan-p", "--config", str(path),
                          "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
-        assert counts[0] == 24
-        assert max(counts[1:]) <= 18
+        assert counts[0] == 22
+        assert max(counts[1:]) <= 14
         assert sum(counts) == total
 
     # 44 and 23 with Brent on the twist, 34 and 19 with a second sweep
@@ -807,8 +913,10 @@ class TestWarmStart:
     # The counts follow the last bits of W: moving each node's u by up to
     # 2 ulp at random gave 31-36 (He4) and 18-24 (mixed) over 8 seeds on
     # the lockstep trace, and 21-30 and 11-14 over 12 seeds after the log
-    # bisection
-    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 23),
+    # bisection.  21 and 11 with the refine stopped within Brent's
+    # tolerance: moving each entry of W by up to 2 ulp over 30 seeds gave
+    # 21-21 and 11-13 against 21-27 and 11-17 before
+    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 21),
                                                    ("mixed_cfg", 11)])
     def test_solve_sweeps_unchanged(self, request, monkeypatch, cfg_name,
                                     sweeps):
