@@ -6,29 +6,35 @@ into g'' = q(t) g, q = 1/4 + rho^2 (W - eps), which Numerov handles with a
 uniform step in t at fourth order.  One shooting core, _Shooter, sweeps a
 trial energy once, outward from rho_min and inward from the barrier cutoff
 to the outer turning point m.  Each side carries Numerov's recursion in
-summed form, the amplitude F and its forward difference D, as one banded
-forward substitution in compiled BLAS; only the ratios D/F are read, and
-an amplitude past 2^1000 restarts the substitution from a power-of-two
-rescale, which leaves every ratio unchanged.  The sign changes on both
-sides and the sign of the twist d at m count the eigenvalues below the
-trial energy, and d vanishes at each one.  The sign changes plus
-atan2(1, d)/pi, with d scaled to a log-derivative mismatch, make a
-continuous count, the phase, which lies within 1/2 of the count:
-node-count bisection isolates state k, then Brent's method finds where the
-phase crosses k + 1/2.  A cold state starts from the tightest bracket
-among the energies already swept for any state.  The bisection steps in
-log energy while both ends are negative and more than a factor 2 apart,
-since states below a threshold near 0 lie decades apart; from a top at 0
-it steps to 1/16 of the lower end, else at the midpoint.  Near the root
-the phase is rounded to steps of 1e-16 or more, which would leave Brent's
-last steps closing the bracket on equal values; the refine stops instead
-at the first iterate with k sign changes whose unrounded miss
-atan(resid)/pi, over its slope through the two iterates before it, puts
-it within BRENT_RTOL |eps| of the root, Brent's own tolerance.  The two
-callers differ only in the seeds at the ends:
+summed form, the amplitude F and its forward difference D; the two sides
+are one band system, solved by one forward substitution in compiled BLAS.
+Only the ratios D/F are read.  Each side's last pair tells whether an
+amplitude passed 2^1000, since one that overflows leaves only inf or NaN
+after it; only then is the side scanned and the substitution restarted
+from a power-of-two rescale, which leaves every ratio unchanged.  The
+sign changes on both sides and the sign of the twist d at m count the
+eigenvalues below the trial energy, and d vanishes at each one.  The
+sign changes plus atan2(1, d)/pi, with d scaled to a log-derivative
+mismatch, make a continuous count, the phase, which lies within 1/2 of
+the count: node-count bisection isolates state k, then Brent's method
+finds where the phase crosses k + 1/2.  A cold state starts from the
+tightest bracket among the energies already swept for any state.  The
+bisection steps in log energy while both ends are negative and more than
+a factor 2 apart, since states below a threshold near 0 lie decades
+apart; from a top at 0 it steps to 1/16 of the lower end, else at the
+midpoint.  Near the root the phase is rounded to steps of 1e-16 or more,
+which would leave Brent's last steps closing the bracket on equal
+values; the refine stops instead at the first iterate with k sign
+changes whose unrounded miss atan(resid)/pi, over its slope through the
+two iterates before it, puts it within BRENT_RTOL |eps| of the root,
+Brent's own tolerance.  The two callers differ only in the seeds at the
+ends:
 
-  solve_bound_states  regular f ~ rho at rho_min, decaying exponential of
-                      the local barrier at the cutoff.
+  solve_bound_states  regular f ~ rho^alpha at rho_min, alpha = 1/2 +
+                      sqrt(1/4 - s) for W ~ -s/rho^2 there (s the
+                      q_convention's shift: alpha = 1 for leading_term,
+                      1/2 for none), decaying exponential of the local
+                      barrier at the cutoff.
   thomas_spectrum     hard walls: f = 0 at rho_min and at the cutoff.
 
 A scan warm-starts each state from the previous point's (prior, in
@@ -66,6 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angular import efimov_constant
+from .potential import _SHIFT
 from .system import (BRENT_RTOL, DEFAULT_MASS_SCALE, SolverError, brent,
                      hartree_to_mk)
 
@@ -129,55 +136,78 @@ def _seed(tq: np.ndarray, far: int, near: int, a: float) -> float:
                  / (1.0 - tq[near]))
 
 
-def _carry(v, p: float, band=None):
-    """Carry the Numerov recursion along v in its summed form.
+def _carry(band, seeds) -> tuple[int, np.ndarray]:
+    """Carry the Numerov recursion in its summed form, every side at once.
 
     With F = (1 - h^2 q/12) g and v = h^2 q / (1 - h^2 q/12), the
     differences D_i = F_{i+1} - F_i obey D_i = D_{i-1} + v_i F_i and
     F_{i+1} = F_i + D_i, from F_0 = 1 and D_{-1} = p, the seed
     1 - F_{-1}/F_0 (1 at a hard wall).  Nothing forms 2 + v, so small v keep
-    their digits.  The unknowns (D_{-1}, F_0, D_0, F_1, ..., D_{n-1}, F_n)
-    form one unit lower triangular band system of bandwidth 2, solved by
-    one BLAS forward substitution.  Each entry depends only on the ones
-    before it, so all of them up to the first |z| >= 2^1000 are exact; the
-    substitution restarts from the last (D, F) pair before that, scaled by
-    a power of two, which changes no bit of any ratio.  Returns the number
-    of sign changes of F and z; only its ratios p_i = D_{i-1}/F_i =
-    z[2i]/z[2i + 1] (the seed first) are meaningful.
+    their digits.  A side's unknowns (D_{-1}, F_0, D_0, F_1, ..., D_{n-1},
+    F_n) form one unit lower triangular band system of bandwidth 2; the
+    sides follow each other in one system, decoupled by zeroing the
+    entries that tie a side's first pair to the last pair before it, and
+    one BLAS forward substitution solves them all.
 
-    band, when given, is scratch reused across calls: at least
-    2 len(v) + 2 rows by 3, all -1.0 outside the odd rows of column 1,
-    which each call overwrites with -v; the entries a restart zeroes are
-    set back to -1.0 before returning.
+    Each entry depends only on the ones before it, and once one overflows
+    every later one on its side is inf or NaN, so each side's last (D, F)
+    pair tells whether the side is exact.  Only when it is not finite or
+    at least 2^1000 is the side scanned for the first |z| >= 2^1000, and
+    the substitution restarted from the last pair before it, scaled by a
+    power of two, which changes no bit of any ratio.  A restart solves
+    everything past it again, the later sides' seeds put back: an
+    overflow also reaches the next side through the zeroed couplings
+    (0 inf = NaN).  Returns the number of sign changes of F within the
+    sides and z; only its ratios p_i = D_{i-1}/F_i = z[s + 2i]/z[s + 2i + 1]
+    (each side's seed first) are meaningful.
+
+    band holds the system's rows: -v_i of the side starting at row s in
+    row s + 2i + 1 of column 1, -1.0 everywhere else in columns 1 and 2,
+    as a shooter's scratch keeps it; the entries zeroed here are set back
+    to -1.0 before returning.  seeds are (s, p) per side, ascending in
+    the even start row s; a side ends where the next begins.
     """
-    n = len(v)
-    if band is None:
-        band = np.full((2 * n + 2, 3), -1.0)
-    band = band[:2 * n + 2]                 # rows are the columns of ab
-    np.negative(v, out=band[1:-1:2, 1])     # v_i couples F_i into D_i
-    ab = band.T
-    z = np.zeros(2 * n + 2)
-    j, d, f = 0, p, 1.0
-    starts = []
-    while True:
-        band[2 * j, 1] = 0.0    # F_j is given: it does not add D_{j-1}
-        starts.append(2 * j)
-        e = math.frexp(max(abs(d), abs(f)))[1]
-        part = z[2 * j:]        # solved in place; zero past the seed
-        part[0], part[1] = math.ldexp(d, -e), math.ldexp(f, -e)
-        part[:] = dtbsv(2, ab[:, 2 * j:], part, lower=1, diag=1,
-                        overwrite_x=1)
-        if part.max() < _BIG and part.min() > -_BIG:
-            break
-        cut = 2 * j + int(np.argmin(np.abs(part) < _BIG))
-        restart = (cut - 2) // 2        # the last whole pair before the cut
-        if restart <= j:
-            break       # one step from a rescaled pair: v is not finite or huge
-        j, d, f = restart, float(z[2 * restart]), float(z[2 * restart + 1])
-        z[2 * j + 2:] = 0.0
-    band[starts, 1] = -1.0
+    ab = band.T             # band's rows are the columns of ab
+    z = np.zeros(len(band))
+    starts = [s for s, _ in seeds]
+    for s in starts[1:]:
+        band[s - 2, 2] = band[s - 1, 1] = band[s - 1, 2] = 0.0
+    given = []
+
+    def solve(j, d, f):
+        # from the pair (d, f) at row j and every later side's seed, each
+        # rescaled: its F is given, so it does not add the D before it.
+        # z[j:] is contiguous, so dtbsv solves it in place
+        for s, d, f in [(j, d, f), *((s, p, 1.0) for s, p in seeds if s > j)]:
+            band[s, 1] = 0.0
+            given.append(s)
+            e = math.frexp(max(abs(d), abs(f)))[1]
+            z[s], z[s + 1] = math.ldexp(d, -e), math.ldexp(f, -e)
+        dtbsv(2, ab[:, j:], z[j:], lower=1, diag=1, overwrite_x=1)
+
+    solve(0, seeds[0][1], 1.0)
+    for j, e in zip(starts, [*starts[1:], len(z)]):
+        while not (abs(z[e - 2]) < _BIG and abs(z[e - 1]) < _BIG):
+            cut = j + int(np.argmin(np.abs(z[j:e]) < _BIG))
+            restart = 2 * ((cut - 2) // 2)  # the last whole pair before it
+            if restart <= j:
+                # one step from a rescaled pair: v is not finite or huge;
+                # the later sides start again from their seeds
+                if e < len(z):
+                    z[e:] = 0.0
+                    solve(e, seeds[starts.index(e)][1], 1.0)
+                break
+            j, d, f = restart, float(z[restart]), float(z[restart + 1])
+            z[j + 2:] = 0.0
+            solve(j, d, f)
+    for s in given:
+        band[s, 1] = -1.0
     neg = np.signbit(z[1::2])
-    return int(np.count_nonzero(neg[1:] ^ neg[:-1])), z
+    changes = neg[1:] ^ neg[:-1]
+    for s in starts[1:]:
+        band[s - 2, 2] = band[s - 1, 1] = band[s - 1, 2] = -1.0
+        changes[s // 2 - 1] = False     # across the seam
+    return int(np.count_nonzero(changes)), z
 
 
 @dataclass(frozen=True)
@@ -214,10 +244,12 @@ class _Shooter:
 
     w_of samples W over an array of rho and w_inf is its large-rho limit;
     eigenvalues are searched in [min W, search_top).  The outward sweep
-    starts from the regular f ~ rho at rho_min and the inward one from the
-    decaying exponential at the barrier cutoff; hard_wall puts f = 0 at both
-    instead.  Both meet at the outer turning point m, where the twist d of
-    the tridiagonal Numerov problem gives the inertia: count = sign changes
+    starts from the regular f ~ rho^alpha at rho_min, alpha = 1/2 +
+    sqrt(1/4 - shift) for a W that goes as -shift/rho^2 there (f ~ rho for
+    the default shift 0), and the inward one from the decaying exponential
+    at the barrier cutoff; hard_wall puts f = 0 at both instead.  Both
+    meet at the outer turning point m, where the twist d of the
+    tridiagonal Numerov problem gives the inertia: count = sign changes
     on both sides + (d < 0), which steps exactly at the roots of d.  The
     phase, sign changes on both sides + atan2(1, resid)/pi, lies within
     1/2 of the count, so phase - (k + 1/2) changes sign only at the root
@@ -226,7 +258,7 @@ class _Shooter:
 
     def __init__(self, w_of, w_inf: float, search_top: float,
                  rho_min: float, rho_max: float, n: int,
-                 hard_wall: bool = False):
+                 hard_wall: bool = False, shift: float = 0.0):
         self.t = np.linspace(math.log(rho_min), math.log(rho_max), n)
         self.h = float(self.t[1] - self.t[0])
         self.rho = np.exp(self.t)
@@ -245,6 +277,8 @@ class _Shooter:
         self.w_inf = w_inf
         self.top = search_top - abs(search_top) * 1e-12
         self.hard_wall = hard_wall
+        # g = f/sqrt(rho) ~ exp((alpha - 1/2) t) at rho_min
+        self.inner_rate = math.sqrt(0.25 - shift)
         # one sweep per trial energy, scalars only: the count, the bisection
         # and the Brent refine of every state read the same table
         self.table: dict[float, _Sweep] = {}
@@ -278,9 +312,13 @@ class _Shooter:
                   else (0 if self.w_min >= eps else n - 1))
         im = min(max(im, 3), n - 4)
         end = min(im + self.reach, n - 1)
-        q = self.r2[:end + 1] * (self.w[:end + 1] - eps)
-        q += 0.25   # in place: one more temporary slows every sweep
-        action = np.cumsum(np.sqrt(np.maximum(q[im:end], 0.0)) * self.h)
+        q = self.w[:end + 1] - eps     # in place from here: a temporary
+        q *= self.r2[:end + 1]         # slows every sweep
+        q += 0.25
+        action = np.maximum(q[im:end], 0.0)
+        np.sqrt(action, out=action)
+        action *= self.h
+        np.cumsum(action, out=action)
         stop = im + int(np.searchsorted(action, _ACTION_CAP, side="right"))
         if stop == end < n - 1:     # the cap lies past the window
             self.reach = n
@@ -289,35 +327,42 @@ class _Shooter:
         return im, stop, q[:stop + 1]
 
     def _sweep(self, eps: float) -> _Sweep:
-        """Outward from rho_min and inward from the cutoff to m; the energy,
-        the scalars, both carries and tq are kept as `last` for wave."""
+        """Outward from rho_min and inward from the cutoff to m, in one
+        _carry; the energy, the scalars, both carries and tq are kept as
+        `last` for wave."""
         self.last = None    # freed before this sweep's arrays: peak memory
-        m, stop, q = self._turning_and_stop(eps)
-        hq = self.h * self.h * q
+        m, stop, hq = self._turning_and_stop(eps)
+        hq *= self.h * self.h       # h^2 q, in place on q
         tq = hq / 12.0
         worst = float(np.abs(tq).max())
         if not worst < _MAX_STEP_TQ:   # also NaN
             raise SolverError(
                 f"Numerov step unstable at eps = {eps!r}: |h^2 q/12| reaches "
                 f"{worst:.3g} (limit {_MAX_STEP_TQ}); refine the radial grid")
-        v = hq / (1.0 - tq)
+        # -v = h^2 q / (h^2 q/12 - 1) straight into the band: outward at
+        # points 1..m - 1, then inward at stop - 1 down to m + 1
+        band = self.band[:2 * stop]
+        den = tq - 1.0
+        np.divide(hq[1:m], den[1:m], out=band[1:2 * m - 2:2, 1])
+        np.divide(hq[stop - 1:m:-1], den[stop - 1:m:-1],
+                  out=band[2 * m + 1:-2:2, 1])
         if self.hard_wall:
             p_lo = p_hi = 1.0
         else:
             w_stop = self.w_inf if stop == self.n - 1 else float(self.w[stop])
             kappa = math.sqrt(max(w_stop - eps, 0.0))
-            p_lo = _seed(tq, 0, 1, 0.5 * self.h)
+            p_lo = _seed(tq, 0, 1, self.inner_rate * self.h)
             p_hi = _seed(tq, stop, stop - 1, 0.5 * self.h
                          + kappa * (self.rho[stop] - self.rho[stop - 1]))
-        n_out, z_out = _carry(v[1:m], p_lo, self.band)
-        n_in, z_in = _carry(v[m + 1:stop][::-1], p_hi, self.band)
-        p_in = float(z_in[-2]) / float(z_in[-1])
-        x_m = float(v[m]) + float(z_out[-2]) / float(z_out[-1])
+        turns, z = _carry(band, [(0, p_lo), (2 * m, p_hi)])
+        p_in = float(z[-2]) / float(z[-1])
+        x_m = (float(hq[m]) / (1.0 - float(tq[m]))
+               + float(z[2 * m - 2]) / float(z[2 * m - 1]))
         d = x_m + p_in
         resid = d / (abs(x_m) + abs(p_in) + self.h)
-        sweep = _Sweep(n_out + n_in + (d < 0.0),
-                       n_out + n_in + math.atan2(1.0, resid) / math.pi, resid)
-        self.last = eps, sweep, z_out, z_in, tq
+        sweep = _Sweep(turns + (d < 0.0),
+                       turns + math.atan2(1.0, resid) / math.pi, resid)
+        self.last = eps, sweep, z[:2 * m], z[2 * m:], tq
         return sweep
 
     def sweep(self, eps: float) -> _Sweep:
@@ -498,7 +543,8 @@ def solve_bound_states(potential, max_states: int = 4, *,
         rho_max = default_rho_max(potential.problem.system)
     search_top = min(potential.w_inf, potential.threshold)
     shooter = _Shooter(potential.values, potential.w_inf, search_top,
-                       rho_min, rho_max, n)
+                       rho_min, rho_max, n,
+                       shift=_SHIFT[potential.q_convention])
     n_states = min(shooter.count(shooter.top), max_states)
     warm = _warm_starts(shooter, prior)
     out = []

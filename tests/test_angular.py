@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import dataclasses
+import itertools
 import math
 import random
 from unittest import mock
@@ -37,6 +38,8 @@ from zrtrimer.angular import (
     dimer_channel_u,
 )
 from zrtrimer.cli import trace_for_config
+from zrtrimer.potential import effective_potential
+from zrtrimer.radial import solve_bound_states
 
 from trimer_params import HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4
 
@@ -912,3 +915,84 @@ class TestAsymptotics:
         rho = 3000.0
         assert dimer_channel_u(rho, 1 / abs(HE4_A), MU4) == pytest.approx(
             nu2_asymptotic(rho, bare_he4_pair, MU4, "bound"), rel=1e-14)
+
+
+def _solved(cfg, problem) -> tuple[np.ndarray, np.ndarray]:
+    """The branch u and the state energies of problem on cfg's grids."""
+    branch = trace_branch(_grid_of(cfg), problem)
+    states = solve_bound_states(
+        effective_potential(branch, problem, cfg.q_convention),
+        cfg.max_states, rho_min=cfg.radial_rho_min,
+        rho_max=cfg.radial_rho_max, n=cfg.radial_n)
+    return np.asarray(branch.u), np.array([s.energy for s in states])
+
+
+def _on_3x3(system) -> AngularProblem:
+    """A problem that reads the 3x3 determinant (`_general_residual`) even
+    for identical bosons, which take the boson path otherwise."""
+    problem = AngularProblem(system)
+    vars(problem)["_residual_forms"] = angular._general_residual(problem)
+    return problem
+
+
+@st.composite
+def _scan_pair(draw, sign):
+    """|a| in [30, 300] of the given sign, R in [5, 20], P in [1.6, 4] P_c."""
+    a = sign * draw(st.floats(30.0, 300.0))
+    r_eff = draw(st.floats(5.0, 20.0))
+    p_c = critical_p_shape(a, r_eff)
+    assume(p_c > 0.0)       # P_c = 0 past R/|a| = 9/16: no range to draw
+    return PairParams(a=a, r_eff=r_eff,
+                      p_shape=draw(st.floats(1.6, 4.0)) * p_c)
+
+
+class TestInvariance:
+    """Whole solves that must agree whatever the labels or the residual
+    path; measured worst differences in the comments, bounds 10x them."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(masses=st.lists(st.floats(2.0, 12.0), min_size=3, max_size=3,
+                           unique=True),
+           pairs=st.lists(st.sampled_from((-1.0, 1.0)).flatmap(_scan_pair),
+                          min_size=3, max_size=3))
+    def test_relabelling_keeps_the_energies(self, he4_cfg, masses, pairs):
+        # masses and the pairs facing them permuted together: all 6
+        # orderings give the same states, 1.7e-15 relative at worst over
+        # 120 draws; this guards the pairs' indexing by spectator and the
+        # choice of the bound pair
+        energies = []
+        for order in itertools.permutations(range(3)):
+            system = ParticleSystem(tuple(masses[i] for i in order),
+                                    tuple(pairs[i] for i in order))
+            energies.append(_solved(he4_cfg, AngularProblem(system))[1])
+        for other in energies[1:]:
+            assert len(other) == len(energies[0])
+            assert np.all(np.abs(other - energies[0])
+                          <= 1.4e-14 * np.abs(energies[0]))
+
+    def test_bundled_bosons_on_the_3x3_path(self, he4_cfg,
+                                            he4_branch_potential,
+                                            he4_solution):
+        # the bundled He4 branch: 9.7e-16 relative per node, E0 4e-16
+        branch, _ = he4_branch_potential
+        u, energies = _solved(he4_cfg, _on_3x3(he4_cfg.system))
+        assert np.all(np.abs(u - branch.u) <= 9.7e-15 * np.abs(branch.u))
+        e0 = he4_solution[1][0].energy
+        assert abs(energies[0] - e0) <= 4e-15 * abs(e0)
+
+    @settings(max_examples=4, deadline=None)
+    @given(mass=st.floats(2.0, 12.0), pair=_scan_pair(1.0))
+    def test_bosons_on_the_3x3_path(self, he4_cfg, mass, pair):
+        # identical bosons through the 3x3 determinant and through the
+        # boson path: per node 1.6e-15 (1 + |u|), energies 6.1e-15 relative
+        # at worst over 100 draws.  Unbound pairs only (a > 0): far out in
+        # a dimer's channel the symmetric root meets the double root of
+        # mixed symmetry, (d - o)^2, to within 1e-11 relative, so the
+        # determinant's triple root there is rounding noise, and Brent's
+        # method on the 3x3 path failed on 11 of 40 draws with a < 0
+        system = ParticleSystem.identical_bosons(mass, pair)
+        u_boson, e_boson = _solved(he4_cfg, AngularProblem(system))
+        u, energies = _solved(he4_cfg, _on_3x3(system))
+        assert np.all(np.abs(u - u_boson) <= 1.6e-14 * (1.0 + np.abs(u_boson)))
+        assert len(energies) == len(e_boson)
+        assert np.all(np.abs(energies - e_boson) <= 6.1e-14 * np.abs(e_boson))

@@ -36,6 +36,8 @@ class FlatPotential:
     """Constant-W stub exposing the potential interface, internal units;
     it has no `problem`, so solves pass rho_max."""
 
+    q_convention = "leading_term"
+
     def __init__(self, w0=0.0, threshold=0.0):
         self.w0 = w0
         self.threshold = threshold
@@ -103,6 +105,16 @@ def _carry_reference(v, p):
     return nodes, p, np.array(ps)
 
 
+def _carry_one(v, p, band=None):
+    """`_carry` on one side: -v written into the odd rows of column 1 of
+    the band, or of a fresh one, as a shooter writes it."""
+    if band is None:
+        band = np.full((2 * len(v) + 2, 3), -1.0)
+    band = band[:2 * len(v) + 2]
+    np.negative(v, out=band[1:-1:2, 1])
+    return _carry(band, [(0, p)])
+
+
 def _ratios(z):
     """The ratios p_i = D_{i-1}/F_i of a carry, the seed first."""
     return z[0::2] / z[1::2]
@@ -118,7 +130,7 @@ def _constant_q_sweep(k, h, n):
     """ln(F_i / F_0) of g'' = k^2 g carried from the exact start of
     exp(k t); F_{j+1}/F_j = 1/(1 - p_j).  Logs, so no e-fold count
     overflows."""
-    ps = _ratios(_carry(*_constant_q_v(k, h, n))[1])
+    ps = _ratios(_carry_one(*_constant_q_v(k, h, n))[1])
     return np.concatenate([[0.0], np.cumsum(-np.log1p(-ps))])
 
 
@@ -160,7 +172,7 @@ class TestIntegrate:
         # restarts twice from a rescaled pair; the loop reference never
         # overflows
         v, p0 = _constant_q_v(1.0, 0.01, 200001)
-        nodes, z = _carry(v, p0)
+        nodes, z = _carry_one(v, p0)
         ps = _ratios(z)
         assert len(calls) == 3
         assert nodes == 0
@@ -175,7 +187,7 @@ class TestIntegrate:
         # after every ~2 e-folds, or once in a sweep that also oscillates
         cases = [(v[:5000], p0), (np.tile(np.repeat([0.01, -0.05], 250), 10),
                                   0.3)]
-        whole = [_carry(vs, seed) for vs, seed in cases]
+        whole = [_carry_one(vs, seed) for vs, seed in cases]
         # one scratch band for every call, as a shooter passes it: the
         # restarts' zeros are undone, and only the odd rows of column 1
         # keep the last v
@@ -186,11 +198,11 @@ class TestIntegrate:
             monkeypatch.setattr(radial, "_BIG", big)
             for (vs, seed), (nodes, z) in zip(cases, whole):
                 calls.clear()
-                split = _carry(vs, seed)
+                split = _carry_one(vs, seed)
                 assert len(calls) > 1
                 assert split[0] == nodes
                 assert np.array_equal(_ratios(split[1]), _ratios(z))
-                shared = _carry(vs, seed, band=band)
+                shared = _carry_one(vs, seed, band=band)
                 assert shared[0] == nodes
                 assert np.array_equal(_ratios(shared[1]), _ratios(z))
                 assert np.all(band[fixed] == -1.0)
@@ -213,7 +225,7 @@ class TestIntegrate:
             (1.0 if forbidden else -1.0)
             * 10.0 ** (mag + 0.1 * rng.standard_normal(length))
             for length, mag, forbidden in stretches])[:10000]
-        nodes, z = _carry(v, p)
+        nodes, z = _carry_one(v, p)
         ps, p_last = _ratios(z), float(z[-2]) / float(z[-1])
         ref_nodes, ref_p, ref_ps = _carry_reference(v, p)
         assert nodes == ref_nodes
@@ -263,6 +275,103 @@ class TestIntegrate:
             coarse.count(-1.0)
         fine = _Shooter(steep, 0.0, 0.0, 0.05, 50.0, 4000)
         assert fine.count(-1.0) > 0
+
+
+def _two_call_sweep(shooter, eps):
+    """The sweep at eps carried as two separate one-side carries, outward
+    along v[1:m] and inward along v[m + 1:stop] reversed: (count, phase,
+    resid) and each side's z.  For hard walls or the seed f ~ rho (shift
+    0)."""
+    m, stop, q = shooter._turning_and_stop(eps)
+    hq = shooter.h * shooter.h * q
+    tq = hq / 12.0
+    v = hq / (1.0 - tq)
+    if shooter.hard_wall:
+        p_lo = p_hi = 1.0
+    else:
+        w_stop = (shooter.w_inf if stop == shooter.n - 1
+                  else float(shooter.w[stop]))
+        kappa = math.sqrt(max(w_stop - eps, 0.0))
+        p_lo = radial._seed(tq, 0, 1, 0.5 * shooter.h)
+        p_hi = radial._seed(tq, stop, stop - 1, 0.5 * shooter.h + kappa
+                            * (shooter.rho[stop] - shooter.rho[stop - 1]))
+    n_out, z_out = _carry_one(v[1:m], p_lo)
+    n_in, z_in = _carry_one(v[m + 1:stop][::-1], p_hi)
+    p_in = float(z_in[-2]) / float(z_in[-1])
+    x_m = float(v[m]) + float(z_out[-2]) / float(z_out[-1])
+    d = x_m + p_in
+    resid = d / (abs(x_m) + abs(p_in) + shooter.h)
+    turns = n_out + n_in
+    return ((turns + (d < 0.0), turns + math.atan2(1.0, resid) / math.pi,
+             resid), z_out, z_in)
+
+
+class TestOneCallSweep:
+    """_Shooter._sweep solves the outward and the inward carry as one band
+    system, in one substitution, with the seam between them zeroed."""
+
+    @pytest.mark.parametrize("which", ["he4", "thomas"])
+    def test_matches_two_carries(self, he4_branch_potential, monkeypatch,
+                                 which):
+        # bit for bit, also where a lowered _BIG restarts the substitution
+        # on one side or on both: a restart on the outward side solves the
+        # inward one again from its seed
+        shooter = _window_shooter(which, he4_branch_potential[1])
+        solved = []
+
+        def recorded(*args, **kwargs):
+            solved.append(len(args[2]))     # the rows substituted
+            return dtbsv(*args, **kwargs)
+        monkeypatch.setattr(radial, "dtbsv", recorded)
+        big0, kinds = radial._BIG, set()
+        gap = shooter.top - shooter.w_min
+        for eps in shooter.top - gap * np.geomspace(1e-12, 1.0, 13):
+            monkeypatch.setattr(radial, "_BIG", big0)
+            scalars, ref_out, ref_in = _two_call_sweep(shooter, eps)
+            rows, seam = len(ref_out) + len(ref_in), len(ref_out)
+            # a side restarts when its last pair reaches _BIG: pick one
+            # between the two sides' last amplitudes and one below both,
+            # at least 2 so that a rescaled pair can grow past it
+            tails = (max(abs(ref_out[-2:])), max(abs(ref_in[-2:])))
+            lo, hi = sorted(tails)
+            bigs = {"none": big0}
+            if hi > 2.0 * max(lo, 2.0):
+                kind = "outward" if tails[0] == hi else "inward"
+                bigs[kind] = max(2.0, math.sqrt(lo * hi))
+            if lo >= 4.0:
+                bigs["both"] = lo / 2.0
+            for kind, big in bigs.items():
+                monkeypatch.setattr(radial, "_BIG", big)
+                solved.clear()
+                assert tuple(shooter._sweep(eps)) == scalars
+                z_out, z_in = shooter.last[2:4]
+                assert np.array_equal(_ratios(z_out), _ratios(ref_out))
+                assert np.array_equal(_ratios(z_in), _ratios(ref_in))
+                # one substitution over both sides, then one per restart
+                assert solved[0] == rows
+                restarted = {"outward" if rows - n < seam else "inward"
+                             for n in solved[1:]}
+                assert restarted == ({"outward", "inward"} if kind == "both"
+                                     else {kind} - {"none"})
+                kinds.add(kind)
+        assert kinds >= ({"outward", "inward"} if which == "he4"
+                         else {"inward", "both"})
+
+    def test_side_past_rescue_leaves_the_next_exact(self):
+        # v = 1e305 passes 2^1000 one step from a rescaled pair, so no
+        # restart can save that side; the side after it is solved again
+        # from its seed, as a one-side carry solves it
+        inward = np.full(40, 0.3)
+        band = np.full((42 + 82, 3), -1.0)      # 20 and 40 points
+        band[1:40:2, 1] = -1e305
+        np.negative(inward, out=band[43:-2:2, 1])
+        _, z = _carry(band, [(0, 0.2), (42, 0.1)])
+        assert not np.isfinite(z[40:42]).all()
+        assert np.array_equal(_ratios(z[42:]),
+                              _ratios(_carry_one(inward, 0.1)[1]))
+        fixed = np.ones(band.shape, dtype=bool)
+        fixed[1::2, 1] = False
+        assert np.all(band[fixed] == -1.0)
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +470,22 @@ class TestSolveBoundStates:
         assert abs(states[0].energy_mk - -34.12819182401712) <= 1e-8
         assert states[0].node_count == 0
         assert states[0].energy < pot.hartree_from_eps(pot.threshold)
+
+    def test_inner_seed_converges_under_none(self, he4_branch_potential):
+        # under q_convention = none, W -> -1/(4 rho^2) near 0: the regular
+        # solution is f ~ rho^(1/2), and the outward seed takes alpha = 1/2
+        # from the shift.  At a fixed log step E0 then converges in
+        # radial_rho_min, about 2.8x per halving toward -483.215 mK; seeded
+        # as f ~ rho it moved -11.1, -9.4 and -8.1 mK per halving
+        branch, pot = he4_branch_potential
+        none = effective_potential(branch, pot.problem, "none")
+        rho_max = 0.1 * 2.0 ** (7644 / 500)     # log step ln 2 / 500
+        e0 = [solve_bound_states(none, rho_min=0.1 / 2 ** k, rho_max=rho_max,
+                                 n=7645 + 500 * k)[0].energy_mk
+              for k in range(4)]
+        steps = np.diff(e0)
+        assert np.all(steps[:-1] / steps[1:] >= 2.5)
+        assert e0[-1] == pytest.approx(-483.215, abs=0.05)
 
     def test_node_count_monotone_in_energy(self, he4_branch_potential):
         _, pot = he4_branch_potential
