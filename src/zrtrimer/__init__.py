@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .angular import (
     AngularProblem,
+    BranchFoldError,
     NuBranch,
     PoleProximityError,
     RootSearchError,
@@ -47,7 +48,8 @@ from .system import (
 
 __all__ = [
     "__version__",
-    "AngularProblem", "NuBranch", "PoleProximityError", "RootSearchError",
+    "AngularProblem", "BranchFoldError", "NuBranch", "PoleProximityError",
+    "RootSearchError",
     "boson_residual", "build_matrix", "efimov_constant", "nu2_asymptotic",
     "nu_cot_half_pi", "sin_ratio", "solve_at_rho", "trace_branch",
     "ConfigError", "RunConfig", "parse_config",

@@ -27,21 +27,29 @@ nodes still active, with scalar Brent finishing the few that need more
 rounds.  The array form of the residual, `AngularProblem.residual_array`,
 covers the lowest cell u < 4 - POLE_GUARD, where the branch lives.  A
 node the lockstep cannot bracket near its guess sends the whole grid
-back to the node-by-node walk, so a branch that jumps inside a coarse
-step fails or passes as it would on every node.  Every stored residual
-is one a search evaluated at the stored root: on the bundled configs
-about 1.2 scalar calls and 7 to 8 array points per node.
+back to the node-by-node walk.  Every stored residual is one a search
+evaluated at the stored root: on the bundled configs about 1.2 scalar
+calls and 7 to 8 array points per node.
+
+Every branch trace_branch returns, cold or warm, passes one acceptance
+check, `_verify`, the corrector's acceptance step of predictor-corrector
+continuation: every residual within MAX_RESIDUAL, and every node within
+the walk's trust max(0.5, |g|/4, 8 |g - u_prev|) of g, the quadratic
+through the three nodes before it, wherever the grid resolves the branch
+(steps up to COARSE_STEP in ln rho).  A node past that trust is a jump
+between grid nodes, as at a fold just above P_c, and raises
+BranchFoldError, as does a walk that loses its root after every
+halving of its step.
 
 A scan in the shape parameter P continues the branch in P as well
 (natural-parameter continuation; E. L. Allgower and K. Georg, Numerical
 Continuation Methods, 1990): given the branches of the previous points
 on the same grid, every node but the first is one lockstep from the
 line in P through the last two, and no node is walked.  The first node
-is seeded as in the cold trace, and the warm branch is kept only if
-every residual is within MAX_RESIDUAL and every node lies within the
-walk's trust of the quadratic through the three nodes before it;
-otherwise the cold trace runs, unchanged.  On the bundled scans a warm
-point takes about 40 scalar calls and 7.3 to 7.8 array points per node.
+is seeded as in the cold trace once the lockstep has kept every node,
+and the warm branch is kept only if it passes `_verify`; otherwise the
+cold trace runs, unchanged.  On the bundled scans a warm point takes
+about 40 scalar calls and 7.3 to 7.8 array points per node.
 
 The searches read one scaled residual per problem, `AngularProblem.residual`,
 built from constants computed once.  For identical bosons it is the boson
@@ -50,7 +58,7 @@ the general case it is the 3x3 determinant in closed form, with each row
 divided by its largest term taken before the diagonal sum C(u) + bc_i
 cancels: in a bound row both are ~13 and cancel to ~1e-15 at a root, so
 scaling by what is left would turn one ulp of u into a residual of 1e-8.
-Scaled this way the residual is relative, and trace_branch rejects any
+Scaled this way the residual is relative, and `_verify` rejects any
 node whose residual exceeds MAX_RESIDUAL with SolverError.
 """
 
@@ -100,6 +108,13 @@ class PoleProximityError(SolverError):
 
 class RootSearchError(SolverError):
     """No sign change found in the maximal search window."""
+
+
+class BranchFoldError(SolverError):
+    """The lowest branch does not continue from node to node: it jumps
+    past the continuation's trust between two grid nodes, or is lost
+    after every halving of a step.  Seen just above P_c, where two roots
+    of the angular equation meet (a fold)."""
 
 
 def _check_pole(u: float) -> None:
@@ -612,13 +627,19 @@ def trace_branch(grid, problem: AngularProblem,
     the trust max(0.5, |guess|/4), the branch may have jumped inside a
     coarse step, and the whole grid is continued node by node instead.  On
     a grid spaced wider than COARSE_STEP/2 in ln rho every node is coarse.
-    Every node's residual is held to MAX_RESIDUAL (SolverError).
 
     prior, the branches of the earlier points of a scan in P with a fixed
     step, last one last, all on this grid, continues the branch in P
-    instead (`_warm_trace`): no node is walked.  A grid of fewer than 4
-    nodes, a prior on another grid, or a warm branch that fails its checks
-    gets the trace above, unchanged.
+    instead: every node but the first is one `_lockstep`, guessed by the
+    last prior branch, or by the line in P through the last two, with
+    first half-widths of 1/4 of the line's shift, and only if it keeps
+    every node is node 0 solved, by `_first_node_u` as in the cold trace.
+    No node is walked.  A grid of fewer than 4 nodes, a prior on another
+    grid, or a warm branch that loses a node or fails `_verify` gets the
+    trace above, unchanged.
+
+    Every branch returned has passed `_verify`: a residual over
+    MAX_RESIDUAL is a SolverError, a jump between nodes a BranchFoldError.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -628,9 +649,24 @@ def trace_branch(grid, problem: AngularProblem,
 
     if prior and len(grid) >= 4 and all(
             np.array_equal(b.rho, grid) for b in prior[-2:]):
-        warm = _warm_trace(grid, problem, prior)
-        if warm is not None:
-            return warm
+        guess, width = prior[-1].u[1:], None
+        if len(prior) > 1:
+            # the line misses by a fraction of its shift; the floor keeps a
+            # node that did not move from a bracket of width 0
+            shift = prior[-1].u[1:] - prior[-2].u[1:]
+            guess = guess + shift
+            width = np.maximum(0.25 * np.abs(shift),
+                               1e-10 * (1.0 + np.abs(guess)))
+        found = _lockstep(problem, grid[1:], guess, width)
+        if found is not None:
+            u0, r0 = _first_node_u(grid[0].item(), problem)
+            us, res = np.insert(found[0], 0, u0), np.insert(found[1], 0, r0)
+            try:
+                _verify(grid, us, res)
+            except SolverError:
+                pass
+            else:
+                return NuBranch(rho=grid, u=us, residuals=res)
     log_rho = np.log(grid)
     lr = log_rho.tolist()
     coarse = np.zeros(len(grid), dtype=bool)
@@ -649,49 +685,39 @@ def trace_branch(grid, problem: AngularProblem,
             us, res = _continue(grid, problem, np.ones_like(coarse))
         else:
             us[fine], res[fine] = found
-            bad = np.flatnonzero(fine & ~(np.abs(res) <= MAX_RESIDUAL))
-            if bad.size:
-                k = bad[0]
-                raise _residual_error(grid[k], us[k], res[k])
+    _verify(grid, us, res)
     return NuBranch(rho=grid, u=us, residuals=res)
 
 
-def _warm_trace(grid: np.ndarray, problem: AngularProblem,
-                prior: list[NuBranch]) -> NuBranch | None:
-    """The branch continued in P from the prior branches, or None.
+def _verify(grid: np.ndarray, us: np.ndarray, res: np.ndarray) -> None:
+    """Accept a finished branch or raise.
 
-    Node 0 is `_first_node_u`'s root, the anchor of the cold trace too.
-    The other nodes are one `_lockstep`, guessed by the last prior branch,
-    or by the line in P through the last two, with first half-widths of
-    1/4 of the line's shift.  The branch is accepted only if the lockstep
-    keeps every node, every residual is within MAX_RESIDUAL, and each node
-    lies within `advance`'s trust max(0.5, |g|/4, 8 |g - u_prev|) of g,
-    the polynomial through the (up to) three nodes before it.
+    Every residual must be within MAX_RESIDUAL (SolverError), and every
+    node the grid resolves must lie within the continuation's trust
+    max(0.5, |g|/4, 8 |g - u_prev|) of g, the quadratic through the three
+    nodes before it (BranchFoldError).  A node is resolved from the fourth
+    on, at most COARSE_STEP in ln rho past the node before it: the first
+    nodes have no quadratic, and across a wider step the walk's own
+    sub-steps, each held to this trust, are the branch's only samples.
     """
-    u0, r0 = _first_node_u(grid[0].item(), problem)
-    guess, width = prior[-1].u[1:], None
-    if len(prior) > 1:
-        # the line misses by a fraction of its shift; the floor keeps a
-        # node that did not move from a bracket of width 0
-        shift = prior[-1].u[1:] - prior[-2].u[1:]
-        guess = guess + shift
-        width = np.maximum(0.25 * np.abs(shift),
-                           1e-10 * (1.0 + np.abs(guess)))
-    found = _lockstep(problem, grid[1:], guess, width)
-    if found is None:
-        return None
-    us, res = np.insert(found[0], 0, u0), np.insert(found[1], 0, r0)
-    pred = np.empty(len(grid) - 1)
-    for k in (1, 2):
-        pred[k - 1] = _lagrange(list(zip(grid[:k], us[:k])), grid[k])
-    pred[2:] = _lagrange([(grid[j:j - 3], us[j:j - 3]) for j in range(3)],
-                         grid[3:])
+    bad = np.flatnonzero(~(np.abs(res) <= MAX_RESIDUAL))
+    if bad.size:
+        k = bad[0]
+        raise SolverError(f"branch residual {abs(res[k]):.3g} at rho = "
+                          f"{grid[k]:g}, u = {float(us[k])!r} exceeds "
+                          f"{MAX_RESIDUAL:g}")
+    pred = _lagrange([(grid[j:j - 3], us[j:j - 3]) for j in range(3)],
+                     grid[3:])
     trust = np.maximum(np.maximum(0.5, 0.25 * np.abs(pred)),
-                       8.0 * np.abs(pred - us[:-1]))
-    if not (np.all(np.abs(res) <= MAX_RESIDUAL)
-            and np.all(np.abs(us[1:] - pred) <= trust)):
-        return None
-    return NuBranch(rho=grid, u=us, residuals=res)
+                       8.0 * np.abs(pred - us[2:-1]))
+    resolved = np.diff(np.log(grid))[2:] <= COARSE_STEP
+    bad = np.flatnonzero(resolved & ~(np.abs(us[3:] - pred) <= trust))
+    if bad.size:
+        k = bad[0] + 3
+        raise BranchFoldError(
+            f"branch jumps at rho = {grid[k]:g} from u = {us[k - 1]:g} to "
+            f"{us[k]:g}, {abs(us[k] - pred[k - 3]):.3g} from its "
+            f"prediction {pred[k - 3]:g} (trust {trust[k - 3]:.3g})")
 
 
 def _lagrange(points, r):
@@ -706,11 +732,6 @@ def _lagrange(points, r):
     return total
 
 
-def _residual_error(rho, u, r) -> SolverError:
-    return SolverError(f"branch residual {abs(r):.3g} at rho = {rho:g}, "
-                       f"u = {float(u)!r} exceeds {MAX_RESIDUAL:g}")
-
-
 def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """u and its residual at the grid nodes in the mask `nodes`, by
@@ -723,8 +744,8 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
     1e-13 (1 + |guess|) and capped at solve_at_rho's default.  If the
     prediction lands past a pole, or the root is lost or jumps between
     nodes, the step toward the next node is bisected, up to MAX_HALVINGS
-    times, before giving up.  Each node's residual is held to
-    MAX_RESIDUAL as soon as it is solved.
+    times, before giving up with BranchFoldError.  The branch is accepted
+    by the caller (`_verify`), not here.
     """
     us = np.empty_like(grid)
     res = np.empty_like(grid)
@@ -770,9 +791,10 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
             else:
                 mid = 0.5 * (hist[-1][0] + tgt)
                 if mid - hist[-1][0] < min_step:
-                    raise RootSearchError(
-                        f"branch continuation failed near rho = {tgt:g} "
-                        f"(step refined below gap/2^{MAX_HALVINGS})")
+                    raise BranchFoldError(
+                        f"branch lost near rho = {tgt:g}: no root within "
+                        f"trust of the guess u = {guess:g} from u = "
+                        f"{hist[-1][1]:g} (step below gap/2^{MAX_HALVINGS})")
                 pending.append(mid)
         return u_new, r_new
 
@@ -785,10 +807,7 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
             hist.append((rhos[k], u))
         else:
             u, r = advance(rhos[k])
-        if not abs(r) <= MAX_RESIDUAL:
-            raise _residual_error(rhos[k], u, r)
-        us[k] = u
-        res[k] = r
+        us[k], res[k] = u, r
     return us, res
 
 

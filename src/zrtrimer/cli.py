@@ -48,16 +48,11 @@ class _Parser(argparse.ArgumentParser):
 
 # ----------------------------------------------------------------- pipeline
 
-def trace_for_config(cfg: RunConfig, prior: list[NuBranch] | None = None
-                     ) -> tuple[AngularProblem, NuBranch]:
-    problem = AngularProblem(cfg.system)
-    grid = np.exp(np.linspace(np.log(cfg.rho_min), np.log(cfg.rho_max), cfg.n))
-    return problem, trace_branch(grid, problem, prior)
-
-
 def potential_for_config(cfg: RunConfig, prior: list[NuBranch] | None = None
                          ) -> tuple[NuBranch, EffectivePotential]:
-    problem, branch = trace_for_config(cfg, prior)
+    problem = AngularProblem(cfg.system)
+    grid = np.exp(np.linspace(np.log(cfg.rho_min), np.log(cfg.rho_max), cfg.n))
+    branch = trace_branch(grid, problem, prior)
     return branch, effective_potential(branch, problem, cfg.q_convention)
 
 

@@ -3,11 +3,15 @@
 Just above the critical shape parameter P_c a pair of roots of the boson
 equation meets and leaves the real axis, and the lowest branch of W may
 jump; a solve there should fail (exit 2) rather than print energies from
-a broken branch.  This script draws pairs with He4 masses, a ~ U[-400, -40]
-au, R ~ U[4, 20] au and P = P_c (a, R) x U[band] for the four bands
-P/P_c in 1.02-1.1, 1.1-1.25, 1.25-1.5 and 1.5-3, 40 draws per band from
-each of the seeds 1 and 2 (numpy's default generator, in that order), and
-runs `solve` on each through `zrtrimer.cli.main` with the bundled He4 grid.
+a broken branch.  Every traced branch passes one acceptance check
+(`angular._verify`), so a node past the continuation's trust of the nodes
+before it, like a branch the walk loses, is a BranchFoldError and exit 2.
+This script draws pairs with He4 masses, a ~ U[-400, -40] au,
+R ~ U[4, 20] au and P = P_c (a, R) x U[band] for the four bands P/P_c in
+1.02-1.1, 1.1-1.25, 1.25-1.5 and 1.5-3, 40 draws per band from each of
+the seeds 1 and 2 (numpy's default generator, in that order), and runs
+`solve` on each through `zrtrimer.cli.main` with the bundled He4 grid.
+Exits by band (exit 0 / exit 2): 9/71, 77/3, 80/0 and 80/0.
 
     PYTHONPATH=src python tests/fold_protocol.py [--out PATH]
 

@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from zrtrimer import (
     AngularProblem,
+    BranchFoldError,
     PairParams,
     ParticleSystem,
     PoleProximityError,
@@ -37,7 +38,7 @@ from zrtrimer.angular import (
     boson_lhs,
     dimer_channel_u,
 )
-from zrtrimer.cli import trace_for_config
+from zrtrimer.cli import potential_for_config
 from zrtrimer.potential import effective_potential
 from zrtrimer.radial import solve_bound_states
 
@@ -517,10 +518,15 @@ class TestFirstNodeSeed:
 
 
 class TestTraceBranch:
-    def test_single_node(self, he4_problem):
-        branch = trace_branch(np.array([1.0]), he4_problem)
-        assert len(branch) == 1
-        assert branch.lam[0] == branch.u[0] - 4.0
+    @pytest.mark.parametrize("grid", [
+        [1.0], [1.0, 2.0], [1.0, 2.0, 4.0], [0.05, 4000.0],
+        np.exp(np.linspace(np.log(0.05), np.log(4000.0), 9))])
+    def test_single_node(self, he4_problem, grid):
+        # and grids too short for the quadratic predictor of `_verify`, or
+        # too coarse for its jump test
+        branch = trace_branch(np.array(grid), he4_problem)
+        assert len(branch) == len(grid)
+        assert np.all(branch.lam == branch.u - 4.0)
 
     def test_he4_branch_shape(self, he4_branch_potential):
         branch, _ = he4_branch_potential
@@ -544,7 +550,7 @@ class TestTraceBranch:
 
     @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
     def test_residuals_small(self, request, cfg_name):
-        _, branch = trace_for_config(request.getfixturevalue(cfg_name))
+        branch, _ = potential_for_config(request.getfixturevalue(cfg_name))
         assert np.max(np.abs(branch.residuals)) < 1e-10
 
     @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
@@ -701,15 +707,41 @@ class TestTraceBranch:
         # 3% above P_c the branch turns sharply near rho = 31 (u from -16.1
         # to -2.5 over one step); the quadratic through that turn predicts
         # u = 28.5, past the pole at u = 4, where roots exist too.  The step
-        # is halved instead of solved, so the branch stays below u = 4
+        # is halved instead of solved, so the walk over every node stays
+        # below u = 4.  The jump itself is past the trust of the nodes
+        # before it: a fold, which the trace refuses
         pair = PairParams(a=-283.11979224319674, r_eff=15.193146209123897,
                           p_shape=0.019854070761837674)
         problem = AngularProblem(ParticleSystem.identical_bosons(HE4_MASS,
                                                                  pair))
-        grid = np.exp(np.linspace(math.log(he4_cfg.rho_min),
-                                  math.log(he4_cfg.rho_max), he4_cfg.n))
-        branch = trace_branch(grid, problem)
-        assert np.all(branch.u < 4.0 - POLE_GUARD)
+        grid = _grid_of(he4_cfg)
+        us, _ = angular._continue(grid, problem, np.ones(len(grid), bool))
+        assert np.all(us < 4.0 - POLE_GUARD)
+        with pytest.raises(BranchFoldError, match=r"jumps at rho = 31\.5063 "
+                           r"from u = -16\.0689 to -2\.54171,"):
+            trace_branch(grid, problem)
+
+    def test_jump_between_fine_nodes_is_a_fold(self, he4_cfg, monkeypatch):
+        # the cold twin of TestWarmTrace.test_residual_and_trust_are_enforced:
+        # a lockstep root moved past the trust of the quadratic through the
+        # three nodes before it (max(0.5, |u|/4) at u = -1.49), with a
+        # residual of 0
+        grid = _grid_of(he4_cfg)
+        lockstep = angular._lockstep
+        moved = []
+
+        def altered(problem, rho, guess, width=None):
+            u, res = lockstep(problem, rho, guess, width)
+            k = np.searchsorted(rho, grid[300])
+            u[k] += 2.0
+            res[k] = 0.0
+            moved.append(rho[k])
+            return u, res
+        monkeypatch.setattr(angular, "_lockstep", altered)
+        with pytest.raises(BranchFoldError) as err:
+            trace_branch(grid, _at(he4_cfg, 1.0, 0.13))
+        assert str(err.value).startswith(
+            f"branch jumps at rho = {moved[0]:g} from u = ")
 
     def test_continuity_under_refinement(self, he4_problem):
         coarse = np.exp(np.linspace(math.log(0.05), math.log(400.0), 41))

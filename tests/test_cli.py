@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import zrtrimer.cli as cli
-from zrtrimer import (PairParams, SolverError, critical_p_shape,
-                      dimer_pole_kappa, efimov_constant, parse_config)
+from zrtrimer import (BranchFoldError, PairParams, SolverError,
+                      critical_p_shape, dimer_pole_kappa, efimov_constant,
+                      parse_config)
 from zrtrimer.angular import RootSearchError, dimer_channel_u
 
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
@@ -574,6 +575,8 @@ class TestExitCodes:
         cfg.write_text(text)
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         assert "solver failure" in capsys.readouterr().err
+        with pytest.raises(BranchFoldError, match=r"rho = 37\.587:"):
+            cli.solve_for_config(parse_config(text))
 
     def test_branch_with_a_jump_is_solver_failure(self, tmp_path, capsys):
         # 1.088 P_c: the lowest root jumps from u = -10.93 to -3.97 between
@@ -588,9 +591,32 @@ class TestExitCodes:
         cfg.write_text(text)
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
-            "zrtrimer: solver failure: branch continuation failed near rho "
-            "= 32.8718 (step refined below gap/2^12)\n")
-        with pytest.raises(SolverError):
+            "zrtrimer: solver failure: branch lost near rho = 32.8718: no "
+            "root within trust of the guess u = -10.2516 from u = -10.2782 "
+            "(step below gap/2^12)\n")
+        with pytest.raises(BranchFoldError):
+            cli.solve_for_config(parse_config(text))
+
+    def test_fold_between_equivalent_pairs_is_solver_failure(self, tmp_path,
+                                                             capsys):
+        # masses m, m, m3 whose two equivalent pairs hold the deepest dimer,
+        # 2.71 P_c (pair.3 1.65 P_c): the branch is lost far out in the
+        # dimer channel, where two roots of the determinant likely merge
+        pair12 = ("a = -88.44246659974456\nr_eff = 11.21975241711873\n"
+                  "p_shape = 0.055017915821676915\n")
+        text = (bundled_config_text("he4he4he3")
+                .replace("4.002603, 4.002603, 3.016026", "2.198341454699369, "
+                         "2.198341454699369, 2.8185799707724204")
+                .replace("a = 33.261\nr_eff = 18.564\np_shape = 0.13\n",
+                         pair12)
+                .replace("a = -189.054\nr_eff = 13.843\np_shape = 0.13\n",
+                         "a = -268.8208135368905\nr_eff = 9.7498766326102\n"
+                         "p_shape = 0.031347847544656166\n"))
+        cfg = tmp_path / "equivalent_pairs.cfg"
+        cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert "branch lost near rho = 2404.84:" in capsys.readouterr().err
+        with pytest.raises(BranchFoldError):
             cli.solve_for_config(parse_config(text))
 
     def test_near_threshold_state_inside_default_box(self, tmp_path, capsys):

@@ -19,7 +19,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import zrtrimer
-from zrtrimer.cli import trace_for_config
+from zrtrimer.cli import potential_for_config
 from zrtrimer.system import BRENT_RTOL, SolverError, _Pchip, brent
 
 XTOLS = st.sampled_from([1e-300, 1e-14, 2e-12, 1e-6])
@@ -80,8 +80,8 @@ class TestBrent:
     def test_bundled_residuals_around_traced_nodes(self, request, cfg_name):
         # the roots the walker refines: brackets of several widths and
         # offsets around every 25th node of the bundled traces
-        problem, branch = trace_for_config(request.getfixturevalue(cfg_name))
-        f = problem.residual
+        branch, pot = potential_for_config(request.getfixturevalue(cfg_name))
+        f = pot.problem.residual
         checked = 0
         for rho, u in zip(branch.rho[::25], branch.u[::25]):
             rho, u = float(rho), float(u)
@@ -190,7 +190,7 @@ class TestPchip:
 
     def test_bundled_branch(self, he4_cfg, mixed_cfg):
         for cfg in (he4_cfg, mixed_cfg):
-            _, branch = trace_for_config(cfg)
+            branch, _ = potential_for_config(cfg)
             t = np.log(branch.rho)
             mid = 0.5 * (t[1:] + t[:-1])
             xs = np.concatenate([t, mid, t[:-1] + 0.01 * np.diff(t)])
