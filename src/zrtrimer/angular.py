@@ -23,13 +23,13 @@ the residual's slope across the first.  The other nodes are solved in
 lockstep over numpy arrays: guesses from a monotone cubic through the
 coarse nodes, brackets of half-width about the guesses' median miss,
 widened around all of them at once, and Illinois regula falsi on the
-nodes still active, with scalar Brent finishing the few that need more
-rounds.  The array form of the residual, `AngularProblem.residual_array`,
-covers the lowest cell u < 4 - POLE_GUARD, where the branch lives.  A
-node the lockstep cannot bracket near its guess sends the whole grid
-back to the node-by-node walk.  Every stored residual is one a search
-evaluated at the stored root: on the bundled configs about 1.2 scalar
-calls and 7 to 8 array points per node.
+nodes still open until each bracket closes.  The array form of the
+residual, `AngularProblem.residual_array`, covers the lowest cell
+u < 4 - POLE_GUARD, where the branch lives.  A node the lockstep cannot
+bracket near its guess, or close in BRENT_MAXITER rounds, sends the
+whole grid back to the node-by-node walk.  Every stored residual is one
+a search evaluated at the stored root: on the bundled configs about 1.2
+scalar calls and 7 to 8 array points per node.
 
 Every branch trace_branch returns, cold or warm, passes one acceptance
 check, `_verify`, the corrector's acceptance step of predictor-corrector
@@ -71,9 +71,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .system import (BRENT_RTOL, KinematicConstants, PairParams, ParticleSystem,
-                     SolverError, _brent, _Pchip, brent, dimer_binding_energy,
-                     dimer_pole_kappa, reduced_masses)
+from .system import (BRENT_MAXITER, BRENT_RTOL, KinematicConstants, PairParams,
+                     ParticleSystem, SolverError, _brent, _Pchip, brent,
+                     dimer_binding_energy, dimer_pole_kappa, reduced_masses)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -95,11 +95,8 @@ NEWTON_REACH = 1.25
 
 #: First half-width of a lockstep bracket, over 1 + |guess|: about the
 #: median miss of the guesses on the bundled traces (1.7e-5 He4, 1.8e-5
-#: mixed).  Wider starts send more mixed nodes past LOCKSTEP_ROUNDS.
+#: mixed).
 LOCKSTEP_WIDTH = 2e-5
-
-#: Regula falsi rounds of the lockstep refine before a node goes to Brent.
-LOCKSTEP_ROUNDS = 8
 
 
 class PoleProximityError(SolverError):
@@ -624,9 +621,10 @@ def trace_branch(grid, problem: AngularProblem,
     skipped without leaving a gap over COARSE_STEP in ln rho.  The other
     nodes are solved together by `_lockstep`, from the monotone cubic in
     ln rho through the coarse nodes.  If it loses any node, no root within
-    the trust max(0.5, |guess|/4), the branch may have jumped inside a
-    coarse step, and the whole grid is continued node by node instead.  On
-    a grid spaced wider than COARSE_STEP/2 in ln rho every node is coarse.
+    the trust max(0.5, |guess|/4) or no closed bracket in BRENT_MAXITER
+    rounds, the branch may have jumped inside a coarse step, and the whole
+    grid is continued node by node instead.  On a grid spaced wider than
+    COARSE_STEP/2 in ln rho every node is coarse.
 
     prior, the branches of the earlier points of a scan in P with a fixed
     step, last one last, all on this grid, continues the branch in P
@@ -815,7 +813,8 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
               width: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray] | None:
     """Roots of the residual next to each guess below u = 4, all at once,
-    and the residual at each; None if any node has no root near its guess.
+    and the residual at each; None if any node has no root near its guess
+    or is still open after BRENT_MAXITER rounds.
 
     Each bracket [g - w, g + w] (its top clipped to the cell edge
     4 - POLE_GUARD) starts at w = width, by default LOCKSTEP_WIDTH
@@ -826,9 +825,8 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
     Jarratt, BIT 11, 168 (1971)) on the still active nodes, until one is
     at most 2 BRENT_RTOL |u| wide; a step shorter than BRENT_RTOL |u| is
     lengthened to it, so an iterate that has reached the root from one
-    side closes the bracket.  After LOCKSTEP_ROUNDS rounds a node
-    finishes in scalar Brent from its bracket and true end values.  A root
-    is the bracket end of smaller |residual|, a value the search evaluated.
+    side closes the bracket.  A root is the bracket end of smaller
+    |residual|, a value the search evaluated.
     """
     f = problem.residual_array
     top = 4.0 - POLE_GUARD
@@ -854,7 +852,7 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
     # x0 is the retained end with its Illinois-scaled value f0 and true
     # value t0; x1 is the newest iterate
     idx, x0, f0, t0, x1, f1, r = np.arange(n), a, fa, fa, b, fb, rho
-    for rnd in range(LOCKSTEP_ROUNDS + 1):
+    for rnd in range(BRENT_MAXITER + 1):
         done = ((np.abs(x1 - x0) <= 2.0 * BRENT_RTOL * np.abs(x1))
                 | (f1 == 0.0) | (t0 == 0.0))
         if done.any():
@@ -864,7 +862,7 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
             keep = ~done
             idx, x0, f0, t0, x1, f1, r = (
                 v[keep] for v in (idx, x0, f0, t0, x1, f1, r))
-        if rnd == LOCKSTEP_ROUNDS or not idx.size:
+        if rnd == BRENT_MAXITER or not idx.size:
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
         # a step below the tolerance moves by the tolerance, toward x0, so
@@ -878,13 +876,7 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
         t0 = np.where(flip, f1, t0)
         f0 = np.where(flip, f1, 0.5 * f0)
         x1, f1 = x2, f2
-    resid = problem.residual
-    for k, a_k, b_k, fa_k, fb_k in zip(idx.tolist(), x0.tolist(), x1.tolist(),
-                                       t0.tolist(), f1.tolist()):
-        rho_k = rho[k].item()
-        u[k], res[k] = _brent(lambda x: resid(x, rho_k), a_k, b_k, fa_k, fb_k,
-                              1e-300)
-    return u, res
+    return None if idx.size else (u, res)
 
 
 def nu2_asymptotic(rho: float, pair: PairParams, mu: float,

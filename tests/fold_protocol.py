@@ -11,17 +11,21 @@ R ~ U[4, 20] au and P = P_c (a, R) x U[band] for the four bands P/P_c in
 1.02-1.1, 1.1-1.25, 1.25-1.5 and 1.5-3, 40 draws per band from each of
 the seeds 1 and 2 (numpy's default generator, in that order), and runs
 `solve` on each through `zrtrimer.cli.main` with the bundled He4 grid.
-Exits by band (exit 0 / exit 2): 9/71, 77/3, 80/0 and 80/0.
+Exits by band (exit 0 / exit 2): 9/71, 77/3, 80/0 and 80/0.  A failed
+draw's kind is `lost` when the walk loses the branch ("branch lost
+near"), `jump` when a node is past the trust ("branch jumps at"): 69 lost
+and 2 jumps at 1.02-1.1, 2 lost and 1 jump at 1.1-1.25.
 
     PYTHONPATH=src python tests/fold_protocol.py [--out PATH]
 
 writes one CSV row per draw (seed, band, draw, a, r_eff, p_over_pc,
-exit) to PATH (default tests/data/fold_protocol_exits.csv) and prints the
-exit counts per band.  Run onto the committed file, `git diff` of it
-lists every draw whose exit moved; CI does so and fails on any
-difference.  The draws just above P_c are the ones whose exit can follow
-the last bits of W, so the committed exits hold for the environment that
-wrote them (CHANGES.md names it), and CI reruns them in that one.
+exit, kind; kind empty for exit 0) to PATH (default
+tests/data/fold_protocol_exits.csv) and prints the exit counts and kinds
+per band.  Run onto the committed file, `git diff` of it lists every draw
+whose exit or kind moved; CI does so and fails on any difference.  The
+draws just above P_c are the ones whose exit can follow the last bits of
+W, so the committed exits hold for the environment that wrote them
+(CHANGES.md names it), and CI reruns them in that one.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ from trimer_params import (HE4_A, HE4_P, HE4_REFF,  # noqa: E402
 BANDS = ((1.02, 1.1), (1.1, 1.25), (1.25, 1.5), (1.5, 3.0))
 SEEDS = (1, 2)
 DRAWS = 40
-COLUMNS = ["seed", "band", "draw", "a", "r_eff", "p_over_pc", "exit"]
+COLUMNS = ["seed", "band", "draw", "a", "r_eff", "p_over_pc", "exit",
+           "kind"]
+KINDS = {"branch lost near": "lost", "branch jumps at": "jump"}
 
 
 def draws():
@@ -63,16 +69,25 @@ def draws():
                 yield seed, f"{lo:g}-{hi:g}", k, a, r_eff, ratio
 
 
-def solve_exit(path: Path, a: float, r_eff: float, p_shape: float) -> int:
-    """Exit code of `solve` on the bundled He4 config with every pair
-    set to (a, r_eff, p_shape); stdout and stderr are discarded."""
+def solve_exit(path: Path, a: float, r_eff: float,
+               p_shape: float) -> tuple[int, str]:
+    """Exit code and stderr of `solve` on the bundled He4 config with
+    every pair set to (a, r_eff, p_shape); stdout is discarded."""
     text = bundled_config_text("he4_trimer")
     for key, old, new in (("a", HE4_A, a), ("r_eff", HE4_REFF, r_eff),
                           ("p_shape", HE4_P, p_shape)):
         text = text.replace(f"{key} = {old!r}\n", f"{key} = {new!r}\n")
     path.write_text(text)
-    with contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(["solve", "--config", str(path), "--out", os.devnull])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["solve", "--config", str(path), "--out", os.devnull])
+    return code, err.getvalue()
+
+
+def kind_of(stderr: str) -> str:
+    """`lost` or `jump` for the fold messages in a solve's stderr, else
+    empty."""
+    return next((kind for text, kind in KINDS.items() if text in stderr), "")
 
 
 def run() -> list[dict]:
@@ -80,10 +95,11 @@ def run() -> list[dict]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "draw.cfg"
         for seed, band, k, a, r_eff, ratio in draws():
-            code = solve_exit(path, a, r_eff,
-                              ratio * critical_p_shape(a, r_eff))
+            code, err = solve_exit(path, a, r_eff,
+                                   ratio * critical_p_shape(a, r_eff))
             rows.append(dict(zip(COLUMNS, (
-                seed, band, k, repr(a), repr(r_eff), repr(ratio), code))))
+                seed, band, k, repr(a), repr(r_eff), repr(ratio), code,
+                kind_of(err)))))
     return rows
 
 
@@ -99,8 +115,11 @@ def main(argv=None) -> int:
         writer.writerows(rows)
     for band in dict.fromkeys(row["band"] for row in rows):
         exits = Counter(row["exit"] for row in rows if row["band"] == band)
+        kinds = Counter(row["kind"] for row in rows
+                        if row["band"] == band and row["kind"])
         print(f"P/P_c {band}: " + ", ".join(
-            f"exit {code}: {n}" for code, n in sorted(exits.items())))
+            [f"exit {code}: {n}" for code, n in sorted(exits.items())]
+            + [f"{kind}: {n}" for kind, n in sorted(kinds.items())]))
     return 0
 
 

@@ -192,6 +192,39 @@ class TestMatrix:
             u_det = brentq(sym_factor, u_boson - 0.5, u_boson + 0.5, xtol=1e-13)
             assert u_det == pytest.approx(u_boson, rel=1e-9)
 
+    def test_equivalent_pairs_branch_is_the_exchange_symmetric_root(
+            self, mixed_cfg):
+        # masses m, m, m3 whose two equivalent pairs hold the deepest dimer,
+        # the draw lost near rho = 2404.84 (test_cli.py): D00 = D11 = d,
+        # D01 = o, D02 = D12 = o' and det D = (d - o) [(d + o) d2 - 2 o'^2].
+        # The branch is the root of the exchange-symmetric factor.  The
+        # antisymmetric factor d - o, states identical bosons do not have,
+        # has a root 1.9e-3 from it at rho = 902.4 and 4.4e-10 (7.5e-13
+        # relative) at rho = 2230.0, node 568 of the bundled grid
+        pair12 = PairParams(a=-88.44246659974456, r_eff=11.21975241711873,
+                            p_shape=0.055017915821676915)
+        pair3 = PairParams(a=-268.8208135368905, r_eff=9.7498766326102,
+                           p_shape=0.031347847544656166)
+        m, m3 = 2.198341454699369, 2.8185799707724204
+        problem = AngularProblem(dataclasses.replace(
+            mixed_cfg.system, masses=(m, m, m3),
+            pairs=(pair12, pair12, pair3)))
+        grid = _grid_of(mixed_cfg)[:569]
+        rho, u = grid[-1].item(), trace_branch(grid, problem).u[-1].item()
+        assert rho == pytest.approx(2230.03, abs=0.01)
+
+        def factors(x):
+            d = build_matrix(x, rho, problem)
+            assert d[0, 0] == d[1, 1] and d[0, 2] == d[1, 2]
+            return (d[0, 0] - d[0, 1],
+                    (d[0, 0] + d[0, 1]) * d[2, 2] - 2.0 * d[0, 2] ** 2)
+        (anti_lo, sym_lo), (anti_hi, sym_hi) = (
+            factors(u * (1.0 + s * 1e-14)) for s in (1.0, -1.0))
+        assert sym_lo * sym_hi < 0.0 and anti_lo * anti_hi > 0.0
+        anti = brentq(lambda x: factors(x)[0], u * (1.0 - 1e-14),
+                      u * (1.0 - 1e-11), xtol=1e-300)
+        assert anti - u == pytest.approx(4.42e-10, rel=0.01)
+
     def test_unitary_matrix_at_origin(self):
         pair = PairParams(a=-math.inf)
         system = ParticleSystem.identical_bosons(HE4_MASS, pair)
@@ -567,56 +600,24 @@ class TestTraceBranch:
         with pytest.raises(SolverError, match="branch residual"):
             trace_branch(np.array([1.0, 2.0]), problem)
 
-    @pytest.mark.parametrize("cfg_name, scalar, points", [
-        ("he4_cfg", 1.25, 7.0), ("mixed_cfg", 1.25, 7.9)])
-    def test_work_per_node(self, request, cfg_name, scalar, points,
-                           monkeypatch):
+    @pytest.mark.parametrize("cfg_name, calls, scalar, points", [
+        ("he4_cfg", 12, 1.25, 7.0), ("mixed_cfg", 13, 1.25, 7.9)])
+    def test_work_per_node(self, request, cfg_name, calls, scalar, points):
         # the cost of the trace in residual evaluations, which no machine
-        # changes.  Continued node by node, a linear predictor with a fixed
-        # first rung of 1e-4 (1 + |guess|) took 11.45 (He4) and 12.71
-        # (mixed) per node; the quadratic predictor with a rung sized by
-        # the last miss, 9.00 and 9.22; a refine that reuses the bracket's
-        # end values, 7.00 and 7.22; the stored residual taken from the
-        # refine, 6.00 and 6.23.  With the walk on 87 coarse nodes and the
-        # other 513 in lockstep: scalar calls 1.87 and 1.96 per node, array
-        # points 9.41 and 10.55 per node, in 7 bracket rounds and 8 regula
-        # falsi rounds.  With the walk's second rung sized by the slope
-        # across its first, lockstep brackets started at 2e-5 (1 + |g|)
-        # and regula falsi steps of at least the tolerance: 1.24 and 1.24
-        # scalar calls (745 and 742 a trace), 6.94 and 7.83 array points
-        # (4165 and 4699), in 5 bracket rounds and 7 and 8 regula falsi
-        # rounds
+        # changes.  The walk on 87 coarse nodes and the other 513 in
+        # lockstep take 1.24 and 1.24 scalar calls per node (745 He4 and
+        # 742 mixed a trace) and 6.94 and 7.83 array points (4165 and
+        # 4699), in 12 and 13 array calls: 5 bracket rounds and 7 and 8
+        # regula falsi rounds
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
-        f, f_array = problem.residual, problem.residual_array
-        seen = {}
-        scalar_calls, array_sizes, solves = [], [], []
-
-        def counted(u, rho):
-            r = f(u, rho)
-            scalar_calls.append(u)
-            seen.setdefault((u, rho), set()).add(r)
-            return r
-
-        def counted_array(u, rho):
-            r = f_array(u, rho)
-            array_sizes.append(len(u))
-            for key in zip(u.tolist(), rho.tolist(), r.tolist()):
-                seen.setdefault(key[:2], set()).add(key[2])
-            return r
-
-        def solve(*args, **kwargs):
-            solves.append(args[0])
-            return solve_at_rho(*args, **kwargs)
-        monkeypatch.setitem(problem.__dict__, "residual", counted)
-        monkeypatch.setitem(problem.__dict__, "residual_array", counted_array)
-        monkeypatch.setattr(angular, "solve_at_rho", solve)
-        grid = np.exp(np.linspace(math.log(cfg.rho_min),
-                                  math.log(cfg.rho_max), cfg.n))
-        branch = trace_branch(grid, problem)
+        scalar_calls, array_sizes, seen = _counted_residuals(problem)
+        grid = _grid_of(cfg)
+        with _counted_solves() as solves:
+            branch = trace_branch(grid, problem)
         # one solve per coarse step: none was halved, no node fell back
         assert len(solves) == 86
-        assert len(array_sizes) <= 5 + angular.LOCKSTEP_ROUNDS
+        assert len(array_sizes) <= calls
         assert len(scalar_calls) / len(grid) <= scalar
         assert sum(array_sizes) / len(grid) <= points
         # each stored residual was evaluated at its stored u, bit for bit
@@ -630,8 +631,7 @@ class TestTraceBranch:
         # the elements of a numpy grid are np.float64; one that reaches the
         # scalar residual spreads through every Brent iterate into the
         # continuation history and slows each later scalar operation.  The
-        # scalar calls are the coarse walk's and the Brent finishes of the
-        # lockstep (mixed only)
+        # scalar calls are the coarse walk's
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
         f = problem.residual
@@ -648,27 +648,44 @@ class TestTraceBranch:
         assert set(types) == {(float, float)}
 
     @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
-    def test_lost_node_continues_every_node(self, request, cfg_name,
-                                            monkeypatch):
+    def test_lost_node_continues_every_node(self, request, cfg_name):
         # a residual without a sign change near any guess: the lockstep
         # loses its nodes, and the whole grid is continued node by node
         cfg = request.getfixturevalue(cfg_name)
-        grid = np.exp(np.linspace(math.log(cfg.rho_min),
-                                  math.log(cfg.rho_max), cfg.n))
+        grid = _grid_of(cfg)
         want = trace_branch(grid, AngularProblem(cfg.system))
         problem = AngularProblem(cfg.system)
-        monkeypatch.setitem(problem.__dict__, "residual_array",
-                            lambda u, rho: np.ones_like(u))
-        solves = []
-
-        def solve(*args, **kwargs):
-            solves.append(args[0])
-            return solve_at_rho(*args, **kwargs)
-        monkeypatch.setattr(angular, "solve_at_rho", solve)
-        got = trace_branch(grid, problem)
+        problem.__dict__["residual_array"] = lambda u, rho: np.ones_like(u)
+        with _counted_solves() as solves:
+            got = trace_branch(grid, problem)
         assert solves[86:] == grid[1:].tolist()
         np.testing.assert_allclose(got.u, want.u, rtol=1e-13, atol=0.0)
         assert np.max(np.abs(got.residuals)) <= angular.MAX_RESIDUAL
+
+    def test_open_node_at_the_round_cap_continues_every_node(
+            self, he4_cfg, monkeypatch):
+        # a node regula falsi leaves open after BRENT_MAXITER rounds is
+        # lost like a node with no root near its guess: with the cap at one
+        # round the lockstep keeps no node, and the whole grid is continued
+        # node by node.  The lockstep reads the array residual only
+        grid = _grid_of(he4_cfg)
+        want = trace_branch(grid, AngularProblem(he4_cfg.system))
+        problem = AngularProblem(he4_cfg.system)
+        scalar_calls, _, _ = _counted_residuals(problem)
+        lockstep, found = angular._lockstep, []
+
+        def recorded(*args):
+            before = len(scalar_calls)
+            found.append(lockstep(*args))
+            assert len(scalar_calls) == before
+            return found[-1]
+        monkeypatch.setattr(angular, "BRENT_MAXITER", 1)
+        monkeypatch.setattr(angular, "_lockstep", recorded)
+        with _counted_solves() as solves:
+            got = trace_branch(grid, problem)
+        assert found == [None]
+        assert solves[86:] == grid[1:].tolist()
+        np.testing.assert_allclose(got.u, want.u, rtol=1e-13, atol=0.0)
 
     def test_fine_residual_bound_enforced(self, he4_cfg, monkeypatch):
         # a lockstep root 1e-6 relative off is held to MAX_RESIDUAL too
@@ -683,24 +700,19 @@ class TestTraceBranch:
         with pytest.raises(SolverError, match="branch residual"):
             trace_branch(grid, problem)
 
-    def test_coarse_nodes(self, he4_problem, monkeypatch):
+    def test_coarse_nodes(self, he4_problem):
         # the walk visits the nodes no more than COARSE_STEP apart in
         # ln rho: 87 of the bundled 600, every node of a grid spaced
         # wider than COARSE_STEP / 2
-        solves = []
-
-        def solve(*args, **kwargs):
-            solves.append(args[0])
-            return solve_at_rho(*args, **kwargs)
-        monkeypatch.setattr(angular, "solve_at_rho", solve)
         bundled = np.exp(np.linspace(math.log(0.05), math.log(4000.0), 600))
-        trace_branch(bundled, he4_problem)
+        with _counted_solves() as solves:
+            trace_branch(bundled, he4_problem)
         walked = np.log(np.array([bundled[0]] + solves))
         assert len(walked) == 87 and solves[-1] == bundled[-1]
         assert np.all(np.diff(walked) <= angular.COARSE_STEP)
-        solves.clear()
         wide = np.exp(np.arange(0.0, 3.0, 0.076))
-        trace_branch(wide, he4_problem)
+        with _counted_solves() as solves:
+            trace_branch(wide, he4_problem)
         assert solves == wide[1:].tolist()
 
     def test_guess_past_a_pole_is_halved(self, he4_cfg):
@@ -795,6 +807,30 @@ def _counted_solves():
         yield solves
 
 
+def _counted_residuals(problem: AngularProblem):
+    """Count the residual calls on `problem` from here on: the u of each
+    scalar call, the size of each array call, and for each evaluated
+    (u, rho) the set of values it gave."""
+    f, f_array = problem.residual, problem.residual_array
+    scalar_calls, array_sizes, seen = [], [], {}
+
+    def counted(u, rho):
+        r = f(u, rho)
+        scalar_calls.append(u)
+        seen.setdefault((u, rho), set()).add(r)
+        return r
+
+    def counted_array(u, rho):
+        r = f_array(u, rho)
+        array_sizes.append(len(u))
+        for key in zip(u.tolist(), rho.tolist(), r.tolist()):
+            seen.setdefault(key[:2], set()).add(key[2])
+        return r
+    problem.__dict__["residual"] = counted
+    problem.__dict__["residual_array"] = counted_array
+    return scalar_calls, array_sizes, seen
+
+
 class TestWarmTrace:
     """trace_branch(grid, problem, prior): the branch continued in P from
     the branches of earlier scan points, or else the cold trace."""
@@ -872,43 +908,25 @@ class TestWarmTrace:
         self._refused(grid, _at(he4_cfg, 1.0, 0.13), prior)
 
     @pytest.mark.parametrize("name, work", [
-        ("he4", [(15, 13.5, 100), (8, 7.4, 41), (8, 7.4, 41), (8, 7.4, 41)]),
-        ("mixed", [(15, 13.3, 311), (9, 7.8, 41), (9, 7.8, 41),
+        ("he4", [(16, 13.6, 41), (8, 7.4, 41), (8, 7.4, 41), (8, 7.4, 41)]),
+        ("mixed", [(18, 13.8, 41), (9, 7.8, 41), (9, 7.8, 41),
                    (9, 7.8, 41)])])
     def test_work_per_warm_point(self, he4_cfg, mixed_cfg, name, work):
         # the residual evaluations of each warm point of the P-step-0.015
         # scan, in the style of TestTraceBranch.test_work_per_node: array
         # calls, array points per node and scalar calls, and no walk.  The
-        # cold point takes 86 solves, 12 (He4) and 13 (mixed) array calls,
-        # 4202 and 4708 points and 752 and 744 scalar calls.  The second
-        # point lockstepped from the first branch as it is: 15 array calls,
-        # 8059 and 7950 points (13.4 and 13.3 per node), 99 and 310 scalar
-        # calls (the first node's walk and Brent finishes); the later ones
-        # from the line through the last two, each bracket started at 1/4
-        # of the line's shift: 8 and 9 calls, 4373-4395 and 4666-4672
-        # points, 39-41 scalar calls, the first node's walk alone
+        # second point is lockstepped from the first branch as it is: 16
+        # (He4) and 18 (mixed) array calls, 13.53 and 13.80 points per
+        # node, 41 and 40 scalar calls; the later ones from the line
+        # through the last two, each bracket started at 1/4 of the line's
+        # shift: 8 and 9 calls, 4373-4395 and 4666-4672 points, 39-41
+        # scalar calls.  Every scalar call is the first node's walk
         cfg = he4_cfg if name == "he4" else mixed_cfg
         grid = _grid_of(cfg)
         prior = [trace_branch(grid, _at(cfg, 1.0, 0.1))]
         for k, (calls, points, scalar) in enumerate(work, start=1):
             problem = _at(cfg, 1.0, 0.1 + 0.015 * k)
-            f, f_array = problem.residual, problem.residual_array
-            seen, scalar_calls, array_sizes = {}, [], []
-
-            def counted(u, rho):
-                r = f(u, rho)
-                scalar_calls.append(u)
-                seen.setdefault((u, rho), set()).add(r)
-                return r
-
-            def counted_array(u, rho):
-                r = f_array(u, rho)
-                array_sizes.append(len(u))
-                for key in zip(u.tolist(), rho.tolist(), r.tolist()):
-                    seen.setdefault(key[:2], set()).add(key[2])
-                return r
-            problem.__dict__["residual"] = counted
-            problem.__dict__["residual_array"] = counted_array
+            scalar_calls, array_sizes, seen = _counted_residuals(problem)
             with _counted_solves() as solves:
                 branch = trace_branch(grid, problem, prior[-2:])
             assert solves == []
