@@ -642,8 +642,9 @@ def trace_branch(grid, problem: AngularProblem,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(grid) <= 0.0) or grid[0] <= 0.0:
-        raise ValueError("grid must be positive and strictly increasing")
+    # written so that NaN fails: a NaN or infinite node would halve forever
+    if not (np.all(np.diff(grid, prepend=0) > 0) and grid[-1] < math.inf):
+        raise ValueError("grid must be positive, finite and strictly increasing")
 
     if prior and len(grid) >= 4 and all(
             np.array_equal(b.rho, grid) for b in prior[-2:]):

@@ -18,9 +18,9 @@ sign changes plus atan2(1, d)/pi, with d scaled to a log-derivative
 mismatch, make a continuous count, the phase, which lies within 1/2 of
 the count: node-count bisection isolates state k, then Brent's method
 finds where the phase crosses k + 1/2.  A cold state starts from the
-tightest bracket among the energies already swept for any state.  The
-bisection steps in log energy while both ends are negative and more than
-a factor 2 apart, since states below a threshold near 0 lie decades
+search window [min W, top), so its energy depends on the window alone.
+The bisection steps in log energy while both ends are negative and more
+than a factor 2 apart, since states below a threshold near 0 lie decades
 apart; from a top at 0 it steps to 1/16 of the lower end, else at the
 midpoint.  Near the root the phase is rounded to steps of 1e-16 or more,
 which would leave Brent's last steps closing the bracket on equal
@@ -253,12 +253,15 @@ class _Shooter:
     on both sides + (d < 0), which steps exactly at the roots of d.  The
     phase, sign changes on both sides + atan2(1, resid)/pi, lies within
     1/2 of the count, so phase - (k + 1/2) changes sign only at the root
-    of state k, where it is -resid/pi to first order.
+    of state k, where it is -resid/pi to first order.  ValueError unless
+    0 < rho_min < rho_max < inf and n >= 7: m is clamped to [3, n - 4].
     """
 
     def __init__(self, w_of, w_inf: float, search_top: float,
                  rho_min: float, rho_max: float, n: int,
                  hard_wall: bool = False, shift: float = 0.0):
+        if not (0.0 < rho_min < rho_max < math.inf and n >= 7):
+            raise ValueError("need 0 < rho_min < rho_max < inf and n >= 7")
         self.t = np.linspace(math.log(rho_min), math.log(rho_max), n)
         self.h = float(self.t[1] - self.t[0])
         self.rho = np.exp(self.t)
@@ -401,8 +404,8 @@ class _Shooter:
         phase.
 
         The bracket is the warm one from a guess (`_warm_bracket`) when
-        there is one, else the tightest the sweep table holds
-        (`_table_bracket`).  While it does not isolate state k, count k
+        there is one, else the window [w_min, top), whatever the sweep
+        table holds.  While it does not isolate state k, count k
         at its lower end and k + 1 at its upper one, it is bisected at
         -sqrt(lo hi) while both its ends are negative and more than
         _GEOMETRIC_RATIO apart, at lo/16 while lo < 0 = hi, else at the
@@ -427,8 +430,8 @@ class _Shooter:
         bracket = (None if guess is None
                    else self._warm_bracket(k, guess, width))
         if bracket is None:
-            bracket = self._table_bracket(k)
-            if not self.count(bracket[0]) <= k < self.count(bracket[1]):
+            bracket = self.w_min, self.top
+            if not self.count(self.w_min) <= k < self.count(self.top):
                 raise SolverError(f"state {k} not contained in search window")
         lo, hi = bracket
         while (lo < _GEOMETRIC_RATIO * hi < 0.0
@@ -453,18 +456,6 @@ class _Shooter:
             last[:] = [*last[-1:], (eps, exact)]
             return 0.0 if done else (sweep.phase - (k + 0.5) or exact)
         return brent(miss, lo, hi)
-
-    def _table_bracket(self, k: int) -> tuple[float, float]:
-        """The tightest bracket of state k among the window's swept
-        energies: the highest with count <= k, else w_min, and the lowest
-        with count > k, else top."""
-        lo, hi = self.w_min, self.top
-        for eps, sweep in self.table.items():
-            if lo < eps <= self.top and sweep.count <= k:
-                lo = eps
-            elif self.w_min <= eps < hi and sweep.count > k:
-                hi = eps
-        return lo, hi
 
     def _warm_bracket(self, k: int, guess: float, width: float):
         """A bracket of state k with the guess, clipped to the window, as
@@ -532,7 +523,8 @@ def solve_bound_states(potential, max_states: int = 4, *,
     refine's stop (`_Shooter.eigenvalue`), within a few BRENT_RTOL |eps|
     of the root Brent's method finds on the phase without it (tested to
     4 BRENT_RTOL |eps|); SolverError unless state k has k nodes and a match
-    residual of at most _MATCH_TOL.
+    residual of at most _MATCH_TOL, ValueError for a grid the shooter
+    refuses (`_Shooter`).
 
     prior, the states of a nearby potential on the same grid (the last
     point of a scan), warm-starts the states it holds (`_warm_starts`,
@@ -598,8 +590,8 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     Each level from the second on starts from a bracket with one end at
     its guess and the other 1e-3 of it away, the guess being the level
     below divided by exp(2 pi / g), then by the last ratio found
-    (`_Shooter._warm_bracket`).  ValueError unless
-    0 < g < inf, 0 < 100 cutoff_rho0 <= outer_rho < inf and n_states >= 1.
+    (`_Shooter._warm_bracket`).  ValueError unless 0 < g < inf,
+    0 < 100 cutoff_rho0 <= outer_rho < inf, n_states >= 1 and n >= 7.
     """
     if g is None:
         g = efimov_constant()

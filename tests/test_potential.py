@@ -206,6 +206,18 @@ class TestExtension:
             u_direct = solve_at_rho(mid, he4_problem, guess=u_interp)
             assert u_interp == pytest.approx(u_direct, rel=1e-6)
 
+    @pytest.mark.parametrize("u0", [-1e-3, 0.0])
+    def test_inner_line_where_no_power_law_fits(self, he4_problem, u0):
+        # first two nodes of opposite signs, or one at 0: below the first
+        # node u continues on the line through them
+        branch = NuBranch(rho=np.array([1.0, 2.0, 3.0]),
+                          u=np.array([u0, 2e-3, 3e-3]),
+                          residuals=np.zeros(3))
+        pot = effective_potential(branch, he4_problem)
+        for rho in (0.1, 0.5, 0.9):
+            line = u0 + (2e-3 - u0) * (rho - 1.0)
+            assert pot.u_at(rho) == pytest.approx(line, rel=1e-14, abs=1e-18)
+
     def test_rejects_nonpositive_rho(self, he4_branch_potential):
         _, pot = he4_branch_potential
         with pytest.raises(ValueError):

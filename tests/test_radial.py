@@ -396,7 +396,7 @@ def _window_shooter(which, pot):
 def _bisected_levels(shooter) -> list[float]:
     """Every state of the window by plain bisection of [w_min, top] at the
     midpoint on the count alone, down to adjacent doubles: where the count
-    steps from k to k + 1, without log steps, table brackets or Brent."""
+    steps from k to k + 1, without log steps or Brent."""
     levels = []
     for k in range(shooter.count(shooter.top)):
         lo, hi = shooter.w_min, shooter.top
@@ -416,10 +416,9 @@ def bisected_levels(he4_branch_potential):
 
 
 class TestColdEigenvalue:
-    """_Shooter.eigenvalue without a guess: the tightest bracket the sweep
-    table holds, bisected in log energy while its ends are negative and
-    more than a factor 2 apart, then at the midpoint, then Brent on the
-    phase."""
+    """_Shooter.eigenvalue without a guess: the window [w_min, top),
+    bisected in log energy while its ends are negative and more than a
+    factor 2 apart, then at the midpoint, then Brent on the phase."""
 
     @settings(max_examples=30, deadline=None)
     @given(which=st.sampled_from(WINDOWS),
@@ -431,7 +430,8 @@ class TestColdEigenvalue:
                                       bisected_levels, which, k, spread,
                                       near):
         # energies swept beforehand, spread over the window or near any
-        # state, change the starting bracket but not the state found
+        # state, change no bit of the state found: a cold energy is a
+        # function of the window alone
         levels = bisected_levels[which]
         shooter = _window_shooter(which, he4_branch_potential[1])
         swept = [shooter.w_min + x * (shooter.top - shooter.w_min)
@@ -440,8 +440,10 @@ class TestColdEigenvalue:
         for eps in swept:
             shooter.sweep(min(shooter.top, max(shooter.w_min, eps)))
         k %= len(levels)
-        assert shooter.eigenvalue(k) == pytest.approx(levels[k], rel=1e-13,
-                                                      abs=0.0)
+        eps = shooter.eigenvalue(k)
+        assert eps == pytest.approx(levels[k], rel=1e-13, abs=0.0)
+        assert eps == _window_shooter(which,
+                                      he4_branch_potential[1]).eigenvalue(k)
 
 
 class TestSolveBoundStates:
@@ -676,6 +678,17 @@ class TestSolveBoundStates:
         pot = FlatPotential(w0=2.0, threshold=0.0)
         assert solve_bound_states(pot, 4, rho_min=0.5, rho_max=50.0, n=500) == []
 
+    @pytest.mark.parametrize("grid", [
+        dict(n=1), dict(n=3), dict(n=6), dict(rho_min=1.0, rho_max=1.0),
+        dict(rho_min=-1.0), dict(rho_min=10.0, rho_max=1.0),
+        dict(rho_max=math.inf), dict(rho_min=math.nan)])
+    def test_grid_validation(self, he4_branch_potential, grid):
+        # m is clamped to [3, n - 4]; unchecked, these grids raised
+        # IndexError, numpy's zero-size ValueError, ZeroDivisionError, a
+        # math domain error or a misleading SolverError
+        with pytest.raises(ValueError, match="n >= 7"):
+            solve_bound_states(he4_branch_potential[1], **grid)
+
     def test_max_states_zero(self, he4_branch_potential):
         _, pot = he4_branch_potential
         assert solve_bound_states(pot, 0) == []
@@ -742,6 +755,8 @@ class TestThomasSpectrum:
             thomas_spectrum(cutoff_rho0=1.0, outer_rho=50.0)
         with pytest.raises(ValueError, match="outer_rho < inf"):
             thomas_spectrum(outer_rho=math.inf)
+        with pytest.raises(ValueError, match="n >= 7"):
+            thomas_spectrum(n=3)
 
     @pytest.mark.parametrize("n_states", [0, -1])
     def test_n_states_must_be_positive(self, n_states):
