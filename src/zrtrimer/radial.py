@@ -73,8 +73,7 @@ import numpy as np
 
 from .angular import efimov_constant
 from .potential import _SHIFT
-from .system import (BRENT_RTOL, DEFAULT_MASS_SCALE, SolverError, brent,
-                     hartree_to_mk)
+from .system import BRENT_RTOL, DEFAULT_MASS_SCALE, SolverError, hartree_to_mk
 
 
 def _load_fblas():
@@ -136,7 +135,7 @@ def _seed(tq: np.ndarray, far: int, near: int, a: float) -> float:
                  / (1.0 - tq[near]))
 
 
-def _carry(band, seeds) -> tuple[int, np.ndarray]:
+def _carry(band, seeds, given=None) -> tuple[int, np.ndarray]:
     """Carry the Numerov recursion in its summed form, every side at once.
 
     With F = (1 - h^2 q/12) g and v = h^2 q / (1 - h^2 q/12), the
@@ -165,14 +164,16 @@ def _carry(band, seeds) -> tuple[int, np.ndarray]:
     row s + 2i + 1 of column 1, -1.0 everywhere else in columns 1 and 2,
     as a shooter's scratch keeps it; the entries zeroed here are set back
     to -1.0 before returning.  seeds are (s, p) per side, ascending in
-    the even start row s; a side ends where the next begins.
+    the even start row s; a side ends where the next begins.  given, a
+    list when passed, receives the row of every pair the substitution
+    starts from: the starts alone unless a side restarted.
     """
     ab = band.T             # band's rows are the columns of ab
     z = np.zeros(len(band))
     starts = [s for s, _ in seeds]
     for s in starts[1:]:
         band[s - 2, 2] = band[s - 1, 1] = band[s - 1, 2] = 0.0
-    given = []
+    given = [] if given is None else given
 
     def solve(j, d, f):
         # from the pair (d, f) at row j and every later side's seed, each
@@ -208,6 +209,13 @@ def _carry(band, seeds) -> tuple[int, np.ndarray]:
         band[s - 2, 2] = band[s - 1, 1] = band[s - 1, 2] = -1.0
         changes[s // 2 - 1] = False     # across the seam
     return int(np.count_nonzero(changes)), z
+
+
+def _norm(f, f_m, den, rho) -> float:
+    """sum (rho f / (f_m den))^2, in one dot product."""
+    a = f / den
+    a *= rho
+    return float(a @ a) / (f_m * f_m)
 
 
 @dataclass(frozen=True)
@@ -282,11 +290,13 @@ class _Shooter:
         self.hard_wall = hard_wall
         # g = f/sqrt(rho) ~ exp((alpha - 1/2) t) at rho_min
         self.inner_rate = math.sqrt(0.25 - shift)
-        # one sweep per trial energy, scalars only: the count, the bisection
-        # and the Brent refine of every state read the same table
+        # one sweep per trial energy, scalars only: the count and the
+        # search of every state read the same table, and the Newton step
+        # to the root of d of each energy swept
         self.table: dict[float, _Sweep] = {}
-        # the last _sweep's (eps, _Sweep, z_out, z_in, tq); the wave at
-        # Brent's root is built from it when that was the energy swept last
+        self.steps: dict[float, float] = {}
+        # the last _sweep's (eps, _Sweep, z_out, z_in, tq); the wave at the
+        # returned energy is built from it when that was the energy swept last
         self.last = None
 
     def _turning_and_stop(self, eps: float) -> tuple[int, int, np.ndarray]:
@@ -332,7 +342,14 @@ class _Shooter:
     def _sweep(self, eps: float) -> _Sweep:
         """Outward from rho_min and inward from the cutoff to m, in one
         _carry; the energy, the scalars, both carries and tq are kept as
-        `last` for wave."""
+        `last` for wave, and the Newton step d / (h^2 sum rho^2 g^2) in
+        `steps`.  With the sides normalised to F = 1 at m, d is minus row
+        m of the symmetric Numerov matrix applied to F, so its energy
+        derivative is F^T (dv/deps) F = -h^2 sum rho^2 g^2 over the points
+        1 .. stop - 1, g = F/(1 - tq) (J. W. Cooley, Math. Comp. 15, 363
+        (1961)); the seeds' own dependence on eps is left out.  F is read
+        straight from the carry, or, on a side that restarted from a
+        rescaled pair, from the ratio products."""
         self.last = None    # freed before this sweep's arrays: peak memory
         m, stop, hq = self._turning_and_stop(eps)
         hq *= self.h * self.h       # h^2 q, in place on q
@@ -357,15 +374,28 @@ class _Shooter:
             p_lo = _seed(tq, 0, 1, self.inner_rate * self.h)
             p_hi = _seed(tq, stop, stop - 1, 0.5 * self.h
                          + kappa * (self.rho[stop] - self.rho[stop - 1]))
-        turns, z = _carry(band, [(0, p_lo), (2 * m, p_hi)])
-        p_in = float(z[-2]) / float(z[-1])
+        given = []
+        turns, z = _carry(band, [(0, p_lo), (2 * m, p_hi)], given)
+        z_out, z_in = z[:2 * m], z[2 * m:]
+        p_in = float(z_in[-2]) / float(z_in[-1])
         x_m = (float(hq[m]) / (1.0 - float(tq[m]))
-               + float(z[2 * m - 2]) / float(z[2 * m - 1]))
+               + float(z_out[-2]) / float(z_out[-1]))
         d = x_m + p_in
         resid = d / (abs(x_m) + abs(p_in) + self.h)
         sweep = _Sweep(turns + (d < 0.0),
                        turns + math.atan2(1.0, resid) / math.pi, resid)
-        self.last = eps, sweep, z[:2 * m], z[2 * m:], tq
+        # sum rho^2 g^2 straight from each side's F over its F_m, unless a
+        # side restarted or the sum overflows: then from the ratio products
+        norm = math.inf
+        if given == [0, 2 * m]:
+            norm = (_norm(z_out[1::2], float(z_out[-1]), den[1:m + 1],
+                          self.rho[1:m + 1])
+                    + _norm(z_in[1:-2:2], float(z_in[-1]), den[stop - 1:m:-1],
+                            self.rho[stop - 1:m:-1]))
+        if not norm < math.inf:
+            norm = _norm(self._amplitudes(z_out, z_in, tq), 1.0, 1.0, self.rho)
+        self.steps[eps] = d / (self.h * self.h * norm)
+        self.last = eps, sweep, z_out, z_in, tq
         return sweep
 
     def sweep(self, eps: float) -> _Sweep:
@@ -388,94 +418,80 @@ class _Shooter:
         if self.last is None or self.last[0] != eps:
             self._sweep(eps)
         _, sweep, z_out, z_in, tq = self.last
-        # 1 - p is F_i/F_{i+1} outward and F_i/F_{i-1} inward; the partial
-        # products are F itself, so nothing overflows
+        f = self._amplitudes(z_out, z_in, tq) * np.sqrt(self.rho)
+        return sweep.resid, f / f[np.abs(f).argmax()]
+
+    def _amplitudes(self, z_out, z_in, tq) -> np.ndarray:
+        """g = F/(1 - tq) over the grid from a sweep's carries, F = 1 at m.
+        1 - p is F_i/F_{i+1} outward and F_i/F_{i-1} inward; the partial
+        products are F itself, so nothing overflows, whatever scale each
+        stretch of a carry was solved in."""
         f_out = np.cumprod(1.0 - (z_out[0::2] / z_out[1::2])[::-1])[::-1]
         f_in = np.cumprod(1.0 - (z_in[0::2] / z_in[1::2])[::-1])
         # F is zero beyond the cutoff, where tq ends
         g = np.concatenate([f_out, [1.0], f_in, np.zeros(self.n - len(tq))])
         g[:len(tq)] /= 1.0 - tq
-        f = g * np.sqrt(self.rho)
-        return sweep.resid, f / f[np.abs(f).argmax()]
+        return g
 
-    def eigenvalue(self, k: int, guess: float | None = None,
-                   width: float = 0.0) -> float:
-        """The k-th eigenvalue: node-count bisection, then `brent` on the
-        phase.
+    def eigenvalue(self, k: int, guess: float | None = None) -> float:
+        """The k-th eigenvalue: one safeguarded Newton iteration on the
+        twist d, as `rtsafe` (Numerical Recipes) runs it, each iterate
+        swept once.
 
-        The bracket is the warm one from a guess (`_warm_bracket`) when
-        there is one, else the window [w_min, top), whatever the sweep
-        table holds.  While it does not isolate state k, count k
-        at its lower end and k + 1 at its upper one, it is bisected at
-        -sqrt(lo hi) while both its ends are negative and more than
-        _GEOMETRIC_RATIO apart, at lo/16 while lo < 0 = hi, else at the
-        midpoint.  One loop picks each step, so a window whose top is 0
-        takes lo/16 steps until hi < 0 and log steps after: a state below
-        a threshold at 0 lies decades above the window's floor.
+        The bracket starts as the window [w_min, top), and each iterate's
+        count moves one of its ends: a count above k makes it the upper
+        one.  The first iterate is the guess when there is one inside the
+        window.  From an iterate with k sign changes, where d vanishes
+        only at state k, the next one is its Newton step (`_sweep`) if
+        that lands inside the bracket and either halves the move before
+        it or, within 64 BRENT_RTOL |eps|, where d's rounding shows,
+        still points the way of that move (the root not yet passed).
+        Every other next iterate bisects the bracket: at -sqrt(lo hi)
+        while both its ends are negative and more than _GEOMETRIC_RATIO
+        apart, at lo/16 while lo < 0 = hi, else at the midpoint.  So a
+        window whose top is 0 takes lo/16 steps until hi < 0 and log
+        steps after: a state below a threshold at 0 lies decades above
+        the window's floor.  The search returns
 
-        The phase lies within 1/2 of the count, so phase - (k + 1/2)
-        changes sign across the bracket only where the count steps, at the
-        eigenvalue, whatever the sides and m do inside.  Before rounding it
-        is the sign changes less k less atan(resid)/pi; rounded, it moves
-        in steps of ulp(k + 1/2), 5.6e-17 or more, and can read 0 over
-        tens of doubles around the root.  So that `brent` neither closes
-        its bracket on those steps nor stops on such a 0, the function it
-        refines reads 0, and the refine stops, only at the first iterate
-        with k sign changes whose linear distance to the root is within
-        BRENT_RTOL |eps|, Brent's own tolerance: the unrounded miss over
-        its slope through the two iterates before it (first the ends,
-        which the sweep table holds).  Elsewhere it reads the rounded
-        miss, or the unrounded one where that rounds to 0.
+          the first iterate with k sign changes whose step is at most
+            BRENT_RTOL |eps|, Brent's tolerance;
+          the iterate of least |step| among those with k sign changes,
+            once a step within 64 BRENT_RTOL |eps| is not taken;
+          the upper end, once no double lies inside the bracket.
+
+        d changes sign with k sign changes only at the count's step from
+        k to k + 1, so the first two exits prove the state; the last one
+        sweeps w_min if it is still the lower end, so an energy depends
+        on the window and the guess alone, never on what the sweep table
+        holds.  SolverError unless state k lies in the window.
         """
-        bracket = (None if guess is None
-                   else self._warm_bracket(k, guess, width))
-        if bracket is None:
-            bracket = self.w_min, self.top
-            if not self.count(self.w_min) <= k < self.count(self.top):
-                raise SolverError(f"state {k} not contained in search window")
-        lo, hi = bracket
-        while (lo < _GEOMETRIC_RATIO * hi < 0.0
-               or not (self.count(lo) == k and self.count(hi) == k + 1)):
-            mid = (-math.sqrt(-lo) * math.sqrt(-hi)
-                   if lo < _GEOMETRIC_RATIO * hi < 0.0
-                   else lo / 16.0 if lo < 0.0 == hi else 0.5 * (lo + hi))
-            if mid in (lo, hi):
-                return hi   # the count steps in (lo, hi]
-            lo, hi = (lo, mid) if self.count(mid) > k else (mid, hi)
-        last = []   # the refine's last two (eps, exact miss), the ends first
-
-        def miss(eps: float) -> float:
-            sweep = self.sweep(eps)
-            # phase - (k + 1/2) before its rounding: the sign changes, the
-            # count less the twist's (d < 0), less k, then -atan(resid)/pi
-            turns = sweep.count - (sweep.resid < 0.0) - k
-            exact = turns - math.atan(sweep.resid) / math.pi
-            done = (len(last) == 2 and turns == 0
-                    and abs(exact) * abs(last[1][0] - last[0][0])
-                    <= BRENT_RTOL * abs(eps) * abs(last[1][1] - last[0][1]))
-            last[:] = [*last[-1:], (eps, exact)]
-            return 0.0 if done else (sweep.phase - (k + 0.5) or exact)
-        return brent(miss, lo, hi)
-
-    def _warm_bracket(self, k: int, guess: float, width: float):
-        """A bracket of state k with the guess, clipped to the window, as
-        one end: the other is the first of guess -+ width, 4 width,
-        16 width, ..., on the side the count at the guess points to, whose
-        count holds state k, which also proves the state lies in the
-        window.  Brent then starts at the guess's own miss, not at the
-        width.  None once that end reaches the window's edge without
-        holding the state, or for a width that is not positive."""
-        if not width > 0.0:
-            return None
-        guess = min(self.top, max(self.w_min, guess))   # NaN gives w_min
-        step = -width if self.count(guess) > k else width
-        while True:
-            end = min(self.top, max(self.w_min, guess + step))
-            if (self.count(end) > k) == (step > 0.0):
-                return (end, guess) if step < 0.0 else (guess, end)
-            if end in (self.w_min, self.top):
-                return None
-            step *= 4.0
+        lo, hi = self.w_min, self.top
+        x = guess if guess is not None and lo < guess < hi else None
+        last, best = -math.inf, []      # the first move counts as infinite
+        while k < self.count(self.top):
+            if x is None:
+                x = (-math.sqrt(-lo) * math.sqrt(-hi)
+                     if lo < _GEOMETRIC_RATIO * hi < 0.0
+                     else lo / 16.0 if lo < 0.0 == hi else 0.5 * (lo + hi))
+                if x in (lo, hi):   # the count steps in (lo, hi]
+                    if self.count(lo) <= k:
+                        return hi
+                    break
+            moved = x - last
+            sweep, step, last = self.sweep(x), self.steps[x], x
+            lo, hi = (lo, x) if sweep.count > k else (x, hi)
+            x = None
+            if sweep.count - (sweep.resid < 0.0) == k:
+                best.append((abs(step), last))
+                if abs(step) <= BRENT_RTOL * abs(last):
+                    return last
+                floor = abs(step) <= 64.0 * BRENT_RTOL * abs(last)
+                if lo < last + step < hi and (abs(step) <= 0.5 * abs(moved)
+                                              or floor and step * moved > 0):
+                    x = last + step
+                elif floor:
+                    return min(best)[1]
+        raise SolverError(f"state {k} not contained in search window")
 
 
 def default_rho_max(system) -> float:
@@ -485,15 +501,13 @@ def default_rho_max(system) -> float:
     return max(4000.0, 20.0 * amax)
 
 
-def _warm_starts(shooter: _Shooter, prior) -> list[tuple[float, float, float]]:
+def _warm_starts(shooter: _Shooter, prior) -> list[tuple[float, float]]:
     """Per prior state: the first-order estimate of its eigenvalue in W on
     the shooter's grid, eps + <f|dW|f> / <f|f> with dW = W - W_prior
-    summed over the log grid (d rho = rho dt), and the guess and first
-    width of its warm bracket, from the guess to the other end.  A prior
-    state that was itself predicted hands on its signed miss: the guess
-    subtracts it and the width is its size.  Otherwise the guess is the
-    estimate and the width 1/16 of its shift.  Either width is at least
-    1e-6 of the guess.  Empty when the prior was solved on another grid."""
+    summed over the log grid (d rho = rho dt), and the guess the search
+    starts from: the estimate, less the prior state's own signed miss
+    when it was itself predicted.  Empty when the prior was solved on
+    another grid."""
     if not prior or not np.array_equal(prior[0].rho, shooter.rho):
         return []
     dw = shooter.w - prior[0].w
@@ -501,12 +515,9 @@ def _warm_starts(shooter: _Shooter, prior) -> list[tuple[float, float, float]]:
     for state in prior:
         weight = state.f * state.f * shooter.rho
         predicted = state.eps + float(weight @ dw) / float(weight.sum())
-        if state.eps_predicted is None:
-            guess, width = predicted, abs(predicted - state.eps) / 16.0
-        else:
-            miss = state.eps - state.eps_predicted
-            guess, width = predicted + miss, abs(miss)
-        out.append((predicted, guess, max(width, 1e-6 * abs(guess))))
+        miss = (0.0 if state.eps_predicted is None
+                else state.eps - state.eps_predicted)
+        out.append((predicted, predicted + miss))
     return out
 
 
@@ -541,9 +552,9 @@ def solve_bound_states(potential, max_states: int = 4, *,
     warm = _warm_starts(shooter, prior)
     out = []
     for n_state in range(n_states):
-        predicted, guess, width = (warm[n_state] if n_state < len(warm)
-                                   else (None, None, 0.0))
-        eps = shooter.eigenvalue(n_state, guess, width)
+        predicted, guess = (warm[n_state] if n_state < len(warm)
+                            else (None, None))
+        eps = shooter.eigenvalue(n_state, guess)
         resid, f = shooter.wave(eps)
         nodes = count_nodes(f)
         if nodes != n_state or abs(resid) > _MATCH_TOL:
@@ -606,13 +617,9 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
                        cutoff_rho0, outer_rho, n, hard_wall=True)
     levels = []
     for k in range(min(n_states, shooter.count(shooter.top))):
-        guess, width = None, 0.0
-        if levels:
-            ratio = (math.exp(2.0 * math.pi / g) if k == 1
-                     else levels[-2] / levels[-1])
-            guess = levels[-1] / ratio
-            width = 1e-3 * abs(guess)
-        levels.append(shooter.eigenvalue(k, guess, width))
+        guess = levels[-1] / (math.exp(2.0 * math.pi / g) if k == 1
+                              else levels[-2] / levels[-1]) if levels else None
+        levels.append(shooter.eigenvalue(k, guess))
     energies = [eps / (2.0 * DEFAULT_MASS_SCALE) for eps in levels]
     ratios = tuple(energies[k] / energies[k + 1]
                    for k in range(len(energies) - 1))

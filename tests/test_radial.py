@@ -446,6 +446,97 @@ class TestColdEigenvalue:
                                       he4_branch_potential[1]).eigenvalue(k)
 
 
+    def test_without_newton_steps_bisects_to_the_count_step(
+            self, he4_branch_potential, bisected_levels, monkeypatch):
+        # with every Newton step NaN the search only bisects, until no
+        # double lies inside its bracket, and returns the upper end: in
+        # the oscillator window, all midpoints, the plain bisection's
+        # level bit for bit
+        sweep = _Shooter._sweep
+
+        def stepless(self, eps):
+            out = sweep(self, eps)
+            self.steps[eps] = math.nan
+            return out
+        monkeypatch.setattr(_Shooter, "_sweep", stepless)
+        shooter = _window_shooter("oscillator", he4_branch_potential[1])
+        levels = bisected_levels["oscillator"]
+        assert [shooter.eigenvalue(k) for k in range(len(levels))] == levels
+
+    @pytest.mark.parametrize("guess", [None, 17.0])
+    def test_state_below_the_floor_is_not_contained(self, guess):
+        # w_min raised above state 3 (at 15): every iterate counts more
+        # than 3, the bracket closes on the floor, and the count there
+        # refuses the state, cold or warm
+        shooter = _Shooter(OscillatorPotential().values, 40.0, 40.0,
+                           0.05, 14.0, 2000)
+        shooter.w_min = 16.0
+        with pytest.raises(SolverError, match="state 3 not contained"):
+            shooter.eigenvalue(3, guess)
+        assert shooter.count(16.0) == 4
+
+
+def _twist(shooter, eps):
+    """d at eps, the Newton step `_sweep` keeps for it, and (m, cutoff):
+    a fresh sweep, d rebuilt from its carries as _two_call_sweep does."""
+    shooter._sweep(eps)
+    _, _, z_out, z_in, tq = shooter.last
+    m = len(z_out) // 2
+    d = (12.0 * tq[m] / (1.0 - tq[m]) + z_out[-2] / z_out[-1]
+         + z_in[-2] / z_in[-1])
+    return float(d), shooter.steps[eps], (m, len(tq) - 1)
+
+
+class TestNewtonStep:
+    """The step d / (h^2 sum rho^2 g^2) of `_Shooter._sweep`: d over its
+    energy derivative, read from the carries."""
+
+    @pytest.mark.parametrize("which", WINDOWS)
+    def test_matches_finite_difference(self, he4_branch_potential,
+                                       bisected_levels, which):
+        # -d/step against a Richardson-extrapolated central difference of
+        # d at 1e-3 and 1e-4 of each state off it, where m and the cutoff
+        # stay put over the stencil; measured worst 1.2e-9 (oscillator),
+        # 6.1e-9 (Thomas) and 5.8e-10 (He4)
+        shooter = _window_shooter(which, he4_branch_potential[1])
+        for level in bisected_levels[which]:
+            for rel in (-1e-3, -1e-4, 1e-4, 1e-3):
+                eps, h = level * (1.0 + rel), 1e-2 * abs(rel * level)
+                d, step, sides = _twist(shooter, eps)
+                stencil = [_twist(shooter, eps + j * h)[::2]
+                           for j in (-2, -1, 1, 2)]
+                assert all(s[1] == sides for s in stencil)
+                near = (stencil[2][0] - stencil[1][0]) / (2.0 * h)
+                far = (stencil[3][0] - stencil[0][0]) / (4.0 * h)
+                assert -d / step == pytest.approx((4.0 * near - far) / 3.0,
+                                                  rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("which", ["he4", "thomas"])
+    def test_restarted_carry_takes_the_ratio_products(
+            self, he4_branch_potential, bisected_levels, monkeypatch,
+            which):
+        # a lowered _BIG restarts the substitution from rescaled pairs, so
+        # F along a side lies on several scales: the step then comes from
+        # the ratio products, which agree with F read straight from an
+        # exact carry
+        shooter = _window_shooter(which, he4_branch_potential[1])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dtbsv(*args, **kwargs)
+        monkeypatch.setattr(radial, "dtbsv", counted)
+        for level in bisected_levels[which]:
+            for eps in (level * (1.0 - 1e-3), level * (1.0 + 1e-3)):
+                monkeypatch.setattr(radial, "_BIG", 2.0 ** 1000)
+                _, direct, _ = _twist(shooter, eps)
+                monkeypatch.setattr(radial, "_BIG", 4.0)
+                calls.clear()
+                _, restarted, _ = _twist(shooter, eps)
+                assert len(calls) > 1
+                assert restarted == pytest.approx(direct, rel=1e-9, abs=0.0)
+
+
 class TestSolveBoundStates:
     def test_he4_trimer_spectrum(self, he4_solution):
         pot, states = he4_solution
@@ -784,11 +875,13 @@ class TestThomasSpectrum:
         # 116 with cold levels and Brent on the twist, 45 with warm levels
         # and 41 with the lo/16 step and the refine stopped within Brent's
         # tolerance.  Moving each entry of W by up to 2 ulp at random over
-        # 30 seeds gave 35-45 (mean 39.5) against 40-49 (44.2) before
+        # 30 seeds gave 35-45 (mean 39.5) against 40-49 (44.2) before.
+        # 30 with one Newton search per level and no sweep at w_min: over
+        # 30 such seeds 25-29 (mean 27.0) against 36-43 (40.0) before
         counts = _count_sweeps(monkeypatch)
         counts.append(0)
         thomas_spectrum()
-        assert counts == [41]
+        assert counts == [30]
 
     def test_more_states_than_available(self):
         spec = thomas_spectrum(cutoff_rho0=0.1, outer_rho=1e4, n_states=10,
@@ -988,31 +1081,36 @@ class TestWarmStart:
         states = solve_bound_states(pot, n=6000, prior=cold)
         assert [s.eps_predicted for s in states] == [None, None]
 
-    def test_warm_bracket_from_the_guess(self):
-        # oscillator levels 3, 7, 11, ... in a window up to 40.  The guess
-        # is one end and the count there picks the side of the other: for
-        # state 3 at 15 it steps 0.05, then 0.2 away until its count holds
-        # the state, or holds it at once for a width of 0.2.  The count at
-        # 39 puts state 0 below it; ends 0.5, 2, 8 and 32 below 39 never
-        # hold it and 128 below reaches min W, which does.  State 12 lies
-        # above the window, so the walk up ends at the top, the solve runs
-        # cold and the cold count check fails as it does without a guess
-        shooter = _Shooter(OscillatorPotential().values, 40.0, 40.0,
-                           0.05, 14.0, 2000)
-        assert shooter._warm_bracket(3, 14.9, 0.05) == (14.9, 15.1)
-        assert shooter._warm_bracket(3, 15.1, 0.05) == (14.9, 15.1)
-        assert shooter._warm_bracket(3, 15.1, 0.2) == (14.9, 15.1)
-        assert shooter.eigenvalue(3, 15.2, 0.01) == pytest.approx(
-            shooter.eigenvalue(3), rel=1e-13, abs=0.0)
-        assert shooter._warm_bracket(0, 39.0, 0.5) == (shooter.w_min, 39.0)
-        assert shooter.eigenvalue(0, 39.0, 0.5) == pytest.approx(
-            shooter.eigenvalue(0), rel=1e-13, abs=0.0)
-        assert shooter._warm_bracket(12, 39.0, 0.5) is None
+    def test_search_from_the_guess(self):
+        # oscillator levels 3, 7, 11, ... in a window up to 40.  A guess
+        # inside the window is the first iterate: near state 3 the Newton
+        # steps start from it, so the table holds only the top, the guess
+        # and those steps; at 39, with 9 sign changes, it is the upper end
+        # state 0 is bisected down from.  A guess outside the window (NaN,
+        # below w_min, at or above the top) runs cold, bit for bit.  State 12
+        # lies above the window: the count at the top refuses it, guess or
+        # not, after that one sweep
+        def shooter():
+            return _Shooter(OscillatorPotential().values, 40.0, 40.0,
+                            0.05, 14.0, 2000)
+        cold = {k: shooter().eigenvalue(k) for k in (0, 3)}
+        for k, guess in [(3, 14.9), (3, 15.1), (3, 15.2), (0, 39.0)]:
+            warm = shooter()
+            assert warm.eigenvalue(k, guess) == pytest.approx(
+                cold[k], rel=1e-13, abs=0.0)
+            assert guess in warm.table
+            if k == 3:
+                assert len(warm.table) <= 7
+        for guess in (math.nan, -1.0, 40.0, 50.0):
+            for k in (0, 3):
+                assert shooter().eigenvalue(k, guess) == cold[k]
+        lost = shooter()
         with pytest.raises(SolverError, match="not contained"):
-            shooter.eigenvalue(12, 39.0, 0.5)
+            lost.eigenvalue(12, 39.0)
+        assert list(lost.table) == [lost.top]
 
-    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 75),
-                                             ([], 148)])
+    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 57),
+                                             ([], 114)])
     def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid, total):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
@@ -1037,14 +1135,19 @@ class TestWarmStart:
         # 22-23 against 22-33, largest warm points of 14-15 against 16-20
         # (0.015) and 11-14 against 14-17 (0.005), and totals of 76-80
         # (mean 77.7) against 82-97 (88.7) and 148-155 (150.8) against
-        # 170-183 (175.7)
+        # 170-183 (175.7).  With one Newton search per state (totals 57 and
+        # 114, cold points of 15, largest warm point 12 and 10), over 30
+        # such seeds: cold points of 15-16 against 22-24, largest warm
+        # points of 11-12 against 14-15 (0.015) and 10-12 against 11-14
+        # (0.005), totals of 54-58 (mean 55.6) against 75-79 (77.6) and
+        # 113-120 (115.6) against 147-155 (150.8)
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
         assert cli.main(["scan-p", "--config", str(path),
                          "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
-        assert counts[0] == 22
-        assert max(counts[1:]) <= 14
+        assert counts[0] == 15
+        assert max(counts[1:]) <= 12
         assert sum(counts) == total
 
     # 44 and 23 with Brent on the twist, 34 and 19 with a second sweep
@@ -1055,9 +1158,11 @@ class TestWarmStart:
     # the lockstep trace, and 21-30 and 11-14 over 12 seeds after the log
     # bisection.  21 and 11 with the refine stopped within Brent's
     # tolerance: moving each entry of W by up to 2 ulp over 30 seeds gave
-    # 21-21 and 11-13 against 21-27 and 11-17 before
-    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 21),
-                                                   ("mixed_cfg", 11)])
+    # 21-21 and 11-13 against 21-27 and 11-17 before.  16 and 9 with one
+    # Newton search per state and no sweep at w_min: over 30 such seeds
+    # 15-17 (mean 16.1) and 8-11 (8.6) against 21-21 and 11-13 (11.3)
+    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 16),
+                                                   ("mixed_cfg", 9)])
     def test_solve_sweeps_unchanged(self, request, monkeypatch, cfg_name,
                                     sweeps):
         counts = _count_sweeps(monkeypatch)
