@@ -192,9 +192,10 @@ def efimov_constant() -> float:
 
 
 class Dimer(NamedTuple):
-    """The bound pair with the deepest bare threshold: its spectator index,
-    reduced mass, threshold -2mB/hbar^2 = -1/(mu a^2) (1/bohr^2) and pole
-    momentum kappa of the extended boundary condition."""
+    """The bound pair with the deepest pole threshold -kappa^2/mu: its
+    spectator index, reduced mass, bare threshold -2mB/hbar^2 =
+    -1/(mu a^2) (1/bohr^2) and pole momentum kappa of the extended
+    boundary condition."""
 
     index: int
     mu: float
@@ -245,18 +246,20 @@ class AngularProblem:
 
     @cached_property
     def dimer(self) -> Dimer | None:
-        """The pair with the deepest dimer threshold -2mB/hbar^2 (the first
-        of equals), or None when no pair binds."""
+        """Of the pairs with a bare threshold -2mB/hbar^2 below 0, the one
+        with the deepest pole threshold -kappa^2/mu (the first of equals),
+        or None when no pair binds.  Far out the lowest branch follows the
+        channel of the deepest pole, which need not be that of the deepest
+        bare threshold when the pairs' r_eff differ; for r_eff = 0 the two
+        agree, kappa = 1/|a|."""
         mass_scale = self.system.mass_scale
-        best = None
-        for i, pair in enumerate(self.system.pairs):
-            mu = self.kinematics.mu[i]
-            b_energy = dimer_binding_energy(pair, mu, mass_scale)
-            thr = 0.0 if b_energy is None else -2.0 * mass_scale * b_energy
-            if thr < (0.0 if best is None else best[2]):
-                best = (i, mu, thr)
-        return None if best is None else Dimer(
-            *best, dimer_pole_kappa(self.system.pairs[best[0]]))
+        # b is None for a > 0 and 0 for a = -inf: no bound dimer
+        dimers = [Dimer(i, mu, -2.0 * mass_scale * b, dimer_pole_kappa(pair))
+                  for i, (pair, mu) in enumerate(zip(self.system.pairs,
+                                                     self.kinematics.mu))
+                  if (b := dimer_binding_energy(pair, mu, mass_scale))]
+        return min(dimers, key=lambda d: -d.kappa * d.kappa / d.mu,
+                   default=None)
 
 
 def _bc_bracket(u: float, rho: float, pair: PairParams, mu: float) -> float:

@@ -21,6 +21,7 @@ from zrtrimer import (
     boson_residual,
     build_matrix,
     critical_p_shape,
+    dimer_pole_kappa,
     efimov_constant,
     nu2_asymptotic,
     nu_cot_half_pi,
@@ -1021,6 +1022,37 @@ def _scan_pair(draw, sign):
                       p_shape=draw(st.floats(1.6, 4.0)) * p_c)
 
 
+class TestDeepestPoleChannel:
+    """Systems whose three pairs all bind: the threshold channel is the
+    pair's with the deepest pole threshold -kappa^2/mu, the one the branch
+    follows far out, and every state a solve returns lies below it."""
+
+    @example(masses=[5.269722766055607, 5.285531934353774,
+                     11.872768433379255], pairs=[
+        PairParams(a=-116.05192639108952, r_eff=16.828234037300433,
+                   p_shape=0.07589823302873612),
+        PairParams(a=-116.2840302438717, r_eff=16.828234037300433,
+                   p_shape=0.07589823302873612),
+        PairParams(a=-135.5928977655824, r_eff=11.568228096841981,
+                   p_shape=0.0490425747325559)])
+    @settings(max_examples=8, deadline=None)
+    @given(masses=st.lists(st.floats(2.0, 12.0), min_size=3, max_size=3,
+                           unique=True),
+           pairs=st.lists(_scan_pair(-1.0), min_size=3, max_size=3))
+    def test_states_lie_below_the_deepest_pole(self, he4_cfg, masses,
+                                               pairs):
+        # the example's deepest bare threshold is pair.3's, whose pole
+        # lies 0.11 mK above pair.1's: with the bare choice a third state
+        # printed at -2.0303 mK, between the two poles
+        problem = AngularProblem(ParticleSystem(tuple(masses), tuple(pairs)))
+        dimer = problem.dimer
+        pole = -dimer.kappa * dimer.kappa / dimer.mu
+        assert pole == min(-k * k / mu for k, mu in zip(
+            map(dimer_pole_kappa, pairs), problem.kinematics.mu))
+        energies = _solved(he4_cfg, problem)[1]
+        assert np.all(energies < pole / (2.0 * problem.system.mass_scale))
+
+
 class TestInvariance:
     """Whole solves that must agree whatever the labels or the residual
     path; measured worst differences in the comments, bounds 10x them."""
@@ -1053,6 +1085,22 @@ class TestInvariance:
             assert len(other) == len(energies[0])
             assert np.all(np.abs(other - energies[0])
                           <= 1.4e-14 * np.abs(energies[0][:1]))
+
+    @pytest.mark.parametrize("scale, bound", [(2.0, 2e-6), (0.37, 8e-6)])
+    def test_mass_scale_relabelling(self, mixed_cfg, mixed_solution, scale,
+                                    bound):
+        # masses x s and mass_scale / s describe the same particles, yet
+        # the mixed E0 moves by 1.60e-6 (s = 2) and 6.81e-6 (s = 0.37)
+        # relative: the error of the inner edge's seed, not rounding, so
+        # the bounds sit just above it, to tighten with a better seed
+        system = dataclasses.replace(
+            mixed_cfg.system,
+            masses=tuple(m * scale for m in mixed_cfg.system.masses),
+            mass_scale=mixed_cfg.system.mass_scale / scale)
+        energies = _solved(mixed_cfg, AngularProblem(system))[1]
+        e0 = mixed_solution[1][0].energy
+        assert len(energies) == 1
+        assert abs(energies[0] - e0) <= bound * abs(e0)
 
     def test_bundled_bosons_on_the_3x3_path(self, he4_cfg,
                                             he4_branch_potential,

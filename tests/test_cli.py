@@ -13,6 +13,7 @@ from zrtrimer import (BranchFoldError, PairParams, SolverError,
                       critical_p_shape, dimer_pole_kappa, efimov_constant,
                       parse_config)
 from zrtrimer.angular import RootSearchError, dimer_channel_u
+from zrtrimer.system import hartree_to_mk
 
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
 
@@ -117,6 +118,46 @@ class TestSolveCommand:
         assert states[1]["E_mK"] == pytest.approx(-2.22049, abs=0.001)
         assert payload["meta"]["command"] == "solve"
         assert len(payload["meta"]["config_sha256"]) == 64
+
+    def test_threshold_channel_of_the_deepest_pole(self, tmp_path, capsys):
+        # no identical particles, pairs with different r_eff: pair.3 has
+        # the deepest bare threshold, -1.7853 mK, pair.1 the deepest pole
+        # threshold, -2.0702 mK, whose channel the branch follows far out.
+        # Taken from pair.3, the tail past the last node read 5.5% off the
+        # traced u, and a third "state" printed at -2.0303 mK, above the
+        # lowest pole threshold
+        text = (bundled_config_text("he4he4he3")
+                .replace("4.002603, 4.002603, 3.016026",
+                         "5.269722766055607, 5.285531934353774, "
+                         "11.872768433379255")
+                .replace("a = 33.261\nr_eff = 18.564\np_shape = 0.13\n",
+                         "a = -116.05192639108952\nr_eff = 16.828234037300433"
+                         "\np_shape = 0.07589823302873612\n", 1)
+                .replace("a = 33.261\nr_eff = 18.564\np_shape = 0.13\n",
+                         "a = -116.2840302438717\nr_eff = 16.828234037300433"
+                         "\np_shape = 0.07589823302873612\n")
+                .replace("a = -189.054\nr_eff = 13.843\np_shape = 0.13\n",
+                         "a = -135.5928977655824\nr_eff = 11.568228096841981"
+                         "\np_shape = 0.0490425747325559\n"))
+        cfg = tmp_path / "pole_not_bare.cfg"
+        cfg.write_text(text)
+        assert cli.main(["solve", "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # threshold_mK is the chosen pair's bare threshold
+        assert payload["threshold_mK"] == pytest.approx(-1.7584, abs=1e-4)
+        states = payload["states"]
+        assert [s["nodes"] for s in states] == [0, 1]
+        assert states[0]["E_mK"] == pytest.approx(-176.6803, abs=1e-3)
+        assert states[1]["E_mK"] == pytest.approx(-3.70678, abs=1e-4)
+        _, pot = cli.potential_for_config(parse_config(text))
+        assert pot.problem.dimer.index == 0
+        pole = hartree_to_mk(pot.hartree_from_eps(pot.w_inf))
+        assert pole == pytest.approx(-2.0702, abs=1e-4)
+        assert all(s["E_mK"] < pole for s in states)
+        # seamless at the last node, as test_outer_tail_seamless on He4
+        r_end = float(pot.rho[-1])
+        inside = pot.u_at(r_end * 0.9999999)
+        assert abs(pot.u_at(r_end * 1.0000001) - inside) < 1e-5 * abs(inside)
 
     def test_solve_validates_against_schema(self, he4_cfg_path, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zrtrimer import (
     AngularProblem,
@@ -109,17 +109,34 @@ def _pairs(draw):
                       p_shape=p_c * draw(st.floats(1.01, 20.0)))
 
 
+#: A system whose deepest bare threshold (pair.3, -1.7853 mK) and deepest
+#: pole threshold (pair.1, -2.0702 mK) belong to different pairs.
+POLE_NOT_BARE = ((5.269722766055607, 5.285531934353774, 11.872768433379255),
+                 (PairParams(a=-116.05192639108952, r_eff=16.828234037300433,
+                             p_shape=0.07589823302873612),
+                  PairParams(a=-116.2840302438717, r_eff=16.828234037300433,
+                             p_shape=0.07589823302873612),
+                  PairParams(a=-135.5928977655824, r_eff=11.568228096841981,
+                             p_shape=0.0490425747325559)))
+
+
 class TestDimerRecord:
+    @example(masses=list(POLE_NOT_BARE[0]), pairs=POLE_NOT_BARE[1])
     @settings(max_examples=80, deadline=None)
     @given(masses=st.lists(st.floats(1.0, 10.0), min_size=3, max_size=3,
                            unique=True),
            pairs=st.tuples(_pairs(), _pairs(), _pairs()))
-    def test_deepest_bare_threshold_and_its_pole(self, masses, pairs):
+    def test_deepest_pole_threshold_and_its_bare_one(self, masses, pairs):
         problem = AngularProblem(ParticleSystem(tuple(masses), pairs))
         mu = problem.kinematics.mu
         # -2mB/hbar^2 = -1/(mu a^2); a = -inf gives -0.0, which does not bind
         bare = [-1.0 / (m * p.a ** 2) if p.a < 0.0 else 0.0
                 for m, p in zip(mu, pairs)]
+        # the pole thresholds -kappa^2/mu of the bound pairs
+        kappa = [dimer_pole_kappa(p) if b < 0.0 else None
+                 for p, b in zip(pairs, bare)]
+        pole = [math.inf if k is None else -k * k / m
+                for m, k in zip(mu, kappa)]
         dimer = problem.dimer
         # the record is what the potential reads: threshold and asymptote
         branch = NuBranch(rho=np.array([1.0, 2.0]), u=np.array([-1.0, -2.0]),
@@ -130,7 +147,9 @@ class TestDimerRecord:
             assert pot.threshold == pot.w_inf == 0.0
             return
         i = dimer.index
-        assert bare[i] <= min(bare) * (1.0 - 1e-14)
+        # the deepest pole, the first of equals
+        assert pole[i] == min(pole)
+        assert all(pole[j] > pole[i] for j in range(i))
         assert dimer.mu == mu[i]
         assert dimer.threshold == pytest.approx(bare[i], rel=1e-14)
         assert dimer.kappa == dimer_pole_kappa(pairs[i])
