@@ -13,21 +13,24 @@ amplitude passed 2^1000, since one that overflows leaves only inf or NaN
 after it; only then is the side scanned and the substitution restarted
 from a power-of-two rescale, which leaves every ratio unchanged.  The
 sign changes on both sides and the sign of the twist d at m count the
-eigenvalues below the trial energy, and d vanishes at each one.  The
-sign changes plus atan2(1, d)/pi, with d scaled to a log-derivative
-mismatch, make a continuous count, the phase, which lies within 1/2 of
-the count: node-count bisection isolates state k, then Brent's method
-finds where the phase crosses k + 1/2.  A cold state starts from the
-search window [min W, top), so its energy depends on the window alone.
-The bisection steps in log energy while both ends are negative and more
-than a factor 2 apart, since states below a threshold near 0 lie decades
-apart; from a top at 0 it steps to 1/16 of the lower end, else at the
-midpoint.  Near the root the phase is rounded to steps of 1e-16 or more,
-which would leave Brent's last steps closing the bracket on equal
-values; the refine stops instead at the first iterate with k sign
-changes whose unrounded miss atan(resid)/pi, over its slope through the
-two iterates before it, puts it within BRENT_RTOL |eps| of the root,
-Brent's own tolerance.  The two callers differ only in the seeds at the
+eigenvalues below the trial energy, and d vanishes at each one.  With
+both sides normalised to F = 1 at m, d is minus row m of the symmetric
+Numerov matrix applied to F, so its energy derivative is the wave's own
+norm, -h^2 sum rho^2 g^2 (Cooley's energy correction), read from the
+same carry at a tenth of a sweep's cost.  One safeguarded Newton
+iteration on d (`rtsafe`) finds each state: every iterate narrows a
+bracket by its count, a step is taken only from an iterate with k sign
+changes, where d vanishes only at state k, and only while it stays in
+the bracket and halves the move before it (or, at d's rounding floor,
+keeps its way); otherwise the bracket is bisected, in log energy while
+both ends are negative and more than a factor 2 apart (states below a
+threshold near 0 lie decades apart), at 1/16 of the lower end from a top
+at 0, else at the midpoint.  The search
+stops at the first iterate whose step is within BRENT_RTOL |eps|, or,
+where d's rounding keeps the steps from shrinking, at the iterate of
+least step.  A cold state starts from the search window [min W, top),
+so its energy depends on the window alone; min W is swept only if the
+bracket closes on it.  The two callers differ only in the seeds at the
 ends:
 
   solve_bound_states  regular f ~ rho^alpha at rho_min, alpha = 1/2 +
@@ -38,16 +41,12 @@ ends:
   thomas_spectrum     hard walls: f = 0 at rho_min and at the cutoff.
 
 A scan warm-starts each state from the previous point's (prior, in
-solve_bound_states), solved on the same grid: the search starts from a
-bracket with one end at the first-order estimate eps + <f|dW|f> / <f|f>,
-less the previous point's signed miss once there is one, instead of from
-[min W, top], so Brent's method starts at the estimate's own miss.  The
-count at the estimate picks the side of the other end, which steps 4x
-further until the bracket passes the node-count check; once that end
-reaches the window's edge the solve runs cold.  A bracket that passes the
-check proves the state lies in the window, so the sweep at min W is
-skipped.  thomas_spectrum starts each level from the second on the same
-way, at the level below divided by the expected ratio.
+solve_bound_states), solved on the same grid: the search starts its
+Newton steps at the first-order estimate eps + <f|dW|f> / <f|f>, less
+the previous point's signed miss once there is one, in the same window
+and with the same stops as a cold search.  thomas_spectrum starts each
+level from the second on the same way, at the level below divided by
+the expected ratio.
 
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
@@ -413,8 +412,8 @@ class _Shooter:
 
     def wave(self, eps: float) -> tuple[float, np.ndarray]:
         """Matching residual and f at eps, max|f| = 1, dominant lobe positive,
-        from the carries of the last sweep, which is at eps when Brent's
-        root was the last energy it tried; otherwise eps is swept once."""
+        from the carries of the last sweep, which is at eps when the search
+        returned the last energy it swept; otherwise eps is swept once."""
         if self.last is None or self.last[0] != eps:
             self._sweep(eps)
         _, sweep, z_out, z_in, tq = self.last
@@ -468,7 +467,7 @@ class _Shooter:
         lo, hi = self.w_min, self.top
         x = guess if guess is not None and lo < guess < hi else None
         last, best = -math.inf, []      # the first move counts as infinite
-        while k < self.count(self.top):
+        while k < self.count(self.top):     # swept once, then a table hit
             if x is None:
                 x = (-math.sqrt(-lo) * math.sqrt(-hi)
                      if lo < _GEOMETRIC_RATIO * hi < 0.0
@@ -531,16 +530,16 @@ def solve_bound_states(potential, max_states: int = 4, *,
     when the potential binds nothing.  States are searched below
     min(w_inf, threshold): the asymptote, or the bare threshold where
     P (R/|a|)^2 > 1/2 lifts the asymptote above it.  Each eps is the
-    refine's stop (`_Shooter.eigenvalue`), within a few BRENT_RTOL |eps|
-    of the root Brent's method finds on the phase without it (tested to
-    4 BRENT_RTOL |eps|); SolverError unless state k has k nodes and a match
-    residual of at most _MATCH_TOL, ValueError for a grid the shooter
-    refuses (`_Shooter`).
+    Newton search's stop (`_Shooter.eigenvalue`), within a few BRENT_RTOL
+    |eps| of the root Brent's method finds on the phase without a stop
+    (tested to 4 BRENT_RTOL |eps|); SolverError unless state k has k nodes
+    and a match residual of at most _MATCH_TOL, ValueError for a grid the
+    shooter refuses (`_Shooter`).
 
     prior, the states of a nearby potential on the same grid (the last
-    point of a scan), warm-starts the states it holds (`_warm_starts`,
-    `_Shooter._warm_bracket`); the energies agree with a cold solve to the
-    refine's tolerance.
+    point of a scan), warm-starts the states it holds: each search starts
+    at its guess (`_warm_starts`); the energies agree with a cold solve to
+    the search's tolerance.
     """
     if rho_max is None:
         rho_max = default_rho_max(potential.problem.system)
@@ -598,10 +597,9 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     geometric factor exp(2 pi / g).  Hard-wall shooting on the common
     core; the endpoint condition f(outer wall) = 0 is applied at the
     adaptive barrier cutoff, which is equivalent within double precision.
-    Each level from the second on starts from a bracket with one end at
-    its guess and the other 1e-3 of it away, the guess being the level
+    Each level from the second on starts its Newton search at the level
     below divided by exp(2 pi / g), then by the last ratio found
-    (`_Shooter._warm_bracket`).  ValueError unless 0 < g < inf,
+    (`_Shooter.eigenvalue`).  ValueError unless 0 < g < inf,
     0 < 100 cutoff_rho0 <= outer_rho < inf, n_states >= 1 and n >= 7.
     """
     if g is None:
