@@ -445,7 +445,6 @@ class TestColdEigenvalue:
         assert eps == _window_shooter(which,
                                       he4_branch_potential[1]).eigenvalue(k)
 
-
     def test_without_newton_steps_bisects_to_the_count_step(
             self, he4_branch_potential, bisected_levels, monkeypatch):
         # with every Newton step NaN the search only bisects, until no
