@@ -40,7 +40,8 @@ class EffectivePotential:
     """Sampled hyper-radial potential with analytic continuation.
 
     threshold is the bare threshold -2mB/hbar^2 = -1/(mu a^2) of
-    `AngularProblem.dimer`, or 0 without a bound dimer; w_inf is the
+    `AngularProblem.dimer`, the pair with the deepest pole, or 0 without
+    a bound dimer; w_inf is the
     large-rho limit -kappa^2/mu of the branch, with the dimer's pole kappa
     of the extended boundary condition.  solve_bound_states searches below
     min(w_inf, threshold): w_inf unless P (R/|a|)^2 > 1/2 puts kappa

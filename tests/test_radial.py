@@ -418,7 +418,8 @@ def bisected_levels(he4_branch_potential):
 class TestColdEigenvalue:
     """_Shooter.eigenvalue without a guess: the window [w_min, top),
     bisected in log energy while its ends are negative and more than a
-    factor 2 apart, then at the midpoint, then Brent on the phase."""
+    factor 2 apart, then at the midpoint, and Newton steps from every
+    iterate with k sign changes."""
 
     @settings(max_examples=30, deadline=None)
     @given(which=st.sampled_from(WINDOWS),
@@ -660,7 +661,7 @@ class TestSolveBoundStates:
     @settings(max_examples=60, deadline=None)
     @given(which=st.sampled_from(["he4", "thomas"]), x=st.floats(0.0, 1.0))
     def test_phase_within_half_of_count(self, window_shooters, which, x):
-        # the refine's bracket: phase - (k + 1/2) has the sign of
+        # phase - (k + 1/2) has the sign of
         # count - k - 1/2 at every trial energy in the window, whatever
         # the turning point m and the side counts are there
         shooter = window_shooters[which]
@@ -740,7 +741,7 @@ class TestSolveBoundStates:
     def test_failed_validation_is_solver_error(self, monkeypatch):
         # an energy off the eigenvalue leaves a large match residual
         monkeypatch.setattr(_Shooter, "eigenvalue",
-                            lambda self, k, guess=None, width=0.0:
+                            lambda self, k, guess=None:
                             4.0 * k + 3.5)
         with pytest.raises(SolverError, match="fails validation"):
             solve_bound_states(OscillatorPotential(), 2, rho_min=0.05,
@@ -905,9 +906,9 @@ class TestThomasSpectrum:
             thomas_spectrum(g=g, n_states=2)
 
     def test_warm_levels_match_cold(self, thomas_default):
-        # each level from the second on starts from a bracket around the
-        # one below divided by the last ratio; a cold solve of the same
-        # shooter finds the same levels to the refine's tolerance
+        # each level from the second on starts its search at the one
+        # below divided by the last ratio; a cold solve of the same
+        # shooter finds the same levels to the search's tolerance
         shooter = _thomas_shooter()
         cold = [shooter.eigenvalue(k) / (2.0 * DEFAULT_MASS_SCALE)
                 for k in range(5)]
@@ -1012,7 +1013,8 @@ class TestRefineStop:
     still lies within a few BRENT_RTOL |eps| of Brent's root on the
     unrounded phase without the stop (at worst 2.7 over 300 Thomas
     cutoffs and 2.2 over 40 He4 draws of these ranges when the stop was
-    written)."""
+    written; 3.3 over 1000 Thomas cutoffs and 1.6 over 40 He4 draws with
+    the Newton search, whose steps are that linear distance)."""
 
     BOUND = 4.0
 
@@ -1063,7 +1065,7 @@ def _count_sweeps(monkeypatch) -> list[int]:
 
 
 class TestWarmStart:
-    """solve_bound_states(prior=...): brackets started from the last scan
+    """solve_bound_states(prior=...): searches started from the last scan
     point by first-order perturbation theory."""
 
     GRID = TestSolveProperties.GRID
@@ -1094,7 +1096,7 @@ class TestWarmStart:
     def test_wrong_prediction_still_finds_each_state(self, he4_cfg,
                                                      he4_solution):
         # a prior with states 0 and 1 swapped predicts each state at the
-        # other: the brackets widen until their counts hold the right one
+        # other: each search bisects from there to the right one
         pot, cold = he4_solution
         swapped = [dataclasses.replace(cold[0], eps=cold[1].eps),
                    dataclasses.replace(cold[1], eps=cold[0].eps)]
@@ -1107,7 +1109,7 @@ class TestWarmStart:
                                                    he4_solution):
         _, cold = he4_solution
         # a prior from far away (P = 0.3) and one whose miss is NaN: the
-        # first widens, the second has no width and runs cold
+        # first starts far off, the second's NaN guess runs cold
         far = cli.solve_for_config(cli._with_pshape(he4_cfg, 0.3))[1]
         lost = [dataclasses.replace(s, eps_predicted=math.nan) for s in cold]
         for prior in (far, lost):
