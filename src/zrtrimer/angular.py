@@ -53,10 +53,11 @@ about 40 scalar calls and 7.3 to 7.8 array points per node.
 
 The searches read one scaled residual per problem, `AngularProblem.residual`,
 built from constants computed once.  For identical bosons it is the boson
-equation with C(u) and the sine ratio over one sin/sinh denominator.  In
-the general case it is the 3x3 determinant in closed form, with each row
-divided by its largest term taken before the diagonal sum C(u) + bc_i
-cancels: in a bound row both are ~13 and cancel to ~1e-15 at a root, so
+equation with C(u) and the sine ratio over one sin/sinh denominator.  For
+two identical particles it is the exchange-symmetric factor of the 3x3
+determinant, two rows in closed form.  In the general case it is the 3x3
+determinant in closed form.  Each row is divided by its largest term
+taken before the diagonal sum C(u) + bc_i cancels: in a bound row both are ~13 and cancel to ~1e-15 at a root, so
 scaling by what is left would turn one ulp of u into a residual of 1e-8.
 Scaled this way the residual is relative, and `_verify` rejects any
 node whose residual exceeds MAX_RESIDUAL with SolverError.
@@ -223,17 +224,25 @@ class AngularProblem:
     def _residual_forms(self):
         if self.system.is_identical:
             return _boson_residual(self)
+        masses = self.system.masses
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            if masses[i] == masses[j]:
+                return _pair_residual(self, i, 3 - i - j)
         return _general_residual(self)
 
     @cached_property
     def residual(self):
         """Scaled residual f(u, rho) for bracketing and root refinement:
         the boson equation over max(1, |LHS|, |RHS|) for identical bosons
-        (`_boson_residual`), else det of the normalized matrix with each
-        row over its largest term, taken before C + bc_i can cancel
-        (`_general_residual`).  Scaling moves no root, so at an accepted
-        root the value is a relative residual that trace_branch holds below
-        MAX_RESIDUAL."""
+        (`_boson_residual`); for two identical particles i and j, the
+        exchange-symmetric factor (d + o) d_k - 2 o'^2 of det D = (d - o)
+        [(d + o) d_k - 2 o'^2] (`_pair_residual`), since d - o vanishes
+        only on states odd under the exchange of i and j, which two
+        identical bosons do not have; else det of the normalized matrix
+        (`_general_residual`).  Every row of a determinant or factor is
+        divided by its largest term, taken before C + bc_i can cancel.
+        Scaling moves no root, so at an accepted root the value is a
+        relative residual that trace_branch holds below MAX_RESIDUAL."""
         return self._residual_forms[0]
 
     @cached_property
@@ -281,6 +290,14 @@ def _bc_bracket(u: float, rho: float, pair: PairParams, mu: float) -> float:
                                     + pair.p_shape * pair.r_eff ** 3 * k2 * k2)
 
 
+def _bc_constants(pair: PairParams, mu: float
+                  ) -> tuple[float, float, float, float]:
+    """(s, 1/a, h, p) with `_bc_bracket` = rho s (1/a + x (h + p x)),
+    x = u/rho^2."""
+    return (1.0 / math.sqrt(mu), 0.0 if math.isinf(pair.a) else 1.0 / pair.a,
+            0.5 * pair.r_eff * mu, pair.p_shape * pair.r_eff ** 3 * mu * mu)
+
+
 def boson_lhs(u: float) -> float:
     """-C(u) + (8/sqrt3) sin(nu pi/6)/sin(nu pi/2)  (even in nu)."""
     # sin_ratio(u, pi/3) = -sin(nu pi/6)/sin(nu pi/2)
@@ -325,13 +342,9 @@ def _boson_residual(problem: AngularProblem):
     and the pi/3 sine ratio share one sin/sinh denominator.
     """
     pair = problem.system.pairs[0]
-    mu = problem.kinematics.mu[0]
     extended = pair.r_eff > 0.0
     # rhs = rho s (1/a + x (h + p x)), x = u/rho^2
-    s = 1.0 / math.sqrt(mu)
-    ia = 0.0 if math.isinf(pair.a) else 1.0 / pair.a
-    h = 0.5 * pair.r_eff * mu
-    p = pair.p_shape * pair.r_eff ** 3 * mu * mu
+    s, ia, h, p = _bc_constants(pair, problem.kinematics.mu[0])
     w = 8.0 / SQRT3
     lhs0 = -2.0 / math.pi + w / 3.0
     half_pi, sixth_pi, third_pi = math.pi / 2.0, math.pi / 6.0, math.pi / 3.0
@@ -400,10 +413,8 @@ def _general_residual(problem: AngularProblem):
     pairs = problem.system.pairs
     extended = any(p.r_eff > 0.0 for p in pairs)
     # row i: bc_i = rho s_i (1/a_i + x (h_i + p_i x)), x = u/rho^2
-    (s0, ia0, h0, p0), (s1, ia1, h1, p1), (s2, ia2, h2, p2) = (
-        (1.0 / math.sqrt(mu), 0.0 if math.isinf(p.a) else 1.0 / p.a,
-         0.5 * p.r_eff * mu, p.p_shape * p.r_eff ** 3 * mu * mu)
-        for p, mu in zip(pairs, kin.mu))
+    (s0, ia0, h0, p0), (s1, ia1, h1, p1), (s2, ia2, h2, p2) = map(
+        _bc_constants, pairs, kin.mu)
     # pairs (0, 1), (1, 2), (0, 2): phi, pi/2 - phi and 2/sin(2 phi)
     f01, f12, f02 = phis = (kin.phi[0][1], kin.phi[1][2], kin.phi[0][2])
     g01, g12, g02 = (math.pi / 2.0 - phi for phi in phis)
@@ -485,6 +496,98 @@ def _general_residual(problem: AngularProblem):
                  * mx(mx(ac, np.abs(b1)), mx(a01, a12))
                  * mx(mx(ac, np.abs(b2)), mx(a02, a12)))
         return det / mx(scale, 1e-300)
+
+    return resid, resid_array
+
+
+def _pair_residual(problem: AngularProblem, i: int, k: int):
+    """((d + o) d_k - 2 o'^2) / (max(|C|, |bc_i|, |o|, |o'|)
+    max(|C|, |bc_k|, |o'|)) for particles i and j identical and k the
+    spectator, in scalars and over arrays of the lowest cell
+    (residual_array).
+
+    With D_ii = D_jj = d = C + bc_i, D_ij = o, D_ik = D_jk = o' and
+    D_kk = d_k = C + bc_k, det D = (d - o) [(d + o) d_k - 2 o'^2].  The
+    second factor is D on the vectors even under the exchange of i and j,
+    its rows scaled as `_general_residual` scales rows i and k.  Its
+    constants come from the system relabelled so that i, j, k are 0, 1,
+    2, so every placement of the identical pair gives the same residual
+    bit for bit.
+    """
+    system = problem.system
+    pair, pair_k = system.pairs[i], system.pairs[k]
+    kin = reduced_masses(ParticleSystem(
+        (system.masses[i], system.masses[i], system.masses[k]),
+        (pair, pair, pair_k), system.mass_scale))
+    extended = pair.r_eff > 0.0 or pair_k.r_eff > 0.0
+    # rows i and k: bc = rho s (1/a + x (h + p x)), x = u/rho^2
+    (s, ia, h, p), (sk, iak, hk, pk) = (
+        _bc_constants(pair, kin.mu[0]), _bc_constants(pair_k, kin.mu[2]))
+    # o = o_ij and o' = o_ik: phi, pi/2 - phi and 2/sin(2 phi)
+    f1, f2 = phis = (kin.phi[0][1], kin.phi[0][2])
+    g1, g2 = (math.pi / 2.0 - phi for phi in phis)
+    w1, w2 = (2.0 / math.sin(2.0 * phi) for phi in phis)
+    half_pi = math.pi / 2.0
+    sin, tan, sqrt, exp, expm1 = (math.sin, math.tan, math.sqrt, math.exp,
+                                  math.expm1)
+    guard = 4.0 - POLE_GUARD
+
+    def resid(u: float, rho: float) -> float:
+        if u > 0.0:
+            if u >= guard:
+                _check_pole(u)
+            nu = sqrt(u)
+            den = sin(nu * half_pi)
+            c = nu / tan(nu * half_pi)
+            o = -w1 * sin(nu * g1) / den
+            o2 = -w2 * sin(nu * g2) / den
+        elif u < 0.0:
+            q = sqrt(-u)
+            den = -expm1(-q * math.pi)
+            c = q * (2.0 - den) / den
+            o = w1 * exp(-q * f1) * expm1(-2.0 * q * g1) / den
+            o2 = w2 * exp(-q * f2) * expm1(-2.0 * q * g2) / den
+        else:
+            c = 1.0 / half_pi
+            o = -w1 * g1 / half_pi
+            o2 = -w2 * g2 / half_pi
+        if rho == 0.0:
+            if extended and u != 0.0:
+                raise ValueError("rho = 0 admits only u = 0 under the "
+                                 "extended boundary condition")
+            b = bk = 0.0
+        else:
+            x = u / (rho * rho)
+            b = rho * s * (ia + x * (h + p * x))
+            bk = rho * sk * (iak + x * (hk + pk * x))
+        ac, ao2 = abs(c), abs(o2)
+        scale = max(ac, abs(b), abs(o), ao2) * max(ac, abs(bk), ao2)
+        return ((c + b + o) * (c + bk) - 2.0 * o2 * o2) / max(scale, 1e-300)
+
+    def resid_array(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        c, o, o2 = (np.empty_like(u) for _ in range(3))
+        pos, neg, zero = u > 0.0, u < 0.0, u == 0.0
+        nu = np.sqrt(u[pos])
+        den = np.sin(nu * half_pi)
+        c[pos] = nu / np.tan(nu * half_pi)
+        o[pos] = -w1 * np.sin(nu * g1) / den
+        o2[pos] = -w2 * np.sin(nu * g2) / den
+        q = np.sqrt(-u[neg])
+        den = -np.expm1(-q * math.pi)
+        c[neg] = q * (2.0 - den) / den
+        o[neg] = w1 * np.exp(-q * f1) * np.expm1(-2.0 * q * g1) / den
+        o2[neg] = w2 * np.exp(-q * f2) * np.expm1(-2.0 * q * g2) / den
+        c[zero] = 1.0 / half_pi
+        o[zero] = -w1 * g1 / half_pi
+        o2[zero] = -w2 * g2 / half_pi
+        x = u / (rho * rho)
+        b = rho * s * (ia + x * (h + p * x))
+        bk = rho * sk * (iak + x * (hk + pk * x))
+        ac, ao2 = np.abs(c), np.abs(o2)
+        mx = np.maximum
+        scale = (mx(mx(ac, np.abs(b)), mx(np.abs(o), ao2))
+                 * mx(mx(ac, np.abs(bk)), ao2))
+        return ((c + b + o) * (c + bk) - 2.0 * o2 * o2) / mx(scale, 1e-300)
 
     return resid, resid_array
 

@@ -242,7 +242,6 @@ class _Sweep(NamedTuple):
     """Scalars of one two-sided sweep at a trial energy."""
 
     count: int          # eigenvalues below the trial energy
-    phase: float        # sign changes + atan2(1, resid)/pi: count +- 1/2
     resid: float        # d / (|x_m| + |p_in| + h): a log-derivative mismatch
 
 
@@ -258,9 +257,9 @@ class _Shooter:
     meet at the outer turning point m, where the twist d of the
     tridiagonal Numerov problem gives the inertia: count = sign changes
     on both sides + (d < 0), which steps exactly at the roots of d.  The
-    phase, sign changes on both sides + atan2(1, resid)/pi, lies within
-    1/2 of the count, so phase - (k + 1/2) changes sign only at the root
-    of state k, where it is -resid/pi to first order.  ValueError unless
+    resid, d over a positive scale, has the sign of d, so count -
+    (resid < 0) is the sign changes alone: k on the iterates from which
+    the search for state k takes a Newton step.  ValueError unless
     0 < rho_min < rho_max < inf and n >= 7: m is clamped to [3, n - 4].
     """
 
@@ -381,8 +380,7 @@ class _Shooter:
                + float(z_out[-2]) / float(z_out[-1]))
         d = x_m + p_in
         resid = d / (abs(x_m) + abs(p_in) + self.h)
-        sweep = _Sweep(turns + (d < 0.0),
-                       turns + math.atan2(1.0, resid) / math.pi, resid)
+        sweep = _Sweep(turns + (d < 0.0), resid)
         # sum rho^2 g^2 straight from each side's F over its F_m, unless a
         # side restarted or the sum overflows: then from the ratio products
         norm = math.inf

@@ -638,11 +638,12 @@ class TestExitCodes:
         with pytest.raises(BranchFoldError):
             cli.solve_for_config(parse_config(text))
 
-    def test_fold_between_equivalent_pairs_is_solver_failure(self, tmp_path,
-                                                             capsys):
+    def test_branch_between_equivalent_pairs_solves(self, tmp_path, capsys):
         # masses m, m, m3 whose two equivalent pairs hold the deepest dimer,
-        # 2.71 P_c (pair.3 1.65 P_c): the branch is lost far out in the
-        # dimer channel, where two roots of the determinant likely merge
+        # 2.71 P_c (pair.3 1.65 P_c).  On the 3x3 determinant the root of
+        # its antisymmetric factor d - o met the traced one far out in the
+        # dimer channel, and the branch was lost near rho = 2404.84 (exit
+        # 2); the exchange-symmetric residual has no such root
         pair12 = ("a = -88.44246659974456\nr_eff = 11.21975241711873\n"
                   "p_shape = 0.055017915821676915\n")
         text = (bundled_config_text("he4he4he3")
@@ -655,10 +656,12 @@ class TestExitCodes:
                          "p_shape = 0.031347847544656166\n"))
         cfg = tmp_path / "equivalent_pairs.cfg"
         cfg.write_text(text)
-        assert cli.main(["solve", "--config", str(cfg)]) == 2
-        assert "branch lost near rho = 2404.84:" in capsys.readouterr().err
-        with pytest.raises(BranchFoldError):
-            cli.solve_for_config(parse_config(text))
+        assert cli.main(["solve", "--config", str(cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["threshold_mK"] == pytest.approx(-8.9655637, abs=1e-7)
+        assert [s["nodes"] for s in out["states"]] == [0, 1]
+        assert [s["E_mK"] for s in out["states"]] == pytest.approx(
+            [-1758.3096664, -19.4054877], abs=1e-7)
 
     def test_near_threshold_state_inside_default_box(self, tmp_path, capsys):
         # E1 sits 1.3 mK below threshold, so at rho_max = 4000 the outward
