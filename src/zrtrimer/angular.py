@@ -298,6 +298,38 @@ def _bc_constants(pair: PairParams, mu: float
             0.5 * pair.r_eff * mu, pair.p_shape * pair.r_eff ** 3 * mu * mu)
 
 
+def _coupling_constants(phi: float) -> tuple[float, float, float]:
+    """(phi, pi/2 - phi, 2/sin(2 phi)): the off-diagonal 2 S(u, phi) /
+    sin(2 phi) is -w sin(nu g)/sin(nu pi/2), or w e^(-k phi) (e^(-2k g)
+    - 1)/(1 - e^(-k pi)) for u = -k^2, with (phi, g, w) these three."""
+    return phi, math.pi / 2.0 - phi, 2.0 / math.sin(2.0 * phi)
+
+
+def _couplings_array(u: np.ndarray, angles
+                     ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """C(u) and the off-diagonal of each `_coupling_constants` triple in
+    angles, over an array of u in the lowest cell: the scalar forms'
+    branches, each on its own mask, so none sees a u it would warn on."""
+    half_pi = math.pi / 2.0
+    c = np.empty_like(u)
+    offs = [np.empty_like(u) for _ in angles]
+    pos, neg, zero = u > 0.0, u < 0.0, u == 0.0
+    nu = np.sqrt(u[pos])
+    den = np.sin(nu * half_pi)
+    c[pos] = nu / np.tan(nu * half_pi)
+    for o, (_, g, w) in zip(offs, angles):
+        o[pos] = -w * np.sin(nu * g) / den
+    k = np.sqrt(-u[neg])
+    den = -np.expm1(-k * math.pi)
+    c[neg] = k * (2.0 - den) / den
+    for o, (f, g, w) in zip(offs, angles):
+        o[neg] = w * np.exp(-k * f) * np.expm1(-2.0 * k * g) / den
+    c[zero] = 1.0 / half_pi
+    for o, (_, g, w) in zip(offs, angles):
+        o[zero] = -w * g / half_pi
+    return c, offs
+
+
 def boson_lhs(u: float) -> float:
     """-C(u) + (8/sqrt3) sin(nu pi/6)/sin(nu pi/2)  (even in nu)."""
     # sin_ratio(u, pi/3) = -sin(nu pi/6)/sin(nu pi/2)
@@ -415,10 +447,10 @@ def _general_residual(problem: AngularProblem):
     # row i: bc_i = rho s_i (1/a_i + x (h_i + p_i x)), x = u/rho^2
     (s0, ia0, h0, p0), (s1, ia1, h1, p1), (s2, ia2, h2, p2) = map(
         _bc_constants, pairs, kin.mu)
-    # pairs (0, 1), (1, 2), (0, 2): phi, pi/2 - phi and 2/sin(2 phi)
-    f01, f12, f02 = phis = (kin.phi[0][1], kin.phi[1][2], kin.phi[0][2])
-    g01, g12, g02 = (math.pi / 2.0 - phi for phi in phis)
-    w01, w12, w02 = (2.0 / math.sin(2.0 * phi) for phi in phis)
+    # pairs (0, 1), (1, 2), (0, 2)
+    angles = tuple(map(_coupling_constants, (kin.phi[0][1], kin.phi[1][2],
+                                             kin.phi[0][2])))
+    (f01, g01, w01), (f12, g12, w12), (f02, g02, w02) = angles
     half_pi = math.pi / 2.0
     sin, tan, sqrt, exp, expm1 = (math.sin, math.tan, math.sqrt, math.exp,
                                   math.expm1)
@@ -465,24 +497,7 @@ def _general_residual(problem: AngularProblem):
         return det / max(scale, 1e-300)
 
     def resid_array(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        c, o01, o12, o02 = (np.empty_like(u) for _ in range(4))
-        pos, neg, zero = u > 0.0, u < 0.0, u == 0.0
-        nu = np.sqrt(u[pos])
-        den = np.sin(nu * half_pi)
-        c[pos] = nu / np.tan(nu * half_pi)
-        o01[pos] = -w01 * np.sin(nu * g01) / den
-        o12[pos] = -w12 * np.sin(nu * g12) / den
-        o02[pos] = -w02 * np.sin(nu * g02) / den
-        k = np.sqrt(-u[neg])
-        den = -np.expm1(-k * math.pi)
-        c[neg] = k * (2.0 - den) / den
-        o01[neg] = w01 * np.exp(-k * f01) * np.expm1(-2.0 * k * g01) / den
-        o12[neg] = w12 * np.exp(-k * f12) * np.expm1(-2.0 * k * g12) / den
-        o02[neg] = w02 * np.exp(-k * f02) * np.expm1(-2.0 * k * g02) / den
-        c[zero] = 1.0 / half_pi
-        o01[zero] = -w01 * g01 / half_pi
-        o12[zero] = -w12 * g12 / half_pi
-        o02[zero] = -w02 * g02 / half_pi
+        c, (o01, o12, o02) = _couplings_array(u, angles)
         x = u / (rho * rho)
         b0 = rho * s0 * (ia0 + x * (h0 + p0 * x))
         b1 = rho * s1 * (ia1 + x * (h1 + p1 * x))
@@ -523,10 +538,9 @@ def _pair_residual(problem: AngularProblem, i: int, k: int):
     # rows i and k: bc = rho s (1/a + x (h + p x)), x = u/rho^2
     (s, ia, h, p), (sk, iak, hk, pk) = (
         _bc_constants(pair, kin.mu[0]), _bc_constants(pair_k, kin.mu[2]))
-    # o = o_ij and o' = o_ik: phi, pi/2 - phi and 2/sin(2 phi)
-    f1, f2 = phis = (kin.phi[0][1], kin.phi[0][2])
-    g1, g2 = (math.pi / 2.0 - phi for phi in phis)
-    w1, w2 = (2.0 / math.sin(2.0 * phi) for phi in phis)
+    # o = o_ij and o' = o_ik
+    angles = tuple(map(_coupling_constants, (kin.phi[0][1], kin.phi[0][2])))
+    (f1, g1, w1), (f2, g2, w2) = angles
     half_pi = math.pi / 2.0
     sin, tan, sqrt, exp, expm1 = (math.sin, math.tan, math.sqrt, math.exp,
                                   math.expm1)
@@ -565,21 +579,7 @@ def _pair_residual(problem: AngularProblem, i: int, k: int):
         return ((c + b + o) * (c + bk) - 2.0 * o2 * o2) / max(scale, 1e-300)
 
     def resid_array(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        c, o, o2 = (np.empty_like(u) for _ in range(3))
-        pos, neg, zero = u > 0.0, u < 0.0, u == 0.0
-        nu = np.sqrt(u[pos])
-        den = np.sin(nu * half_pi)
-        c[pos] = nu / np.tan(nu * half_pi)
-        o[pos] = -w1 * np.sin(nu * g1) / den
-        o2[pos] = -w2 * np.sin(nu * g2) / den
-        q = np.sqrt(-u[neg])
-        den = -np.expm1(-q * math.pi)
-        c[neg] = q * (2.0 - den) / den
-        o[neg] = w1 * np.exp(-q * f1) * np.expm1(-2.0 * q * g1) / den
-        o2[neg] = w2 * np.exp(-q * f2) * np.expm1(-2.0 * q * g2) / den
-        c[zero] = 1.0 / half_pi
-        o[zero] = -w1 * g1 / half_pi
-        o2[zero] = -w2 * g2 / half_pi
+        c, (o, o2) = _couplings_array(u, angles)
         x = u / (rho * rho)
         b = rho * s * (ia + x * (h + p * x))
         bk = rho * sk * (iak + x * (hk + pk * x))
