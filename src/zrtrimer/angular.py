@@ -57,8 +57,9 @@ equation with C(u) and the sine ratio over one sin/sinh denominator.  For
 two identical particles it is the exchange-symmetric factor of the 3x3
 determinant, two rows in closed form.  In the general case it is the 3x3
 determinant in closed form.  Each row is divided by its largest term
-taken before the diagonal sum C(u) + bc_i cancels: in a bound row both are ~13 and cancel to ~1e-15 at a root, so
-scaling by what is left would turn one ulp of u into a residual of 1e-8.
+taken before the diagonal sum C(u) + bc_i cancels: in a bound row both
+are ~13 and cancel to ~1e-15 at a root, so scaling by what is left
+would turn one ulp of u into a residual of 1e-8.
 Scaled this way the residual is relative, and `_verify` rejects any
 node whose residual exceeds MAX_RESIDUAL with SolverError.
 """

@@ -1132,7 +1132,6 @@ class TestDeepestPoleChannel:
         energies = _solved(he4_cfg, problem)[1]
         assert np.all(energies < pole / (2.0 * problem.system.mass_scale))
 
-
     @example(mass=4.616121342493164, mass3=4.9849114341412335,
              pair=PairParams(a=-80.15905003954433, r_eff=6.378739132026453,
                              p_shape=0.05951801904580724),
@@ -1200,7 +1199,8 @@ class TestInvariance:
         # masses (m, m, m3) with equal facing pairs, the identical pair at
         # (0, 1), (1, 2) and (0, 2): the exchange-symmetric residual is
         # built in one order whatever the indices, and the energies agreed
-        # bit for bit over 12 draws; the bound is the relabelling test's
+        # bit for bit over 30 draws (44 states); the bound is the
+        # relabelling test's
         assume(mass != mass3)
         energies = [_solved(he4_cfg, _placed(k, mass, mass3, pair, pair3))[1]
                     for k in range(3)]
