@@ -11,9 +11,10 @@ combinations are even in nu, so u < 0 (imaginary nu = i*kappa) is evaluated
 with hyperbolic forms and no complex arithmetic appears anywhere.  The
 normalization of every matrix row by sin(nu pi/2) introduces poles at
 u = (2n)^2, n >= 1, which are excluded by a guard band.  Every root search
-is one sign-change ladder, `_walk`, plus a Brent refine (`system.brent`)
-that reuses the values at the bracket's ends: two-sided for branch
-continuation, one-sided from a window edge to seed the first node.
+is one sign-change ladder, `_walk`, plus a regula falsi refine
+(`system.regula_falsi`) that reuses the values at the bracket's ends:
+two-sided for branch continuation, one-sided from a window edge to seed
+the first node.
 
 trace_branch continues the branch node by node over a coarse sub-grid,
 nodes at most COARSE_STEP apart in ln rho (87 of the bundled 600): each
@@ -22,7 +23,7 @@ walk's first rung is sized by the previous node's miss and its second by
 the residual's slope across the first.  The other nodes are solved in
 lockstep over numpy arrays: guesses from a monotone cubic through the
 coarse nodes, brackets of half-width about the guesses' median miss,
-widened around all of them at once, and Illinois regula falsi on the
+widened around all of them at once, and the same regula falsi on the
 nodes still open until each bracket closes.  The array form of the
 residual, `AngularProblem.residual_array`, covers the lowest cell
 u < 4 - POLE_GUARD, where the branch lives.  A node the lockstep cannot
@@ -74,8 +75,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .system import (BRENT_MAXITER, BRENT_RTOL, KinematicConstants, PairParams,
-                     ParticleSystem, SolverError, _brent, _Pchip, brent,
-                     dimer_binding_energy, dimer_pole_kappa, reduced_masses)
+                     ParticleSystem, SolverError, _Pchip, dimer_binding_energy,
+                     dimer_pole_kappa, reduced_masses, regula_falsi)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -190,7 +191,7 @@ def efimov_constant() -> float:
         return (g * math.cosh(g * math.pi / 2.0)
                 - (8.0 / SQRT3) * math.sinh(g * math.pi / 6.0))
 
-    return brent(f, 0.5, 2.0, xtol=1e-14)
+    return regula_falsi(f, 0.5, 2.0)[0]
 
 
 class Dimer(NamedTuple):
@@ -211,8 +212,9 @@ class AngularProblem:
 
     The bare 1/a boundary condition is the pairs' own r_eff = p_shape = 0.
     Its roots are bracketed by the one walker `_walk` (see `_first_node_u`
-    and `solve_at_rho`) and refined by `brent` to a relative tolerance
-    (rtol 8.9e-16; xtol 1e-300 leaves roots near u = 0 their digits).
+    and `solve_at_rho`) and refined by `regula_falsi` to a bracket
+    2 BRENT_RTOL |u| wide, relative, so roots near u = 0 keep their
+    digits.
     """
 
     system: ParticleSystem
@@ -600,14 +602,14 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
 
     Walks outward from x0 in both directions, with a step that starts at h0
     and is multiplied by `grow` after each rung, clipped to the window, and
-    refines the first bracket that shows a sign change with `brent` from
-    the values at its ends.  A two-sided walk sizes its second rung from
+    refines the first bracket that shows a sign change with `regula_falsi`
+    from the values at its ends.  A two-sided walk sizes its second rung from
     the first: the secant through the first rung's ends puts the root
     about |f0 / slope| from x0, and the second rung merges the ladder's
     rungs that end short of NEWTON_REACH times that (at most 1 + |x0|).
     The rungs after it end where the ladder's would, so the merge skips
-    no pair of close roots that the ladder would split beyond it.  Brent
-    refines to relative machine precision also for roots near u = 0
+    no pair of close roots that the ladder would split beyond it.  The
+    refine closes to relative machine precision also for roots near u = 0
     (the first node sits at u ~ -3e-4), so the branch residual invariant
     holds with margin even where the residual is steep in u.  If both
     directions bracket on the same rung the root closer to x0 wins.  A
@@ -638,7 +640,7 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
                 brackets.append((x2, xm, f2, fm))
             xm, fm = x2, f2
         if brackets:
-            roots = [_brent(f, *bracket, 1e-300) for bracket in brackets]
+            roots = [regula_falsi(f, *bracket) for bracket in brackets]
             return min(roots, key=lambda r: abs(r[0] - x0))
         h *= grow
         step = h
@@ -929,12 +931,13 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
     (1 + |g|), about the median miss of the guesses from the coarse nodes,
     and widens 4x a round, up to the trust max(0.5, |g|/4), until its ends
     differ in sign.
-    The brackets are refined by Illinois regula falsi (M. Dowell and P.
-    Jarratt, BIT 11, 168 (1971)) on the still active nodes, until one is
-    at most 2 BRENT_RTOL |u| wide; a step shorter than BRENT_RTOL |u| is
-    lengthened to it, so an iterate that has reached the root from one
-    side closes the bracket.  A root is the bracket end of smaller
-    |residual|, a value the search evaluated.
+    The brackets are refined on the still active nodes by regula falsi
+    with the Anderson-Bjorck rule (N. Anderson and A. Bjorck, BIT 13,
+    253 (1973)), `system.regula_falsi`'s update and close test over
+    arrays, until one is at most 2 BRENT_RTOL |u| wide; a step shorter
+    than BRENT_RTOL |u| is lengthened to it, so an iterate that has
+    reached the root from one side closes the bracket.  A root is the
+    bracket end of smaller |residual|, a value the search evaluated.
     """
     f = problem.residual_array
     top = 4.0 - POLE_GUARD
@@ -957,8 +960,8 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
         w[todo] = np.minimum(4.0 * w[todo], trust[todo])
 
     u, res = np.empty(n), np.empty(n)
-    # x0 is the retained end with its Illinois-scaled value f0 and true
-    # value t0; x1 is the newest iterate
+    # x0 is the retained end with its scaled value f0 and true value t0;
+    # x1 is the newest iterate
     idx, x0, f0, t0, x1, f1, r = np.arange(n), a, fa, fa, b, fb, rho
     for rnd in range(BRENT_MAXITER + 1):
         done = ((np.abs(x1 - x0) <= 2.0 * BRENT_RTOL * np.abs(x1))
@@ -972,7 +975,8 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
                 v[keep] for v in (idx, x0, f0, t0, x1, f1, r))
         if rnd == BRENT_MAXITER or not idx.size:
             break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        # the ratio first, as in `regula_falsi`
+        x2 = x1 - (x1 - x0) * (f1 / (f1 - f0))
         # a step below the tolerance moves by the tolerance, toward x0, so
         # that a root found from one side closes its bracket
         tol = BRENT_RTOL * np.abs(x1)
@@ -980,9 +984,12 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
                       x1 + np.copysign(tol, x0 - x1), x2)
         f2 = f(x2, r)
         flip = (f2 < 0.0) != (f1 < 0.0)
+        # Anderson-Bjorck: an end kept past a step scales f0 by m, or by
+        # 1/2 where m <= 0
+        m = 1.0 - f2 / f1
         x0 = np.where(flip, x1, x0)
         t0 = np.where(flip, f1, t0)
-        f0 = np.where(flip, f1, 0.5 * f0)
+        f0 = np.where(flip, f1, np.where(m > 0.0, m, 0.5) * f0)
         x1, f1 = x2, f2
     return None if idx.size else (u, res)
 

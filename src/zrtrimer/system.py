@@ -18,8 +18,9 @@ Energies appear in three units:
 Sign convention for the two-body input: a negative scattering length means
 the pair supports a bound dimer with pole momentum kappa ~ 1/|a|.
 
-`brent` is the one bracketing root solver of the package, and `_Pchip` the
-one interpolant; both are ports of scipy routines (see NOTICE).
+`regula_falsi` is the one scalar root refiner of the package, its rule
+applied over arrays by `angular._lockstep`, and `_Pchip` the one
+interpolant, a port of scipy's (see NOTICE).
 """
 
 from __future__ import annotations
@@ -45,88 +46,63 @@ class SolverError(Exception):
     """A numerical solve found no acceptable answer for valid input."""
 
 
-#: Relative tolerance of `brent`: 4 machine epsilons, rounded up.
+#: Relative tolerance of a root, scipy.optimize.brentq's default rtol (4
+#: machine epsilons, rounded up): a bracket closes at 2 BRENT_RTOL |x|.
 BRENT_RTOL = 8.9e-16
 
-#: Iteration limit of `brent`, scipy's default.
+#: Iteration cap of a root search, brentq's default maxiter.
 BRENT_MAXITER = 100
 
 
-def brent(f, a: float, b: float, fa: float | None = None,
-          fb: float | None = None, *, xtol: float = 1e-300) -> float:
-    """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4).
+def regula_falsi(f, a: float, b: float, fa: float | None = None,
+                 fb: float | None = None) -> tuple[float, float]:
+    """Root of f in [a, b] and f there, by regula falsi with the
+    Anderson-Bjorck rule (N. Anderson and A. Bjorck, BIT 13, 253 (1973)).
 
-    A line-for-line port of the loop of scipy.optimize.brentq, so it returns
-    the same root bit for bit; fa and fb, when given, stand for f(a) and
-    f(b) and save their evaluations.  The root is fixed to
-    xtol + BRENT_RTOL |x|; the default xtol keeps relative machine
-    precision also for roots near 0.  Raises ValueError on a NaN value or
-    on ends of one sign, SolverError after BRENT_MAXITER iterations.
+    fa and fb, when given, stand for f(a) and f(b) and save their
+    evaluations.  After a step that lands on the side of the newest end,
+    the value kept at the other end is scaled by 1 - f_new/f_newest, or
+    halved when that is not positive.  The bracket closes at
+    2 BRENT_RTOL |x| wide, so a root at 0 closes only where f is 0; a
+    step shorter than BRENT_RTOL |x| is lengthened to it, so an iterate
+    that reaches the root from one side closes the bracket.  The root is
+    the end of smaller |f|, a point f was evaluated at (or an end whose
+    value was given).  Raises ValueError on a NaN value or on ends of one
+    sign, SolverError when the bracket is still open after BRENT_MAXITER
+    steps.  `angular._lockstep` applies the same rule over arrays.
     """
-    return _brent(f, a, b, fa, fb, xtol)[0]
-
-
-# Derived from scipy.optimize.brentq, Copyright (c) 2001-2002 Enthought,
-# Inc. 2003, SciPy Developers; BSD-3-Clause, see NOTICE.
-def _brent(f, a: float, b: float, fa: float | None, fb: float | None,
-           xtol: float) -> tuple[float, float]:
-    """`brent`'s root together with f there: the root is always a point
-    the loop has evaluated (or an end whose value was given), so a caller
-    that needs f at the root does not evaluate it again."""
-    xpre, xcur = a, b
-    fpre = f(a) if fa is None else fa
-    fcur = f(b) if fb is None else fb
-    if fpre != fpre or fcur != fcur:
+    x0, x1 = a, b
+    t0 = f(a) if fa is None else fa
+    f1 = f(b) if fb is None else fb
+    if t0 != t0 or f1 != f1:
         raise ValueError(f"f is NaN at an end of [{a!r}, {b!r}]")
-    if fpre == 0.0:
-        return xpre, fpre
-    if fcur == 0.0:
-        return xcur, fcur
-    if (fpre < 0.0) == (fcur < 0.0):
+    if t0 != 0.0 and f1 != 0.0 and (t0 < 0.0) == (f1 < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C's brentq divides by an underflowed 0 to inf or NaN,
-                # which fails the step test below: bisect
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
-                        else math.inf)
-            lim = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < lim else lim):
-                spre, scur = scur, stry     # good short step
-            else:
-                spre = scur = sbis
+    # x0 is the retained end with its scaled value f0 and true value t0;
+    # x1 is the newest iterate
+    f0 = t0
+    for it in range(BRENT_MAXITER + 1):
+        if (f1 == 0.0 or t0 == 0.0
+                or abs(x1 - x0) <= 2.0 * BRENT_RTOL * abs(x1)):
+            return (x0, t0) if abs(t0) < abs(f1) else (x1, f1)
+        if it == BRENT_MAXITER:
+            break
+        # the ratio first: f1 (x1 - x0) underflows for tiny f and x
+        x2 = x1 - (x1 - x0) * (f1 / (f1 - f0))
+        tol = BRENT_RTOL * abs(x1)
+        if abs(x2 - x1) < tol:
+            x2 = x1 + math.copysign(tol, x0 - x1)
+        f2 = f(x2)
+        if f2 != f2:
+            raise ValueError(f"f is NaN at x = {x2!r}")
+        if (f2 < 0.0) != (f1 < 0.0):
+            x0, f0, t0 = x1, f1, f1
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise ValueError(f"f is NaN at x = {xcur!r}")
-    raise SolverError(f"Brent's method failed to converge after {BRENT_MAXITER} "
-                      f"iterations (x = {xcur!r})")
+            m = 1.0 - f2 / f1
+            f0 *= m if m > 0.0 else 0.5
+        x1, f1 = x2, f2
+    raise SolverError(f"regula falsi left [{x0!r}, {x1!r}] open after "
+                      f"{BRENT_MAXITER} iterations")
 
 
 # Derived from scipy.interpolate.PchipInterpolator, Copyright (c) 2001-2002
@@ -352,4 +328,4 @@ def dimer_pole_kappa(pair: PairParams) -> float | None:
     # PairParams holds P > P_c, so the dimer is the one positive root; at
     # x = kappa R = max(1/sqrt(P), sqrt(2R/|a|)) the quartic exceeds R/|a|
     hi = max(1.0 / math.sqrt(pshape), math.sqrt(-2.0 * reff / a)) / reff
-    return brent(f, 0.0, hi)
+    return regula_falsi(f, 0.0, hi)[0]

@@ -1,5 +1,6 @@
 """Shared fixtures.  Expensive pipeline products are session-scoped."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from zrtrimer import (
 )
 from zrtrimer.cli import potential_for_config, solve_for_config
 
-from trimer_params import HE4_A, HE4_MASS, bundled_config_text
+from trimer_params import HE4_A, HE4_MASS, POLE_NOT_BARE, bundled_config_text
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,14 @@ def he4_cfg():
 @pytest.fixture(scope="session")
 def mixed_cfg():
     return parse_config(bundled_config_text("he4he4he3"))
+
+
+@pytest.fixture(scope="session")
+def distinct_cfg(mixed_cfg):
+    """The mixed config's grids with POLE_NOT_BARE's system, three distinct
+    masses: the one bundled-grid trace on the 3x3 determinant."""
+    return dataclasses.replace(mixed_cfg,
+                               system=ParticleSystem(*POLE_NOT_BARE))
 
 
 @pytest.fixture(scope="session")

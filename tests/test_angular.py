@@ -43,7 +43,8 @@ from zrtrimer.cli import potential_for_config
 from zrtrimer.potential import effective_potential
 from zrtrimer.radial import solve_bound_states
 
-from trimer_params import HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4
+from trimer_params import (HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4,
+                           POLE_NOT_BARE)
 
 
 # ---------------------------------------------------------------- oracles
@@ -682,14 +683,17 @@ class TestTraceBranch:
             trace_branch(np.array([1.0, 2.0]), problem)
 
     @pytest.mark.parametrize("cfg_name, calls, scalar, points", [
-        ("he4_cfg", 12, 1.25, 7.0), ("mixed_cfg", 13, 1.25, 7.9)])
+        ("he4_cfg", 11, 1.25, 6.1), ("mixed_cfg", 11, 1.25, 6.8),
+        ("distinct_cfg", 13, 1.3, 6.9)])
     def test_work_per_node(self, request, cfg_name, calls, scalar, points):
         # the cost of the trace in residual evaluations, which no machine
-        # changes.  The walk on 87 coarse nodes and the other 513 in
-        # lockstep take 1.24 and 1.24 scalar calls per node (745 He4 and
-        # 742 mixed a trace) and 6.94 and 7.83 array points (4165 and
-        # 4699), in 12 and 13 array calls: 5 bracket rounds and 7 and 8
-        # regula falsi rounds
+        # changes, on each residual form: the boson equation, the
+        # exchange-symmetric factor and the 3x3 determinant.  The walk on
+        # 87 coarse nodes and the other 513 in lockstep take 1.22, 1.20
+        # and 1.28 scalar calls per node (734 He4, 720 mixed and 769
+        # distinct a trace) and 6.05, 6.78 and 6.86 array points (3630,
+        # 4066 and 4113), in 11, 11 and 13 array calls: 5 bracket rounds
+        # and 6, 6 and 8 regula falsi rounds
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
         scalar_calls, array_sizes, seen = _counted_residuals(problem)
@@ -1014,19 +1018,19 @@ class TestWarmTrace:
         self._refused(grid, _at(he4_cfg, 1.0, 0.13), prior)
 
     @pytest.mark.parametrize("name, work", [
-        ("he4", [(16, 13.6, 41), (8, 7.4, 41), (8, 7.4, 41), (8, 7.4, 41)]),
-        ("mixed", [(18, 13.8, 41), (9, 7.8, 41), (9, 7.8, 41),
-                   (9, 7.8, 41)])])
+        ("he4", [(14, 12.5, 41), (6, 6.1, 41), (6, 6.1, 41), (6, 6.1, 41)]),
+        ("mixed", [(14, 12.1, 41), (7, 6.3, 41), (7, 6.3, 41),
+                   (7, 6.3, 41)])])
     def test_work_per_warm_point(self, he4_cfg, mixed_cfg, name, work):
         # the residual evaluations of each warm point of the P-step-0.015
         # scan, in the style of TestTraceBranch.test_work_per_node: array
         # calls, array points per node and scalar calls, and no walk.  The
-        # second point is lockstepped from the first branch as it is: 16
-        # (He4) and 18 (mixed) array calls, 13.53 and 13.80 points per
-        # node, 41 and 40 scalar calls; the later ones from the line
-        # through the last two, each bracket started at 1/4 of the line's
-        # shift: 8 and 9 calls, 4373-4395 and 4666-4672 points, 39-41
-        # scalar calls.  Every scalar call is the first node's walk
+        # second point is lockstepped from the first branch as it is: 14
+        # array calls (He4 and mixed), 12.50 and 12.05 points per node, 41
+        # and 40 scalar calls; the later ones from the line through the
+        # last two, each bracket started at 1/4 of the line's shift: 6 and
+        # 7 calls, 3622-3638 and 3671-3738 points, 39-41 scalar calls.
+        # Every scalar call is the first node's walk
         cfg = he4_cfg if name == "he4" else mixed_cfg
         grid = _grid_of(cfg)
         prior = [trace_branch(grid, _at(cfg, 1.0, 0.1))]
@@ -1107,14 +1111,7 @@ class TestDeepestPoleChannel:
     pair's with the deepest pole threshold -kappa^2/mu, the one the branch
     follows far out, and every state a solve returns lies below it."""
 
-    @example(masses=[5.269722766055607, 5.285531934353774,
-                     11.872768433379255], pairs=[
-        PairParams(a=-116.05192639108952, r_eff=16.828234037300433,
-                   p_shape=0.07589823302873612),
-        PairParams(a=-116.2840302438717, r_eff=16.828234037300433,
-                   p_shape=0.07589823302873612),
-        PairParams(a=-135.5928977655824, r_eff=11.568228096841981,
-                   p_shape=0.0490425747325559)])
+    @example(masses=list(POLE_NOT_BARE[0]), pairs=list(POLE_NOT_BARE[1]))
     @settings(max_examples=8, deadline=None)
     @given(masses=st.lists(st.floats(2.0, 12.0), min_size=3, max_size=3,
                            unique=True),

@@ -102,7 +102,7 @@ class TestOutputBytes:
         assert cli.main(["wavefunction", "--config", he4_cfg_path,
                          "--state", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "060a3ed937b226984532ff6747feb3ffc54ef8b89da42e865c55adc4792c638c")
+            "0e36716f51d1bb3cb4c1008dd43832beeba35bce7a709b97616f953743244e33")
 
 
 class TestSolveCommand:

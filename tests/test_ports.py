@@ -1,9 +1,10 @@
-"""The in-house Brent solver and PCHIP interpolant against scipy, bit for bit.
+"""The in-house root refiner and PCHIP interpolant against scipy.
 
-scipy stays the oracle here: `system.brent` ports the loop of
-scipy.optimize.brentq and `system._Pchip` builds and sums the cubics
-as scipy.interpolate.PchipInterpolator(extrapolate=False) does, so every
-root and every interpolated value must be exactly equal.
+scipy stays the oracle here.  `system.regula_falsi` closes a bracket to
+2 BRENT_RTOL |x|, so its root must lie that close to the root of
+scipy.optimize.brentq at BRENT_RTOL.  `system._Pchip` builds and sums the
+cubics as scipy.interpolate.PchipInterpolator(extrapolate=False) does, so
+every interpolated value must be exactly equal.
 """
 
 import math
@@ -19,10 +20,9 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import zrtrimer
+from zrtrimer import system
 from zrtrimer.cli import potential_for_config
-from zrtrimer.system import BRENT_RTOL, SolverError, _Pchip, brent
-
-XTOLS = st.sampled_from([1e-300, 1e-14, 2e-12, 1e-6])
+from zrtrimer.system import BRENT_RTOL, SolverError, _Pchip, regula_falsi
 
 
 def _curve(root: float, k: float, c: float, sign: float):
@@ -33,19 +33,48 @@ def _curve(root: float, k: float, c: float, sign: float):
     return f
 
 
-class TestBrent:
-    @example(root=0.0, k=1.0, c=0.0, sign=1.0, lo=1.0, hi=2.0,
-             xtol=1e-300, at_end=0, swap=False)
+def _brentq(f, a: float, b: float) -> float:
+    """scipy's root at the refiner's relative tolerance; xtol = 1e-300
+    keeps roots near 0 their digits."""
+    return brentq(f, a, b, xtol=1e-300, rtol=BRENT_RTOL)
+
+
+def _near(x: float, want: float) -> bool:
+    """x within the refiner's closed width of scipy's root (plus scipy's
+    own xtol, which bounds it near 0)."""
+    return abs(x - want) <= 2.0 * BRENT_RTOL * abs(want) + 1e-300
+
+
+def _checked(f, a: float, b: float, fa: float, fb: float
+             ) -> tuple[float, float]:
+    """regula_falsi from [a, b] with and without the end values: the same
+    root and value, f at the root, and fa and fb saving two evaluations."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+    got = regula_falsi(counted, a, b)
+    full = len(calls)
+    assert regula_falsi(counted, a, b, fa, fb) == got
+    assert len(calls) - full == full - 2
+    assert got[1] == f(got[0])
+    return got
+
+
+class TestRegulaFalsi:
+    @example(root=0.0, k=1.0, c=0.0, sign=1.0, lo=1.0, hi=2.0, at_end=0,
+             swap=False)
+    @example(root=0.0, k=1.0, c=0.0, sign=1.0, lo=1.0, hi=1.0, at_end=None,
+             swap=False)
     @example(root=7.195081856945727e-224, k=1.0, c=0.0, sign=1.0, lo=1.0,
-             hi=1.0, xtol=1e-300, at_end=None, swap=False)
+             hi=1.0, at_end=None, swap=False)
     @settings(max_examples=300, deadline=None)
     @given(root=st.floats(-1e3, 1e3), k=st.floats(1e-3, 1e3),
            c=st.floats(0.0, 10.0), sign=st.sampled_from([1.0, -1.0]),
            lo=st.floats(1e-12, 1e3), hi=st.floats(1e-12, 1e3),
-           xtol=XTOLS, at_end=st.sampled_from([None, 0, 1]),
-           swap=st.booleans())
-    def test_root_equals_brentq(self, root, k, c, sign, lo, hi, xtol,
-                                at_end, swap):
+           at_end=st.sampled_from([None, 0, 1]), swap=st.booleans())
+    def test_root_near_brentq(self, root, k, c, sign, lo, hi, at_end, swap):
         # both sign orders, either end first, and zeros at an end
         f = _curve(root, k, c, sign)
         a, b = root - lo, root + hi
@@ -58,23 +87,14 @@ class TestBrent:
         assume(a != b and (f(a) == 0.0 or f(b) == 0.0 or
                            (f(a) < 0.0) != (f(b) < 0.0)))
         try:
-            want = brentq(f, a, b, xtol=xtol, rtol=BRENT_RTOL)
+            want = _brentq(f, a, b)
         except RuntimeError:
-            # both run out of iterations alike, as for a root of 7e-224 in
-            # [-1, 1]: the end at 1 stays and the steps creep by delta
-            with pytest.raises(SolverError):
-                brent(f, a, b, xtol=xtol)
-            return
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return f(x)
-        assert brent(counted, a, b, xtol=xtol) == want
-        full = len(calls)
-        # the end values, passed in, stand for their two evaluations
-        assert brent(counted, a, b, f(a), f(b), xtol=xtol) == want
-        assert len(calls) - full == full - 2
+            # brentq runs out of iterations on a root of 7e-224 in [-1, 1]:
+            # its end at 1 stays and its steps creep by delta.  The curve
+            # is 0 at `root` exactly
+            want = root
+        x, _ = _checked(f, a, b, f(a), f(b))
+        assert _near(x, want)
 
     @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
     def test_bundled_residuals_around_traced_nodes(self, request, cfg_name):
@@ -93,26 +113,25 @@ class TestBrent:
                 fa, fb = g(a), g(b)
                 if (fa < 0.0) == (fb < 0.0):
                     continue
-                want = brentq(g, a, b, xtol=1e-300, rtol=BRENT_RTOL)
-                assert brent(g, a, b) == want
-                assert brent(g, a, b, fa, fb) == want
+                x, _ = _checked(g, a, b, fa, fb)
+                assert _near(x, _brentq(g, a, b))
                 checked += 1
         assert checked >= 3 * len(branch.rho[::25])
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-230, 1e-300])
     @pytest.mark.parametrize("root", [0.1 * math.pi, -2.2])
-    def test_underflowing_slopes_bisect_as_brentq(self, root, scale):
-        # the secant slopes are ~scale, so the product in the inverse
-        # quadratic step's denominator underflows to 0; C's brentq gets
-        # inf or NaN there and bisects (as at rho ~ 1e154 on the branch)
+    def test_underflowing_slopes(self, root, scale):
+        # the secant slopes are ~scale, and products of two values
+        # underflow to 0: the step is formed from the ratio of the values
         curve = _curve(root, 1.0, 0.5, 1.0)
 
         def f(x):
             return scale * curve(x)
-        want = brentq(f, -3.0, 4.0, xtol=1e-300, rtol=BRENT_RTOL)
-        assert brent(f, -3.0, 4.0) == want
+        x, _ = _checked(f, -3.0, 4.0, f(-3.0), f(4.0))
+        assert _near(x, _brentq(f, -3.0, 4.0))
 
-    def test_same_errors_as_brentq(self):
+    def test_errors(self, monkeypatch):
+        # brentq's contract: ValueError on a NaN and on ends of one sign
         f = _curve(0.3, 2.0, 0.0, 1.0)
         nan_end = lambda x: math.nan if x == 1.0 else f(x)  # noqa: E731
         nan_inside = lambda x: f(x) if x in (0.0, 1.0) else math.nan  # noqa: E731
@@ -121,18 +140,20 @@ class TestBrent:
             with pytest.raises(ValueError):
                 brentq(g, a, b)
             with pytest.raises(ValueError):
-                brent(g, a, b)
+                regula_falsi(g, a, b)
         with pytest.raises(ValueError):
-            brent(f, 0.0, 1.0, math.nan, f(1.0))
+            regula_falsi(f, 0.0, 1.0, math.nan, f(1.0))
         with pytest.raises(ValueError, match="different signs"):
-            brent(f, 0.0, 1.0, 1.0, f(1.0))
-        # out of iterations: a jump at 1e-300 takes about 1000 halvings of
-        # [0, 1] to pin; scipy raises RuntimeError, the port SolverError
-        step = lambda x: -1.0 if x < 1e-300 else 1.0    # noqa: E731
-        with pytest.raises(RuntimeError):
-            brentq(step, 0.0, 1.0, xtol=1e-300, rtol=BRENT_RTOL)
+            regula_falsi(f, 0.0, 1.0, 1.0, f(1.0))
+        # a jump at 0 that f is never 0 at: no bracket around it closes to
+        # a width relative to |x|, and the cap raises SolverError
+        step = lambda x: -1.0 if x < 0.0 else 1.0   # noqa: E731
         with pytest.raises(SolverError, match="100 iterations"):
-            brent(step, 0.0, 1.0)
+            regula_falsi(step, -1.0, 2.0)
+        # the cap is system's: a root it takes 6 steps to reach fails at 4
+        monkeypatch.setattr(system, "BRENT_MAXITER", 4)
+        with pytest.raises(SolverError, match="after 4 iterations"):
+            regula_falsi(f, 0.0, 1.0)
 
 
 @st.composite

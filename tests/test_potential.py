@@ -17,7 +17,7 @@ from zrtrimer import (
 )
 from zrtrimer.angular import dimer_channel_u
 
-from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4
+from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, POLE_NOT_BARE
 
 
 def yukawa_tail(rho: float) -> float:
@@ -107,17 +107,6 @@ def _pairs(draw):
     p_c = critical_p_shape(a, r_eff)
     return PairParams(a=a, r_eff=r_eff,
                       p_shape=p_c * draw(st.floats(1.01, 20.0)))
-
-
-#: A system whose deepest bare threshold (pair.3, -1.7853 mK) and deepest
-#: pole threshold (pair.1, -2.0702 mK) belong to different pairs.
-POLE_NOT_BARE = ((5.269722766055607, 5.285531934353774, 11.872768433379255),
-                 (PairParams(a=-116.05192639108952, r_eff=16.828234037300433,
-                             p_shape=0.07589823302873612),
-                  PairParams(a=-116.2840302438717, r_eff=16.828234037300433,
-                             p_shape=0.07589823302873612),
-                  PairParams(a=-135.5928977655824, r_eff=11.568228096841981,
-                             p_shape=0.0490425747325559)))
 
 
 class TestDimerRecord:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.blas import dtbsv
+from scipy.optimize import brentq
 
 from zrtrimer import (
     AngularProblem,
@@ -26,7 +27,7 @@ import zrtrimer.cli as cli
 from zrtrimer import radial
 from zrtrimer.angular import MAX_RESIDUAL
 from zrtrimer.radial import _carry, _Shooter
-from zrtrimer.system import BRENT_RTOL, DEFAULT_MASS_SCALE, brent
+from zrtrimer.system import BRENT_RTOL, DEFAULT_MASS_SCALE
 
 from trimer_params import (HE4_A, HE4_MASS, HE4_P, HE4_REFF,
                            bundled_config_text)
@@ -975,13 +976,13 @@ class TestSolveProperties:
 def _stop_misses(run) -> list[float]:
     """Call run() with every `_Shooter.eigenvalue` recorded; for each state
     it returned, |eps - ref| in units of BRENT_RTOL |eps|, where ref is a
-    reference refine: `brent` with no early stop, from ends 1e-9 |eps|
-    either side whose counts hold the state, on phase - (k + 1/2) before
-    its rounding, the sign changes less k less atan(resid)/pi.  (The
-    rounded phase reads exactly k + 1/2 over up to 26 doubles around
-    state 4 of a Thomas spectrum, so a refine on it stops anywhere on
-    that plateau: up to 5.2 BRENT_RTOL |eps| from this reference.)  Both
-    eps and ref must give a wave with k nodes."""
+    reference refine: scipy's `brentq` with no early stop, from ends
+    1e-9 |eps| either side whose counts hold the state, on phase
+    - (k + 1/2) before its rounding, the sign changes less k less
+    atan(resid)/pi.  (The rounded phase reads exactly k + 1/2 over up to
+    26 doubles around state 4 of a Thomas spectrum, so a refine on it
+    stops anywhere on that plateau: up to 5.2 BRENT_RTOL |eps| from this
+    reference.)  Both eps and ref must give a wave with k nodes."""
     calls = []
     eigenvalue = _Shooter.eigenvalue
 
@@ -1002,7 +1003,7 @@ def _stop_misses(run) -> list[float]:
             sweep = shooter.sweep(e)
             return (sweep.count - (sweep.resid < 0.0) - k
                     - math.atan(sweep.resid) / math.pi)
-        ref = brent(exact_miss, lo, hi)
+        ref = brentq(exact_miss, lo, hi, xtol=1e-300, rtol=BRENT_RTOL)
         for e in (eps, ref):
             assert count_nodes(shooter.wave(e)[1]) == k
         misses.append(abs(eps - ref) / (BRENT_RTOL * abs(eps)))
@@ -1157,7 +1158,7 @@ class TestWarmStart:
         assert list(lost.table) == [lost.top]
 
     @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 57),
-                                             ([], 114)])
+                                             ([], 116)])
     def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid, total):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
@@ -1187,7 +1188,10 @@ class TestWarmStart:
         # such seeds: cold points of 15-16 against 22-24, largest warm
         # points of 11-12 against 14-15 (0.015) and 10-12 against 11-14
         # (0.005), totals of 54-58 (mean 55.6) against 75-79 (77.6) and
-        # 113-120 (115.6) against 147-155 (150.8)
+        # 113-120 (115.6) against 147-155 (150.8).  With Anderson-Bjorck
+        # regula falsi closing every angular bracket (totals 57 and 116),
+        # tests/sweep_spread.py gives 54-58 (mean 56.27) against 53-58
+        # (55.87) before and 113-117 (114.57) against 113-119 (115.73)
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
@@ -1210,8 +1214,11 @@ class TestWarmStart:
     # 15-17 (mean 16.1) and 8-11 (8.6) against 21-21 and 11-13 (11.3).
     # Mixed 8 on the exchange-symmetric residual, whose branch differs
     # from the 3x3 determinant's in the last bits: over 30 such seeds 8-10
-    # (mean 8.43) against 8-11 (8.53) on the determinant
-    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 16),
+    # (mean 8.43) against 8-11 (8.53) on the determinant.  He4 17 and
+    # mixed 8 with Anderson-Bjorck regula falsi closing every angular
+    # bracket: tests/sweep_spread.py gives 15-17 (mean 16.47) and 8-12
+    # (8.83) against 15-17 (15.93) and 8-11 (8.50) before
+    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 17),
                                                    ("mixed_cfg", 8)])
     def test_solve_sweeps_unchanged(self, request, monkeypatch, cfg_name,
                                     sweeps):
