@@ -45,8 +45,8 @@ solve_bound_states), solved on the same grid: the search starts its
 Newton steps at the first-order estimate eps + <f|dW|f> / <f|f>, less
 the previous point's signed miss once there is one, in the same window
 and with the same stops as a cold search.  thomas_spectrum starts each
-level from the second on the same way, at the level below divided by
-the expected ratio.
+level the same way, at a zero of the small-argument form of K_ig(kappa
+rho_0) (DLMF 10.45), the closed form of the inverse-square levels.
 
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
@@ -61,6 +61,7 @@ that is not finite on it, raises SolverError.
 
 from __future__ import annotations
 
+import cmath
 import importlib.machinery
 import importlib.util
 import math
@@ -585,6 +586,25 @@ class ThomasSpectrum:
     ratios: tuple[float, ...]
 
 
+#: Stirling's series for ln Gamma(z) past (z - 1/2) ln z - z + ln(2 pi)/2:
+#: B_2k / (2k (2k - 1)) z^(1 - 2k), k = 1..6.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def _gamma_phase(g: float) -> float:
+    """arg Gamma(1 + i g), continuous in g (the imaginary part of
+    ln Gamma): Stirling's series at z = 13 + i g, where its first
+    omitted term is below 1e-15, less arg(1 + j + i g) for j = 0..11 by
+    the recurrence Gamma(z + 1) = z Gamma(z)."""
+    z = complex(13.0, g)
+    series = (z - 0.5) * cmath.log(z) - z
+    power, z2 = 1.0 / z, z * z
+    for c in _STIRLING:
+        series += c * power
+        power /= z2
+    return series.imag - sum(math.atan2(g, 1.0 + j) for j in range(12))
+
+
 def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
                     outer_rho: float = 3e6, n_states: int = 5,
                     n: int = 12000) -> ThomasSpectrum:
@@ -595,10 +615,20 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     geometric factor exp(2 pi / g).  Hard-wall shooting on the common
     core; the endpoint condition f(outer wall) = 0 is applied at the
     adaptive barrier cutoff, which is equivalent within double precision.
-    Each level from the second on starts its Newton search at the level
-    below divided by exp(2 pi / g), then by the last ratio found
-    (`_Shooter.eigenvalue`).  ValueError unless 0 < g < inf,
-    0 < 100 cutoff_rho0 <= outer_rho < inf, n_states >= 1 and n >= 7.
+    The levels are the zeros of K_ig(kappa cutoff_rho0), and for x =
+    kappa cutoff_rho0 << 1 those lie at x_j = 2 exp((phi - j pi)/g),
+    phi = arg Gamma(1 + i g) (DLMF 10.45), so each level starts its
+    Newton search (`_Shooter.eigenvalue`) at one of them, eps = -(x /
+    cutoff_rho0)^2 with x = x_j exp(x_j^2 / (4 (1 + g^2))), the shift of
+    the series' next term (DLMF 10.25.2), which leaves x off by order x^4:
+    by 1.7e-12 on the second default level, 1.0e-6 without it.  The
+    first level starts at the largest x_j <= 1 when the next deeper one,
+    x_j exp(pi/g), lies past max(1, g), so that no deeper level can
+    follow from it; otherwise it starts cold.  Each later level starts at
+    the zero after the one nearest the level below.  A start moves only
+    the search's cost: each level is proved by its count, with the same
+    stops.  ValueError unless 0 < g < inf, 0 < 100 cutoff_rho0 <=
+    outer_rho < inf, n_states >= 1 and n >= 7.
     """
     if g is None:
         g = efimov_constant()
@@ -611,11 +641,26 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     coef = g * g + 0.25
     shooter = _Shooter(lambda rho: -coef / (rho * rho), 0.0, 0.0,
                        cutoff_rho0, outer_rho, n, hard_wall=True)
+    phase = _gamma_phase(g)
+
+    def zero(j: int) -> float:
+        return 2.0 * math.exp((phase - j * math.pi) / g)
+
+    def start(j: int) -> float:
+        x = zero(j)
+        x *= math.exp(x * x / (4.0 * (1.0 + g * g)))
+        return -(x / cutoff_rho0) ** 2
+    # the largest x_j <= 1; the form fails past x ~ 1, and K_ig's zeros
+    # reach out to x ~ g
+    j = math.ceil((phase + g * math.log(2.0)) / math.pi)
+    guess = start(j) if zero(j - 1) > max(1.0, g) else None
     levels = []
     for k in range(min(n_states, shooter.count(shooter.top))):
-        guess = levels[-1] / (math.exp(2.0 * math.pi / g) if k == 1
-                              else levels[-2] / levels[-1]) if levels else None
         levels.append(shooter.eigenvalue(k, guess))
+        # the zero after the one nearest the level just solved
+        j = round((phase - g * math.log(
+            0.5 * cutoff_rho0 * math.sqrt(-levels[-1]))) / math.pi)
+        guess = start(j + 1)
     energies = [eps / (2.0 * DEFAULT_MASS_SCALE) for eps in levels]
     ratios = tuple(energies[k] / energies[k + 1]
                    for k in range(len(energies) - 1))

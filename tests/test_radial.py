@@ -904,14 +904,14 @@ class TestThomasSpectrum:
     @pytest.mark.parametrize("g", [-1.0, 0.0, math.nan, math.inf])
     def test_strength_must_be_finite_and_positive(self, g):
         # only g^2 enters W, so g = -1 would return the spectrum of g = 1
-        # labelled -1; the first level's warm guess divides by exp(2 pi/g)
+        # labelled -1; each level's start divides by g
         with pytest.raises(ValueError, match="finite g > 0"):
             thomas_spectrum(g=g, n_states=2)
 
     def test_warm_levels_match_cold(self, thomas_default):
-        # each level from the second on starts its search at the one
-        # below divided by the last ratio; a cold solve of the same
-        # shooter finds the same levels to the search's tolerance
+        # each level starts its search at a zero of K_ig's small-argument
+        # form; a cold solve of the same shooter finds the same levels to
+        # the search's tolerance
         shooter = _thomas_shooter()
         cold = [shooter.eigenvalue(k) / (2.0 * DEFAULT_MASS_SCALE)
                 for k in range(5)]
@@ -924,11 +924,39 @@ class TestThomasSpectrum:
         # tolerance.  Moving each entry of W by up to 2 ulp at random over
         # 30 seeds gave 35-45 (mean 39.5) against 40-49 (44.2) before.
         # 30 with one Newton search per level and no sweep at w_min: over
-        # 30 such seeds 25-29 (mean 27.0) against 36-43 (40.0) before
+        # 30 such seeds 25-29 (mean 27.0) against 36-43 (40.0) before.
+        # 16 with each level started at a zero of K_ig's small-argument
+        # form: 15-19 (mean 16.9) against 25-29 (27.0) before, by
+        # tests/sweep_spread.py
         counts = _count_sweeps(monkeypatch)
         counts.append(0)
         thomas_spectrum()
-        assert counts == [30]
+        assert counts == [16]
+
+    @pytest.mark.parametrize("g, walls, most", [
+        (g, walls, most)
+        for g, counts in ((0.3, (15, 14, 13)), (0.6, (19, 20, 16)),
+                          (None, (30, 22, 17)), (1.2, (26, 27, 23)),
+                          (2.0, (25, 24, 35)), (3.0, (27, 28, 45)),
+                          (5.0, (28, 28, 47)))
+        for walls, most in zip(((0.1, 3e6, 5), (0.05, 3e6, 5),
+                                (0.1, 1e4, 10)), counts)])
+    def test_sweeps_no_more_than_ratio_starts(self, monkeypatch, g, walls,
+                                              most):
+        # most: the sweeps when each level started at the one below
+        # divided by exp(2 pi/g), then by the last ratio, and level 0 cold
+        counts = _count_sweeps(monkeypatch)
+        counts.append(0)
+        thomas_spectrum(g, *walls)
+        assert counts[0] <= most
+
+    def test_gamma_phase(self):
+        # arg Gamma(1 + i g), whose zeros x_j start the levels; measured
+        # within 2.9e-14 of mpmath's over g in [0.05, 20]
+        mpmath = pytest.importorskip("mpmath")
+        for g in [*np.linspace(0.05, 20.0, 400), efimov_constant()]:
+            exact = mpmath.im(mpmath.loggamma(1 + 1j * mpmath.mpf(g)))
+            assert abs(radial._gamma_phase(g) - float(exact)) <= 1e-12
 
     def test_more_states_than_available(self):
         spec = thomas_spectrum(cutoff_rho0=0.1, outer_rho=1e4, n_states=10,
@@ -1017,7 +1045,9 @@ class TestRefineStop:
     unrounded phase without the stop (at worst 2.7 over 300 Thomas
     cutoffs and 2.2 over 40 He4 draws of these ranges when the stop was
     written; 3.3 over 1000 Thomas cutoffs and 1.6 over 40 He4 draws with
-    the Newton search, whose steps are that linear distance)."""
+    the Newton search, whose steps are that linear distance; 3.1 over the
+    same 1000 cutoffs with each Thomas level started at a zero of K_ig's
+    small-argument form)."""
 
     BOUND = 4.0
 
