@@ -622,10 +622,8 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
     cutoff_rho0)^2 with x = x_j exp(x_j^2 / (4 (1 + g^2))), the shift of
     the series' next term (DLMF 10.25.2), which leaves x off by order x^4:
     by 1.7e-12 on the second default level, 1.0e-6 without it.  The
-    first level starts at the largest x_j <= 1 when the next deeper one,
-    x_j exp(pi/g), lies past max(1, g), so that no deeper level can
-    follow from it; otherwise it starts cold.  Each later level starts at
-    the zero after the one nearest the level below.  A start moves only
+    first level starts at the largest x_j <= 1, each later one at the
+    zero after the one nearest the level below.  A start moves only
     the search's cost: each level is proved by its count, with the same
     stops.  ValueError unless 0 < g < inf, 0 < 100 cutoff_rho0 <=
     outer_rho < inf, n_states >= 1 and n >= 7.
@@ -643,17 +641,12 @@ def thomas_spectrum(g: float | None = None, cutoff_rho0: float = 0.1,
                        cutoff_rho0, outer_rho, n, hard_wall=True)
     phase = _gamma_phase(g)
 
-    def zero(j: int) -> float:
-        return 2.0 * math.exp((phase - j * math.pi) / g)
-
     def start(j: int) -> float:
-        x = zero(j)
+        x = 2.0 * math.exp((phase - j * math.pi) / g)
         x *= math.exp(x * x / (4.0 * (1.0 + g * g)))
         return -(x / cutoff_rho0) ** 2
-    # the largest x_j <= 1; the form fails past x ~ 1, and K_ig's zeros
-    # reach out to x ~ g
-    j = math.ceil((phase + g * math.log(2.0)) / math.pi)
-    guess = start(j) if zero(j - 1) > max(1.0, g) else None
+    # the largest x_j <= 1; the form fails past x ~ 1
+    guess = start(math.ceil((phase + g * math.log(2.0)) / math.pi))
     levels = []
     for k in range(min(n_states, shooter.count(shooter.top))):
         levels.append(shooter.eigenvalue(k, guess))

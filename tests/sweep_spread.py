@@ -2,12 +2,13 @@
 
 The sweep counts that tests/test_radial.py pins (`TestWarmStart`'s
 test_solve_sweeps_unchanged and test_scan_sweeps_per_point,
-`TestThomasSpectrum`'s test_default_sweeps) depend on the last bits of
-the sampled potential: a change that moves W by an ulp can move a count
-without being worse.  This script runs the bundled He4 and mixed solves,
-the two He4 scans of those tests (P in 0.10-0.16 at step 0.015 and at the
-default 0.005) and the default `thomas-demo` once as they are and once
-per seed 0-29 of numpy's default generator with each entry of W on the
+`TestThomasSpectrum`'s test_default_sweeps and test_case_sweeps) depend
+on the last bits of the sampled potential: a change that moves W by an
+ulp can move a count without being worse.  This script runs the bundled
+He4 and mixed solves, the two He4 scans of those tests (P in 0.10-0.16 at
+step 0.015 and at the default 0.005), the default `thomas-demo` and the
+21 `thomas-demo` cases of test_case_sweeps once as they are and once per
+seed 0-29 of numpy's default generator with each entry of W on the
 radial grid (`_Shooter.w`) moved by a random whole number of ulps in
 [-2, 2], and prints per run the unperturbed count of sweeps and the
 min/mean/max of the perturbed ones.  A re-pinned count should lie in the
@@ -40,6 +41,15 @@ RUNS = (("He4 solve", "he4_trimer", ["solve"]),
         ("He4 scan, P step 0.015", "he4_trimer", SCAN + ["--p-step", "0.015"]),
         ("He4 scan, P step 0.005", "he4_trimer", SCAN),
         ("thomas-demo", None, ["thomas-demo"]))
+# `TestThomasSpectrum`'s test_case_sweeps: strength g (None: Efimov's) by
+# walls and states
+THOMAS_G = (0.3, 0.6, None, 1.2, 2.0, 3.0, 5.0)
+THOMAS_WALLS = ((0.1, 3e6, 5), (0.05, 3e6, 5), (0.1, 1e4, 10))
+RUNS += tuple(
+    (f"thomas-demo g {g or 'Efimov'}, walls {cut}-{outer:g}, {states} states",
+     None, ["thomas-demo", "--cutoff", str(cut), "--outer", str(outer),
+            "--states", str(states)] + ([] if g is None else ["--g", str(g)]))
+    for g in THOMAS_G for cut, outer, states in THOMAS_WALLS)
 
 
 def _nudged(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
