@@ -25,13 +25,14 @@ the bracket and halves the move before it (or, at d's rounding floor,
 keeps its way); otherwise the bracket is bisected, in log energy while
 both ends are negative and more than a factor 2 apart (states below a
 threshold near 0 lie decades apart), at 1/16 of the lower end from a top
-at 0, else at the midpoint.  The search
-stops at the first iterate whose step is within BRENT_RTOL |eps|, or,
-where d's rounding keeps the steps from shrinking, at the iterate of
-least step.  A cold state starts from the search window [min W, top),
-so its energy depends on the window alone; min W is swept only if the
-bracket closes on it.  The two callers differ only in the seeds at the
-ends:
+at 0, else at the midpoint.  For the same reason a step longer than
+|eps|/100 from a negative iterate is taken in ln(-eps), to eps
+exp(step/eps), which cannot pass 0.  The search stops at the first
+iterate whose step is within BRENT_RTOL |eps|, or, where d's rounding
+keeps the steps from shrinking, at the iterate of least step.  A cold
+state starts from the search window [min W, top), so its energy depends
+on the window alone; min W is swept only if the bracket closes on it.
+The two callers differ only in the seeds at the ends:
 
   solve_bound_states  regular f ~ rho^alpha at rho_min, alpha = 1/2 +
                       sqrt(1/4 - s) for W ~ -s/rho^2 there (s the
@@ -111,6 +112,11 @@ _MAX_STEP_TQ = 0.5
 #: ends are negative and further apart than this factor: bound states sit
 #: decades apart below a threshold near 0.
 _GEOMETRIC_RATIO = 2.0
+
+#: Newton steps longer than this fraction of |eps| from a negative eps are
+#: taken in ln(-eps), which keeps every candidate below 0: a linear step
+#: toward a state just below a threshold near 0 overshoots it.
+_LOG_STEP = 0.01
 
 #: Magnitude past which a carry restarts from a power-of-two rescale, well
 #: short of the double-precision overflow at 2^1024.
@@ -443,7 +449,10 @@ class _Shooter:
         only at state k, the next one is its Newton step (`_sweep`) if
         that lands inside the bracket and either halves the move before
         it or, within 64 BRENT_RTOL |eps|, where d's rounding shows,
-        still points the way of that move (the root not yet passed).
+        still points the way of that move (the root not yet passed).  A
+        step longer than _LOG_STEP |eps| from a negative iterate is the
+        same Newton step in y = ln(-eps), eps exp(step/eps), which stays
+        below 0; an exponent past math.exp's range gives no candidate.
         Every other next iterate bisects the bracket: at -sqrt(lo hi)
         while both its ends are negative and more than _GEOMETRIC_RATIO
         apart, at lo/16 while lo < 0 = hi, else at the midpoint.  So a
@@ -484,9 +493,15 @@ class _Shooter:
                 if abs(step) <= BRENT_RTOL * abs(last):
                     return last
                 floor = abs(step) <= 64.0 * BRENT_RTOL * abs(last)
-                if lo < last + step < hi and (abs(step) <= 0.5 * abs(moved)
-                                              or floor and step * moved > 0):
-                    x = last + step
+                nxt = last + step
+                if last < 0.0 and abs(step) > _LOG_STEP * abs(last):
+                    try:    # the same Newton step in ln(-eps)
+                        nxt = last * math.exp(step / last)
+                    except OverflowError:
+                        nxt = math.nan
+                if lo < nxt < hi and (abs(step) <= 0.5 * abs(moved)
+                                      or floor and step * moved > 0):
+                    x = nxt
                 elif floor:
                     return min(best)[1]
         raise SolverError(f"state {k} not contained in search window")

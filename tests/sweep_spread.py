@@ -12,13 +12,16 @@ seed 0-29 of numpy's default generator with each entry of W on the
 radial grid (`_Shooter.w`) moved by a random whole number of ulps in
 [-2, 2], and prints per run the unperturbed count of sweeps and the
 min/mean/max of the perturbed ones.  A re-pinned count should lie in the
-spread of the code before the change.
+spread of the code before the change.  Last, one line per benchmark
+workload: the total sweeps over requests 0-39 of perfbench seeds 1-3, the
+requests generated by `perfbench.workloads.requests` and run unperturbed.
 
     PYTHONPATH=src python tests/sweep_spread.py
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 import tempfile
@@ -29,11 +32,15 @@ import numpy as np
 from zrtrimer import cli, radial
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE))
+sys.path[:0] = [str(HERE), str(HERE.parent)]
 from trimer_params import bundled_config_text  # noqa: E402
+from perfbench.workloads import WORKLOADS, requests  # noqa: E402
 
 SEEDS = range(30)
 ULPS = 2
+# the benchmark's seeds and requests per seed
+BENCH_SEEDS = (1, 2, 3)
+BENCH_REQUESTS = 40
 SCAN = ["scan-p", "--p-min", "0.10", "--p-max", "0.16"]
 # (label, bundled config or None, command line without --config)
 RUNS = (("He4 solve", "he4_trimer", ["solve"]),
@@ -98,6 +105,19 @@ def main() -> int:
                   f"{SEEDS[-1]} with W moved by up to {ULPS} ulp "
                   f"{min(spread)}/{np.mean(spread):.2f}/{max(spread)} "
                   "(min/mean/max)")
+        path = Path(tmp) / "request.cfg"
+        for workload in WORKLOADS:
+            total = 0
+            for seed in BENCH_SEEDS:
+                for req in itertools.islice(
+                        requests(workload, seed, HERE.parent), BENCH_REQUESTS):
+                    if req.config_text is not None:
+                        path.write_text(req.config_text)
+                    total += sweeps([str(path) if a == "{config}" else a
+                                     for a in req.argv], None)
+            print(f"benchmark {workload}: {total} sweeps over requests 0-"
+                  f"{BENCH_REQUESTS - 1} of seeds {BENCH_SEEDS[0]}-"
+                  f"{BENCH_SEEDS[-1]}")
     return 0
 
 

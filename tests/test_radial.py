@@ -537,6 +537,48 @@ class TestNewtonStep:
                 assert restarted == pytest.approx(direct, rel=1e-9, abs=0.0)
 
 
+class TestLogStep:
+    """A Newton step longer than _LOG_STEP |eps| from a negative iterate is
+    taken in ln(-eps), to eps exp(step / eps), and judged by the same
+    safeguards as a linear one."""
+
+    @pytest.mark.parametrize("which", ["he4", "thomas"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_huge_step_bisects(self, he4_branch_potential, bisected_levels,
+                               monkeypatch, which, sign):
+        # the first step the search reads set to +-1e300 |eps|: toward 0 it
+        # lands on eps exp(-1e300) = -0.0, outside the bracket; away from
+        # 0 its exponent overflows math.exp and there is no candidate.
+        # Either way the search bisects and still finds the state
+        sweep = _Shooter._sweep
+        for k, level in enumerate(bisected_levels[which]):
+            patched = []
+
+            def huge(self, eps):
+                out = sweep(self, eps)
+                if not patched and out.count - (out.resid < 0.0) == k:
+                    self.steps[eps] = sign * 1e300 * abs(eps)
+                    patched.append(eps)
+                return out
+            monkeypatch.setattr(_Shooter, "_sweep", huge)
+            eps = _window_shooter(which, he4_branch_potential[1]).eigenvalue(k)
+            assert patched and patched[0] < 0.0
+            assert eps == pytest.approx(level, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("which", ["he4", "thomas"])
+    @pytest.mark.parametrize("factor", [100.0, 0.01])
+    def test_guess_two_decades_off(self, he4_branch_potential,
+                                   bisected_levels, which, factor):
+        # a guess two decades off the state is the first iterate (one
+        # outside the window runs cold) and the search still stops within
+        # a few BRENT_RTOL |eps| of the cold energy
+        pot = he4_branch_potential[1]
+        for k, level in enumerate(bisected_levels[which]):
+            cold = _window_shooter(which, pot).eigenvalue(k)
+            eps = _window_shooter(which, pot).eigenvalue(k, factor * level)
+            assert abs(eps - cold) <= 4.0 * BRENT_RTOL * abs(cold)
+
+
 class TestSolveBoundStates:
     def test_he4_trimer_spectrum(self, he4_solution):
         pot, states = he4_solution
@@ -927,7 +969,8 @@ class TestThomasSpectrum:
         # 30 such seeds 25-29 (mean 27.0) against 36-43 (40.0) before.
         # 16 with each level started at a zero of K_ig's small-argument
         # form: 15-19 (mean 16.9) against 25-29 (27.0) before, by
-        # tests/sweep_spread.py
+        # tests/sweep_spread.py; the same 16 and 15-19 (16.90) with long
+        # Newton steps taken in ln(-eps)
         counts = _count_sweeps(monkeypatch)
         counts.append(0)
         thomas_spectrum()
@@ -937,7 +980,7 @@ class TestThomasSpectrum:
         (g, walls, swept)
         for g, counts in ((0.3, (4, 5, 6)), (0.6, (11, 12, 10)),
                           (None, (16, 15, 11)), (1.2, (16, 16, 16)),
-                          (2.0, (15, 16, 23)), (3.0, (18, 17, 28)),
+                          (2.0, (15, 16, 22)), (3.0, (18, 17, 28)),
                           (5.0, (22, 22, 34)))
         for walls, swept in zip(((0.1, 3e6, 5), (0.05, 3e6, 5),
                                  (0.1, 1e4, 10)), counts)])
@@ -949,7 +992,9 @@ class TestThomasSpectrum:
         # entry of W by up to 2 ulp at random over 30 seeds moves each
         # count by at most 4 (3-5 at the first case, 27-32 at g = 3 on
         # the 1e4 wall, always below the counts before), by
-        # tests/sweep_spread.py
+        # tests/sweep_spread.py.  With long Newton steps taken in ln(-eps)
+        # g = 2 on the 1e4 wall went 23 -> 22 (spread 22-24, mean 23.23,
+        # before; 21-24, 22.37, after); no other case moved
         counts = _count_sweeps(monkeypatch)
         counts.append(0)
         thomas_spectrum(g, *walls)
@@ -1006,16 +1051,9 @@ class TestSolveProperties:
         assert energies[-1] < pot.hartree_from_eps(min(pot.w_inf, pot.threshold))
 
 
-def _stop_misses(run) -> list[float]:
-    """Call run() with every `_Shooter.eigenvalue` recorded; for each state
-    it returned, |eps - ref| in units of BRENT_RTOL |eps|, where ref is a
-    reference refine: scipy's `brentq` with no early stop, from ends
-    1e-9 |eps| either side whose counts hold the state, on phase
-    - (k + 1/2) before its rounding, the sign changes less k less
-    atan(resid)/pi.  (The rounded phase reads exactly k + 1/2 over up to
-    26 doubles around state 4 of a Thomas spectrum, so a refine on it
-    stops anywhere on that plateau: up to 5.2 BRENT_RTOL |eps| from this
-    reference.)  Both eps and ref must give a wave with k nodes."""
+def _states_found(run) -> list[tuple[_Shooter, int, float]]:
+    """Call run() with every `_Shooter.eigenvalue` recorded: the shooter,
+    k and eps of each state it returned."""
     calls = []
     eigenvalue = _Shooter.eigenvalue
 
@@ -1027,8 +1065,20 @@ def _stop_misses(run) -> list[float]:
         patch.setattr(_Shooter, "eigenvalue", recorded)
         run()
     assert calls
+    return calls
+
+
+def _stop_misses(run) -> list[float]:
+    """For each state run() found (`_states_found`), |eps - ref| in units
+    of BRENT_RTOL |eps|, where ref is a reference refine: scipy's `brentq`
+    with no early stop, from ends 1e-9 |eps| either side whose counts hold
+    the state, on phase - (k + 1/2) before its rounding, the sign changes
+    less k less atan(resid)/pi.  (The rounded phase reads exactly k + 1/2
+    over up to 26 doubles around state 4 of a Thomas spectrum, so a refine
+    on it stops anywhere on that plateau: up to 5.2 BRENT_RTOL |eps| from
+    this reference.)  Both eps and ref must give a wave with k nodes."""
     misses = []
-    for shooter, k, eps in calls:
+    for shooter, k, eps in _states_found(run):
         lo, hi = eps - 1e-9 * abs(eps), eps + 1e-9 * abs(eps)
         assert (shooter.count(lo), shooter.count(hi)) == (k, k + 1)
 
@@ -1056,7 +1106,10 @@ class TestRefineStop:
     seed 7; over seeds 7-14 the worst miss per 1000 cutoffs is 3.13-3.95
     with the closed-form start against 2.90-3.63 before, none past 4, so
     a draw of test_thomas_draws lies close to BOUND more often than
-    seed 7 alone shows."""
+    seed 7 alone shows.  With long Newton steps taken in ln(-eps) the
+    Thomas seeds 7-14 read 3.13-3.95 again; 40 He4 draws (numpy seed 5)
+    read 1.78 against 1.46 before, and 30 draws of the mixed-solve
+    benchmark's jitter (seed 5) 3.53 against 2.19."""
 
     BOUND = 4.0
 
@@ -1081,10 +1134,82 @@ class TestRefineStop:
             <= self.BOUND
 
     @settings(max_examples=6, deadline=None)
+    @given(a_factor=st.floats(0.9, 1.1), p_shape=st.floats(0.10, 0.16))
+    def test_mixed_draws(self, mixed_cfg, a_factor, p_shape):
+        # the mixed-solve benchmark's jitter: pair.3 (He4-He4) a scaled, P
+        # set on every pair, on the bundled grids
+        cfg = cli._with_pshape(mixed_cfg, p_shape)
+        pairs = list(cfg.system.pairs)
+        pairs[2] = dataclasses.replace(pairs[2], a=pairs[2].a * a_factor)
+        cfg = dataclasses.replace(cfg, system=dataclasses.replace(
+            cfg.system, pairs=tuple(pairs)))
+        assert max(_stop_misses(lambda: cli.solve_for_config(cfg))) \
+            <= self.BOUND
+
+    @settings(max_examples=6, deadline=None)
     @given(cutoff=st.floats(0.05, 0.2))
     def test_thomas_draws(self, cutoff):
         assert max(_stop_misses(
             lambda: thomas_spectrum(cutoff_rho0=cutoff))) <= self.BOUND
+
+
+def _discrete_root(shooter, eps: float) -> float:
+    """The eigenvalue near eps of the hard-wall Numerov equations on the
+    shooter's grid, (1 - tq[i+1]) g[i+1] - 2 (1 + 5 tq[i]) g[i] +
+    (1 - tq[i-1]) g[i-1] = 0 with tq = h^2 q/12 and g[0] = g[n-1] = 0:
+    the plain recurrence from g[0] = 0, g[1] = 1 over the whole grid in
+    mpmath at 40 digits, its g[n-1] bisected 40 times in eps from 1e-6
+    |eps| either side, to 2e-18 of eps.  It is carried in c g, c = 1 - tq:
+    c[i+1] g[i+1] = (12/c[i] - 10) c[i] g[i] - c[i-1] g[i-1]."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        twelve, ten = mpf(12), mpf(10)
+        h2 = mpf(shooter.h) ** 2 / 12
+        r2 = [h2 * mpf(r) ** 2 for r in shooter.rho.tolist()]
+        one_less = [1 - h2 / 4 - r * mpf(w)
+                    for r, w in zip(r2, shooter.w.tolist())]
+
+        def end(e) -> bool:
+            c = [b + e * r for b, r in zip(one_less, r2)]
+            cg0, cg1 = mpf(0), c[1]
+            for ci in c[1:-1]:
+                cg0, cg1 = cg1, (twelve / ci - ten) * cg1 - cg0
+            return (cg1 < 0) != (c[-1] < 0)
+        lo, hi = mpf(eps) * (1 + mpf(1e-6)), mpf(eps) * (1 - mpf(1e-6))
+        below = end(lo)
+        assert end(hi) != below
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if end(mid) == below else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+class TestDiscreteOracle:
+    """The eigenvalues against the same discrete problem solved another way:
+    the hard-wall Numerov equations as a plain recurrence at 40 digits
+    (`_discrete_root`), not the shooter's ratio carry in double precision.
+    Every state lies within 4 BRENT_RTOL |eps| of its root, the claim of
+    `solve_bound_states`; measured 0.15-0.59 on the Thomas levels (the same
+    before the log step) and 0 on the well's one state."""
+
+    BOUND = 4.0
+
+    def test_thomas_levels(self):
+        # levels 0-2 of thomas_spectrum(n=1500), from its own starts
+        states = _states_found(lambda: thomas_spectrum(n=1500, n_states=3))
+        for shooter, _, eps in states:
+            assert abs(eps - _discrete_root(shooter, eps)) \
+                <= self.BOUND * BRENT_RTOL * abs(eps)
+
+    def test_screened_well(self):
+        # W = -0.8 exp(-rho/7)/rho between walls at 0.05 and 400: one state
+        shooter = _Shooter(lambda rho: -0.8 * np.exp(-rho / 7.0) / rho, 0.0,
+                           0.0, 0.05, 400.0, 1000, hard_wall=True)
+        assert shooter.count(shooter.top) == 1
+        eps = shooter.eigenvalue(0)
+        assert abs(eps - _discrete_root(shooter, eps)) \
+            <= self.BOUND * BRENT_RTOL * abs(eps)
 
 
 def _count_sweeps(monkeypatch) -> list[int]:
@@ -1196,8 +1321,8 @@ class TestWarmStart:
             lost.eigenvalue(12, 39.0)
         assert list(lost.table) == [lost.top]
 
-    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 57),
-                                             ([], 116)])
+    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 53),
+                                             ([], 113)])
     def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid, total):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
@@ -1230,14 +1355,18 @@ class TestWarmStart:
         # 113-120 (115.6) against 147-155 (150.8).  With Anderson-Bjorck
         # regula falsi closing every angular bracket (totals 57 and 116),
         # tests/sweep_spread.py gives 54-58 (mean 56.27) against 53-58
-        # (55.87) before and 113-117 (114.57) against 113-119 (115.73)
+        # (55.87) before and 113-117 (114.57) against 113-119 (115.73).
+        # With long Newton steps taken in ln(-eps) (totals 53 and 113, cold
+        # points of 12, largest warm point 11 on both grids): 52-56 (mean
+        # 53.50) against 54-58 (56.27) and 108-115 (111.43) against 113-117
+        # (114.57)
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
         assert cli.main(["scan-p", "--config", str(path),
                          "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
-        assert counts[0] == 15
-        assert max(counts[1:]) <= 12
+        assert counts[0] == 12
+        assert max(counts[1:]) <= 11
         assert sum(counts) == total
 
     # 44 and 23 with Brent on the twist, 34 and 19 with a second sweep
@@ -1256,8 +1385,10 @@ class TestWarmStart:
     # (mean 8.43) against 8-11 (8.53) on the determinant.  He4 17 and
     # mixed 8 with Anderson-Bjorck regula falsi closing every angular
     # bracket: tests/sweep_spread.py gives 15-17 (mean 16.47) and 8-12
-    # (8.83) against 15-17 (15.93) and 8-11 (8.50) before
-    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 17),
+    # (8.83) against 15-17 (15.93) and 8-11 (8.50) before.  He4 13 and
+    # mixed 8 with long Newton steps taken in ln(-eps): 12-13 (12.03) and
+    # 8-10 (8.93) against 15-17 (16.47) and 8-12 (8.83) before
+    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 13),
                                                    ("mixed_cfg", 8)])
     def test_solve_sweeps_unchanged(self, request, monkeypatch, cfg_name,
                                     sweeps):
