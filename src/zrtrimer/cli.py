@@ -56,7 +56,8 @@ def potential_for_config(cfg: RunConfig, prior: list[NuBranch] | None = None
     return branch, effective_potential(branch, problem, cfg.q_convention)
 
 
-def solve_for_config(cfg: RunConfig, prior: list[RadialSolution] | None = None,
+def solve_for_config(cfg: RunConfig,
+                     prior: list[list[RadialSolution]] | None = None,
                      branches: list[NuBranch] | None = None
                      ) -> tuple[EffectivePotential, list[RadialSolution]]:
     _, pot = potential_for_config(cfg, branches)
@@ -166,12 +167,12 @@ def cmd_scan_p(cfg: RunConfig, p_min: float, p_max: float, p_step: float):
     # every point is validated before anything is solved
     cfgs = [_with_pshape(cfg, p) for p in ps]
     rows = []
-    # each point warm-starts the next: its radial states and, with the
-    # point before it, its angular branch
-    states, branches = None, []
+    # each point warm-starts the next two: its radial states and its
+    # angular branch
+    points, branches = [], []
     for p, cfg_p in zip(ps, cfgs):
-        pot, states = solve_for_config(cfg_p, states, branches)
-        branches = [*branches[-1:], pot.branch]
+        pot, states = solve_for_config(cfg_p, points, branches)
+        points, branches = [*points[-1:], states], [*branches[-1:], pot.branch]
         e0 = states[0].energy_mk if len(states) > 0 else None
         e1 = states[1].energy_mk if len(states) > 1 else None
         rows.append((p, e0, e1))

@@ -41,11 +41,14 @@ The two callers differ only in the seeds at the ends:
                       barrier at the cutoff.
   thomas_spectrum     hard walls: f = 0 at rho_min and at the cutoff.
 
-A scan warm-starts each state from the previous point's (prior, in
+A scan warm-starts each state from the last two points' (prior, in
 solve_bound_states), solved on the same grid: the search starts its
-Newton steps at the first-order estimate eps + <f|dW|f> / <f|f>, less
-the previous point's signed miss once there is one, in the same window
-and with the same stops as a cold search.  thomas_spectrum starts each
+Newton steps at the Rayleigh quotient <f|H|f> / <f|f> of the wave
+extrapolated in P, f = 2 f_1 - f_2, with H f_j = (eps_j + W - W_j) f_j
+by each point's own equation (from one point, the first-order estimate
+eps + <f|dW|f> / <f|f>), in the same window and with the same stops as
+a cold search.  The wave of a state is read from the last sweep's
+carries, each side over its F at m.  thomas_spectrum starts each
 level the same way, at a zero of the small-argument form of K_ig(kappa
 rho_0) (DLMF 10.45), the closed form of the inverse-square levels.
 
@@ -229,9 +232,7 @@ class RadialSolution:
     """One bound state: energy, node count and the sampled wave function.
 
     eps is the eigenvalue 2mE/hbar^2 of the radial equation and w the
-    potential W it was solved in, sampled on rho like f; eps_predicted is
-    the first-order estimate of eps from the prior state that started its
-    bracket, None when it was solved cold.
+    potential W it was solved in, sampled on rho like f.
     """
 
     energy: float
@@ -242,7 +243,6 @@ class RadialSolution:
     match_residual: float
     eps: float
     w: np.ndarray
-    eps_predicted: float | None
 
 
 class _Sweep(NamedTuple):
@@ -391,7 +391,8 @@ class _Shooter:
         # sum rho^2 g^2 straight from each side's F over its F_m, unless a
         # side restarted or the sum overflows: then from the ratio products
         norm = math.inf
-        if given == [0, 2 * m]:
+        carried = given == [0, 2 * m]
+        if carried:
             norm = (_norm(z_out[1::2], float(z_out[-1]), den[1:m + 1],
                           self.rho[1:m + 1])
                     + _norm(z_in[1:-2:2], float(z_in[-1]), den[stop - 1:m:-1],
@@ -399,7 +400,7 @@ class _Shooter:
         if not norm < math.inf:
             norm = _norm(self._amplitudes(z_out, z_in, tq), 1.0, 1.0, self.rho)
         self.steps[eps] = d / (self.h * self.h * norm)
-        self.last = eps, sweep, z_out, z_in, tq
+        self.last = eps, sweep, z_out, z_in, tq, carried
         return sweep
 
     def sweep(self, eps: float) -> _Sweep:
@@ -418,23 +419,37 @@ class _Shooter:
     def wave(self, eps: float) -> tuple[float, np.ndarray]:
         """Matching residual and f at eps, max|f| = 1, dominant lobe positive,
         from the carries of the last sweep, which is at eps when the search
-        returned the last energy it swept; otherwise eps is swept once."""
+        returned the last energy it swept; otherwise eps is swept once.  F
+        is read straight from the carry when neither side restarted, else
+        from the ratio products."""
         if self.last is None or self.last[0] != eps:
             self._sweep(eps)
-        _, sweep, z_out, z_in, tq = self.last
-        f = self._amplitudes(z_out, z_in, tq) * np.sqrt(self.rho)
+        _, sweep, z_out, z_in, tq, carried = self.last
+        f = self._amplitudes(z_out, z_in, tq, carried) * np.sqrt(self.rho)
         return sweep.resid, f / f[np.abs(f).argmax()]
 
-    def _amplitudes(self, z_out, z_in, tq) -> np.ndarray:
+    def _amplitudes(self, z_out, z_in, tq, carried=False) -> np.ndarray:
         """g = F/(1 - tq) over the grid from a sweep's carries, F = 1 at m.
-        1 - p is F_i/F_{i+1} outward and F_i/F_{i-1} inward; the partial
-        products are F itself, so nothing overflows, whatever scale each
-        stretch of a carry was solved in."""
-        f_out = np.cumprod(1.0 - (z_out[0::2] / z_out[1::2])[::-1])[::-1]
-        f_in = np.cumprod(1.0 - (z_in[0::2] / z_in[1::2])[::-1])
-        # F is zero beyond the cutoff, where tq ends
-        g = np.concatenate([f_out, [1.0], f_in, np.zeros(self.n - len(tq))])
-        g[:len(tq)] /= 1.0 - tq
+        carried, when neither side restarted, reads F straight from the
+        carry, each side over its own F_m, with F_{-1} = F_0 - D_{-1} at
+        rho_min and at the cutoff.  Otherwise 1 - p is F_i/F_{i+1} outward
+        and F_i/F_{i-1} inward; the partial products are F itself, so
+        nothing overflows, whatever scale each stretch of a carry was
+        solved in."""
+        m, stop = len(z_out) // 2, len(tq) - 1
+        g = np.zeros(self.n)    # F is zero beyond the cutoff
+        if carried:
+            g[0], g[stop] = z_out[1] - z_out[0], z_in[1] - z_in[0]
+            g[1:m + 1] = z_out[1::2]
+            g[stop - 1:m:-1] = z_in[1:-2:2]
+            g[:m + 1] /= z_out[-1]
+            g[m + 1:stop + 1] /= z_in[-1]
+        else:
+            g[:m] = np.cumprod(1.0 - (z_out[0::2] / z_out[1::2])[::-1])[::-1]
+            g[m] = 1.0
+            g[m + 1:stop + 1] = np.cumprod(
+                1.0 - (z_in[0::2] / z_in[1::2])[::-1])
+        g[:stop + 1] /= 1.0 - tq
         return g
 
     def eigenvalue(self, k: int, guess: float | None = None) -> float:
@@ -514,29 +529,35 @@ def default_rho_max(system) -> float:
     return max(4000.0, 20.0 * amax)
 
 
-def _warm_starts(shooter: _Shooter, prior) -> list[tuple[float, float]]:
-    """Per prior state: the first-order estimate of its eigenvalue in W on
-    the shooter's grid, eps + <f|dW|f> / <f|f> with dW = W - W_prior
-    summed over the log grid (d rho = rho dt), and the guess the search
-    starts from: the estimate, less the prior state's own signed miss
-    when it was itself predicted.  Empty when the prior was solved on
-    another grid."""
-    if not prior or not np.array_equal(prior[0].rho, shooter.rho):
+def _warm_starts(shooter: _Shooter, prior) -> list[float]:
+    """Per state of the last prior point: the energy its search starts
+    from, the Rayleigh quotient sum rho f H f / sum rho f^2 over the log
+    grid (d rho = rho dt) of f = 2 f_1 - f_2, the wave extrapolated in P
+    from the last two points.  H f_j = (eps_j + W - W_j) f_j by each
+    prior's own equation, -f_j'' = (eps_j - W_j) f_j, so no derivative is
+    taken.  From one point, or for a state the point before lacks, f_2 =
+    f_1, and the quotient is the first-order estimate eps_1 + <f_1|W -
+    W_1|f_1> / <f_1|f_1>.  Empty unless every point was solved on the
+    shooter's grid."""
+    points = (prior or [[]])[-2:]
+    if not all(np.array_equal(s.rho, shooter.rho)
+               for p in points for s in p[:1]):
         return []
-    dw = shooter.w - prior[0].w
-    out = []
-    for state in prior:
-        weight = state.f * state.f * shooter.rho
-        predicted = state.eps + float(weight @ dw) / float(weight.sum())
-        miss = (0.0 if state.eps_predicted is None
-                else state.eps - state.eps_predicted)
-        out.append((predicted, predicted + miss))
+    w, out = shooter.w, []
+    for k, state in enumerate(points[-1]):
+        before = points[0][k] if k < len(points[0]) else state
+        f = 2.0 * state.f - before.f
+        hf = (2.0 * (state.eps + w - state.w) * state.f
+              - (before.eps + w - before.w) * before.f)
+        weight = f * shooter.rho
+        out.append(float(weight @ hf) / float(weight @ f))
     return out
 
 
 def solve_bound_states(potential, max_states: int = 4, *,
                        rho_min: float = 0.05, rho_max: float | None = None,
-                       n: int = 8000, prior: list[RadialSolution] | None = None
+                       n: int = 8000,
+                       prior: list[list[RadialSolution]] | None = None
                        ) -> list[RadialSolution]:
     """All bound states of the effective potential, deepest first.
 
@@ -550,10 +571,12 @@ def solve_bound_states(potential, max_states: int = 4, *,
     and a match residual of at most _MATCH_TOL, ValueError for a grid the
     shooter refuses (`_Shooter`).
 
-    prior, the states of a nearby potential on the same grid (the last
-    point of a scan), warm-starts the states it holds: each search starts
-    at its guess (`_warm_starts`); the energies agree with a cold solve to
-    the search's tolerance.
+    prior, the states of the earlier points of a scan on the same grid,
+    one list per point, last one last, warm-starts the states the last
+    point holds: each search starts at the Rayleigh quotient of the wave
+    extrapolated from the last two points (`_warm_starts`), in the same
+    window and with the same stops as a cold search; the energies agree
+    with a cold solve to the search's tolerance.
     """
     if rho_max is None:
         rho_max = default_rho_max(potential.problem.system)
@@ -565,8 +588,7 @@ def solve_bound_states(potential, max_states: int = 4, *,
     warm = _warm_starts(shooter, prior)
     out = []
     for n_state in range(n_states):
-        predicted, guess = (warm[n_state] if n_state < len(warm)
-                            else (None, None))
+        guess = warm[n_state] if n_state < len(warm) else None
         eps = shooter.eigenvalue(n_state, guess)
         resid, f = shooter.wave(eps)
         nodes = count_nodes(f)
@@ -582,8 +604,7 @@ def solve_bound_states(potential, max_states: int = 4, *,
             f=f,
             match_residual=abs(resid),
             eps=eps,
-            w=shooter.w,
-            eps_predicted=predicted))
+            w=shooter.w))
     return out
 
 

@@ -964,6 +964,19 @@ class TestWarmTrace:
         assert warm.u[0] == cold.u[0]
         assert np.max(np.abs(warm.residuals)) <= angular.MAX_RESIDUAL
 
+    def test_unmoved_prior(self, mixed_cfg):
+        # a prior branch of the same problem: each secant step is of the
+        # order of the prior root's residual, so most brackets start at
+        # the floor 1e-10 (1 + |u|) and widen from there
+        grid = _grid_of(mixed_cfg)
+        problem = _at(mixed_cfg, 1.0, 0.13)
+        cold = trace_branch(grid, problem)
+        with _counted_solves() as solves:
+            warm = trace_branch(grid, problem, [cold])
+        assert solves == []
+        assert np.all(np.abs(warm.u - cold.u)
+                      <= 1e-14 * (1.0 + np.abs(cold.u)))
+
     def _refused(self, grid, problem, prior):
         """trace_branch with the prior, checked to be the cold trace bit
         for bit, its coarse walk included."""
@@ -1018,19 +1031,25 @@ class TestWarmTrace:
         self._refused(grid, _at(he4_cfg, 1.0, 0.13), prior)
 
     @pytest.mark.parametrize("name, work", [
-        ("he4", [(14, 12.5, 41), (6, 6.1, 41), (6, 6.1, 41), (6, 6.1, 41)]),
-        ("mixed", [(14, 12.1, 41), (7, 6.3, 41), (7, 6.3, 41),
+        ("he4", [(7, 8.1, 41), (6, 6.1, 41), (6, 6.1, 41), (6, 6.1, 41)]),
+        ("mixed", [(8, 8.4, 41), (8, 6.3, 41), (7, 6.3, 41),
                    (7, 6.3, 41)])])
     def test_work_per_warm_point(self, he4_cfg, mixed_cfg, name, work):
         # the residual evaluations of each warm point of the P-step-0.015
         # scan, in the style of TestTraceBranch.test_work_per_node: array
         # calls, array points per node and scalar calls, and no walk.  The
-        # second point is lockstepped from the first branch as it is: 14
-        # array calls (He4 and mixed), 12.50 and 12.05 points per node, 41
-        # and 40 scalar calls; the later ones from the line through the
-        # last two, each bracket started at 1/4 of the line's shift: 6 and
-        # 7 calls, 3622-3638 and 3671-3738 points, 39-41 scalar calls.
-        # Every scalar call is the first node's walk
+        # second point is lockstepped from one secant step off the first
+        # branch, each bracket started at 1/4 of the step: 7 array calls
+        # (He4) and 8 (mixed), the slope's one included, 8.05 and 8.33
+        # points per node, 41 and 40 scalar calls (14 calls, 12.50 and
+        # 12.05 points from the first branch as it is).  The later ones
+        # from the line through the last two, each bracket started at 1/4
+        # of the line's shift: 6 and 7-8 calls, 3629-3635 and 3674-3732
+        # points, 39-41 scalar calls.  Moving each node of the first
+        # branch by up to 2 ulp over 20 seeds gave He4 7, 6, 6, 6 calls
+        # every time and mixed 8-9 (mean 8.65), 7-8 (7.20), 7 and 7; the
+        # mixed third point read 7 on every seed from the first branch as
+        # it is.  Every scalar call is the first node's walk
         cfg = he4_cfg if name == "he4" else mixed_cfg
         grid = _grid_of(cfg)
         prior = [trace_branch(grid, _at(cfg, 1.0, 0.1))]

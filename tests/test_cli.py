@@ -102,7 +102,7 @@ class TestOutputBytes:
         assert cli.main(["wavefunction", "--config", he4_cfg_path,
                          "--state", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "0e36716f51d1bb3cb4c1008dd43832beeba35bce7a709b97616f953743244e33")
+            "41730750e4eee4d94762687a0dc4c608de1a3883e412149c1898968ed5d63d58")
 
 
 class TestSolveCommand:
@@ -335,10 +335,10 @@ class TestScanCommand:
         assert cli.main(["scan-p", "--config", fast_cfg_path, "--p-min", "0.10",
                          "--p-max", "0.16", "--p-step", step]) == 0
         assert solved == pytest.approx(expected, abs=1e-12)
-        # each point hands its states on to the next as the warm start,
-        # and its angular branch to the next two
-        assert priors[0] is None
-        assert all(p is r for p, r in zip(priors[1:], returned))
+        # each point hands its states and its angular branch on to the
+        # next two
+        assert all(list(map(id, p)) == list(map(id, returned[max(k - 2, 0):k]))
+                   for k, p in enumerate(priors))
         assert all(b == traced[max(k - 2, 0):k]
                    for k, b in enumerate(handed))
 
@@ -421,6 +421,12 @@ class TestThomasCommand:
         monkeypatch.setattr(cli, "thomas_spectrum", pytest.fail)
         assert cli.main(["thomas-demo", flag, value]) == 1
         assert capsys.readouterr().err.startswith("zrtrimer: error: need")
+
+    def test_no_states_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "thomas_spectrum", pytest.fail)
+        assert cli.main(["thomas-demo", "--states", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "zrtrimer: error: need at least one state\n")
 
     def test_config_is_usage_error(self, he4_cfg_path, capsys):
         # the demo has no system to configure

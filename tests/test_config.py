@@ -93,6 +93,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match="masses"):
             parse_config(MINIMAL.replace("1.0, 2.0, 3.0", "1.0, x, 3.0"))
 
+    @pytest.mark.parametrize("text, match", [
+        (MINIMAL + "\n[solver]\nradial_n = many\n",
+         r"^\[solver\]\.radial_n: cannot parse 'many' as an integer$"),
+        (MINIMAL + "\n[solver]\nq_convention = foo\n",
+         r"^\[solver\]\.q_convention: 'foo' not in "),
+        (MINIMAL.replace("masses = 1.0, 2.0, 3.0", "mass_scale = 1.0"),
+         r"^\[system\] is missing 'masses'; "),
+        (MINIMAL.replace("a = -6.0", ""),
+         r"^\[pair\.2\] is missing 'a'; ")],
+        ids=["integer", "choice", "masses", "a"])
+    def test_bad_or_missing_value(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
     def test_grid_sanity(self):
         with pytest.raises(ConfigError, match="rho_min"):
             parse_config(MINIMAL + "\n[grid]\nrho_min = 10\nrho_max = 1\n")

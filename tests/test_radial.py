@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
+import decimal
 import gc
 import math
 import weakref
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -357,6 +360,34 @@ class TestOneCallSweep:
         assert kinds >= ({"outward", "inward"} if which == "he4"
                          else {"inward", "both"})
 
+    @pytest.mark.parametrize("which", ["he4", "thomas"])
+    def test_wave_from_the_carry(self, he4_branch_potential, monkeypatch,
+                                 which):
+        # each state's f, read straight from the carry, is the ratio
+        # products' f within a few ulp of max|f|; with _BIG lowered so
+        # that the sides restart, it is the ratio products', bit for bit
+        shooter = _window_shooter(which, he4_branch_potential[1])
+        sqrt_rho = np.sqrt(shooter.rho)
+
+        def products():
+            _, _, z_out, z_in, tq, _ = shooter.last
+            f = shooter._amplitudes(z_out, z_in, tq) * sqrt_rho
+            return f / f[np.abs(f).argmax()]
+        big0 = radial._BIG
+        for k in range(min(3, shooter.count(shooter.top))):
+            eps = shooter.eigenvalue(k)
+            for big in (big0, 4.0):
+                monkeypatch.setattr(radial, "_BIG", big)
+                shooter._sweep(eps)
+                f = shooter.wave(eps)[1]
+                carried = shooter.last[-1]
+                assert carried == (big == big0)
+                if carried:
+                    assert np.max(np.abs(f - products())) <= 1e-14
+                else:
+                    assert np.array_equal(f, products())
+                assert count_nodes(f) == k
+
     def test_side_past_rescue_leaves_the_next_exact(self):
         # v = 1e305 passes 2^1000 one step from a rescaled pair, so no
         # restart can save that side; the side after it is solved again
@@ -480,7 +511,7 @@ def _twist(shooter, eps):
     """d at eps, the Newton step `_sweep` keeps for it, and (m, cutoff):
     a fresh sweep, d rebuilt from its carries as _two_call_sweep does."""
     shooter._sweep(eps)
-    _, _, z_out, z_in, tq = shooter.last
+    _, _, z_out, z_in, tq, _ = shooter.last
     m = len(z_out) // 2
     d = (12.0 * tq[m] / (1.0 - tq[m]) + z_out[-2] / z_out[-1]
          + z_in[-2] / z_in[-1])
@@ -1158,25 +1189,26 @@ def _discrete_root(shooter, eps: float) -> float:
     shooter's grid, (1 - tq[i+1]) g[i+1] - 2 (1 + 5 tq[i]) g[i] +
     (1 - tq[i-1]) g[i-1] = 0 with tq = h^2 q/12 and g[0] = g[n-1] = 0:
     the plain recurrence from g[0] = 0, g[1] = 1 over the whole grid in
-    mpmath at 40 digits, its g[n-1] bisected 40 times in eps from 1e-6
-    |eps| either side, to 2e-18 of eps.  It is carried in c g, c = 1 - tq:
-    c[i+1] g[i+1] = (12/c[i] - 10) c[i] g[i] - c[i-1] g[i-1]."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        mpf = mpmath.mpf
-        twelve, ten = mpf(12), mpf(10)
-        h2 = mpf(shooter.h) ** 2 / 12
-        r2 = [h2 * mpf(r) ** 2 for r in shooter.rho.tolist()]
-        one_less = [1 - h2 / 4 - r * mpf(w)
+    the standard library's decimal at 40 digits, from the exact values of
+    the doubles h, rho and W, its g[n-1] bisected 40 times in eps from
+    1e-6 |eps| either side, to 2e-18 of eps.  It is carried in c g, c =
+    1 - tq: c[i+1] g[i+1] = (12/c[i] - 10) c[i] g[i] - c[i-1] g[i-1]."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        dec = decimal.Decimal
+        twelve, ten = dec(12), dec(10)
+        h2 = dec(shooter.h) ** 2 / 12
+        r2 = [h2 * dec(r) ** 2 for r in shooter.rho.tolist()]
+        one_less = [1 - h2 / 4 - r * dec(w)
                     for r, w in zip(r2, shooter.w.tolist())]
 
         def end(e) -> bool:
             c = [b + e * r for b, r in zip(one_less, r2)]
-            cg0, cg1 = mpf(0), c[1]
+            cg0, cg1 = dec(0), c[1]
             for ci in c[1:-1]:
                 cg0, cg1 = cg1, (twelve / ci - ten) * cg1 - cg0
             return (cg1 < 0) != (c[-1] < 0)
-        lo, hi = mpf(eps) * (1 + mpf(1e-6)), mpf(eps) * (1 - mpf(1e-6))
+        lo, hi = dec(eps) * (1 + dec(1e-6)), dec(eps) * (1 - dec(1e-6))
         below = end(lo)
         assert end(hi) != below
         for _ in range(40):
@@ -1231,34 +1263,55 @@ def _count_sweeps(monkeypatch) -> list[int]:
     return counts
 
 
+@contextlib.contextmanager
+def _searches():
+    """(shooter, k, guess) of each `_Shooter.eigenvalue` call in the
+    block."""
+    searches = []
+    eigenvalue = _Shooter.eigenvalue
+
+    def recorded(self, k, guess=None):
+        searches.append((self, k, guess))
+        return eigenvalue(self, k, guess)
+    with mock.patch.object(_Shooter, "eigenvalue", recorded):
+        yield searches
+
+
 class TestWarmStart:
-    """solve_bound_states(prior=...): searches started from the last scan
-    point by first-order perturbation theory."""
+    """solve_bound_states(prior=...): searches started from the last two
+    scan points, at the Rayleigh quotient of the wave extrapolated in P."""
 
     GRID = TestSolveProperties.GRID
 
     @settings(max_examples=12, deadline=None)
     @given(pair=_he4_pairs(), step=st.floats(0.002, 0.03))
     def test_warm_scan_matches_cold(self, pair, step):
-        # three points of a P scan: each warm solve finds the cold solve's
-        # states, to the refine's tolerance
-        prior = None
-        for j in range(3):
+        # four points of a P scan: each warm solve finds the cold solve's
+        # states, to the refine's tolerance; each state the last point
+        # holds has a guess, and one inside the window is the search's
+        # first iterate, so it was swept (a state just below a threshold
+        # may be guessed above the window's top)
+        points = []
+        for j in range(4):
             p = dataclasses.replace(pair, p_shape=pair.p_shape + j * step)
             problem = AngularProblem(
                 ParticleSystem.identical_bosons(HE4_MASS, p))
             pot = effective_potential(trace_branch(self.GRID, problem),
                                       problem)
             cold = solve_bound_states(pot)
-            warm = solve_bound_states(pot, prior=prior)
+            with _searches() as searches:
+                warm = solve_bound_states(pot, prior=points)
             assert ([s.node_count for s in warm]
                     == [s.node_count for s in cold])
             for w, c in zip(warm, cold):
                 assert w.energy == pytest.approx(c.energy, rel=1e-13, abs=0.0)
-            n_prior = len(prior or [])
-            assert all(s.eps_predicted is not None for s in warm[:n_prior])
-            assert all(s.eps_predicted is None for s in warm[n_prior:])
-            prior = warm
+            n_prior = len(points[-1]) if points else 0
+            for shooter, k, guess in searches:
+                if k >= n_prior:
+                    assert guess is None
+                elif shooter.w_min < guess < shooter.top:
+                    assert guess in shooter.table
+            points = [*points[-1:], warm]
 
     def test_wrong_prediction_still_finds_each_state(self, he4_cfg,
                                                      he4_solution):
@@ -1267,31 +1320,49 @@ class TestWarmStart:
         pot, cold = he4_solution
         swapped = [dataclasses.replace(cold[0], eps=cold[1].eps),
                    dataclasses.replace(cold[1], eps=cold[0].eps)]
-        warm = cli.solve_for_config(he4_cfg, swapped)[1]
-        assert [s.node_count for s in warm] == [0, 1]
-        for w, c in zip(warm, cold):
-            assert w.energy == pytest.approx(c.energy, rel=1e-13, abs=0.0)
-
-    def test_far_prior_and_no_prediction_fall_back(self, he4_cfg,
-                                                   he4_solution):
-        _, cold = he4_solution
-        # a prior from far away (P = 0.3) and one whose miss is NaN: the
-        # first starts far off, the second's NaN guess runs cold
-        far = cli.solve_for_config(cli._with_pshape(he4_cfg, 0.3))[1]
-        lost = [dataclasses.replace(s, eps_predicted=math.nan) for s in cold]
-        for prior in (far, lost):
+        for prior in ([swapped], [cold, swapped]):
             warm = cli.solve_for_config(he4_cfg, prior)[1]
             assert [s.node_count for s in warm] == [0, 1]
             for w, c in zip(warm, cold):
                 assert w.energy == pytest.approx(c.energy, rel=1e-13,
                                                  abs=0.0)
 
+    def test_far_prior_falls_back(self, he4_cfg, he4_solution):
+        # a prior from far away (P = 0.3 and 0.25): each search starts far
+        # off and still finds its state
+        _, cold = he4_solution
+        far = [cli.solve_for_config(cli._with_pshape(he4_cfg, p))[1]
+               for p in (0.25, 0.3)]
+        for prior in (far[1:], far):
+            warm = cli.solve_for_config(he4_cfg, prior)[1]
+            assert [s.node_count for s in warm] == [0, 1]
+            for w, c in zip(warm, cold):
+                assert w.energy == pytest.approx(c.energy, rel=1e-13,
+                                                 abs=0.0)
+
+    def test_nan_energy_runs_cold(self, he4_cfg, he4_solution):
+        # a NaN energy in either point makes a NaN guess, which the search
+        # ignores: the cold solve, bit for bit
+        _, cold = he4_solution
+        lost = [dataclasses.replace(s, eps=math.nan) for s in cold]
+        for prior in ([lost], [cold, lost], [lost, cold]):
+            with _searches() as searches:
+                warm = cli.solve_for_config(he4_cfg, prior)[1]
+            assert all(math.isnan(guess) for _, _, guess in searches)
+            assert [s.eps for s in warm] == [s.eps for s in cold]
+
     def test_prior_on_another_grid_is_ignored(self, he4_branch_potential,
                                               he4_solution):
+        # states on the 8000-point grid, as the last point or the one
+        # before it, start nothing on a 6000-point grid
         _, pot = he4_branch_potential
         _, cold = he4_solution
-        states = solve_bound_states(pot, n=6000, prior=cold)
-        assert [s.eps_predicted for s in states] == [None, None]
+        same = solve_bound_states(pot, n=6000)
+        for prior in ([cold], [same, cold], [cold, same]):
+            with _searches() as searches:
+                states = solve_bound_states(pot, n=6000, prior=prior)
+            assert [guess for _, _, guess in searches] == [None, None]
+            assert [s.eps for s in states] == [s.eps for s in same]
 
     def test_search_from_the_guess(self):
         # oscillator levels 3, 7, 11, ... in a window up to 40.  A guess
@@ -1321,8 +1392,8 @@ class TestWarmStart:
             lost.eigenvalue(12, 39.0)
         assert list(lost.table) == [lost.top]
 
-    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 53),
-                                             ([], 113)])
+    @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 45),
+                                             ([], 111)])
     def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid, total):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
@@ -1359,7 +1430,12 @@ class TestWarmStart:
         # With long Newton steps taken in ln(-eps) (totals 53 and 113, cold
         # points of 12, largest warm point 11 on both grids): 52-56 (mean
         # 53.50) against 54-58 (56.27) and 108-115 (111.43) against 113-117
-        # (114.57)
+        # (114.57).  With each warm state started at the Rayleigh quotient
+        # of the wave extrapolated from the last two points, the second
+        # point's branch one secant step off the first and each wave read
+        # from the carry (totals 45 and 111, largest warm point 11 and
+        # 10): 43-47 (mean 44.27) against 52-56 (53.50) and 107-112
+        # (109.53) against 108-115 (111.43)
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)

@@ -244,6 +244,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be finite and positive"):
             ParticleSystem(masses=(1.0,) * 3, pairs=pairs, mass_scale=bad)
 
+    def test_three_masses_and_pairs(self):
+        pairs = (PairParams(a=1.0),) * 3
+        with pytest.raises(ValueError, match="exactly three masses"):
+            ParticleSystem(masses=(1.0, 1.0), pairs=pairs)
+
     def test_identical_particles_need_identical_pairs(self):
         with pytest.raises(ValueError, match="equal masses"):
             ParticleSystem(masses=(1.0, 1.0, 2.0),
