@@ -13,8 +13,10 @@ normalization of every matrix row by sin(nu pi/2) introduces poles at
 u = (2n)^2, n >= 1, which are excluded by a guard band.  Every root search
 is one sign-change ladder, `_walk`, plus a regula falsi refine
 (`system.regula_falsi`) that reuses the values at the bracket's ends:
-two-sided for branch continuation, one-sided from a window edge to seed
-the first node.
+one-sided from a window edge to seed the first node, and for branch
+continuation one-sided toward the nearest root with the orientation of
+the node before (the sign of the residual just above it), two-sided
+where that finds none within the continuation's trust.
 
 trace_branch continues the branch node by node over a coarse sub-grid,
 nodes at most COARSE_STEP apart in ln rho (87 of the bundled 600): each
@@ -26,11 +28,13 @@ coarse nodes, brackets of half-width about the guesses' median miss,
 widened around all of them at once, and the same regula falsi on the
 nodes still open until each bracket closes.  The array form of the
 residual, `AngularProblem.residual_array`, covers the lowest cell
-u < 4 - POLE_GUARD, where the branch lives.  A node the lockstep cannot
-bracket near its guess, or close in BRENT_MAXITER rounds, sends the
-whole grid back to the node-by-node walk.  Every stored residual is one
-a search evaluated at the stored root: on the bundled configs about 1.2
-scalar calls and 7 to 8 array points per node.
+u < 4 - POLE_GUARD, where the branch lives; an array whose every u lies
+below 0, as on a bound branch, takes the u < 0 forms with no mask.  A
+node the lockstep cannot bracket near its guess, or close in
+BRENT_MAXITER rounds, sends the whole grid back to the node-by-node
+walk.  Every stored residual is one a search evaluated at the stored
+root: on the bundled configs about 1.0 scalar calls and 6 to 7 array
+points per node.
 
 Every branch trace_branch returns, cold or warm, passes one acceptance
 check, `_verify`, the corrector's acceptance step of predictor-corrector
@@ -314,7 +318,12 @@ def _couplings_array(u: np.ndarray, angles
                      ) -> tuple[np.ndarray, list[np.ndarray]]:
     """C(u) and the off-diagonal of each `_coupling_constants` triple in
     angles, over an array of u in the lowest cell: the scalar forms'
-    branches, each on its own mask, so none sees a u it would warn on."""
+    branches, each on its own mask, so none sees a u it would warn on.
+    An array whose every u is below 0 (a bound branch, every lockstep of
+    it) takes the u < 0 forms whole, with no mask, gather or scatter: the
+    same values bit for bit."""
+    if u.max(initial=-math.inf) < 0.0:
+        return _couplings_below_zero(u, angles)
     half_pi = math.pi / 2.0
     c = np.empty_like(u)
     offs = [np.empty_like(u) for _ in angles]
@@ -324,15 +333,23 @@ def _couplings_array(u: np.ndarray, angles
     c[pos] = nu / np.tan(nu * half_pi)
     for o, (_, g, w) in zip(offs, angles):
         o[pos] = -w * np.sin(nu * g) / den
-    k = np.sqrt(-u[neg])
-    den = -np.expm1(-k * math.pi)
-    c[neg] = k * (2.0 - den) / den
-    for o, (f, g, w) in zip(offs, angles):
-        o[neg] = w * np.exp(-k * f) * np.expm1(-2.0 * k * g) / den
+    c[neg], below = _couplings_below_zero(u[neg], angles)
+    for o, b in zip(offs, below):
+        o[neg] = b
     c[zero] = 1.0 / half_pi
     for o, (_, g, w) in zip(offs, angles):
         o[zero] = -w * g / half_pi
     return c, offs
+
+
+def _couplings_below_zero(u: np.ndarray, angles
+                          ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """`_couplings_array` over an array of u < 0, with no mask."""
+    k = np.sqrt(-u)
+    den = -np.expm1(-k * math.pi)
+    return k * (2.0 - den) / den, [
+        w * np.exp(-k * f) * np.expm1(-2.0 * k * g) / den
+        for f, g, w in angles]
 
 
 def boson_lhs(u: float) -> float:
@@ -416,18 +433,24 @@ def _boson_residual(problem: AngularProblem):
             rhs = rho * s * (ia + x * (h + p * x))
         return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
-    def resid_array(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        # the scalar branches, each on its own mask, so none sees a u it
-        # would warn on
-        lhs = np.full_like(u, lhs0)
-        pos, neg = u > 0.0, u < 0.0
-        nu = np.sqrt(u[pos])
-        lhs[pos] = (w * np.sin(nu * sixth_pi) - nu * np.cos(nu * half_pi)) / (
-            np.sin(nu * half_pi))
-        k = np.sqrt(-u[neg])
+    def below_zero(u: np.ndarray) -> np.ndarray:
+        k = np.sqrt(-u)
         den = -np.expm1(-k * math.pi)
-        lhs[neg] = (-w * np.exp(-k * third_pi) * np.expm1(-k * third_pi)
-                    - k * (2.0 - den)) / den
+        return (-w * np.exp(-k * third_pi) * np.expm1(-k * third_pi)
+                - k * (2.0 - den)) / den
+
+    def resid_array(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        # all below 0 (the bound branch): no mask.  Else the scalar
+        # branches, each on its own mask, so none sees a u it would warn on
+        if u.max(initial=-math.inf) < 0.0:
+            lhs = below_zero(u)
+        else:
+            lhs = np.full_like(u, lhs0)
+            pos, neg = u > 0.0, u < 0.0
+            nu = np.sqrt(u[pos])
+            lhs[pos] = (w * np.sin(nu * sixth_pi)
+                        - nu * np.cos(nu * half_pi)) / np.sin(nu * half_pi)
+            lhs[neg] = below_zero(u[neg])
         x = u / (rho * rho)
         rhs = rho * s * (ia + x * (h + p * x))
         return (lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
@@ -598,15 +621,19 @@ def _pair_residual(problem: AngularProblem, i: int, k: int):
 
 
 def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
-          max_steps: int) -> tuple[float, float]:
+          max_steps: int, above: float | None = None
+          ) -> tuple[float, float, float | None]:
     """Root of f nearest to x0 in [lo, hi], by ladder bracketing, with f
-    at the root as the walk or the refine evaluated it.
+    at the root as the walk or the refine evaluated it, and the root's
+    orientation: the sign of f at the upper end of the bracket refined
+    (None where the walk lands on an exact zero).
 
     Walks outward from x0 in both directions, with a step that starts at h0
     and is multiplied by `grow` after each rung, clipped to the window, and
     refines the first bracket that shows a sign change with `regula_falsi`
-    from the values at its ends.  A two-sided walk sizes its second rung from
-    the first: the secant through the first rung's ends puts the root
+    from the values at its ends.  A walk from inside its window sizes its
+    second rung from the first: the secant through the first rung's ends
+    (x0 and the one end of a one-way walk's rung) puts the root
     about |f0 / slope| from x0, and the second rung merges the ladder's
     rungs that end short of NEWTON_REACH times that (at most 1 + |x0|).
     The rungs after it end where the ladder's would, so the merge skips
@@ -615,34 +642,42 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
     (the first node sits at u ~ -3e-4), so the branch residual invariant
     holds with margin even where the residual is steep in u.  If both
     directions bracket on the same rung the root closer to x0 wins.  A
-    walk that starts at an edge of its window runs one way only.
+    walk that starts at an edge of its window runs one way only, and so
+    does one given `above`, the sign f takes just above the root sought:
+    down where f0 has that sign, else up, with the same rungs.  The first
+    root it brackets has that orientation.
     """
     f0 = f(x0)
     if f0 == 0.0:
-        return x0, f0
+        return x0, f0, None
+    # with above, only toward the side where f reaches 0 with that sign
+    # above the root: below x0 where f0 has it
+    down = above is None or (f0 > 0.0) == (above > 0.0)
+    up = above is None or not down
     xp = xm = x0
     fp = fm = f0
     h = step = h0      # the ladder's rung and the rung taken
     for rung in range(max_steps):
         brackets = []
-        if xp < hi:
+        if up and xp < hi:
             x2 = min(xp + step, hi)
             f2 = f(x2)
             if f2 == 0.0:
-                return x2, f2
+                return x2, f2, None
             if fp * f2 < 0.0:
                 brackets.append((xp, x2, fp, f2))
             xp, fp = x2, f2
-        if xm > lo:
+        if down and xm > lo:
             x2 = max(xm - step, lo)
             f2 = f(x2)
             if f2 == 0.0:
-                return x2, f2
+                return x2, f2, None
             if fm * f2 < 0.0:
                 brackets.append((x2, xm, f2, fm))
             xm, fm = x2, f2
         if brackets:
-            roots = [regula_falsi(f, *bracket) for bracket in brackets]
+            roots = [(*regula_falsi(f, *b), math.copysign(1.0, b[3]))
+                     for b in brackets]
             return min(roots, key=lambda r: abs(r[0] - x0))
         h *= grow
         step = h
@@ -661,30 +696,34 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
 
 
 def solve_at_rho(rho: float, problem: AngularProblem, guess: float,
-                 step: float | None = None, *, residual: bool = False):
+                 step: float | None = None, *, residual: bool = False,
+                 above: float | None = None):
     """Angular eigenvalue u = nu^2 at one hyper-radius, continuing a branch.
 
     Returns the root of the eigenvalue condition closest to `guess`, by a
-    two-sided walk inside the pole-free cell containing the guess; with
-    residual, the pair (u, problem.residual(u, rho)), the residual as the
-    walk or its refine evaluated it.  The walk's first rung is `step` when
-    given (a caller that knows how far its guesses miss), else
-    1e-4 (1 + |guess|); the ladder grows by 1.4 per rung, and its second
-    rung reaches past the root of the secant through the first rung's
-    ends (`_walk`).  Raises RootSearchError when that cell shows no sign
-    change, and PoleProximityError on pole collision.
+    two-sided walk inside the pole-free cell containing the guess, or,
+    given `above`, the nearest root of that orientation (the sign of the
+    residual just above it) by a one-sided walk toward it (`_walk`); with
+    residual, the triple (u, problem.residual(u, rho), orientation), the
+    residual as the walk or its refine evaluated it.  The walk's first
+    rung is `step` when given (a caller that knows how far its guesses
+    miss), else 1e-4 (1 + |guess|); the ladder grows by 1.4 per rung, and
+    its second rung reaches past the root of the secant through the first
+    rung's ends.  Raises RootSearchError when the walk shows no sign
+    change in that cell, and PoleProximityError on pole collision.
     """
     f = problem.residual
     lo, hi = _cell_interval(guess)
     h0 = max(1e-9, 1e-4 * (1.0 + abs(guess))) if step is None else step
     x0 = min(max(guess, lo + h0), hi - h0)
-    root = _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400)
+    root = _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400, above)
     return root if residual else root[0]
 
 
-def _first_node_u(rho: float, problem: AngularProblem) -> tuple[float, float]:
-    """Lowest-branch root at the first grid node and its residual: a walk
-    from a window edge.
+def _first_node_u(rho: float, problem: AngularProblem
+                  ) -> tuple[float, float, float | None]:
+    """Lowest-branch root at the first grid node, its residual and its
+    orientation (`_walk`): a walk from a window edge.
 
     Under the extended boundary condition the branch leaves u(0) = 0 heading
     negative, so near the origin the walk steps down from zero (one-sided: a
@@ -780,7 +819,7 @@ def trace_branch(grid, problem: AngularProblem,
                            1e-10 * (1.0 + np.abs(guess)))
         found = _lockstep(problem, grid[1:], guess, width)
         if found is not None:
-            u0, r0 = _first_node_u(grid[0].item(), problem)
+            u0, r0, _ = _first_node_u(grid[0].item(), problem)
             us, res = np.insert(found[0], 0, u0), np.insert(found[1], 0, r0)
             try:
                 _verify(grid, us, res)
@@ -862,10 +901,14 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
     Each solve is seeded by the quadratic through the three previous
     nodes (linear from two, the first analytically), and its walk starts
     with a rung of 4x the previous node's miss |u - guess|, floored at
-    1e-13 (1 + |guess|) and capped at solve_at_rho's default.  If the
-    prediction lands past a pole, or the root is lost or jumps between
-    nodes, the step toward the next node is bisected, up to MAX_HALVINGS
-    times, before giving up with BranchFoldError.  The branch is accepted
+    1e-13 (1 + |guess|) and capped at solve_at_rho's default.  It walks
+    one way only, toward the nearest root of the previous node's
+    orientation, the sign of the residual at the upper end of the
+    bracket that node refined; only if that finds no root within the
+    trust is the node walked both ways.  If the prediction lands past a
+    pole, or the root is lost or jumps between nodes, the step toward the
+    next node is bisected, up to MAX_HALVINGS times, before giving up
+    with BranchFoldError.  The branch is accepted
     by the caller (`_verify`), not here.
     """
     us = np.empty_like(grid)
@@ -874,13 +917,13 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
     # continuation state: last three accepted (rho, u) points, and the miss
     # |u - guess| of the last solve
     hist: list[tuple[float, float]] = []
-    miss = None
+    miss = above = None
 
     def advance(rho_target: float) -> tuple[float, float]:
         """Continue the branch from hist[-1] to rho_target, subdividing on
         failure; the step may be halved down to 2^-MAX_HALVINGS of the gap.
         Returns u at rho_target and its residual."""
-        nonlocal miss
+        nonlocal miss, above
         gap0 = rho_target - hist[-1][0]
         min_step = gap0 / (2.0 ** MAX_HALVINGS)
         pending = [rho_target]
@@ -892,20 +935,25 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
             if miss is not None:
                 scale = 1.0 + abs(guess)
                 step = min(max(4.0 * miss, 1e-13 * scale), 1e-4 * scale)
+            trust = max(0.5, 0.25 * abs(guess), 8.0 * abs(du_pred))
             ok = False
             # a branch cannot cross a pole: a guess past one has jumped
             lo, hi = _cell_interval(hist[-1][1])
-            if lo <= guess <= hi:
+            # toward the root of the last one's orientation, then both ways
+            ways = (above, None) if above is not None else (None,)
+            for way in ways if lo <= guess <= hi else ():
                 try:
-                    u_new, r_new = solve_at_rho(tgt, problem, guess, step,
-                                                residual=True)
-                    trust = max(0.5, 0.25 * abs(guess), 8.0 * abs(du_pred))
-                    ok = abs(u_new - guess) <= trust
+                    u_new, r_new, sign = solve_at_rho(
+                        tgt, problem, guess, step, residual=True, above=way)
                 except RootSearchError:
-                    pass
+                    continue
+                ok = abs(u_new - guess) <= trust
+                if ok:
+                    break
             if ok:
                 pending.pop()
                 miss = abs(u_new - guess)
+                above = sign or above
                 hist.append((tgt, u_new))
                 if len(hist) > 3:
                     del hist[0]
@@ -924,7 +972,7 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
     rhos = grid.tolist()
     for k in np.flatnonzero(nodes).tolist():
         if not hist:
-            u, r = _first_node_u(rhos[k], problem)
+            u, r, above = _first_node_u(rhos[k], problem)
             hist.append((rhos[k], u))
         else:
             u, r = advance(rhos[k])

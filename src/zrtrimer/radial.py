@@ -30,8 +30,12 @@ at 0, else at the midpoint.  For the same reason a step longer than
 exp(step/eps), which cannot pass 0.  The search stops at the first
 iterate whose step is within BRENT_RTOL |eps|, or, where d's rounding
 keeps the steps from shrinking, at the iterate of least step.  A cold
-state starts from the search window [min W, top), so its energy depends
-on the window alone; min W is swept only if the bracket closes on it.
+state starts from the search window [w_min, top), so its energy depends
+on the window alone; w_min is swept only if the bracket closes on it.
+The window's floor w_min is the Sturm floor min (W + 1/(4 rho^2)) over
+the grid, never below min W: at or below it q >= 0 at every point, so no
+carry from the seeds changes sign, d >= 0 and the count is 0.  A state
+below it would end as not contained, never as another state.
 The two callers differ only in the seeds at the ends:
 
   solve_bound_states  regular f ~ rho^alpha at rho_min, alpha = 1/2 +
@@ -256,7 +260,8 @@ class _Shooter:
     """Two-sided ratio sweeps, node counts and eigenvalues on a fixed log grid.
 
     w_of samples W over an array of rho and w_inf is its large-rho limit;
-    eigenvalues are searched in [min W, search_top).  The outward sweep
+    eigenvalues are searched in [w_min, search_top), w_min = min (W +
+    1/(4 rho^2)) over the grid, where q >= 0 everywhere.  The outward sweep
     starts from the regular f ~ rho^alpha at rho_min, alpha = 1/2 +
     sqrt(1/4 - shift) for a W that goes as -shift/rho^2 there (f ~ rho for
     the default shift 0), and the inward one from the decaying exponential
@@ -285,7 +290,8 @@ class _Shooter:
         self.r2 = self.rho * self.rho
         self.n = n
         self.band = np.full((2 * n + 2, 3), -1.0)   # _carry's scratch
-        self.w_min = float(self.w.min())
+        # the window's floor, where q >= 0 at every point
+        self.w_min = float((self.w + 0.25 / self.r2).min())
         # min W[k:] and -max W[k:], both ascending in k, for searchsorted
         self.tail_min = np.minimum.accumulate(self.w[::-1])[::-1]
         self.tail_neg_max = -np.maximum.accumulate(self.w[::-1])[::-1]
@@ -327,7 +333,7 @@ class _Shooter:
             s = self.w[:k] - eps
             idx = np.flatnonzero(s[:-1] * s[1:] < 0.0)
             im = (int(idx[-1]) if len(idx)
-                  else (0 if self.w_min >= eps else n - 1))
+                  else (0 if self.tail_min[0] >= eps else n - 1))
         im = min(max(im, 3), n - 4)
         end = min(im + self.reach, n - 1)
         q = self.w[:end + 1] - eps     # in place from here: a temporary

@@ -13,8 +13,11 @@ radial grid (`_Shooter.w`) moved by a random whole number of ulps in
 [-2, 2], and prints per run the unperturbed count of sweeps and the
 min/mean/max of the perturbed ones.  A re-pinned count should lie in the
 spread of the code before the change.  Last, one line per benchmark
-workload: the total sweeps over requests 0-39 of perfbench seeds 1-3, the
+workload: the total sweeps, angular scalar residual calls, array residual
+calls and array points over requests 0-39 of perfbench seeds 1-3, the
 requests generated by `perfbench.workloads.requests` and run unperturbed.
+The residual calls are counted on each problem's residual forms, as
+tests/test_angular.py's `_counted_residuals` counts them.
 
     PYTHONPATH=src python tests/sweep_spread.py
 """
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zrtrimer import cli, radial
+from zrtrimer import angular, cli, radial
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent)]
@@ -66,26 +69,52 @@ def _nudged(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (w.view(np.int64) + k).view(np.float64)
 
 
-def sweeps(argv: list[str], rng: np.random.Generator | None) -> int:
-    """Numerov sweeps of one command line through `zrtrimer.cli.main`,
-    each shooter's W nudged by rng unless it is None."""
-    count = 0
+# the angular residual forms, each returning (scalar, array) residuals
+FORMS = ("_boson_residual", "_pair_residual", "_general_residual")
+
+
+def work(argv: list[str], rng: np.random.Generator | None
+         ) -> dict[str, int]:
+    """Numerov sweeps, angular scalar residual calls, array residual
+    calls and array points of one command line through
+    `zrtrimer.cli.main`, each shooter's W nudged by rng unless it is
+    None."""
+    count = dict.fromkeys(("sweeps", "scalar", "arrays", "points"), 0)
     init, sweep = radial._Shooter.__init__, radial._Shooter._sweep
+    forms = {name: getattr(angular, name) for name in FORMS}
 
     def nudged_init(self, w_of, *args, **kwargs):
         init(self, lambda rho: _nudged(w_of(rho), rng), *args, **kwargs)
 
     def counted_sweep(self, eps):
-        nonlocal count
-        count += 1
+        count["sweeps"] += 1
         return sweep(self, eps)
+
+    def counted_form(form):
+        def built(problem, *args):
+            f, f_array = form(problem, *args)
+
+            def counted(u, rho):
+                count["scalar"] += 1
+                return f(u, rho)
+
+            def counted_array(u, rho):
+                count["arrays"] += 1
+                count["points"] += len(u)
+                return f_array(u, rho)
+            return counted, counted_array
+        return built
     radial._Shooter._sweep = counted_sweep
+    for name, form in forms.items():
+        setattr(angular, name, counted_form(form))
     if rng is not None:
         radial._Shooter.__init__ = nudged_init
     try:
         code = cli.main(argv + ["--out", os.devnull])
     finally:
         radial._Shooter.__init__, radial._Shooter._sweep = init, sweep
+        for name, form in forms.items():
+            setattr(angular, name, form)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
     return count
@@ -98,8 +127,8 @@ def main() -> int:
                 path = Path(tmp) / f"{name}.cfg"
                 path.write_text(bundled_config_text(name))
                 argv = argv + ["--config", str(path)]
-            base = sweeps(argv, None)
-            spread = [sweeps(argv, np.random.default_rng(seed))
+            base = work(argv, None)["sweeps"]
+            spread = [work(argv, np.random.default_rng(seed))["sweeps"]
                       for seed in SEEDS]
             print(f"{label}: {base} sweeps; over seeds {SEEDS[0]}-"
                   f"{SEEDS[-1]} with W moved by up to {ULPS} ulp "
@@ -107,17 +136,21 @@ def main() -> int:
                   "(min/mean/max)")
         path = Path(tmp) / "request.cfg"
         for workload in WORKLOADS:
-            total = 0
+            total = dict.fromkeys(("sweeps", "scalar", "arrays", "points"), 0)
             for seed in BENCH_SEEDS:
                 for req in itertools.islice(
                         requests(workload, seed, HERE.parent), BENCH_REQUESTS):
                     if req.config_text is not None:
                         path.write_text(req.config_text)
-                    total += sweeps([str(path) if a == "{config}" else a
-                                     for a in req.argv], None)
-            print(f"benchmark {workload}: {total} sweeps over requests 0-"
-                  f"{BENCH_REQUESTS - 1} of seeds {BENCH_SEEDS[0]}-"
-                  f"{BENCH_SEEDS[-1]}")
+                    one = work([str(path) if a == "{config}" else a
+                                for a in req.argv], None)
+                    for key in total:
+                        total[key] += one[key]
+            print(f"benchmark {workload}: {total['sweeps']} sweeps, "
+                  f"{total['scalar']} angular scalar residual calls, "
+                  f"{total['arrays']} array calls of {total['points']} "
+                  f"points over requests 0-{BENCH_REQUESTS - 1} of seeds "
+                  f"{BENCH_SEEDS[0]}-{BENCH_SEEDS[-1]}")
     return 0
 
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
@@ -507,6 +507,38 @@ class TestColdEigenvalue:
         assert shooter.count(16.0) == 4
 
 
+def _assert_sturm_floor(shooter):
+    """The window's floor min (W + 1/(4 rho^2)) never lies below min W,
+    and no state lies at or below it: there q >= 0 on the whole grid."""
+    assert shooter.w_min >= shooter.w.min()
+    assert shooter.count(shooter.w_min) == 0
+
+
+class TestSturmFloor:
+    """_Shooter.w_min, the floor of every cold window, is the Sturm floor
+    min (W + 1/(4 rho^2)) over the grid: at or below it q = 1/4 + rho^2
+    (W - eps) >= 0 everywhere, so no carry from the seeds changes sign
+    and the count is 0."""
+
+    @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
+    @pytest.mark.parametrize("convention", ["leading_term", "none"])
+    def test_bundled_potentials(self, request, cfg_name, convention):
+        cfg = dataclasses.replace(request.getfixturevalue(cfg_name),
+                                  q_convention=convention)
+        shooters = {id(s): s for s, _, _ in
+                    _states_found(lambda: cli.solve_for_config(cfg))}
+        for shooter in shooters.values():
+            _assert_sturm_floor(shooter)
+
+    @pytest.mark.parametrize("g", [0.3, None, 5.0])
+    @pytest.mark.parametrize("walls", [(0.1, 3e6), (0.05, 3e6), (0.1, 1e4)])
+    def test_thomas_walls(self, g, walls):
+        shooters = {id(s): s for s, _, _ in
+                    _states_found(lambda: thomas_spectrum(g, *walls))}
+        for shooter in shooters.values():
+            _assert_sturm_floor(shooter)
+
+
 def _twist(shooter, eps):
     """d at eps, the Newton step `_sweep` keeps for it, and (m, cutoff):
     a fresh sweep, d rebuilt from its carries as _two_call_sweep does."""
@@ -707,7 +739,7 @@ class TestSolveBoundStates:
             energies = np.concatenate([
                 ladder[::-1], np.ravel(np.column_stack([ladder, ladder[::-1]])),
                 samples, edges,
-                [shooter.w_min - 1.0, shooter.w.max() + 1.0]])
+                [shooter.w.min() - 1.0, shooter.w.max() + 1.0]])
             extended = 0
             for eps in energies:
                 reach = shooter.reach
@@ -1073,7 +1105,9 @@ class TestSolveProperties:
         branch = trace_branch(self.GRID, problem)
         assert np.abs(branch.residuals).max() <= MAX_RESIDUAL
         pot = effective_potential(branch, problem)
-        states = solve_bound_states(pot)
+        states = []
+        found = _states_found(lambda: states.extend(solve_bound_states(pot)))
+        _assert_sturm_floor(found[0][0])
         assert states
         assert [s.node_count for s in states] == list(range(len(states)))
         energies = [s.energy for s in states]
@@ -1185,29 +1219,46 @@ class TestRefineStop:
 
 
 def _discrete_root(shooter, eps: float) -> float:
-    """The eigenvalue near eps of the hard-wall Numerov equations on the
-    shooter's grid, (1 - tq[i+1]) g[i+1] - 2 (1 + 5 tq[i]) g[i] +
-    (1 - tq[i-1]) g[i-1] = 0 with tq = h^2 q/12 and g[0] = g[n-1] = 0:
-    the plain recurrence from g[0] = 0, g[1] = 1 over the whole grid in
-    the standard library's decimal at 40 digits, from the exact values of
-    the doubles h, rho and W, its g[n-1] bisected 40 times in eps from
-    1e-6 |eps| either side, to 2e-18 of eps.  It is carried in c g, c =
-    1 - tq: c[i+1] g[i+1] = (12/c[i] - 10) c[i] g[i] - c[i-1] g[i-1]."""
+    """The eigenvalue near eps of the shooter's Numerov equations,
+    (1 - tq[i+1]) g[i+1] - 2 (1 + 5 tq[i]) g[i] + (1 - tq[i-1]) g[i-1] = 0
+    with tq = h^2 q/12, solved another way: the plain recurrence from the
+    inner end row on, in the standard library's decimal at 40 digits,
+    from the exact values of the doubles h, rho and W, its outer end row
+    bisected 40 times in eps from 1e-6 |eps| either side, to 2e-18 of
+    eps.  Between hard walls the end rows are g[0] = 0 and g[n-1] = 0,
+    over the whole grid.  With `_sweep`'s own seeds they are g[0] =
+    exp(-a) g[1], a = inner_rate h, and g[c] = exp(-b) g[c - 1] at the
+    barrier cutoff c of the sweep at eps, b = h/2 + kappa (rho[c] -
+    rho[c - 1]), kappa = sqrt(max(W_c - eps, 0)), W_c = w_inf at the
+    grid's end.  It is carried in c g, c = 1 - tq: c[i+1] g[i+1] = (12/c[i]
+    - 10) c[i] g[i] - c[i-1] g[i-1]."""
+    last = (shooter.n - 1 if shooter.hard_wall
+            else shooter._turning_and_stop(eps)[1])
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         dec = decimal.Decimal
-        twelve, ten = dec(12), dec(10)
-        h2 = dec(shooter.h) ** 2 / 12
-        r2 = [h2 * dec(r) ** 2 for r in shooter.rho.tolist()]
+        twelve, ten, h = dec(12), dec(10), dec(shooter.h)
+        h2 = h ** 2 / 12
+        r2 = [h2 * dec(r) ** 2 for r in shooter.rho[:last + 1].tolist()]
         one_less = [1 - h2 / 4 - r * dec(w)
-                    for r, w in zip(r2, shooter.w.tolist())]
+                    for r, w in zip(r2, shooter.w[:last + 1].tolist())]
+        inner, w_end, step = dec(0), dec(0), dec(0)
+        if not shooter.hard_wall:
+            inner = (-dec(shooter.inner_rate) * h).exp()
+            w_end = dec(shooter.w_inf if last == shooter.n - 1
+                        else shooter.w[last])
+            step = dec(shooter.rho[last]) - dec(shooter.rho[last - 1])
 
         def end(e) -> bool:
             c = [b + e * r for b, r in zip(one_less, r2)]
-            cg0, cg1 = dec(0), c[1]
+            cg0, cg1 = c[0] * inner, c[1]      # g[1] = 1
             for ci in c[1:-1]:
                 cg0, cg1 = cg1, (twelve / ci - ten) * cg1 - cg0
-            return (cg1 < 0) != (c[-1] < 0)
+            outer = dec(0)
+            if not shooter.hard_wall:
+                kappa = max(w_end - e, dec(0)).sqrt()
+                outer = (-h / 2 - kappa * step).exp()
+            return cg1 / c[-1] - outer * cg0 / c[-2] < 0
         lo, hi = dec(eps) * (1 + dec(1e-6)), dec(eps) * (1 - dec(1e-6))
         below = end(lo)
         assert end(hi) != below
@@ -1217,15 +1268,43 @@ def _discrete_root(shooter, eps: float) -> float:
         return float((lo + hi) / 2)
 
 
+#: Magnitudes at which a drawn carry restarts (`radial._BIG`): the
+#: default, and two far below it, past which most carries restart.
+_DRAWN_BIGS = (radial._BIG, 2.0 ** 40, 2.0 ** 16)
+
+
 class TestDiscreteOracle:
     """The eigenvalues against the same discrete problem solved another way:
-    the hard-wall Numerov equations as a plain recurrence at 40 digits
-    (`_discrete_root`), not the shooter's ratio carry in double precision.
-    Every state lies within 4 BRENT_RTOL |eps| of its root, the claim of
-    `solve_bound_states`; measured 0.15-0.59 on the Thomas levels (the same
-    before the log step) and 0 on the well's one state."""
+    the Numerov equations with the shooter's end rows as a plain
+    recurrence at 40 digits (`_discrete_root`), not the shooter's ratio
+    carry in double precision.  Every state lies within 4 BRENT_RTOL |eps|
+    of its root, the claim of `solve_bound_states`; measured 0.15-0.59 on
+    the Thomas levels (the same before the log step) and 0 on the well's
+    one state.  The draws take the inverse square with a cutoff,
+    screened wells and the He4 W on coarse grids, between hard walls or
+    with `_sweep`'s own seeds, with the carry restarted at the default
+    2^1000 or far below it.  They hold states at least 0.003 |w_min|
+    below a top of 0: over 1187 such draws of states 0 and 1 (numpy seeds
+    11 and 12) the 1043 states that deep lay within 2.99 BRENT_RTOL |eps|
+    of the oracle, while shallower ones missed by up to 56, at |eps| =
+    1.6e-6 |w_min|.  There eps is a small difference of terms that double
+    precision rounds, so the rounded equations' own root moves, while the
+    search still stops where its Newton step on them is within
+    BRENT_RTOL |eps|: a limit of the arithmetic, not of the search."""
 
     BOUND = 4.0
+    DEPTH = 0.003
+
+    def _check(self, shooter, k, big):
+        """State k of the shooter (its last, if it holds fewer), searched
+        cold with the carry restarted past big, against the oracle, if it
+        lies at least DEPTH |w_min| below the top of 0."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(radial, "_BIG", big)
+            eps = shooter.eigenvalue(min(k, shooter.count(shooter.top) - 1))
+        assume(abs(eps) >= self.DEPTH * abs(shooter.w_min))
+        assert abs(eps - _discrete_root(shooter, eps)) \
+            <= self.BOUND * BRENT_RTOL * abs(eps)
 
     def test_thomas_levels(self):
         # levels 0-2 of thomas_spectrum(n=1500), from its own starts
@@ -1242,6 +1321,41 @@ class TestDiscreteOracle:
         eps = shooter.eigenvalue(0)
         assert abs(eps - _discrete_root(shooter, eps)) \
             <= self.BOUND * BRENT_RTOL * abs(eps)
+
+    @settings(max_examples=10, deadline=None)
+    @given(g=st.floats(0.5, 2.0), cut=st.floats(0.3, 3.0),
+           n=st.integers(400, 1500), k=st.integers(0, 1),
+           hard_wall=st.booleans(), big=st.sampled_from(_DRAWN_BIGS))
+    def test_inverse_square_draws(self, g, cut, n, k, hard_wall, big):
+        # W = -(g^2 + 1/4) / max(rho, cut)^2 on [0.05, 1e4]
+        coef = g * g + 0.25
+        shooter = _Shooter(lambda rho: -coef / np.maximum(rho, cut) ** 2,
+                           0.0, 0.0, 0.05, 1e4, n, hard_wall=hard_wall)
+        self._check(shooter, k, big)
+
+    @settings(max_examples=10, deadline=None)
+    @given(depth=st.floats(1.0, 5.0), screen=st.floats(4.0, 20.0),
+           n=st.integers(400, 1500), k=st.integers(0, 1),
+           hard_wall=st.booleans(), big=st.sampled_from(_DRAWN_BIGS))
+    def test_screened_well_draws(self, depth, screen, n, k, hard_wall, big):
+        # W = -depth exp(-rho/screen)/rho on [0.05, 400]; depth screen >= 4
+        # binds at least one state (the threshold is 1.68)
+        shooter = _Shooter(
+            lambda rho: -depth * np.exp(-rho / screen) / rho, 0.0, 0.0,
+            0.05, 400.0, n, hard_wall=hard_wall)
+        self._check(shooter, k, big)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(800, 1500), k=st.integers(0, 1),
+           hard_wall=st.booleans(), big=st.sampled_from(_DRAWN_BIGS))
+    def test_he4_coarse_grid_draws(self, he4_branch_potential, n, k,
+                                   hard_wall, big):
+        # the bundled He4 W on the solve's window over n points
+        pot = he4_branch_potential[1]
+        shooter = _Shooter(pot.values, pot.w_inf,
+                           min(pot.w_inf, pot.threshold), 0.05, 4000.0, n,
+                           hard_wall=hard_wall)
+        self._check(shooter, k, big)
 
 
 def _count_sweeps(monkeypatch) -> list[int]:
@@ -1393,7 +1507,7 @@ class TestWarmStart:
         assert list(lost.table) == [lost.top]
 
     @pytest.mark.parametrize("grid, total", [(["--p-step", "0.015"], 45),
-                                             ([], 111)])
+                                             ([], 113)])
     def test_scan_sweeps_per_point(self, tmp_path, monkeypatch, grid, total):
         # Numerov sweeps per scan point on either grid (P step 0.015 and
         # the default 0.005); 43 cold and up to 28 warm with Brent on
@@ -1435,13 +1549,16 @@ class TestWarmStart:
         # point's branch one secant step off the first and each wave read
         # from the carry (totals 45 and 111, largest warm point 11 and
         # 10): 43-47 (mean 44.27) against 52-56 (53.50) and 107-112
-        # (109.53) against 108-115 (111.43)
+        # (109.53) against 108-115 (111.43).  With the cold window started
+        # at its Sturm floor (totals 45 and 113, cold points of 13): 43-49
+        # (mean 45.93) against 43-47 (44.27) and 108-114 (111.03) against
+        # 107-112 (109.53)
         path = tmp_path / "he4_trimer.cfg"
         path.write_text(bundled_config_text("he4_trimer"))
         counts = _count_sweeps(monkeypatch)
         assert cli.main(["scan-p", "--config", str(path),
                          "--p-min", "0.10", "--p-max", "0.16"] + grid) == 0
-        assert counts[0] == 12
+        assert counts[0] == 13
         assert max(counts[1:]) <= 11
         assert sum(counts) == total
 
@@ -1463,9 +1580,12 @@ class TestWarmStart:
     # bracket: tests/sweep_spread.py gives 15-17 (mean 16.47) and 8-12
     # (8.83) against 15-17 (15.93) and 8-11 (8.50) before.  He4 13 and
     # mixed 8 with long Newton steps taken in ln(-eps): 12-13 (12.03) and
-    # 8-10 (8.93) against 15-17 (16.47) and 8-12 (8.83) before
-    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 13),
-                                                   ("mixed_cfg", 8)])
+    # 8-10 (8.93) against 15-17 (16.47) and 8-12 (8.83) before.  He4 12
+    # and mixed 6 with the cold window started at its Sturm floor, min (W
+    # + 1/(4 rho^2)), not at min W: 11-12 (11.97) and 6-9 (6.63) against
+    # 12-13 (12.03) and 8-10 (8.93) before
+    @pytest.mark.parametrize("cfg_name, sweeps", [("he4_cfg", 12),
+                                                   ("mixed_cfg", 6)])
     def test_solve_sweeps_unchanged(self, request, monkeypatch, cfg_name,
                                     sweeps):
         counts = _count_sweeps(monkeypatch)
