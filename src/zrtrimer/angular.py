@@ -15,8 +15,7 @@ is one sign-change ladder, `_walk`, plus a regula falsi refine
 (`system.regula_falsi`) that reuses the values at the bracket's ends:
 one-sided from a window edge to seed the first node, and for branch
 continuation one-sided toward the nearest root with the orientation of
-the node before (the sign of the residual just above it), two-sided
-where that finds none within the continuation's trust.
+the node before (the sign of the residual just above it).
 
 trace_branch continues the branch node by node over a coarse sub-grid,
 nodes at most COARSE_STEP apart in ln rho (87 of the bundled 600): each
@@ -98,8 +97,9 @@ MAX_RESIDUAL = 1e-10
 #: Widest gap in ln(rho) between the nodes trace_branch continues one by one.
 COARSE_STEP = 0.15
 
-#: After its first two-sided rung, a walk's ladder reaches this multiple
-#: of |f0 / slope| past its start, the slope the secant through the rung.
+#: After its first rung, a walk from inside its window reaches this
+#: multiple of |f0 / slope| past its start, the slope the secant through
+#: the rung.
 NEWTON_REACH = 1.25
 
 #: First half-width of a lockstep bracket, over 1 + |guess|: about the
@@ -904,12 +904,11 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
     1e-13 (1 + |guess|) and capped at solve_at_rho's default.  It walks
     one way only, toward the nearest root of the previous node's
     orientation, the sign of the residual at the upper end of the
-    bracket that node refined; only if that finds no root within the
-    trust is the node walked both ways.  If the prediction lands past a
-    pole, or the root is lost or jumps between nodes, the step toward the
-    next node is bisected, up to MAX_HALVINGS times, before giving up
-    with BranchFoldError.  The branch is accepted
-    by the caller (`_verify`), not here.
+    bracket that node refined.  If the prediction lands past a pole, or
+    the root is lost or jumps between nodes, the step toward the next
+    node is bisected, up to MAX_HALVINGS times, before giving up with
+    BranchFoldError.  The branch is accepted by the caller (`_verify`),
+    not here.
     """
     us = np.empty_like(grid)
     res = np.empty_like(grid)
@@ -935,21 +934,18 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
             if miss is not None:
                 scale = 1.0 + abs(guess)
                 step = min(max(4.0 * miss, 1e-13 * scale), 1e-4 * scale)
-            trust = max(0.5, 0.25 * abs(guess), 8.0 * abs(du_pred))
             ok = False
             # a branch cannot cross a pole: a guess past one has jumped
             lo, hi = _cell_interval(hist[-1][1])
-            # toward the root of the last one's orientation, then both ways
-            ways = (above, None) if above is not None else (None,)
-            for way in ways if lo <= guess <= hi else ():
+            if lo <= guess <= hi:
                 try:
+                    # toward the root of the last one's orientation
                     u_new, r_new, sign = solve_at_rho(
-                        tgt, problem, guess, step, residual=True, above=way)
+                        tgt, problem, guess, step, residual=True, above=above)
+                    trust = max(0.5, 0.25 * abs(guess), 8.0 * abs(du_pred))
+                    ok = abs(u_new - guess) <= trust
                 except RootSearchError:
-                    continue
-                ok = abs(u_new - guess) <= trust
-                if ok:
-                    break
+                    pass
             if ok:
                 pending.pop()
                 miss = abs(u_new - guess)

@@ -768,47 +768,31 @@ class TestTraceBranch:
         np.testing.assert_allclose(got.u, want.u, rtol=1e-13, atol=0.0)
         assert np.max(np.abs(got.residuals)) <= angular.MAX_RESIDUAL
 
-    def _walks_failing(self, cfg, monkeypatch, failed):
-        """The bundled grid's trace with the first `failed` solves at the
-        41st coarse node raising RootSearchError: the coarse nodes of the
-        default trace, each solve as (rho, above) and the branch.  The
-        branch is the default one."""
-        grid = _grid_of(cfg)
+    def test_walk_without_a_sign_change_halves_the_step(self, he4_cfg,
+                                                         monkeypatch):
+        # a coarse node whose one-way walk finds no sign change
+        # (RootSearchError) is retried after a half step, and the branch
+        # is the default one
+        grid = _grid_of(he4_cfg)
         with _counted_solves() as coarse:
-            want = trace_branch(grid, AngularProblem(cfg.system))
-        solves = []
+            want = trace_branch(grid, AngularProblem(he4_cfg.system))
+        target, solves = coarse[40], []
 
         def solve(rho, *args, **kwargs):
             solves.append((rho, kwargs["above"]))
-            if 41 <= len(solves) <= 40 + failed:
+            if len(solves) == 41:   # the first solve at coarse[40]
                 raise RootSearchError("no sign change")
             return solve_at_rho(rho, *args, **kwargs)
         monkeypatch.setattr(angular, "solve_at_rho", solve)
-        got = trace_branch(grid, AngularProblem(cfg.system))
-        np.testing.assert_allclose(got.u, want.u, rtol=1e-13, atol=0.0)
-        assert np.max(np.abs(got.residuals)) <= angular.MAX_RESIDUAL
-        assert solves[39][1] is not None    # walked one way
-        return coarse, solves
-
-    def test_directed_walk_without_a_sign_change_walks_both_ways(
-            self, he4_cfg, monkeypatch):
-        # a coarse node whose walk toward the root of the last node's
-        # orientation finds no sign change is walked both ways at once
-        coarse, solves = self._walks_failing(he4_cfg, monkeypatch, 1)
-        target, above = coarse[40], solves[39][1]
-        assert solves[40:42] == [(target, above), (target, None)]
-        assert len(solves) == len(coarse) + 1
-
-    def test_walk_without_a_sign_change_halves_the_step(self, he4_cfg,
-                                                         monkeypatch):
-        # a coarse node whose walk finds no sign change (RootSearchError)
-        # one way and both ways is retried after a half step
-        coarse, solves = self._walks_failing(he4_cfg, monkeypatch, 2)
-        target, above = coarse[40], solves[39][1]
-        assert solves[40:44] == [(target, above), (target, None),
+        got = trace_branch(grid, AngularProblem(he4_cfg.system))
+        above = solves[39][1]
+        assert above is not None    # walked one way
+        assert solves[40:43] == [(target, above),
                                  (0.5 * (coarse[39] + target), above),
                                  (target, above)]
-        assert len(solves) == len(coarse) + 3
+        assert len(solves) == len(coarse) + 2
+        np.testing.assert_allclose(got.u, want.u, rtol=1e-13, atol=0.0)
+        assert np.max(np.abs(got.residuals)) <= angular.MAX_RESIDUAL
 
     def test_open_node_at_the_round_cap_continues_every_node(
             self, he4_cfg, monkeypatch):
