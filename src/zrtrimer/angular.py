@@ -21,19 +21,23 @@ trace_branch continues the branch node by node over a coarse sub-grid,
 nodes at most COARSE_STEP apart in ln rho (87 of the bundled 600): each
 node is predicted by the quadratic through the three previous ones, its
 walk's first rung is sized by the previous node's miss and its second by
-the residual's slope across the first.  The other nodes are solved in
-lockstep over numpy arrays: guesses from a monotone cubic through the
-coarse nodes, brackets of half-width about the guesses' median miss,
-widened around all of them at once, and the same regula falsi on the
-nodes still open until each bracket closes.  The array form of the
-residual, `AngularProblem.residual_array`, covers the lowest cell
-u < 4 - POLE_GUARD, where the branch lives; an array whose every u lies
-below 0, as on a bound branch, takes the u < 0 forms with no mask.  A
+the residual's slope across the first.  From the fourth node on, a walk
+whose bracket is at most HANDOVER_WIDTH |g - u_prev| wide (g the
+prediction, u_prev the node before) is not refined: the continuation
+goes on from the bracket's secant point, and the bracket is closed in
+the lockstep.  The other nodes are solved in lockstep over numpy arrays:
+guesses from a monotone cubic through the coarse nodes, brackets of
+half-width about the guesses' median miss, widened around all of them
+at once, and the same regula falsi on the nodes still open, the coarse
+brackets handed over among them, until each bracket closes.  The array
+form of the residual, `AngularProblem.residual_array`, covers the lowest
+cell u < 4 - POLE_GUARD, where the branch lives; an array whose every u
+lies below 0, as on a bound branch, takes the u < 0 forms with no mask.  A
 node the lockstep cannot bracket near its guess, or close in
 BRENT_MAXITER rounds, sends the whole grid back to the node-by-node
 walk.  Every stored residual is one a search evaluated at the stored
-root: on the bundled configs about 1.0 scalar calls and 6 to 7 array
-points per node.
+root: on the bundled configs about 0.5 scalar calls and 6.5 to 7.3
+array points per node.
 
 Every branch trace_branch returns, cold or warm, passes one acceptance
 check, `_verify`, the corrector's acceptance step of predictor-corrector
@@ -54,8 +58,8 @@ residual off the only one, and no node is walked.  The first node
 is seeded as in the cold trace once the lockstep has kept every node,
 and the warm branch is kept only if it passes `_verify`; otherwise the
 cold trace runs, unchanged.  On the bundled scans at P step 0.015 a
-warm point takes about 40 scalar calls and 6.0 to 6.2 array points per
-node, 8.0 to 8.3 at the second point.
+warm point takes 15 to 19 scalar calls, the first node's, and 6.0 to 6.2
+array points per node, 8.0 to 8.3 at the second point.
 
 The searches read one scaled residual per problem, `AngularProblem.residual`,
 built from constants computed once.  For identical bosons it is the boson
@@ -106,6 +110,10 @@ NEWTON_REACH = 1.25
 #: median miss of the guesses on the bundled traces (1.7e-5 He4, 1.8e-5
 #: mixed).
 LOCKSTEP_WIDTH = 2e-5
+
+#: A coarse node's walk bracket at most this multiple of |g - u_prev| wide
+#: (g its prediction, u_prev the node before) is closed in the lockstep.
+HANDOVER_WIDTH = 0.1
 
 
 class PoleProximityError(SolverError):
@@ -621,18 +629,22 @@ def _pair_residual(problem: AngularProblem, i: int, k: int):
 
 
 def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
-          max_steps: int, above: float | None = None
-          ) -> tuple[float, float, float | None]:
+          max_steps: int, above: float | None = None, narrow: float = 0.0
+          ) -> tuple[float, float, float | None, tuple | None]:
     """Root of f nearest to x0 in [lo, hi], by ladder bracketing, with f
-    at the root as the walk or the refine evaluated it, and the root's
+    at the root as the walk or the refine evaluated it, the root's
     orientation: the sign of f at the upper end of the bracket refined
-    (None where the walk lands on an exact zero).
+    (None where the walk lands on an exact zero), and None.  A bracket at
+    most `narrow` wide, the only one on its rung, is not refined: the walk
+    returns its secant point, NaN for f there, its orientation and the
+    bracket (a, b, f(a), f(b)).
 
     Walks outward from x0 in both directions, with a step that starts at h0
     and is multiplied by `grow` after each rung, clipped to the window, and
     refines the first bracket that shows a sign change with `regula_falsi`
-    from the values at its ends.  A walk from inside its window sizes its
-    second rung from the first: the secant through the first rung's ends
+    from the values at its ends.  A walk that does not start at the floor
+    of its window sizes its second rung from the first: the secant through
+    the first rung's ends
     (x0 and the one end of a one-way walk's rung) puts the root
     about |f0 / slope| from x0, and the second rung merges the ladder's
     rungs that end short of NEWTON_REACH times that (at most 1 + |x0|).
@@ -645,11 +657,12 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
     walk that starts at an edge of its window runs one way only, and so
     does one given `above`, the sign f takes just above the root sought:
     down where f0 has that sign, else up, with the same rungs.  The first
-    root it brackets has that orientation.
+    root it brackets has that orientation.  A walk up from the floor
+    keeps the ladder's rungs, which find the lowest root.
     """
     f0 = f(x0)
     if f0 == 0.0:
-        return x0, f0, None
+        return x0, f0, None, None
     # with above, only toward the side where f reaches 0 with that sign
     # above the root: below x0 where f0 has it
     down = above is None or (f0 > 0.0) == (above > 0.0)
@@ -663,7 +676,7 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
             x2 = min(xp + step, hi)
             f2 = f(x2)
             if f2 == 0.0:
-                return x2, f2, None
+                return x2, f2, None, None
             if fp * f2 < 0.0:
                 brackets.append((xp, x2, fp, f2))
             xp, fp = x2, f2
@@ -671,17 +684,21 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
             x2 = max(xm - step, lo)
             f2 = f(x2)
             if f2 == 0.0:
-                return x2, f2, None
+                return x2, f2, None, None
             if fm * f2 < 0.0:
                 brackets.append((x2, xm, f2, fm))
             xm, fm = x2, f2
         if brackets:
-            roots = [(*regula_falsi(f, *b), math.copysign(1.0, b[3]))
-                     for b in brackets]
+            a, b, fa, fb = brackets[0]
+            if len(brackets) == 1 and b - a <= narrow:
+                return (b - (b - a) * (fb / (fb - fa)), math.nan,
+                        math.copysign(1.0, fb), brackets[0])
+            roots = [(*regula_falsi(f, *e), math.copysign(1.0, e[3]), None)
+                     for e in brackets]
             return min(roots, key=lambda r: abs(r[0] - x0))
         h *= grow
         step = h
-        if rung == 0 and lo < x0 < hi and fp != fm:
+        if rung == 0 and lo < x0 and fp != fm:
             # the next rung merges the ladder's rungs that end short of a
             # little past the secant's root (at most 1 + |x0| from x0);
             # the rungs after it end where the ladder's would, which split
@@ -697,15 +714,18 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
 
 def solve_at_rho(rho: float, problem: AngularProblem, guess: float,
                  step: float | None = None, *, residual: bool = False,
-                 above: float | None = None):
+                 above: float | None = None, narrow: float = 0.0):
     """Angular eigenvalue u = nu^2 at one hyper-radius, continuing a branch.
 
     Returns the root of the eigenvalue condition closest to `guess`, by a
     two-sided walk inside the pole-free cell containing the guess, or,
     given `above`, the nearest root of that orientation (the sign of the
     residual just above it) by a one-sided walk toward it (`_walk`); with
-    residual, the triple (u, problem.residual(u, rho), orientation), the
-    residual as the walk or its refine evaluated it.  The walk's first
+    residual, `_walk`'s (u, problem.residual(u, rho), orientation, None),
+    the residual as the walk or its refine evaluated it, or, where the
+    walk's bracket is at most `narrow` wide (the cold trace's hand-over to
+    its lockstep; 0 by default), the bracket's secant point, NaN, the
+    orientation and the bracket unrefined.  The walk's first
     rung is `step` when given (a caller that knows how far its guesses
     miss), else 1e-4 (1 + |guess|); the ladder grows by 1.4 per rung, and
     its second rung reaches past the root of the secant through the first
@@ -716,20 +736,23 @@ def solve_at_rho(rho: float, problem: AngularProblem, guess: float,
     lo, hi = _cell_interval(guess)
     h0 = max(1e-9, 1e-4 * (1.0 + abs(guess))) if step is None else step
     x0 = min(max(guess, lo + h0), hi - h0)
-    root = _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400, above)
+    root = _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400, above, narrow)
     return root if residual else root[0]
 
 
 def _first_node_u(rho: float, problem: AngularProblem
-                  ) -> tuple[float, float, float | None]:
+                  ) -> tuple[float, float, float | None, None]:
     """Lowest-branch root at the first grid node, its residual and its
-    orientation (`_walk`): a walk from a window edge.
+    orientation, as `_walk` returns them: a walk from a window edge.
 
     Under the extended boundary condition the branch leaves u(0) = 0 heading
     negative, so near the origin the walk steps down from zero (one-sided: a
-    mirror root sits just above zero).  Otherwise (bare, zero-range, a large
-    first rho, unitary) it steps up uniformly from the floor of
-    u in [-(rho/(sqrt(mu)|a|) + 20)^2, 4) to the first, most negative root.
+    mirror root sits just above zero), its rungs after the first merged up
+    to NEWTON_REACH past the secant's root (16 to 19 residual calls on the
+    bundled configs, against 40 on the 1.25x ladder).  Otherwise (bare,
+    zero-range, a large first rho, unitary) it steps up uniformly from the
+    floor of u in [-(rho/(sqrt(mu)|a|) + 20)^2, 4) to the first, most
+    negative root, with no merge.
     """
     f = problem.residual
     d = problem.dimer
@@ -770,11 +793,14 @@ def trace_branch(grid, problem: AngularProblem,
     sub-grid: the first and last nodes and every node that cannot be
     skipped without leaving a gap over COARSE_STEP in ln rho.  The other
     nodes are solved together by `_lockstep`, from the monotone cubic in
-    ln rho through the coarse nodes.  If it loses any node, no root within
-    the trust max(0.5, |guess|/4) or no closed bracket in BRENT_MAXITER
-    rounds, the branch may have jumped inside a coarse step, and the whole
-    grid is continued node by node instead.  On a grid spaced wider than
-    COARSE_STEP/2 in ln rho every node is coarse.
+    ln rho through the coarse nodes, and so are the coarse nodes whose
+    walk handed its bracket over unrefined, from that bracket.  If it
+    loses any node, no root within the trust max(0.5, |guess|/4) or no
+    closed bracket in BRENT_MAXITER rounds, the branch may have jumped
+    inside a coarse step, and the whole grid is continued node by node
+    instead, every bracket refined by its walk.  On a grid spaced wider
+    than COARSE_STEP/2 in ln rho every node is coarse, and every walk
+    refines its own bracket.
 
     prior, the branches of the earlier points of a scan in P with a fixed
     step, last one last, all on this grid, continues the branch in P
@@ -819,7 +845,7 @@ def trace_branch(grid, problem: AngularProblem,
                            1e-10 * (1.0 + np.abs(guess)))
         found = _lockstep(problem, grid[1:], guess, width)
         if found is not None:
-            u0, r0, _ = _first_node_u(grid[0].item(), problem)
+            u0, r0 = _first_node_u(grid[0].item(), problem)[:2]
             us, res = np.insert(found[0], 0, u0), np.insert(found[1], 0, r0)
             try:
                 _verify(grid, us, res)
@@ -836,15 +862,18 @@ def trace_branch(grid, problem: AngularProblem,
         if lr[k + 1] - last > COARSE_STEP:
             coarse[k] = True
             last = lr[k]
-    us, res = _continue(grid, problem, coarse)
     fine = ~coarse
-    if fine.any():
-        guess = _Pchip(log_rho[coarse], us[coarse])(log_rho[fine])
-        found = _lockstep(problem, grid[fine], guess)
+    ends = np.full((4, len(grid)), math.nan) if fine.any() else None
+    us, res = _continue(grid, problem, coarse, ends)
+    if ends is not None:
+        # the fine nodes and the coarse ones handed over, in one lockstep
+        todo = fine | ~np.isnan(ends[0])
+        guess = _Pchip(log_rho[coarse], us[coarse])(log_rho[todo])
+        found = _lockstep(problem, grid[todo], guess, ends=ends[:, todo])
         if found is None:
             us, res = _continue(grid, problem, np.ones_like(coarse))
         else:
-            us[fine], res[fine] = found
+            us[todo], res[todo] = found
     _verify(grid, us, res)
     return NuBranch(rho=grid, u=us, residuals=res)
 
@@ -892,11 +921,20 @@ def _lagrange(points, r):
     return total
 
 
-def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
+def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray,
+              ends: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
     """u and its residual at the grid nodes in the mask `nodes`, by
     continuation from node to node, the first node seeded by
     `_first_node_u`; the other entries are left unset.
+
+    Given `ends`, a (4, len(grid)) array of NaN, a node from the fourth on
+    whose walk, on its first try, brackets the root in at most
+    HANDOVER_WIDTH |g - u_prev| (g its prediction, u_prev the node before)
+    is handed over: its walk returns the bracket unrefined, which goes in
+    ends' column (a, b, f(a), f(b)), and its u is the bracket's secant
+    point, its residual NaN, for the caller's `_lockstep` to close.  The
+    continuation goes on from that secant point.
 
     Each solve is seeded by the quadratic through the three previous
     nodes (linear from two, the first analytically), and its walk starts
@@ -918,14 +956,16 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
     hist: list[tuple[float, float]] = []
     miss = above = None
 
-    def advance(rho_target: float) -> tuple[float, float]:
+    def advance(rho_target: float) -> tuple[float, float, tuple | None]:
         """Continue the branch from hist[-1] to rho_target, subdividing on
         failure; the step may be halved down to 2^-MAX_HALVINGS of the gap.
-        Returns u at rho_target and its residual."""
+        Returns u at rho_target, its residual and the bracket handed over
+        (None where the walk refined it)."""
         nonlocal miss, above
         gap0 = rho_target - hist[-1][0]
         min_step = gap0 / (2.0 ** MAX_HALVINGS)
         pending = [rho_target]
+        handover = ends is not None and len(hist) == 3
         while pending:
             tgt = pending[-1]
             guess = _lagrange(hist, tgt)
@@ -935,13 +975,15 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
                 scale = 1.0 + abs(guess)
                 step = min(max(4.0 * miss, 1e-13 * scale), 1e-4 * scale)
             ok = False
+            narrow = HANDOVER_WIDTH * abs(du_pred) if handover else 0.0
             # a branch cannot cross a pole: a guess past one has jumped
             lo, hi = _cell_interval(hist[-1][1])
             if lo <= guess <= hi:
                 try:
                     # toward the root of the last one's orientation
-                    u_new, r_new, sign = solve_at_rho(
-                        tgt, problem, guess, step, residual=True, above=above)
+                    u_new, r_new, sign, bracket = solve_at_rho(
+                        tgt, problem, guess, step, residual=True, above=above,
+                        narrow=narrow)
                     trust = max(0.5, 0.25 * abs(guess), 8.0 * abs(du_pred))
                     ok = abs(u_new - guess) <= trust
                 except RootSearchError:
@@ -961,27 +1003,34 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray
                         f"trust of the guess u = {guess:g} from u = "
                         f"{hist[-1][1]:g} (step below gap/2^{MAX_HALVINGS})")
                 pending.append(mid)
-        return u_new, r_new
+                handover = False
+        return u_new, r_new, bracket
 
     # builtin floats: an np.float64 rho would spread through every iterate
     # into hist and slow each later residual call
     rhos = grid.tolist()
     for k in np.flatnonzero(nodes).tolist():
         if not hist:
-            u, r, above = _first_node_u(rhos[k], problem)
+            u, r, above, _ = _first_node_u(rhos[k], problem)
             hist.append((rhos[k], u))
         else:
-            u, r = advance(rhos[k])
+            u, r, bracket = advance(rhos[k])
+            if bracket is not None:
+                ends[:, k] = bracket
         us[k], res[k] = u, r
     return us, res
 
 
 def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
-              width: np.ndarray | None = None
+              width: np.ndarray | None = None, ends: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray] | None:
     """Roots of the residual next to each guess below u = 4, all at once,
     and the residual at each; None if any node has no root near its guess
     or is still open after BRENT_MAXITER rounds.
+
+    ends, a (4, len(rho)) array, gives the nodes whose column is not NaN
+    their bracket (a, b, f(a), f(b)) with a sign change: those skip the
+    widening below and are refined with the others.
 
     Each bracket [g - w, g + w] (its top clipped to the cell edge
     4 - POLE_GUARD) starts at w = width, by default LOCKSTEP_WIDTH
@@ -1001,10 +1050,10 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
     if not np.all(guess <= top):
         return None
     n = len(rho)
-    a, b, fa, fb = (np.empty(n) for _ in range(4))
+    a, b, fa, fb = np.full((4, n), math.nan) if ends is None else ends.copy()
     trust = np.maximum(0.5, 0.25 * np.abs(guess))
     w = LOCKSTEP_WIDTH * (1.0 + np.abs(guess)) if width is None else width
-    todo = np.arange(n)
+    todo = np.flatnonzero(np.isnan(a))
     while todo.size:
         g, r, wt = guess[todo], rho[todo], w[todo]
         a[todo], b[todo] = g - wt, np.minimum(g + wt, top)

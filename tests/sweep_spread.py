@@ -13,8 +13,10 @@ radial grid (`_Shooter.w`) moved by a random whole number of ulps in
 [-2, 2], and prints per run the unperturbed count of sweeps and the
 min/mean/max of the perturbed ones.  A re-pinned count should lie in the
 spread of the code before the change.  Last, one line per benchmark
-workload: the total sweeps, angular scalar residual calls, array residual
-calls and array points over requests 0-39 of perfbench seeds 1-3, the
+workload: the total sweeps, angular scalar residual calls (those of
+`angular._first_node_u` and the rest apart), array residual calls and
+array points, and the coarse nodes whose walk bracket the cold trace hands
+to `angular._lockstep`, over requests 0-39 of perfbench seeds 1-3, the
 requests generated by `perfbench.workloads.requests` and run unperturbed.
 The residual calls are counted on each problem's residual forms, as
 tests/test_angular.py's `_counted_residuals` counts them.
@@ -71,17 +73,21 @@ def _nudged(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 # the angular residual forms, each returning (scalar, array) residuals
 FORMS = ("_boson_residual", "_pair_residual", "_general_residual")
+COUNTS = ("sweeps", "first", "scalar", "arrays", "points", "handed")
 
 
 def work(argv: list[str], rng: np.random.Generator | None
          ) -> dict[str, int]:
-    """Numerov sweeps, angular scalar residual calls, array residual
-    calls and array points of one command line through
-    `zrtrimer.cli.main`, each shooter's W nudged by rng unless it is
-    None."""
-    count = dict.fromkeys(("sweeps", "scalar", "arrays", "points"), 0)
+    """Numerov sweeps, angular scalar residual calls (those made inside
+    `_first_node_u` counted apart, as "first"), array residual calls and
+    array points, and the coarse nodes handed to the lockstep, of one
+    command line through `zrtrimer.cli.main`, each shooter's W nudged by
+    rng unless it is None."""
+    count = dict.fromkeys(COUNTS, 0)
     init, sweep = radial._Shooter.__init__, radial._Shooter._sweep
     forms = {name: getattr(angular, name) for name in FORMS}
+    first_node, lockstep = angular._first_node_u, angular._lockstep
+    in_first = []
 
     def nudged_init(self, w_of, *args, **kwargs):
         init(self, lambda rho: _nudged(w_of(rho), rng), *args, **kwargs)
@@ -95,7 +101,7 @@ def work(argv: list[str], rng: np.random.Generator | None
             f, f_array = form(problem, *args)
 
             def counted(u, rho):
-                count["scalar"] += 1
+                count["first" if in_first else "scalar"] += 1
                 return f(u, rho)
 
             def counted_array(u, rho):
@@ -104,7 +110,21 @@ def work(argv: list[str], rng: np.random.Generator | None
                 return f_array(u, rho)
             return counted, counted_array
         return built
+
+    def counted_first_node(*args):
+        in_first.append(True)
+        try:
+            return first_node(*args)
+        finally:
+            in_first.pop()
+
+    def counted_lockstep(*args, ends=None, **kwargs):
+        if ends is not None:
+            count["handed"] += int(np.count_nonzero(~np.isnan(ends[0])))
+        return lockstep(*args, ends=ends, **kwargs)
     radial._Shooter._sweep = counted_sweep
+    angular._first_node_u = counted_first_node
+    angular._lockstep = counted_lockstep
     for name, form in forms.items():
         setattr(angular, name, counted_form(form))
     if rng is not None:
@@ -113,6 +133,7 @@ def work(argv: list[str], rng: np.random.Generator | None
         code = cli.main(argv + ["--out", os.devnull])
     finally:
         radial._Shooter.__init__, radial._Shooter._sweep = init, sweep
+        angular._first_node_u, angular._lockstep = first_node, lockstep
         for name, form in forms.items():
             setattr(angular, name, form)
     if code != 0:
@@ -136,7 +157,7 @@ def main() -> int:
                   "(min/mean/max)")
         path = Path(tmp) / "request.cfg"
         for workload in WORKLOADS:
-            total = dict.fromkeys(("sweeps", "scalar", "arrays", "points"), 0)
+            total = dict.fromkeys(COUNTS, 0)
             for seed in BENCH_SEEDS:
                 for req in itertools.islice(
                         requests(workload, seed, HERE.parent), BENCH_REQUESTS):
@@ -147,9 +168,12 @@ def main() -> int:
                     for key in total:
                         total[key] += one[key]
             print(f"benchmark {workload}: {total['sweeps']} sweeps, "
-                  f"{total['scalar']} angular scalar residual calls, "
-                  f"{total['arrays']} array calls of {total['points']} "
-                  f"points over requests 0-{BENCH_REQUESTS - 1} of seeds "
+                  f"{total['first'] + total['scalar']} angular scalar "
+                  f"residual calls ({total['first']} first-node, "
+                  f"{total['scalar']} other), {total['arrays']} array calls "
+                  f"of {total['points']} points, {total['handed']} coarse "
+                  f"nodes handed to the lockstep over requests "
+                  f"0-{BENCH_REQUESTS - 1} of seeds "
                   f"{BENCH_SEEDS[0]}-{BENCH_SEEDS[-1]}")
     return 0
 

@@ -42,6 +42,7 @@ from zrtrimer.angular import (
 from zrtrimer.cli import potential_for_config
 from zrtrimer.potential import effective_potential
 from zrtrimer.radial import solve_bound_states
+from zrtrimer.system import BRENT_RTOL
 
 from trimer_params import (HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4,
                            POLE_NOT_BARE)
@@ -601,6 +602,29 @@ def _lowest_root_by_fine_scan(f, lo: float, hi: float) -> float:
     return brentq(f, xs[k], xs[k + 1], xtol=1e-15, rtol=8.9e-16)
 
 
+def _lower_roots(problem: AngularProblem, branch) -> list[int]:
+    """Independent check that a traced branch is the lowest root: the
+    nodes below whose u the residual changes sign.  At each node
+    `residual_array` is evaluated on 4000 points from -(1.5 rho s + 20)^2
+    up to u - 1e-7 (1 + |u|), s the largest kappa/sqrt(mu) over the bound
+    pairs (1/(|a| sqrt(mu)) for a bare pair), below which no root lies."""
+    s = max((dimer_pole_kappa(pair) / math.sqrt(mu)
+             for pair, mu in zip(problem.system.pairs, problem.kinematics.mu)
+             if pair.has_bound_dimer), default=0.0)
+    t = np.linspace(0.0, 1.0, 4000)
+    lower = []
+    for k in range(0, len(branch), 50):    # 200k points an array call
+        rho = branch.rho[k:k + 50, None]
+        u = branch.u[k:k + 50, None]
+        floor = -(1.5 * rho * s + 20.0) ** 2
+        us = floor + (u - 1e-7 * (1.0 + np.abs(u)) - floor) * t
+        fs = problem.residual_array(us.ravel(), np.broadcast_to(
+            rho, us.shape).ravel()).reshape(us.shape)
+        lower += (k + np.flatnonzero(
+            (np.diff(np.sign(fs), axis=1) != 0).any(axis=1))).tolist()
+    return lower
+
+
 class TestFirstNodeSeed:
     @pytest.mark.parametrize("cfg_name, u_branch, u_mirror", [
         ("he4_cfg", -3.53e-4, 3.28e-4), ("mixed_cfg", -2.81e-4, 2.62e-4)])
@@ -650,6 +674,48 @@ class TestFirstNodeSeed:
                                   unitary_problem)
             assert np.allclose(branch.u, -g * g, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("cfg_name, expected_calls",
+                             [("he4_cfg", 16), ("mixed_cfg", 18)])
+    def test_merged_walk_finds_the_ladder_root(self, request, cfg_name,
+                                               expected_calls, monkeypatch):
+        # the extended walk down from -1e-14 merges its rungs after the
+        # first up to NEWTON_REACH past the secant's root: at rho = 0.05
+        # it takes 16 (He4) and 18 (mixed) residual calls where the 1.25x
+        # ladder from 5e-8 takes 40, and finds the ladder's root within
+        # 2 BRENT_RTOL
+        problem = AngularProblem(request.getfixturevalue(cfg_name).system)
+        f = problem.residual
+        calls = []
+
+        def counted(u, rho):
+            calls.append(rho)
+            return f(u, rho)
+        problem.__dict__["residual"] = counted
+        rhos = (0.01, 0.05, 0.5, 5.0, 50.0)
+        merged = [angular._first_node_u(rho, problem) for rho in rhos]
+        merged_calls = calls.count(0.05)
+        monkeypatch.setattr(angular, "NEWTON_REACH", 0.0)
+        ladder = [angular._first_node_u(rho, problem) for rho in rhos]
+        assert (merged_calls, calls.count(0.05) - merged_calls) == (
+            expected_calls, 40)
+        for (u, r, above, _), (v, _, ladder_above, _) in zip(merged, ladder):
+            assert abs(u - v) <= 2.0 * BRENT_RTOL * abs(v)
+            assert abs(r) <= angular.MAX_RESIDUAL
+            assert above == ladder_above
+
+    @pytest.mark.parametrize("rho", [0.05, 3.0, 120.0, 2500.0])
+    def test_floor_walk_is_not_merged(self, he4_problem, bare_he4_problem,
+                                      unitary_problem, rho, monkeypatch):
+        # the walk up from the window's floor (a bare pair, or rho past
+        # 0.3 sqrt(mu)|a|) keeps its uniform rungs, which find the most
+        # negative root: bit for bit what it gives with no merge at all
+        problems = [bare_he4_problem, unitary_problem]
+        if rho > 100.0:
+            problems.append(he4_problem)
+        merged = [angular._first_node_u(rho, p) for p in problems]
+        monkeypatch.setattr(angular, "NEWTON_REACH", 0.0)
+        assert merged == [angular._first_node_u(rho, p) for p in problems]
+
 
 class TestTraceBranch:
     @pytest.mark.parametrize("grid", [
@@ -695,26 +761,29 @@ class TestTraceBranch:
         solve = angular.solve_at_rho
 
         def off_root(rho, prob, guess, step=None, **kwargs):
-            u, _, above = solve(rho, prob, guess, step, **kwargs)
+            u, _, above, _ = solve(rho, prob, guess, step, **kwargs)
             u *= 1.0 + 1e-6
-            return u, prob.residual(u, rho), above
+            return u, prob.residual(u, rho), above, None
         monkeypatch.setattr(angular, "solve_at_rho", off_root)
         with pytest.raises(SolverError, match="branch residual"):
             trace_branch(np.array([1.0, 2.0]), problem)
 
     @pytest.mark.parametrize("cfg_name, calls, scalar, points", [
-        ("he4_cfg", 11, 1.0, 6.1), ("mixed_cfg", 11, 1.0, 6.8),
-        ("distinct_cfg", 13, 1.06, 6.9)])
+        ("he4_cfg", 11, 0.51, 6.51), ("mixed_cfg", 11, 0.54, 7.23),
+        ("distinct_cfg", 13, 0.52, 7.33)],
+        ids=["he4_cfg", "mixed_cfg", "distinct_cfg"])
     def test_work_per_node(self, request, cfg_name, calls, scalar, points):
         # the cost of the trace in residual evaluations, which no machine
         # changes, on each residual form: the boson equation, the
         # exchange-symmetric factor and the 3x3 determinant.  The walk on
-        # 87 coarse nodes and the other 513 in lockstep take 0.99, 0.99
-        # and 1.06 scalar calls per node (596 He4, 592 mixed and 633
-        # distinct a trace; 734, 720 and 769 with every node walked both
-        # ways) and 6.05, 6.78 and 6.86 array points (3630, 4066 and
-        # 4113), in 11, 11 and 13 array calls: 5 bracket rounds and 6, 6
-        # and 8 regula falsi rounds
+        # 87 coarse nodes, 71, 67 and 73 of them handed to the lockstep
+        # unrefined, and the other 513 in lockstep take 0.50, 0.54 and
+        # 0.51 scalar calls per node (302 He4, 323 mixed and 308 distinct
+        # a trace, 16, 19 and 18 of them the first node's; 596, 592 and
+        # 633 with every coarse node refined by its walk and the first
+        # node's ladder unmerged) and 6.51, 7.22 and 7.32 array points
+        # (3903, 4333 and 4394), in 11, 11 and 13 array calls: 5 bracket
+        # rounds and 6, 6 and 8 regula falsi rounds
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
         scalar_calls, array_sizes, seen = _counted_residuals(problem)
@@ -737,7 +806,7 @@ class TestTraceBranch:
         # the elements of a numpy grid are np.float64; one that reaches the
         # scalar residual spreads through every Brent iterate into the
         # continuation history and slows each later scalar operation.  The
-        # scalar calls are the coarse walk's, 596 (He4) and 592 (mixed)
+        # scalar calls are the coarse walk's, 302 (He4) and 323 (mixed)
         cfg = request.getfixturevalue(cfg_name)
         problem = AngularProblem(cfg.system)
         f = problem.residual
@@ -750,8 +819,94 @@ class TestTraceBranch:
         grid = np.exp(np.linspace(math.log(cfg.rho_min),
                                   math.log(cfg.rho_max), cfg.n))
         trace_branch(grid, problem)
-        assert len(types) > 500
+        assert len(types) > 250
         assert set(types) == {(float, float)}
+
+    @pytest.mark.parametrize("cfg_name",
+                             ["he4_cfg", "mixed_cfg", "distinct_cfg"])
+    def test_branch_is_the_lowest_root(self, request, cfg_name):
+        # `_verify` cannot tell a higher root from the branch; with
+        # COARSE_STEP = 0.3 the distinct trace follows one over 69 nodes
+        cfg = request.getfixturevalue(cfg_name)
+        problem = AngularProblem(cfg.system)
+        assert _lower_roots(problem, trace_branch(_grid_of(cfg),
+                                                  problem)) == []
+
+    @pytest.mark.parametrize("cfg_name",
+                             ["he4_cfg", "mixed_cfg", "distinct_cfg"])
+    @pytest.mark.parametrize("rho_min", [None, 3.0])
+    def test_handed_nodes_close_in_the_lockstep(self, request, cfg_name,
+                                                rho_min):
+        # a coarse node from the fourth on whose walk bracket is at most
+        # HANDOVER_WIDTH |g - u_prev| wide is not refined by the walk but
+        # closed with the fine nodes: its root lies in the walk's bracket
+        # with a point of the other sign evaluated within 2 BRENT_RTOL |u|,
+        # and its residual is within MAX_RESIDUAL.  On the bundled grid
+        # and on 300 nodes from rho = 3, where the He4 and mixed third
+        # nodes' brackets are that narrow too, but are refined: the linear
+        # prediction from two nodes is no measure
+        cfg = request.getfixturevalue(cfg_name)
+        problem = AngularProblem(cfg.system)
+        _, _, seen = _counted_residuals(problem)
+        grid = _grid_of(cfg) if rho_min is None else np.exp(np.linspace(
+            math.log(rho_min), math.log(cfg.rho_max), 300))
+        with _handed_over() as handed, _counted_solves() as solves:
+            branch = trace_branch(grid, problem)
+        assert len(handed) > 0.6 * len(solves)
+        nodes = grid.tolist()
+        for rho, a, b in handed:
+            assert rho in solves[2:]
+            k = nodes.index(rho)
+            u, r = branch.u[k], branch.residuals[k]
+            assert a <= u <= b and abs(r) <= angular.MAX_RESIDUAL
+            assert r == 0.0 or any(
+                (g < 0.0) != (r < 0.0)
+                and abs(v - u) <= 2.0 * BRENT_RTOL * max(abs(u), abs(v))
+                for (v, at), values in seen.items() if at == rho
+                for g in values)
+
+    def test_handed_residual_bound_enforced(self, he4_cfg, monkeypatch):
+        # the lockstep's residual at a handed-over coarse node is held to
+        # MAX_RESIDUAL like every other
+        lockstep, spoiled = angular._lockstep, []
+
+        def altered(problem, rho, guess, width=None, ends=None):
+            u, res = lockstep(problem, rho, guess, width, ends)
+            k = np.flatnonzero(~np.isnan(ends[0]))[0]
+            res[k] = 2e-10
+            spoiled.append(rho[k])
+            return u, res
+        monkeypatch.setattr(angular, "_lockstep", altered)
+        with pytest.raises(SolverError, match="branch residual 2e-10") as err:
+            trace_branch(_grid_of(he4_cfg), AngularProblem(he4_cfg.system))
+        assert f"at rho = {spoiled[0]:g}, u = " in str(err.value)
+
+    @pytest.mark.parametrize("zero_at", [0, 1])
+    def test_exact_zero_keeps_the_walk_value(self, he4_cfg, zero_at):
+        # a walk that meets an exact zero of the residual, at its start
+        # (zero_at 0) or on its first rung (1), returns that u with the
+        # residual 0; a coarse node it happens at keeps both, where it
+        # would have been handed over, and no other walk runs there
+        grid = _grid_of(he4_cfg)
+        with _handed_over() as handed:
+            trace_branch(grid, AngularProblem(he4_cfg.system))
+        target = handed[10][0]
+        problem = AngularProblem(he4_cfg.system)
+        f, calls = problem.residual, []
+
+        def stub(u, rho):
+            if rho == target:
+                calls.append(u)
+                if len(calls) == zero_at + 1:
+                    return 0.0
+            return f(u, rho)
+        problem.__dict__["residual"] = stub
+        with _handed_over() as handed:
+            branch = trace_branch(grid, problem)
+        k = grid.tolist().index(target)
+        assert len(calls) == zero_at + 1
+        assert branch.u[k] == calls[-1] and branch.residuals[k] == 0.0
+        assert target not in [rho for rho, _, _ in handed]
 
     @pytest.mark.parametrize("cfg_name", ["he4_cfg", "mixed_cfg"])
     def test_lost_node_continues_every_node(self, request, cfg_name):
@@ -772,11 +927,13 @@ class TestTraceBranch:
                                                          monkeypatch):
         # a coarse node whose one-way walk finds no sign change
         # (RootSearchError) is retried after a half step, and the branch
-        # is the default one
+        # is the default one.  The node, handed to the lockstep in the
+        # default trace, is refined by its walk after the halving
         grid = _grid_of(he4_cfg)
-        with _counted_solves() as coarse:
+        with _counted_solves() as coarse, _handed_over() as handed:
             want = trace_branch(grid, AngularProblem(he4_cfg.system))
         target, solves = coarse[40], []
+        assert target in [rho for rho, _, _ in handed]
 
         def solve(rho, *args, **kwargs):
             solves.append((rho, kwargs["above"]))
@@ -784,7 +941,9 @@ class TestTraceBranch:
                 raise RootSearchError("no sign change")
             return solve_at_rho(rho, *args, **kwargs)
         monkeypatch.setattr(angular, "solve_at_rho", solve)
-        got = trace_branch(grid, AngularProblem(he4_cfg.system))
+        with _handed_over() as handed:
+            got = trace_branch(grid, AngularProblem(he4_cfg.system))
+        assert target not in [rho for rho, _, _ in handed]
         above = solves[39][1]
         assert above is not None    # walked one way
         assert solves[40:43] == [(target, above),
@@ -806,9 +965,9 @@ class TestTraceBranch:
         scalar_calls, _, _ = _counted_residuals(problem)
         lockstep, found = angular._lockstep, []
 
-        def recorded(*args):
+        def recorded(*args, **kwargs):
             before = len(scalar_calls)
-            found.append(lockstep(*args))
+            found.append(lockstep(*args, **kwargs))
             assert len(scalar_calls) == before
             return found[-1]
         monkeypatch.setattr(angular, "BRENT_MAXITER", 1)
@@ -824,8 +983,8 @@ class TestTraceBranch:
         problem = AngularProblem(he4_cfg.system)
         lockstep = angular._lockstep
 
-        def off_root(prob, rho, guess):
-            u = lockstep(prob, rho, guess)[0] * (1.0 + 1e-6)
+        def off_root(prob, rho, guess, **kwargs):
+            u = lockstep(prob, rho, guess, **kwargs)[0] * (1.0 + 1e-6)
             return u, prob.residual_array(u, rho)
         monkeypatch.setattr(angular, "_lockstep", off_root)
         grid = np.exp(np.linspace(math.log(1.0), math.log(2.0), 12))
@@ -874,8 +1033,8 @@ class TestTraceBranch:
         lockstep = angular._lockstep
         moved = []
 
-        def altered(problem, rho, guess, width=None):
-            u, res = lockstep(problem, rho, guess, width)
+        def altered(problem, rho, guess, width=None, ends=None):
+            u, res = lockstep(problem, rho, guess, width, ends)
             k = np.searchsorted(rho, grid[300])
             u[k] += 2.0
             res[k] = 0.0
@@ -941,6 +1100,22 @@ def _counted_solves():
         return solve_at_rho(*args, **kwargs)
     with mock.patch.object(angular, "solve_at_rho", solve):
         yield solves
+
+
+@contextlib.contextmanager
+def _handed_over():
+    """(rho, a, b) of each coarse node handed to `_lockstep` inside the
+    block, [a, b] its walk's bracket."""
+    handed, lockstep = [], angular._lockstep
+
+    def recorded(problem, rho, guess, width=None, ends=None):
+        if ends is not None:
+            given = ~np.isnan(ends[0])
+            handed.extend(zip(rho[given].tolist(), ends[0][given].tolist(),
+                              ends[1][given].tolist()))
+        return lockstep(problem, rho, guess, width, ends)
+    with mock.patch.object(angular, "_lockstep", recorded):
+        yield handed
 
 
 def _counted_residuals(problem: AngularProblem):
@@ -1047,8 +1222,8 @@ class TestWarmTrace:
                  for p in (0.12, 0.125)]
         lockstep = angular._lockstep
 
-        def altered(problem, rho, guess, width=None):
-            u, res = lockstep(problem, rho, guess, width)
+        def altered(problem, rho, guess, width=None, ends=None):
+            u, res = lockstep(problem, rho, guess, width, ends)
             if width is not None:   # the warm call, node 300
                 u[299] += jump
                 res[299] = residual
@@ -1057,9 +1232,9 @@ class TestWarmTrace:
         self._refused(grid, _at(he4_cfg, 1.0, 0.13), prior)
 
     @pytest.mark.parametrize("name, work", [
-        ("he4", [(7, 8.1, 41), (6, 6.1, 41), (6, 6.1, 41), (6, 6.1, 41)]),
-        ("mixed", [(8, 8.4, 41), (8, 6.3, 41), (7, 6.3, 41),
-                   (7, 6.3, 41)])])
+        ("he4", [(7, 8.1, 16), (6, 6.1, 16), (6, 6.1, 16), (6, 6.1, 16)]),
+        ("mixed", [(8, 8.4, 19), (8, 6.3, 19), (7, 6.3, 19),
+                   (7, 6.3, 19)])])
     def test_work_per_warm_point(self, he4_cfg, mixed_cfg, name, work):
         # the residual evaluations of each warm point of the P-step-0.015
         # scan, in the style of TestTraceBranch.test_work_per_node: array
@@ -1067,11 +1242,12 @@ class TestWarmTrace:
         # second point is lockstepped from one secant step off the first
         # branch, each bracket started at 1/4 of the step: 7 array calls
         # (He4) and 8 (mixed), the slope's one included, 8.05 and 8.33
-        # points per node, 41 and 40 scalar calls (14 calls, 12.50 and
+        # points per node, 15 and 18 scalar calls (14 calls, 12.50 and
         # 12.05 points from the first branch as it is).  The later ones
         # from the line through the last two, each bracket started at 1/4
-        # of the line's shift: 6 and 7-8 calls, 3629-3635 and 3674-3732
-        # points, 39-41 scalar calls.  Moving each node of the first
+        # of the line's shift: 6 and 7-8 calls, 3627-3636 and 3674-3732
+        # points, 16 and 18-19 scalar calls (39-41 with the first node's
+        # ladder unmerged).  Moving each node of the first
         # branch by up to 2 ulp over 20 seeds gave He4 7, 6, 6, 6 calls
         # every time and mixed 8-9 (mean 8.65), 7-8 (7.20), 7 and 7; the
         # mixed third point read 7 on every seed from the first branch as

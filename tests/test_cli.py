@@ -102,7 +102,7 @@ class TestOutputBytes:
         assert cli.main(["wavefunction", "--config", he4_cfg_path,
                          "--state", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "41730750e4eee4d94762687a0dc4c608de1a3883e412149c1898968ed5d63d58")
+            "5c0cb17edbc2163f632c918714daee8ca6601ac8008be4ba216cd60b139b45c5")
 
 
 class TestSolveCommand:
