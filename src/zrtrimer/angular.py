@@ -63,13 +63,18 @@ array points per node, 8.0 to 8.3 at the second point.
 
 The searches read one scaled residual per problem, `AngularProblem.residual`,
 built from constants computed once.  For identical bosons it is the boson
-equation with C(u) and the sine ratio over one sin/sinh denominator.  For
-two identical particles it is the exchange-symmetric factor of the 3x3
-determinant, two rows in closed form.  In the general case it is the 3x3
-determinant in closed form.  Each row is divided by its largest term
-taken before the diagonal sum C(u) + bc_i cancels: in a bound row both
-are ~13 and cancel to ~1e-15 at a root, so scaling by what is left
-would turn one ulp of u into a residual of 1e-8.
+equation, for two identical particles the exchange-symmetric factor of
+the 3x3 determinant, two rows in closed form, and in the general case the
+3x3 determinant in closed form.  Each form keeps only its bound-branch
+path inline: for u < 0 it evaluates C(u) and its off-diagonals over one
+sinh denominator in its own expressions (for bosons, C(u) and the pi/3
+sinh ratio combined).  Every other u, u = 0 and u > 0 in any cell, takes
+the shared `_couplings` behind the pole guard, and rho = 0 the shared
+`_at_rho_zero` rule; the arrays' masked path takes `_couplings_array`.
+On the bundled configs neither off-branch path runs.  Each row is divided
+by its largest term taken before the diagonal sum C(u) + bc_i cancels: in
+a bound row both are ~13 and cancel to ~1e-15 at a root, so scaling by
+what is left would turn one ulp of u into a residual of 1e-8.
 Scaled this way the residual is relative, and `_verify` rejects any
 node whose residual exceeds MAX_RESIDUAL with SolverError.
 """
@@ -238,6 +243,13 @@ class AngularProblem:
         return reduced_masses(self.system)
 
     @cached_property
+    def extended(self) -> bool:
+        """Whether some pair has r_eff > 0: the extended boundary
+        condition, under which rho = 0 admits only u = 0 and the branch
+        leaves u(0) = 0 heading negative."""
+        return any(pair.r_eff > 0.0 for pair in self.system.pairs)
+
+    @cached_property
     def _residual_forms(self):
         if self.system.is_identical:
             return _boson_residual(self)
@@ -259,7 +271,11 @@ class AngularProblem:
         (`_general_residual`).  Every row of a determinant or factor is
         divided by its largest term, taken before C + bc_i can cancel.
         Scaling moves no root, so at an accepted root the value is a
-        relative residual that trace_branch holds below MAX_RESIDUAL."""
+        relative residual that trace_branch holds below MAX_RESIDUAL.
+        Each form evaluates u < 0, the bound branch, inline; every other
+        u goes through the shared `_couplings` (C(u) and the
+        off-diagonals, with the pole guard), and rho = 0 through
+        `_at_rho_zero`."""
         return self._residual_forms[0]
 
     @cached_property
@@ -298,10 +314,7 @@ def _bc_bracket(u: float, rho: float, pair: PairParams, mu: float) -> float:
     if pair.r_eff == 0.0:
         return rho / math.sqrt(mu) * inv_a
     if rho == 0.0:
-        if u == 0.0:
-            return 0.0
-        raise ValueError("rho = 0 admits only u = 0 under the extended "
-                         "boundary condition")
+        return _at_rho_zero(u, True)
     k2 = mu * u / (rho * rho)
     return (rho / math.sqrt(mu)) * (inv_a + 0.5 * pair.r_eff * k2
                                     + pair.p_shape * pair.r_eff ** 3 * k2 * k2)
@@ -320,6 +333,31 @@ def _coupling_constants(phi: float) -> tuple[float, float, float]:
     sin(2 phi) is -w sin(nu g)/sin(nu pi/2), or w e^(-k phi) (e^(-2k g)
     - 1)/(1 - e^(-k pi)) for u = -k^2, with (phi, g, w) these three."""
     return phi, math.pi / 2.0 - phi, 2.0 / math.sin(2.0 * phi)
+
+
+def _couplings(u: float, angles) -> tuple[float, list[float]]:
+    """C(u) and the off-diagonal of each `_coupling_constants` triple in
+    angles at one u off the bound branch: u >= 0 in any cell, behind the
+    pole guard.  The three residual forms share it and keep their u < 0
+    forms inline, where a bound branch lies."""
+    _check_pole(u)
+    half_pi = math.pi / 2.0
+    if u == 0.0:
+        return 1.0 / half_pi, [-w * g / half_pi for _, g, w in angles]
+    nu = math.sqrt(u)
+    den = math.sin(nu * half_pi)
+    return nu / math.tan(nu * half_pi), [-w * math.sin(nu * g) / den
+                                         for _, g, w in angles]
+
+
+def _at_rho_zero(u: float, extended: bool) -> float:
+    """The boundary-condition term rho s (1/a + x (h + p x)) at rho = 0,
+    where it is 0: the bare condition admits every u there, the extended
+    one (some r_eff > 0, AngularProblem.extended) only u = 0."""
+    if extended and u != 0.0:
+        raise ValueError("rho = 0 admits only u = 0 under the extended "
+                         "boundary condition")
+    return 0.0
 
 
 def _couplings_array(u: np.ndarray, angles
@@ -400,29 +438,23 @@ def _boson_residual(problem: AngularProblem):
     """(boson_lhs - _bc_bracket) / max(1, |LHS|, |RHS|), in scalars and
     over arrays of the lowest cell (AngularProblem.residual_array).
 
-    The constants of the boundary condition are computed once, and C(u)
-    and the pi/3 sine ratio share one sin/sinh denominator.
+    The constants of the boundary condition are computed once.  For u < 0,
+    the bound branch, C(u) and the pi/3 sinh ratio share one denominator
+    inline, in scalars and on an array's u < 0 entries; every other u
+    takes the shared `_couplings` (`_couplings_array` over arrays), with
+    LHS = -(C + 2 o) for o the off-diagonal at phi = pi/3.
     """
     pair = problem.system.pairs[0]
-    extended = pair.r_eff > 0.0
     # rhs = rho s (1/a + x (h + p x)), x = u/rho^2
     s, ia, h, p = _bc_constants(pair, problem.kinematics.mu[0])
+    angles = (_coupling_constants(math.pi / 3.0),)
     w = 8.0 / SQRT3
-    lhs0 = -2.0 / math.pi + w / 3.0
-    half_pi, sixth_pi, third_pi = math.pi / 2.0, math.pi / 6.0, math.pi / 3.0
-    sin, cos, sqrt, exp, expm1 = (math.sin, math.cos, math.sqrt, math.exp,
-                                  math.expm1)
-    guard = 4.0 - POLE_GUARD
+    third_pi = math.pi / 3.0
+    sqrt, exp, expm1 = math.sqrt, math.exp, math.expm1
 
     def resid(u: float, rho: float) -> float:
         # LHS = -C(u) + w sin(nu pi/6) / sin(nu pi/2), even in nu
-        if u > 0.0:
-            if u >= guard:
-                _check_pole(u)
-            nu = sqrt(u)
-            lhs = (w * sin(nu * sixth_pi) - nu * cos(nu * half_pi)) / sin(
-                nu * half_pi)
-        elif u < 0.0:
+        if u < 0.0:
             # sinh(k pi/6)/sinh(k pi/2) = e^(-k pi/3) (1 - e^(-k pi/3))
             # / (1 - e^(-k pi)), coth(k pi/2) = (2 - den)/den
             k = sqrt(-u)
@@ -430,12 +462,10 @@ def _boson_residual(problem: AngularProblem):
             lhs = (-w * exp(-k * third_pi) * expm1(-k * third_pi)
                    - k * (2.0 - den)) / den
         else:
-            lhs = lhs0
+            c, (o,) = _couplings(u, angles)
+            lhs = -(c + 2.0 * o)
         if rho == 0.0:
-            if extended and u != 0.0:
-                raise ValueError("rho = 0 admits only u = 0 under the "
-                                 "extended boundary condition")
-            rhs = 0.0
+            rhs = _at_rho_zero(u, problem.extended)
         else:
             x = u / (rho * rho)
             rhs = rho * s * (ia + x * (h + p * x))
@@ -448,17 +478,16 @@ def _boson_residual(problem: AngularProblem):
                 - k * (2.0 - den)) / den
 
     def resid_array(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        # all below 0 (the bound branch): no mask.  Else the scalar
-        # branches, each on its own mask, so none sees a u it would warn on
+        # all below 0 (the bound branch): no mask.  Else u < 0 on its mask
+        # and the rest through `_couplings_array`
         if u.max(initial=-math.inf) < 0.0:
             lhs = below_zero(u)
         else:
-            lhs = np.full_like(u, lhs0)
-            pos, neg = u > 0.0, u < 0.0
-            nu = np.sqrt(u[pos])
-            lhs[pos] = (w * np.sin(nu * sixth_pi)
-                        - nu * np.cos(nu * half_pi)) / np.sin(nu * half_pi)
+            lhs = np.empty_like(u)
+            neg = u < 0.0
             lhs[neg] = below_zero(u[neg])
+            c, (o,) = _couplings_array(u[~neg], angles)
+            lhs[~neg] = -(c + 2.0 * o)
         x = u / (rho * rho)
         rhs = rho * s * (ia + x * (h + p * x))
         return (lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
@@ -479,7 +508,6 @@ def _general_residual(problem: AngularProblem):
     """
     kin = problem.kinematics
     pairs = problem.system.pairs
-    extended = any(p.r_eff > 0.0 for p in pairs)
     # row i: bc_i = rho s_i (1/a_i + x (h_i + p_i x)), x = u/rho^2
     (s0, ia0, h0, p0), (s1, ia1, h1, p1), (s2, ia2, h2, p2) = map(
         _bc_constants, pairs, kin.mu)
@@ -487,21 +515,11 @@ def _general_residual(problem: AngularProblem):
     angles = tuple(map(_coupling_constants, (kin.phi[0][1], kin.phi[1][2],
                                              kin.phi[0][2])))
     (f01, g01, w01), (f12, g12, w12), (f02, g02, w02) = angles
-    half_pi = math.pi / 2.0
-    sin, tan, sqrt, exp, expm1 = (math.sin, math.tan, math.sqrt, math.exp,
-                                  math.expm1)
+    sqrt, exp, expm1 = math.sqrt, math.exp, math.expm1
 
     def resid(u: float, rho: float) -> float:
-        _check_pole(u)
         # C(u) and o_ij = 2 S(u, phi_ij) / sin(2 phi_ij), even in nu
-        if u > 0.0:
-            nu = sqrt(u)
-            den = sin(nu * half_pi)
-            c = nu / tan(nu * half_pi)
-            o01 = -w01 * sin(nu * g01) / den
-            o12 = -w12 * sin(nu * g12) / den
-            o02 = -w02 * sin(nu * g02) / den
-        elif u < 0.0:
+        if u < 0.0:
             # sinh(k g)/sinh(k pi/2) = e^(-k phi) (1 - e^(-2k g))/(1 - e^(-k pi))
             k = sqrt(-u)
             den = -expm1(-k * math.pi)
@@ -510,15 +528,9 @@ def _general_residual(problem: AngularProblem):
             o12 = w12 * exp(-k * f12) * expm1(-2.0 * k * g12) / den
             o02 = w02 * exp(-k * f02) * expm1(-2.0 * k * g02) / den
         else:
-            c = 1.0 / half_pi
-            o01 = -w01 * g01 / half_pi
-            o12 = -w12 * g12 / half_pi
-            o02 = -w02 * g02 / half_pi
+            c, (o01, o12, o02) = _couplings(u, angles)
         if rho == 0.0:
-            if extended and u != 0.0:
-                raise ValueError("rho = 0 admits only u = 0 under the "
-                                 "extended boundary condition")
-            b0 = b1 = b2 = 0.0
+            b0 = b1 = b2 = _at_rho_zero(u, problem.extended)
         else:
             x = u / (rho * rho)
             b0 = rho * s0 * (ia0 + x * (h0 + p0 * x))
@@ -570,42 +582,25 @@ def _pair_residual(problem: AngularProblem, i: int, k: int):
     kin = reduced_masses(ParticleSystem(
         (system.masses[i], system.masses[i], system.masses[k]),
         (pair, pair, pair_k), system.mass_scale))
-    extended = pair.r_eff > 0.0 or pair_k.r_eff > 0.0
     # rows i and k: bc = rho s (1/a + x (h + p x)), x = u/rho^2
     (s, ia, h, p), (sk, iak, hk, pk) = (
         _bc_constants(pair, kin.mu[0]), _bc_constants(pair_k, kin.mu[2]))
     # o = o_ij and o' = o_ik
     angles = tuple(map(_coupling_constants, (kin.phi[0][1], kin.phi[0][2])))
     (f1, g1, w1), (f2, g2, w2) = angles
-    half_pi = math.pi / 2.0
-    sin, tan, sqrt, exp, expm1 = (math.sin, math.tan, math.sqrt, math.exp,
-                                  math.expm1)
-    guard = 4.0 - POLE_GUARD
+    sqrt, exp, expm1 = math.sqrt, math.exp, math.expm1
 
     def resid(u: float, rho: float) -> float:
-        if u > 0.0:
-            if u >= guard:
-                _check_pole(u)
-            nu = sqrt(u)
-            den = sin(nu * half_pi)
-            c = nu / tan(nu * half_pi)
-            o = -w1 * sin(nu * g1) / den
-            o2 = -w2 * sin(nu * g2) / den
-        elif u < 0.0:
+        if u < 0.0:
             q = sqrt(-u)
             den = -expm1(-q * math.pi)
             c = q * (2.0 - den) / den
             o = w1 * exp(-q * f1) * expm1(-2.0 * q * g1) / den
             o2 = w2 * exp(-q * f2) * expm1(-2.0 * q * g2) / den
         else:
-            c = 1.0 / half_pi
-            o = -w1 * g1 / half_pi
-            o2 = -w2 * g2 / half_pi
+            c, (o, o2) = _couplings(u, angles)
         if rho == 0.0:
-            if extended and u != 0.0:
-                raise ValueError("rho = 0 admits only u = 0 under the "
-                                 "extended boundary condition")
-            b = bk = 0.0
+            b = bk = _at_rho_zero(u, problem.extended)
         else:
             x = u / (rho * rho)
             b = rho * s * (ia + x * (h + p * x))
@@ -745,21 +740,20 @@ def _first_node_u(rho: float, problem: AngularProblem
     """Lowest-branch root at the first grid node, its residual and its
     orientation, as `_walk` returns them: a walk from a window edge.
 
-    Under the extended boundary condition the branch leaves u(0) = 0 heading
-    negative, so near the origin the walk steps down from zero (one-sided: a
-    mirror root sits just above zero), its rungs after the first merged up
-    to NEWTON_REACH past the secant's root (16 to 19 residual calls on the
-    bundled configs, against 40 on the 1.25x ladder).  Otherwise (bare,
-    zero-range, a large first rho, unitary) it steps up uniformly from the
-    floor of u in [-(rho/(sqrt(mu)|a|) + 20)^2, 4) to the first, most
-    negative root, with no merge.
+    Under the extended boundary condition (`AngularProblem.extended`) the
+    branch leaves u(0) = 0 heading negative, so near the origin the walk
+    steps down from zero (one-sided: a mirror root sits just above zero),
+    its rungs after the first merged up to NEWTON_REACH past the secant's
+    root (16 to 19 residual calls on the bundled configs).  Otherwise
+    (bare, zero-range, a large first rho, unitary) it steps up uniformly
+    from the floor of u in [-(rho/(sqrt(mu)|a|) + 20)^2, 4) to the first,
+    most negative root, with no merge.
     """
     f = problem.residual
     d = problem.dimer
     scale = (0.0 if d is None else 1.0 / (
         math.sqrt(d.mu) * abs(problem.system.pairs[d.index].a)))
-    extended = any(pair.r_eff > 0.0 for pair in problem.system.pairs)
-    if extended and rho * scale < 0.3:
+    if problem.extended and rho * scale < 0.3:
         return _walk(lambda u: f(u, rho), -1e-14, -1e12, -1e-14, 5e-8, 1.25, 400)
     lo, hi = -((rho * scale + 20.0) ** 2), 4.0 - POLE_GUARD
     return _walk(lambda u: f(u, rho), lo, lo, hi, (hi - lo) / 799, 1.0, 800)

@@ -60,17 +60,6 @@ class RunConfig:
     sha256: str
 
 
-def _floats(text: str, where: str, count: int | None = None) -> list[float]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {text!r} as numbers") from exc
-    if count is not None and len(vals) != count:
-        raise ConfigError(f"{where}: expected {count} comma-separated values")
-    return vals
-
-
 def _number(section, key: str, default, where: str, kind=float):
     raw = section.get(key)
     if raw is None:
@@ -113,7 +102,16 @@ def parse_config(text: str) -> RunConfig:
     sys_sec = parser["system"]
     if "masses" not in sys_sec:
         raise ConfigError(f"[system] is missing 'masses'; {_REQUIRED_HINT}")
-    masses = _floats(sys_sec["masses"], "[system].masses", count=3)
+    raw = sys_sec["masses"]
+    fields = raw.split(",")
+    if len(fields) != 3:
+        raise ConfigError(f"[system].masses: expected 3 comma-separated "
+                          f"values, got {len(fields)} in {raw!r}")
+    try:   # float('') raises too: an empty field is an error
+        masses = tuple(map(float, fields))
+    except ValueError as exc:
+        raise ConfigError(
+            f"[system].masses: cannot parse {raw!r} as numbers") from exc
 
     mass_scale = _number(sys_sec, "mass_scale", DEFAULT_MASS_SCALE, "[system]")
 
@@ -134,7 +132,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{where}: {exc}") from exc
 
     try:
-        system = ParticleSystem(masses=tuple(masses), pairs=tuple(pairs),
+        system = ParticleSystem(masses=masses, pairs=tuple(pairs),
                                 mass_scale=mass_scale)
     except ValueError as exc:
         raise ConfigError(f"[system]: {exc}") from exc

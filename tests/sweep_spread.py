@@ -15,11 +15,13 @@ min/mean/max of the perturbed ones.  A re-pinned count should lie in the
 spread of the code before the change.  Last, one line per benchmark
 workload: the total sweeps, angular scalar residual calls (those of
 `angular._first_node_u` and the rest apart), array residual calls and
-array points, and the coarse nodes whose walk bracket the cold trace hands
-to `angular._lockstep`, over requests 0-39 of perfbench seeds 1-3, the
-requests generated by `perfbench.workloads.requests` and run unperturbed.
-The residual calls are counted on each problem's residual forms, as
-tests/test_angular.py's `_counted_residuals` counts them.
+array points, the scalar calls and array points at u >= 0 (the traffic of
+the forms' shared off-branch path, `angular._couplings` and
+`_couplings_array`), and the coarse nodes whose walk bracket the cold
+trace hands to `angular._lockstep`, over requests 0-39 of perfbench seeds
+1-3, the requests generated by `perfbench.workloads.requests` and run
+unperturbed.  The residual calls are counted on each problem's residual
+forms, as tests/test_angular.py's `_counted_residuals` counts them.
 
     PYTHONPATH=src python tests/sweep_spread.py
 """
@@ -73,14 +75,16 @@ def _nudged(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 # the angular residual forms, each returning (scalar, array) residuals
 FORMS = ("_boson_residual", "_pair_residual", "_general_residual")
-COUNTS = ("sweeps", "first", "scalar", "arrays", "points", "handed")
+COUNTS = ("sweeps", "first", "scalar", "arrays", "points", "scalar_off",
+          "points_off", "handed")
 
 
 def work(argv: list[str], rng: np.random.Generator | None
          ) -> dict[str, int]:
     """Numerov sweeps, angular scalar residual calls (those made inside
     `_first_node_u` counted apart, as "first"), array residual calls and
-    array points, and the coarse nodes handed to the lockstep, of one
+    array points, the scalar calls and array points at u >= 0 (off the
+    bound branch), and the coarse nodes handed to the lockstep, of one
     command line through `zrtrimer.cli.main`, each shooter's W nudged by
     rng unless it is None."""
     count = dict.fromkeys(COUNTS, 0)
@@ -102,11 +106,13 @@ def work(argv: list[str], rng: np.random.Generator | None
 
             def counted(u, rho):
                 count["first" if in_first else "scalar"] += 1
+                count["scalar_off"] += int(u >= 0.0)
                 return f(u, rho)
 
             def counted_array(u, rho):
                 count["arrays"] += 1
                 count["points"] += len(u)
+                count["points_off"] += int(np.count_nonzero(u >= 0.0))
                 return f_array(u, rho)
             return counted, counted_array
         return built
@@ -171,7 +177,9 @@ def main() -> int:
                   f"{total['first'] + total['scalar']} angular scalar "
                   f"residual calls ({total['first']} first-node, "
                   f"{total['scalar']} other), {total['arrays']} array calls "
-                  f"of {total['points']} points, {total['handed']} coarse "
+                  f"of {total['points']} points ({total['scalar_off']} "
+                  f"scalar calls and {total['points_off']} array points at "
+                  f"u >= 0), {total['handed']} coarse "
                   f"nodes handed to the lockstep over requests "
                   f"0-{BENCH_REQUESTS - 1} of seeds "
                   f"{BENCH_SEEDS[0]}-{BENCH_SEEDS[-1]}")

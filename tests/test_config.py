@@ -93,6 +93,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match="masses"):
             parse_config(MINIMAL.replace("1.0, 2.0, 3.0", "1.0, x, 3.0"))
 
+    @pytest.mark.parametrize("masses, match", [
+        ("1.0,,2.0,3.0", "expected 3 comma-separated values, got 4"),
+        (",1.0,2.0,3.0", "expected 3 .* got 4"),
+        ("1.0,2.0,3.0,", "expected 3 .* got 4"),
+        ("1.0,,3.0", "cannot parse"),
+        ("1.0, ,3.0", "cannot parse"),
+        ("1.0,2.0", "expected 3 .* got 2")],
+        ids=["empty-inner", "leading-comma", "trailing-comma",
+             "empty-of-three", "blank-of-three", "two"])
+    def test_malformed_masses(self, masses, match):
+        # every field counts, an empty one too: none is dropped
+        text = MINIMAL.replace("1.0, 2.0, 3.0", masses)
+        with pytest.raises(ConfigError, match=rf"^\[system\]\.masses: {match}"):
+            parse_config(text)
+
     @pytest.mark.parametrize("text, match", [
         (MINIMAL + "\n[solver]\nradial_n = many\n",
          r"^\[solver\]\.radial_n: cannot parse 'many' as an integer$"),
