@@ -478,16 +478,16 @@ def _boson_residual(problem: AngularProblem):
                 - k * (2.0 - den)) / den
 
     def resid_array(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        # all below 0 (the bound branch): no mask.  Else u < 0 on its mask
-        # and the rest through `_couplings_array`
+        # all below 0 (the bound branch): no mask.  Else the whole array
+        # through `_couplings_array`, its u < 0 entries then overwritten by
+        # the combined form, so they read as on the mask-free path
         if u.max(initial=-math.inf) < 0.0:
             lhs = below_zero(u)
         else:
-            lhs = np.empty_like(u)
+            c, (o,) = _couplings_array(u, angles)
+            lhs = -(c + 2.0 * o)
             neg = u < 0.0
             lhs[neg] = below_zero(u[neg])
-            c, (o,) = _couplings_array(u[~neg], angles)
-            lhs[~neg] = -(c + 2.0 * o)
         x = u / (rho * rho)
         rhs = rho * s * (ia + x * (h + p * x))
         return (lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
