@@ -22,7 +22,6 @@ from .angular import (
     nu2_asymptotic,
     nu_cot_half_pi,
     sin_ratio,
-    solve_at_rho,
     trace_branch,
 )
 from .config import ConfigError, RunConfig, parse_config
@@ -51,7 +50,7 @@ __all__ = [
     "AngularProblem", "BranchFoldError", "NuBranch", "PoleProximityError",
     "RootSearchError",
     "boson_residual", "build_matrix", "efimov_constant", "nu2_asymptotic",
-    "nu_cot_half_pi", "sin_ratio", "solve_at_rho", "trace_branch",
+    "nu_cot_half_pi", "sin_ratio", "trace_branch",
     "ConfigError", "RunConfig", "parse_config",
     "EffectivePotential", "effective_potential",
     "RadialSolution", "ThomasSpectrum", "count_nodes", "solve_bound_states",

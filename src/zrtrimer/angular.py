@@ -11,11 +11,11 @@ combinations are even in nu, so u < 0 (imaginary nu = i*kappa) is evaluated
 with hyperbolic forms and no complex arithmetic appears anywhere.  The
 normalization of every matrix row by sin(nu pi/2) introduces poles at
 u = (2n)^2, n >= 1, which are excluded by a guard band.  Every root search
-is one sign-change ladder, `_walk`, plus a regula falsi refine
-(`system.regula_falsi`) that reuses the values at the bracket's ends:
-one-sided from a window edge to seed the first node, and for branch
-continuation one-sided toward the nearest root with the orientation of
-the node before (the sign of the residual just above it).
+is one sign-change ladder that climbs one way, `_walk`, plus a regula
+falsi refine (`system.regula_falsi`) that reuses the values at the
+bracket's ends: from a window edge to seed the first node, and for branch
+continuation toward the nearest root with the orientation of the node
+before (the sign of the residual just above it).
 
 trace_branch continues the branch node by node over a coarse sub-grid,
 nodes at most COARSE_STEP apart in ln rho (87 of the bundled 600): each
@@ -626,123 +626,108 @@ def _pair_residual(problem: AngularProblem, i: int, k: int):
 def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
           max_steps: int, above: float | None = None, narrow: float = 0.0
           ) -> tuple[float, float, float | None, tuple | None]:
-    """Root of f nearest to x0 in [lo, hi], by ladder bracketing, with f
-    at the root as the walk or the refine evaluated it, the root's
-    orientation: the sign of f at the upper end of the bracket refined
-    (None where the walk lands on an exact zero), and None.  A bracket at
-    most `narrow` wide, the only one on its rung, is not refined: the walk
-    returns its secant point, NaN for f there, its orientation and the
-    bracket (a, b, f(a), f(b)).
+    """Nearest root of f to one side of x0 in [lo, hi], by ladder
+    bracketing, with f at the root as the walk or the refine evaluated
+    it, the root's orientation: the sign of f at the upper end of its
+    bracket (None where the walk lands on an exact zero), and None.  A
+    bracket at most `narrow` wide is not refined: the walk returns its
+    secant point, NaN for f there, its orientation and the bracket
+    (a, b, f(a), f(b)).
 
-    Walks outward from x0 in both directions, with a step that starts at h0
-    and is multiplied by `grow` after each rung, clipped to the window, and
-    refines the first bracket that shows a sign change with `regula_falsi`
-    from the values at its ends.  A walk that does not start at the floor
-    of its window sizes its second rung from the first: the secant through
-    the first rung's ends
-    (x0 and the one end of a one-way walk's rung) puts the root
-    about |f0 / slope| from x0, and the second rung merges the ladder's
-    rungs that end short of NEWTON_REACH times that (at most 1 + |x0|).
-    The rungs after it end where the ladder's would, so the merge skips
-    no pair of close roots that the ladder would split beyond it.  The
-    refine closes to relative machine precision also for roots near u = 0
-    (the first node sits at u ~ -3e-4), so the branch residual invariant
-    holds with margin even where the residual is steep in u.  If both
-    directions bracket on the same rung the root closer to x0 wins.  A
-    walk that starts at an edge of its window runs one way only, and so
-    does one given `above`, the sign f takes just above the root sought:
-    down where f0 has that sign, else up, with the same rungs.  The first
-    root it brackets has that orientation.  A walk up from the floor
-    keeps the ladder's rungs, which find the lowest root.
+    The walk goes one way: given `above`, the sign f takes just above the
+    root sought, down where f0 = f(x0) has that sign and else up, so the
+    first root it brackets has that orientation; with no `above`, up from
+    the floor of its window and down from anywhere else, as from its top.
+    Its step starts at h0 and is multiplied by `grow` after each rung,
+    clipped to the window, and it refines the first bracket that shows a
+    sign change with `regula_falsi` from the values at its ends.  A walk
+    that does not start at the floor of its window sizes its second rung
+    from the first: the secant through the first rung's ends puts the
+    root about |f0 / slope| from x0, and the second rung merges the
+    ladder's rungs that end short of NEWTON_REACH times that (at most
+    1 + |x0|).  The rungs after it end where the ladder's would, so the
+    merge skips no pair of close roots that the ladder would split beyond
+    it; a walk up from the floor keeps the ladder's rungs, which find the
+    lowest root.  The refine closes to relative machine precision also
+    for roots near u = 0 (the first node sits at u ~ -3e-4), so the
+    branch residual invariant holds with margin even where the residual
+    is steep in u.  A walk that reaches its window's edge, or takes
+    max_steps rungs, with no sign change raises RootSearchError.
     """
     f0 = f(x0)
     if f0 == 0.0:
         return x0, f0, None, None
-    # with above, only toward the side where f reaches 0 with that sign
-    # above the root: below x0 where f0 has it
-    down = above is None or (f0 > 0.0) == (above > 0.0)
-    up = above is None or not down
-    xp = xm = x0
-    fp = fm = f0
+    down = x0 > lo if above is None else (f0 > 0.0) == (above > 0.0)
+    edge = lo if down else hi
+    x, fx = x0, f0
     h = step = h0      # the ladder's rung and the rung taken
     for rung in range(max_steps):
-        brackets = []
-        if up and xp < hi:
-            x2 = min(xp + step, hi)
-            f2 = f(x2)
-            if f2 == 0.0:
-                return x2, f2, None, None
-            if fp * f2 < 0.0:
-                brackets.append((xp, x2, fp, f2))
-            xp, fp = x2, f2
-        if down and xm > lo:
-            x2 = max(xm - step, lo)
-            f2 = f(x2)
-            if f2 == 0.0:
-                return x2, f2, None, None
-            if fm * f2 < 0.0:
-                brackets.append((x2, xm, f2, fm))
-            xm, fm = x2, f2
-        if brackets:
-            a, b, fa, fb = brackets[0]
-            if len(brackets) == 1 and b - a <= narrow:
+        if x == edge:
+            break
+        x2 = max(x - step, lo) if down else min(x + step, hi)
+        f2 = f(x2)
+        if f2 == 0.0:
+            return x2, f2, None, None
+        if fx * f2 < 0.0:
+            a, b, fa, fb = (x2, x, f2, fx) if down else (x, x2, fx, f2)
+            if b - a <= narrow:
                 return (b - (b - a) * (fb / (fb - fa)), math.nan,
-                        math.copysign(1.0, fb), brackets[0])
-            roots = [(*regula_falsi(f, *e), math.copysign(1.0, e[3]), None)
-                     for e in brackets]
-            return min(roots, key=lambda r: abs(r[0] - x0))
+                        math.copysign(1.0, fb), (a, b, fa, fb))
+            return (*regula_falsi(f, a, b, fa, fb), math.copysign(1.0, fb),
+                    None)
+        x, fx = x2, f2
         h *= grow
         step = h
-        if rung == 0 and lo < x0 and fp != fm:
+        if rung == 0 and lo < x0 and fx != f0:
             # the next rung merges the ladder's rungs that end short of a
             # little past the secant's root (at most 1 + |x0| from x0);
             # the rungs after it end where the ladder's would, which split
             # the same pairs of roots as without the merge
-            reach = min(NEWTON_REACH * abs(f0 * (xp - xm) / (fp - fm)),
+            reach = min(NEWTON_REACH * abs(f0 * (x - x0) / (fx - f0)),
                         1.0 + abs(x0))
             while h0 + step < reach:
                 h *= grow
                 step += h
-    raise RootSearchError(
-        f"no sign change near u = {x0:g} (searched [{xm:g}, {xp:g}])")
+    raise RootSearchError(f"no sign change near u = {x0:g} (searched "
+                          f"[{min(x, x0):g}, {max(x, x0):g}])")
 
 
 def solve_at_rho(rho: float, problem: AngularProblem, guess: float,
-                 step: float | None = None, *, residual: bool = False,
-                 above: float | None = None, narrow: float = 0.0):
+                 step: float | None = None, *, above: float | None = None,
+                 narrow: float = 0.0):
     """Angular eigenvalue u = nu^2 at one hyper-radius, continuing a branch.
 
-    Returns the root of the eigenvalue condition closest to `guess`, by a
-    two-sided walk inside the pole-free cell containing the guess, or,
-    given `above`, the nearest root of that orientation (the sign of the
-    residual just above it) by a one-sided walk toward it (`_walk`); with
-    residual, `_walk`'s (u, problem.residual(u, rho), orientation, None),
-    the residual as the walk or its refine evaluated it, or, where the
-    walk's bracket is at most `narrow` wide (the cold trace's hand-over to
-    its lockstep; 0 by default), the bracket's secant point, NaN, the
-    orientation and the bracket unrefined.  The walk's first
-    rung is `step` when given (a caller that knows how far its guesses
-    miss), else 1e-4 (1 + |guess|); the ladder grows by 1.4 per rung, and
-    its second rung reaches past the root of the secant through the first
-    rung's ends.  Raises RootSearchError when the walk shows no sign
-    change in that cell, and PoleProximityError on pole collision.
+    Returns `_walk`'s (u, problem.residual(u, rho), orientation, None) for
+    the nearest root to `guess` with orientation `above` (the sign of the
+    residual just above it), by a one-way walk toward it inside the
+    pole-free cell containing the guess; with no `above`, the nearest
+    root below the guess.  The residual is the one the walk or its refine
+    evaluated; where the walk's bracket is at most `narrow` wide (the cold
+    trace's hand-over to its lockstep; 0 by default) it returns the
+    bracket's secant point, NaN, the orientation and the bracket
+    unrefined.  The walk's first rung is `step` when given (a caller that
+    knows how far its guesses miss), else 1e-4 (1 + |guess|); the ladder
+    grows by 1.4 per rung, and its second rung reaches past the root of
+    the secant through the first rung's ends.  Raises RootSearchError
+    when the walk shows no sign change in that cell, and
+    PoleProximityError on pole collision.
     """
     f = problem.residual
     lo, hi = _cell_interval(guess)
     h0 = max(1e-9, 1e-4 * (1.0 + abs(guess))) if step is None else step
     x0 = min(max(guess, lo + h0), hi - h0)
-    root = _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400, above, narrow)
-    return root if residual else root[0]
+    return _walk(lambda u: f(u, rho), x0, lo, hi, h0, 1.4, 400, above, narrow)
 
 
 def _first_node_u(rho: float, problem: AngularProblem
                   ) -> tuple[float, float, float | None, None]:
     """Lowest-branch root at the first grid node, its residual and its
-    orientation, as `_walk` returns them: a walk from a window edge.
+    orientation, as `_walk` returns them: a one-way walk from an edge of
+    its window, with no `above`.
 
     Under the extended boundary condition (`AngularProblem.extended`) the
     branch leaves u(0) = 0 heading negative, so near the origin the walk
-    steps down from zero (one-sided: a mirror root sits just above zero),
+    steps down from zero (a mirror root sits just above zero),
     its rungs after the first merged up to NEWTON_REACH past the secant's
     root (16 to 19 residual calls on the bundled configs).  Otherwise
     (bare, zero-range, a large first rho, unitary) it steps up uniformly
@@ -976,8 +961,7 @@ def _continue(grid: np.ndarray, problem: AngularProblem, nodes: np.ndarray,
                 try:
                     # toward the root of the last one's orientation
                     u_new, r_new, sign, bracket = solve_at_rho(
-                        tgt, problem, guess, step, residual=True, above=above,
-                        narrow=narrow)
+                        tgt, problem, guess, step, above=above, narrow=narrow)
                     trust = max(0.5, 0.25 * abs(guess), 8.0 * abs(du_pred))
                     ok = abs(u_new - guess) <= trust
                 except RootSearchError:

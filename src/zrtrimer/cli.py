@@ -49,18 +49,18 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------- pipeline
 
 def potential_for_config(cfg: RunConfig, prior: list[NuBranch] | None = None
-                         ) -> tuple[NuBranch, EffectivePotential]:
+                         ) -> EffectivePotential:
     problem = AngularProblem(cfg.system)
     grid = np.exp(np.linspace(np.log(cfg.rho_min), np.log(cfg.rho_max), cfg.n))
-    branch = trace_branch(grid, problem, prior)
-    return branch, effective_potential(branch, problem, cfg.q_convention)
+    return effective_potential(trace_branch(grid, problem, prior), problem,
+                               cfg.q_convention)
 
 
 def solve_for_config(cfg: RunConfig,
                      prior: list[list[RadialSolution]] | None = None,
                      branches: list[NuBranch] | None = None
                      ) -> tuple[EffectivePotential, list[RadialSolution]]:
-    _, pot = potential_for_config(cfg, branches)
+    pot = potential_for_config(cfg, branches)
     states = solve_bound_states(
         pot, cfg.max_states, rho_min=cfg.radial_rho_min,
         rho_max=cfg.radial_rho_max, n=cfg.radial_n, prior=prior)
@@ -138,7 +138,8 @@ def _output(out: str):
 # ---------------------------------------------------------------- commands
 
 def cmd_eigenvalue(cfg: RunConfig) -> tuple[list, list]:
-    branch, pot = potential_for_config(cfg)
+    pot = potential_for_config(cfg)
+    branch = pot.branch
     rows = [(float(r), float(u), float(lam), float(w))
             for r, u, lam, w in zip(branch.rho, branch.u, branch.lam, pot.w)]
     return ["rho_au", "nu2", "lambda", "W_au"], rows

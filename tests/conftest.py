@@ -45,7 +45,8 @@ def he4_problem(he4_cfg):
 
 @pytest.fixture(scope="session")
 def he4_branch_potential(he4_cfg):
-    return potential_for_config(he4_cfg)
+    pot = potential_for_config(he4_cfg)
+    return pot.branch, pot
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,14 @@ the forms' shared off-branch path, `angular._couplings` and
 trace hands to `angular._lockstep`, over requests 0-39 of perfbench seeds
 1-3, the requests generated by `perfbench.workloads.requests` and run
 unperturbed.  The residual calls are counted on each problem's residual
-forms, as tests/test_angular.py's `_counted_residuals` counts them.
+forms, as tests/test_angular.py's `_counted_residuals` counts them.  A
+second line per workload gives the traffic through the paths kept for
+inputs the benchmark does not send: sweeps whose `radial._carry`
+restarted, amplitudes read from the ratio products (`_amplitudes` with
+no carry to read), cold lockstep losses that send the trace back to the
+all-nodes walk, refused warm traces, step halvings in `angular._continue`
+(each costs its `advance` two more guesses), and `_Shooter.wave` calls
+that sweep their energy again, out of all waves.
 
     PYTHONPATH=src python tests/sweep_spread.py
 """
@@ -76,7 +83,8 @@ def _nudged(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 # the angular residual forms, each returning (scalar, array) residuals
 FORMS = ("_boson_residual", "_pair_residual", "_general_residual")
 COUNTS = ("sweeps", "first", "scalar", "arrays", "points", "scalar_off",
-          "points_off", "handed")
+          "points_off", "handed", "restarts", "ratio_waves", "lost",
+          "refused", "advances", "guesses", "waves", "resweeps")
 
 
 def work(argv: list[str], rng: np.random.Generator | None
@@ -84,14 +92,20 @@ def work(argv: list[str], rng: np.random.Generator | None
     """Numerov sweeps, angular scalar residual calls (those made inside
     `_first_node_u` counted apart, as "first"), array residual calls and
     array points, the scalar calls and array points at u >= 0 (off the
-    bound branch), and the coarse nodes handed to the lockstep, of one
-    command line through `zrtrimer.cli.main`, each shooter's W nudged by
-    rng unless it is None."""
+    bound branch), the coarse nodes handed to the lockstep, and the
+    traffic through the kept paths (the module docstring's second line),
+    of one command line through `zrtrimer.cli.main`, each shooter's W
+    nudged by rng unless it is None.  Step halvings are (guesses -
+    advances) / 2: an `advance` takes one guess per try, and each halving
+    adds a failed try and a target."""
     count = dict.fromkeys(COUNTS, 0)
     init, sweep = radial._Shooter.__init__, radial._Shooter._sweep
+    wave, amplitudes = radial._Shooter.wave, radial._Shooter._amplitudes
+    carry, trace = radial._carry, cli.trace_branch
     forms = {name: getattr(angular, name) for name in FORMS}
     first_node, lockstep = angular._first_node_u, angular._lockstep
-    in_first = []
+    cont, lagrange = angular._continue, angular._lagrange
+    in_first, warm = [], []
 
     def nudged_init(self, w_of, *args, **kwargs):
         init(self, lambda rho: _nudged(w_of(rho), rng), *args, **kwargs)
@@ -127,10 +141,51 @@ def work(argv: list[str], rng: np.random.Generator | None
     def counted_lockstep(*args, ends=None, **kwargs):
         if ends is not None:
             count["handed"] += int(np.count_nonzero(~np.isnan(ends[0])))
-        return lockstep(*args, ends=ends, **kwargs)
+        found = lockstep(*args, ends=ends, **kwargs)
+        if ends is None:
+            warm.append(True)   # a warm trace's one lockstep
+        elif found is None:
+            count["lost"] += 1
+        return found
+
+    def counted_continue(grid, problem, nodes, *args):
+        # a warm trace that continues node by node was refused
+        count["refused"] += bool(warm)
+        warm.clear()
+        count["advances"] += int(np.count_nonzero(nodes)) - 1
+        return cont(grid, problem, nodes, *args)
+
+    def counted_lagrange(points, r):
+        count["guesses"] += isinstance(r, float)     # advance's, not _verify's
+        return lagrange(points, r)
+
+    def counted_trace(*args, **kwargs):
+        warm.clear()
+        return trace(*args, **kwargs)
+
+    def counted_carry(band, seeds, given):
+        turns_z = carry(band, seeds, given)
+        count["restarts"] += given != [s for s, _ in seeds]
+        return turns_z
+
+    def counted_amplitudes(self, z_out, z_in, tq, carried=False):
+        count["ratio_waves"] += not carried
+        return amplitudes(self, z_out, z_in, tq, carried)
+
+    def counted_wave(self, eps):
+        count["waves"] += 1
+        before = count["sweeps"]
+        try:
+            return wave(self, eps)
+        finally:
+            count["resweeps"] += count["sweeps"] - before
     radial._Shooter._sweep = counted_sweep
+    radial._Shooter.wave = counted_wave
+    radial._Shooter._amplitudes = counted_amplitudes
+    radial._carry, cli.trace_branch = counted_carry, counted_trace
     angular._first_node_u = counted_first_node
     angular._lockstep = counted_lockstep
+    angular._continue, angular._lagrange = counted_continue, counted_lagrange
     for name, form in forms.items():
         setattr(angular, name, counted_form(form))
     if rng is not None:
@@ -139,7 +194,10 @@ def work(argv: list[str], rng: np.random.Generator | None
         code = cli.main(argv + ["--out", os.devnull])
     finally:
         radial._Shooter.__init__, radial._Shooter._sweep = init, sweep
+        radial._Shooter.wave, radial._Shooter._amplitudes = wave, amplitudes
+        radial._carry, cli.trace_branch = carry, trace
         angular._first_node_u, angular._lockstep = first_node, lockstep
+        angular._continue, angular._lagrange = cont, lagrange
         for name, form in forms.items():
             setattr(angular, name, form)
     if code != 0:
@@ -183,6 +241,13 @@ def main() -> int:
                   f"nodes handed to the lockstep over requests "
                   f"0-{BENCH_REQUESTS - 1} of seeds "
                   f"{BENCH_SEEDS[0]}-{BENCH_SEEDS[-1]}")
+            halvings = (total["guesses"] - total["advances"]) // 2
+            print(f"benchmark {workload}, kept paths: {total['restarts']} "
+                  f"carry restarts, {total['ratio_waves']} amplitudes from "
+                  f"ratio products, {total['lost']} lockstep losses to the "
+                  f"all-nodes walk, {total['refused']} refused warm traces, "
+                  f"{halvings} step halvings, {total['resweeps']} of "
+                  f"{total['waves']} waves swept again")
     return 0
 
 

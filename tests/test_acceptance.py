@@ -29,7 +29,6 @@ from zrtrimer import (
     nu2_asymptotic,
     nu_cot_half_pi,
     sin_ratio,
-    solve_at_rho,
     solve_bound_states,
     thomas_spectrum,
     trace_branch,
@@ -173,7 +172,7 @@ def test_criterion_6_numerics_hygiene(he4_branch_potential, he4_solution,
     pair = PairParams(a=HE4_A, r_eff=HE4_REFF, p_shape=HE4_P)
     worst_fact = worst_root = 0.0
     for rho in (1.0, 15.0, 300.0):
-        u_b = solve_at_rho(rho, he4_problem, guess=pot.u_at(rho))
+        u_b = trace_branch(np.array([rho]), he4_problem).u[0]
         m = build_matrix(u_b, rho, he4_problem)
         d, o = m[0, 0], m[0, 1]
         det = np.linalg.det(m)

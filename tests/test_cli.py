@@ -149,7 +149,7 @@ class TestSolveCommand:
         assert [s["nodes"] for s in states] == [0, 1]
         assert states[0]["E_mK"] == pytest.approx(-176.6803, abs=1e-3)
         assert states[1]["E_mK"] == pytest.approx(-3.70678, abs=1e-4)
-        _, pot = cli.potential_for_config(parse_config(text))
+        pot = cli.potential_for_config(parse_config(text))
         assert pot.problem.dimer.index == 0
         pole = hartree_to_mk(pot.hartree_from_eps(pot.w_inf))
         assert pole == pytest.approx(-2.0702, abs=1e-4)

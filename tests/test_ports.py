@@ -100,8 +100,8 @@ class TestRegulaFalsi:
     def test_bundled_residuals_around_traced_nodes(self, request, cfg_name):
         # the roots the walker refines: brackets of several widths and
         # offsets around every 25th node of the bundled traces
-        branch, pot = potential_for_config(request.getfixturevalue(cfg_name))
-        f = pot.problem.residual
+        pot = potential_for_config(request.getfixturevalue(cfg_name))
+        branch, f = pot.branch, pot.problem.residual
         checked = 0
         for rho, u in zip(branch.rho[::25], branch.u[::25]):
             rho, u = float(rho), float(u)
@@ -211,7 +211,7 @@ class TestPchip:
 
     def test_bundled_branch(self, he4_cfg, mixed_cfg):
         for cfg in (he4_cfg, mixed_cfg):
-            branch, _ = potential_for_config(cfg)
+            branch = potential_for_config(cfg).branch
             t = np.log(branch.rho)
             mid = 0.5 * (t[1:] + t[:-1])
             xs = np.concatenate([t, mid, t[:-1] + 0.01 * np.diff(t)])

@@ -206,12 +206,11 @@ class TestExtension:
 
     def test_interpolation_matches_direct_solve(self, he4_branch_potential,
                                                 he4_problem):
-        from zrtrimer import solve_at_rho
         branch, pot = he4_branch_potential
         for k in (100, 300, 500):
             mid = math.sqrt(branch.rho[k] * branch.rho[k + 1])
             u_interp = pot.u_at(mid)
-            u_direct = solve_at_rho(mid, he4_problem, guess=u_interp)
+            u_direct = trace_branch(np.array([mid]), he4_problem).u[0]
             assert u_interp == pytest.approx(u_direct, rel=1e-6)
 
     @pytest.mark.parametrize("u0", [-1e-3, 0.0])
