@@ -17,13 +17,17 @@ Between grid nodes u(rho) is interpolated by a monotone cubic in log(rho),
 two nodes (the extended boundary condition gives u ~ rho^(3/2) there, i.e.
 W ~ rho^(-1/2)).  Beyond the last node the dimer-channel asymptote continues
 the branch; its pole momentum comes from the extended two-body equation so
-that the tail joins the traced branch without a seam.
+that the tail joins the traced branch without a seam.  Where the points
+of a read-only grid, such as the radial grid the shooters share, fall on
+the nodes is worked out once (`_Plan`), so sampling W there again costs
+only the cubic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +37,24 @@ from .system import _Pchip, hartree_to_mk
 #: q_convention -> shift s in W = (u - s)/rho^2
 _SHIFT = {"leading_term": 0.0, "none": 0.25}
 Q_CONVENTIONS = tuple(_SHIFT)
+
+
+class _Plan(NamedTuple):
+    """Where queries fall on a branch's nodes: the masks of those below the
+    first node, past the last and on the nodes, the first two kinds' rho,
+    and `_Pchip.locate` of the last kind's ln rho."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    mid: np.ndarray
+    rho_lo: np.ndarray
+    rho_hi: np.ndarray
+    where: tuple[np.ndarray, ...]
+
+
+#: [(query, knots, plan)] of the last read-only query array that owns its
+#: data, such as the radial grid the shooters share; empty before any
+_PLANS: list[tuple[np.ndarray, np.ndarray, _Plan]] = []
 
 
 @dataclass(frozen=True)
@@ -70,26 +92,49 @@ class EffectivePotential:
     def _u(self, rhos: np.ndarray) -> np.ndarray:
         """u = nu^2 at any rho: the inner law below the first node, the
         interpolated branch on the grid and the analytic tail beyond it."""
+        plan = self._plan(rhos)
+        u = np.empty(rhos.size)
+        u[plan.mid] = self._u_interp.cubic(plan.where)
+        if plan.rho_lo.size:
+            c, p, kind = self._inner
+            r = plan.rho_lo
+            u[plan.lo] = c * r ** p if kind == "power" else c + p * r
+        if plan.rho_hi.size:
+            dimer = self.problem.dimer
+            if dimer is not None:
+                u[plan.hi] = dimer_channel_u(plan.rho_hi, dimer.kappa,
+                                             dimer.mu)
+            else:
+                u_last = self.branch.u[-1]
+                u[plan.hi] = 4.0 - (4.0 - u_last) * (self.rho[-1]
+                                                     / plan.rho_hi)
+        return u.reshape(rhos.shape)
+
+    def _plan(self, rhos: np.ndarray) -> _Plan:
+        """Where rhos fall on the branch's nodes.  A read-only rhos that owns
+        its data, such as the shared radial grid, is taken to stay as it
+        is: its plan is kept until another such query comes, and any branch
+        on equal nodes reuses it."""
+        fixed = not rhos.flags.writeable and rhos.flags.owndata
+        if fixed:
+            for query, knots, plan in _PLANS:
+                if query is rhos and np.array_equal(knots, self.rho):
+                    return plan
         flat = rhos.ravel()
         if flat.size and flat.min() <= 0.0:
             raise ValueError("rho must be positive")
-        u = np.empty_like(flat)
         lo = flat < self.rho[0]
         hi = flat > self.rho[-1]
         mid = ~(lo | hi)
-        if mid.any():
-            u[mid] = self._u_interp(np.log(flat[mid]))
-        if lo.any():
-            c, p, kind = self._inner
-            u[lo] = c * flat[lo] ** p if kind == "power" else c + p * flat[lo]
-        if hi.any():
-            dimer = self.problem.dimer
-            if dimer is not None:
-                u[hi] = dimer_channel_u(flat[hi], dimer.kappa, dimer.mu)
-            else:
-                u_last = self.branch.u[-1]
-                u[hi] = 4.0 - (4.0 - u_last) * (self.rho[-1] / flat[hi])
-        return u.reshape(rhos.shape)
+        where = self._u_interp.locate(np.log(flat[mid]))
+        plan = _Plan(lo, hi, mid, flat[lo], flat[hi], where)
+        if fixed:
+            for a in (*plan[:5], *where):
+                a.setflags(write=False)
+            knots = self.rho.copy()
+            knots.setflags(write=False)
+            _PLANS[:] = [(rhos, knots, plan)]
+        return plan
 
     def hartree_from_eps(self, eps: float) -> float:
         """E in hartree from 2mE/hbar^2."""

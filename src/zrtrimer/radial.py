@@ -75,6 +75,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -144,8 +145,8 @@ def count_nodes(f) -> int:
 def _seed(tq: np.ndarray, far: int, near: int, a: float) -> float:
     """p = 1 - F_far/F_near at a boundary where g_far/g_near = exp(-a);
     tq = h^2 q/12, so F = (1 - tq) g."""
-    return float((tq[far] - tq[near] - (1.0 - tq[far]) * math.expm1(-a))
-                 / (1.0 - tq[near]))
+    t_far, t_near = tq.item(far), tq.item(near)
+    return (t_far - t_near - (1.0 - t_far) * math.expm1(-a)) / (1.0 - t_near)
 
 
 def _carry(band, seeds, given=None) -> tuple[int, np.ndarray]:
@@ -201,7 +202,7 @@ def _carry(band, seeds, given=None) -> tuple[int, np.ndarray]:
 
     solve(0, seeds[0][1], 1.0)
     for j, e in zip(starts, [*starts[1:], len(z)]):
-        while not (abs(z[e - 2]) < _BIG and abs(z[e - 1]) < _BIG):
+        while not (abs(z.item(e - 2)) < _BIG and abs(z.item(e - 1)) < _BIG):
             cut = j + int(np.argmin(np.abs(z[j:e]) < _BIG))
             restart = 2 * ((cut - 2) // 2)  # the last whole pair before it
             if restart <= j:
@@ -211,7 +212,7 @@ def _carry(band, seeds, given=None) -> tuple[int, np.ndarray]:
                     z[e:] = 0.0
                     solve(e, seeds[starts.index(e)][1], 1.0)
                 break
-            j, d, f = restart, float(z[restart]), float(z[restart + 1])
+            j, d, f = restart, z.item(restart), z.item(restart + 1)
             z[j + 2:] = 0.0
             solve(j, d, f)
     for s in given:
@@ -236,7 +237,8 @@ class RadialSolution:
     """One bound state: energy, node count and the sampled wave function.
 
     eps is the eigenvalue 2mE/hbar^2 of the radial equation and w the
-    potential W it was solved in, sampled on rho like f.
+    potential W it was solved in, sampled on rho like f; rho is the
+    read-only array every state on the same grid shares.
     """
 
     energy: float
@@ -256,6 +258,29 @@ class _Sweep(NamedTuple):
     resid: float        # d / (|x_m| + |p_in| + h): a log-derivative mismatch
 
 
+class _Grid(NamedTuple):
+    """A log grid's step and read-only arrays, shared by its shooters."""
+
+    h: float            # the step in t = ln(rho)
+    rho: np.ndarray
+    r2: np.ndarray      # rho^2
+    quarter: np.ndarray  # 1/(4 rho^2), for the window's floor
+    root: np.ndarray    # sqrt(rho), for each wave
+
+
+@lru_cache(maxsize=1)
+def _log_grid(rho_min: float, rho_max: float, n: int) -> _Grid:
+    """The n-point log grid from rho_min to rho_max, built once while it is
+    the last one asked for: the points of a scan share it."""
+    t = np.linspace(math.log(rho_min), math.log(rho_max), n)
+    rho = np.exp(t)
+    r2 = rho * rho
+    grid = _Grid(float(t[1] - t[0]), rho, r2, 0.25 / r2, np.sqrt(rho))
+    for a in grid[1:]:
+        a.setflags(write=False)
+    return grid
+
+
 class _Shooter:
     """Two-sided ratio sweeps, node counts and eigenvalues on a fixed log grid.
 
@@ -271,7 +296,9 @@ class _Shooter:
     on both sides + (d < 0), which steps exactly at the roots of d.  The
     resid, d over a positive scale, has the sign of d, so count -
     (resid < 0) is the sign changes alone: k on the iterates from which
-    the search for state k takes a Newton step.  ValueError unless
+    the search for state k takes a Newton step.  The grid comes from
+    `_log_grid`, shared by every shooter on it and read-only; w and
+    the band scratch are each shooter's own.  ValueError unless
     0 < rho_min < rho_max < inf and n >= 7: m is clamped to [3, n - 4].
     """
 
@@ -280,18 +307,16 @@ class _Shooter:
                  hard_wall: bool = False, shift: float = 0.0):
         if not (0.0 < rho_min < rho_max < math.inf and n >= 7):
             raise ValueError("need 0 < rho_min < rho_max < inf and n >= 7")
-        self.t = np.linspace(math.log(rho_min), math.log(rho_max), n)
-        self.h = float(self.t[1] - self.t[0])
-        self.rho = np.exp(self.t)
+        self.grid = _log_grid(rho_min, rho_max, n)
+        self.h, self.rho, self.r2 = self.grid[:3]
         self.w = w_of(self.rho)
         bad = self.rho[~np.isfinite(self.w)]
         if len(bad):    # a NaN trial energy would never leave the bisection
             raise SolverError(f"W is not finite at rho = {bad[0]:.6g}")
-        self.r2 = self.rho * self.rho
         self.n = n
         self.band = np.full((2 * n + 2, 3), -1.0)   # _carry's scratch
         # the window's floor, where q >= 0 at every point
-        self.w_min = float((self.w + 0.25 / self.r2).min())
+        self.w_min = float((self.w + self.grid.quarter).min())
         # min W[k:] and -max W[k:], both ascending in k, for searchsorted
         self.tail_min = np.minimum.accumulate(self.w[::-1])[::-1]
         self.tail_neg_max = -np.maximum.accumulate(self.w[::-1])[::-1]
@@ -325,9 +350,9 @@ class _Shooter:
         that of one whole-grid cumsum.
         """
         n = self.n
-        k = min(int(np.searchsorted(self.tail_min, eps, side="right")),
-                int(np.searchsorted(self.tail_neg_max, -eps, side="right")))
-        if k and self.w[k - 1] != eps:
+        k = min(int(self.tail_min.searchsorted(eps, side="right")),
+                int(self.tail_neg_max.searchsorted(-eps, side="right")))
+        if k and self.w.item(k - 1) != eps:
             im = k - 1
         else:
             s = self.w[:k] - eps
@@ -343,7 +368,7 @@ class _Shooter:
         np.sqrt(action, out=action)
         action *= self.h
         np.cumsum(action, out=action)
-        stop = im + int(np.searchsorted(action, _ACTION_CAP, side="right"))
+        stop = im + int(action.searchsorted(_ACTION_CAP, side="right"))
         if stop == end < n - 1:     # the cap lies past the window
             self.reach = n
             return self._turning_and_stop(eps)
@@ -365,11 +390,12 @@ class _Shooter:
         m, stop, hq = self._turning_and_stop(eps)
         hq *= self.h * self.h       # h^2 q, in place on q
         tq = hq / 12.0
-        worst = float(np.abs(tq).max())
-        if not worst < _MAX_STEP_TQ:   # also NaN
+        top, bottom = tq.max(), tq.min()
+        if not (top < _MAX_STEP_TQ and -bottom < _MAX_STEP_TQ):   # also NaN
             raise SolverError(
                 f"Numerov step unstable at eps = {eps!r}: |h^2 q/12| reaches "
-                f"{worst:.3g} (limit {_MAX_STEP_TQ}); refine the radial grid")
+                f"{max(top, -bottom):.3g} (limit {_MAX_STEP_TQ}); refine the "
+                "radial grid")
         # -v = h^2 q / (h^2 q/12 - 1) straight into the band: outward at
         # points 1..m - 1, then inward at stop - 1 down to m + 1
         band = self.band[:2 * stop]
@@ -380,17 +406,17 @@ class _Shooter:
         if self.hard_wall:
             p_lo = p_hi = 1.0
         else:
-            w_stop = self.w_inf if stop == self.n - 1 else float(self.w[stop])
+            w_stop = self.w_inf if stop == self.n - 1 else self.w.item(stop)
             kappa = math.sqrt(max(w_stop - eps, 0.0))
             p_lo = _seed(tq, 0, 1, self.inner_rate * self.h)
-            p_hi = _seed(tq, stop, stop - 1, 0.5 * self.h
-                         + kappa * (self.rho[stop] - self.rho[stop - 1]))
+            p_hi = _seed(tq, stop, stop - 1, 0.5 * self.h + kappa
+                         * (self.rho.item(stop) - self.rho.item(stop - 1)))
         given = []
         turns, z = _carry(band, [(0, p_lo), (2 * m, p_hi)], given)
         z_out, z_in = z[:2 * m], z[2 * m:]
-        p_in = float(z_in[-2]) / float(z_in[-1])
-        x_m = (float(hq[m]) / (1.0 - float(tq[m]))
-               + float(z_out[-2]) / float(z_out[-1]))
+        p_in = z_in.item(-2) / z_in.item(-1)
+        x_m = (hq.item(m) / (1.0 - tq.item(m))
+               + z_out.item(-2) / z_out.item(-1))
         d = x_m + p_in
         resid = d / (abs(x_m) + abs(p_in) + self.h)
         sweep = _Sweep(turns + (d < 0.0), resid)
@@ -399,9 +425,9 @@ class _Shooter:
         norm = math.inf
         carried = given == [0, 2 * m]
         if carried:
-            norm = (_norm(z_out[1::2], float(z_out[-1]), den[1:m + 1],
+            norm = (_norm(z_out[1::2], z_out.item(-1), den[1:m + 1],
                           self.rho[1:m + 1])
-                    + _norm(z_in[1:-2:2], float(z_in[-1]), den[stop - 1:m:-1],
+                    + _norm(z_in[1:-2:2], z_in.item(-1), den[stop - 1:m:-1],
                             self.rho[stop - 1:m:-1]))
         if not norm < math.inf:
             norm = _norm(self._amplitudes(z_out, z_in, tq), 1.0, 1.0, self.rho)
@@ -431,7 +457,7 @@ class _Shooter:
         if self.last is None or self.last[0] != eps:
             self._sweep(eps)
         _, sweep, z_out, z_in, tq, carried = self.last
-        f = self._amplitudes(z_out, z_in, tq, carried) * np.sqrt(self.rho)
+        f = self._amplitudes(z_out, z_in, tq, carried) * self.grid.root
         return sweep.resid, f / f[np.abs(f).argmax()]
 
     def _amplitudes(self, z_out, z_in, tq, carried=False) -> np.ndarray:
@@ -544,9 +570,10 @@ def _warm_starts(shooter: _Shooter, prior) -> list[float]:
     taken.  From one point, or for a state the point before lacks, f_2 =
     f_1, and the quotient is the first-order estimate eps_1 + <f_1|W -
     W_1|f_1> / <f_1|f_1>.  Empty unless every point was solved on the
-    shooter's grid."""
+    shooter's grid: the same array, shared through `_log_grid`, or one
+    equal to it."""
     points = (prior or [[]])[-2:]
-    if not all(np.array_equal(s.rho, shooter.rho)
+    if not all(s.rho is shooter.rho or np.array_equal(s.rho, shooter.rho)
                for p in points for s in p[:1]):
         return []
     w, out = shooter.w, []

@@ -150,14 +150,26 @@ class _Pchip:
         self.c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return self.cubic(self.locate(xs))
+
+    def locate(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Where each query falls: its interval i, its offset s from the
+        interval's start with s^2 and s^3, and the mask of the queries
+        outside [x[0], x[-1]].  These depend on the knots and the queries
+        alone."""
         x = self.x
-        i = np.searchsorted(x, xs, side="right") - 1
+        i = x.searchsorted(xs, side="right") - 1
         np.clip(i, 0, len(x) - 2, out=i)
         s = xs - x[i]
         s2 = s * s
+        return i, s, s2, s2 * s, ~((xs >= x[0]) & (xs <= x[-1]))
+
+    def cubic(self, where: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The interpolant at the queries `locate` placed."""
+        i, s, s2, s3, outside = where
         c0, c1, c2, c3 = (c[i] for c in self.c)
-        out = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
-        out[~((xs >= x[0]) & (xs <= x[-1]))] = np.nan
+        out = c3 + c2 * s + c1 * s2 + c0 * s3
+        out[outside] = np.nan
         return out
 
 

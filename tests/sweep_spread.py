@@ -28,7 +28,12 @@ restarted, amplitudes read from the ratio products (`_amplitudes` with
 no carry to read), cold lockstep losses that send the trace back to the
 all-nodes walk, refused warm traces, step halvings in `angular._continue`
 (each costs its `advance` two more guesses), and `_Shooter.wave` calls
-that sweep their energy again, out of all waves.
+that sweep their energy again, out of all waves.  A third line gives
+the setup the memos of the radial layer serve: the shooters built, the
+radial grids `radial._log_grid` built and reused, and the W sampling
+plans `EffectivePotential._plan` built and reused, the fewest reused in
+one request beside them.  Each seed starts with both memos empty, as a
+fresh benchmark worker does.
 
     PYTHONPATH=src python tests/sweep_spread.py
 """
@@ -43,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zrtrimer import angular, cli, radial
+from zrtrimer import angular, cli, potential, radial
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent)]
@@ -84,7 +89,8 @@ def _nudged(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 FORMS = ("_boson_residual", "_pair_residual", "_general_residual")
 COUNTS = ("sweeps", "first", "scalar", "arrays", "points", "scalar_off",
           "points_off", "handed", "restarts", "ratio_waves", "lost",
-          "refused", "advances", "guesses", "waves", "resweeps")
+          "refused", "advances", "guesses", "waves", "resweeps",
+          "shooters", "grids", "grid_hits", "plans", "plan_hits")
 
 
 def work(argv: list[str], rng: np.random.Generator | None
@@ -94,8 +100,9 @@ def work(argv: list[str], rng: np.random.Generator | None
     array points, the scalar calls and array points at u >= 0 (off the
     bound branch), the coarse nodes handed to the lockstep, and the
     traffic through the kept paths (the module docstring's second line),
-    of one command line through `zrtrimer.cli.main`, each shooter's W
-    nudged by rng unless it is None.  Step halvings are (guesses -
+    and the setup the memos serve (the module docstring's third line), of
+    one command line through `zrtrimer.cli.main`, each shooter's W nudged
+    by rng unless it is None.  Step halvings are (guesses -
     advances) / 2: an `advance` takes one guess per try, and each halving
     adds a failed try and a target."""
     count = dict.fromkeys(COUNTS, 0)
@@ -105,10 +112,23 @@ def work(argv: list[str], rng: np.random.Generator | None
     forms = {name: getattr(angular, name) for name in FORMS}
     first_node, lockstep = angular._first_node_u, angular._lockstep
     cont, lagrange = angular._continue, angular._lagrange
+    plan = potential.EffectivePotential._plan
     in_first, warm = [], []
+    grids = radial._log_grid.cache_info()
 
-    def nudged_init(self, w_of, *args, **kwargs):
-        init(self, lambda rho: _nudged(w_of(rho), rng), *args, **kwargs)
+    def counted_init(self, w_of, *args, **kwargs):
+        count["shooters"] += 1
+        sample = w_of if rng is None else lambda rho: _nudged(w_of(rho), rng)
+        init(self, sample, *args, **kwargs)
+
+    def counted_plan(self, rhos):
+        kept = [entry[2] for entry in potential._PLANS]
+        found = plan(self, rhos)
+        if any(found is p for p in kept):
+            count["plan_hits"] += 1
+        elif potential._PLANS and found is potential._PLANS[0][2]:
+            count["plans"] += 1
+        return found
 
     def counted_sweep(self, eps):
         count["sweeps"] += 1
@@ -179,7 +199,9 @@ def work(argv: list[str], rng: np.random.Generator | None
             return wave(self, eps)
         finally:
             count["resweeps"] += count["sweeps"] - before
+    radial._Shooter.__init__ = counted_init
     radial._Shooter._sweep = counted_sweep
+    potential.EffectivePotential._plan = counted_plan
     radial._Shooter.wave = counted_wave
     radial._Shooter._amplitudes = counted_amplitudes
     radial._carry, cli.trace_branch = counted_carry, counted_trace
@@ -188,12 +210,11 @@ def work(argv: list[str], rng: np.random.Generator | None
     angular._continue, angular._lagrange = counted_continue, counted_lagrange
     for name, form in forms.items():
         setattr(angular, name, counted_form(form))
-    if rng is not None:
-        radial._Shooter.__init__ = nudged_init
     try:
         code = cli.main(argv + ["--out", os.devnull])
     finally:
         radial._Shooter.__init__, radial._Shooter._sweep = init, sweep
+        potential.EffectivePotential._plan = plan
         radial._Shooter.wave, radial._Shooter._amplitudes = wave, amplitudes
         radial._carry, cli.trace_branch = carry, trace
         angular._first_node_u, angular._lockstep = first_node, lockstep
@@ -202,6 +223,9 @@ def work(argv: list[str], rng: np.random.Generator | None
             setattr(angular, name, form)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
+    after = radial._log_grid.cache_info()
+    count["grids"] = after.misses - grids.misses
+    count["grid_hits"] = after.hits - grids.hits
     return count
 
 
@@ -222,7 +246,10 @@ def main() -> int:
         path = Path(tmp) / "request.cfg"
         for workload in WORKLOADS:
             total = dict.fromkeys(COUNTS, 0)
+            reused = []     # plans reused by each request that sampled W
             for seed in BENCH_SEEDS:
+                radial._log_grid.cache_clear()
+                potential._PLANS.clear()
                 for req in itertools.islice(
                         requests(workload, seed, HERE.parent), BENCH_REQUESTS):
                     if req.config_text is not None:
@@ -231,6 +258,8 @@ def main() -> int:
                                 for a in req.argv], None)
                     for key in total:
                         total[key] += one[key]
+                    if one["plans"] + one["plan_hits"]:
+                        reused.append(one["plan_hits"])
             print(f"benchmark {workload}: {total['sweeps']} sweeps, "
                   f"{total['first'] + total['scalar']} angular scalar "
                   f"residual calls ({total['first']} first-node, "
@@ -248,6 +277,12 @@ def main() -> int:
                   f"all-nodes walk, {total['refused']} refused warm traces, "
                   f"{halvings} step halvings, {total['resweeps']} of "
                   f"{total['waves']} waves swept again")
+            print(f"benchmark {workload}, setup: {total['shooters']} "
+                  f"shooters, {total['grids']} radial grids built and "
+                  f"{total['grid_hits']} reused, {total['plans']} W plans "
+                  f"built and {total['plan_hits']} reused"
+                  + (f" (at least {min(reused)} in each request)"
+                     if reused else ""))
     return 0
 
 

@@ -1421,6 +1421,18 @@ class TestSectorDraws:
         _assert_lowest_cold_branch(ParticleSystem(
             (mass, mass, mass3), (pair, pair, pair3)), n)
 
+    @pytest.mark.xfail(strict=True, raises=BranchFoldError,
+                       reason="two roots 0.007 apart near rho = 261.479 lie "
+                              "inside the walk's first rung")
+    def test_two_identical_close_roots(self):
+        # the draw test_two_identical shrinks to on the seeds where it
+        # fails: at m3 = m the exchange-symmetric factor splits into two
+        # symmetries whose roots cross, and at m3 = m (1 + 5e-6) the
+        # avoided crossing leaves a gap the one-way walk steps over
+        pair = PairParams(a=-30.0, r_eff=5.0, p_shape=0.0418925878260229)
+        _assert_lowest_cold_branch(ParticleSystem(
+            (2.0, 2.0, 2.00001), (pair, pair, pair)), 150)
+
     @example(masses=[10.47, 2.84, 4.74], pairs=[
         PairParams(a=194.2, r_eff=9.69, p_shape=0.0557),
         PairParams(a=152.8, r_eff=17.94, p_shape=0.0396),

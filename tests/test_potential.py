@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from zrtrimer import (
     AngularProblem,
@@ -15,7 +16,9 @@ from zrtrimer import (
     efimov_constant,
     trace_branch,
 )
+from zrtrimer import potential
 from zrtrimer.angular import dimer_channel_u
+from zrtrimer.potential import _SHIFT
 
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, POLE_NOT_BARE
 
@@ -229,6 +232,119 @@ class TestExtension:
         _, pot = he4_branch_potential
         with pytest.raises(ValueError):
             pot.values(0.0)
+
+
+def _reference_w(pot, rhos) -> np.ndarray:
+    """W as one pass over the queries computes it, with scipy's pchip on
+    the nodes: the inner law below the first node and the dimer tail past
+    the last."""
+    r = np.asarray(rhos, dtype=float).ravel()
+    u = np.empty_like(r)
+    lo, hi = r < pot.rho[0], r > pot.rho[-1]
+    mid = ~(lo | hi)
+    u[mid] = PchipInterpolator(np.log(pot.rho), pot.branch.u,
+                               extrapolate=False)(np.log(r[mid]))
+    c, p, kind = pot._inner
+    u[lo] = c * r[lo] ** p if kind == "power" else c + p * r[lo]
+    dimer = pot.problem.dimer
+    u[hi] = dimer_channel_u(r[hi], dimer.kappa, dimer.mu)
+    return ((u - _SHIFT[pot.q_convention]) / (r * r)).reshape(np.shape(rhos))
+
+
+def _fixed(a: np.ndarray) -> np.ndarray:
+    """a read-only array that owns its data, as a shared radial grid is"""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@st.composite
+def _branch_nodes(draw):
+    """k nodes in rho, log-spaced or at irregular steps in ln rho, and u."""
+    k = draw(st.integers(2, 40))
+    t0 = draw(st.floats(math.log(0.05), math.log(5.0)))
+    if draw(st.booleans()):
+        t = t0 + np.linspace(0.0, draw(st.floats(1.0, 10.0)), k)
+    else:
+        steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=k - 1,
+                              max_size=k - 1))
+        t = t0 + np.concatenate([[0.0], np.cumsum(steps)])
+    # to 1e-6: a subnormal secant overflows the harmonic mean (test_ports)
+    u = draw(st.lists(st.floats(-200.0, 10.0).map(lambda v: round(v, 6)),
+                      min_size=k, max_size=k))
+    return np.exp(t), np.array(u)
+
+
+class TestSamplingPlan:
+    """`EffectivePotential._plan` keeps where a read-only query grid falls
+    on the nodes; W sampled through a kept plan is bit for bit W sampled
+    afresh, and every other input goes the one path it went before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nodes=_branch_nodes(), n=st.integers(1, 300),
+           widen=st.floats(1.0, 3.0), q_convention=st.sampled_from(
+               ("leading_term", "none")))
+    def test_kept_plan_is_bit_identical(self, he4_problem, nodes, n, widen,
+                                        q_convention):
+        rho, u = nodes
+        # the query grid reaches below the first node and past the last
+        query = _fixed(np.exp(np.linspace(math.log(rho[0] / widen),
+                                          math.log(rho[-1] * widen), n)))
+        pot = effective_potential(NuBranch(rho=rho, u=u,
+                                           residuals=np.zeros_like(u)),
+                                  he4_problem, q_convention)
+        fresh = pot.values(query.copy())
+        assert np.array_equal(fresh, _reference_w(pot, query))
+        first = pot.values(query)
+        plan = potential._PLANS[0]
+        assert plan[0] is query
+        again = pot.values(query)
+        assert potential._PLANS[0] is plan
+        assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
+        # another branch on equal nodes reuses the plan
+        other = effective_potential(
+            NuBranch(rho=rho.copy(), u=u[::-1].copy(),
+                     residuals=np.zeros_like(u)), he4_problem, q_convention)
+        assert np.array_equal(other.values(query),
+                              other.values(query.copy()))
+        assert potential._PLANS[0] is plan
+        # and one on other nodes makes its own
+        moved = effective_potential(
+            NuBranch(rho=rho * 1.5, u=u, residuals=np.zeros_like(u)),
+            he4_problem, q_convention)
+        assert np.array_equal(moved.values(query), _reference_w(moved, query))
+        assert potential._PLANS[0][2] is not plan[2]
+
+    def test_other_inputs_as_before(self, he4_branch_potential):
+        _, pot = he4_branch_potential
+        rng = np.random.default_rng(7)
+        # below the first node, on the nodes and past the last, unsorted
+        rhos = np.concatenate([[0.01, 0.049, 8000.0, 4000.0],
+                               np.exp(rng.uniform(math.log(0.02),
+                                                  math.log(9000.0), 200))])
+        rng.shuffle(rhos)
+        want = _reference_w(pot, rhos)
+        assert np.array_equal(pot.values(rhos), want)
+        assert np.array_equal(pot.values(list(rhos)), want)
+        grid = rhos.reshape(12, 17)
+        for square in (grid, _fixed(grid)):
+            got = pot.values(square)
+            assert got.shape == (12, 17)
+            assert np.array_equal(got, want.reshape(12, 17))
+        for r in (0.02, 3.7, 5000.0):
+            got = pot.values(r)
+            assert got.shape == ()
+            assert got == _reference_w(pot, [r])[0]
+        assert pot.values(np.array([])).shape == (0,)
+
+    def test_nonpositive_rho_is_refused_and_not_kept(self,
+                                                     he4_branch_potential):
+        _, pot = he4_branch_potential
+        for rhos in (0.0, [1.0, 0.0], _fixed([1.0, -2.0])):
+            kept = list(potential._PLANS)
+            with pytest.raises(ValueError, match="positive"):
+                pot.values(rhos)
+            assert potential._PLANS == kept
 
 
 class TestDegenerate:

@@ -1368,6 +1368,43 @@ class TestDiscreteOracle:
         self._check(shooter, k, big)
 
 
+class TestGridSharing:
+    """Shooters on one (rho_min, rho_max, n) share the grid `_log_grid`
+    builds, read-only; a prior on another grid starts no search."""
+
+    def test_solves_share_one_read_only_grid(self, he4_branch_potential):
+        _, pot = he4_branch_potential
+        first, second = solve_bound_states(pot), solve_bound_states(pot)
+        rho = first[0].rho
+        assert all(s.rho is rho for s in first + second)
+        assert rho is radial._log_grid(0.05, 4000.0, 8000).rho
+        with pytest.raises(ValueError, match="read-only"):
+            rho[0] = 1.0
+        assert np.array_equal(
+            rho, np.exp(np.linspace(math.log(0.05), math.log(4000.0), 8000)))
+        for a in radial._log_grid(0.05, 4000.0, 8000)[1:]:
+            assert not a.flags.writeable
+        # w is each shooter's own
+        assert first[0].w is not second[0].w
+
+    def test_warm_starts_need_the_shooters_grid(self, he4_branch_potential,
+                                                he4_solution):
+        _, pot = he4_branch_potential
+        _, cold = he4_solution
+
+        def shooter(n):
+            return _Shooter(pot.values, pot.w_inf,
+                            min(pot.w_inf, pot.threshold), 0.05, 4000.0, n)
+        other = solve_bound_states(pot, n=6000)
+        for prior in ([other], [cold, other], [other, cold]):
+            assert radial._warm_starts(shooter(8000), prior) == []
+        # the same grid, shared or rebuilt as an equal array: same starts
+        shared = radial._warm_starts(shooter(8000), [cold])
+        copied = [dataclasses.replace(s, rho=s.rho.copy()) for s in cold]
+        assert len(shared) == len(cold)
+        assert radial._warm_starts(shooter(8000), [copied]) == shared
+
+
 def _count_sweeps(monkeypatch) -> list[int]:
     """Sweeps per solve_bound_states call, from the CLI: a new entry per
     call, incremented by each `_Shooter._sweep` (a caller may append an
