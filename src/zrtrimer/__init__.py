@@ -16,12 +16,7 @@ from .angular import (
     NuBranch,
     PoleProximityError,
     RootSearchError,
-    boson_residual,
-    build_matrix,
     efimov_constant,
-    nu2_asymptotic,
-    nu_cot_half_pi,
-    sin_ratio,
     trace_branch,
 )
 from .config import ConfigError, RunConfig, parse_config
@@ -48,9 +43,7 @@ from .system import (
 __all__ = [
     "__version__",
     "AngularProblem", "BranchFoldError", "NuBranch", "PoleProximityError",
-    "RootSearchError",
-    "boson_residual", "build_matrix", "efimov_constant", "nu2_asymptotic",
-    "nu_cot_half_pi", "sin_ratio", "trace_branch",
+    "RootSearchError", "efimov_constant", "trace_branch",
     "ConfigError", "RunConfig", "parse_config",
     "EffectivePotential", "effective_potential",
     "RadialSolution", "ThomasSpectrum", "count_nodes", "solve_bound_states",

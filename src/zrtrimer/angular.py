@@ -69,12 +69,13 @@ the 3x3 determinant, two rows in closed form, and in the general case the
 path inline: for u < 0 it evaluates C(u) and its off-diagonals over one
 sinh denominator in its own expressions (for bosons, C(u) and the pi/3
 sinh ratio combined).  Every other u, u = 0 and u > 0 in any cell, takes
-the shared `_couplings` behind the pole guard, and rho = 0 the shared
-`_at_rho_zero` rule; the arrays' masked path takes `_couplings_array`.
-On the bundled configs neither off-branch path runs.  Each row is divided
-by its largest term taken before the diagonal sum C(u) + bc_i cancels: in
-a bound row both are ~13 and cancel to ~1e-15 at a root, so scaling by
-what is left would turn one ulp of u into a residual of 1e-8.
+the shared `_couplings` behind the pole guard; the arrays' masked path
+takes `_couplings_array`.  On the bundled configs neither off-branch path
+runs.  Every form takes rho > 0, as on every grid trace_branch accepts.
+Each row is divided by its largest term taken before the diagonal sum
+C(u) + bc_i cancels: in a bound row both are ~13 and cancel to ~1e-15 at
+a root, so scaling by what is left would turn one ulp of u into a
+residual of 1e-8.
 Scaled this way the residual is relative, and `_verify` rejects any
 node whose residual exceeds MAX_RESIDUAL with SolverError.
 """
@@ -156,48 +157,6 @@ def _cell_interval(u: float) -> tuple[float, float]:
     return (4.0 * n * n + POLE_GUARD, 4.0 * (n + 1) ** 2 - POLE_GUARD)
 
 
-def _sinh_ratio(x: float, y: float) -> float:
-    """sinh(x)/sinh(y) for 0 <= x <= y, safe against overflow."""
-    if x == 0.0:
-        return 0.0
-    return math.exp(x - y) * (-math.expm1(-2.0 * x)) / (-math.expm1(-2.0 * y))
-
-
-def nu_cot_half_pi(u: float) -> float:
-    """C(u) = nu cos(nu pi/2) / sin(nu pi/2), even in nu, u = nu^2.
-
-    For u > 0 this is sqrt(u) cot(sqrt(u) pi/2); for u < 0 it turns into
-    kappa coth(kappa pi/2) with kappa = sqrt(-u); the u -> 0 limit is 2/pi.
-    """
-    _check_pole(u)
-    if u == 0.0:
-        return 2.0 / math.pi
-    if u > 0.0:
-        nu = math.sqrt(u)
-        return nu / math.tan(nu * math.pi / 2.0)
-    kappa = math.sqrt(-u)
-    return kappa / math.tanh(kappa * math.pi / 2.0)
-
-
-def sin_ratio(u: float, phi: float) -> float:
-    """S(u, phi) = sin(nu (phi - pi/2)) / sin(nu pi/2), even in nu.
-
-    phi must lie in (0, pi/2).  For u < 0 the value is
-    -sinh(kappa (pi/2 - phi)) / sinh(kappa pi/2); for u -> 0 it tends to
-    (phi - pi/2) / (pi/2).
-    """
-    if not 0.0 < phi < math.pi / 2.0:
-        raise ValueError(f"phi = {phi!r} outside (0, pi/2)")
-    _check_pole(u)
-    if u == 0.0:
-        return (phi - math.pi / 2.0) / (math.pi / 2.0)
-    if u > 0.0:
-        nu = math.sqrt(u)
-        return math.sin(nu * (phi - math.pi / 2.0)) / math.sin(nu * math.pi / 2.0)
-    kappa = math.sqrt(-u)
-    return -_sinh_ratio(kappa * (math.pi / 2.0 - phi), kappa * math.pi / 2.0)
-
-
 @lru_cache(maxsize=1)
 def efimov_constant() -> float:
     """Positive root g of  g cosh(g pi/2) = (8/sqrt3) sinh(g pi/6).
@@ -274,8 +233,8 @@ class AngularProblem:
         relative residual that trace_branch holds below MAX_RESIDUAL.
         Each form evaluates u < 0, the bound branch, inline; every other
         u goes through the shared `_couplings` (C(u) and the
-        off-diagonals, with the pole guard), and rho = 0 through
-        `_at_rho_zero`."""
+        off-diagonals, with the pole guard).  rho must be positive, as on
+        every grid trace_branch accepts: the forms divide by rho^2."""
         return self._residual_forms[0]
 
     @cached_property
@@ -304,26 +263,11 @@ class AngularProblem:
                    default=None)
 
 
-def _bc_bracket(u: float, rho: float, pair: PairParams, mu: float) -> float:
-    """rho/sqrt(mu) * [1/a + (R/2)(mu u/rho^2) + P R^3 (mu u/rho^2)^2].
-
-    This is the boundary-condition side of the diagonal, written in u so
-    that (sqrt(mu) nu / rho)^2 = mu u / rho^2 stays real for u < 0.
-    """
-    inv_a = 0.0 if math.isinf(pair.a) else 1.0 / pair.a
-    if pair.r_eff == 0.0:
-        return rho / math.sqrt(mu) * inv_a
-    if rho == 0.0:
-        return _at_rho_zero(u, True)
-    k2 = mu * u / (rho * rho)
-    return (rho / math.sqrt(mu)) * (inv_a + 0.5 * pair.r_eff * k2
-                                    + pair.p_shape * pair.r_eff ** 3 * k2 * k2)
-
-
 def _bc_constants(pair: PairParams, mu: float
                   ) -> tuple[float, float, float, float]:
-    """(s, 1/a, h, p) with `_bc_bracket` = rho s (1/a + x (h + p x)),
-    x = u/rho^2."""
+    """(s, 1/a, h, p) with the boundary-condition term of the diagonal,
+    rho/sqrt(mu) [1/a + (R/2)(mu u/rho^2) + P R^3 (mu u/rho^2)^2], equal to
+    rho s (1/a + x (h + p x)), x = u/rho^2."""
     return (1.0 / math.sqrt(mu), 0.0 if math.isinf(pair.a) else 1.0 / pair.a,
             0.5 * pair.r_eff * mu, pair.p_shape * pair.r_eff ** 3 * mu * mu)
 
@@ -348,16 +292,6 @@ def _couplings(u: float, angles) -> tuple[float, list[float]]:
     den = math.sin(nu * half_pi)
     return nu / math.tan(nu * half_pi), [-w * math.sin(nu * g) / den
                                          for _, g, w in angles]
-
-
-def _at_rho_zero(u: float, extended: bool) -> float:
-    """The boundary-condition term rho s (1/a + x (h + p x)) at rho = 0,
-    where it is 0: the bare condition admits every u there, the extended
-    one (some r_eff > 0, AngularProblem.extended) only u = 0."""
-    if extended and u != 0.0:
-        raise ValueError("rho = 0 admits only u = 0 under the extended "
-                         "boundary condition")
-    return 0.0
 
 
 def _couplings_array(u: np.ndarray, angles
@@ -398,45 +332,11 @@ def _couplings_below_zero(u: np.ndarray, angles
         for f, g, w in angles]
 
 
-def boson_lhs(u: float) -> float:
-    """-C(u) + (8/sqrt3) sin(nu pi/6)/sin(nu pi/2)  (even in nu)."""
-    # sin_ratio(u, pi/3) = -sin(nu pi/6)/sin(nu pi/2)
-    return -nu_cot_half_pi(u) - (8.0 / SQRT3) * sin_ratio(u, math.pi / 3.0)
-
-
-def boson_residual(u: float, rho: float, pair: PairParams, mu: float) -> float:
-    """LHS(u) - RHS(u, rho) of the identical-boson eigenvalue equation.
-
-    Zero residual means u is an angular eigenvalue at hyper-radius rho.
-    The extended boundary condition enters through the pair's R and P.
-    """
-    return boson_lhs(u) - _bc_bracket(u, rho, pair, mu)
-
-
-def build_matrix(u: float, rho: float, problem: AngularProblem) -> np.ndarray:
-    """3x3 boundary-condition matrix, rows normalized by sin(nu pi/2).
-
-    Diagonal: C(u) + rho/sqrt(mu_i) [1/a_i + (R_i/2) mu_i u/rho^2
-    + P_i R_i^3 (mu_i u/rho^2)^2]; off-diagonal (i != j):
-    2 S(u, phi_ij) / sin(2 phi_ij).  Its singularity encodes the three
-    two-body boundary conditions simultaneously.
-    """
-    kin = problem.kinematics
-    m = np.empty((3, 3))
-    c = nu_cot_half_pi(u)
-    for i in range(3):
-        pair = problem.system.pairs[i]
-        m[i, i] = c + _bc_bracket(u, rho, pair, kin.mu[i])
-        for j in range(3):
-            if i != j:
-                phi = kin.phi[i][j]
-                m[i, j] = 2.0 * sin_ratio(u, phi) / math.sin(2.0 * phi)
-    return m
-
-
 def _boson_residual(problem: AngularProblem):
-    """(boson_lhs - _bc_bracket) / max(1, |LHS|, |RHS|), in scalars and
-    over arrays of the lowest cell (AngularProblem.residual_array).
+    """(LHS - RHS) / max(1, |LHS|, |RHS|) of the boson equation, LHS =
+    -C(u) + (8/sqrt3) sin(nu pi/6)/sin(nu pi/2) and RHS the diagonal's
+    boundary-condition term (`_bc_constants`), in scalars and over arrays
+    of the lowest cell (AngularProblem.residual_array).
 
     The constants of the boundary condition are computed once.  For u < 0,
     the bound branch, C(u) and the pi/3 sinh ratio share one denominator
@@ -464,11 +364,8 @@ def _boson_residual(problem: AngularProblem):
         else:
             c, (o,) = _couplings(u, angles)
             lhs = -(c + 2.0 * o)
-        if rho == 0.0:
-            rhs = _at_rho_zero(u, problem.extended)
-        else:
-            x = u / (rho * rho)
-            rhs = rho * s * (ia + x * (h + p * x))
+        x = u / (rho * rho)
+        rhs = rho * s * (ia + x * (h + p * x))
         return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
     def below_zero(u: np.ndarray) -> np.ndarray:
@@ -497,8 +394,11 @@ def _boson_residual(problem: AngularProblem):
 
 
 def _general_residual(problem: AngularProblem):
-    """det(build_matrix) / prod_i max(|C|, |bc_i|, |o_ij|, |o_ik|), in
-    scalars and over arrays of the lowest cell (residual_array).
+    """det D / prod_i max(|C|, |bc_i|, |o_ij|, |o_ik|), in scalars and
+    over arrays of the lowest cell (residual_array), D the 3x3
+    boundary-condition matrix with rows normalized by sin(nu pi/2): D_ii =
+    C(u) + bc_i and D_ij = o_ij = 2 S(u, phi_ij) / sin(2 phi_ij), S(u,
+    phi) = sin(nu (phi - pi/2)) / sin(nu pi/2).
 
     The matrix is symmetric, so its three distinct off-diagonals o_ij share
     one sin/sinh denominator and the determinant is written out in closed
@@ -529,13 +429,10 @@ def _general_residual(problem: AngularProblem):
             o02 = w02 * exp(-k * f02) * expm1(-2.0 * k * g02) / den
         else:
             c, (o01, o12, o02) = _couplings(u, angles)
-        if rho == 0.0:
-            b0 = b1 = b2 = _at_rho_zero(u, problem.extended)
-        else:
-            x = u / (rho * rho)
-            b0 = rho * s0 * (ia0 + x * (h0 + p0 * x))
-            b1 = rho * s1 * (ia1 + x * (h1 + p1 * x))
-            b2 = rho * s2 * (ia2 + x * (h2 + p2 * x))
+        x = u / (rho * rho)
+        b0 = rho * s0 * (ia0 + x * (h0 + p0 * x))
+        b1 = rho * s1 * (ia1 + x * (h1 + p1 * x))
+        b2 = rho * s2 * (ia2 + x * (h2 + p2 * x))
         d0, d1, d2 = c + b0, c + b1, c + b2
         det = (d0 * d1 * d2 + 2.0 * o01 * o12 * o02
                - d0 * o12 * o12 - d1 * o02 * o02 - d2 * o01 * o01)
@@ -599,12 +496,9 @@ def _pair_residual(problem: AngularProblem, i: int, k: int):
             o2 = w2 * exp(-q * f2) * expm1(-2.0 * q * g2) / den
         else:
             c, (o, o2) = _couplings(u, angles)
-        if rho == 0.0:
-            b = bk = _at_rho_zero(u, problem.extended)
-        else:
-            x = u / (rho * rho)
-            b = rho * s * (ia + x * (h + p * x))
-            bk = rho * sk * (iak + x * (hk + pk * x))
+        x = u / (rho * rho)
+        b = rho * s * (ia + x * (h + p * x))
+        bk = rho * sk * (iak + x * (hk + pk * x))
         ac, ao2 = abs(c), abs(o2)
         scale = max(ac, abs(b), abs(o), ao2) * max(ac, abs(bk), ao2)
         return ((c + b + o) * (c + bk) - 2.0 * o2 * o2) / max(scale, 1e-300)
@@ -1076,25 +970,6 @@ def _lockstep(problem: AngularProblem, rho: np.ndarray, guess: np.ndarray,
         f0 = np.where(flip, f1, np.where(m > 0.0, m, 0.5) * f0)
         x1, f1 = x2, f2
     return None if idx.size else (u, res)
-
-
-def nu2_asymptotic(rho: float, pair: PairParams, mu: float,
-                   branch: str = "bound") -> float:
-    """Large-rho expansion of u = nu^2 on the bare (1/a only) equation.
-
-    branch="free" (no bound dimer): nu = 2 - (12/pi) sqrt(mu) a / rho, so
-    u = 4 - (48/pi) sqrt(mu) a / rho to the order kept.  branch="bound":
-    u = -x^2 - (16/sqrt3) x exp(-x pi/3) with x = rho/(sqrt(mu)|a|), the
-    dimer-channel parabola plus its exponential correction.  Valid for
-    rho >> max(|a|, R); the caller is responsible for the domain.
-    """
-    if branch == "free":
-        return 4.0 - (48.0 / math.pi) * math.sqrt(mu) * pair.a / rho
-    if branch == "bound":
-        if not pair.has_bound_dimer:
-            raise ValueError("bound-branch asymptote requires a < 0")
-        return dimer_channel_u(rho, 1.0 / abs(pair.a), mu)
-    raise ValueError(f"unknown branch {branch!r}")
 
 
 def dimer_channel_u(rho, kappa: float, mu: float):

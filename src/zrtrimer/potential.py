@@ -18,9 +18,9 @@ two nodes (the extended boundary condition gives u ~ rho^(3/2) there, i.e.
 W ~ rho^(-1/2)).  Beyond the last node the dimer-channel asymptote continues
 the branch; its pole momentum comes from the extended two-body equation so
 that the tail joins the traced branch without a seam.  Where the points
-of a read-only grid, such as the radial grid the shooters share, fall on
-the nodes is worked out once (`_Plan`), so sampling W there again costs
-only the cubic.
+of the last query fall on the nodes is worked out once (`_Plan`) and kept
+for equal queries on equal nodes, such as the radial grid the shooters
+share, so sampling W there again costs only the cubic.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class _Plan(NamedTuple):
     where: tuple[np.ndarray, ...]
 
 
-#: [(query, knots, plan)] of the last read-only query array that owns its
-#: data, such as the radial grid the shooters share; empty before any
+#: [(query, knots, plan)] of the last query, copies of the query and the
+#: nodes it was planned on; empty before any
 _PLANS: list[tuple[np.ndarray, np.ndarray, _Plan]] = []
 
 
@@ -85,10 +85,6 @@ class EffectivePotential:
         rhos = np.asarray(rhos, dtype=float)
         return (self._u(rhos) - _SHIFT[self.q_convention]) / (rhos * rhos)
 
-    def u_at(self, rho: float) -> float:
-        """Angular eigenvalue u = nu^2 at a single rho."""
-        return float(self._u(np.asarray(rho, dtype=float)))
-
     def _u(self, rhos: np.ndarray) -> np.ndarray:
         """u = nu^2 at any rho: the inner law below the first node, the
         interpolated branch on the grid and the analytic tail beyond it."""
@@ -111,15 +107,12 @@ class EffectivePotential:
         return u.reshape(rhos.shape)
 
     def _plan(self, rhos: np.ndarray) -> _Plan:
-        """Where rhos fall on the branch's nodes.  A read-only rhos that owns
-        its data, such as the shared radial grid, is taken to stay as it
-        is: its plan is kept until another such query comes, and any branch
-        on equal nodes reuses it."""
-        fixed = not rhos.flags.writeable and rhos.flags.owndata
-        if fixed:
-            for query, knots, plan in _PLANS:
-                if query is rhos and np.array_equal(knots, self.rho):
-                    return plan
+        """Where rhos fall on the branch's nodes.  The plan is kept until
+        another query comes, and an equal query on equal nodes, from any
+        branch, reuses it."""
+        for query, knots, plan in _PLANS:
+            if np.array_equal(query, rhos) and np.array_equal(knots, self.rho):
+                return plan
         flat = rhos.ravel()
         if flat.size and flat.min() <= 0.0:
             raise ValueError("rho must be positive")
@@ -128,12 +121,7 @@ class EffectivePotential:
         mid = ~(lo | hi)
         where = self._u_interp.locate(np.log(flat[mid]))
         plan = _Plan(lo, hi, mid, flat[lo], flat[hi], where)
-        if fixed:
-            for a in (*plan[:5], *where):
-                a.setflags(write=False)
-            knots = self.rho.copy()
-            knots.setflags(write=False)
-            _PLANS[:] = [(rhos, knots, plan)]
+        _PLANS[:] = [(rhos.copy(), self.rho.copy(), plan)]
         return plan
 
     def hartree_from_eps(self, eps: float) -> float:

@@ -3,7 +3,9 @@
 A code line holds at least one token that is neither a comment nor part
 of a docstring (the string that opens a module, class or function body);
 blank lines, comment lines and docstring lines do not count.  Prints one
-count per file of src/zrtrimer and the total:
+count per file of src/zrtrimer and the total, then, on its own line, the
+count of tests/reference.py, the independent references the tests compare
+the package against (moved out of src, so not a reduction of it):
 
     python tests/line_ledger.py
 """
@@ -16,7 +18,9 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zrtrimer"
+HERE = Path(__file__).resolve().parent
+PACKAGE = HERE.parent / "src" / "zrtrimer"
+REFERENCE = HERE / "reference.py"
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -50,6 +54,8 @@ def main() -> int:
     for path, n in sorted(counts.items(), key=lambda kv: -kv[1]):
         print(f"{n:6d}  {path.name}")
     print(f"{sum(counts.values()):6d}  total")
+    print(f"{code_lines(REFERENCE.read_text(encoding='utf-8')):6d}  "
+          "tests/reference.py")
     return 0
 
 

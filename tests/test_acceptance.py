@@ -21,18 +21,14 @@ from scipy.optimize import brentq
 import zrtrimer.cli as cli
 from zrtrimer import (
     PairParams,
-    boson_residual,
-    build_matrix,
     dimer_binding_energy,
     efimov_constant,
     hartree_to_mk,
-    nu2_asymptotic,
-    nu_cot_half_pi,
-    sin_ratio,
     solve_bound_states,
     thomas_spectrum,
     trace_branch,
 )
+from reference import build_matrix, nu2_asymptotic, nu_cot_half_pi, sin_ratio
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4
 
 # published zero-range reference energies (mK)

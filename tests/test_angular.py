@@ -18,24 +18,17 @@ from zrtrimer import (
     ParticleSystem,
     PoleProximityError,
     SolverError,
-    boson_residual,
-    build_matrix,
     critical_p_shape,
     dimer_pole_kappa,
     efimov_constant,
-    nu2_asymptotic,
-    nu_cot_half_pi,
-    sin_ratio,
     trace_branch,
 )
 from zrtrimer import angular
 from zrtrimer.angular import (
     POLE_GUARD,
     RootSearchError,
-    _bc_bracket,
     _cell_interval,
     _walk,
-    boson_lhs,
     dimer_channel_u,
     solve_at_rho,
 )
@@ -44,6 +37,8 @@ from zrtrimer.potential import effective_potential
 from zrtrimer.radial import solve_bound_states
 from zrtrimer.system import BRENT_RTOL
 
+from reference import (_bc_bracket, boson_lhs, boson_residual, build_matrix,
+                       nu2_asymptotic, nu_cot_half_pi, sin_ratio)
 from trimer_params import (HE4_A, HE4_MASS, HE4_P, HE4_REFF, MU4,
                            POLE_NOT_BARE)
 
@@ -372,13 +367,12 @@ class TestGeneralResidual:
     @settings(max_examples=60, deadline=None)
     @given(problem=_general_problems(), rho=_rhos)
     def test_guards_match_reference(self, problem, rho):
-        # u = 0, rho = 0 (only u = 0 is admitted there under the extended
-        # boundary condition) and the pole guard band around u = 4, 16
-        for r in (0.0, rho):
-            for u in (0.0, -2.0, 1.5, 4.0, 16.0 + 0.5 * POLE_GUARD,
-                      16.0 + POLE_GUARD):
-                assert (_outcome(lambda: problem.residual(u, r))
-                        == _outcome(lambda: _reference_det(u, r, problem)))
+        # u = 0 and the pole guard band around u = 4, 16, at rho > 0: the
+        # residual forms take no rho = 0, which no grid holds
+        for u in (0.0, -2.0, 1.5, 4.0, 16.0 + 0.5 * POLE_GUARD,
+                  16.0 + POLE_GUARD):
+            assert (_outcome(lambda: problem.residual(u, rho))
+                    == _outcome(lambda: _reference_det(u, rho, problem)))
 
 
 @st.composite
@@ -433,13 +427,12 @@ class TestBosonFastResidual:
     @settings(max_examples=60, deadline=None)
     @given(problem=_boson_problems(), rho=st.floats(0.05, 4000.0))
     def test_guards_match_reference(self, problem, rho):
-        # the guard band around u = 4 and 16 (its edges stay evaluable) and
-        # rho = 0, where the extended boundary condition admits only u = 0
-        for r in (0.0, rho):
-            for u in (0.0, -2.0, 1.5, 4.0 - POLE_GUARD, 4.0 - 0.5 * POLE_GUARD,
-                      4.0, 16.0 + 0.5 * POLE_GUARD, 16.0 + POLE_GUARD):
-                assert (_outcome(lambda: problem.residual(u, r))
-                        == _outcome(lambda: _boson_reference(u, r, problem)))
+        # the guard band around u = 4 and 16 (its edges stay evaluable), at
+        # rho > 0: the residual forms take no rho = 0, which no grid holds
+        for u in (0.0, -2.0, 1.5, 4.0 - POLE_GUARD, 4.0 - 0.5 * POLE_GUARD,
+                  4.0, 16.0 + 0.5 * POLE_GUARD, 16.0 + POLE_GUARD):
+            assert (_outcome(lambda: problem.residual(u, rho))
+                    == _outcome(lambda: _boson_reference(u, rho, problem)))
 
 
 @st.composite
@@ -496,13 +489,12 @@ class TestPairResidual:
     @settings(max_examples=60, deadline=None)
     @given(problem=_pair_problems(), rho=_rhos)
     def test_guards_match_reference(self, problem, rho):
-        # u = 0, rho = 0 (only u = 0 is admitted there under the extended
-        # boundary condition) and the pole guard band around u = 4, 16
-        for r in (0.0, rho):
-            for u in (0.0, -2.0, 1.5, 4.0, 16.0 + 0.5 * POLE_GUARD,
-                      16.0 + POLE_GUARD):
-                assert (_outcome(lambda: problem.residual(u, r))
-                        == _outcome(lambda: _pair_reference(u, r, problem)))
+        # u = 0 and the pole guard band around u = 4, 16, at rho > 0: the
+        # residual forms take no rho = 0, which no grid holds
+        for u in (0.0, -2.0, 1.5, 4.0, 16.0 + 0.5 * POLE_GUARD,
+                  16.0 + POLE_GUARD):
+            assert (_outcome(lambda: problem.residual(u, rho))
+                    == _outcome(lambda: _pair_reference(u, rho, problem)))
 
     @settings(max_examples=60, deadline=None)
     @given(mass=st.floats(0.8, 20.0), mass3=st.floats(0.8, 20.0),

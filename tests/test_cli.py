@@ -15,6 +15,7 @@ from zrtrimer import (BranchFoldError, PairParams, SolverError,
 from zrtrimer.angular import RootSearchError, dimer_channel_u
 from zrtrimer.system import hartree_to_mk
 
+from reference import u_at
 from trimer_params import HE4_A, HE4_P, HE4_REFF, MU4, bundled_config_text
 
 DATA = Path(__file__).parent / "data"
@@ -156,8 +157,9 @@ class TestSolveCommand:
         assert all(s["E_mK"] < pole for s in states)
         # seamless at the last node, as test_outer_tail_seamless on He4
         r_end = float(pot.rho[-1])
-        inside = pot.u_at(r_end * 0.9999999)
-        assert abs(pot.u_at(r_end * 1.0000001) - inside) < 1e-5 * abs(inside)
+        inside = u_at(pot, r_end * 0.9999999)
+        outside = u_at(pot, r_end * 1.0000001)
+        assert abs(outside - inside) < 1e-5 * abs(inside)
 
     def test_solve_validates_against_schema(self, he4_cfg_path, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
@@ -684,6 +686,36 @@ class TestExitCodes:
         assert [s["nodes"] for s in states] == [0, 1]
         assert states[1]["E_mK"] == pytest.approx(-6.14131, abs=5e-6)
         assert abs(states[1]["E_mK"] - -6.141310261379921) <= 1e-6
+
+    @staticmethod
+    def _solve_from(tmp_path, name, rho_min):
+        """solve's exit code on a bundled config with [grid] rho_min set."""
+        cfg = tmp_path / f"{name}_{rho_min:g}.cfg"
+        cfg.write_text(bundled_config_text(name).replace(
+            "\nrho_min = 0.05\n", f"\nrho_min = {rho_min!r}\n"))
+        return cli.main(["solve", "--config", str(cfg)])
+
+    def test_small_rho_min_floor(self, tmp_path):
+        # the bundled trimers solve from a [grid] rho_min of 1e-7, the
+        # floor README gives beside the 1e-100 the config accepts
+        assert self._solve_from(tmp_path, "he4_trimer", 1e-7) == 0
+        assert self._solve_from(tmp_path, "he4he4he3", 1e-7) == 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the extended first-node walk starts at u = "
+                              "-1e-14 and _continue's first rung is at least "
+                              "1e-13 (1 + |u|), both past |u| ~ 3.5e-14 at "
+                              "rho ~ 1e-8")
+    def test_smaller_rho_min_solves(self, tmp_path):
+        # [grid] rho_min accepts down to 1e-100, but below the floor the
+        # branch is lost near rho = 1.09e-8 (He4 at 1e-8) or the first
+        # node shows no sign change near u = -1e-14 (exit 2)
+        codes = {(name, rho_min): self._solve_from(tmp_path, name, rho_min)
+                 for name, rho_min in (("he4_trimer", 1e-8),
+                                       ("he4_trimer", 1e-12),
+                                       ("he4he4he3", 1e-8),
+                                       ("he4he4he3", 1e-20))}
+        assert set(codes.values()) == {0}, codes
 
     def test_plain_error_is_not_a_solver_failure(self, he4_cfg_path,
                                                  monkeypatch):
