@@ -112,6 +112,10 @@ COARSE_STEP = 0.15
 #: the rung.
 NEWTON_REACH = 1.25
 
+#: A walk that continues a branch halves a rung at most this many times
+#: where f turned back from zero inside it.
+MAX_SPLITS = 8
+
 #: First half-width of a lockstep bracket, over 1 + |guess|: about the
 #: median miss of the guesses on the bundled traces (1.7e-5 He4, 1.8e-5
 #: mixed).
@@ -542,11 +546,17 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
     1 + |x0|).  The rungs after it end where the ladder's would, so the
     merge skips no pair of close roots that the ladder would split beyond
     it; a walk up from the floor keeps the ladder's rungs, which find the
-    lowest root.  The refine closes to relative machine precision also
-    for roots near u = 0 (the first node sits at u ~ -3e-4), so the
-    branch residual invariant holds with margin even where the residual
-    is steep in u.  A walk that reaches its window's edge, or takes
-    max_steps rungs, with no sign change raises RootSearchError.
+    lowest root.  Given `above`, a rung whose end keeps the sign of its
+    start but lies further from zero passed a turn of f back from zero,
+    where two roots closer than the rung can hide; the rung is halved
+    toward its start, up to MAX_SPLITS times per walk, until its end
+    shows a sign change or lies no further from zero than its start (so
+    the trace follows the first root of such a pair).  The refine closes
+    to relative machine precision also for roots near u = 0 (the first
+    node sits at u ~ -3e-4), so the branch residual invariant holds with
+    margin even where the residual is steep in u.  A walk that reaches
+    its window's edge, or takes max_steps rungs, with no sign change
+    raises RootSearchError.
     """
     f0 = f(x0)
     if f0 == 0.0:
@@ -555,11 +565,16 @@ def _walk(f, x0: float, lo: float, hi: float, h0: float, grow: float,
     edge = lo if down else hi
     x, fx = x0, f0
     h = step = h0      # the ladder's rung and the rung taken
+    splits = MAX_SPLITS if above is not None else 0
     for rung in range(max_steps):
         if x == edge:
             break
         x2 = max(x - step, lo) if down else min(x + step, hi)
         f2 = f(x2)
+        while splits and fx * f2 > 0.0 and abs(f2) > abs(fx):
+            splits -= 1
+            x2 = 0.5 * (x + x2)
+            f2 = f(x2)
         if f2 == 0.0:
             return x2, f2, None, None
         if fx * f2 < 0.0:

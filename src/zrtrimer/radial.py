@@ -56,6 +56,14 @@ carries, each side over its F at m.  thomas_spectrum starts each
 level the same way, at a zero of the small-argument form of K_ig(kappa
 rho_0) (DLMF 10.45), the closed form of the inverse-square levels.
 
+A sweep allocates none of its float arrays: the band, the carry and its
+work rows come from one grow-only scratch per thread (`_Scratch`),
+sized for the largest grid the thread has seen and shared by all its
+shooters, so a process that solves more than once faults those pages in
+only once.  A shooter's last carries stay in the scratch, so `wave`
+reads them back only while that sweep still owns it; after another
+shooter's sweep it sweeps the energy again, which gives the same bits.
+
 Trial energies far below threshold make the outer region a huge barrier;
 integration is cut off once the accumulated barrier action passes ~60
 e-folds (any admixture beyond that is below double precision anyway).
@@ -74,6 +82,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -138,7 +147,7 @@ def count_nodes(f) -> int:
     and touching zeros ([1, 0, 1]) do not count as crossings.
     """
     f = np.asarray(f, dtype=float).ravel()
-    neg = f[f != 0.0] < 0.0
+    neg = (f < 0.0)[f != 0.0]
     return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
@@ -149,7 +158,7 @@ def _seed(tq: np.ndarray, far: int, near: int, a: float) -> float:
     return (t_far - t_near - (1.0 - t_far) * math.expm1(-a)) / (1.0 - t_near)
 
 
-def _carry(band, seeds, given=None) -> tuple[int, np.ndarray]:
+def _carry(band, z, seeds, given=None) -> tuple[int, np.ndarray]:
     """Carry the Numerov recursion in its summed form, every side at once.
 
     With F = (1 - h^2 q/12) g and v = h^2 q / (1 - h^2 q/12), the
@@ -176,17 +185,17 @@ def _carry(band, seeds, given=None) -> tuple[int, np.ndarray]:
 
     band holds the system's rows: -v_i of the side starting at row s in
     row s + 2i + 1 of column 1, -1.0 everywhere else in columns 1 and 2,
-    as a shooter's scratch keeps it; the entries zeroed here are set back
-    to -1.0 before returning.  seeds are (s, p) per side, ascending in
-    the even start row s; a side ends where the next begins.  given, a
-    list when passed, receives the row of every pair the substitution
-    starts from: the starts alone unless a side restarted.
+    as the thread's scratch keeps it; the entries zeroed here are set back
+    to -1.0 on the way out, also when the substitution raises, so a
+    failed sweep leaves the band fit for the next.  z, as long as band,
+    receives the carry.  seeds are (s, p) per side, ascending in the even
+    start row s; a side ends where the next begins.  given, a list when
+    passed, receives the row of every pair the substitution starts from:
+    the starts alone unless a side restarted.
     """
     ab = band.T             # band's rows are the columns of ab
-    z = np.zeros(len(band))
+    z.fill(0.0)
     starts = [s for s, _ in seeds]
-    for s in starts[1:]:
-        band[s - 2, 2] = band[s - 1, 1] = band[s - 1, 2] = 0.0
     given = [] if given is None else given
 
     def solve(j, d, f):
@@ -194,40 +203,47 @@ def _carry(band, seeds, given=None) -> tuple[int, np.ndarray]:
         # rescaled: its F is given, so it does not add the D before it.
         # z[j:] is contiguous, so dtbsv solves it in place
         for s, d, f in [(j, d, f), *((s, p, 1.0) for s, p in seeds if s > j)]:
-            band[s, 1] = 0.0
             given.append(s)
+            band[s, 1] = 0.0
             e = math.frexp(max(abs(d), abs(f)))[1]
             z[s], z[s + 1] = math.ldexp(d, -e), math.ldexp(f, -e)
         dtbsv(2, ab[:, j:], z[j:], lower=1, diag=1, overwrite_x=1)
 
-    solve(0, seeds[0][1], 1.0)
-    for j, e in zip(starts, [*starts[1:], len(z)]):
-        while not (abs(z.item(e - 2)) < _BIG and abs(z.item(e - 1)) < _BIG):
-            cut = j + int(np.argmin(np.abs(z[j:e]) < _BIG))
-            restart = 2 * ((cut - 2) // 2)  # the last whole pair before it
-            if restart <= j:
-                # one step from a rescaled pair: v is not finite or huge;
-                # the later sides start again from their seeds
-                if e < len(z):
-                    z[e:] = 0.0
-                    solve(e, seeds[starts.index(e)][1], 1.0)
-                break
-            j, d, f = restart, z.item(restart), z.item(restart + 1)
-            z[j + 2:] = 0.0
-            solve(j, d, f)
-    for s in given:
-        band[s, 1] = -1.0
+    try:
+        for s in starts[1:]:
+            band[s - 2, 2] = band[s - 1, 1] = band[s - 1, 2] = 0.0
+        solve(0, seeds[0][1], 1.0)
+        for j, e in zip(starts, [*starts[1:], len(z)]):
+            while not (abs(z.item(e - 2)) < _BIG
+                       and abs(z.item(e - 1)) < _BIG):
+                cut = j + int(np.argmin(np.abs(z[j:e]) < _BIG))
+                restart = 2 * ((cut - 2) // 2)  # the last whole pair before it
+                if restart <= j:
+                    # one step from a rescaled pair: v is not finite or
+                    # huge; the later sides start again from their seeds
+                    if e < len(z):
+                        z[e:] = 0.0
+                        solve(e, seeds[starts.index(e)][1], 1.0)
+                    break
+                j, d, f = restart, z.item(restart), z.item(restart + 1)
+                z[j + 2:] = 0.0
+                solve(j, d, f)
+    finally:
+        for s in given:
+            band[s, 1] = -1.0
+        for s in starts[1:]:
+            band[s - 2, 2] = band[s - 1, 1] = band[s - 1, 2] = -1.0
     neg = np.signbit(z[1::2])
     changes = neg[1:] ^ neg[:-1]
     for s in starts[1:]:
-        band[s - 2, 2] = band[s - 1, 1] = band[s - 1, 2] = -1.0
         changes[s // 2 - 1] = False     # across the seam
     return int(np.count_nonzero(changes)), z
 
 
-def _norm(f, f_m, den, rho) -> float:
-    """sum (rho f / (f_m den))^2, in one dot product."""
-    a = f / den
+def _norm(f, f_m, den, rho, out) -> float:
+    """sum (rho f / (f_m den))^2, in one dot product; out, as long as f,
+    takes the products."""
+    a = np.divide(f, den, out=out)
     a *= rho
     return float(a @ a) / (f_m * f_m)
 
@@ -281,6 +297,36 @@ def _log_grid(rho_min: float, rho_max: float, n: int) -> _Grid:
     return grid
 
 
+class _Scratch(threading.local):
+    """One thread's work arrays for every shooter, grow-only: sized for
+    the largest grid seen, so shooters on smaller grids work in their
+    heads.  band is `_carry`'s system, -1.0 in columns 1 and 2 outside
+    the v rows (the odd rows of column 1, each written by a sweep before
+    its carry reads it); z the carry and tq h^2 q/12, both kept in a
+    shooter's `last`; q, den (tq - 1) and spare (the barrier action, then
+    `_norm`'s products) hold nothing past the call that writes them, so
+    the shooter's set-up, its waves and `_warm_starts` use them too.
+    owner is the `last` of the sweep whose z and tq the scratch holds,
+    None while a sweep writes them: a shooter reads its carries back only
+    while it owns them.  Being per thread, concurrent solves never share
+    one."""
+
+    def __init__(self):
+        self.n, self.owner = 0, None
+
+    def sized(self, n: int) -> _Scratch:
+        """The scratch, grown to an n-point grid."""
+        if n > self.n:
+            self.n = n
+            self.band = np.full((2 * n + 2, 3), -1.0)
+            self.z = np.empty(2 * n + 2)
+            self.q, self.tq, self.den, self.spare = np.empty((4, n))
+        return self
+
+
+_SCRATCH = _Scratch()
+
+
 class _Shooter:
     """Two-sided ratio sweeps, node counts and eigenvalues on a fixed log grid.
 
@@ -297,9 +343,10 @@ class _Shooter:
     resid, d over a positive scale, has the sign of d, so count -
     (resid < 0) is the sign changes alone: k on the iterates from which
     the search for state k takes a Newton step.  The grid comes from
-    `_log_grid`, shared by every shooter on it and read-only; w and
-    the band scratch are each shooter's own.  ValueError unless
-    0 < rho_min < rho_max < inf and n >= 7: m is clamped to [3, n - 4].
+    `_log_grid`, shared by every shooter on it and read-only; w is each
+    shooter's own, and a sweep works in its thread's `_Scratch`, which
+    every shooter in the thread shares.  ValueError unless 0 < rho_min <
+    rho_max < inf and n >= 7: m is clamped to [3, n - 4].
     """
 
     def __init__(self, w_of, w_inf: float, search_top: float,
@@ -314,12 +361,13 @@ class _Shooter:
         if len(bad):    # a NaN trial energy would never leave the bisection
             raise SolverError(f"W is not finite at rho = {bad[0]:.6g}")
         self.n = n
-        self.band = np.full((2 * n + 2, 3), -1.0)   # _carry's scratch
+        spare = _SCRATCH.sized(n).spare[:n]
         # the window's floor, where q >= 0 at every point
-        self.w_min = float((self.w + self.grid.quarter).min())
+        self.w_min = float(np.add(self.w, self.grid.quarter, out=spare).min())
         # min W[k:] and -max W[k:], both ascending in k, for searchsorted
         self.tail_min = np.minimum.accumulate(self.w[::-1])[::-1]
-        self.tail_neg_max = -np.maximum.accumulate(self.w[::-1])[::-1]
+        self.tail_neg_max = -np.maximum.accumulate(self.w[::-1],
+                                                   out=spare)[::-1]
         self.reach = n      # the last sweep's cutoff less its turning point
         self.w_inf = w_inf
         self.top = search_top - abs(search_top) * 1e-12
@@ -331,8 +379,9 @@ class _Shooter:
         # to the root of d of each energy swept
         self.table: dict[float, _Sweep] = {}
         self.steps: dict[float, float] = {}
-        # the last _sweep's (eps, _Sweep, z_out, z_in, tq); the wave at the
-        # returned energy is built from it when that was the energy swept last
+        # the last _sweep's (eps, _Sweep, z_out, z_in, tq, carried), the
+        # arrays in the thread's scratch; the wave at the returned energy is
+        # built from it while this sweep still owns the scratch
         self.last = None
 
     def _turning_and_stop(self, eps: float) -> tuple[int, int, np.ndarray]:
@@ -347,9 +396,11 @@ class _Shooter:
         otherwise.  The action is summed in grid order from the turning
         point over 5/4 of the last sweep's reach plus 16 points, and to
         the grid's end when the cap lies beyond that, so the cutoff is
-        that of one whole-grid cumsum.
+        that of one whole-grid cumsum.  q and the action are written in
+        the thread's scratch.
         """
         n = self.n
+        scratch = _SCRATCH.sized(n)
         k = min(int(self.tail_min.searchsorted(eps, side="right")),
                 int(self.tail_neg_max.searchsorted(-eps, side="right")))
         if k and self.w.item(k - 1) != eps:
@@ -361,10 +412,10 @@ class _Shooter:
                   else (0 if self.tail_min[0] >= eps else n - 1))
         im = min(max(im, 3), n - 4)
         end = min(im + self.reach, n - 1)
-        q = self.w[:end + 1] - eps     # in place from here: a temporary
-        q *= self.r2[:end + 1]         # slows every sweep
+        q = np.subtract(self.w[:end + 1], eps, out=scratch.q[:end + 1])
+        q *= self.r2[:end + 1]
         q += 0.25
-        action = np.maximum(q[im:end], 0.0)
+        action = np.maximum(q[im:end], 0.0, out=scratch.spare[:end - im])
         np.sqrt(action, out=action)
         action *= self.h
         np.cumsum(action, out=action)
@@ -385,11 +436,13 @@ class _Shooter:
         1 .. stop - 1, g = F/(1 - tq) (J. W. Cooley, Math. Comp. 15, 363
         (1961)); the seeds' own dependence on eps is left out.  F is read
         straight from the carry, or, on a side that restarted from a
-        rescaled pair, from the ratio products."""
-        self.last = None    # freed before this sweep's arrays: peak memory
+        rescaled pair, from the ratio products.  Every array is a row of
+        the thread's scratch, which the sweep owns once it returns."""
+        scratch = _SCRATCH.sized(self.n)
+        scratch.owner = None
         m, stop, hq = self._turning_and_stop(eps)
         hq *= self.h * self.h       # h^2 q, in place on q
-        tq = hq / 12.0
+        tq = np.divide(hq, 12.0, out=scratch.tq[:stop + 1])
         top, bottom = tq.max(), tq.min()
         if not (top < _MAX_STEP_TQ and -bottom < _MAX_STEP_TQ):   # also NaN
             raise SolverError(
@@ -398,8 +451,8 @@ class _Shooter:
                 "radial grid")
         # -v = h^2 q / (h^2 q/12 - 1) straight into the band: outward at
         # points 1..m - 1, then inward at stop - 1 down to m + 1
-        band = self.band[:2 * stop]
-        den = tq - 1.0
+        band = scratch.band[:2 * stop]
+        den = np.subtract(tq, 1.0, out=scratch.den[:stop + 1])
         np.divide(hq[1:m], den[1:m], out=band[1:2 * m - 2:2, 1])
         np.divide(hq[stop - 1:m:-1], den[stop - 1:m:-1],
                   out=band[2 * m + 1:-2:2, 1])
@@ -412,7 +465,8 @@ class _Shooter:
             p_hi = _seed(tq, stop, stop - 1, 0.5 * self.h + kappa
                          * (self.rho.item(stop) - self.rho.item(stop - 1)))
         given = []
-        turns, z = _carry(band, [(0, p_lo), (2 * m, p_hi)], given)
+        turns, z = _carry(band, scratch.z[:2 * stop],
+                          [(0, p_lo), (2 * m, p_hi)], given)
         z_out, z_in = z[:2 * m], z[2 * m:]
         p_in = z_in.item(-2) / z_in.item(-1)
         x_m = (hq.item(m) / (1.0 - tq.item(m))
@@ -424,15 +478,17 @@ class _Shooter:
         # side restarted or the sum overflows: then from the ratio products
         norm = math.inf
         carried = given == [0, 2 * m]
+        spare = scratch.spare
         if carried:
             norm = (_norm(z_out[1::2], z_out.item(-1), den[1:m + 1],
-                          self.rho[1:m + 1])
+                          self.rho[1:m + 1], spare[:m])
                     + _norm(z_in[1:-2:2], z_in.item(-1), den[stop - 1:m:-1],
-                            self.rho[stop - 1:m:-1]))
+                            self.rho[stop - 1:m:-1], spare[:stop - 1 - m]))
         if not norm < math.inf:
-            norm = _norm(self._amplitudes(z_out, z_in, tq), 1.0, 1.0, self.rho)
+            norm = _norm(self._amplitudes(z_out, z_in, tq), 1.0, 1.0,
+                         self.rho, spare[:self.n])
         self.steps[eps] = d / (self.h * self.h * norm)
-        self.last = eps, sweep, z_out, z_in, tq, carried
+        self.last = scratch.owner = eps, sweep, z_out, z_in, tq, carried
         return sweep
 
     def sweep(self, eps: float) -> _Sweep:
@@ -451,14 +507,19 @@ class _Shooter:
     def wave(self, eps: float) -> tuple[float, np.ndarray]:
         """Matching residual and f at eps, max|f| = 1, dominant lobe positive,
         from the carries of the last sweep, which is at eps when the search
-        returned the last energy it swept; otherwise eps is swept once.  F
-        is read straight from the carry when neither side restarted, else
-        from the ratio products."""
-        if self.last is None or self.last[0] != eps:
+        returned the last energy it swept, while that sweep still owns the
+        thread's scratch; otherwise (another energy, another shooter's
+        sweep since, or another thread) eps is swept once more, which gives
+        the same bits.  F is read straight from the carry when neither
+        side restarted, else from the ratio products."""
+        if (self.last is None or self.last[0] != eps
+                or _SCRATCH.owner is not self.last):
             self._sweep(eps)
         _, sweep, z_out, z_in, tq, carried = self.last
-        f = self._amplitudes(z_out, z_in, tq, carried) * self.grid.root
-        return sweep.resid, f / f[np.abs(f).argmax()]
+        f = self._amplitudes(z_out, z_in, tq, carried)
+        f *= self.grid.root
+        f /= f[np.abs(f, out=_SCRATCH.spare[:self.n]).argmax()]
+        return sweep.resid, f
 
     def _amplitudes(self, z_out, z_in, tq, carried=False) -> np.ndarray:
         """g = F/(1 - tq) over the grid from a sweep's carries, F = 1 at m.
@@ -481,7 +542,8 @@ class _Shooter:
             g[m] = 1.0
             g[m + 1:stop + 1] = np.cumprod(
                 1.0 - (z_in[0::2] / z_in[1::2])[::-1])
-        g[:stop + 1] /= 1.0 - tq
+        spare = _SCRATCH.sized(self.n).spare
+        g[:stop + 1] /= np.subtract(1.0, tq, out=spare[:stop + 1])
         return g
 
     def eigenvalue(self, k: int, guess: float | None = None) -> float:
@@ -576,13 +638,22 @@ def _warm_starts(shooter: _Shooter, prior) -> list[float]:
     if not all(s.rho is shooter.rho or np.array_equal(s.rho, shooter.rho)
                for p in points for s in p[:1]):
         return []
-    w, out = shooter.w, []
+    w, n, out = shooter.w, shooter.n, []
+    scratch = _SCRATCH.sized(n)
+    f, hf, weight = scratch.q[:n], scratch.den[:n], scratch.spare[:n]
     for k, state in enumerate(points[-1]):
         before = points[0][k] if k < len(points[0]) else state
-        f = 2.0 * state.f - before.f
-        hf = (2.0 * (state.eps + w - state.w) * state.f
-              - (before.eps + w - before.w) * before.f)
-        weight = f * shooter.rho
+        np.multiply(2.0, state.f, out=f)
+        f -= before.f
+        np.add(state.eps, w, out=hf)
+        hf -= state.w
+        hf *= 2.0
+        hf *= state.f
+        np.add(before.eps, w, out=weight)
+        weight -= before.w
+        weight *= before.f
+        hf -= weight
+        np.multiply(f, shooter.rho, out=weight)
         out.append(float(weight @ hf) / float(weight @ f))
     return out
 

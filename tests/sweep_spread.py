@@ -33,15 +33,27 @@ the setup the memos of the radial layer serve: the shooters built, the
 radial grids `radial._log_grid` built and reused, and the W sampling
 plans `EffectivePotential._plan` built and reused, the fewest reused in
 one request beside them.  Each seed starts with both memos empty, as a
-fresh benchmark worker does.
+fresh benchmark worker does.  A fourth line gives the minor page faults
+per timed request (`ru_minflt` around each `cli.main` call) over the
+same requests, run in a fresh interpreter per workload as
+perfbench/worker.py runs them: BLAS at one thread, the reference kernel
+timed before each request, stdout and stderr captured.
 
     PYTHONPATH=src python tests/sweep_spread.py
+    PYTHONPATH=src python tests/sweep_spread.py --faults WORKLOAD ...
+
+The second form prints only the fault counts, of the named workloads run
+one after the other in that one process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import os
+import resource
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -53,6 +65,8 @@ from zrtrimer import angular, cli, potential, radial
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent)]
 from trimer_params import bundled_config_text  # noqa: E402
+from perfbench.reference import timed_reference  # noqa: E402
+from perfbench.run import child_env  # noqa: E402
 from perfbench.workloads import WORKLOADS, requests  # noqa: E402
 
 SEEDS = range(30)
@@ -183,8 +197,8 @@ def work(argv: list[str], rng: np.random.Generator | None
         warm.clear()
         return trace(*args, **kwargs)
 
-    def counted_carry(band, seeds, given):
-        turns_z = carry(band, seeds, given)
+    def counted_carry(band, z, seeds, given):
+        turns_z = carry(band, z, seeds, given)
         count["restarts"] += given != [s for s, _ in seeds]
         return turns_z
 
@@ -229,7 +243,46 @@ def work(argv: list[str], rng: np.random.Generator | None
     return count
 
 
+def bench_argvs(workload: str, tmp: Path):
+    """The command line of each of requests 0-39 of seeds 1-3, after
+    writing its config, each seed's first with both radial memos
+    emptied, as a fresh benchmark worker starts."""
+    path = tmp / "request.cfg"
+    for seed in BENCH_SEEDS:
+        radial._log_grid.cache_clear()
+        potential._PLANS.clear()
+        for req in itertools.islice(
+                requests(workload, seed, HERE.parent), BENCH_REQUESTS):
+            if req.config_text is not None:
+                path.write_text(req.config_text)
+            yield [str(path) if a == "{config}" else a for a in req.argv]
+
+
+def faults(workload: str) -> float:
+    """Minor page faults per timed request of one workload in this
+    process: `ru_minflt` around each `cli.main` call, stdout and stderr
+    captured, with the reference kernel timed before each request."""
+    total = calls = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in bench_argvs(workload, Path(tmp)):
+            timed_reference()
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(io.StringIO())):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                code = cli.main(argv)
+                total += (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+            if code != 0:
+                raise SystemExit(f"{' '.join(argv)} exited {code}")
+            calls += 1
+    return total / calls
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--faults"]:
+        for workload in sys.argv[2:]:
+            print(f"{workload} {faults(workload)}", flush=True)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         for label, name, argv in RUNS:
             if name is not None:
@@ -243,23 +296,15 @@ def main() -> int:
                   f"{SEEDS[-1]} with W moved by up to {ULPS} ulp "
                   f"{min(spread)}/{np.mean(spread):.2f}/{max(spread)} "
                   "(min/mean/max)")
-        path = Path(tmp) / "request.cfg"
         for workload in WORKLOADS:
             total = dict.fromkeys(COUNTS, 0)
             reused = []     # plans reused by each request that sampled W
-            for seed in BENCH_SEEDS:
-                radial._log_grid.cache_clear()
-                potential._PLANS.clear()
-                for req in itertools.islice(
-                        requests(workload, seed, HERE.parent), BENCH_REQUESTS):
-                    if req.config_text is not None:
-                        path.write_text(req.config_text)
-                    one = work([str(path) if a == "{config}" else a
-                                for a in req.argv], None)
-                    for key in total:
-                        total[key] += one[key]
-                    if one["plans"] + one["plan_hits"]:
-                        reused.append(one["plan_hits"])
+            for argv in bench_argvs(workload, Path(tmp)):
+                one = work(argv, None)
+                for key in total:
+                    total[key] += one[key]
+                if one["plans"] + one["plan_hits"]:
+                    reused.append(one["plan_hits"])
             print(f"benchmark {workload}: {total['sweeps']} sweeps, "
                   f"{total['first'] + total['scalar']} angular scalar "
                   f"residual calls ({total['first']} first-node, "
@@ -283,6 +328,12 @@ def main() -> int:
                   f"built and {total['plan_hits']} reused"
                   + (f" (at least {min(reused)} in each request)"
                      if reused else ""))
+            fresh = subprocess.run(
+                [sys.executable, __file__, "--faults", workload],
+                env=child_env(), stdout=subprocess.PIPE, text=True,
+                check=True).stdout.split()[1]
+            print(f"benchmark {workload}, memory: {float(fresh):.1f} minor "
+                  "page faults per timed request in a fresh interpreter")
     return 0
 
 

@@ -1413,17 +1413,26 @@ class TestSectorDraws:
         _assert_lowest_cold_branch(ParticleSystem(
             (mass, mass, mass3), (pair, pair, pair3)), n)
 
-    @pytest.mark.xfail(strict=True, raises=BranchFoldError,
-                       reason="two roots 0.007 apart near rho = 261.479 lie "
-                              "inside the walk's first rung")
     def test_two_identical_close_roots(self):
-        # the draw test_two_identical shrinks to on the seeds where it
-        # fails: at m3 = m the exchange-symmetric factor splits into two
+        # the draw test_two_identical shrank to on the seeds where it
+        # failed: at m3 = m the exchange-symmetric factor splits into two
         # symmetries whose roots cross, and at m3 = m (1 + 5e-6) the
-        # avoided crossing leaves a gap the one-way walk steps over
+        # avoided crossing leaves two roots 0.007 apart near rho = 261.479,
+        # inside the continuation walk's first 0.01 rung.  The rung's end
+        # lies further from zero than its start, so the walk halves it and
+        # the trace follows the lower root
         pair = PairParams(a=-30.0, r_eff=5.0, p_shape=0.0418925878260229)
         _assert_lowest_cold_branch(ParticleSystem(
             (2.0, 2.0, 2.00001), (pair, pair, pair)), 150)
+
+    @settings(max_examples=10, deadline=None)
+    @given(mass=_mass, log_delta=st.floats(-7.0, -2.0), pair=_any_pair,
+           n=st.integers(150, 300))
+    def test_two_nearly_identical(self, mass, log_delta, pair, n):
+        # m3 = m (1 + delta), delta log-uniform in [1e-7, 1e-2], and one
+        # pair for all three: the two symmetries' roots nearly cross
+        _assert_lowest_cold_branch(ParticleSystem(
+            (mass, mass, mass * (1.0 + 10.0 ** log_delta)), (pair,) * 3), n)
 
     @example(masses=[10.47, 2.84, 4.74], pairs=[
         PairParams(a=194.2, r_eff=9.69, p_shape=0.0557),

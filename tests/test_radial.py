@@ -3,6 +3,8 @@ import dataclasses
 import decimal
 import gc
 import math
+import sys
+import threading
 import weakref
 from types import SimpleNamespace
 from unittest import mock
@@ -116,7 +118,7 @@ def _carry_one(v, p, band=None):
         band = np.full((2 * len(v) + 2, 3), -1.0)
     band = band[:2 * len(v) + 2]
     np.negative(v, out=band[1:-1:2, 1])
-    return _carry(band, [(0, p)])
+    return _carry(band, np.empty(len(band)), [(0, p)])
 
 
 def _ratios(z):
@@ -396,7 +398,7 @@ class TestOneCallSweep:
         band = np.full((42 + 82, 3), -1.0)      # 20 and 40 points
         band[1:40:2, 1] = -1e305
         np.negative(inward, out=band[43:-2:2, 1])
-        _, z = _carry(band, [(0, 0.2), (42, 0.1)])
+        _, z = _carry(band, np.empty(len(band)), [(0, 0.2), (42, 0.1)])
         assert not np.isfinite(z[40:42]).all()
         assert np.array_equal(_ratios(z[42:]),
                               _ratios(_carry_one(inward, 0.1)[1]))
@@ -1198,16 +1200,30 @@ class TestRefineStop:
         assert max(_stop_misses(lambda: solve_bound_states(pot))) \
             <= self.BOUND
 
-    @settings(max_examples=6, deadline=None)
-    @given(a_factor=st.floats(0.9, 1.1), p_shape=st.floats(0.10, 0.16))
-    def test_mixed_draws(self, mixed_cfg, a_factor, p_shape):
-        # the mixed-solve benchmark's jitter: pair.3 (He4-He4) a scaled, P
-        # set on every pair, on the bundled grids
+    @staticmethod
+    def _mixed_jitter(mixed_cfg, a_factor, p_shape):
+        """The mixed-solve benchmark's jitter: pair.3 (He4-He4) a scaled,
+        P set on every pair, on the bundled grids."""
         cfg = cli._with_pshape(mixed_cfg, p_shape)
         pairs = list(cfg.system.pairs)
         pairs[2] = dataclasses.replace(pairs[2], a=pairs[2].a * a_factor)
-        cfg = dataclasses.replace(cfg, system=dataclasses.replace(
+        return dataclasses.replace(cfg, system=dataclasses.replace(
             cfg.system, pairs=tuple(pairs)))
+
+    @settings(max_examples=6, deadline=None)
+    @given(a_factor=st.floats(0.9, 1.1), p_shape=st.floats(0.10, 0.16))
+    def test_mixed_draws(self, mixed_cfg, a_factor, p_shape):
+        cfg = self._mixed_jitter(mixed_cfg, a_factor, p_shape)
+        assert max(_stop_misses(lambda: cli.solve_for_config(cfg))) \
+            <= self.BOUND
+
+    @pytest.mark.xfail(strict=True, reason="state 0 stops 5.66 BRENT_RTOL "
+                       "|eps| from the reference, past BOUND")
+    def test_mixed_draw_past_bound(self, mixed_cfg):
+        # a draw test_mixed_draws can make: the reference refine reads
+        # past BOUND here, while the state lies within BOUND of the exact
+        # root of its discrete equations (`_discrete_root`)
+        cfg = self._mixed_jitter(mixed_cfg, 0.99999, 0.1)
         assert max(_stop_misses(lambda: cli.solve_for_config(cfg))) \
             <= self.BOUND
 
@@ -1403,6 +1419,99 @@ class TestGridSharing:
         copied = [dataclasses.replace(s, rho=s.rho.copy()) for s in cold]
         assert len(shared) == len(cold)
         assert radial._warm_starts(shooter(8000), [copied]) == shared
+
+
+class TestScratch:
+    """Every shooter of a thread sweeps in that thread's one `_Scratch`: a
+    shooter reads its carries back only while its last sweep owns the
+    scratch, a carry that raises leaves the band at its invariant, and
+    threads never share a scratch."""
+
+    @staticmethod
+    def _energies(shooter):
+        """Four energies across the window, then the deepest state."""
+        gap = shooter.top - shooter.w_min
+        return [*(shooter.top - gap * np.geomspace(1e-6, 0.5, 4)),
+                shooter.eigenvalue(0)]
+
+    def test_interleaved_shooters(self, he4_branch_potential):
+        # a seeded shooter on 8000 points and a hard-wall one on 12000
+        # sweep in turn in one scratch, sized for the larger: each one's
+        # sweeps, Newton steps and waves are those it makes alone, also
+        # the wave each reads after the other has swept
+        _, pot = he4_branch_potential
+        makers = (lambda: _he4_shooter(pot, 8000), _thomas_shooter)
+        plans = [self._energies(make()) for make in makers]
+
+        def run(kinds):
+            """Each shooter's sweeps in turn, its steps, then its waves."""
+            shooters = [makers[k]() for k in kinds]
+            sweeps = [[] for _ in kinds]
+            for i in range(len(plans[0])):
+                for out, shooter, k in zip(sweeps, shooters, kinds):
+                    out.append(shooter._sweep(plans[k][i]))
+            waves = [shooter.wave(plans[k][-1])
+                     for shooter, k in zip(shooters, kinds)]
+            return list(zip(sweeps, [s.steps for s in shooters], waves))
+        together = run([0, 1])
+        for k, (sweeps, steps, (resid, f)) in enumerate(together):
+            [(one_sweeps, one_steps, (one_resid, one_f))] = run([k])
+            assert sweeps == one_sweeps
+            assert steps == one_steps
+            assert resid == one_resid
+            assert np.array_equal(f, one_f)
+        assert radial._SCRATCH.n >= 12000
+
+    def test_band_after_a_failed_carry(self, he4_branch_potential,
+                                       monkeypatch):
+        # the substitution raises after the seams are zeroed: the band is
+        # back at -1.0 in columns 1 and 2 outside the v rows, and the next
+        # solve is bit for bit the one before the failure
+        _, pot = he4_branch_potential
+        before = solve_bound_states(pot)
+        shooter = _he4_shooter(pot, 8000)
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("substitution failed")
+        monkeypatch.setattr(radial, "dtbsv", failing)
+        with pytest.raises(RuntimeError, match="substitution failed"):
+            shooter._sweep(before[0].eps)
+        monkeypatch.setattr(radial, "dtbsv", dtbsv)
+        band = radial._SCRATCH.band
+        fixed = np.ones(band.shape, dtype=bool)
+        fixed[1::2, 1] = False
+        assert np.all(band[fixed] == -1.0)
+        after = solve_bound_states(pot)
+        assert [s.eps for s in after] == [s.eps for s in before]
+        assert all(np.array_equal(a.f, b.f) for a, b in zip(after, before))
+
+    def test_threads_solve_apart(self, he4_branch_potential):
+        # three threads (more than the test machine's two cores) solve at
+        # once, switching every microsecond: each returns the states of a
+        # solve alone, energies and waves bit for bit
+        _, pot = he4_branch_potential
+        alone = solve_bound_states(pot)
+        found = {}
+
+        def solve(i):
+            found[i] = [solve_bound_states(pot) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(i,))
+                       for i in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(found) == [0, 1, 2]
+        for states in (s for runs in found.values() for s in runs):
+            assert [s.eps for s in states] == [s.eps for s in alone]
+            assert all(np.array_equal(a.f, b.f)
+                       for a, b in zip(states, alone))
 
 
 def _count_sweeps(monkeypatch) -> list[int]:
